@@ -96,23 +96,6 @@ def zeta_set(a2: float, a3: float) -> ZetaSet:
 
 
 @dataclass(frozen=True)
-class LinkParams:
-    """Per-user link description for fading averages."""
-
-    rho: float
-    sigma_sq: float
-    n_r: int
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.sigma_sq <= 0 or self.n_r < 1:
-            raise ConfigError("link parameters must be positive")
-
-    @property
-    def gamma_bar(self) -> float:
-        return self.rho * self.sigma_sq
-
-
-@dataclass(frozen=True)
 class PepTerm:
     """Signed decision statistic of one pairwise symbol error."""
 
@@ -152,71 +135,75 @@ def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _check_power_user(i: int, pa: PowerAllocation, first_user: int = 2):
+    last = pa.n_users + first_user - 1
+    if not first_user <= i <= last:
+        raise InputError(f"user index {i} out of {first_user}..{last}")
+
+
 # ---------------------------------------------------------------------------
 # Cell-edge user: union bound on the SM detection
 # ---------------------------------------------------------------------------
 
 
-def pep_u1_pair(chi_k: complex, chi_hat: complex, rho: float, sigma1_sq: float,
-                n_r: int, m_t: int) -> float:
-    """Average pairwise error probability of confusing two antenna hypotheses
-    carrying composite symbols chi_k and chi_hat, weighted by log2(M_T)."""
-    if rho <= 0 or sigma1_sq <= 0:
-        raise InputError("rho and sigma1_sq must be positive")
-    sigma_a_sq = rho * sigma1_sq * (abs(chi_k) ** 2 + abs(chi_hat) ** 2) / 4.0
-    mu = np.sqrt(sigma_a_sq / (2.0 + sigma_a_sq))
-    return np.log2(m_t) * rayleigh_q_average(mu, n_r)
+def _pair_energy_levels(alphabet: ScAlphabet):
+    """Distinct pair energies |chi_k|^2 + |chi_hat|^2 over all ordered
+    composite-symbol pairs, with the share of pairs at each level. The pair
+    energies collapse to a handful of levels even for large alphabets; each
+    level is the energy of its first pair, not the rounded grouping key."""
+    energy = np.abs(alphabet.values) ** 2
+    e = (energy[:, None] + energy[None, :]).ravel()
+    _, first, counts = np.unique(np.round(e, 12), return_index=True,
+                                 return_counts=True)
+    return e[first], counts / e.size
 
 
 def abep_u1(alphabet: ScAlphabet, n_t: int, n_r: int, rho: float,
             sigma1_sq: float, clamp: bool = True) -> float:
     """Union bound on the cell-edge user's ABEP: antenna-pair factor times the
     pairwise error probability averaged uniformly over all ordered composite
-    symbol pairs."""
+    symbol pairs, each weighted by log2(M_T)."""
     if n_t == 1:
         return 0.0
-    chis = alphabet.values
-    m_t = alphabet.size
-    peps = [
-        pep_u1_pair(ck, ch, rho, sigma1_sq, n_r, m_t)
-        for ck in chis
-        for ch in chis
-    ]
-    bound = (n_t / 2.0) * float(np.mean(peps))
+    if rho <= 0 or sigma1_sq <= 0:
+        raise InputError("rho and sigma1_sq must be positive")
+    levels, weights = _pair_energy_levels(alphabet)
+    sigma_a_sq = rho * sigma1_sq * levels / 4.0
+    mu = np.sqrt(sigma_a_sq / (2.0 + sigma_a_sq))
+    peps = np.log2(alphabet.size) * rayleigh_q_average(mu, n_r)
+    bound = (n_t / 2.0) * float(peps @ weights)
     return _clamp(bound) if clamp else bound
+
+
+def _bep_u1_curve(alphabet: ScAlphabet, n_t: int, clamp: bool):
+    """Cell-edge BEP as a function of an array of instantaneous MRC SNRs,
+    with the pair-energy levels built once."""
+    levels, weights = _pair_energy_levels(alphabet)
+    scale = (n_t / 2.0) * np.log2(alphabet.size)
+
+    def bep(gammas: np.ndarray) -> np.ndarray:
+        vals = scale * (q_func(np.sqrt(gammas[:, None] * levels[None, :] / 4.0)) @ weights)
+        return np.clip(vals, 0.0, 1.0) if clamp else vals
+
+    return bep
+
+
+def conditional_bep_u1_vec(gammas: np.ndarray, alphabet: ScAlphabet,
+                           n_t: int, clamp: bool = True) -> np.ndarray:
+    """BEP of the cell-edge user conditioned on each instantaneous MRC SNR,
+    clamped to [0, 1] unless ``clamp`` is false."""
+    gammas = np.asarray(gammas, dtype=float)
+    if n_t == 1:
+        return np.zeros_like(gammas)
+    return _bep_u1_curve(alphabet, n_t, clamp)(gammas)
 
 
 def conditional_bep_u1(gamma1: float, alphabet: ScAlphabet, n_t: int,
                        clamp: bool = True) -> float:
-    """BEP of the cell-edge user conditioned on the instantaneous MRC SNR."""
+    """Scalar :func:`conditional_bep_u1_vec`."""
     if gamma1 < 0:
         raise InputError("gamma1 must be nonnegative")
-    if n_t == 1:
-        return 0.0
-    chis = alphabet.values
-    m_t = alphabet.size
-    e = np.abs(chis[:, None]) ** 2 + np.abs(chis[None, :]) ** 2
-    val = (n_t / 2.0) * np.log2(m_t) * float(np.mean(q_func(np.sqrt(gamma1 * e / 4.0))))
-    return _clamp(val) if clamp else val
-
-
-def conditional_bep_u1_vec(gammas: np.ndarray, alphabet: ScAlphabet,
-                           n_t: int) -> np.ndarray:
-    """Vectorized, clamped :func:`conditional_bep_u1` over an SNR array."""
-    gammas = np.asarray(gammas, dtype=float)
-    if n_t == 1:
-        return np.zeros_like(gammas)
-    chis = alphabet.values
-    m_t = alphabet.size
-    e = (np.abs(chis[:, None]) ** 2 + np.abs(chis[None, :]) ** 2).ravel()
-    # the pair energies collapse to a handful of distinct levels, which keeps
-    # the gamma-by-pair matrix small even for large composite alphabets
-    levels, counts = np.unique(np.round(e, 12), return_counts=True)
-    weights = counts / e.size
-    vals = (n_t / 2.0) * np.log2(m_t) * (
-        q_func(np.sqrt(gammas[:, None] * levels[None, :] / 4.0)) @ weights
-    )
-    return np.clip(vals, 0.0, 1.0)
+    return float(conditional_bep_u1_vec(np.array([gamma1]), alphabet, n_t, clamp)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +303,7 @@ def noma_pep_symbols(i: int, s_i: complex, s_hat_i: complex, interferer_symbols,
                      sigma_i_sq: float, n_r: int) -> float:
     """Average PEP of user i's decision s_i -> s_hat_i given the interfering
     symbols s_p (p = i+1..L) and the residual SIC errors delta_q (q = 2..i-1)."""
-    n_users = pa.n_users + 1
-    if not 2 <= i <= n_users:
-        raise InputError(f"user index {i} out of 2..{n_users}")
+    _check_power_user(i, pa)
     a = pa.coefficients
     interferers = list(zip(a[i - 1:], interferer_symbols))
     sic = list(zip(a[: i - 2], sic_deltas))
@@ -355,19 +340,11 @@ def _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
 def _own_error_bound(i, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r) -> float:
     """Bit-distance-weighted own-symbol error sum of user i for one residual
     pattern, capped at 1 since it bounds a bit error ratio."""
-    n_users = len(coeffs)
     slot = i - 2
-    s_i = consts[slot].points[tx[slot]]
-    interferers = [(coeffs[p], consts[p].points[tx[p]]) for p in range(i - 1, n_users)]
     dist = consts[slot].bit_distance_table()[tx[slot]]
-    total = 0.0
-    for n in range(consts[slot].order):
-        if n == tx[slot]:
-            continue
-        t = pep_term(s_i, consts[slot].points[n], coeffs[slot], rho,
-                     interferers, list(deltas))
-        total += dist[n] / consts[slot].bits_per_symbol * noma_pep(t, sigma_i_sq, n_r)
-    return min(1.0, total)
+    branches = _stage_branch_weights(slot, tx, deltas, coeffs, consts, rho,
+                                     sigma_i_sq, n_r)
+    return min(1.0, sum(dist[n] / consts[slot].bits_per_symbol * w for n, w in branches))
 
 
 def _ber_given_tx(i, tx, q, deltas, coeffs, consts, rho, sigma_i_sq, n_r,
@@ -420,9 +397,7 @@ def union_bound_ber(i: int, constellations, pa: PowerAllocation, rho: float,
     Beyond ``max_enum`` joint hypotheses the sum is estimated by uniform
     subsampling and the result reports a 95% confidence half-width.
     """
-    n_users = pa.n_users + 1
-    if not 2 <= i <= n_users:
-        raise InputError(f"user index {i} out of 2..{n_users}")
+    _check_power_user(i, pa)
     coeffs = pa.coefficients
     consts = list(constellations)
     if len(consts) != pa.n_users:
@@ -481,14 +456,14 @@ def ergodic_capacity_fractions(b_with: float, b_without: float, gamma_bar: float
 
 
 def ergodic_capacity_noma_user(i: int, pa: PowerAllocation, rho: float,
-                               sigma_i_sq: float, n_r: int) -> float:
-    """Exact ergodic capacity of intra-cell user i (2..L)."""
-    n_users = pa.n_users + 1
-    if not 2 <= i <= n_users:
-        raise InputError(f"user index {i} out of 2..{n_users}")
-    b_with = sum(pa.coefficients[i - 2:])
-    b_without = sum(pa.coefficients[i - 1:])
-    return ergodic_capacity_fractions(b_with, b_without, rho * sigma_i_sq, n_r)
+                               sigma_i_sq: float, n_r: int,
+                               first_user: int = 2) -> float:
+    """Exact ergodic capacity of power-multiplexed user i; ``pa`` covers
+    users ``first_user``..L (2 for SSK-NOMA, 1 for the baseline)."""
+    _check_power_user(i, pa, first_user)
+    own_and_weaker = pa.coefficients[i - first_user:]
+    return ergodic_capacity_fractions(sum(own_and_weaker), sum(own_and_weaker[1:]),
+                                      rho * sigma_i_sq, n_r)
 
 
 def ergodic_capacity_u1(n_t: int, abep1: float) -> float:
@@ -507,36 +482,30 @@ def sum_rate(rates) -> float:
 # ---------------------------------------------------------------------------
 
 
-def outage_threshold_general(i: int, coeffs, phis, first_user: int) -> float:
-    """max over decoding stages m = first_user..i of the SNR level below which
+def outage_threshold_psi(i: int, pa: PowerAllocation, targets: OutageTargets,
+                         first_user: int = 2) -> float:
+    """Equivalent MRC-SNR outage threshold of power-multiplexed user i: the
+    max over decoding stages m = first_user..i of the SNR level below which
     stage m's SINR misses its threshold; +inf when a stage can never meet it.
-
-    ``coeffs[0]`` and ``phis[0]`` belong to user ``first_user``.
+    ``pa`` covers users ``first_user``..L (2 for SSK-NOMA, 1 for the baseline).
     """
+    _check_power_user(i, pa, first_user)
+    coeffs = pa.coefficients
     worst = 0.0
-    for m in range(first_user, i + 1):
-        k = m - first_user
-        phi_m = phis[k]
-        denom = coeffs[k] - phi_m * sum(coeffs[k + 1:])
+    for k in range(i - first_user + 1):
+        phi = targets.phi(first_user + k)
+        denom = coeffs[k] - phi * sum(coeffs[k + 1:])
         if denom <= 0:
             return float("inf")
-        worst = max(worst, phi_m / denom)
+        worst = max(worst, phi / denom)
     return worst
 
 
-def outage_threshold_psi(i: int, pa: PowerAllocation, targets: OutageTargets) -> float:
-    """Equivalent MRC-SNR outage threshold of intra-cell user i."""
-    n_users = pa.n_users + 1
-    if not 2 <= i <= n_users:
-        raise InputError(f"user index {i} out of 2..{n_users}")
-    phis = [targets.phi(m) for m in range(2, i + 1)]
-    return outage_threshold_general(i, pa.coefficients, phis, 2)
-
-
 def outage_noma_user(i: int, pa: PowerAllocation, targets: OutageTargets,
-                     rho: float, sigma_i_sq: float, n_r: int) -> float:
-    """Average outage probability of intra-cell user i."""
-    psi = outage_threshold_psi(i, pa, targets)
+                     rho: float, sigma_i_sq: float, n_r: int,
+                     first_user: int = 2) -> float:
+    """Average outage probability of power-multiplexed user i."""
+    psi = outage_threshold_psi(i, pa, targets, first_user)
     if not np.isfinite(psi):
         return 1.0
     return float(chi2_cdf(psi, n_r, rho * sigma_i_sq))
@@ -552,9 +521,10 @@ def outage_u1(targets: OutageTargets, n_t: int, alphabet: ScAlphabet, n_r: int,
         raise ConfigError(f"target rate {r1} exceeds log2(N_t) = {np.log2(n_t)}")
     psi1 = 1.0 - r1 / np.log2(n_t)
     gbar = rho * sigma1_sq
+    bep = _bep_u1_curve(alphabet, n_t, clamp=True)
 
     def integrand(g):
-        return conditional_bep_u1(g, alphabet, n_t) * chi2_pdf(g, n_r, gbar)
+        return float(bep(np.array([g]))[0]) * chi2_pdf(g, n_r, gbar)
 
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
     full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)

@@ -1,4 +1,5 @@
-"""Rayleigh MIMO fading, AWGN and received-signal synthesis.
+"""Rayleigh fading profiles, keyed random streams, complex Gaussian draws
+and MRC statistics.
 
 Normalization: the noise power is fixed to N_0 = 1 so the transmit power
 equals the linear SNR (P = rho) and the MRC output SNR is exactly
@@ -73,50 +74,6 @@ class SnrConfig:
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrConfig":
         return cls(10.0 ** (snr_db / 10.0))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-user fading matrices of shape (N_t, N_r)."""
-
-    matrices: tuple
-
-    def user(self, i: int) -> np.ndarray:
-        """Matrix H_i for user i (1-based)."""
-        return self.matrices[i - 1]
-
-    def column(self, i: int, v: int) -> np.ndarray:
-        """Column h_{i,v}: the channel of antenna v (1-based) to user i."""
-        return self.matrices[i - 1][v - 1]
-
-
-@dataclass(frozen=True)
-class ReceivedVector:
-    samples: np.ndarray
-    owner: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-
-
-def sample_channel(profile: FadingProfile, n_t: int, n_r: int,
-                   rng: np.random.Generator) -> ChannelRealization:
-    """Draw i.i.d. CN(0, sigma_i^2) matrices for every user."""
-    if n_t < 1 or n_r < 1:
-        raise InputError("antenna counts must be >= 1")
-    mats = tuple(complex_normal(rng, (n_t, n_r), var) for var in profile.variances)
-    return ChannelRealization(mats)
-
-
-def transmit(h_col: np.ndarray, chi: complex, snr: SnrConfig,
-             rng: np.random.Generator, owner: int = 1,
-             noise: bool = True) -> ReceivedVector:
-    """Received vector r = sqrt(P) * h * chi + w with w ~ CN(0, N_0) per entry."""
-    h_col = np.asarray(h_col, dtype=complex)
-    r = np.sqrt(snr.power) * h_col * chi
-    if noise:
-        r = r + complex_normal(rng, h_col.shape, snr.noise_power)
-    return ReceivedVector(r, owner)
 
 
 def mrc_snr(h_col: np.ndarray, rho: float) -> float:

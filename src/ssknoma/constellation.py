@@ -78,12 +78,14 @@ class UserConstellation:
 
     def bit_distance_table(self) -> np.ndarray:
         """Hamming distance between the labels of every symbol pair."""
-        m = self.order
-        table = np.zeros((m, m), dtype=int)
-        for a in range(m):
-            for b in range(m):
-                table[a, b] = sum(x != y for x, y in zip(self.labels[a], self.labels[b]))
-        return table
+        return hamming_table(self.labels)
+
+
+def hamming_table(labels) -> np.ndarray:
+    """Hamming distance between every pair of equal-length bit-string labels."""
+    bits = np.array([[int(b) for b in lab] for lab in labels], dtype=int)
+    bits = bits.reshape(len(labels), -1)  # keeps empty labels two-dimensional
+    return np.count_nonzero(bits[:, None, :] != bits[None, :, :], axis=2)
 
 
 def bpsk() -> UserConstellation:
@@ -195,26 +197,6 @@ class ScAlphabet:
         return tuple(idx for idx, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class TxVector:
-    """One-antenna-active transmit vector: payload at ``antenna_index``."""
-
-    antenna_index: int
-    payload: complex
-    n_antennas: int
-
-    def __post_init__(self):
-        if not 1 <= self.antenna_index <= self.n_antennas:
-            raise InputError(
-                f"antenna index {self.antenna_index} out of 1..{self.n_antennas}"
-            )
-
-    def expand(self) -> np.ndarray:
-        x = np.zeros(self.n_antennas, dtype=complex)
-        x[self.antenna_index - 1] = self.payload
-        return x
-
-
 def gray_map(bits: str, constellation: UserConstellation) -> complex:
     """Map a bit string to its labeled constellation symbol."""
     if len(bits) != constellation.bits_per_symbol:
@@ -267,6 +249,3 @@ def antenna_label(v: int, n_antennas: int) -> str:
         raise InputError(f"antenna index {v} out of 1..{n_antennas}")
     return format(v - 1, f"0{nbits}b") if nbits else ""
 
-
-def build_tx_vector(v: int, chi: complex, n_antennas: int) -> TxVector:
-    return TxVector(v, complex(chi), n_antennas)

@@ -1,9 +1,9 @@
-"""Receiver-side detection and receiver-complexity accounting.
+"""Receiver-complexity accounting: ML and SIC process counts and the
+complex-operation counts of the SSK-NOMA and conventional NOMA receiver
+chains.
 
-The cell-edge user runs a joint search over (antenna, composite symbol); the
-power-multiplexed users run ML detection with iterative interference
-cancellation. Intra-cell users are genie-aided with the true active antenna
-index by default; their decisions never involve the antenna search.
+The receiver itself (joint antenna/symbol search, ML detection and SIC) is
+the batched one the trial engine runs, in :mod:`ssknoma.montecarlo`.
 """
 
 from __future__ import annotations
@@ -11,121 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
-from .channel import ReceivedVector, SnrConfig
-from .constellation import PowerAllocation, ScAlphabet, UserConstellation
-from .errors import ConfigError, InputError
-
-
-@dataclass(frozen=True)
-class SmDecision:
-    antenna_index: int  # 1-based
-    sc_index: int       # 1-based
-    metric: float
-
-
-@dataclass(frozen=True)
-class SicChainResult:
-    """Decisions (symbol indices per user, starting at user 2 or 1 for the
-    single-antenna baseline) and the residual vector after each cancellation."""
-
-    decisions: tuple
-    residuals: tuple
-
-
-def detect_sm(r1: ReceivedVector, h_user: np.ndarray, alphabet: ScAlphabet,
-              snr: SnrConfig) -> SmDecision:
-    """Joint minimum-distance search over all (antenna, composite symbol)
-    hypotheses; ties break toward the lowest (v, k) pair."""
-    if alphabet.size == 0:
-        raise ConfigError("empty SC alphabet")
-    h_user = np.asarray(h_user, dtype=complex)
-    n_t = h_user.shape[0]
-    r = r1.samples
-    sqrt_p = np.sqrt(snr.power)
-    chis = alphabet.values
-    # ||r - sqrt(P) h_v chi_k||^2 expanded; the ||r||^2 constant is kept so the
-    # reported metric is the actual squared distance.
-    inner = h_user.conj() @ r                      # (N_t,)
-    h_norm = np.sum(np.abs(h_user) ** 2, axis=1)   # (N_t,)
-    metrics = (
-        np.sum(np.abs(r) ** 2)
-        - 2 * sqrt_p * np.real(np.outer(inner, chis.conj()))
-        + snr.power * np.outer(h_norm, np.abs(chis) ** 2)
-    )
-    flat = int(np.argmin(metrics))  # first minimum = lexicographic tie-break
-    v, k = divmod(flat, alphabet.size)
-    return SmDecision(v + 1, k + 1, float(metrics[v, k]))
-
-
-def _ml_symbol(r: np.ndarray, h_col: np.ndarray, amplitude: float,
-               constellation: UserConstellation) -> int:
-    """argmin_n ||r - amplitude * h * s_n||^2, first-minimum tie-break."""
-    pts = constellation.points
-    inner = np.vdot(h_col, r)  # sum conj(h) r
-    h_norm = np.sum(np.abs(h_col) ** 2)
-    metrics = (
-        -2 * amplitude * np.real(pts.conj() * inner)
-        + amplitude**2 * h_norm * np.abs(pts) ** 2
-    )
-    return int(np.argmin(metrics))
-
-
-def detect_u2(r2: ReceivedVector, h_col: np.ndarray, a2: float, snr: SnrConfig,
-              constellation: UserConstellation) -> int:
-    """ML decision for the strongest NOMA user, weaker users treated as
-    noise. Returns the detected symbol index."""
-    h_col = np.asarray(h_col, dtype=complex)
-    return _ml_symbol(r2.samples, h_col, np.sqrt(a2 * snr.power), constellation)
-
-
-def _sic_chain(r: np.ndarray, h_col: np.ndarray, coefficients, snr: SnrConfig,
-               constellations, n_stages: int, overrides=None) -> SicChainResult:
-    """Detect ``n_stages`` users in decoding order, cancelling each decision.
-
-    ``coefficients[m]`` and ``constellations[m]`` describe stage m (0-based).
-    """
-    overrides = overrides or {}
-    decisions, residuals = [], []
-    resid = np.asarray(r, dtype=complex).copy()
-    for m in range(n_stages):
-        amp = np.sqrt(coefficients[m] * snr.power)
-        n_hat = overrides.get(m, _ml_symbol(resid, h_col, amp, constellations[m]))
-        decisions.append(n_hat)
-        if m < n_stages - 1:
-            resid = resid - amp * h_col * constellations[m].points[n_hat]
-            residuals.append(resid.copy())
-    return SicChainResult(tuple(decisions), tuple(residuals))
-
-
-def sic_detect_chain(r_i: ReceivedVector, h_col: np.ndarray, pa: PowerAllocation,
-                     snr: SnrConfig, constellations, target_user: int,
-                     overrides=None) -> SicChainResult:
-    """SIC receiver of intra-cell user i: detect and subtract users 2..i-1,
-    then detect the own symbol. ``decisions[m]`` is the index detected for
-    user m+2; ``overrides`` maps a user index to a forced decision (test hook
-    for error-propagation studies)."""
-    if not 2 <= target_user <= pa.n_users + 1:
-        raise InputError(f"target user {target_user} out of 2..{pa.n_users + 1}")
-    n_stages = target_user - 1
-    ov = {u - 2: n for u, n in (overrides or {}).items()}
-    return _sic_chain(r_i.samples, np.asarray(h_col, dtype=complex),
-                      pa.coefficients, snr, constellations, n_stages, ov)
-
-
-def detect_noma_baseline(r: ReceivedVector, h_col: np.ndarray, pa_full,
-                         snr: SnrConfig, constellations, target_user: int) -> SicChainResult:
-    """Conventional-NOMA receiver: all L users power-multiplexed on a single
-    transmit antenna; user i cancels users 1..i-1 then detects its own symbol.
-    ``pa_full`` lists a_1..a_L; ``decisions[m]`` is the index for user m+1."""
-    coeffs = tuple(float(c) for c in pa_full)
-    if abs(sum(coeffs) - 1.0) > 1e-9:
-        raise ConfigError("full power allocation must sum to 1")
-    if not 1 <= target_user <= len(coeffs):
-        raise InputError(f"target user {target_user} out of 1..{len(coeffs)}")
-    return _sic_chain(r.samples, np.asarray(h_col, dtype=complex),
-                      coeffs, snr, constellations, target_user)
+from .errors import InputError
 
 
 def _as_m_list(m, count: int):
@@ -148,6 +34,14 @@ def op_counts(n_users: int):
     return n_ml_ssk, n_sic_ssk, n_ml_noma, n_sic_noma
 
 
+def _ml_sic_ops(m, n_r: int) -> int:
+    """ML detection for every power-multiplexed user (orders ``m`` in
+    decoding order) plus the SIC stages each one cancels first."""
+    ml = sum(4 * n_r * mi for mi in m)
+    sic = sum(4 * n_r * m[q] + 2 * n_r for j in range(len(m)) for q in range(j))
+    return ml + sic
+
+
 def complexity_ssk_noma(n_users: int, m_orders, n_t: int, n_r: int) -> int:
     """Complex-operation count of the full SSK-NOMA receiver chain:
     SM search at the cell-edge user plus ML + SIC at intra-cell users."""
@@ -155,13 +49,7 @@ def complexity_ssk_noma(n_users: int, m_orders, n_t: int, n_r: int) -> int:
         raise InputError("need at least 2 users")
     m = _as_m_list(m_orders, n_users - 1)  # users 2..L
     m_t = prod(m)
-    sm = 2 * n_r * n_t + n_t * m_t + m_t
-    ml = sum(4 * n_r * mi for mi in m)
-    sic = sum(
-        sum(4 * n_r * m[q] + 2 * n_r for q in range(i - 2))
-        for i in range(3, n_users + 1)
-    )
-    return sm + ml + sic
+    return 2 * n_r * n_t + n_t * m_t + m_t + _ml_sic_ops(m, n_r)
 
 
 def complexity_noma(n_users: int, m_orders, n_r: int) -> int:
@@ -169,13 +57,7 @@ def complexity_noma(n_users: int, m_orders, n_r: int) -> int:
     chain over all L power-multiplexed users."""
     if n_users < 2:
         raise InputError("need at least 2 users")
-    m = _as_m_list(m_orders, n_users)  # users 1..L
-    ml = sum(4 * n_r * mi for mi in m)
-    sic = sum(
-        sum(4 * n_r * m[q] + 2 * n_r for q in range(i - 1))
-        for i in range(2, n_users + 1)
-    )
-    return ml + sic
+    return _ml_sic_ops(_as_m_list(m_orders, n_users), n_r)  # users 1..L
 
 
 @dataclass(frozen=True)

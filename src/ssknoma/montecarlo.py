@@ -1,6 +1,11 @@
-"""Trial engine: drives transmit -> channel -> detect chains and accumulates
-BER / outage / rate statistics with confidence intervals, for the SSK-NOMA
-scheme and a conventional single-antenna NOMA baseline.
+"""Trial engine: draws block-vectorized transmit -> channel -> detect chains
+and accumulates BER / outage / rate statistics with confidence intervals, for
+the SSK-NOMA scheme and a conventional single-antenna NOMA baseline.
+
+The baseline is modelled as SSK-NOMA without the antenna-index user: both
+schemes share one receiver (the batched joint antenna/symbol search, ML
+detection and SIC below), and the power-multiplexed users start at
+``SimConfig.first_power_user``.
 
 Determinism: every block of trials draws from a counter-based stream keyed by
 (seed, metric, SNR point, block index), and the stopping rule is evaluated on
@@ -13,7 +18,8 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +28,9 @@ from .channel import FadingProfile, complex_normal, default_profile, rng_stream
 from .constellation import (
     PowerAllocation,
     ScAlphabet,
+    antenna_label,
     enumerate_sc_alphabet,
+    hamming_table,
     make_constellation,
 )
 from .errors import ConfigError
@@ -41,6 +49,17 @@ DEFAULT_PA = {
 
 _METRIC_CODE = {"ber": 1, "outage": 2, "rate": 3}
 
+# index of the first power-multiplexed user: SSK-NOMA carries user 1 on the
+# antenna index, the baseline power-multiplexes every user
+_FIRST_POWER_USER = {SSK_NOMA: 2, NOMA_BASELINE: 1}
+
+
+def _first_power_user(scheme: str) -> int:
+    try:
+        return _FIRST_POWER_USER[scheme]
+    except KeyError:
+        raise ConfigError(f"unknown scheme {scheme!r}") from None
+
 
 def default_pa(n_noma_users: int) -> PowerAllocation:
     try:
@@ -55,9 +74,9 @@ def default_pa(n_noma_users: int) -> PowerAllocation:
 class SimConfig:
     """Full experiment description.
 
-    ``modulations`` covers the power-multiplexed users: users 2..L for
-    SSK-NOMA, users 1..L for the baseline (whose ``pa`` likewise spans all L
-    users and whose ``n_t`` must be 1).
+    ``modulations`` and ``pa`` cover the power-multiplexed users
+    ``first_power_user``..L: users 2..L for SSK-NOMA, users 1..L for the
+    baseline (whose ``n_t`` must be 1).
     """
 
     scheme: str
@@ -78,9 +97,7 @@ class SimConfig:
     blocks_per_round: int = 4
 
     def __post_init__(self):
-        if self.scheme not in (SSK_NOMA, NOMA_BASELINE):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        n_power_users = self.n_users - 1 if self.scheme == SSK_NOMA else self.n_users
+        n_power_users = self.n_users + 1 - self.first_power_user
         if len(self.modulations) != n_power_users:
             raise ConfigError(
                 f"expected {n_power_users} modulation orders, got {len(self.modulations)}"
@@ -91,14 +108,24 @@ class SimConfig:
             raise ConfigError("fading profile must cover all users")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must not be empty")
-        if self.scheme == SSK_NOMA and (self.n_t < 2 or self.n_t & (self.n_t - 1)):
+        keys = [_snr_key(snr) for snr in self.snr_grid_db]
+        if len(set(keys)) != len(keys):
+            raise ConfigError("SNR grid points closer than 0.01 dB would share "
+                              f"random streams: {list(self.snr_grid_db)}")
+        if self.first_power_user > 1 and (self.n_t < 2 or self.n_t & (self.n_t - 1)):
             raise ConfigError("SSK-NOMA needs a power-of-2 antenna count >= 2")
-        if self.scheme == NOMA_BASELINE and self.n_t != 1:
+        if self.first_power_user == 1 and self.n_t != 1:
             raise ConfigError("the baseline uses a single transmit antenna")
         if self.min_bit_errors < 100:
             raise ConfigError("min_bit_errors must be >= 100")
         if self.max_trials < 10_000:
             raise ConfigError("max_trials must be >= 1e4")
+
+    @property
+    def first_power_user(self) -> int:
+        """User index of the first power-multiplexed user: 2 for SSK-NOMA,
+        1 for the baseline. Users below it ride on the antenna index."""
+        return _first_power_user(self.scheme)
 
     def constellations(self):
         return [make_constellation(m) for m in self.modulations]
@@ -134,7 +161,8 @@ def make_config(scheme: str, n_users: int, n_r: int, snr_grid_db, seed: int,
                 target_rates=None, **kwargs) -> SimConfig:
     """SimConfig with the §IV defaults filled in: QPSK users, geometric fading
     profile, fixed PA set for the NOMA user count, N_t = N_r for SSK-NOMA."""
-    n_power = n_users - 1 if scheme == SSK_NOMA else n_users
+    first = _first_power_user(scheme)
+    n_power = n_users + 1 - first
     if modulations is None:
         modulations = (4,) * n_power
     if pa is None:
@@ -146,7 +174,7 @@ def make_config(scheme: str, n_users: int, n_r: int, snr_grid_db, seed: int,
     elif not isinstance(fading, FadingProfile):
         fading = FadingProfile(tuple(fading))
     if n_t is None:
-        n_t = n_r if scheme == SSK_NOMA else 1
+        n_t = n_r if first > 1 else 1
     if target_rates is not None and not isinstance(target_rates, OutageTargets):
         target_rates = OutageTargets(tuple(target_rates))
     return SimConfig(scheme, n_users, n_t, n_r, tuple(modulations), pa, fading,
@@ -180,7 +208,12 @@ def wilson_halfwidth(k: int, n: int, z: float = 1.959963984540054) -> float:
 
 
 def _n_workers() -> int:
-    return max(1, int(os.environ.get("SSKNOMA_WORKERS", "1")))
+    """Worker processes from ``SSKNOMA_WORKERS``: an integer in 1..cpu_count."""
+    raw = os.environ.get("SSKNOMA_WORKERS", "1")
+    limit = os.cpu_count() or 1
+    if not (raw.isdecimal() and 1 <= int(raw) <= limit):
+        raise ConfigError(f"SSKNOMA_WORKERS must be an integer in 1..{limit}, got {raw!r}")
+    return int(raw)
 
 
 def _snr_key(snr_db: float) -> int:
@@ -192,13 +225,23 @@ def _snr_key(snr_db: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bit_tables(consts):
-    return [c.bit_distance_table() for c in consts]
+class _Tables(NamedTuple):
+    """Per-config tables every block of an SNR point shares."""
+
+    consts: tuple                # power users' constellations, decoding order
+    bit_tables: tuple            # their label Hamming distances
+    alphabet: ScAlphabet | None  # composite alphabet (None without user 1)
+    antenna_bits: np.ndarray     # Hamming distances of the antenna labels
 
 
-def _antenna_bit_table(n_t: int) -> np.ndarray:
-    idx = np.arange(n_t)
-    return np.array([[bin(a ^ b).count("1") for b in idx] for a in idx])
+def _tables(cfg: SimConfig) -> _Tables:
+    consts = tuple(cfg.constellations())
+    alphabet = None
+    if cfg.first_power_user > 1:
+        alphabet = enumerate_sc_alphabet(consts, cfg.pa)
+    antenna_labels = [antenna_label(v, cfg.n_t) for v in range(1, cfg.n_t + 1)]
+    return _Tables(consts, tuple(c.bit_distance_table() for c in consts), alphabet,
+                   hamming_table(antenna_labels))
 
 
 def _ml_detect_block(resid, h, h_norm, amp, points):
@@ -211,7 +254,8 @@ def _ml_detect_block(resid, h, h_norm, amp, points):
 
 
 def _sm_detect_block(r, h_full, sqrt_p, chi_values):
-    """Vectorized joint (antenna, composite symbol) search."""
+    """Vectorized joint (antenna, composite symbol) search; returns the
+    0-based antenna and composite-symbol indices, first minimum on ties."""
     inner = np.einsum("btr,br->bt", np.conj(h_full), r)
     h_norm = np.sum(np.abs(h_full) ** 2, axis=2)
     metrics = (
@@ -223,77 +267,65 @@ def _sm_detect_block(r, h_full, sqrt_p, chi_values):
     return flat // m_t, flat % m_t
 
 
-def _ber_block(cfg: SimConfig, snr_db: float, block: int):
+def _sic_detect_block(r, h, amps, points):
+    """Successive interference cancellation: ML-detect each stage (amplitude
+    ``amps[m]``, constellation ``points[m]``) on the residual left by
+    cancelling the stages before it. Returns every stage's decisions and the
+    residual the last stage saw."""
+    h_norm = np.sum(np.abs(h) ** 2, axis=1)
+    resid = r
+    decisions = [_ml_detect_block(resid, h, h_norm, amps[0], points[0])]
+    for m in range(1, len(amps)):
+        resid = resid - amps[m - 1] * points[m - 1][decisions[-1]][:, None] * h
+        decisions.append(_ml_detect_block(resid, h, h_norm, amps[m], points[m]))
+    return decisions, resid
+
+
+def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     """Simulate one block of trials; returns (bit_errors, bits) per user."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], _snr_key(snr_db), block)
-    b = cfg.block_size
+    b, n_t, n_r = cfg.block_size, cfg.n_t, cfg.n_r
+    first = cfg.first_power_user
+    rows = np.arange(b)
     rho = 10.0 ** (snr_db / 10.0)
     sqrt_p = np.sqrt(rho)
-    consts = cfg.constellations()
-    points = [c.points for c in consts]
-    tables = _bit_tables(consts)
     coeffs = cfg.pa.coefficients
+    amps = [np.sqrt(a * rho) for a in coeffs]
+    points = [c.points for c in tables.consts]
     variances = cfg.fading.variances
     errors = np.zeros(cfg.n_users)
     bits = np.zeros(cfg.n_users)
 
-    if cfg.scheme == SSK_NOMA:
-        n_t = cfg.n_t
-        chi_values = cfg.sc_alphabet().values
+    if first > 1:
         v = rng.integers(0, n_t, b)
-        ks = [rng.integers(0, c.order, b) for c in consts]
-        chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
+        chi_values = tables.alphabet.values
+    ks = [rng.integers(0, c.order, b) for c in tables.consts]
+    chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
 
-        # cell-edge user: joint antenna/symbol search over the full matrix
-        h1 = complex_normal(rng, (b, n_t, cfg.n_r), variances[0])
-        r1 = sqrt_p * h1[np.arange(b), v, :] * chi[:, None]
+    genie = cfg.genie_antenna or n_t == 1  # one antenna: nothing to estimate
+    for i in range(1, cfg.n_users + 1):
+        # the cell-edge user, and any user without the genie antenna index,
+        # runs the joint antenna/symbol search over its full channel matrix
+        search = i < first or not genie
+        if search:
+            h_full = complex_normal(rng, (b, n_t, n_r), variances[i - 1])
+            h = h_full[rows, v, :]
+        else:
+            h = complex_normal(rng, (b, n_r), variances[i - 1])
+        r = sqrt_p * h * chi[:, None]
         if cfg.noise:
-            r1 = r1 + complex_normal(rng, (b, cfg.n_r), 1.0)
-        v_hat, _ = _sm_detect_block(r1, h1, sqrt_p, chi_values)
-        ant_table = _antenna_bit_table(n_t)
-        errors[0] += ant_table[v, v_hat].sum()
-        bits[0] += b * int(np.log2(n_t))
-
-        for i in range(2, cfg.n_users + 1):
-            var = variances[i - 1]
-            if cfg.genie_antenna:
-                h = complex_normal(rng, (b, cfg.n_r), var)
-            else:
-                h_full = complex_normal(rng, (b, n_t, cfg.n_r), var)
-                h = h_full[np.arange(b), v, :]
-            r = sqrt_p * h * chi[:, None]
-            if cfg.noise:
-                r = r + complex_normal(rng, (b, cfg.n_r), 1.0)
-            if not cfg.genie_antenna:
-                v_est, _ = _sm_detect_block(r, h_full, sqrt_p, chi_values)
-                h = h_full[np.arange(b), v_est, :]
-            h_norm = np.sum(np.abs(h) ** 2, axis=1)
-            resid = r
-            for m in range(2, i + 1):
-                amp = np.sqrt(coeffs[m - 2] * rho)
-                dec = _ml_detect_block(resid, h, h_norm, amp, points[m - 2])
-                if m < i:
-                    resid = resid - amp * points[m - 2][dec][:, None] * h
-            errors[i - 1] += tables[i - 2][ks[i - 2], dec].sum()
-            bits[i - 1] += b * consts[i - 2].bits_per_symbol
-    else:
-        ks = [rng.integers(0, c.order, b) for c in consts]
-        chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
-        for i in range(1, cfg.n_users + 1):
-            var = variances[i - 1]
-            h = complex_normal(rng, (b, cfg.n_r), var)
-            r = sqrt_p * h * chi[:, None]
-            if cfg.noise:
-                r = r + complex_normal(rng, (b, cfg.n_r), 1.0)
-            h_norm = np.sum(np.abs(h) ** 2, axis=1)
-            resid = r
-            for m in range(1, i + 1):
-                amp = np.sqrt(coeffs[m - 1] * rho)
-                dec = _ml_detect_block(resid, h, h_norm, amp, points[m - 1])
-                if m < i:
-                    resid = resid - amp * points[m - 1][dec][:, None] * h
-            errors[i - 1] += tables[i - 1][ks[i - 1], dec].sum()
-            bits[i - 1] += b * consts[i - 1].bits_per_symbol
+            r = r + complex_normal(rng, (b, n_r), 1.0)
+        if search:
+            v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, chi_values)
+            h = h_full[rows, v_hat, :]
+        if i < first:
+            errors[0] += tables.antenna_bits[v, v_hat].sum()
+            bits[0] += b * int(np.log2(n_t))
+            continue
+        k = i - first
+        decisions, _ = _sic_detect_block(r, h, amps[:k + 1], points[:k + 1])
+        errors[i - 1] += tables.bit_tables[k][ks[k], decisions[-1]].sum()
+        bits[i - 1] += b * tables.consts[k].bits_per_symbol
     return errors, bits
 
 
@@ -308,31 +340,27 @@ def _gamma_block(cfg: SimConfig, metric: str, snr_db: float, block: int):
     return gammas
 
 
-def _outage_block(cfg: SimConfig, snr_db: float, block: int):
+def _outage_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     gammas = _gamma_block(cfg, "outage", snr_db, block)
     targets = cfg.target_rates
     coeffs = cfg.pa.coefficients
-    first = 2 if cfg.scheme == SSK_NOMA else 1
+    first = cfg.first_power_user
     events = np.zeros(cfg.n_users)
-    if cfg.scheme == SSK_NOMA:
+    if first > 1:
         # the cell-edge outage metric is the conditional error probability
         # averaged over the fading tail above the rate-derived limit, so it
         # reduces to the ABEP when the target rate saturates the antenna bits
         psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
-        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.sc_alphabet(), cfg.n_t)
+        bep = analytics.conditional_bep_u1_vec(gammas[0], tables.alphabet, cfg.n_t)
         events[0] = float(np.sum(bep[gammas[0] >= psi1]))
-    for i in range(first, cfg.n_users + 1):
-        g = gammas[i - 1]
-        phis = [targets.phi(m) for m in range(first, i + 1)]
-        psi = analytics.outage_threshold_general(i, coeffs, phis, first)
-        by_threshold = g < psi if np.isfinite(psi) else np.ones_like(g, dtype=bool)
+    for k, g in enumerate(gammas[first - 1:]):
+        i = first + k
+        by_threshold = g < analytics.outage_threshold_psi(i, cfg.pa, targets, first)
         # independent route: check every SINR in the SIC cascade
         by_cascade = np.zeros_like(g, dtype=bool)
-        for m in range(first, i + 1):
-            k = m - first
-            tail = sum(coeffs[k + 1:])
-            sinr = coeffs[k] * g / (1.0 + tail * g)
-            by_cascade |= sinr < phis[k]
+        for m in range(k + 1):
+            sinr = coeffs[m] * g / (1.0 + sum(coeffs[m + 1:]) * g)
+            by_cascade |= sinr < targets.phi(first + m)
         if not np.array_equal(by_threshold, by_cascade):
             raise RuntimeError(
                 f"outage implementations disagree for user {i} at {snr_db} dB"
@@ -341,19 +369,17 @@ def _outage_block(cfg: SimConfig, snr_db: float, block: int):
     return events, np.full(cfg.n_users, float(cfg.block_size))
 
 
-def _rate_block(cfg: SimConfig, snr_db: float, block: int):
+def _rate_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     """Returns (sum, sum of squares, count) of the per-draw rate per user
     plus the per-draw sum rate in the last slot."""
     gammas = _gamma_block(cfg, "rate", snr_db, block)
     coeffs = cfg.pa.coefficients
-    first = 2 if cfg.scheme == SSK_NOMA else 1
+    first = cfg.first_power_user
     rates = []
-    if cfg.scheme == SSK_NOMA:
-        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.sc_alphabet(), cfg.n_t)
+    if first > 1:
+        bep = analytics.conditional_bep_u1_vec(gammas[0], tables.alphabet, cfg.n_t)
         rates.append(np.log2(cfg.n_t) * (1.0 - bep))
-    for i in range(first, cfg.n_users + 1):
-        g = gammas[i - 1]
-        k = i - first
+    for k, g in enumerate(gammas[first - 1:]):
         with_own = sum(coeffs[k:])
         without = sum(coeffs[k + 1:])
         rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
@@ -366,51 +392,58 @@ _BLOCK_FN = {"ber": _ber_block, "outage": _outage_block, "rate": _rate_block}
 
 
 def _worker(args):
-    cfg, metric, snr_db, block = args
-    return _BLOCK_FN[metric](cfg, snr_db, block)
+    cfg, tables, metric, snr_db, block = args
+    return _BLOCK_FN[metric](cfg, tables, snr_db, block)
 
 
-def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn):
-    """Run fixed-size rounds of blocks until ``stop_fn`` says to stop; block
-    results merge in block order so worker count never changes the outcome."""
+def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn=None):
+    """Run fixed-size rounds of blocks until the trial cap or the optional
+    early stop ``stop_fn(results)``; block results merge in block order so
+    worker count never changes the outcome."""
     workers = _n_workers()
+    tables = _tables(cfg)
     results = []
     block = 0
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         while True:
             idxs = list(range(block, block + cfg.blocks_per_round))
-            args = [(cfg, metric, snr_db, j) for j in idxs]
+            args = [(cfg, tables, metric, snr_db, j) for j in idxs]
             if pool is None:
                 batch = [_worker(a) for a in args]
             else:
                 batch = list(pool.map(_worker, args))
             results.extend(batch)
             block += cfg.blocks_per_round
-            if stop_fn(results, block * cfg.block_size):
+            if block * cfg.block_size >= cfg.max_trials or (stop_fn and stop_fn(results)):
                 return results
     finally:
         if pool is not None:
             pool.shutdown()
 
 
+def _ratio_estimates(metric: str, cfg: SimConfig, snr_db: float, results):
+    """Per-user event ratios with Wilson 95% intervals, from blocks that each
+    return (events, totals) per user."""
+    events = sum(r[0] for r in results)
+    totals = sum(r[1] for r in results)
+    n_trials = len(results) * cfg.block_size
+    return [
+        PointEstimate(metric, u + 1, float(snr_db), float(events[u] / totals[u]),
+                      wilson_halfwidth(int(events[u]), int(totals[u])),
+                      n_trials, int(events[u]))
+        for u in range(cfg.n_users)
+    ]
+
+
 def run_ber_point(cfg: SimConfig, snr_db: float):
     """Per-user BER estimates at one SNR point with Wilson 95% intervals."""
 
-    def stop(results, trials):
+    def stop(results):
         errors = sum(r[0] for r in results)
-        return trials >= cfg.max_trials or bool(np.all(errors >= cfg.min_bit_errors))
+        return bool(np.all(errors >= cfg.min_bit_errors))
 
-    results = _run_rounds(cfg, "ber", snr_db, stop)
-    errors = sum(r[0] for r in results)
-    bits = sum(r[1] for r in results)
-    n_trials = len(results) * cfg.block_size
-    return [
-        PointEstimate("ber", u + 1, float(snr_db), float(errors[u] / bits[u]),
-                      wilson_halfwidth(int(errors[u]), int(bits[u])),
-                      n_trials, int(errors[u]))
-        for u in range(cfg.n_users)
-    ]
+    return _ratio_estimates("ber", cfg, snr_db, _run_rounds(cfg, "ber", snr_db, stop))
 
 
 def run_outage_point(cfg: SimConfig, snr_db: float):
@@ -418,28 +451,12 @@ def run_outage_point(cfg: SimConfig, snr_db: float):
     cascade definitions are evaluated and must agree on every draw."""
     if cfg.target_rates is None:
         raise ConfigError("outage simulation requires target rates")
-
-    def stop(results, trials):
-        return trials >= cfg.max_trials
-
-    results = _run_rounds(cfg, "outage", snr_db, stop)
-    events = sum(r[0] for r in results)
-    draws = sum(r[1] for r in results)
-    return [
-        PointEstimate("outage", u + 1, float(snr_db), float(events[u] / draws[u]),
-                      wilson_halfwidth(int(events[u]), int(draws[u])),
-                      int(draws[u]), int(events[u]))
-        for u in range(cfg.n_users)
-    ]
+    return _ratio_estimates("outage", cfg, snr_db, _run_rounds(cfg, "outage", snr_db))
 
 
 def run_rate_point(cfg: SimConfig, snr_db: float):
     """Per-user ergodic rate estimates plus the sum rate (user index 0)."""
-
-    def stop(results, trials):
-        return trials >= cfg.max_trials
-
-    results = _run_rounds(cfg, "rate", snr_db, stop)
+    results = _run_rounds(cfg, "rate", snr_db)
     sums = sum(r[0] for r in results)
     sq_sums = sum(r[1] for r in results)
     n = sum(r[2] for r in results)
@@ -460,10 +477,11 @@ def run_rate_point(cfg: SimConfig, snr_db: float):
 
 
 def _analytic_ber(cfg: SimConfig, user: int, rho: float):
-    if cfg.scheme != SSK_NOMA:
-        return None
+    first = cfg.first_power_user
+    if first == 1:
+        return None  # the BER closed forms cover SSK-NOMA only
     sigma_sq = cfg.fading.variances[user - 1]
-    if user == 1:
+    if user < first:
         return analytics.abep_u1(cfg.sc_alphabet(), cfg.n_t, cfg.n_r, rho,
                                  sigma_sq)
     a = cfg.pa.coefficients
@@ -477,37 +495,24 @@ def _analytic_ber(cfg: SimConfig, user: int, rho: float):
 
 
 def _analytic_rate(cfg: SimConfig, user: int, rho: float):
-    variances = cfg.fading.variances
-    if cfg.scheme == SSK_NOMA:
-        if user == 0:
-            return sum(_analytic_rate(cfg, u, rho) for u in range(1, cfg.n_users + 1))
-        if user == 1:
-            abep = analytics.abep_u1(cfg.sc_alphabet(), cfg.n_t, cfg.n_r, rho,
-                                     variances[0])
-            return analytics.ergodic_capacity_u1(cfg.n_t, abep)
-        return analytics.ergodic_capacity_noma_user(user, cfg.pa, rho,
-                                                    variances[user - 1], cfg.n_r)
     if user == 0:
         return sum(_analytic_rate(cfg, u, rho) for u in range(1, cfg.n_users + 1))
-    coeffs = cfg.pa.coefficients
-    b_with = sum(coeffs[user - 1:])
-    b_without = sum(coeffs[user:])
-    return analytics.ergodic_capacity_fractions(b_with, b_without,
-                                                rho * variances[user - 1], cfg.n_r)
+    sigma_sq = cfg.fading.variances[user - 1]
+    if user < cfg.first_power_user:
+        abep = analytics.abep_u1(cfg.sc_alphabet(), cfg.n_t, cfg.n_r, rho,
+                                 sigma_sq)
+        return analytics.ergodic_capacity_u1(cfg.n_t, abep)
+    return analytics.ergodic_capacity_noma_user(user, cfg.pa, rho, sigma_sq, cfg.n_r,
+                                                cfg.first_power_user)
 
 
 def _analytic_outage(cfg: SimConfig, user: int, rho: float):
-    targets = cfg.target_rates
-    variances = cfg.fading.variances
-    first = 2 if cfg.scheme == SSK_NOMA else 1
-    if cfg.scheme == SSK_NOMA and user == 1:
-        return analytics.outage_u1(targets, cfg.n_t, cfg.sc_alphabet(), cfg.n_r,
-                                   rho, variances[0])
-    phis = [targets.phi(m) for m in range(first, user + 1)]
-    psi = analytics.outage_threshold_general(user, cfg.pa.coefficients, phis, first)
-    if not np.isfinite(psi):
-        return 1.0
-    return float(analytics.chi2_cdf(psi, cfg.n_r, rho * variances[user - 1]))
+    sigma_sq = cfg.fading.variances[user - 1]
+    if user < cfg.first_power_user:
+        return analytics.outage_u1(cfg.target_rates, cfg.n_t, cfg.sc_alphabet(),
+                                   cfg.n_r, rho, sigma_sq)
+    return analytics.outage_noma_user(user, cfg.pa, cfg.target_rates, rho, sigma_sq,
+                                      cfg.n_r, cfg.first_power_user)
 
 
 _ANALYTIC_FN = {"ber": _analytic_ber, "rate": _analytic_rate, "outage": _analytic_outage}

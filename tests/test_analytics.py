@@ -175,11 +175,49 @@ def test_abep_u1_single_antenna_is_zero():
     assert conditional_bep_u1(5.0, ALPHABET3, 1) == 0.0
 
 
+def _pair_loop_peps(alphabet, per_pair):
+    """Mean of ``per_pair(|chi_k|^2 + |chi_hat|^2)`` over every ordered pair of
+    composite symbols, one pair at a time."""
+    total = 0.0
+    for chi_k in alphabet.values:
+        for chi_hat in alphabet.values:
+            total += per_pair(abs(chi_k) ** 2 + abs(chi_hat) ** 2)
+    return total / alphabet.size**2
+
+
+def _abep_u1_oracle(alphabet, n_t, n_r, rho, sigma1_sq):
+    def pep(energy):
+        sigma_a_sq = rho * sigma1_sq * energy / 4.0
+        return np.log2(alphabet.size) * rayleigh_q_average(
+            np.sqrt(sigma_a_sq / (2.0 + sigma_a_sq)), n_r)
+
+    return (n_t / 2.0) * _pair_loop_peps(alphabet, pep)
+
+
+def _conditional_bep_u1_oracle(gamma, alphabet, n_t):
+    mean_q = _pair_loop_peps(alphabet, lambda e: float(q_func(np.sqrt(gamma * e / 4.0))))
+    return min(1.0, (n_t / 2.0) * np.log2(alphabet.size) * mean_q)
+
+
+@pytest.mark.parametrize("n_users", [3, 4, 5])
+def test_abep_u1_matches_pair_loop_oracle(n_users):
+    pa = PowerAllocation({3: (0.8, 0.2), 4: (0.7, 0.2, 0.1),
+                          5: (0.6, 0.25, 0.1, 0.05)}[n_users])
+    alphabet = enumerate_sc_alphabet([qpsk()] * pa.n_users, pa)
+    for rho, n_r in ((10.0, 2), (1000.0, 4)):
+        want = _abep_u1_oracle(alphabet, 4, n_r, rho, 1.0)
+        got = abep_u1(alphabet, 4, n_r, rho, 1.0, clamp=False)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_conditional_bep_u1_vec_matches_scalar():
+    """Both forms against the pair-loop oracle, clamped at 1 for low SNR."""
     gammas = np.array([0.0, 0.3, 2.0, 40.0])
     vec = conditional_bep_u1_vec(gammas, ALPHABET3, 4)
     for g, v in zip(gammas, vec):
-        assert v == pytest.approx(conditional_bep_u1(float(g), ALPHABET3, 4), abs=1e-14)
+        want = _conditional_bep_u1_oracle(float(g), ALPHABET3, 4)
+        assert v == pytest.approx(want, rel=1e-12, abs=0)
+        assert conditional_bep_u1(float(g), ALPHABET3, 4) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # --- pairwise error probabilities ----------------------------------------------

@@ -11,8 +11,6 @@ from ssknoma.channel import (
     default_profile,
     mrc_snr,
     rng_stream,
-    sample_channel,
-    transmit,
 )
 from ssknoma.analytics import chi2_cdf
 from ssknoma.errors import ConfigError, InputError
@@ -66,20 +64,6 @@ def test_snr_config():
     assert snr.noise_power == 1.0
     with pytest.raises(ConfigError):
         SnrConfig(0.0)
-
-
-def test_sample_channel_shapes_and_access():
-    profile = default_profile(3)
-    ch = sample_channel(profile, n_t=4, n_r=2, rng=rng_stream(1, 0))
-    assert len(ch.matrices) == 3
-    assert ch.user(2).shape == (4, 2)
-    assert np.array_equal(ch.column(2, 3), ch.user(2)[2])
-
-
-def test_transmit_noiseless_is_deterministic():
-    h = np.array([1 + 1j, -2j])
-    r = transmit(h, 0.5 + 0.5j, SnrConfig(4.0), rng_stream(0, 0), noise=False)
-    assert np.allclose(r.samples, 2.0 * h * (0.5 + 0.5j))
 
 
 def test_mrc_snr_value():

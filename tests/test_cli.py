@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -128,6 +129,19 @@ def test_missing_field_is_config_error(tmp_path):
 
 def test_unknown_preset_is_config_error(tmp_path):
     assert cli.main(["ber", "--preset", "fig99", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("workers", ["two", "", "0", "-1", str(os.cpu_count() + 1)],
+                         ids=["word", "empty", "zero", "negative", "above-cpu-count"])
+def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("SSKNOMA_WORKERS", workers)
+    cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0]))
+    assert cli.main(["ber", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "SSKNOMA_WORKERS" in capsys.readouterr().err
 
 
 # --- presets ---------------------------------------------------------------------

@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 
 from ssknoma.constellation import (
     PowerAllocation,
-    TxVector,
     UserConstellation,
     antenna_label,
     bpsk,
-    build_tx_vector,
     enumerate_sc_alphabet,
     gray_demap,
     gray_map,
+    hamming_table,
     make_constellation,
     map_antenna,
     mpsk,
@@ -88,6 +87,13 @@ def test_bit_distance_table_properties():
     # adjacent labels sit at Hamming distance one
     for k in range(15):
         assert t[k, k + 1] == 1
+
+
+@pytest.mark.parametrize("n_antennas", [1, 2, 4, 8])
+def test_hamming_table_of_antenna_labels(n_antennas):
+    labels = [antenna_label(v, n_antennas) for v in range(1, n_antennas + 1)]
+    want = [[bin(a ^ b).count("1") for b in range(n_antennas)] for a in range(n_antennas)]
+    assert hamming_table(labels).tolist() == want
 
 
 @given(st.sampled_from([2, 4, 8, 16]), st.data())
@@ -174,14 +180,6 @@ def test_map_antenna_errors():
         map_antenna("012", 8)
     with pytest.raises(InputError):
         antenna_label(5, 4)
-
-
-def test_tx_vector_expand():
-    x = build_tx_vector(3, 1j, 4).expand()
-    assert x.shape == (4,)
-    assert x[2] == 1j and np.count_nonzero(x) == 1
-    with pytest.raises(InputError):
-        TxVector(5, 1.0, 4)
 
 
 def test_bpsk_points():

@@ -1,6 +1,8 @@
 """Trial-engine tests: configuration defaults, determinism across worker
 counts, noise-free sanity, and agreement with the closed forms."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ def _cfg(**kw):
 def test_make_config_defaults():
     cfg = _cfg()
     assert cfg.n_t == 2
+    assert cfg.first_power_user == 2
     assert cfg.modulations == (4, 4)
     assert cfg.pa.coefficients == (0.8, 0.2)
     assert cfg.fading.variances == (1.0, 2.0, 4.0)
@@ -30,6 +33,7 @@ def test_make_config_baseline_defaults():
     cfg = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                          snr_grid_db=GRID, seed=1)
     assert cfg.n_t == 1
+    assert cfg.first_power_user == 1
     assert cfg.pa.coefficients == (0.7, 0.2, 0.1)
     assert len(cfg.modulations) == 3
 
@@ -46,6 +50,8 @@ def test_default_pa_unknown_count():
     dict(n_t=3),                            # not a power of two
     dict(min_bit_errors=10),
     dict(max_trials=100),
+    dict(snr_grid_db=[5, 5]),               # points that share a stream key
+    dict(snr_grid_db=[10, 10.004]),
 ])
 def test_config_validation_errors(bad):
     with pytest.raises(ConfigError):
@@ -182,7 +188,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     cfg = _cfg(seed=12, max_trials=100_000)
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
     serial = _ber_snapshot(cfg)
-    monkeypatch.setenv("SSKNOMA_WORKERS", "3")
+    monkeypatch.setenv("SSKNOMA_WORKERS", str(min(3, os.cpu_count())))
     parallel = _ber_snapshot(cfg)
     assert serial == parallel
 
