@@ -8,7 +8,6 @@ degrees of freedom and per-branch mean gamma_bar = rho * sigma_i^2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
 
@@ -290,12 +289,18 @@ def pep_term(s_i: complex, s_hat_i: complex, coeff_i: float, rho: float,
     return PepTerm(delta, float(beta), float(np.sqrt(2.0) * abs(delta)))
 
 
+def _average_pep(beta, vartheta, sigma_i_sq: float, n_r: int):
+    """Rayleigh-averaged pairwise error probability of decision statistics
+    ``beta`` with scale ``vartheta`` (scalars or arrays), clamped to [0, 1]."""
+    num = sigma_i_sq * beta**2
+    xi = np.sign(beta) * np.sqrt(num / (2.0 * vartheta**2 + num))
+    return np.clip(rayleigh_q_average(xi, n_r), 0.0, 1.0)
+
+
 def noma_pep(term: PepTerm, sigma_i_sq: float, n_r: int) -> float:
     """Average pairwise error probability over Rayleigh fading for one
     decision statistic; a negative statistic yields a probability above 1/2."""
-    num = sigma_i_sq * term.beta_i**2
-    xi = np.sign(term.beta_i) * np.sqrt(num / (2.0 * term.vartheta**2 + num))
-    return _clamp(rayleigh_q_average(xi, n_r))
+    return float(_average_pep(term.beta_i, term.vartheta, sigma_i_sq, n_r))
 
 
 def noma_pep_symbols(i: int, s_i: complex, s_hat_i: complex, interferer_symbols,
@@ -311,119 +316,87 @@ def noma_pep_symbols(i: int, s_i: complex, s_hat_i: complex, interferer_symbols,
     return noma_pep(term, sigma_i_sq, n_r)
 
 
-@dataclass(frozen=True)
-class UnionBoundResult:
-    value: float
-    ci_halfwidth: float
-    exact: bool
-
-    def __float__(self):
-        return self.value
+# joint hypotheses the exact union bound enumerates at most: every user of
+# L <= 5 QPSK and L <= 4 16-QAM networks (L = 4 16-QAM user 4 needs 15.7M)
+_UNION_BOUND_BUDGET = 1 << 24
+# (tuple, path, branch) entries evaluated at once, which bounds the memory
+_UNION_BOUND_CHUNK = 1 << 18
 
 
-def _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
-    """Pairwise error weights of every wrong decision at SIC stage q (0-based
-    slot, user q+2), given the residual errors accumulated so far."""
-    n_users = len(coeffs)
-    s_q = consts[q].points[tx[q]]
-    interferers = [(coeffs[p], consts[p].points[tx[p]]) for p in range(q + 1, n_users)]
-    branches = []
-    for n in range(consts[q].order):
-        if n == tx[q]:
-            continue
-        t = pep_term(s_q, consts[q].points[n], coeffs[q], rho, interferers,
-                     list(deltas))
-        branches.append((n, noma_pep(t, sigma_i_sq, n_r)))
-    return branches
+def _union_bound_block(s, tx, consts, coeffs, rho, sigma_i_sq, n_r):
+    """BER bound of user s+2 conditioned on each transmitted tuple (rows of
+    ``tx``), one SIC stage at a time over every residual-error path.
 
-
-def _own_error_bound(i, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r) -> float:
-    """Bit-distance-weighted own-symbol error sum of user i for one residual
-    pattern, capped at 1 since it bounds a bit error ratio."""
-    slot = i - 2
-    dist = consts[slot].bit_distance_table()[tx[slot]]
-    branches = _stage_branch_weights(slot, tx, deltas, coeffs, consts, rho,
-                                     sigma_i_sq, n_r)
-    return min(1.0, sum(dist[n] / consts[slot].bits_per_symbol * w for n, w in branches))
-
-
-def _ber_given_tx(i, tx, q, deltas, coeffs, consts, rho, sigma_i_sq, n_r,
-                  rng=None) -> float:
-    """BER bound of user i conditioned on the transmitted tuple, recursing
-    over the SIC stages. The wrong-branch weights at each stage are scaled so
-    their sum never exceeds 1 (a stage error probability is at most 1), which
-    keeps the bound from inflating once the conditional PEPs saturate.
-
-    With ``rng`` set, one wrong branch per stage is sampled in proportion to
-    its weight instead of enumerating all of them; the estimate stays
-    unbiased because the branch sum multiplies the sampled subtree.
+    A path fixes the decision of every stage before the current one: slot 0
+    is the correct symbol, slots 1..M-1 the wrong ones in index order. Each
+    stage weighs its wrong decisions by their average PEPs, scaled so they
+    sum to at most 1 (a stage error probability is at most 1); the last stage
+    sums user s+2's bit-distance-weighted own-error PEPs, capped at 1. The
+    stages are then folded back: a path's bound is its correct branch plus
+    each wrong branch's weight times that branch's bound.
     """
-    if q == i - 2:
-        return _own_error_bound(i, tx, deltas, coeffs, consts, rho,
-                                sigma_i_sq, n_r)
-    total = _ber_given_tx(i, tx, q + 1, deltas, coeffs, consts, rho,
-                          sigma_i_sq, n_r, rng)
-    branches = _stage_branch_weights(q, tx, deltas, coeffs, consts, rho,
-                                     sigma_i_sq, n_r)
-    wsum = sum(w for _, w in branches)
-    if wsum <= 0.0:
-        return total
-    scale = min(1.0, 1.0 / wsum)
-    if rng is None:
-        for n, w in branches:
-            d = (coeffs[q], consts[q].points[tx[q]] - consts[q].points[n])
-            total += scale * w * _ber_given_tx(i, tx, q + 1, deltas + [d],
-                                               coeffs, consts, rho,
-                                               sigma_i_sq, n_r, rng)
-    else:
-        weights = np.array([w for _, w in branches])
-        n = branches[int(rng.choice(len(branches), p=weights / wsum))][0]
-        d = (coeffs[q], consts[q].points[tx[q]] - consts[q].points[n])
-        total += scale * wsum * _ber_given_tx(i, tx, q + 1, deltas + [d],
-                                              coeffs, consts, rho,
-                                              sigma_i_sq, n_r, rng)
-    return total
+    n_tx = tx.shape[0]
+    amps = np.sqrt(np.asarray(coeffs) * rho)
+    symbols = [c.points[tx[:, q]] for q, c in enumerate(consts)]
+    sic = np.zeros((n_tx, 1), dtype=complex)  # sum of amp*conj(residual error)
+    weights = []
+    for q in range(s + 1):
+        order = consts[q].order
+        wrong = np.array([[n for n in range(order) if n != k] for k in range(order)])
+        delta = symbols[q][:, None] - consts[q].points[wrong[tx[:, q]]]
+        interference = sum((amps[p] * np.conj(symbols[p]) for p in range(q + 1, len(consts))),
+                           np.zeros(n_tx, dtype=complex))
+        beta = (amps[q] * np.abs(delta) ** 2
+                + 2.0 * np.real(delta * interference[:, None]))[:, None, :]
+        beta = beta + 2.0 * np.real(delta[:, None, :] * sic[:, :, None])
+        pep = _average_pep(beta, np.sqrt(2.0) * np.abs(delta)[:, None, :], sigma_i_sq, n_r)
+        if q == s:
+            dist = consts[s].bit_distance_table()[tx[:, s][:, None], wrong[tx[:, s]]]
+            bound = np.minimum(1.0, np.sum(dist[:, None, :] / consts[s].bits_per_symbol * pep,
+                                           axis=2))
+            break
+        total = pep.sum(axis=2, keepdims=True)
+        scale = np.minimum(1.0, np.divide(1.0, total, out=np.zeros_like(total),
+                                          where=total > 0.0))
+        weights.append(scale * pep)
+        erred = sic[:, :, None] + amps[q] * np.conj(delta)[:, None, :]
+        sic = np.concatenate([sic[:, :, None], erred], axis=2).reshape(n_tx, -1)
+    for w in reversed(weights):
+        paths = bound.reshape(n_tx, w.shape[1], -1)
+        bound = paths[:, :, 0] + np.sum(w * paths[:, :, 1:], axis=2)
+    return bound[:, 0]
 
 
 def union_bound_ber(i: int, constellations, pa: PowerAllocation, rho: float,
-                    sigma_i_sq: float, n_r: int, max_enum: int = 4096,
-                    n_samples: int = 100_000, seed: int = 0,
-                    allow_sampling: bool = True) -> UnionBoundResult:
+                    sigma_i_sq: float, n_r: int) -> float:
     """Union bound on the BER of intra-cell user i (2..L): enumerate the
     transmitted tuple, every joint SIC-decision hypothesis for users decoded
     before i and every own-symbol error; each term carries the probability of
     the SIC errors it assumes so the bound stays tight at high SNR.
 
-    Beyond ``max_enum`` joint hypotheses the sum is estimated by uniform
-    subsampling and the result reports a 95% confidence half-width.
+    The sum is exact, evaluated with numpy in chunks of transmitted tuples.
+    Beyond ``_UNION_BOUND_BUDGET`` joint hypotheses it raises ``ConfigError``.
     """
     _check_power_user(i, pa)
-    coeffs = pa.coefficients
     consts = list(constellations)
     if len(consts) != pa.n_users:
         raise InputError("one constellation per power-multiplexed user required")
     orders = [c.order for c in consts]
-    m_i = orders[i - 2]
-    n_hyp = prod(orders) * prod(orders[: i - 2]) * (m_i - 1)
-    if n_hyp <= max_enum:
-        total = 0.0
-        for tx in itertools.product(*(range(m) for m in orders)):
-            total += _ber_given_tx(i, tx, 0, [], coeffs, consts, rho,
-                                   sigma_i_sq, n_r)
-        return UnionBoundResult(_clamp(total / prod(orders)), 0.0, True)
-    if not allow_sampling:
+    s = i - 2
+    n_hyp = prod(orders) * prod(orders[:s]) * (orders[s] - 1)
+    if n_hyp > _UNION_BOUND_BUDGET:
         raise ConfigError(
-            f"{n_hyp} joint hypotheses exceed the enumeration budget {max_enum}"
+            f"{n_hyp} joint hypotheses exceed the enumeration budget {_UNION_BOUND_BUDGET}"
         )
-    rng = np.random.default_rng(seed)
-    samples = np.empty(n_samples)
-    for s in range(n_samples):
-        tx = tuple(int(rng.integers(0, m)) for m in orders)
-        samples[s] = _ber_given_tx(i, tx, 0, [], coeffs, consts, rho,
-                                   sigma_i_sq, n_r, rng)
-    mean = float(np.mean(samples))
-    hw = 1.96 * float(np.std(samples, ddof=1)) / np.sqrt(n_samples)
-    return UnionBoundResult(_clamp(mean), hw, False)
+    n_tuples = prod(orders)
+    chunk = max(1, _UNION_BOUND_CHUNK // prod(orders[:s + 1]))
+    total = 0.0
+    for start in range(0, n_tuples, chunk):
+        tx = np.stack(np.unravel_index(np.arange(start, min(start + chunk, n_tuples)),
+                                       orders), axis=1)
+        total += float(np.sum(_union_bound_block(s, tx, consts, pa.coefficients, rho,
+                                                 sigma_i_sq, n_r)))
+    return _clamp(total / n_tuples)
 
 
 # ---------------------------------------------------------------------------

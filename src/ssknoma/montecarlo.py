@@ -225,23 +225,48 @@ def _snr_key(snr_db: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _SmGrid(NamedTuple):
+    """A composite alphabet that is the full Cartesian grid of its distinct
+    real and imaginary parts, so its nearest point is found axis by axis."""
+
+    re_mid: np.ndarray  # midpoints between consecutive distinct real parts
+    im_mid: np.ndarray  # the same for the imaginary parts
+    index: np.ndarray   # (re, im) grid position -> first alphabet index
+
+
 class _Tables(NamedTuple):
     """Per-config tables every block of an SNR point shares."""
 
     consts: tuple                # power users' constellations, decoding order
     bit_tables: tuple            # their label Hamming distances
     alphabet: ScAlphabet | None  # composite alphabet (None without user 1)
+    sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
     antenna_bits: np.ndarray     # Hamming distances of the antenna labels
+
+
+def _sm_grid(chi_values: np.ndarray) -> _SmGrid | None:
+    """Nearest-point grid of a composite alphabet that is a full Cartesian
+    grid (superpositions of QPSK, square QAM and BPSK users); ``None`` for any
+    other alphabet (M-PSK with M > 4, say), which the joint search then scans
+    point by point."""
+    re_axis, re_pos = np.unique(chi_values.real, return_inverse=True)
+    im_axis, im_pos = np.unique(chi_values.imag, return_inverse=True)
+    cells, first = np.unique(re_pos * im_axis.size + im_pos, return_index=True)
+    if cells.size != re_axis.size * im_axis.size:
+        return None
+    return _SmGrid((re_axis[:-1] + re_axis[1:]) / 2.0, (im_axis[:-1] + im_axis[1:]) / 2.0,
+                   first.reshape(re_axis.size, im_axis.size))
 
 
 def _tables(cfg: SimConfig) -> _Tables:
     consts = tuple(cfg.constellations())
-    alphabet = None
+    alphabet = sm_grid = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
+        sm_grid = _sm_grid(alphabet.values)
     antenna_labels = [antenna_label(v, cfg.n_t) for v in range(1, cfg.n_t + 1)]
     return _Tables(consts, tuple(c.bit_distance_table() for c in consts), alphabet,
-                   hamming_table(antenna_labels))
+                   sm_grid, hamming_table(antenna_labels))
 
 
 def _ml_detect_block(resid, h, h_norm, amp, points):
@@ -253,18 +278,45 @@ def _ml_detect_block(resid, h, h_norm, amp, points):
     return np.argmin(metrics, axis=1)
 
 
-def _sm_detect_block(r, h_full, sqrt_p, chi_values):
-    """Vectorized joint (antenna, composite symbol) search; returns the
-    0-based antenna and composite-symbol indices, first minimum on ties."""
+# complex entries of one chunk of the point-by-point joint search
+_SM_CHUNK_ENTRIES = 1 << 22
+
+
+def _sm_metric(inner, h_norm, sqrt_p, chi):
+    """ML metric ||r - sqrt(P) h_t chi||^2 less its constant ||r||^2."""
+    return (-2.0 * sqrt_p * np.real(inner * np.conj(chi))
+            + sqrt_p * sqrt_p * h_norm * np.abs(chi) ** 2)
+
+
+def _sm_detect_block(r, h_full, sqrt_p, chi_values, grid):
+    """Vectorized joint (antenna, composite symbol) ML search; returns the
+    0-based antenna and composite-symbol indices, first minimum on ties.
+
+    Per antenna t the metric is P||h_t||^2 |chi - z_t|^2 plus a constant,
+    with z_t = h_t^H r / (sqrt(P) ||h_t||^2), so with a nearest-point
+    ``grid`` each antenna's best symbol is the grid point nearest z_t (two
+    ``searchsorted`` calls) and only those N_t candidates are scored. Without
+    one, every (antenna, symbol) pair is scored, in chunks of trials that keep
+    the metric tensor near ``_SM_CHUNK_ENTRIES`` entries.
+    """
     inner = np.einsum("btr,br->bt", np.conj(h_full), r)
     h_norm = np.sum(np.abs(h_full) ** 2, axis=2)
-    metrics = (
-        -2.0 * sqrt_p * np.real(inner[:, :, None] * np.conj(chi_values)[None, None, :])
-        + sqrt_p * sqrt_p * h_norm[:, :, None] * (np.abs(chi_values) ** 2)[None, None, :]
-    )
-    m_t = chi_values.size
-    flat = metrics.reshape(metrics.shape[0], -1).argmin(axis=1)
-    return flat // m_t, flat % m_t
+    if grid is None:
+        m_t = chi_values.size
+        chunk = max(1, _SM_CHUNK_ENTRIES // (inner.shape[1] * m_t))
+        flat = np.concatenate([
+            _sm_metric(inner[s:s + chunk, :, None], h_norm[s:s + chunk, :, None], sqrt_p,
+                       chi_values).reshape(-1, inner.shape[1] * m_t).argmin(axis=1)
+            for s in range(0, len(inner), chunk)
+        ])
+        return flat // m_t, flat % m_t
+    live = h_norm > 0.0
+    z = np.divide(inner, sqrt_p * h_norm, out=np.zeros_like(inner), where=live)
+    k = grid.index[np.searchsorted(grid.re_mid, z.real), np.searchsorted(grid.im_mid, z.imag)]
+    # a zero channel scores every symbol 0, where the first one wins
+    k = np.where(live, k, 0)
+    t = _sm_metric(inner, h_norm, sqrt_p, chi_values[k]).argmin(axis=1)
+    return t, k[np.arange(len(t)), t]
 
 
 def _sic_detect_block(r, h, amps, points):
@@ -316,7 +368,7 @@ def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
         if cfg.noise:
             r = r + complex_normal(rng, (b, n_r), 1.0)
         if search:
-            v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, chi_values)
+            v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, chi_values, tables.sm_grid)
             h = h_full[rows, v_hat, :]
         if i < first:
             errors[0] += tables.antenna_bits[v, v_hat].sum()
@@ -370,8 +422,9 @@ def _outage_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
 
 
 def _rate_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
-    """Returns (sum, sum of squares, count) of the per-draw rate per user
-    plus the per-draw sum rate in the last slot."""
+    """Returns, per user plus the per-draw sum rate in the last slot, the sum
+    of the per-draw rates, their mean m rounded to a double, the sum of the
+    deviations from m and the sum of their squares; then the draw count."""
     gammas = _gamma_block(cfg, "rate", snr_db, block)
     coeffs = cfg.pa.coefficients
     first = cfg.first_power_user
@@ -384,8 +437,11 @@ def _rate_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
         without = sum(coeffs[k + 1:])
         rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
     rates.append(sum(rates))
-    stacked = np.array([(r.sum(), (r * r).sum()) for r in rates])
-    return stacked[:, 0], stacked[:, 1], float(cfg.block_size)
+    sums = np.array([r.sum() for r in rates])
+    means = sums / cfg.block_size
+    devs = [r - m for r, m in zip(rates, means)]
+    return (sums, means, np.array([d.sum() for d in devs]),
+            np.array([np.sum(d * d) for d in devs]), float(cfg.block_size))
 
 
 _BLOCK_FN = {"ber": _ber_block, "outage": _outage_block, "rate": _rate_block}
@@ -458,15 +514,24 @@ def run_rate_point(cfg: SimConfig, snr_db: float):
     """Per-user ergodic rate estimates plus the sum rate (user index 0)."""
     results = _run_rounds(cfg, "rate", snr_db)
     sums = sum(r[0] for r in results)
-    sq_sums = sum(r[1] for r in results)
-    n = sum(r[2] for r in results)
+    n = sum(r[4] for r in results)
+    # Chan et al.'s merge of per-block centred sums of squares, in block
+    # order; block means are taken relative to the first block's, so their
+    # differences keep full precision when the spread is tiny
+    base = results[0][1]
+    count, mean, m2 = 0.0, 0.0, 0.0
+    for _, mean_b, dev_b, sq_b, count_b in results:
+        offset = (mean_b - base) + dev_b / count_b
+        merged = count + count_b
+        delta = offset - mean
+        mean = mean + delta * (count_b / merged)
+        m2 = m2 + (sq_b - dev_b * dev_b / count_b) + delta * delta * (count * count_b / merged)
+        count = merged
     out = []
     for slot in range(len(sums)):
-        mean = sums[slot] / n
-        var = max(0.0, sq_sums[slot] / n - mean * mean)
-        hw = 1.959963984540054 * np.sqrt(var / n)
+        hw = 1.959963984540054 * np.sqrt(max(0.0, m2[slot]) / n / n)
         user = 0 if slot == len(sums) - 1 else slot + 1
-        out.append(PointEstimate("rate", user, float(snr_db), float(mean),
+        out.append(PointEstimate("rate", user, float(snr_db), float(sums[slot] / n),
                                  float(hw), int(n), int(n)))
     return out
 
@@ -491,7 +556,7 @@ def _analytic_ber(cfg: SimConfig, user: int, rho: float):
     if exact and user == 3:
         return analytics.abep_u3(a[0], a[1], rho * sigma_sq, cfg.n_r)
     return analytics.union_bound_ber(user, cfg.constellations(), cfg.pa, rho,
-                                     sigma_sq, cfg.n_r).value
+                                     sigma_sq, cfg.n_r)
 
 
 def _analytic_rate(cfg: SimConfig, user: int, rho: float):

@@ -136,7 +136,7 @@ def test_c04_union_bound_dominance_and_tightness():
                 rho = 10.0 ** (p.snr_db / 10.0)
                 bounds[p.snr_db] = union_bound_ber(
                     user, cfg.constellations(), cfg.pa, rho, sig, n_r
-                ).value
+                )
                 if bounds[p.snr_db] < p.value - 3.0 * p.ci_halfwidth:
                     failures.append(f"dominance u{user} nr={n_r} {p.snr_db}dB")
             measurable = [p for p in curves[user] if p.value >= 1e-4]

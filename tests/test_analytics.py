@@ -1,7 +1,9 @@
 """Closed-form expression tests against independent quadrature and Monte
 Carlo oracles."""
 
+import itertools
 from math import gamma as gamma_fn
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from scipy import integrate, special
 
 from ssknoma.analytics import (
     OutageTargets,
-    UnionBoundResult,
     abep_u1,
     abep_u2,
     abep_u3,
@@ -278,8 +279,6 @@ def _oracle_bound_no_sic(consts, pa, rho, sigma_sq, n_r):
     coeffs = pa.coefficients
     total = 0.0
     tuples = 0
-    import itertools
-
     for tx in itertools.product(*(range(c.order) for c in consts)):
         acc = 0.0
         for n in range(c2.order):
@@ -308,9 +307,70 @@ def test_union_bound_strongest_user_oracle(rho_db):
     rho = 10.0 ** (rho_db / 10.0)
     consts = [qpsk(), qpsk()]
     got = union_bound_ber(2, consts, PA2, rho, 2.0, 2)
-    assert got.exact and got.ci_halfwidth == 0.0
     want = _oracle_bound_no_sic(consts, PA2, rho, 2.0, 2)
-    assert got.value == pytest.approx(want, rel=1e-10)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
+    """Pairwise error weights of every wrong decision at SIC stage q (0-based
+    slot, user q+2), given the residual errors accumulated so far."""
+    s_q = consts[q].points[tx[q]]
+    interferers = [(coeffs[p], consts[p].points[tx[p]]) for p in range(q + 1, len(coeffs))]
+    return [(n, noma_pep(pep_term(s_q, consts[q].points[n], coeffs[q], rho, interferers,
+                                  list(deltas)), sigma_i_sq, n_r))
+            for n in range(consts[q].order) if n != tx[q]]
+
+
+def _ber_given_tx(i, tx, q, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
+    """Recursive oracle of the union bound: BER bound of user i conditioned on
+    the transmitted tuple, recursing over the SIC stages. Wrong-branch weights
+    are scaled so their sum never exceeds 1; the own-error sum is capped at 1."""
+    slot = i - 2
+    branches = _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r)
+    if q == slot:
+        dist = consts[slot].bit_distance_table()[tx[slot]]
+        return min(1.0, sum(dist[n] / consts[slot].bits_per_symbol * w for n, w in branches))
+    total = _ber_given_tx(i, tx, q + 1, deltas, coeffs, consts, rho, sigma_i_sq, n_r)
+    wsum = sum(w for _, w in branches)
+    if wsum <= 0.0:
+        return total
+    scale = min(1.0, 1.0 / wsum)
+    for n, w in branches:
+        d = (coeffs[q], consts[q].points[tx[q]] - consts[q].points[n])
+        total += scale * w * _ber_given_tx(i, tx, q + 1, deltas + [d], coeffs, consts, rho,
+                                           sigma_i_sq, n_r)
+    return total
+
+
+def _oracle_union_bound(i, consts, pa, rho, sigma_i_sq, n_r):
+    orders = [c.order for c in consts]
+    total = sum(_ber_given_tx(i, tx, 0, [], pa.coefficients, consts, rho, sigma_i_sq, n_r)
+                for tx in itertools.product(*(range(m) for m in orders)))
+    return min(1.0, max(0.0, total / prod(orders)))
+
+
+_PA3 = PowerAllocation((0.7, 0.2, 0.1))
+_PA4 = PowerAllocation((0.6, 0.25, 0.1, 0.05))
+UNION_BOUND_CASES = [
+    # (power-user orders, allocation, users, SNRs in dB)
+    ((4, 4), PA2, (2, 3), (0, 10, 20, 30)),
+    ((4, 4, 4), _PA3, (2, 3, 4), (0, 10, 20, 30)),
+    ((4, 4, 4, 4), _PA4, (2, 3, 4, 5), (10, 30)),
+    ((16, 4), PA2, (2, 3), (10,)),
+]
+
+
+@pytest.mark.parametrize("orders,pa,users,snrs_db", UNION_BOUND_CASES,
+                         ids=["L3-qpsk", "L4-qpsk", "L5-qpsk", "qam16-qpsk"])
+def test_union_bound_matches_recursive_oracle(orders, pa, users, snrs_db):
+    consts = [make_constellation(m) for m in orders]
+    for user in users:
+        sigma_sq = 2.0 ** (user - 1)
+        for snr_db in snrs_db:
+            rho = 10.0 ** (snr_db / 10.0)
+            got = union_bound_ber(user, consts, pa, rho, sigma_sq, 2)
+            want = _oracle_union_bound(user, consts, pa, rho, sigma_sq, 2)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (user, snr_db)
 
 
 @pytest.mark.parametrize("user", [2, 3])
@@ -320,41 +380,27 @@ def test_union_bound_dominates_exact_three_user(user):
     for rho_db in (0, 10, 20):
         rho = 10.0 ** (rho_db / 10.0)
         bound = union_bound_ber(user, [qpsk(), qpsk()], PA2, rho, sigma_sq, 2)
-        assert bound.value >= exact_fn(0.8, 0.2, rho * sigma_sq, 2)
+        assert bound >= exact_fn(0.8, 0.2, rho * sigma_sq, 2)
 
 
 def test_union_bound_decreases_with_snr():
     vals = [
-        union_bound_ber(3, [qpsk(), qpsk()], PA2, 10.0**e, 4.0, 2).value
+        union_bound_ber(3, [qpsk(), qpsk()], PA2, 10.0**e, 4.0, 2)
         for e in (0.0, 1.0, 2.0, 3.0)
     ]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_union_bound_sampling_is_consistent():
-    pa = PowerAllocation((0.6, 0.25, 0.1, 0.05))
-    consts = [make_constellation(4)] * 4
-    exact = union_bound_ber(4, consts, pa, 100.0, 8.0, 2, max_enum=10**6)
-    sampled = union_bound_ber(4, consts, pa, 100.0, 8.0, 2, max_enum=1,
-                              n_samples=4000, seed=11)
-    assert not sampled.exact and sampled.ci_halfwidth > 0
-    assert abs(sampled.value - exact.value) < 4.0 * sampled.ci_halfwidth
-
-
 def test_union_bound_budget_error():
-    pa = PowerAllocation((0.6, 0.25, 0.1, 0.05))
-    consts = [make_constellation(4)] * 4
+    """L = 5 16-QAM, user 5: 4.0e9 joint hypotheses, beyond the budget."""
+    consts = [make_constellation(16)] * 4
     with pytest.raises(ConfigError):
-        union_bound_ber(5, consts, pa, 10.0, 16.0, 2, allow_sampling=False)
+        union_bound_ber(5, consts, _PA4, 10.0, 16.0, 2)
 
 
 def test_union_bound_user_range():
     with pytest.raises(InputError):
         union_bound_ber(4, [qpsk(), qpsk()], PA2, 10.0, 1.0, 2)
-
-
-def test_union_bound_result_float():
-    assert float(UnionBoundResult(0.25, 0.0, True)) == 0.25
 
 
 # --- ergodic capacity ----------------------------------------------------------

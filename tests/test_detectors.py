@@ -1,12 +1,19 @@
 """Receiver tests: the batched detectors the trial engine runs, against
 brute-force oracles, plus the receiver-complexity operation counts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ssknoma import montecarlo as mc
 from ssknoma.channel import complex_normal, rng_stream
-from ssknoma.constellation import PowerAllocation, enumerate_sc_alphabet, qpsk
+from ssknoma.constellation import (
+    PowerAllocation,
+    enumerate_sc_alphabet,
+    make_constellation,
+    qpsk,
+)
 from ssknoma.detectors import (
     complexity_noma,
     complexity_report,
@@ -14,11 +21,32 @@ from ssknoma.detectors import (
     op_counts,
 )
 from ssknoma.errors import InputError
-from ssknoma.montecarlo import _ml_detect_block, _sic_detect_block, _sm_detect_block
+from ssknoma.montecarlo import (
+    _ml_detect_block,
+    _sic_detect_block,
+    _sm_detect_block,
+    _sm_grid,
+)
 
 PA3 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA3)
+GRID3 = _sm_grid(ALPHABET3.values)
 BATCH = 5
+
+# composite alphabets of the power users: (modulation orders, allocation)
+SM_ALPHABETS = {
+    "L3-qpsk": ((4, 4), (0.8, 0.2)),
+    "L4-qpsk": ((4, 4, 4), (0.7, 0.2, 0.1)),
+    "L5-qpsk": ((4, 4, 4, 4), (0.6, 0.25, 0.1, 0.05)),
+    "qam16-qpsk": ((16, 4), (0.8, 0.2)),
+    "bpsk-qpsk-bpsk": ((2, 4, 2), (0.6, 0.3, 0.1)),
+}
+
+
+def _alphabet(name):
+    orders, pa = SM_ALPHABETS[name]
+    return enumerate_sc_alphabet([make_constellation(m) for m in orders],
+                                 PowerAllocation(pa)).values
 
 
 def _brute_force_sm(r, h, chis, power):
@@ -58,7 +86,7 @@ def test_detect_sm_matches_brute_force(trial):
     power = 10.0
     h = complex_normal(rng, (BATCH, 4, 2), 1.0)
     r = complex_normal(rng, (BATCH, 2), 3.0)
-    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), ALPHABET3.values)
+    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), ALPHABET3.values, GRID3)
     for b in range(BATCH):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], ALPHABET3.values, power)
 
@@ -71,8 +99,112 @@ def test_detect_sm_noiseless_recovers_truth():
     v, k = np.divmod(np.arange(2 * ALPHABET3.size), ALPHABET3.size)
     r = np.sqrt(power) * h[v] * ALPHABET3.values[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 2, 4))
-    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), ALPHABET3.values)
+    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), ALPHABET3.values, GRID3)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
+
+
+@pytest.mark.parametrize("name", sorted(SM_ALPHABETS))
+def test_nearest_point_noiseless_recovers_truth(name):
+    """Noise-free, over every alphabet with a nearest-point grid, at N_t = 4:
+    every (antenna, composite symbol) hypothesis, one per batch row."""
+    chis = _alphabet(name)
+    rng = rng_stream(3, 1)
+    power = 25.0
+    h = complex_normal(rng, (4, 2), 1.0)
+    v, k = np.divmod(np.arange(4 * chis.size), chis.size)
+    r = np.sqrt(power) * h[v] * chis[k][:, None]
+    h_batch = np.broadcast_to(h, (v.size, 4, 2))
+    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), chis, _sm_grid(chis))
+    assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
+
+
+@pytest.mark.parametrize("n_t", [2, 4, 8])
+@pytest.mark.parametrize("name", sorted(SM_ALPHABETS))
+def test_nearest_point_search_equals_brute_force(name, n_t):
+    """The nearest-point search makes the brute-force search's decisions on
+    70 000 seeded trials per case, 1.05e6 over the 15 cases."""
+    chis = _alphabet(name)
+    grid = _sm_grid(chis)
+    assert grid is not None
+    n_r = min(n_t, 4)
+    for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+        rng = rng_stream(500, n_t, int(snr_db))
+        b = 14_000
+        sqrt_p = np.sqrt(10.0 ** (snr_db / 10.0))
+        h = complex_normal(rng, (b, n_t, n_r), 1.0)
+        v = rng.integers(0, n_t, b)
+        k = rng.integers(0, chis.size, b)
+        r = sqrt_p * h[np.arange(b), v] * chis[k][:, None] + complex_normal(rng, (b, n_r), 1.0)
+        v_fast, k_fast = _sm_detect_block(r, h, sqrt_p, chis, grid)
+        v_brute, k_brute = _sm_detect_block(r, h, sqrt_p, chis, None)
+        assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute), snr_db
+
+
+def test_nearest_point_breaks_ties_like_brute_force():
+    """Two 16-QAM users at (0.8, 0.2): sqrt(0.8) = 2 sqrt(0.2), so the 256
+    composite symbols hold 100 distinct points. Equal points score equal
+    metrics, so both searches must pick the first alphabet index."""
+    chis = enumerate_sc_alphabet([make_constellation(16)] * 2, PA3).values
+    grid = _sm_grid(chis)
+    assert np.unique(chis).size == 100 and grid.index.shape == (10, 10)
+    rng = rng_stream(700, 0)
+    b, sqrt_p = 20_000, np.sqrt(100.0)
+    h = complex_normal(rng, (b, 4, 2), 1.0)
+    v = rng.integers(0, 4, b)
+    k = rng.integers(0, chis.size, b)
+    clean = sqrt_p * h[np.arange(b), v] * chis[k][:, None]
+    first = np.array([np.flatnonzero(chis == chi)[0] for chi in chis])
+    v_hat, k_hat = _sm_detect_block(clean, h, sqrt_p, chis, grid)
+    assert np.array_equal(v_hat, v) and np.array_equal(k_hat, first[k])
+    r = clean + complex_normal(rng, (b, 2), 1.0)
+    v_fast, k_fast = _sm_detect_block(r, h, sqrt_p, chis, grid)
+    v_brute, k_brute = _sm_detect_block(r, h, sqrt_p, chis, None)
+    assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute)
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["nearest-point", "brute-force"])
+def test_zero_channel_decides_first_pair_without_warning(grid):
+    """A fading variance of 0 scores every hypothesis 0, so the first
+    (antenna, symbol) pair wins, as in the brute-force search."""
+    chis = _alphabet("L4-qpsk")
+    rng = rng_stream(7, 0)
+    h = complex_normal(rng, (BATCH, 4, 2), 0.0)
+    r = complex_normal(rng, (BATCH, 2), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(10.0), chis,
+                                        _sm_grid(chis) if grid else None)
+    assert not v_hat.any() and not k_hat.any()
+
+
+def test_zero_fading_cell_edge_user_runs_a_block():
+    cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0],
+                         seed=4, fading=(0.0, 2.0, 4.0), block_size=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors, bits = mc._ber_block(cfg, mc._tables(cfg), 10.0, 0)
+    # antenna 0 is always decided, so exactly the trials sent on antenna 1 err
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
+    assert errors[0] == np.count_nonzero(rng.integers(0, cfg.n_t, cfg.block_size))
+    assert bits[0] == cfg.block_size
+
+
+def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
+    """8-PSK users: no nearest-point grid, so every pair is scored in chunks
+    of trials; a batch that is not a multiple of the chunk loses no row."""
+    chis = enumerate_sc_alphabet([make_constellation(8)] * 2, PA3).values
+    assert _sm_grid(chis) is None
+    monkeypatch.setattr(mc, "_SM_CHUNK_ENTRIES", 1000)  # 3 trials per chunk
+    rng = rng_stream(600, 0)
+    power = 30.0
+    h = complex_normal(rng, (100, 4, 2), 1.0)
+    v = rng.integers(0, 4, 100)
+    k = rng.integers(0, chis.size, 100)
+    r = np.sqrt(power) * h[np.arange(100), v] * chis[k][:, None]
+    r = r + complex_normal(rng, (100, 2), 1.0)
+    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), chis, None)
+    for b in range(100):
+        assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], chis, power)
 
 
 @pytest.mark.parametrize("trial", range(20))

@@ -22,7 +22,9 @@ L3_PAIR = [
 ]
 CASES = {
     # command: (config document, CSV the command writes)
-    "ber": ({**SHARED, "runs": L3_PAIR + [{"scheme": "ssk-noma", "n_users": 4, "n_r": 2}]},
+    # L=4 and L=5 SSK-NOMA cover M_T = 64 and 256 and the union bound
+    "ber": ({**SHARED, "runs": L3_PAIR + [{"scheme": "ssk-noma", "n_users": 4, "n_r": 2},
+                                          {"scheme": "ssk-noma", "n_users": 5, "n_r": 2}]},
             "ber.csv"),
     "capacity": ({**SHARED, "runs": L3_PAIR}, "rate.csv"),
     "outage": ({**SHARED, "runs": L3_PAIR}, "outage.csv"),

@@ -136,6 +136,28 @@ def test_rate_point_sum_slot():
     assert all(p.ci_halfwidth > 0 for p in points.values())
 
 
+def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
+    """Draws 3 + 1e-9 N(0,1): a one-pass variance (mean of squares minus
+    squared mean) cancels every digit here; the half-width must match a
+    two-pass variance of the same draws. Merging blocks about their rounded
+    means alone would lose ~1e-9 here, hence rel 1e-11."""
+    monkeypatch.setenv("SSKNOMA_WORKERS", "1")
+    rng = np.random.default_rng(21)
+    drawn = []
+
+    def fake_bep(gammas, alphabet, n_t, clamp=True):
+        drawn.append(-2.0 - 1e-9 * rng.standard_normal(np.shape(gammas)))
+        return drawn[-1]
+
+    monkeypatch.setattr(mc.analytics, "conditional_bep_u1_vec", fake_bep)
+    cfg = _cfg(target_rates=(1.0, 1.0, 1.0))  # N_t = 2: user 1's rate is 1 - bep
+    est = {p.user: p for p in mc.run_rate_point(cfg, 10.0)}[1]
+    rates = np.log2(cfg.n_t) * (1.0 - np.concatenate(drawn))
+    assert est.n_trials == rates.size == 100_000
+    want = 1.959963984540054 * np.sqrt(np.var(rates) / rates.size)
+    assert est.ci_halfwidth == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_outage_point_requires_targets():
     with pytest.raises(ConfigError):
         mc.run_outage_point(_cfg(), 10.0)
