@@ -174,14 +174,71 @@ def abep_u1(alphabet: ScAlphabet, n_t: int, n_r: int, rho: float,
     return _clamp(bound) if clamp else bound
 
 
+# scipy's erfc is exactly 0 once x*x exceeds MAXLOG = log(DBL_MAX), that is
+# from x = 26.6418 on (cephes ndtr.c), so a pair term whose argument is at
+# least this contributes nothing
+ERFC_ZERO_FROM = 26.65
+# the cell-edge BEP curve evaluates an erfc table of up to this many entries
+# (2 MB) whole, and a larger one in chunks of BEP_CHUNK_ROWS SNRs
+_BEP_WHOLE_ENTRIES = 1 << 18
+# a BLAS gemv takes rows four at a time per thread; with chunks of a multiple
+# of 4 * threads rows it groups a chunk's rows as it groups a dense call's
+BEP_CHUNK_ROWS = 1024
+_SQRT2 = np.sqrt(2.0)
+
+
 def _bep_u1_curve(alphabet: ScAlphabet, n_t: int, clamp: bool):
     """Cell-edge BEP as a function of an array of instantaneous MRC SNRs,
-    with the pair-energy levels built once."""
+    with the pair-energy levels built once.
+
+    Each value is ``scale * (Q(sqrt(gamma * levels / 4)) @ weights)`` as one
+    dense table and one gemv would give it, bit for bit (the tests check this
+    with one BLAS thread). A table of up to ``_BEP_WHOLE_ENTRIES`` entries is
+    evaluated whole. Beyond it the SNRs are sorted and walked in chunks of
+    ``BEP_CHUNK_ROWS``, and each chunk evaluates erfc only up to the last
+    level whose argument is below ``ERFC_ZERO_FROM`` at the chunk's smallest
+    SNR: the later terms of every row in the chunk are exactly 0. The last
+    ``n % 4`` rows stay last, where one dense gemv puts them, so every row
+    meets the BLAS kernel it meets there.
+    """
     levels, weights = _pair_energy_levels(alphabet)
     scale = (n_t / 2.0) * np.log2(alphabet.size)
+    quarter = levels / 4.0  # exact, like every power-of-two scaling
+
+    def weighted_sum(g, table, p):
+        """``Q(sqrt(g * levels / 4)) @ weights`` with ``table`` as scratch,
+        evaluating erfc on the first ``p`` levels only (the rest are 0)."""
+        part = table[:, :p]
+        np.multiply(g[:, None], quarter[:p], out=part)
+        np.sqrt(part, out=part)
+        np.divide(part, _SQRT2, out=part)
+        special.erfc(part, out=part)
+        np.multiply(part, 0.5, out=part)
+        table[:, p:] = 0.0
+        return table @ weights
+
+    def live_levels(g_min) -> int:
+        """Levels up to the last one whose erfc argument at ``g_min`` is below
+        ``ERFC_ZERO_FROM``; beyond it every term at SNR >= g_min is 0."""
+        x = np.sqrt(g_min * quarter) / _SQRT2
+        live = np.flatnonzero(~(x >= ERFC_ZERO_FROM))  # a NaN stays live
+        return live[-1] + 1 if live.size else 0
 
     def bep(gammas: np.ndarray) -> np.ndarray:
-        vals = scale * (q_func(np.sqrt(gammas[:, None] * levels[None, :] / 4.0)) @ weights)
+        n = gammas.size
+        if n * levels.size <= _BEP_WHOLE_ENTRIES:
+            vals = (0.5 * special.erfc(np.sqrt(gammas[:, None] * quarter) / _SQRT2)) @ weights
+        else:
+            head = n - n % 4
+            order = np.concatenate([np.argsort(gammas[:head]), np.arange(head, n)])
+            table = np.empty((BEP_CHUNK_ROWS + 3, levels.size))
+            vals = np.empty(n)
+            starts = list(range(0, head, BEP_CHUNK_ROWS)) or [0]
+            for start, stop in zip(starts, starts[1:] + [n]):
+                idx = order[start:stop]
+                g = gammas[idx]
+                vals[idx] = weighted_sum(g, table[:stop - start], live_levels(g.min()))
+        vals = scale * vals
         return np.clip(vals, 0.0, 1.0) if clamp else vals
 
     return bep

@@ -2,6 +2,8 @@
 Carlo oracles."""
 
 import itertools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from math import gamma as gamma_fn
 from math import prod
 
@@ -10,7 +12,11 @@ import pytest
 from scipy import integrate, special
 
 from ssknoma.analytics import (
+    BEP_CHUNK_ROWS,
+    ERFC_ZERO_FROM,
+    _BEP_WHOLE_ENTRIES,
     OutageTargets,
+    _pair_energy_levels,
     abep_u1,
     abep_u2,
     abep_u3,
@@ -219,6 +225,81 @@ def test_conditional_bep_u1_vec_matches_scalar():
         want = _conditional_bep_u1_oracle(float(g), ALPHABET3, 4)
         assert v == pytest.approx(want, rel=1e-12, abs=0)
         assert conditional_bep_u1(float(g), ALPHABET3, 4) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# the cell-edge BEP curve on these composite alphabets: (orders, PA)
+BEP_CURVE_ALPHABETS = {
+    "L3-qpsk": ((4, 4), (0.8, 0.2)),
+    "L4-qpsk": ((4, 4, 4), (0.7, 0.2, 0.1)),
+    "L5-qpsk": ((4, 4, 4, 4), (0.6, 0.25, 0.1, 0.05)),
+    "qpsk-qam16": ((4, 16), (0.8, 0.2)),
+}
+
+
+def _dense_bep_u1(gammas, alphabet, n_t, clamp):
+    """The cell-edge BEP curve as one dense erfc table and one gemv."""
+    levels, weights = _pair_energy_levels(alphabet)
+    scale = (n_t / 2.0) * np.log2(alphabet.size)
+    vals = scale * (q_func(np.sqrt(gammas[:, None] * levels / 4.0)) @ weights)
+    return np.clip(vals, 0.0, 1.0) if clamp else vals
+
+
+def _curve_snrs(levels, n, rng):
+    """``n`` unsorted SNRs: 0; for each level, the SNRs where its erfc
+    argument reaches 26, 26.5, 26.6, the true underflow limit sqrt(MAXLOG)
+    and the pruning limit, each with its neighbours one ulp away; half of the
+    rest within 1e-4 of those SNRs of the two lowest and the highest level
+    (so whole chunks straddle them), the other half spread from 0 to ~1e5."""
+    limits = np.array([26.0, 26.5, 26.6, np.sqrt(np.log(np.finfo(float).max)),
+                       ERFC_ZERO_FROM])
+    edges = 8.0 * limits[:, None] ** 2 / levels
+    marked = np.concatenate([[0.0], edges.ravel(), np.nextafter(edges, 0.0).ravel(),
+                             np.nextafter(edges, np.inf).ravel()])
+    near = (rng.choice(edges[:, [0, 1, -1]].ravel(), n)
+            * (1.0 + 1e-4 * rng.uniform(-1.0, 1.0, n)))
+    spread = 10.0 ** rng.uniform(-1.0, 4.0, n) * rng.standard_gamma(2.0, n)
+    gammas = np.where(rng.random(n) < 0.5, near, spread)
+    k = min(n, marked.size)
+    gammas[rng.choice(n, k, replace=False)] = rng.choice(marked, k, replace=False)
+    return gammas
+
+
+def _bep_curve_mismatches():
+    """(alphabet, N_t, size, clamp) cases where the pruned curve differs from
+    the dense formula in any bit."""
+    rng = np.random.default_rng(2024)
+    bad = []
+    for name, (orders, pa) in BEP_CURVE_ALPHABETS.items():
+        alphabet = enumerate_sc_alphabet([make_constellation(m) for m in orders],
+                                         PowerAllocation(pa))
+        levels = _pair_energy_levels(alphabet)[0]
+        whole = _BEP_WHOLE_ENTRIES // levels.size  # more SNRs are chunked
+        sizes = {0, 1, BEP_CHUNK_ROWS - 1, BEP_CHUNK_ROWS + 1, 3 * BEP_CHUNK_ROWS + 7,
+                 whole, whole + 1, 25_000}
+        for n, n_t in itertools.product(sorted(sizes), (2, 4)):
+            gammas = _curve_snrs(levels, n, rng)
+            for clamp in (True, False):
+                got = conditional_bep_u1_vec(gammas, alphabet, n_t, clamp)
+                if not np.array_equal(got, _dense_bep_u1(gammas, alphabet, n_t, clamp)):
+                    bad.append((name, n_t, n, clamp))
+    return bad
+
+
+def test_bep_curve_equals_dense_formula(monkeypatch):
+    """The sorted, chunked and underflow-pruned curve equals the dense formula
+    bit for bit. A gemv's sum for a row depends on how BLAS splits the rows
+    among its threads, so both run in a child process with one BLAS thread."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_bep_curve_mismatches).result() == []
+
+
+def test_erfc_is_exactly_zero_from_the_pruning_limit():
+    assert not special.erfc(np.linspace(ERFC_ZERO_FROM, 1e3, 1_000_001)).any()
+    assert special.erfc(np.inf) == 0.0
+    # the limit is tight: erfc still underflows gradually just below it
+    assert special.erfc(26.64) > 0.0
 
 
 # --- pairwise error probabilities ----------------------------------------------
