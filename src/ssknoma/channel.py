@@ -82,15 +82,3 @@ def mrc_snr(h_col: np.ndarray, rho: float) -> float:
         raise InputError("rho must be positive")
     h_col = np.asarray(h_col, dtype=complex)
     return float(rho * np.sum(np.abs(h_col) ** 2))
-
-
-def chi2_sample_check(profile: FadingProfile, user: int, n_r: int, rho: float,
-                      n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted MRC-SNR samples for user ``user`` (1-based): the empirical CDF
-    support for a Kolmogorov-Smirnov comparison against the chi-square CDF."""
-    if n_draws < 10_000:
-        raise InputError("need at least 1e4 draws for a meaningful CDF")
-    var = profile.variances[user - 1]
-    h = complex_normal(rng, (n_draws, n_r), var)
-    gamma = rho * np.sum(np.abs(h) ** 2, axis=1)
-    return np.sort(gamma)

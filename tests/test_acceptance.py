@@ -179,8 +179,9 @@ def test_c05_capacity_agreement():
 
 def test_c06_outage_agreement():
     """Four-user outage: closed form within 3 standard errors of the draw
-    frequencies; the two simulated outage routes agree on every draw (a
-    mismatch raises inside the engine)."""
+    frequencies. That counting outage by the equivalent SNR threshold equals
+    testing every SINR of the SIC cascade is a property test in
+    test_analytics.py (test_outage_threshold_matches_sinr_cascade)."""
     failures = []
     for n_r in (2, 4):
         cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=4, n_r=n_r,

@@ -9,6 +9,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from ssknoma.analytics import (
@@ -564,6 +566,59 @@ def test_outage_threshold_infeasible_denominator():
     targets = OutageTargets((1.0, 2.5, 1.0))  # phi_2 = 4.8 > a2/a3
     assert outage_threshold_psi(2, pa, targets) == np.inf
     assert outage_noma_user(2, pa, targets, 100.0, 2.0, 2) == 1.0
+
+
+def _stage_thresholds(pa, targets, first_user, i):
+    """phi_m / (a_m - phi_m * sum of the later a) of every feasible SIC stage
+    m = first_user..i: the SNR at which stage m's SINR equals its target."""
+    coeffs = pa.coefficients
+    out = []
+    for k in range(i - first_user + 1):
+        phi = targets.phi(first_user + k)
+        denom = coeffs[k] - phi * sum(coeffs[k + 1:])
+        if denom > 0:
+            out.append(phi / denom)
+    return np.array(out)
+
+
+@st.composite
+def _outage_cases(draw):
+    n_power = draw(st.integers(1, 5))
+    weights = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n_power,
+                                   max_size=n_power, unique=True)), reverse=True)
+    pa = PowerAllocation(tuple(w / sum(weights) for w in weights))
+    first_user = draw(st.sampled_from([1, 2]))
+    rates = draw(st.lists(st.floats(0.01, 4.0), min_size=n_power + first_user - 1,
+                          max_size=n_power + first_user - 1))
+    targets = OutageTargets(tuple(rates), literal_phi=draw(st.booleans()))
+    i = draw(st.integers(first_user, first_user + n_power - 1))
+    drawn = draw(st.lists(st.floats(0.0, 1e7), min_size=1, max_size=20))
+    return pa, targets, first_user, i, np.array(drawn)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_outage_cases())
+def test_outage_threshold_matches_sinr_cascade(case):
+    """Outage by the equivalent SNR threshold (what the engine counts) equals
+    outage by testing every SINR of the SIC cascade against its target, on
+    random SNRs and on each stage's threshold, its one-ulp neighbours and
+    points 1e-12 and 1e-9 away; the two may differ only within 1e-13 of a
+    stage threshold, where a stage's SINR equals its target up to rounding."""
+    pa, targets, first_user, i, drawn = case
+    edges = _stage_thresholds(pa, targets, first_user, i)
+    gammas = np.concatenate([drawn, edges, np.nextafter(edges, 0.0),
+                             np.nextafter(edges, np.inf),
+                             *(edges * (1.0 + d) for d in (-1e-9, -1e-12, 1e-12, 1e-9))])
+    by_threshold = gammas < outage_threshold_psi(i, pa, targets, first_user)
+    coeffs = pa.coefficients
+    by_cascade = np.zeros(gammas.size, dtype=bool)
+    for k in range(i - first_user + 1):
+        sinr = coeffs[k] * gammas / (1.0 + sum(coeffs[k + 1:]) * gammas)
+        by_cascade |= sinr < targets.phi(first_user + k)
+    at_edge = np.zeros(gammas.size, dtype=bool)
+    for t in edges:
+        at_edge |= np.abs(gammas - t) <= 1e-13 * t
+    assert np.array_equal(by_threshold[~at_edge], by_cascade[~at_edge])
 
 
 def test_outage_noma_user_is_chi2_cdf():

@@ -1,12 +1,14 @@
 """Channel and RNG tests: stream keying, fading statistics, MRC."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from ssknoma import montecarlo as mc
 from ssknoma.channel import (
     FadingProfile,
     SnrConfig,
-    chi2_sample_check,
     complex_normal,
     default_profile,
     mrc_snr,
@@ -75,18 +77,21 @@ def test_mrc_snr_value():
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_mrc_snr_distribution_ks(n_r):
-    """Empirical CDF of the MRC output SNR against the closed-form CDF."""
-    profile = default_profile(3)
+    """Empirical CDF of the MRC output SNR draws the rate and outage engine
+    makes, per user, against the closed-form CDF."""
     n = 50_000
-    samples = chi2_sample_check(profile, user=2, n_r=n_r, rho=10.0,
-                                n_draws=n, rng=rng_stream(42, n_r))
+    cfg = mc.make_config(mc.SSK_NOMA, 3, n_r, [10.0], seed=42, n_t=2, block_size=n)
     ecdf = (np.arange(n) + 0.5) / n
-    model = chi2_cdf(samples, n_r, 10.0 * profile.variances[1])
-    d_stat = np.max(np.abs(ecdf - model))
-    # 1% critical value is about 1.63/sqrt(n); allow headroom for the seed
-    assert d_stat < 2.0 / np.sqrt(n)
+    for var, gammas in zip(cfg.fading.variances, mc._gamma_block(cfg, "rate", 10.0, 0)):
+        model = chi2_cdf(np.sort(gammas), n_r, 10.0 * var)
+        # 1% critical value is about 1.63/sqrt(n); allow headroom for the seed
+        assert np.max(np.abs(ecdf - model)) < 2.0 / np.sqrt(n)
 
 
-def test_chi2_sample_check_needs_enough_draws():
-    with pytest.raises(InputError):
-        chi2_sample_check(default_profile(2), 1, 2, 1.0, 100, rng_stream(0, 0))
+def test_zero_variance_user_draws_exact_zero_snr():
+    cfg = mc.make_config(mc.SSK_NOMA, 3, 2, [10.0], seed=42, fading=(0.0, 2.0, 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gammas = mc._gamma_block(cfg, "outage", 10.0, 0)
+    assert np.array_equal(gammas[0], np.zeros(cfg.block_size))
+    assert np.all(gammas[1] > 0.0)

@@ -58,6 +58,21 @@ def test_csv_payload_reproducible_across_workers(tmp_path, monkeypatch):
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("command,csv_name", [("capacity", "rate.csv"), ("outage", "outage.csv")])
+def test_rate_and_outage_csvs_reproducible_across_workers(tmp_path, monkeypatch, command,
+                                                          csv_name):
+    """Each block's MRC-SNR draws are keyed by (seed, metric, SNR point,
+    block), so the worker count cannot move a byte of the CSV."""
+    cfg = _write_config(tmp_path, dict(BER_CONFIG, target_rates=[1.0, 1.0, 1.5],
+                                       max_trials=200000))
+    payloads = []
+    for workers in ("1", str(min(2, os.cpu_count()))):
+        monkeypatch.setenv("SSKNOMA_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        payloads.append((out / csv_name).read_bytes())
+    assert payloads[0] == payloads[1]
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _write_config(tmp_path, BER_CONFIG)
     out_a = tmp_path / "a"
@@ -98,6 +113,23 @@ def test_outage_command(tmp_path):
     for r in rows[1:]:
         assert r[5] != ""  # analytic companion attached
         assert 0.0 <= float(r[3]) <= 1.0
+
+
+@pytest.mark.parametrize("command,csv_name", [("ber", "ber.csv"), ("capacity", "rate.csv"),
+                                              ("outage", "outage.csv")])
+def test_zero_variance_cell_edge_user_has_no_companion(tmp_path, command, csv_name):
+    """A cell-edge user with fading variance 0 is simulated, and the closed
+    forms, which average over fading of positive variance, leave its
+    analytic_value (and the sum rate's) empty."""
+    doc = dict(BER_CONFIG, fading=[0, 2, 4], target_rates=[1.0, 1.0, 1.5],
+               snr_grid_db=[10.0], max_trials=10000)
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / command
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = _read_csv(out / csv_name)[1:]
+    assert {r[1] for r in rows} >= {"1", "2", "3"}
+    for r in rows:
+        assert (r[5] == "") == (r[1] in ("0", "1")), r
 
 
 # --- error handling -------------------------------------------------------------
