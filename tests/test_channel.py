@@ -77,8 +77,8 @@ def test_mrc_snr_value():
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_mrc_snr_distribution_ks(n_r):
-    """Empirical CDF of the MRC output SNR draws the rate and outage engine
-    makes, per user, against the closed-form CDF."""
+    """Empirical CDF of the MRC output SNR draws the rate and outage engines
+    make, per user, against the closed-form CDF."""
     n = 50_000
     cfg = mc.make_config(mc.SSK_NOMA, 3, n_r, [10.0], seed=42, n_t=2, block_size=n)
     ecdf = (np.arange(n) + 0.5) / n

@@ -73,6 +73,7 @@ def test_rate_and_outage_csvs_reproducible_across_workers(tmp_path, monkeypatch,
         payloads.append((out / csv_name).read_bytes())
     assert payloads[0] == payloads[1]
 
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _write_config(tmp_path, BER_CONFIG)
     out_a = tmp_path / "a"
