@@ -1,5 +1,5 @@
-"""Rayleigh fading profiles, keyed random streams, complex Gaussian draws
-and MRC statistics.
+"""Rayleigh fading profiles, keyed random streams and complex Gaussian
+draws.
 
 Normalization: the noise power is fixed to N_0 = 1 so the transmit power
 equals the linear SNR (P = rho) and the MRC output SNR is exactly
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 
 def rng_stream(seed: int, *keys: int) -> np.random.Generator:
@@ -22,11 +22,17 @@ def rng_stream(seed: int, *keys: int) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, variance split evenly per axis."""
+    """Circularly-symmetric complex Gaussian, variance split evenly per axis.
+
+    Real and imaginary parts come interleaved from one ``standard_normal``
+    call, viewed as complex and scaled in place; a zero variance draws
+    nothing and returns zeros."""
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    s = np.sqrt(variance / 2.0)
-    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    x = rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+    x *= np.sqrt(variance / 2.0)
+    return x
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,3 @@ class SnrConfig:
     def from_db(cls, snr_db: float) -> "SnrConfig":
         return cls(10.0 ** (snr_db / 10.0))
 
-
-def mrc_snr(h_col: np.ndarray, rho: float) -> float:
-    """MRC output SNR rho * sum|h_k|^2."""
-    if rho <= 0:
-        raise InputError("rho must be positive")
-    h_col = np.asarray(h_col, dtype=complex)
-    return float(rho * np.sum(np.abs(h_col) ** 2))

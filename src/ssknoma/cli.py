@@ -26,11 +26,39 @@ CSV_COLUMNS = ["snr_db", "user", "scheme", "sim_value", "ci_halfwidth",
                "analytic_value", "n_trials"]
 
 
+# keys of one run: read by the sweep and validate commands, at the top level
+# of a config document (shared by its runs) or in an entry of "runs"
+_RUN_KEYS = frozenset({
+    "scheme", "n_users", "n_r", "n_t", "snr_grid_db", "seed", "modulations", "pa",
+    "fading", "target_rates", "min_bit_errors", "max_trials",
+})
+# top-level keys besides those: the run list, validate's metric list,
+# pa-sweep's allocation grid and SNR, and the complexity table's rows
+_DOC_KEYS = _RUN_KEYS | {"runs", "metrics", "a2_grid", "snr_db", "rows"}
+
+
+def _check_keys(doc) -> dict:
+    """Reject a config document with a key no command reads, naming it."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    runs = doc.get("runs")
+    if runs is None:
+        runs = []
+    elif not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+        raise ConfigError("config field 'runs' must be a list of objects")
+    unknown = [repr(k) for k in doc if k not in _DOC_KEYS]
+    unknown += [f"{k!r} (runs[{j}])" for j, run in enumerate(runs)
+                for k in run if k not in _RUN_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return doc
+
+
 def _load_preset(name: str) -> dict:
     ref = importlib.resources.files("ssknoma.presets").joinpath(f"{name}.json")
     if not ref.is_file():
         raise ConfigError(f"unknown preset {name!r}")
-    return json.loads(ref.read_text())
+    return _check_keys(json.loads(ref.read_text()))
 
 
 def _load_config(args) -> dict:
@@ -42,9 +70,10 @@ def _load_config(args) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _check_keys(doc)
 
 
 def _build_sim_config(doc: dict, args) -> montecarlo.SimConfig:

@@ -269,12 +269,15 @@ def _tables(cfg: SimConfig) -> _Tables:
                    sm_grid, hamming_table(antenna_labels))
 
 
-def _ml_detect_block(resid, h, h_norm, amp, points):
-    """Vectorized argmin_n ||resid - amp*h*s_n||^2 per trial (constant term
-    dropped); first minimum keeps the lexicographic tie-break."""
-    inner = np.sum(resid * np.conj(h), axis=1)
-    metrics = (-2.0 * amp * np.real(np.outer(inner, np.conj(points)))
-               + amp * amp * np.outer(h_norm, np.abs(points) ** 2))
+def _ml_detect_block(y, g, amp, points):
+    """Vectorized ML symbol decision per trial from the MRC combiner output
+    y = h^H r and channel energy g = ||h||^2: argmin_n of
+    -2 amp Re(y conj(s_n)) + amp^2 g |s_n|^2, which is ||r - amp h s_n||^2
+    less its constant ||r||^2; the first minimum keeps the lexicographic
+    tie-break."""
+    metrics = np.outer(g, (amp * amp) * np.abs(points) ** 2)
+    metrics -= np.outer(y.real, (2.0 * amp) * points.real)
+    metrics -= np.outer(y.imag, (2.0 * amp) * points.imag)
     return np.argmin(metrics, axis=1)
 
 
@@ -319,22 +322,43 @@ def _sm_detect_block(r, h_full, sqrt_p, chi_values, grid):
     return t, k[np.arange(len(t)), t]
 
 
-def _sic_detect_block(r, h, amps, points):
-    """Successive interference cancellation: ML-detect each stage (amplitude
-    ``amps[m]``, constellation ``points[m]``) on the residual left by
-    cancelling the stages before it. Returns every stage's decisions and the
-    residual the last stage saw."""
-    h_norm = np.sum(np.abs(h) ** 2, axis=1)
-    resid = r
-    decisions = [_ml_detect_block(resid, h, h_norm, amps[0], points[0])]
+def _sic_detect_block(y, g, amps, points):
+    """Successive interference cancellation on the MRC statistics (y, g) of
+    each trial, all (B,) arrays: ML-detect each stage (amplitude ``amps[m]``,
+    constellation ``points[m]``) on the combiner output left by cancelling
+    the stages before it, y - amp s_hat g per cancelled stage. Returns every
+    stage's decisions and the combiner output the last stage saw."""
+    resid = y
+    decisions = [_ml_detect_block(resid, g, amps[0], points[0])]
     for m in range(1, len(amps)):
-        resid = resid - amps[m - 1] * points[m - 1][decisions[-1]][:, None] * h
-        decisions.append(_ml_detect_block(resid, h, h_norm, amps[m], points[m]))
+        resid = resid - amps[m - 1] * points[m - 1][decisions[-1]] * g
+        decisions.append(_ml_detect_block(resid, g, amps[m], points[m]))
     return decisions, resid
 
 
+def _mrc_statistic(rng, var, n_r, signal, noise):
+    """MRC statistics of one user with a known channel, drawn from their
+    joint law rather than from a channel vector and noise: the energy
+    g = ||h||^2 over N_r Rayleigh branches of variance ``var`` is
+    var * Gamma(N_r, 1), and given g the combiner output h^H r is
+    g * signal plus, with ``noise``, sqrt(g) * CN(0, 1)."""
+    g = var * rng.standard_gamma(n_r, signal.size)
+    y = g * signal
+    if noise:
+        y += np.sqrt(g) * complex_normal(rng, signal.size, 1.0)
+    return y, g
+
+
 def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
-    """Simulate one block of trials; returns (bit_errors, bits) per user."""
+    """Simulate one block of trials; returns (bit_errors, bits) per user.
+
+    Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
+    per user from user 1 up either its (B, N_t, N_r) channel matrix and
+    (B, N_r) noise, for the joint antenna/symbol search of the cell-edge user
+    and of any user without the genie antenna index, or its MRC statistics
+    (``_mrc_statistic``: one gamma and one complex normal per trial). A
+    searching power user reduces its matrix to the same statistics on the
+    detected antenna, so every SIC chain runs on (B,) arrays."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], _snr_key(snr_db), block)
     b, n_t, n_r = cfg.block_size, cfg.n_t, cfg.n_r
     first = cfg.first_power_user
@@ -350,32 +374,30 @@ def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
 
     if first > 1:
         v = rng.integers(0, n_t, b)
-        chi_values = tables.alphabet.values
     ks = [rng.integers(0, c.order, b) for c in tables.consts]
     chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
+    signal = sqrt_p * chi
 
     genie = cfg.genie_antenna or n_t == 1  # one antenna: nothing to estimate
     for i in range(1, cfg.n_users + 1):
-        # the cell-edge user, and any user without the genie antenna index,
-        # runs the joint antenna/symbol search over its full channel matrix
-        search = i < first or not genie
-        if search:
+        if i < first or not genie:
             h_full = complex_normal(rng, (b, n_t, n_r), variances[i - 1])
-            h = h_full[rows, v, :]
-        else:
-            h = complex_normal(rng, (b, n_r), variances[i - 1])
-        r = sqrt_p * h * chi[:, None]
-        if cfg.noise:
-            r = r + complex_normal(rng, (b, n_r), 1.0)
-        if search:
-            v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, chi_values, tables.sm_grid)
+            r = h_full[rows, v, :] * signal[:, None]
+            if cfg.noise:
+                r += complex_normal(rng, (b, n_r), 1.0)
+            v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet.values,
+                                        tables.sm_grid)
+            if i < first:
+                errors[0] += tables.antenna_bits[v, v_hat].sum()
+                bits[0] += b * int(np.log2(n_t))
+                continue
             h = h_full[rows, v_hat, :]
-        if i < first:
-            errors[0] += tables.antenna_bits[v, v_hat].sum()
-            bits[0] += b * int(np.log2(n_t))
-            continue
+            y = np.sum(np.conj(h) * r, axis=1)
+            g = np.sum(np.abs(h) ** 2, axis=1)
+        else:
+            y, g = _mrc_statistic(rng, variances[i - 1], n_r, signal, cfg.noise)
         k = i - first
-        decisions, _ = _sic_detect_block(r, h, amps[:k + 1], points[:k + 1])
+        decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1])
         errors[i - 1] += tables.bit_tables[k][ks[k], decisions[-1]].sum()
         bits[i - 1] += b * tables.consts[k].bits_per_symbol
     return errors, bits

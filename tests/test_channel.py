@@ -1,4 +1,5 @@
-"""Channel and RNG tests: stream keying, fading statistics, MRC."""
+"""Channel and RNG tests: stream keying, fading statistics, the MRC
+statistics the engines draw."""
 
 import warnings
 
@@ -11,11 +12,12 @@ from ssknoma.channel import (
     SnrConfig,
     complex_normal,
     default_profile,
-    mrc_snr,
     rng_stream,
 )
 from ssknoma.analytics import chi2_cdf
-from ssknoma.errors import ConfigError, InputError
+from ssknoma.constellation import qpsk
+from ssknoma.errors import ConfigError
+from scipy.special import erfc
 
 
 def test_rng_stream_reproducible():
@@ -68,13 +70,6 @@ def test_snr_config():
         SnrConfig(0.0)
 
 
-def test_mrc_snr_value():
-    h = np.array([3 + 4j, 1.0])
-    assert mrc_snr(h, 2.0) == pytest.approx(2.0 * 26.0)
-    with pytest.raises(InputError):
-        mrc_snr(h, 0.0)
-
-
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_mrc_snr_distribution_ks(n_r):
     """Empirical CDF of the MRC output SNR draws the rate and outage engines
@@ -95,3 +90,24 @@ def test_zero_variance_user_draws_exact_zero_snr():
         gammas = mc._gamma_block(cfg, "outage", 10.0, 0)
     assert np.array_equal(gammas[0], np.zeros(cfg.block_size))
     assert np.all(gammas[1] > 0.0)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_ber_mrc_statistic_law_ks(n_r):
+    """A genie user's MRC statistics as the BER engine draws them: g / var
+    against the chi-square CDF with N_r complex branches, and the
+    normalised noise (y - sqrt(P) g chi) / sqrt(g), per axis, against
+    N(0, 1/2); without noise, y is exactly g sqrt(P) chi."""
+    n = 50_000
+    var, sqrt_p = 2.0, np.sqrt(10.0)
+    chi = qpsk().points[rng_stream(43, n_r, 0).integers(0, 4, n)]
+    y, g = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, sqrt_p * chi, True)
+    ecdf = (np.arange(n) + 0.5) / n
+    assert np.max(np.abs(ecdf - chi2_cdf(np.sort(g / var), n_r, 1.0))) < 2.0 / np.sqrt(n)
+    w = (y - sqrt_p * g * chi) / np.sqrt(g)
+    for part in (w.real, w.imag):
+        # CDF of N(0, 1/2) is erfc(-x) / 2
+        assert np.max(np.abs(ecdf - 0.5 * erfc(-np.sort(part)))) < 2.0 / np.sqrt(n)
+    y_clean, g_clean = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, sqrt_p * chi,
+                                         False)
+    assert np.array_equal(g_clean, g) and np.array_equal(y_clean, g * (sqrt_p * chi))

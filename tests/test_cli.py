@@ -1,6 +1,7 @@
 """CLI tests: exit codes, CSV schema, manifests, presets, fault injection."""
 
 import csv
+import importlib.resources
 import json
 import os
 
@@ -177,12 +178,41 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers
     assert "SSKNOMA_WORKERS" in capsys.readouterr().err
 
 
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    """A key no command reads stops the run before any simulation, named in
+    the message, at the top level and inside a run: ``noise`` and
+    ``genie_antenna`` are simulation settings the CLI does not expose, so a
+    document that sets them would otherwise get a noisy, genie-antenna CSV."""
+    doc = dict(BER_CONFIG, noise=False, genie_antenna=False, typo_key=1)
+    out = tmp_path / "out"
+    assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
+                     str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert all(f"'{key}'" in err for key in ("noise", "genie_antenna", "typo_key"))
+    assert not (out / "ber.csv").exists()
+    doc = {"snr_grid_db": [10.0], "runs": [{"scheme": "ssk-noma", "n_users": 3, "n_r": 2,
+                                            "n_rx": 4}]}
+    assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
+                     str(out), "--quiet"]) == 2
+    assert "'n_rx' (runs[0])" in capsys.readouterr().err
+    for doc in ([BER_CONFIG], {"snr_grid_db": [10.0], "runs": [3]}):
+        assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
+                         str(out), "--quiet"]) == 2
+
+
 # --- presets ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6",
-                                  "fig7", "fig8", "fig9", "table1"])
+# every preset file shipped in the package
+PRESETS = sorted(ref.name[:-len(".json")]
+                 for ref in importlib.resources.files("ssknoma.presets").iterdir()
+                 if ref.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", PRESETS)
 def test_presets_parse(name):
+    """Every shipped preset loads and passes the unknown-key check, including
+    the pa-sweep and complexity keys."""
     doc = cli._load_preset(name)
     assert isinstance(doc, dict)
 

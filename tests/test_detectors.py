@@ -76,8 +76,34 @@ def _brute_force_sic(r, h, amps, points):
     return decisions, resid
 
 
-def _h_norm(h):
-    return np.sum(np.abs(h) ** 2, axis=1)
+def _brute_force_scalar_sic(y, g, amps, points):
+    """Stage-by-stage decisions minimising |y - amp g s|^2, which for g > 0
+    is the ML metric of the MRC statistics y = h^H r and g = ||h||^2."""
+    decisions = []
+    for amp, pts in zip(amps, points):
+        decisions.append(int(np.argmin([abs(y - amp * g * s) ** 2 for s in pts])))
+        y = y - amp * g * pts[decisions[-1]]
+    return decisions
+
+
+def _mrc(r, h):
+    """Combiner output h^H r and channel energy ||h||^2 per trial."""
+    return np.sum(np.conj(h) * r, axis=1), np.sum(np.abs(h) ** 2, axis=1)
+
+
+def _vector_sic_chain(r, h, amps, points):
+    """Batched SIC on the received vectors: each stage minimises
+    ||resid - amp h s||^2 over its constellation, then subtracts
+    amp h s_hat from the (B, N_r) residual."""
+    h_norm = np.sum(np.abs(h) ** 2, axis=1)
+    resid, decisions = r, []
+    for amp, pts in zip(amps, points):
+        inner = np.sum(resid * np.conj(h), axis=1)
+        metrics = (-2.0 * amp * np.real(np.outer(inner, np.conj(pts)))
+                   + amp * amp * np.outer(h_norm, np.abs(pts) ** 2))
+        decisions.append(np.argmin(metrics, axis=1))
+        resid = resid - amp * pts[decisions[-1]][:, None] * h
+    return decisions
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -178,15 +204,18 @@ def test_zero_channel_decides_first_pair_without_warning(grid):
 
 
 def test_zero_fading_cell_edge_user_runs_a_block():
+    """Users 1 and 2 of variance 0: both always decide index 0, so they err on
+    exactly the trials whose antenna or symbol differs from it."""
     cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0],
-                         seed=4, fading=(0.0, 2.0, 4.0), block_size=200)
+                         seed=4, fading=(0.0, 0.0, 4.0), block_size=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         errors, bits = mc._ber_block(cfg, mc._tables(cfg), 10.0, 0)
-    # antenna 0 is always decided, so exactly the trials sent on antenna 1 err
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
     assert errors[0] == np.count_nonzero(rng.integers(0, cfg.n_t, cfg.block_size))
     assert bits[0] == cfg.block_size
+    k2 = rng.integers(0, 4, cfg.block_size)
+    assert errors[1] == qpsk().bit_distance_table()[k2, 0].sum()
 
 
 def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
@@ -209,12 +238,13 @@ def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
 
 @pytest.mark.parametrize("trial", range(20))
 def test_detect_u2_matches_brute_force(trial):
-    """ML detection of the strongest NOMA user, weaker users as noise."""
+    """ML detection of the strongest NOMA user, weaker users as noise, from
+    the MRC statistics, against the vector ML decision."""
     rng = rng_stream(200, trial)
     h = complex_normal(rng, (BATCH, 2), 2.0)
     r = complex_normal(rng, (BATCH, 2), 4.0)
     amp = np.sqrt(0.8 * 5.0)
-    got = _ml_detect_block(r, h, _h_norm(h), amp, qpsk().points)
+    got = _ml_detect_block(*_mrc(r, h), amp, qpsk().points)
     for b in range(BATCH):
         assert got[b] == _brute_force_ml(r[b], h[b], amp, qpsk().points)
 
@@ -224,12 +254,12 @@ def _check_sic_against_brute_force(rng, coefficients, power):
     amps = [np.sqrt(a * power) for a in coefficients]
     h = complex_normal(rng, (BATCH, 2), 4.0)
     r = complex_normal(rng, (BATCH, 2), 6.0)
-    decisions, resid = _sic_detect_block(r, h, amps, points)
+    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, points)
     assert len(decisions) == len(coefficients)
     for b in range(BATCH):
         want, want_resid = _brute_force_sic(r[b], h[b], amps, points)
         assert [int(d[b]) for d in decisions] == want
-        assert np.allclose(resid[b], want_resid)
+        assert np.isclose(resid[b], np.vdot(h[b], want_resid))
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -245,26 +275,73 @@ def test_noma_baseline_matches_stagewise_brute_force(trial):
 
 
 def test_sic_chain_residual_cancels_known_symbol():
-    """Noise-free, the first decision is exact and the residual is exactly the
-    received vector minus the strongest user's contribution."""
+    """Noise-free, the first decision is exact and the combiner output the
+    last stage sees is h^H r less the strongest user's contribution,
+    sqrt(P) ||h||^2 sqrt(0.2) s_3."""
     rng = rng_stream(301, 0)
     power = 100.0
     s2, s3 = qpsk().points[1], qpsk().points[2]
     h = complex_normal(rng, (1, 2), 1.0)
     r = np.sqrt(power) * h * (np.sqrt(0.8) * s2 + np.sqrt(0.2) * s3)
     amps = [np.sqrt(0.8 * power), np.sqrt(0.2 * power)]
-    decisions, resid = _sic_detect_block(r, h, amps, [qpsk().points] * 2)
-    assert np.allclose(resid, np.sqrt(power) * h * np.sqrt(0.2) * s3, atol=1e-12)
+    y, g = _mrc(r, h)
+    decisions, resid = _sic_detect_block(y, g, amps, [qpsk().points] * 2)
+    assert np.allclose(resid, np.sqrt(power) * g * np.sqrt(0.2) * s3, atol=1e-12)
     assert [int(d[0]) for d in decisions] == [1, 2]
 
 
-@pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
-def test_ber_block_matches_brute_force_chain(scheme):
+# power allocations of the SIC chains: L = 3, 4 and 5 SSK-NOMA users 2..L
+SIC_ALLOCATIONS = [(0.8, 0.2), (0.7, 0.2, 0.1), (0.6, 0.25, 0.1, 0.05)]
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_scalar_sic_equals_vector_ml_chain(n_r):
+    """Every stage decision of the scalar chain equals that of a vector ML
+    chain on the same r and h: 3 allocations x 7 SNRs x 16 000 trials per
+    receive-antenna count, 1.008e6 trials over the three cases."""
+    b = 16_000
+    for pa in SIC_ALLOCATIONS:
+        points = [qpsk().points] * len(pa)
+        for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+            rng = rng_stream(800, n_r, len(pa), int(snr_db))
+            power = 10.0 ** (snr_db / 10.0)
+            amps = [np.sqrt(a * power) for a in pa]
+            ks = [rng.integers(0, 4, b) for _ in pa]
+            chi = sum(np.sqrt(a) * qpsk().points[k] for a, k in zip(pa, ks))
+            h = complex_normal(rng, (b, n_r), 2.0)
+            r = np.sqrt(power) * h * chi[:, None] + complex_normal(rng, (b, n_r), 1.0)
+            got, _ = _sic_detect_block(*_mrc(r, h), amps, points)
+            want = _vector_sic_chain(r, h, amps, points)
+            for stage, (g_dec, w_dec) in enumerate(zip(got, want)):
+                assert np.array_equal(g_dec, w_dec), (pa, snr_db, stage)
+
+
+def test_zero_variance_genie_user_decides_symbol_0():
+    """A genie user of fading variance 0 has g = 0 and y = 0, so every
+    symbol scores 0 and the first wins, without a RuntimeWarning."""
+    rng = rng_stream(9, 0)
+    signal = np.sqrt(10.0) * qpsk().points[rng.integers(0, 4, BATCH)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, g = mc._mrc_statistic(rng, 0.0, 2, signal, True)
+        decisions, _ = _sic_detect_block(y, g, [np.sqrt(8.0), np.sqrt(2.0)],
+                                         [qpsk().points] * 2)
+    assert not y.any() and not g.any()
+    assert not decisions[0].any() and not decisions[1].any()
+
+
+@pytest.mark.parametrize("scheme,genie", [(mc.SSK_NOMA, True), (mc.NOMA_BASELINE, True),
+                                          (mc.SSK_NOMA, False)],
+                         ids=["ssk-noma", "noma-baseline", "ssk-noma-no-genie"])
+def test_ber_block_matches_brute_force_chain(scheme, genie):
     """The engine's bit-error counts equal a per-trial brute-force receiver
     fed with the same draws, in the engine's order: antenna index, symbols,
-    then channel and noise of each user from user 1 up."""
+    then per user from user 1 up either its channel matrix and noise (the
+    cell-edge user, and every user without the genie antenna index, which
+    detects the antenna first and then runs the vector SIC chain on it) or
+    its MRC statistics, one gamma and one complex normal per trial."""
     cfg = mc.make_config(scheme=scheme, n_users=3, n_r=2, snr_grid_db=[6.0],
-                         seed=8, block_size=40)
+                         seed=8, block_size=40, genie_antenna=genie)
     errors, bits = mc._ber_block(cfg, mc._tables(cfg), 6.0, 2)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(6.0), 2)
     b, power, first = cfg.block_size, 10.0 ** 0.6, cfg.first_power_user
@@ -275,20 +352,26 @@ def test_ber_block_matches_brute_force_chain(scheme):
     v = rng.integers(0, cfg.n_t, b) if first > 1 else np.zeros(b, dtype=int)
     ks = [rng.integers(0, c.order, b) for c in consts]
     chi = sum(np.sqrt(a) * p[k] for a, p, k in zip(cfg.pa.coefficients, points, ks))
+    signal = np.sqrt(power) * chi
     want = np.zeros(cfg.n_users)
     for i in range(1, cfg.n_users + 1):
         var = cfg.fading.variances[i - 1]
-        shape = (b, cfg.n_t, cfg.n_r) if i < first else (b, cfg.n_r)
-        h = complex_normal(rng, shape, var)
-        h_tx = h[np.arange(b), v] if i < first else h
-        r = np.sqrt(power) * h_tx * chi[:, None] + complex_normal(rng, (b, cfg.n_r), 1.0)
-        for t in range(b):
-            if i < first:
+        k = i - first
+        if i < first or not genie:
+            h = complex_normal(rng, (b, cfg.n_t, cfg.n_r), var)
+            r = h[np.arange(b), v] * signal[:, None] + complex_normal(rng, (b, cfg.n_r), 1.0)
+            for t in range(b):
                 v_hat, _ = _brute_force_sm(r[t], h[t], chis, power)
-                want[0] += bin(int(v[t]) ^ v_hat).count("1")
-                continue
-            k = i - first
-            dec, _ = _brute_force_sic(r[t], h[t], amps[:k + 1], points[:k + 1])
+                if i < first:
+                    want[0] += bin(int(v[t]) ^ v_hat).count("1")
+                    continue
+                dec, _ = _brute_force_sic(r[t], h[t, v_hat], amps[:k + 1], points[:k + 1])
+                want[i - 1] += consts[k].bit_distance_table()[ks[k][t], dec[-1]]
+            continue
+        g = var * rng.standard_gamma(cfg.n_r, b)
+        y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
+        for t in range(b):
+            dec = _brute_force_scalar_sic(y[t], g[t], amps[:k + 1], points[:k + 1])
             want[i - 1] += consts[k].bit_distance_table()[ks[k][t], dec[-1]]
     assert np.array_equal(errors, want)
     # one antenna bit for user 1 of SSK-NOMA, two bits per QPSK symbol
