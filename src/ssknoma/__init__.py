@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channel import FadingProfile, SnrConfig, default_profile  # noqa: F401
+from .channel import FadingProfile, default_profile  # noqa: F401
 from .constellation import (  # noqa: F401
     PowerAllocation,
     ScAlphabet,

@@ -181,8 +181,6 @@ ERFC_ZERO_FROM = 26.65
 # the cell-edge BEP curve evaluates an erfc table of up to this many entries
 # (2 MB) whole, and a larger one in chunks of BEP_CHUNK_ROWS SNRs
 _BEP_WHOLE_ENTRIES = 1 << 18
-# a BLAS gemv takes rows four at a time per thread; with chunks of a multiple
-# of 4 * threads rows it groups a chunk's rows as it groups a dense call's
 BEP_CHUNK_ROWS = 1024
 _SQRT2 = np.sqrt(2.0)
 
@@ -191,31 +189,29 @@ def _bep_u1_curve(alphabet: ScAlphabet, n_t: int, clamp: bool):
     """Cell-edge BEP as a function of an array of instantaneous MRC SNRs,
     with the pair-energy levels built once.
 
-    Each value is ``scale * (Q(sqrt(gamma * levels / 4)) @ weights)`` as one
-    dense table and one gemv would give it, bit for bit (the tests check this
-    with one BLAS thread). A table of up to ``_BEP_WHOLE_ENTRIES`` entries is
+    Each value is ``scale * einsum("ij,j->i", Q(sqrt(gamma * levels / 4)),
+    weights)`` as one dense table would give it, bit for bit: the einsum sums
+    each row on its own, so a row's value does not depend on its neighbours
+    or on a BLAS build. A table of up to ``_BEP_WHOLE_ENTRIES`` entries is
     evaluated whole. Beyond it the SNRs are sorted and walked in chunks of
     ``BEP_CHUNK_ROWS``, and each chunk evaluates erfc only up to the last
     level whose argument is below ``ERFC_ZERO_FROM`` at the chunk's smallest
-    SNR: the later terms of every row in the chunk are exactly 0. The last
-    ``n % 4`` rows stay last, where one dense gemv puts them, so every row
-    meets the BLAS kernel it meets there.
+    SNR: the later terms of every row in the chunk are exactly 0.
     """
     levels, weights = _pair_energy_levels(alphabet)
     scale = (n_t / 2.0) * np.log2(alphabet.size)
     quarter = levels / 4.0  # exact, like every power-of-two scaling
 
-    def weighted_sum(g, table, p):
-        """``Q(sqrt(g * levels / 4)) @ weights`` with ``table`` as scratch,
-        evaluating erfc on the first ``p`` levels only (the rest are 0)."""
-        part = table[:, :p]
+    def weighted_sum(g, scratch, p):
+        """``einsum(Q(sqrt(g * levels / 4)), weights)`` over the first ``p``
+        levels only (the rest are 0), with ``scratch`` as the erfc table."""
+        part = scratch[:g.size * p].reshape(g.size, p)
         np.multiply(g[:, None], quarter[:p], out=part)
         np.sqrt(part, out=part)
         np.divide(part, _SQRT2, out=part)
         special.erfc(part, out=part)
         np.multiply(part, 0.5, out=part)
-        table[:, p:] = 0.0
-        return table @ weights
+        return np.einsum("ij,j->i", part, weights[:p])
 
     def live_levels(g_min) -> int:
         """Levels up to the last one whose erfc argument at ``g_min`` is below
@@ -227,17 +223,16 @@ def _bep_u1_curve(alphabet: ScAlphabet, n_t: int, clamp: bool):
     def bep(gammas: np.ndarray) -> np.ndarray:
         n = gammas.size
         if n * levels.size <= _BEP_WHOLE_ENTRIES:
-            vals = (0.5 * special.erfc(np.sqrt(gammas[:, None] * quarter) / _SQRT2)) @ weights
+            vals = np.einsum("ij,j->i", 0.5 * special.erfc(
+                np.sqrt(gammas[:, None] * quarter) / _SQRT2), weights)
         else:
-            head = n - n % 4
-            order = np.concatenate([np.argsort(gammas[:head]), np.arange(head, n)])
-            table = np.empty((BEP_CHUNK_ROWS + 3, levels.size))
+            order = np.argsort(gammas)
+            scratch = np.empty(BEP_CHUNK_ROWS * levels.size)
             vals = np.empty(n)
-            starts = list(range(0, head, BEP_CHUNK_ROWS)) or [0]
-            for start, stop in zip(starts, starts[1:] + [n]):
-                idx = order[start:stop]
+            for start in range(0, n, BEP_CHUNK_ROWS):
+                idx = order[start:start + BEP_CHUNK_ROWS]
                 g = gammas[idx]
-                vals[idx] = weighted_sum(g, table[:stop - start], live_levels(g.min()))
+                vals[idx] = weighted_sum(g, scratch, live_levels(g.min()))
         vals = scale * vals
         return np.clip(vals, 0.0, 1.0) if clamp else vals
 

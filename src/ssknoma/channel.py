@@ -57,27 +57,3 @@ class FadingProfile:
 def default_profile(n_users: int, sigma1_sq: float = 1.0) -> FadingProfile:
     """Geometric profile sigma_i^2 = 2 * sigma_{i-1}^2 with sigma_1^2 = 0 dB."""
     return FadingProfile(tuple(sigma1_sq * 2.0**i for i in range(n_users)))
-
-
-@dataclass(frozen=True)
-class SnrConfig:
-    """Average SNR per antenna; internally P = rho and N_0 = 1."""
-
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ConfigError("rho must be positive")
-
-    @property
-    def power(self) -> float:
-        return self.rho
-
-    @property
-    def noise_power(self) -> float:
-        return 1.0
-
-    @classmethod
-    def from_db(cls, snr_db: float) -> "SnrConfig":
-        return cls(10.0 ** (snr_db / 10.0))
-

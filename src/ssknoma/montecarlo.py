@@ -226,36 +226,53 @@ def _snr_key(snr_db: float) -> int:
 
 
 class _SmGrid(NamedTuple):
-    """A composite alphabet that is the full Cartesian grid of its distinct
-    real and imaginary parts, so its nearest point is found axis by axis."""
+    """A point set (a constellation or a composite alphabet) that is the full
+    Cartesian grid of its distinct real and imaginary parts, so its nearest
+    point is found axis by axis."""
 
     re_mid: np.ndarray  # midpoints between consecutive distinct real parts
     im_mid: np.ndarray  # the same for the imaginary parts
-    index: np.ndarray   # (re, im) grid position -> first alphabet index
+    index: np.ndarray   # (re, im) grid position -> first point index
 
 
 class _Tables(NamedTuple):
     """Per-config tables every block of an SNR point shares."""
 
     consts: tuple                # power users' constellations, decoding order
+    grids: tuple                 # their nearest-point grids (None if not Cartesian)
     bit_tables: tuple            # their label Hamming distances
     alphabet: ScAlphabet | None  # composite alphabet (None without user 1)
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
     antenna_bits: np.ndarray     # Hamming distances of the antenna labels
 
 
-def _sm_grid(chi_values: np.ndarray) -> _SmGrid | None:
-    """Nearest-point grid of a composite alphabet that is a full Cartesian
-    grid (superpositions of QPSK, square QAM and BPSK users); ``None`` for any
-    other alphabet (M-PSK with M > 4, say), which the joint search then scans
-    point by point."""
-    re_axis, re_pos = np.unique(chi_values.real, return_inverse=True)
-    im_axis, im_pos = np.unique(chi_values.imag, return_inverse=True)
+def _sm_grid(values: np.ndarray) -> _SmGrid | None:
+    """Nearest-point grid of a point set that is a full Cartesian grid (BPSK,
+    QPSK, square QAM and their superpositions); ``None`` for any other set
+    (M-PSK with M > 4, say), which the detectors then scan point by point."""
+    re_axis, re_pos = np.unique(values.real, return_inverse=True)
+    im_axis, im_pos = np.unique(values.imag, return_inverse=True)
     cells, first = np.unique(re_pos * im_axis.size + im_pos, return_index=True)
     if cells.size != re_axis.size * im_axis.size:
         return None
     return _SmGrid((re_axis[:-1] + re_axis[1:]) / 2.0, (im_axis[:-1] + im_axis[1:]) / 2.0,
                    first.reshape(re_axis.size, im_axis.size))
+
+
+def _nearest_point(grid: _SmGrid, re, im):
+    """Index of the grid point nearest each (re, im), arrays of one shape.
+    Per axis the position is the number of midpoints the coordinate exceeds
+    (``searchsorted``'s ``side="left"``), so a coordinate exactly on a
+    midpoint takes the lower of its two neighbours."""
+    pos = np.zeros(re.shape, dtype=np.intp)
+    for m in grid.re_mid:
+        pos += re > m
+    pos *= grid.im_mid.size + 1
+    for m in grid.im_mid:
+        pos += im > m
+    # gather in place: take reads each position before it writes it, and
+    # every position is in range
+    return np.take(grid.index.ravel(), pos, out=pos, mode="clip")
 
 
 def _tables(cfg: SimConfig) -> _Tables:
@@ -265,20 +282,37 @@ def _tables(cfg: SimConfig) -> _Tables:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
         sm_grid = _sm_grid(alphabet.values)
     antenna_labels = [antenna_label(v, cfg.n_t) for v in range(1, cfg.n_t + 1)]
-    return _Tables(consts, tuple(c.bit_distance_table() for c in consts), alphabet,
-                   sm_grid, hamming_table(antenna_labels))
+    return _Tables(consts, tuple(_sm_grid(c.points) for c in consts),
+                   tuple(c.bit_distance_table() for c in consts), alphabet, sm_grid,
+                   hamming_table(antenna_labels))
 
 
-def _ml_detect_block(y, g, amp, points):
+def _ml_detect_block(y, g, amp, points, grid=None):
     """Vectorized ML symbol decision per trial from the MRC combiner output
-    y = h^H r and channel energy g = ||h||^2: argmin_n of
-    -2 amp Re(y conj(s_n)) + amp^2 g |s_n|^2, which is ||r - amp h s_n||^2
-    less its constant ||r||^2; the first minimum keeps the lexicographic
-    tie-break."""
-    metrics = np.outer(g, (amp * amp) * np.abs(points) ** 2)
-    metrics -= np.outer(y.real, (2.0 * amp) * points.real)
-    metrics -= np.outer(y.imag, (2.0 * amp) * points.imag)
-    return np.argmin(metrics, axis=1)
+    y = h^H r and channel energy g = ||h||^2. The metric
+    -2 amp Re(y conj(s_n)) + amp^2 g |s_n|^2 is ||r - amp h s_n||^2 less its
+    constant ||r||^2, and for g > 0 it is amp^2 g |s_n - z|^2 less a constant,
+    z = y / (amp g). With a nearest-point ``grid`` of ``points`` the decision
+    is the point nearest z (``_nearest_point``); a trial with g = 0 scores
+    every point 0 and decides index 0. Without one (M-PSK with M > 4) every
+    point is scored and the first minimum wins. Both make the same decisions
+    except where z lies within rounding error of a decision boundary (on one,
+    the grid takes the lower neighbour and the scan the lower index), which
+    noise makes a null event.
+    """
+    if grid is None:
+        metrics = np.outer(g, (amp * amp) * np.abs(points) ** 2)
+        metrics -= np.outer(y.real, (2.0 * amp) * points.real)
+        metrics -= np.outer(y.imag, (2.0 * amp) * points.imag)
+        return np.argmin(metrics, axis=1)
+    live = g > 0.0
+    scale = amp * g
+    if live.all():
+        return _nearest_point(grid, y.real / scale, y.imag / scale)
+    scale[~live] = 1.0
+    k = _nearest_point(grid, y.real / scale, y.imag / scale)
+    k[~live] = 0
+    return k
 
 
 # complex entries of one chunk of the point-by-point joint search
@@ -297,8 +331,8 @@ def _sm_detect_block(r, h_full, sqrt_p, chi_values, grid):
 
     Per antenna t the metric is P||h_t||^2 |chi - z_t|^2 plus a constant,
     with z_t = h_t^H r / (sqrt(P) ||h_t||^2), so with a nearest-point
-    ``grid`` each antenna's best symbol is the grid point nearest z_t (two
-    ``searchsorted`` calls) and only those N_t candidates are scored. Without
+    ``grid`` each antenna's best symbol is the grid point nearest z_t
+    (``_nearest_point``) and only those N_t candidates are scored. Without
     one, every (antenna, symbol) pair is scored, in chunks of trials that keep
     the metric tensor near ``_SM_CHUNK_ENTRIES`` entries.
     """
@@ -315,24 +349,27 @@ def _sm_detect_block(r, h_full, sqrt_p, chi_values, grid):
         return flat // m_t, flat % m_t
     live = h_norm > 0.0
     z = np.divide(inner, sqrt_p * h_norm, out=np.zeros_like(inner), where=live)
-    k = grid.index[np.searchsorted(grid.re_mid, z.real), np.searchsorted(grid.im_mid, z.imag)]
+    k = _nearest_point(grid, z.real, z.imag)
     # a zero channel scores every symbol 0, where the first one wins
     k = np.where(live, k, 0)
     t = _sm_metric(inner, h_norm, sqrt_p, chi_values[k]).argmin(axis=1)
     return t, k[np.arange(len(t)), t]
 
 
-def _sic_detect_block(y, g, amps, points):
+def _sic_detect_block(y, g, amps, points, grids=None):
     """Successive interference cancellation on the MRC statistics (y, g) of
     each trial, all (B,) arrays: ML-detect each stage (amplitude ``amps[m]``,
-    constellation ``points[m]``) on the combiner output left by cancelling
-    the stages before it, y - amp s_hat g per cancelled stage. Returns every
-    stage's decisions and the combiner output the last stage saw."""
+    constellation ``points[m]``, nearest-point grid ``grids[m]``, or the
+    metric scan where that is None or ``grids`` is) on the combiner output
+    left by cancelling the stages before it, y - amp s_hat g per cancelled
+    stage. Returns every stage's decisions and the combiner output the last
+    stage saw."""
+    grids = grids or (None,) * len(amps)
     resid = y
-    decisions = [_ml_detect_block(resid, g, amps[0], points[0])]
+    decisions = [_ml_detect_block(resid, g, amps[0], points[0], grids[0])]
     for m in range(1, len(amps)):
         resid = resid - amps[m - 1] * points[m - 1][decisions[-1]] * g
-        decisions.append(_ml_detect_block(resid, g, amps[m], points[m]))
+        decisions.append(_ml_detect_block(resid, g, amps[m], points[m], grids[m]))
     return decisions, resid
 
 
@@ -397,7 +434,8 @@ def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
         else:
             y, g = _mrc_statistic(rng, variances[i - 1], n_r, signal, cfg.noise)
         k = i - first
-        decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1])
+        decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1],
+                                          tables.grids[:k + 1])
         errors[i - 1] += tables.bit_tables[k][ks[k], decisions[-1]].sum()
         bits[i - 1] += b * tables.consts[k].bits_per_symbol
     return errors, bits

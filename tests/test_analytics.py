@@ -2,8 +2,6 @@
 Carlo oracles."""
 
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from math import gamma as gamma_fn
 from math import prod
 
@@ -239,10 +237,11 @@ BEP_CURVE_ALPHABETS = {
 
 
 def _dense_bep_u1(gammas, alphabet, n_t, clamp):
-    """The cell-edge BEP curve as one dense erfc table and one gemv."""
+    """The cell-edge BEP curve as one dense erfc table and one einsum."""
     levels, weights = _pair_energy_levels(alphabet)
     scale = (n_t / 2.0) * np.log2(alphabet.size)
-    vals = scale * (q_func(np.sqrt(gammas[:, None] * levels / 4.0)) @ weights)
+    vals = scale * np.einsum("ij,j->i", q_func(np.sqrt(gammas[:, None] * levels / 4.0)),
+                             weights)
     return np.clip(vals, 0.0, 1.0) if clamp else vals
 
 
@@ -266,9 +265,9 @@ def _curve_snrs(levels, n, rng):
     return gammas
 
 
-def _bep_curve_mismatches():
-    """(alphabet, N_t, size, clamp) cases where the pruned curve differs from
-    the dense formula in any bit."""
+def test_bep_curve_equals_dense_formula():
+    """The sorted, chunked and underflow-pruned curve equals the dense formula
+    bit for bit."""
     rng = np.random.default_rng(2024)
     bad = []
     for name, (orders, pa) in BEP_CURVE_ALPHABETS.items():
@@ -284,17 +283,26 @@ def _bep_curve_mismatches():
                 got = conditional_bep_u1_vec(gammas, alphabet, n_t, clamp)
                 if not np.array_equal(got, _dense_bep_u1(gammas, alphabet, n_t, clamp)):
                     bad.append((name, n_t, n, clamp))
-    return bad
+    assert bad == []
 
 
-def test_bep_curve_equals_dense_formula(monkeypatch):
-    """The sorted, chunked and underflow-pruned curve equals the dense formula
-    bit for bit. A gemv's sum for a row depends on how BLAS splits the rows
-    among its threads, so both run in a child process with one BLAS thread."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        assert pool.submit(_bep_curve_mismatches).result() == []
+@pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
+def test_bep_curve_does_not_depend_on_how_snrs_are_grouped(name):
+    """A value depends on its SNR only: one call over 25 000 SNRs, one call
+    per SNR and calls of 1 022 SNRs (each chunked differently, with its rows
+    at other offsets) agree bit for bit."""
+    orders, pa = BEP_CURVE_ALPHABETS[name]
+    alphabet = enumerate_sc_alphabet([make_constellation(m) for m in orders],
+                                     PowerAllocation(pa))
+    rng = np.random.default_rng(7)
+    gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000, rng)
+    whole = conditional_bep_u1_vec(gammas, alphabet, 4, clamp=False)
+    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], alphabet, 4, False)
+                             for s in range(0, gammas.size, 1022)])
+    assert np.array_equal(chunks, whole)
+    picks = rng.choice(gammas.size, 500, replace=False)
+    singles = [conditional_bep_u1_vec(gammas[j:j + 1], alphabet, 4, False)[0] for j in picks]
+    assert np.array_equal(singles, whole[picks])
 
 
 def test_erfc_is_exactly_zero_from_the_pruning_limit():

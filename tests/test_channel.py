@@ -9,7 +9,6 @@ import pytest
 from ssknoma import montecarlo as mc
 from ssknoma.channel import (
     FadingProfile,
-    SnrConfig,
     complex_normal,
     default_profile,
     rng_stream,
@@ -60,14 +59,6 @@ def test_default_profile_doubles():
     p = default_profile(4)
     assert p.variances == (1.0, 2.0, 4.0, 8.0)
     assert default_profile(2, sigma1_sq=0.5).variances == (0.5, 1.0)
-
-
-def test_snr_config():
-    snr = SnrConfig.from_db(20.0)
-    assert snr.rho == pytest.approx(100.0)
-    assert snr.noise_power == 1.0
-    with pytest.raises(ConfigError):
-        SnrConfig(0.0)
 
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])

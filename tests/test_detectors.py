@@ -1,11 +1,15 @@
 """Receiver tests: the batched detectors the trial engine runs, against
 brute-force oracles, plus the receiver-complexity operation counts."""
 
+import argparse
+import importlib.resources
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from ssknoma import cli
 from ssknoma import montecarlo as mc
 from ssknoma.channel import complex_normal, rng_stream
 from ssknoma.constellation import (
@@ -23,6 +27,7 @@ from ssknoma.detectors import (
 from ssknoma.errors import InputError
 from ssknoma.montecarlo import (
     _ml_detect_block,
+    _nearest_point,
     _sic_detect_block,
     _sm_detect_block,
     _sm_grid,
@@ -376,6 +381,147 @@ def test_ber_block_matches_brute_force_chain(scheme, genie):
     assert np.array_equal(errors, want)
     # one antenna bit for user 1 of SSK-NOMA, two bits per QPSK symbol
     assert list(bits) == [b] * (first - 1) + [2 * b] * (cfg.n_users + 1 - first)
+
+
+# --- nearest-point ML stages ----------------------------------------------------
+
+# constellations whose ML stage takes the nearest grid point
+GRID_ORDERS = {"bpsk": 2, "qpsk": 4, "qam16": 16, "qam64": 64}
+
+
+def _chain_draws(rng, order, pa, snr_db, b, noise=True):
+    """(y, g, amps, points, grids) of a SIC chain of ``order``-point users
+    at allocation ``pa``: MRC statistics of N_r = 2 branches, a tenth of the
+    trials with a zero channel."""
+    const = make_constellation(order)
+    power = 10.0 ** (snr_db / 10.0)
+    chi = sum(np.sqrt(a) * const.points[rng.integers(0, order, b)] for a in pa)
+    g = rng.standard_gamma(2.0, b)
+    g[rng.random(b) < 0.1] = 0.0
+    y = np.sqrt(power) * g * chi
+    if noise:
+        y = y + np.sqrt(g) * complex_normal(rng, b, 1.0)
+    amps = [np.sqrt(a * power) for a in pa]
+    return y, g, amps, [const.points] * len(pa), [_sm_grid(const.points)] * len(pa)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ORDERS))
+def test_grid_ml_stage_equals_scan(name):
+    """One stage and a three-stage SIC chain decide as the metric scan on
+    20 000 seeded trials per SNR from 0 to 40 dB and noise-free, with zero
+    channels among them and no RuntimeWarning."""
+    order = GRID_ORDERS[name]
+    assert _sm_grid(make_constellation(order).points) is not None
+    cases = [(snr_db, True) for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0)] + [(20.0, False)]
+    for snr_db, noise in cases:
+        rng = rng_stream(900, order, int(snr_db), noise)
+        y, g, amps, points, grids = _chain_draws(rng, order, (0.7, 0.2, 0.1), snr_db,
+                                                 20_000, noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one_grid = _ml_detect_block(y, g, amps[0], points[0], grids[0])
+            chain_grid, resid_grid = _sic_detect_block(y, g, amps, points, grids)
+        assert np.array_equal(one_grid, _ml_detect_block(y, g, amps[0], points[0]))
+        chain_scan, resid_scan = _sic_detect_block(y, g, amps, points)
+        for stage, (got, want) in enumerate(zip(chain_grid, chain_scan)):
+            assert np.array_equal(got, want), (snr_db, noise, stage)
+        assert np.array_equal(resid_grid, resid_scan)
+        assert not np.any(one_grid[g == 0.0])
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_grid_sic_chain_matches_stagewise_brute_force(trial):
+    """The engine's grid path of the SSK-NOMA chain of user 4 against the
+    per-trial vector ML chain."""
+    rng = rng_stream(310, trial)
+    points = [qpsk().points] * 3
+    amps = [np.sqrt(a * 12.0) for a in (0.7, 0.2, 0.1)]
+    h = complex_normal(rng, (BATCH, 2), 4.0)
+    r = complex_normal(rng, (BATCH, 2), 6.0)
+    decisions, _ = _sic_detect_block(*_mrc(r, h), amps, points,
+                                     [_sm_grid(qpsk().points)] * 3)
+    for b in range(BATCH):
+        want, _ = _brute_force_sic(r[b], h[b], amps, points)
+        assert [int(d[b]) for d in decisions] == want
+
+
+def test_grid_decides_the_lower_neighbour_on_a_midpoint():
+    """A coordinate exactly on a midpoint takes the lower of its two
+    neighbours on that axis (searchsorted's side="left"); the other axis
+    decides as usual. For QPSK the midpoints are 0: z = 0.3j sits between
+    points 1 (-1+1j)/sqrt(2) and 0 (1+1j)/sqrt(2), and the grid decides 1.
+    Ties like this, and coordinates within rounding error of a midpoint, are
+    the only inputs on which the grid and the scan can part; under noise
+    they have probability 0."""
+    points = qpsk().points
+    grid = _sm_grid(points)
+    z = np.array([0.3j, -0.3j, 0.3, -0.3, 0.0])
+    assert list(_nearest_point(grid, z.real, z.imag)) == [1, 2, 3, 2, 2]
+    qam = make_constellation(16).points
+    qam_grid = _sm_grid(qam)
+    for mid in qam_grid.re_mid:
+        k = _nearest_point(qam_grid, np.array([mid]), np.array([qam.imag.max()]))[0]
+        lower = np.max(qam.real[qam.real < mid])
+        assert qam[k] == lower + 1j * qam.imag.max()
+    # there the scan's metrics tie exactly and its first minimum, point 0,
+    # wins; a coordinate just off the midpoint decides the nearer point on
+    # both paths
+    g = np.ones(3)
+    y = np.array([0.3j, 1e-9 + 0.3j, -1e-9 + 0.3j])
+    assert list(_ml_detect_block(y, g, 1.0, points, grid)) == [1, 0, 1]
+    assert list(_ml_detect_block(y, g, 1.0, points)) == [0, 0, 1]
+
+
+def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
+    """An 8-PSK user has no nearest-point grid, so its stage takes the metric
+    scan while the QPSK stage after it takes the grid."""
+    cfg = mc.make_config(mc.SSK_NOMA, 3, 2, [10.0], seed=1, modulations=(8, 4))
+    tables = mc._tables(cfg)
+    assert tables.grids[0] is None and tables.grids[1] is not None
+    assert tables.sm_grid is None
+    grid_sizes = []
+
+    def nearest(grid, re, im):
+        grid_sizes.append(grid.index.size)
+        return _nearest_point(grid, re, im)
+
+    monkeypatch.setattr(mc, "_nearest_point", nearest)
+    rng = rng_stream(910, 0)
+    power = 10.0 ** 1.5
+    amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]
+    points = [c.points for c in tables.consts]
+    chi = sum(np.sqrt(a) * p[rng.integers(0, p.size, 5000)]
+              for a, p in zip(cfg.pa.coefficients, points))
+    g = rng.standard_gamma(2.0, 5000)
+    y = np.sqrt(power) * g * chi + np.sqrt(g) * complex_normal(rng, 5000, 1.0)
+    got, _ = _sic_detect_block(y, g, amps, points, tables.grids)
+    assert grid_sizes == [4]
+    want, _ = _sic_detect_block(y, g, amps, points)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _preset_configs():
+    """(preset, SimConfig) of every run of every preset; the pa-sweep and
+    complexity-table presets run no simulation and contribute none."""
+    args = argparse.Namespace(seed=None, trials_max=None)
+    for ref in importlib.resources.files("ssknoma.presets").iterdir():
+        if ref.name.endswith(".json"):
+            doc = json.loads(ref.read_text())
+            if "n_users" in doc or "runs" in doc:
+                for cfg in cli._runs_from_doc(doc, args):
+                    yield ref.name, cfg
+
+
+def test_every_preset_detects_on_grids():
+    """No preset falls back to an O(M) scan: every power user's
+    constellation and every composite alphabet has a nearest-point grid."""
+    configs = list(_preset_configs())
+    assert {name for name, _ in configs} >= {f"fig{n}.json" for n in range(2, 8)}
+    for name, cfg in configs:
+        tables = mc._tables(cfg)
+        assert len(tables.grids) == len(cfg.modulations)
+        assert all(grid is not None for grid in tables.grids), name
+        assert (tables.sm_grid is not None) == (cfg.first_power_user > 1), name
 
 
 # --- complexity accounting ---------------------------------------------------
