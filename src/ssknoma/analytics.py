@@ -95,15 +95,6 @@ def zeta_set(a2: float, a3: float) -> ZetaSet:
 
 
 @dataclass(frozen=True)
-class PepTerm:
-    """Signed decision statistic of one pairwise symbol error."""
-
-    delta_i: complex
-    beta_i: float
-    vartheta: float
-
-
-@dataclass(frozen=True)
 class OutageTargets:
     """Target rates for users 1..L; ``literal_phi`` selects the printed
     threshold form 2**(R-1) instead of the Shannon inversion 2**R - 1."""
@@ -320,52 +311,12 @@ def abep_u3(a2: float, a3: float, gamma_bar_3: float, n_r: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pep_term(s_i: complex, s_hat_i: complex, coeff_i: float, rho: float,
-             interferer_terms, sic_terms) -> PepTerm:
-    """Decision statistic of the pairwise error s_i -> s_hat_i.
-
-    ``interferer_terms`` holds (a_p, s_p) for users decoded after i (treated
-    as noise); ``sic_terms`` holds (a_q, delta_q) residual SIC errors of users
-    decoded before i.
-    """
-    delta = complex(s_i) - complex(s_hat_i)
-    if delta == 0:
-        raise InputError("pairwise error requires s_i != s_hat_i")
-    beta = np.sqrt(coeff_i * rho) * abs(delta) ** 2
-    beta += 2.0 * np.real(
-        delta * sum(np.sqrt(a_p * rho) * np.conj(s_p) for a_p, s_p in interferer_terms)
-    )
-    beta += 2.0 * np.real(
-        delta * sum(np.sqrt(a_q * rho) * np.conj(d_q) for a_q, d_q in sic_terms)
-    )
-    return PepTerm(delta, float(beta), float(np.sqrt(2.0) * abs(delta)))
-
-
 def _average_pep(beta, vartheta, sigma_i_sq: float, n_r: int):
     """Rayleigh-averaged pairwise error probability of decision statistics
     ``beta`` with scale ``vartheta`` (scalars or arrays), clamped to [0, 1]."""
     num = sigma_i_sq * beta**2
     xi = np.sign(beta) * np.sqrt(num / (2.0 * vartheta**2 + num))
     return np.clip(rayleigh_q_average(xi, n_r), 0.0, 1.0)
-
-
-def noma_pep(term: PepTerm, sigma_i_sq: float, n_r: int) -> float:
-    """Average pairwise error probability over Rayleigh fading for one
-    decision statistic; a negative statistic yields a probability above 1/2."""
-    return float(_average_pep(term.beta_i, term.vartheta, sigma_i_sq, n_r))
-
-
-def noma_pep_symbols(i: int, s_i: complex, s_hat_i: complex, interferer_symbols,
-                     sic_deltas, pa: PowerAllocation, rho: float,
-                     sigma_i_sq: float, n_r: int) -> float:
-    """Average PEP of user i's decision s_i -> s_hat_i given the interfering
-    symbols s_p (p = i+1..L) and the residual SIC errors delta_q (q = 2..i-1)."""
-    _check_power_user(i, pa)
-    a = pa.coefficients
-    interferers = list(zip(a[i - 1:], interferer_symbols))
-    sic = list(zip(a[: i - 2], sic_deltas))
-    term = pep_term(s_i, s_hat_i, a[i - 2], rho, interferers, sic)
-    return noma_pep(term, sigma_i_sq, n_r)
 
 
 # joint hypotheses the exact union bound enumerates at most: every user of
@@ -496,10 +447,6 @@ def ergodic_capacity_u1(n_t: int, abep1: float) -> float:
     if not 0.0 <= abep1 <= 1.0:
         raise InputError("abep1 must lie in [0, 1]")
     return float(np.log2(n_t) * (1.0 - abep1))
-
-
-def sum_rate(rates) -> float:
-    return float(sum(rates))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__, analytics, detectors, montecarlo
 from .analytics import OutageTargets
+from .channel import FadingProfile
 from .constellation import PowerAllocation
 from .errors import ConfigError, InputError
 
@@ -154,15 +155,22 @@ def _cmd_metric(metric: str, args) -> int:
 def _cmd_pa_sweep(args) -> int:
     doc = _load_config(args)
     a2_grid = [float(a) for a in doc.get("a2_grid", np.arange(0.55, 0.951, 0.05))]
+    if not a2_grid:
+        raise ConfigError("a2_grid must not be empty")
     bad = [a for a in a2_grid if not 0.5 < a < 1.0]
     if bad:
         raise ConfigError(f"a2 values must lie in (0.5, 1): rejected {bad}")
     rho_db = float(doc.get("snr_db", 20.0))
     rho = 10.0 ** (rho_db / 10.0)
     n_r = int(doc.get("n_r", 2))
-    variances = doc.get("fading", [1.0, 2.0, 4.0])
+    if n_r < 1:
+        raise ConfigError(f"n_r must be >= 1, got {n_r}")
+    # the sweep covers the three-user network: users 1..3
+    variances = FadingProfile(tuple(doc.get("fading", [1.0, 2.0, 4.0]))).variances
     rates = doc.get("target_rates")
     targets = OutageTargets(tuple(rates)) if rates else None
+    if len(variances) != 3 or (targets and len(targets.rates) != 3):
+        raise ConfigError("pa-sweep needs fading and target_rates for 3 users")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -189,7 +197,10 @@ def _cmd_pa_sweep(args) -> int:
 
 def _cmd_complexity(args) -> int:
     if args.row:
-        rows = [tuple(int(x) for x in args.row.split(","))]
+        fields = args.row.split(",")
+        if len(fields) != 3 or not all(f.strip().isdecimal() for f in fields):
+            raise ConfigError(f"--row must be three integers L,M,N_r, got {args.row!r}")
+        rows = [tuple(int(x) for x in fields)]
     else:
         rows = [tuple(r) for r in _load_preset("table1")["rows"]]
     print(f"{'L':>3} {'M':>3} {'N_r':>4} {'ssk-noma':>10} {'noma':>10}")

@@ -192,25 +192,6 @@ class ScAlphabet:
     def values(self) -> np.ndarray:
         return np.array([chi for _, chi in self.entries], dtype=complex)
 
-    @property
-    def index_tuples(self) -> tuple:
-        return tuple(idx for idx, _ in self.entries)
-
-
-def gray_map(bits: str, constellation: UserConstellation) -> complex:
-    """Map a bit string to its labeled constellation symbol."""
-    if len(bits) != constellation.bits_per_symbol:
-        raise InputError(
-            f"expected {constellation.bits_per_symbol} bits, got {len(bits)}"
-        )
-    return complex(constellation.symbols[constellation.index_of_label(bits)])
-
-
-def gray_demap(symbol: complex, constellation: UserConstellation) -> str:
-    """Nearest-symbol inverse of :func:`gray_map`."""
-    idx = int(np.argmin(np.abs(constellation.points - symbol)))
-    return constellation.labels[idx]
-
 
 def superpose(symbols, pa: PowerAllocation) -> complex:
     """Superposition-coded composite symbol sum(sqrt(a_i) * s_i)."""
@@ -232,18 +213,8 @@ def enumerate_sc_alphabet(constellations, pa: PowerAllocation) -> ScAlphabet:
     return ScAlphabet(tuple(entries))
 
 
-def map_antenna(bits: str, n_antennas: int) -> int:
-    """Natural-binary antenna index in 1..N_t for a log2(N_t)-bit string."""
-    if not _is_pow2(n_antennas):
-        raise ConfigError(f"antenna count must be a power of 2, got {n_antennas}")
-    nbits = n_antennas.bit_length() - 1
-    if len(bits) != nbits or set(bits) - {"0", "1"}:
-        raise InputError(f"expected a {nbits}-bit string, got {bits!r}")
-    return int(bits, 2) + 1 if nbits else 1
-
-
 def antenna_label(v: int, n_antennas: int) -> str:
-    """Inverse of :func:`map_antenna`."""
+    """Natural-binary log2(N_t)-bit label of antenna index v in 1..N_t."""
     nbits = n_antennas.bit_length() - 1
     if not 1 <= v <= n_antennas:
         raise InputError(f"antenna index {v} out of 1..{n_antennas}")

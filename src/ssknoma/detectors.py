@@ -1,6 +1,5 @@
-"""Receiver-complexity accounting: ML and SIC process counts and the
-complex-operation counts of the SSK-NOMA and conventional NOMA receiver
-chains.
+"""Receiver-complexity accounting: the complex-operation counts of the
+SSK-NOMA and conventional NOMA receiver chains.
 
 The receiver itself (joint antenna/symbol search, ML detection and SIC) is
 the batched one the trial engine runs, in :mod:`ssknoma.montecarlo`.
@@ -8,7 +7,6 @@ the batched one the trial engine runs, in :mod:`ssknoma.montecarlo`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .errors import InputError
@@ -21,17 +19,6 @@ def _as_m_list(m, count: int):
     if len(m) != count:
         raise InputError(f"expected {count} modulation orders, got {len(m)}")
     return m
-
-
-def op_counts(n_users: int):
-    """(ML, SIC) process counts for SSK-NOMA and for conventional NOMA."""
-    if n_users < 2:
-        raise InputError("need at least 2 users")
-    n_ml_ssk = n_users - 1
-    n_sic_ssk = (n_users - 2) * (n_users - 1) // 2
-    n_ml_noma = n_users
-    n_sic_noma = n_users * (n_users - 1) // 2
-    return n_ml_ssk, n_sic_ssk, n_ml_noma, n_sic_noma
 
 
 def _ml_sic_ops(m, n_r: int) -> int:
@@ -58,21 +45,3 @@ def complexity_noma(n_users: int, m_orders, n_r: int) -> int:
     if n_users < 2:
         raise InputError("need at least 2 users")
     return _ml_sic_ops(_as_m_list(m_orders, n_users), n_r)  # users 1..L
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    delta_ssk_noma: int
-    delta_noma: int
-    n_ml: int
-    n_sic: int
-
-
-def complexity_report(n_users: int, m_orders, n_t: int, n_r: int) -> ComplexityReport:
-    n_ml, n_sic, _, _ = op_counts(n_users)
-    return ComplexityReport(
-        complexity_ssk_noma(n_users, m_orders, n_t, n_r),
-        complexity_noma(n_users, m_orders, n_r),
-        n_ml,
-        n_sic,
-    )

@@ -1,6 +1,7 @@
 """Trial engine: draws block-vectorized transmit -> channel -> detect chains
-and accumulates BER / outage / rate statistics with confidence intervals, for
-the SSK-NOMA scheme and a conventional single-antenna NOMA baseline.
+and estimates BER / outage / rate, each the mean of one per-trial quantity
+with a confidence interval from its trial-level variance, for the SSK-NOMA
+scheme and a conventional single-antenna NOMA baseline.
 
 The baseline is modelled as SSK-NOMA without the antenna-index user: both
 schemes share one receiver (the batched joint antenna/symbol search, ML
@@ -106,6 +107,10 @@ class SimConfig:
             raise ConfigError("power allocation length does not match the scheme")
         if self.fading.n_users != self.n_users:
             raise ConfigError("fading profile must cover all users")
+        if self.target_rates is not None and len(self.target_rates.rates) != self.n_users:
+            raise ConfigError(f"expected {self.n_users} target rates: {self.target_rates.rates}")
+        if self.n_r < 1:
+            raise ConfigError(f"n_r must be >= 1, got {self.n_r}")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must not be empty")
         keys = [_snr_key(snr) for snr in self.snr_grid_db]
@@ -189,7 +194,6 @@ class PointEstimate:
     value: float
     ci_halfwidth: float
     n_trials: int
-    n_events: int
     analytic: float | None = None
 
 
@@ -197,14 +201,6 @@ class PointEstimate:
 class SweepResult:
     config_hash: str
     points: tuple
-
-
-def wilson_halfwidth(k: int, n: int, z: float = 1.959963984540054) -> float:
-    if n == 0:
-        return 0.0
-    p = k / n
-    denom = 1.0 + z * z / n
-    return z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
 
 
 def _n_workers() -> int:
@@ -386,8 +382,9 @@ def _mrc_statistic(rng, var, n_r, signal, noise):
     return y, g
 
 
-def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
-    """Simulate one block of trials; returns (bit_errors, bits) per user.
+def _ber_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+    """Simulate one block of trials; returns each user's bit errors per trial,
+    one (B,) integer array per user.
 
     Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
     per user from user 1 up either its (B, N_t, N_r) channel matrix and
@@ -406,8 +403,7 @@ def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     amps = [np.sqrt(a * rho) for a in coeffs]
     points = [c.points for c in tables.consts]
     variances = cfg.fading.variances
-    errors = np.zeros(cfg.n_users)
-    bits = np.zeros(cfg.n_users)
+    errors = []
 
     if first > 1:
         v = rng.integers(0, n_t, b)
@@ -425,8 +421,7 @@ def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
             v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet.values,
                                         tables.sm_grid)
             if i < first:
-                errors[0] += tables.antenna_bits[v, v_hat].sum()
-                bits[0] += b * int(np.log2(n_t))
+                errors.append(tables.antenna_bits[v, v_hat])
                 continue
             h = h_full[rows, v_hat, :]
             y = np.sum(np.conj(h) * r, axis=1)
@@ -436,9 +431,14 @@ def _ber_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
         k = i - first
         decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1],
                                           tables.grids[:k + 1])
-        errors[i - 1] += tables.bit_tables[k][ks[k], decisions[-1]].sum()
-        bits[i - 1] += b * tables.consts[k].bits_per_symbol
-    return errors, bits
+        errors.append(tables.bit_tables[k][ks[k], decisions[-1]])
+    return errors
+
+
+def _bits_per_trial(cfg: SimConfig) -> list:
+    """Each user's bits per trial: log2 N_t on the antenna, else bits per symbol."""
+    return ([int(np.log2(cfg.n_t))] * (cfg.first_power_user - 1)
+            + [c.bits_per_symbol for c in cfg.constellations()])
 
 
 def _gamma_block(cfg: SimConfig, metric: str, snr_db: float, block: int):
@@ -454,31 +454,33 @@ def _gamma_block(cfg: SimConfig, metric: str, snr_db: float, block: int):
             for var in cfg.fading.variances]
 
 
-def _outage_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+def _outage_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+    """Per-user outage outcome of each trial of one block, one (B,) float
+    array per user: 1 or 0 for a power-multiplexed user, and for the
+    cell-edge user its conditional BEP where gamma >= psi_1, else 0."""
     gammas = _gamma_block(cfg, "outage", snr_db, block)
     targets = cfg.target_rates
     first = cfg.first_power_user
-    events = np.zeros(cfg.n_users)
+    outcomes = []
     if first > 1:
         # the cell-edge outage metric is the conditional error probability
         # averaged over the fading tail above the rate-derived limit, so it
         # reduces to the ABEP when the target rate saturates the antenna bits
         psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
         bep = analytics.conditional_bep_u1_vec(gammas[0], tables.alphabet, cfg.n_t)
-        events[0] = float(np.sum(bep[gammas[0] >= psi1]))
+        outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
     for i, g in enumerate(gammas[first - 1:], start=first):
         # g >= psi_i iff every SINR of the SIC cascade meets its target, up
         # to rounding at the stage thresholds (a property test in
         # tests/test_analytics.py checks it against the cascade)
         psi = analytics.outage_threshold_psi(i, cfg.pa, targets, first)
-        events[i - 1] = np.count_nonzero(g < psi)
-    return events, np.full(cfg.n_users, float(cfg.block_size))
+        outcomes.append((g < psi).astype(float))
+    return outcomes
 
 
-def _rate_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
-    """Returns, per user plus the per-draw sum rate in the last slot, the sum
-    of the per-draw rates, their mean m rounded to a double, the sum of the
-    deviations from m and the sum of their squares; then the draw count."""
+def _rate_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+    """Per-draw rate of each user of one block, one (B,) array per user,
+    plus the per-draw sum rate last."""
     gammas = _gamma_block(cfg, "rate", snr_db, block)
     coeffs = cfg.pa.coefficients
     first = cfg.first_power_user
@@ -491,19 +493,30 @@ def _rate_block(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
         without = sum(coeffs[k + 1:])
         rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
     rates.append(sum(rates))
-    sums = np.array([r.sum() for r in rates])
-    means = sums / cfg.block_size
-    devs = [r - m for r, m in zip(rates, means)]
-    return (sums, means, np.array([d.sum() for d in devs]),
-            np.array([np.sum(d * d) for d in devs]), float(cfg.block_size))
+    return rates
 
 
-_BLOCK_FN = {"ber": _ber_block, "outage": _outage_block, "rate": _rate_block}
+_TRIALS_FN = {"ber": _ber_trials, "outage": _outage_trials, "rate": _rate_trials}
+
+
+def _moments(trials):
+    """Per slot of one block's (B,) trial arrays: the sum, the mean m rounded
+    to a double, the sum of the deviations from m and the sum of their
+    squares; then the trial count."""
+    sums = np.array([t.sum() for t in trials])
+    count = float(trials[0].size)
+    means = sums / count
+    dev_sums, sq_sums = [], []
+    for t, m in zip(trials, means):
+        d = t - m
+        dev_sums.append(d.sum())
+        sq_sums.append(np.square(d, out=d).sum())  # in place: one scratch array per slot
+    return sums, means, np.array(dev_sums), np.array(sq_sums), count
 
 
 def _worker(args):
     cfg, tables, metric, snr_db, block = args
-    return _BLOCK_FN[metric](cfg, tables, snr_db, block)
+    return _moments(_TRIALS_FN[metric](cfg, tables, snr_db, block))
 
 
 def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn=None):
@@ -532,43 +545,30 @@ def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn=None):
             pool.shutdown()
 
 
-def _ratio_estimates(metric: str, cfg: SimConfig, snr_db: float, results):
-    """Per-user event ratios with Wilson 95% intervals, from blocks that each
-    return (events, totals) per user."""
-    events = sum(r[0] for r in results)
-    totals = sum(r[1] for r in results)
-    n_trials = len(results) * cfg.block_size
-    return [
-        PointEstimate(metric, u + 1, float(snr_db), float(events[u] / totals[u]),
-                      wilson_halfwidth(int(events[u]), int(totals[u])),
-                      n_trials, int(events[u]))
-        for u in range(cfg.n_users)
-    ]
+_Z95 = 1.959963984540054
 
 
-def run_ber_point(cfg: SimConfig, snr_db: float):
-    """Per-user BER estimates at one SNR point with Wilson 95% intervals."""
-
-    def stop(results):
-        errors = sum(r[0] for r in results)
-        return bool(np.all(errors >= cfg.min_bit_errors))
-
-    return _ratio_estimates("ber", cfg, snr_db, _run_rounds(cfg, "ber", snr_db, stop))
+def _check_metric(cfg: SimConfig, metric: str) -> None:
+    if metric not in _TRIALS_FN:
+        raise ConfigError(f"unknown metric {metric!r}")
+    if metric == "outage" and cfg.target_rates is None:
+        raise ConfigError("outage metric requires target rates")
 
 
-def run_outage_point(cfg: SimConfig, snr_db: float):
-    """Per-user outage frequencies: a power-multiplexed user is in outage when
-    its MRC SNR lies below the equivalent threshold of its SIC cascade
-    (``analytics.outage_threshold_psi``); a property test checks that this
-    equals testing every SINR of the cascade against its target."""
-    if cfg.target_rates is None:
-        raise ConfigError("outage simulation requires target rates")
-    return _ratio_estimates("outage", cfg, snr_db, _run_rounds(cfg, "outage", snr_db))
-
-
-def run_rate_point(cfg: SimConfig, snr_db: float):
-    """Per-user ergodic rate estimates plus the sum rate (user index 0)."""
-    results = _run_rounds(cfg, "rate", snr_db)
+def run_point(cfg: SimConfig, metric: str, snr_db: float):
+    """Per-user estimates of one metric at one SNR point, each the mean of
+    one i.i.d. per-trial quantity with a 95% interval from its trial-level
+    variance: a trial's bit errors (BER, divided by the user's bits per trial
+    at the end), its outage outcome (``_outage_trials``) or its rate (with
+    the sum rate as user 0). A slot whose trials do not spread at all (no
+    event, say) gets the rule-of-three half-width 3/n instead of 0. BER
+    rounds stop once every user has ``min_bit_errors`` errors."""
+    _check_metric(cfg, metric)
+    stop = None
+    if metric == "ber":
+        def stop(results):
+            return bool(np.all(sum(r[0] for r in results) >= cfg.min_bit_errors))
+    results = _run_rounds(cfg, metric, snr_db, stop)
     sums = sum(r[0] for r in results)
     n = sum(r[4] for r in results)
     # Chan et al.'s merge of per-block centred sums of squares, in block
@@ -583,12 +583,13 @@ def run_rate_point(cfg: SimConfig, snr_db: float):
         mean = mean + delta * (count_b / merged)
         m2 = m2 + (sq_b - dev_b * dev_b / count_b) + delta * delta * (count * count_b / merged)
         count = merged
+    users = list(range(1, cfg.n_users + 1)) + ([0] if metric == "rate" else [])
+    bits = _bits_per_trial(cfg) if metric == "ber" else [1] * len(users)
     out = []
-    for slot in range(len(sums)):
-        hw = 1.959963984540054 * np.sqrt(max(0.0, m2[slot]) / n / n)
-        user = 0 if slot == len(sums) - 1 else slot + 1
-        out.append(PointEstimate("rate", user, float(snr_db), float(sums[slot] / n),
-                                 float(hw), int(n), int(n)))
+    for slot, user in enumerate(users):
+        hw = _Z95 * np.sqrt(m2[slot] / n / n) / bits[slot] if m2[slot] > 0.0 else 3.0 / n
+        out.append(PointEstimate(metric, user, float(snr_db),
+                                 float(sums[slot] / (n * bits[slot])), float(hw), int(n)))
     return out
 
 
@@ -647,22 +648,18 @@ def _analytic_outage(cfg: SimConfig, user: int, rho: float):
 
 
 _ANALYTIC_FN = {"ber": _analytic_ber, "rate": _analytic_rate, "outage": _analytic_outage}
-_POINT_FN = {"ber": run_ber_point, "rate": run_rate_point, "outage": run_outage_point}
 
 
 def run_sweep(cfg: SimConfig, metrics=("ber",)) -> SweepResult:
     """Evaluate the requested metrics over the whole SNR grid and attach the
     closed-form companion value wherever the configuration is covered."""
     for metric in metrics:
-        if metric not in _POINT_FN:
-            raise ConfigError(f"unknown metric {metric!r}")
-        if metric == "outage" and cfg.target_rates is None:
-            raise ConfigError("outage metric requires target rates")
+        _check_metric(cfg, metric)
     points = []
     for metric in metrics:
         for snr_db in cfg.snr_grid_db:
             rho = 10.0 ** (snr_db / 10.0)
-            for est in _POINT_FN[metric](cfg, snr_db):
+            for est in run_point(cfg, metric, snr_db):
                 try:
                     analytic = _ANALYTIC_FN[metric](cfg, est.user, rho)
                 except ConfigError:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from ssknoma import montecarlo as mc
 from ssknoma.analytics import (
     BEP_CHUNK_ROWS,
     ERFC_ZERO_FROM,
@@ -30,15 +31,11 @@ from ssknoma.analytics import (
     ergodic_capacity_noma_user,
     ergodic_capacity_u1,
     exp_integral,
-    noma_pep,
-    noma_pep_symbols,
     outage_noma_user,
     outage_threshold_psi,
     outage_u1,
-    pep_term,
     q_func,
     rayleigh_q_average,
-    sum_rate,
     union_bound_ber,
     zeta_set,
 )
@@ -313,50 +310,68 @@ def test_erfc_is_exactly_zero_from_the_pruning_limit():
 
 
 # --- pairwise error probabilities ----------------------------------------------
+# The scalar decision statistic of one pairwise symbol error, the building
+# block of the recursive union-bound oracle below.
+
+
+def _pep_term(s_i, s_hat_i, coeff_i, rho, interferer_terms, sic_terms):
+    """(beta, vartheta) of the pairwise error s_i -> s_hat_i: ``interferer_terms``
+    holds (a_p, s_p) for users decoded after i (treated as noise), and
+    ``sic_terms`` (a_q, delta_q) for the residual SIC errors of users decoded
+    before i."""
+    delta = complex(s_i) - complex(s_hat_i)
+    if delta == 0:
+        raise InputError("pairwise error requires s_i != s_hat_i")
+    beta = np.sqrt(coeff_i * rho) * abs(delta) ** 2
+    beta += 2.0 * np.real(
+        delta * sum(np.sqrt(a_p * rho) * np.conj(s_p) for a_p, s_p in interferer_terms)
+    )
+    beta += 2.0 * np.real(
+        delta * sum(np.sqrt(a_q * rho) * np.conj(d_q) for a_q, d_q in sic_terms)
+    )
+    return float(beta), float(np.sqrt(2.0) * abs(delta))
+
+
+def _noma_pep(term, sigma_i_sq, n_r):
+    """Rayleigh-averaged pairwise error probability of one decision statistic;
+    a negative statistic yields a probability above 1/2."""
+    beta, vartheta = term
+    num = sigma_i_sq * beta**2
+    xi = np.sign(beta) * np.sqrt(num / (2.0 * vartheta**2 + num))
+    return float(np.clip(rayleigh_q_average(xi, n_r), 0.0, 1.0))
 
 
 def test_pep_term_hand_value():
     # no interferers, no SIC residuals: beta = sqrt(a*rho) |delta|^2
-    t = pep_term(1 + 0j, -1 + 0j, 0.5, 0.25, [], [])
-    assert t.beta_i == pytest.approx(np.sqrt(0.125) * 4.0)
-    assert t.vartheta == pytest.approx(2.0 * np.sqrt(2.0))
+    beta, vartheta = _pep_term(1 + 0j, -1 + 0j, 0.5, 0.25, [], [])
+    assert beta == pytest.approx(np.sqrt(0.125) * 4.0)
+    assert vartheta == pytest.approx(2.0 * np.sqrt(2.0))
     with pytest.raises(InputError):
-        pep_term(1 + 0j, 1 + 0j, 0.5, 1.0, [], [])
+        _pep_term(1 + 0j, 1 + 0j, 0.5, 1.0, [], [])
 
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_noma_pep_against_quadrature(n_r):
     q = qpsk().points
-    t = pep_term(q[0], q[2], 0.7, 8.0, [(0.2, q[1]), (0.1, q[3])], [])
+    beta, vartheta = t = _pep_term(q[0], q[2], 0.7, 8.0, [(0.2, q[1]), (0.1, q[3])], [])
     sigma_sq = 2.0
     want, _ = integrate.quad(
-        lambda x: q_func(t.beta_i * np.sqrt(x) / t.vartheta)
+        lambda x: q_func(beta * np.sqrt(x) / vartheta)
         * _gamma_pdf(x, n_r, sigma_sq),
         0.0,
         np.inf,
         limit=400,
     )
-    assert noma_pep(t, sigma_sq, n_r) == pytest.approx(want, rel=1e-8)
+    assert _noma_pep(t, sigma_sq, n_r) == pytest.approx(want, rel=1e-8)
 
 
 def test_noma_pep_negative_statistic_exceeds_half():
     q = qpsk().points
     # strong opposing interference flips the pairwise decision statistic
-    t = pep_term(q[0], q[1], 0.05, 4.0, [], [(0.9, -(4.0 + 0j))])
-    assert t.beta_i < 0
-    p = noma_pep(t, 1.0, 2)
+    t = _pep_term(q[0], q[1], 0.05, 4.0, [], [(0.9, -(4.0 + 0j))])
+    assert t[0] < 0
+    p = _noma_pep(t, 1.0, 2)
     assert 0.5 < p <= 1.0
-
-
-def test_noma_pep_symbols_wrapper():
-    q = qpsk().points
-    pa = PowerAllocation((0.7, 0.2, 0.1))
-    direct = pep_term(q[0], q[2], 0.2, 8.0, [(0.1, q[1])], [(0.7, q[0] - q[3])])
-    want = noma_pep(direct, 4.0, 2)
-    got = noma_pep_symbols(3, q[0], q[2], [q[1]], [q[0] - q[3]], pa, 8.0, 4.0, 2)
-    assert got == pytest.approx(want, abs=1e-14)
-    with pytest.raises(InputError):
-        noma_pep_symbols(5, q[0], q[1], [], [], pa, 1.0, 1.0, 2)
 
 
 # --- union bound ---------------------------------------------------------------
@@ -407,8 +422,8 @@ def _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
     slot, user q+2), given the residual errors accumulated so far."""
     s_q = consts[q].points[tx[q]]
     interferers = [(coeffs[p], consts[p].points[tx[p]]) for p in range(q + 1, len(coeffs))]
-    return [(n, noma_pep(pep_term(s_q, consts[q].points[n], coeffs[q], rho, interferers,
-                                  list(deltas)), sigma_i_sq, n_r))
+    return [(n, _noma_pep(_pep_term(s_q, consts[q].points[n], coeffs[q], rho, interferers,
+                                    list(deltas)), sigma_i_sq, n_r))
             for n in range(consts[q].order) if n != tx[q]]
 
 
@@ -543,9 +558,12 @@ def test_weakest_user_capacity_has_single_term():
 
 def test_capacity_u1_and_sum_rate():
     assert ergodic_capacity_u1(4, 0.25) == pytest.approx(1.5)
-    assert sum_rate([1.0, 0.5, 0.25]) == pytest.approx(1.75)
     with pytest.raises(InputError):
         ergodic_capacity_u1(4, 1.5)
+    # the sum-rate companion (user 0) adds the users' closed forms
+    cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0], seed=1)
+    rates = [mc._analytic_rate(cfg, user, 10.0) for user in (1, 2, 3)]
+    assert mc._analytic_rate(cfg, 0, 10.0) == sum(rates)
 
 
 # --- outage ---------------------------------------------------------------------

@@ -4,9 +4,13 @@ import csv
 import importlib.resources
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ssknoma
 from ssknoma import cli
 from ssknoma import montecarlo as mc
 
@@ -72,6 +76,28 @@ def test_rate_and_outage_csvs_reproducible_across_workers(tmp_path, monkeypatch,
         out = tmp_path / f"w{workers}"
         assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
         payloads.append((out / csv_name).read_bytes())
+    assert payloads[0] == payloads[1]
+
+
+def test_csvs_do_not_depend_on_blas_threads(tmp_path):
+    """No kernel sums through a BLAS call whose rounding could follow the
+    thread count, so one and two OpenBLAS threads write the same bytes."""
+    cfg = _write_config(tmp_path, dict(BER_CONFIG, target_rates=[1.0, 1.0, 1.5],
+                                       snr_grid_db=[10.0]))
+    script = ("import sys\n"
+              "from ssknoma import cli\n"
+              "for command in ('ber', 'capacity', 'outage'):\n"
+              "    assert cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2],\n"
+              "                     '--quiet']) == 0\n")
+    src = str(Path(ssknoma.__file__).resolve().parents[1])
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SSKNOMA_WORKERS="1",
+                   PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script, cfg, str(out)], env=env, check=True)
+        payloads.append([(out / name).read_bytes()
+                         for name in ("ber.csv", "rate.csv", "outage.csv")])
     assert payloads[0] == payloads[1]
 
 
@@ -198,6 +224,33 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     for doc in ([BER_CONFIG], {"snr_grid_db": [10.0], "runs": [3]}):
         assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
                          str(out), "--quiet"]) == 2
+
+
+# each of these once ran to a traceback or to a CSV of nonsense
+INVALID_RUNS = {
+    # n_t defaults to n_r for SSK-NOMA, which alone would reject these
+    "ber-n_r-0": (["ber"], dict(BER_CONFIG, n_r=0, n_t=2)),
+    "ber-n_r-negative": (["ber"], dict(BER_CONFIG, n_r=-1, n_t=2)),
+    "capacity-n_r-0": (["capacity"], dict(BER_CONFIG, n_r=0, n_t=2)),
+    "outage-short-target-rates": (["outage"], dict(BER_CONFIG, target_rates=[1.0, 1.0])),
+    "pa-sweep-short-fading": (["pa-sweep"], {"fading": [1.0, 2.0]}),
+    "pa-sweep-short-target-rates": (["pa-sweep"], {"target_rates": [1.0, 1.0]}),
+    "pa-sweep-empty-a2-grid": (["pa-sweep"], {"a2_grid": []}),
+    "pa-sweep-n_r-0": (["pa-sweep"], {"n_r": 0}),
+    "pa-sweep-negative-fading": (["pa-sweep"], {"fading": [-1.0, 2.0, 4.0]}),
+    "complexity-two-fields": (["complexity", "--row", "3,4"], None),
+    "complexity-not-integers": (["complexity", "--row", "a,b,c"], None),
+}
+
+
+@pytest.mark.parametrize("argv,doc", INVALID_RUNS.values(), ids=INVALID_RUNS)
+def test_invalid_run_is_config_error(tmp_path, capsys, argv, doc):
+    out = tmp_path / "out"
+    if doc is not None:
+        argv = argv + ["--config", _write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.glob("*.csv"))
 
 
 # --- presets ---------------------------------------------------------------------

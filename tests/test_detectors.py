@@ -18,12 +18,7 @@ from ssknoma.constellation import (
     make_constellation,
     qpsk,
 )
-from ssknoma.detectors import (
-    complexity_noma,
-    complexity_report,
-    complexity_ssk_noma,
-    op_counts,
-)
+from ssknoma.detectors import complexity_noma, complexity_ssk_noma
 from ssknoma.errors import InputError
 from ssknoma.montecarlo import (
     _ml_detect_block,
@@ -215,12 +210,12 @@ def test_zero_fading_cell_edge_user_runs_a_block():
                          seed=4, fading=(0.0, 0.0, 4.0), block_size=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors, bits = mc._ber_block(cfg, mc._tables(cfg), 10.0, 0)
+        errors = mc._ber_trials(cfg, mc._tables(cfg), 10.0, 0)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
-    assert errors[0] == np.count_nonzero(rng.integers(0, cfg.n_t, cfg.block_size))
-    assert bits[0] == cfg.block_size
+    assert np.array_equal(errors[0], rng.integers(0, cfg.n_t, cfg.block_size) != 0)
+    assert mc._bits_per_trial(cfg)[0] == 1
     k2 = rng.integers(0, 4, cfg.block_size)
-    assert errors[1] == qpsk().bit_distance_table()[k2, 0].sum()
+    assert np.array_equal(errors[1], qpsk().bit_distance_table()[k2, 0])
 
 
 def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
@@ -339,7 +334,7 @@ def test_zero_variance_genie_user_decides_symbol_0():
                                           (mc.SSK_NOMA, False)],
                          ids=["ssk-noma", "noma-baseline", "ssk-noma-no-genie"])
 def test_ber_block_matches_brute_force_chain(scheme, genie):
-    """The engine's bit-error counts equal a per-trial brute-force receiver
+    """The engine's per-trial bit errors equal a brute-force receiver's
     fed with the same draws, in the engine's order: antenna index, symbols,
     then per user from user 1 up either its channel matrix and noise (the
     cell-edge user, and every user without the genie antenna index, which
@@ -347,7 +342,7 @@ def test_ber_block_matches_brute_force_chain(scheme, genie):
     its MRC statistics, one gamma and one complex normal per trial."""
     cfg = mc.make_config(scheme=scheme, n_users=3, n_r=2, snr_grid_db=[6.0],
                          seed=8, block_size=40, genie_antenna=genie)
-    errors, bits = mc._ber_block(cfg, mc._tables(cfg), 6.0, 2)
+    errors = mc._ber_trials(cfg, mc._tables(cfg), 6.0, 2)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(6.0), 2)
     b, power, first = cfg.block_size, 10.0 ** 0.6, cfg.first_power_user
     consts = cfg.constellations()
@@ -358,7 +353,7 @@ def test_ber_block_matches_brute_force_chain(scheme, genie):
     ks = [rng.integers(0, c.order, b) for c in consts]
     chi = sum(np.sqrt(a) * p[k] for a, p, k in zip(cfg.pa.coefficients, points, ks))
     signal = np.sqrt(power) * chi
-    want = np.zeros(cfg.n_users)
+    want = np.zeros((cfg.n_users, b))
     for i in range(1, cfg.n_users + 1):
         var = cfg.fading.variances[i - 1]
         k = i - first
@@ -368,19 +363,19 @@ def test_ber_block_matches_brute_force_chain(scheme, genie):
             for t in range(b):
                 v_hat, _ = _brute_force_sm(r[t], h[t], chis, power)
                 if i < first:
-                    want[0] += bin(int(v[t]) ^ v_hat).count("1")
+                    want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
                     continue
                 dec, _ = _brute_force_sic(r[t], h[t, v_hat], amps[:k + 1], points[:k + 1])
-                want[i - 1] += consts[k].bit_distance_table()[ks[k][t], dec[-1]]
+                want[i - 1, t] = consts[k].bit_distance_table()[ks[k][t], dec[-1]]
             continue
         g = var * rng.standard_gamma(cfg.n_r, b)
         y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
         for t in range(b):
             dec = _brute_force_scalar_sic(y[t], g[t], amps[:k + 1], points[:k + 1])
-            want[i - 1] += consts[k].bit_distance_table()[ks[k][t], dec[-1]]
+            want[i - 1, t] = consts[k].bit_distance_table()[ks[k][t], dec[-1]]
     assert np.array_equal(errors, want)
     # one antenna bit for user 1 of SSK-NOMA, two bits per QPSK symbol
-    assert list(bits) == [b] * (first - 1) + [2 * b] * (cfg.n_users + 1 - first)
+    assert mc._bits_per_trial(cfg) == [1] * (first - 1) + [2] * (cfg.n_users + 1 - first)
 
 
 # --- nearest-point ML stages ----------------------------------------------------
@@ -543,13 +538,6 @@ def test_published_operation_counts(key, want):
     assert complexity_noma(n_users, m, n_r) == want[1]
 
 
-def test_op_counts():
-    assert op_counts(3) == (2, 1, 3, 3)
-    assert op_counts(2) == (1, 0, 2, 1)
-    with pytest.raises(InputError):
-        op_counts(1)
-
-
 def test_two_user_edge_has_no_sic_term():
     # one ML detection plus the joint search, nothing to cancel
     assert complexity_ssk_noma(2, 4, 2, 2) == (2 * 2 * 2 + 2 * 4 + 4) + 4 * 2 * 4
@@ -563,9 +551,3 @@ def test_mixed_modulation_orders():
         complexity_ssk_noma(3, [4], 2, 2)
     with pytest.raises(InputError):
         complexity_noma(3, [4, 4], 2)
-
-
-def test_complexity_report_fields():
-    rep = complexity_report(4, 4, 4, 4)
-    assert (rep.delta_ssk_noma, rep.delta_noma) == (760, 688)
-    assert (rep.n_ml, rep.n_sic) == (3, 3)

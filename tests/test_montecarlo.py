@@ -1,6 +1,7 @@
 """Trial-engine tests: configuration defaults, determinism across worker
 counts, noise-free sanity, and agreement with the closed forms."""
 
+import collections
 import os
 
 import numpy as np
@@ -75,37 +76,29 @@ def test_config_hash_tracks_content():
     assert len(_cfg().config_hash()) == 16
 
 
-def test_wilson_halfwidth_behaviour():
-    assert mc.wilson_halfwidth(0, 0) == 0.0
-    # large-sample agreement with the normal-approximation interval
-    k, n = 400, 100_000
-    p = k / n
-    normal = 1.96 * np.sqrt(p * (1 - p) / n)
-    assert mc.wilson_halfwidth(k, n) == pytest.approx(normal, rel=0.02)
-    assert mc.wilson_halfwidth(0, 1000) > 0.0
-
-
 # --- simulation sanity ---------------------------------------------------------
 
 
 def test_noise_free_runs_are_error_free():
     cfg = _cfg(noise=False, max_trials=10_000, block_size=2_500,
                blocks_per_round=4)
-    for p in mc.run_ber_point(cfg, 10.0):
+    for p in mc.run_point(cfg, "ber", 10.0):
         assert p.value == 0.0
+        # no trial spreads: the rule of three bounds the rate at 3/n
+        assert p.ci_halfwidth == 3.0 / p.n_trials
 
 
 def test_noise_free_baseline_is_error_free():
     cfg = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                          snr_grid_db=GRID, seed=2, noise=False,
                          max_trials=10_000, block_size=2_500)
-    for p in mc.run_ber_point(cfg, 10.0):
+    for p in mc.run_point(cfg, "ber", 10.0):
         assert p.value == 0.0
 
 
 def test_ber_matches_exact_forms_within_ci():
     cfg = _cfg(seed=21, max_trials=400_000)
-    points = {p.user: p for p in mc.run_ber_point(cfg, 10.0)}
+    points = {p.user: p for p in mc.run_point(cfg, "ber", 10.0)}
     rho = 10.0
     want2 = abep_u2(0.8, 0.2, rho * 2.0, 2)
     want3 = abep_u3(0.8, 0.2, rho * 4.0, 2)
@@ -115,22 +108,23 @@ def test_ber_matches_exact_forms_within_ci():
 
 def test_ber_point_stops_on_error_budget():
     cfg = _cfg(seed=4, min_bit_errors=100, max_trials=1_000_000)
-    points = mc.run_ber_point(cfg, 0.0)
+    points = mc.run_point(cfg, "ber", 0.0)
     # noisy point: every user collects its errors inside the first round
     assert all(p.n_trials == cfg.block_size * cfg.blocks_per_round for p in points)
-    assert all(p.n_events >= 100 for p in points)
+    for p, bits in zip(points, mc._bits_per_trial(cfg)):
+        assert round(p.value * p.n_trials * bits) >= 100
 
 
 def test_antenna_estimation_path_runs():
     cfg = _cfg(genie_antenna=False, max_trials=10_000, block_size=2_500)
-    points = {p.user: p for p in mc.run_ber_point(cfg, 20.0)}
+    points = {p.user: p for p in mc.run_point(cfg, "ber", 20.0)}
     assert set(points) == {1, 2, 3}
     assert all(0.0 <= p.value <= 1.0 for p in points.values())
 
 
 def test_rate_point_sum_slot():
     cfg = _cfg(seed=6, max_trials=100_000)
-    points = {p.user: p for p in mc.run_rate_point(cfg, 10.0)}
+    points = {p.user: p for p in mc.run_point(cfg, "rate", 10.0)}
     total = sum(points[u].value for u in (1, 2, 3))
     assert points[0].value == pytest.approx(total, rel=1e-12)
     assert all(p.ci_halfwidth > 0 for p in points.values())
@@ -151,16 +145,79 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
 
     monkeypatch.setattr(mc.analytics, "conditional_bep_u1_vec", fake_bep)
     cfg = _cfg(target_rates=(1.0, 1.0, 1.0))  # N_t = 2: user 1's rate is 1 - bep
-    est = {p.user: p for p in mc.run_rate_point(cfg, 10.0)}[1]
+    est = {p.user: p for p in mc.run_point(cfg, "rate", 10.0)}[1]
     rates = np.log2(cfg.n_t) * (1.0 - np.concatenate(drawn))
     assert est.n_trials == rates.size == 100_000
     want = 1.959963984540054 * np.sqrt(np.var(rates) / rates.size)
     assert est.ci_halfwidth == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+# --- interval estimates ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric,trials_fn", [("ber", mc._ber_trials),
+                                              ("outage", mc._outage_trials)])
+def test_halfwidth_replays_the_trial_variance(monkeypatch, metric, trials_fn):
+    """Every printed half-width is 1.96 sqrt(var / n) of the concatenated
+    per-trial outcomes of the point's blocks, BER in units of the user's bits,
+    and the estimate is their mean."""
+    monkeypatch.setenv("SSKNOMA_WORKERS", "1")
+    cfg = _cfg(seed=19, target_rates=(0.5, 1.0, 1.5), max_trials=40_000, block_size=5_000)
+    points = mc.run_point(cfg, metric, 10.0)
+    tables = mc._tables(cfg)
+    blocks = [trials_fn(cfg, tables, 10.0, j) for j in range(points[0].n_trials // cfg.block_size)]
+    bits = mc._bits_per_trial(cfg) if metric == "ber" else [1] * cfg.n_users
+    for p in points:
+        trials = np.concatenate([block[p.user - 1] for block in blocks]) / bits[p.user - 1]
+        assert p.n_trials == trials.size
+        assert p.value == pytest.approx(trials.mean(), rel=1e-12, abs=0.0)
+        want = 1.959963984540054 * np.sqrt(np.var(trials) / trials.size)
+        assert p.ci_halfwidth == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+# fixed before the test first ran, and never re-picked
+COVERAGE_SEEDS = range(7000, 7300)
+
+
+def _coverage(metric, n_r, grid, **kw):
+    """Per (user, SNR) of an L=3 SSK-NOMA network: the share of
+    ``COVERAGE_SEEDS`` whose 95% interval holds the exact closed form the
+    sweep attaches (``abep_u2/u3``, ``outage_u1``, ``outage_noma_user``), and
+    the expected event count of one seed (bit errors for BER)."""
+    hits, exact, expected = collections.Counter(), {}, {}
+    for seed in COVERAGE_SEEDS:
+        cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=n_r, snr_grid_db=grid,
+                             seed=seed, max_trials=10_000, block_size=2_500, **kw)
+        bits = mc._bits_per_trial(cfg) if metric == "ber" else [1] * cfg.n_users
+        for snr in grid:
+            for p in mc.run_point(cfg, metric, snr):
+                key = (metric, p.user, snr)
+                if key not in exact:
+                    exact[key] = mc._ANALYTIC_FN[metric](cfg, p.user, 10.0 ** (snr / 10.0))
+                    expected[key] = exact[key] * p.n_trials * bits[p.user - 1]
+                hits[key] += abs(p.value - exact[key]) <= p.ci_halfwidth
+    return {key: (hits[key] / len(COVERAGE_SEEDS), expected[key]) for key in exact}
+
+
+def test_intervals_cover_the_exact_values():
+    """BER (no early stop, N_r = 1, N_t = 2) of users 2 and 3, whose exact
+    ABEPs are known (user 1's closed form is a bound), and the outage of
+    every user (N_r = 2): a 95% interval covers the exact value in
+    0.92..0.98 of the seeds where a seed expects at least 20 events, and in
+    at least 0.92 elsewhere, where the rule of three keeps the interval from
+    collapsing."""
+    checks = _coverage("ber", 1, [20.0, 25.0], n_t=2, min_bit_errors=10**9)
+    checks = {key: v for key, v in checks.items() if key[1] > 1}
+    checks.update(_coverage("outage", 2, [10.0, 20.0], target_rates=(0.5, 1.0, 1.5)))
+    failures = [f"{key}: coverage {cover:.3f}, {events:.1f} events per seed"
+                for key, (cover, events) in checks.items()
+                if not (cover >= 0.92 and (events < 20 or cover <= 0.98))]
+    assert not failures, failures
+
+
 def test_outage_point_requires_targets():
     with pytest.raises(ConfigError):
-        mc.run_outage_point(_cfg(), 10.0)
+        mc.run_point(_cfg(), "outage", 10.0)
     with pytest.raises(ConfigError):
         mc.run_sweep(_cfg(), metrics=("outage",))
 
@@ -203,7 +260,7 @@ def test_union_bound_companion_for_larger_networks():
 
 def _ber_snapshot(cfg):
     return [(p.user, p.value, p.ci_halfwidth, p.n_trials)
-            for p in mc.run_ber_point(cfg, 10.0)]
+            for p in mc.run_point(cfg, "ber", 10.0)]
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
