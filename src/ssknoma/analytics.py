@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .constellation import PowerAllocation, ScAlphabet
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, as_tuple
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -103,7 +103,7 @@ class OutageTargets:
     literal_phi: bool = False
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.rates)
+        r = as_tuple("target_rates", self.rates, float)
         object.__setattr__(self, "rates", r)
         if any(x <= 0 for x in r):
             raise ConfigError("target rates must be positive")

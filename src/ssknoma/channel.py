@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_tuple
 
 
 def rng_stream(seed: int, *keys: int) -> np.random.Generator:
@@ -42,7 +42,7 @@ class FadingProfile:
     variances: tuple
 
     def __post_init__(self):
-        v = tuple(float(x) for x in self.variances)
+        v = as_tuple("fading", self.variances, float)
         object.__setattr__(self, "variances", v)
         if not v or any(x < 0 for x in v):
             raise ConfigError("fading variances must be nonnegative")

@@ -17,11 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, detectors, montecarlo
-from .analytics import OutageTargets
-from .channel import FadingProfile
-from .constellation import PowerAllocation
-from .errors import ConfigError, InputError
+from . import __version__, detectors, montecarlo
+from .errors import ConfigError, InputError, as_float, as_tuple
 
 CSV_COLUMNS = ["snr_db", "user", "scheme", "sim_value", "ci_halfwidth",
                "analytic_value", "n_trials"]
@@ -78,33 +75,21 @@ def _load_config(args) -> dict:
 
 
 def _build_sim_config(doc: dict, args) -> montecarlo.SimConfig:
-    try:
-        return montecarlo.make_config(
-            scheme=doc.get("scheme", montecarlo.SSK_NOMA),
-            n_users=int(doc["n_users"]),
-            n_r=int(doc["n_r"]),
-            n_t=doc.get("n_t"),
-            snr_grid_db=doc["snr_grid_db"],
-            seed=args.seed if args.seed is not None else int(doc.get("seed", 1)),
-            modulations=doc.get("modulations"),
-            pa=doc.get("pa"),
-            fading=doc.get("fading"),
-            target_rates=doc.get("target_rates"),
-            min_bit_errors=int(doc.get("min_bit_errors", 400)),
-            max_trials=int(args.trials_max or doc.get("max_trials", 1_000_000)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required field {exc.args[0]!r}") from exc
+    """The run given by ``doc``'s run keys, with the --seed and --trials-max
+    overrides; ``make_config`` checks the values and fills the rest."""
+    run = {k: v for k, v in doc.items() if k in _RUN_KEYS}
+    if args.seed is not None:
+        run["seed"] = args.seed
+    if args.trials_max is not None:
+        run["max_trials"] = args.trials_max
+    return montecarlo.make_config(**run)
 
 
 def _runs_from_doc(doc: dict, args):
     """A config document is either one run or {"runs": [...]} with shared
     top-level defaults."""
     runs = doc.get("runs")
-    if runs is None:
-        return [_build_sim_config(doc, args)]
-    shared = {k: v for k, v in doc.items() if k != "runs"}
-    return [_build_sim_config({**shared, **run}, args) for run in runs]
+    return [_build_sim_config({**doc, **run}, args) for run in ([{}] if runs is None else runs)]
 
 
 def _write_manifest(out_dir: Path, command: str, args, seeds) -> None:
@@ -126,11 +111,15 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _optional(value) -> str:
+    """A companion value as written: empty where the closed forms give none."""
+    return "" if value is None else f"{value:.10e}"
+
+
 def _sweep_rows(cfg, result):
     for p in result.points:
-        analytic = "" if p.analytic is None else f"{p.analytic:.10e}"
         yield [f"{p.snr_db:g}", p.user, cfg.scheme, f"{p.value:.10e}",
-               f"{p.ci_halfwidth:.10e}", analytic, p.n_trials]
+               f"{p.ci_halfwidth:.10e}", _optional(p.analytic), p.n_trials]
 
 
 def _cmd_metric(metric: str, args) -> int:
@@ -152,40 +141,34 @@ def _cmd_metric(metric: str, args) -> int:
     return 0
 
 
+# pa-sweep's run before the document's run keys are laid over it: the
+# three-user network, with N_t fixed at 2 since no column depends on it
+_PA_SWEEP_RUN = {"n_users": 3, "n_r": 2, "n_t": 2, "fading": [1.0, 2.0, 4.0]}
+
+
 def _cmd_pa_sweep(args) -> int:
     doc = _load_config(args)
-    a2_grid = [float(a) for a in doc.get("a2_grid", np.arange(0.55, 0.951, 0.05))]
+    a2_grid = as_tuple("a2_grid", doc.get("a2_grid", np.arange(0.55, 0.951, 0.05).tolist()),
+                       float)
     if not a2_grid:
         raise ConfigError("a2_grid must not be empty")
-    bad = [a for a in a2_grid if not 0.5 < a < 1.0]
-    if bad:
-        raise ConfigError(f"a2 values must lie in (0.5, 1): rejected {bad}")
-    rho_db = float(doc.get("snr_db", 20.0))
+    rho_db = as_float("snr_db", doc.get("snr_db", 20.0))
     rho = 10.0 ** (rho_db / 10.0)
-    n_r = int(doc.get("n_r", 2))
-    if n_r < 1:
-        raise ConfigError(f"n_r must be >= 1, got {n_r}")
-    # the sweep covers the three-user network: users 1..3
-    variances = FadingProfile(tuple(doc.get("fading", [1.0, 2.0, 4.0]))).variances
-    rates = doc.get("target_rates")
-    targets = OutageTargets(tuple(rates)) if rates else None
-    if len(variances) != 3 or (targets and len(targets.rates) != 3):
-        raise ConfigError("pa-sweep needs fading and target_rates for 3 users")
+    # one config per a2, so SimConfig and PowerAllocation check every run
+    configs = [_build_sim_config({**_PA_SWEEP_RUN, **doc, "snr_grid_db": [rho_db],
+                                  "pa": [a2, 1.0 - a2]}, args) for a2 in a2_grid]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for a2 in a2_grid:
-        a3 = 1.0 - a2
-        row = {
-            "a2": f"{a2:g}",
-            "snr_db": f"{rho_db:g}",
-            "abep_u2": f"{analytics.abep_u2(a2, a3, rho * variances[1], n_r):.10e}",
-            "abep_u3": f"{analytics.abep_u3(a2, a3, rho * variances[2], n_r):.10e}",
-        }
-        if targets is not None:
-            pa = PowerAllocation((a2, a3))
-            for user in (2, 3):
-                row[f"outage_u{user}"] = f"{analytics.outage_noma_user(user, pa, targets, rho, variances[user - 1], n_r):.10e}"
+    for cfg in configs:
+        users = range(cfg.first_power_user, cfg.n_users + 1)
+        row = {"a2": f"{cfg.pa.coefficients[0]:g}", "snr_db": f"{rho_db:g}"}
+        row.update((f"abep_u{user}", _optional(montecarlo._analytic_ber(cfg, user, rho)))
+                   for user in users)
+        if cfg.target_rates is not None:
+            row.update((f"outage_u{user}",
+                        _optional(montecarlo._analytic_outage(cfg, user, rho)))
+                       for user in users)
         rows.append(row)
     path = out_dir / "pa_sweep.csv"
     _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
@@ -200,7 +183,12 @@ def _cmd_complexity(args) -> int:
         fields = args.row.split(",")
         if len(fields) != 3 or not all(f.strip().isdecimal() for f in fields):
             raise ConfigError(f"--row must be three integers L,M,N_r, got {args.row!r}")
-        rows = [tuple(int(x) for x in fields)]
+        n_users, m, n_r = (int(x) for x in fields)
+        # the counts assume SIC over at least two users and power-of-2 orders
+        if n_users < 2 or m < 2 or m & (m - 1) or n_r < 1:
+            raise ConfigError("--row needs L >= 2, M a power of 2 >= 2 and N_r >= 1, "
+                              f"got {args.row!r}")
+        rows = [(n_users, m, n_r)]
     else:
         rows = [tuple(r) for r in _load_preset("table1")["rows"]]
     print(f"{'L':>3} {'M':>3} {'N_r':>4} {'ssk-noma':>10} {'noma':>10}")
@@ -215,6 +203,8 @@ def _cmd_validate(args) -> int:
     doc = _load_config(args)
     configs = _runs_from_doc(doc, args)
     metrics = doc.get("metrics", ["ber"])
+    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+        raise ConfigError(f"metrics must be a list of metric names, got {metrics!r}")
     worst = 0.0
     worst_label = ""
     for cfg in configs:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, as_tuple
 
 _ENERGY_TOL = 1e-12
 
@@ -158,7 +158,7 @@ class PowerAllocation:
     coefficients: tuple
 
     def __post_init__(self):
-        a = tuple(float(c) for c in self.coefficients)
+        a = as_tuple("pa", self.coefficients, float)
         object.__setattr__(self, "coefficients", a)
         if not a:
             raise ConfigError("power allocation must not be empty")

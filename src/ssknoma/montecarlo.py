@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ from .constellation import (
     hamming_table,
     make_constellation,
 )
-from .errors import ConfigError
+from .errors import ConfigError, as_int, as_tuple
 from .analytics import OutageTargets
 
 SSK_NOMA = "ssk-noma"
@@ -58,7 +58,7 @@ _FIRST_POWER_USER = {SSK_NOMA: 2, NOMA_BASELINE: 1}
 def _first_power_user(scheme: str) -> int:
     try:
         return _FIRST_POWER_USER[scheme]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a list or object is unhashable
         raise ConfigError(f"unknown scheme {scheme!r}") from None
 
 
@@ -73,11 +73,12 @@ def default_pa(n_noma_users: int) -> PowerAllocation:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full experiment description.
+    """Full experiment description, built by ``make_config``.
 
     ``modulations`` and ``pa`` cover the power-multiplexed users
     ``first_power_user``..L: users 2..L for SSK-NOMA, users 1..L for the
-    baseline (whose ``n_t`` must be 1).
+    baseline (whose ``n_t`` must be 1). ``tables`` holds what every block
+    and companion derives from the config, built once here.
     """
 
     scheme: str
@@ -89,30 +90,34 @@ class SimConfig:
     fading: FadingProfile
     snr_grid_db: tuple
     seed: int
-    target_rates: OutageTargets | None = None
-    min_bit_errors: int = 400
-    max_trials: int = 1_000_000
-    genie_antenna: bool = True
-    noise: bool = True
-    block_size: int = 25_000
-    blocks_per_round: int = 4
+    target_rates: OutageTargets | None
+    min_bit_errors: int
+    max_trials: int
+    noise: bool
+    block_size: int
+    blocks_per_round: int
+    tables: _Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_power_users = self.n_users + 1 - self.first_power_user
+        if self.pa.n_users != n_power_users:
+            raise ConfigError("power allocation length does not match the scheme")
         if len(self.modulations) != n_power_users:
             raise ConfigError(
                 f"expected {n_power_users} modulation orders, got {len(self.modulations)}"
             )
-        if self.pa.n_users != n_power_users:
-            raise ConfigError("power allocation length does not match the scheme")
         if self.fading.n_users != self.n_users:
             raise ConfigError("fading profile must cover all users")
         if self.target_rates is not None and len(self.target_rates.rates) != self.n_users:
             raise ConfigError(f"expected {self.n_users} target rates: {self.target_rates.rates}")
         if self.n_r < 1:
             raise ConfigError(f"n_r must be >= 1, got {self.n_r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must not be empty")
+        if any(abs(snr) > 300.0 for snr in self.snr_grid_db):
+            raise ConfigError(f"SNR points must lie within +-300 dB: {list(self.snr_grid_db)}")
         keys = [_snr_key(snr) for snr in self.snr_grid_db]
         if len(set(keys)) != len(keys):
             raise ConfigError("SNR grid points closer than 0.01 dB would share "
@@ -125,6 +130,9 @@ class SimConfig:
             raise ConfigError("min_bit_errors must be >= 100")
         if self.max_trials < 10_000:
             raise ConfigError("max_trials must be >= 1e4")
+        if self.block_size < 1 or self.blocks_per_round < 1:
+            raise ConfigError("block_size and blocks_per_round must be >= 1")
+        object.__setattr__(self, "tables", _tables(self))
 
     @property
     def first_power_user(self) -> int:
@@ -132,58 +140,51 @@ class SimConfig:
         1 for the baseline. Users below it ride on the antenna index."""
         return _first_power_user(self.scheme)
 
-    def constellations(self):
-        return [make_constellation(m) for m in self.modulations]
-
-    def sc_alphabet(self) -> ScAlphabet:
-        return enumerate_sc_alphabet(self.constellations(), self.pa)
-
     def canonical_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "n_users": self.n_users,
-            "n_t": self.n_t,
-            "n_r": self.n_r,
-            "modulations": list(self.modulations),
-            "pa": list(self.pa.coefficients),
-            "fading": list(self.fading.variances),
-            "snr_grid_db": list(map(float, self.snr_grid_db)),
-            "seed": self.seed,
-            "target_rates": list(self.target_rates.rates) if self.target_rates else None,
-            "min_bit_errors": self.min_bit_errors,
-            "max_trials": self.max_trials,
-            "genie_antenna": self.genie_antenna,
-            "noise": self.noise,
-        }
+        """Every field but the derived tables, as JSON values."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        values.update(pa=self.pa.coefficients, fading=self.fading.variances,
+                      target_rates=self.target_rates and self.target_rates.rates)
+        return values
 
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def make_config(scheme: str, n_users: int, n_r: int, snr_grid_db, seed: int,
-                n_t: int | None = None, modulations=None, pa=None, fading=None,
-                target_rates=None, **kwargs) -> SimConfig:
-    """SimConfig with the §IV defaults filled in: QPSK users, geometric fading
-    profile, fixed PA set for the NOMA user count, N_t = N_r for SSK-NOMA."""
+def make_config(scheme=SSK_NOMA, n_users=None, n_r=None, snr_grid_db=None, seed=1,
+                n_t=None, modulations=None, pa=None, fading=None, target_rates=None,
+                min_bit_errors=400, max_trials=1_000_000, noise=True,
+                block_size=25_000, blocks_per_round=4) -> SimConfig:
+    """The one path from config values to a SimConfig: checks each value's
+    type before using it (``as_int``, ``as_tuple``), then fills the §IV
+    defaults: QPSK users, geometric fading, the fixed PA set for the NOMA
+    user count, N_t = N_r for SSK-NOMA (1 for the baseline) and no target
+    rates, wherever those fields are None. n_users, n_r and snr_grid_db
+    have no default."""
+    for name, value in (("n_users", n_users), ("n_r", n_r), ("snr_grid_db", snr_grid_db)):
+        if value is None:
+            raise ConfigError(f"config is missing required field {name!r}")
     first = _first_power_user(scheme)
-    n_power = n_users + 1 - first
+    n_users, n_r, seed = as_int("n_users", n_users), as_int("n_r", n_r), as_int("seed", seed)
+    min_bit_errors = as_int("min_bit_errors", min_bit_errors)
+    max_trials = as_int("max_trials", max_trials)
+    block_size = as_int("block_size", block_size)
+    blocks_per_round = as_int("blocks_per_round", blocks_per_round)
+    if not isinstance(noise, bool):
+        raise ConfigError(f"noise must be true or false, got {noise!r}")
+    pa = default_pa(n_users + 1 - first) if pa is None else PowerAllocation(pa)
+    # the defaults follow pa's length, which SimConfig checks against n_users
     if modulations is None:
-        modulations = (4,) * n_power
-    if pa is None:
-        pa = default_pa(n_power)
-    elif not isinstance(pa, PowerAllocation):
-        pa = PowerAllocation(tuple(pa))
-    if fading is None:
-        fading = default_profile(n_users)
-    elif not isinstance(fading, FadingProfile):
-        fading = FadingProfile(tuple(fading))
+        modulations = (4,) * pa.n_users
+    fading = default_profile(first - 1 + pa.n_users) if fading is None else FadingProfile(fading)
     if n_t is None:
         n_t = n_r if first > 1 else 1
-    if target_rates is not None and not isinstance(target_rates, OutageTargets):
-        target_rates = OutageTargets(tuple(target_rates))
-    return SimConfig(scheme, n_users, n_t, n_r, tuple(modulations), pa, fading,
-                     tuple(snr_grid_db), seed, target_rates, **kwargs)
+    return SimConfig(scheme, n_users, as_int("n_t", n_t), n_r,
+                     as_tuple("modulations", modulations, int), pa, fading,
+                     as_tuple("snr_grid_db", snr_grid_db, float), seed,
+                     None if target_rates is None else OutageTargets(target_rates),
+                     min_bit_errors, max_trials, noise, block_size, blocks_per_round)
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,8 @@ class _SmGrid(NamedTuple):
 
 
 class _Tables(NamedTuple):
-    """Per-config tables every block of an SNR point shares."""
+    """What every block and analytic companion of a config derives from it,
+    built once per SimConfig (``SimConfig.tables``)."""
 
     consts: tuple                # power users' constellations, decoding order
     grids: tuple                 # their nearest-point grids (None if not Cartesian)
@@ -240,6 +242,7 @@ class _Tables(NamedTuple):
     alphabet: ScAlphabet | None  # composite alphabet (None without user 1)
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
     antenna_bits: np.ndarray     # Hamming distances of the antenna labels
+    bits: tuple                  # each user's bits per trial
 
 
 def _sm_grid(values: np.ndarray) -> _SmGrid | None:
@@ -272,15 +275,18 @@ def _nearest_point(grid: _SmGrid, re, im):
 
 
 def _tables(cfg: SimConfig) -> _Tables:
-    consts = tuple(cfg.constellations())
+    consts = tuple(make_constellation(m) for m in cfg.modulations)
     alphabet = sm_grid = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
         sm_grid = _sm_grid(alphabet.values)
     antenna_labels = [antenna_label(v, cfg.n_t) for v in range(1, cfg.n_t + 1)]
+    # log2 N_t bits on the antenna index, else bits per symbol
+    bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
+            + tuple(c.bits_per_symbol for c in consts))
     return _Tables(consts, tuple(_sm_grid(c.points) for c in consts),
                    tuple(c.bit_distance_table() for c in consts), alphabet, sm_grid,
-                   hamming_table(antenna_labels))
+                   hamming_table(antenna_labels), bits)
 
 
 def _ml_detect_block(y, g, amp, points, grid=None):
@@ -382,21 +388,19 @@ def _mrc_statistic(rng, var, n_r, signal, noise):
     return y, g
 
 
-def _ber_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+def _ber_trials(cfg: SimConfig, snr_db: float, block: int):
     """Simulate one block of trials; returns each user's bit errors per trial,
     one (B,) integer array per user.
 
     Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
-    per user from user 1 up either its (B, N_t, N_r) channel matrix and
-    (B, N_r) noise, for the joint antenna/symbol search of the cell-edge user
-    and of any user without the genie antenna index, or its MRC statistics
-    (``_mrc_statistic``: one gamma and one complex normal per trial). A
-    searching power user reduces its matrix to the same statistics on the
-    detected antenna, so every SIC chain runs on (B,) arrays."""
+    the cell-edge user's (B, N_t, N_r) channel matrix and (B, N_r) noise for
+    the joint antenna/symbol search, then per power user its MRC statistics
+    (``_mrc_statistic``: one gamma and one complex normal per trial), on
+    which its SIC chain runs as (B,) arrays."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], _snr_key(snr_db), block)
+    tables = cfg.tables
     b, n_t, n_r = cfg.block_size, cfg.n_t, cfg.n_r
     first = cfg.first_power_user
-    rows = np.arange(b)
     rho = 10.0 ** (snr_db / 10.0)
     sqrt_p = np.sqrt(rho)
     coeffs = cfg.pa.coefficients
@@ -411,34 +415,20 @@ def _ber_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
     signal = sqrt_p * chi
 
-    genie = cfg.genie_antenna or n_t == 1  # one antenna: nothing to estimate
-    for i in range(1, cfg.n_users + 1):
-        if i < first or not genie:
-            h_full = complex_normal(rng, (b, n_t, n_r), variances[i - 1])
-            r = h_full[rows, v, :] * signal[:, None]
-            if cfg.noise:
-                r += complex_normal(rng, (b, n_r), 1.0)
-            v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet.values,
-                                        tables.sm_grid)
-            if i < first:
-                errors.append(tables.antenna_bits[v, v_hat])
-                continue
-            h = h_full[rows, v_hat, :]
-            y = np.sum(np.conj(h) * r, axis=1)
-            g = np.sum(np.abs(h) ** 2, axis=1)
-        else:
-            y, g = _mrc_statistic(rng, variances[i - 1], n_r, signal, cfg.noise)
-        k = i - first
+    if first > 1:
+        h_full = complex_normal(rng, (b, n_t, n_r), variances[0])
+        r = h_full[np.arange(b), v, :] * signal[:, None]
+        if cfg.noise:
+            r += complex_normal(rng, (b, n_r), 1.0)
+        v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet.values,
+                                    tables.sm_grid)
+        errors.append(tables.antenna_bits[v, v_hat])
+    for k, var in enumerate(variances[first - 1:]):
+        y, g = _mrc_statistic(rng, var, n_r, signal, cfg.noise)
         decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1],
                                           tables.grids[:k + 1])
         errors.append(tables.bit_tables[k][ks[k], decisions[-1]])
     return errors
-
-
-def _bits_per_trial(cfg: SimConfig) -> list:
-    """Each user's bits per trial: log2 N_t on the antenna, else bits per symbol."""
-    return ([int(np.log2(cfg.n_t))] * (cfg.first_power_user - 1)
-            + [c.bits_per_symbol for c in cfg.constellations()])
 
 
 def _gamma_block(cfg: SimConfig, metric: str, snr_db: float, block: int):
@@ -454,7 +444,7 @@ def _gamma_block(cfg: SimConfig, metric: str, snr_db: float, block: int):
             for var in cfg.fading.variances]
 
 
-def _outage_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+def _outage_trials(cfg: SimConfig, snr_db: float, block: int):
     """Per-user outage outcome of each trial of one block, one (B,) float
     array per user: 1 or 0 for a power-multiplexed user, and for the
     cell-edge user its conditional BEP where gamma >= psi_1, else 0."""
@@ -467,7 +457,7 @@ def _outage_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
         # averaged over the fading tail above the rate-derived limit, so it
         # reduces to the ABEP when the target rate saturates the antenna bits
         psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
-        bep = analytics.conditional_bep_u1_vec(gammas[0], tables.alphabet, cfg.n_t)
+        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.alphabet, cfg.n_t)
         outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
     for i, g in enumerate(gammas[first - 1:], start=first):
         # g >= psi_i iff every SINR of the SIC cascade meets its target, up
@@ -478,7 +468,7 @@ def _outage_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     return outcomes
 
 
-def _rate_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
+def _rate_trials(cfg: SimConfig, snr_db: float, block: int):
     """Per-draw rate of each user of one block, one (B,) array per user,
     plus the per-draw sum rate last."""
     gammas = _gamma_block(cfg, "rate", snr_db, block)
@@ -486,7 +476,7 @@ def _rate_trials(cfg: SimConfig, tables: _Tables, snr_db: float, block: int):
     first = cfg.first_power_user
     rates = []
     if first > 1:
-        bep = analytics.conditional_bep_u1_vec(gammas[0], tables.alphabet, cfg.n_t)
+        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.alphabet, cfg.n_t)
         rates.append(np.log2(cfg.n_t) * (1.0 - bep))
     for k, g in enumerate(gammas[first - 1:]):
         with_own = sum(coeffs[k:])
@@ -515,8 +505,8 @@ def _moments(trials):
 
 
 def _worker(args):
-    cfg, tables, metric, snr_db, block = args
-    return _moments(_TRIALS_FN[metric](cfg, tables, snr_db, block))
+    cfg, metric, snr_db, block = args
+    return _moments(_TRIALS_FN[metric](cfg, snr_db, block))
 
 
 def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn=None):
@@ -524,14 +514,13 @@ def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn=None):
     early stop ``stop_fn(results)``; block results merge in block order so
     worker count never changes the outcome."""
     workers = _n_workers()
-    tables = _tables(cfg)
     results = []
     block = 0
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         while True:
             idxs = list(range(block, block + cfg.blocks_per_round))
-            args = [(cfg, tables, metric, snr_db, j) for j in idxs]
+            args = [(cfg, metric, snr_db, j) for j in idxs]
             if pool is None:
                 batch = [_worker(a) for a in args]
             else:
@@ -584,7 +573,7 @@ def run_point(cfg: SimConfig, metric: str, snr_db: float):
         m2 = m2 + (sq_b - dev_b * dev_b / count_b) + delta * delta * (count * count_b / merged)
         count = merged
     users = list(range(1, cfg.n_users + 1)) + ([0] if metric == "rate" else [])
-    bits = _bits_per_trial(cfg) if metric == "ber" else [1] * len(users)
+    bits = cfg.tables.bits if metric == "ber" else (1,) * len(users)
     out = []
     for slot, user in enumerate(users):
         hw = _Z95 * np.sqrt(m2[slot] / n / n) / bits[slot] if m2[slot] > 0.0 else 3.0 / n
@@ -609,16 +598,15 @@ def _analytic_ber(cfg: SimConfig, user: int, rho: float):
     if first == 1 or sigma_sq == 0.0:
         return None  # the BER closed forms cover faded SSK-NOMA users only
     if user < first:
-        return analytics.abep_u1(cfg.sc_alphabet(), cfg.n_t, cfg.n_r, rho,
-                                 sigma_sq)
+        return analytics.abep_u1(cfg.tables.alphabet, cfg.n_t, cfg.n_r, rho, sigma_sq)
     a = cfg.pa.coefficients
     exact = cfg.n_users == 3 and cfg.modulations == (4, 4)
     if exact and user == 2:
         return analytics.abep_u2(a[0], a[1], rho * sigma_sq, cfg.n_r)
     if exact and user == 3:
         return analytics.abep_u3(a[0], a[1], rho * sigma_sq, cfg.n_r)
-    return analytics.union_bound_ber(user, cfg.constellations(), cfg.pa, rho,
-                                     sigma_sq, cfg.n_r)
+    return analytics.union_bound_ber(user, cfg.tables.consts, cfg.pa, rho, sigma_sq,
+                                     cfg.n_r)
 
 
 def _analytic_rate(cfg: SimConfig, user: int, rho: float):
@@ -629,8 +617,7 @@ def _analytic_rate(cfg: SimConfig, user: int, rho: float):
     if sigma_sq == 0.0:
         return None
     if user < cfg.first_power_user:
-        abep = analytics.abep_u1(cfg.sc_alphabet(), cfg.n_t, cfg.n_r, rho,
-                                 sigma_sq)
+        abep = analytics.abep_u1(cfg.tables.alphabet, cfg.n_t, cfg.n_r, rho, sigma_sq)
         return analytics.ergodic_capacity_u1(cfg.n_t, abep)
     return analytics.ergodic_capacity_noma_user(user, cfg.pa, rho, sigma_sq, cfg.n_r,
                                                 cfg.first_power_user)
@@ -641,7 +628,7 @@ def _analytic_outage(cfg: SimConfig, user: int, rho: float):
     if sigma_sq == 0.0:
         return None
     if user < cfg.first_power_user:
-        return analytics.outage_u1(cfg.target_rates, cfg.n_t, cfg.sc_alphabet(),
+        return analytics.outage_u1(cfg.target_rates, cfg.n_t, cfg.tables.alphabet,
                                    cfg.n_r, rho, sigma_sq)
     return analytics.outage_noma_user(user, cfg.pa, cfg.target_rates, rho, sigma_sq,
                                       cfg.n_r, cfg.first_power_user)

@@ -135,7 +135,7 @@ def test_c04_union_bound_dominance_and_tightness():
             for p in curves[user]:
                 rho = 10.0 ** (p.snr_db / 10.0)
                 bounds[p.snr_db] = union_bound_ber(
-                    user, cfg.constellations(), cfg.pa, rho, sig, n_r
+                    user, cfg.tables.consts, cfg.pa, rho, sig, n_r
                 )
                 if bounds[p.snr_db] < p.value - 3.0 * p.ci_halfwidth:
                     failures.append(f"dominance u{user} nr={n_r} {p.snr_db}dB")

@@ -206,9 +206,9 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     """A key no command reads stops the run before any simulation, named in
-    the message, at the top level and inside a run: ``noise`` and
-    ``genie_antenna`` are simulation settings the CLI does not expose, so a
-    document that sets them would otherwise get a noisy, genie-antenna CSV."""
+    the message, at the top level and inside a run: ``noise`` is a
+    simulation setting the CLI does not expose, so a document that sets it
+    would otherwise get a noisy CSV, and ``genie_antenna`` is no setting."""
     doc = dict(BER_CONFIG, noise=False, genie_antenna=False, typo_key=1)
     out = tmp_path / "out"
     assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
@@ -240,6 +240,29 @@ INVALID_RUNS = {
     "pa-sweep-negative-fading": (["pa-sweep"], {"fading": [-1.0, 2.0, 4.0]}),
     "complexity-two-fields": (["complexity", "--row", "3,4"], None),
     "complexity-not-integers": (["complexity", "--row", "a,b,c"], None),
+    "complexity-order-not-power-of-2": (["complexity", "--row", "3,3,2"], None),
+    "complexity-zero-order-and-n_r": (["complexity", "--row", "3,0,0"], None),
+    # a value of the wrong type: these ran with a truncated value, or ended in
+    # a traceback
+    "ber-n_users-float": (["ber"], dict(BER_CONFIG, n_users=3.9)),
+    "ber-n_users-bool": (["ber"], dict(BER_CONFIG, n_users=True)),
+    "ber-n_r-float": (["ber"], dict(BER_CONFIG, n_r=2.7)),
+    "ber-n_r-string": (["ber"], dict(BER_CONFIG, n_r="2")),
+    "ber-min_bit_errors-float": (["ber"], dict(BER_CONFIG, min_bit_errors=150.9)),
+    "ber-snr_grid_db-string": (["ber"], dict(BER_CONFIG, snr_grid_db="10")),
+    "ber-seed-string": (["ber"], dict(BER_CONFIG, seed="x")),
+    "ber-n_t-float": (["ber"], dict(BER_CONFIG, n_t=2.5)),
+    "ber-fading-string-entry": (["ber"], dict(BER_CONFIG, fading=["a", 2, 4])),
+    "outage-target_rates-number": (["outage"], dict(BER_CONFIG, target_rates=5)),
+    "ber-pa-number": (["ber"], dict(BER_CONFIG, pa=0.5)),
+    "pa-sweep-n_r-float": (["pa-sweep"], {"n_r": 2.9}),
+    "pa-sweep-a2_grid-string": (["pa-sweep"], {"a2_grid": "0.7"}),
+    "pa-sweep-a2_grid-string-entry": (["pa-sweep"], {"a2_grid": ["x"]}),
+    "pa-sweep-snr_db-string": (["pa-sweep"], {"snr_db": "x"}),
+    "validate-metrics-number": (["validate"], dict(BER_CONFIG, metrics=5)),
+    # values the random streams and the SNR conversion cannot take
+    "ber-seed-negative": (["ber", "--seed", "-1"], BER_CONFIG),
+    "ber-snr-overflow": (["ber"], dict(BER_CONFIG, snr_grid_db=[1e300])),
 }
 
 
@@ -249,6 +272,23 @@ def test_invalid_run_is_config_error(tmp_path, capsys, argv, doc):
     if doc is not None:
         argv = argv + ["--config", _write_config(tmp_path, doc), "--out", str(out), "--quiet"]
     assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.glob("*.csv"))
+
+
+def test_invalid_second_run_fails_before_the_first_simulates(tmp_path, monkeypatch, capsys):
+    """Every run's config, tables included, is built before any run
+    simulates, so an invalid modulation in run 2 costs no simulation."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was started")
+
+    monkeypatch.setattr(mc, "run_sweep", no_sweep)
+    doc = {"snr_grid_db": [10.0], "seed": 3, "max_trials": 10_000,
+           "runs": [{"scheme": "ssk-noma", "n_users": 3, "n_r": 2},
+                    {"scheme": "ssk-noma", "n_users": 3, "n_r": 2, "modulations": [4, 6]}]}
+    out = tmp_path / "out"
+    assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.glob("*.csv"))
 

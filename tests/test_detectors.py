@@ -210,10 +210,10 @@ def test_zero_fading_cell_edge_user_runs_a_block():
                          seed=4, fading=(0.0, 0.0, 4.0), block_size=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors = mc._ber_trials(cfg, mc._tables(cfg), 10.0, 0)
+        errors = mc._ber_trials(cfg, 10.0, 0)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
     assert np.array_equal(errors[0], rng.integers(0, cfg.n_t, cfg.block_size) != 0)
-    assert mc._bits_per_trial(cfg)[0] == 1
+    assert cfg.tables.bits[0] == 1
     k2 = rng.integers(0, 4, cfg.block_size)
     assert np.array_equal(errors[1], qpsk().bit_distance_table()[k2, 0])
 
@@ -330,23 +330,18 @@ def test_zero_variance_genie_user_decides_symbol_0():
     assert not decisions[0].any() and not decisions[1].any()
 
 
-@pytest.mark.parametrize("scheme,genie", [(mc.SSK_NOMA, True), (mc.NOMA_BASELINE, True),
-                                          (mc.SSK_NOMA, False)],
-                         ids=["ssk-noma", "noma-baseline", "ssk-noma-no-genie"])
-def test_ber_block_matches_brute_force_chain(scheme, genie):
+@pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
+def test_ber_block_matches_brute_force_chain(scheme):
     """The engine's per-trial bit errors equal a brute-force receiver's
     fed with the same draws, in the engine's order: antenna index, symbols,
-    then per user from user 1 up either its channel matrix and noise (the
-    cell-edge user, and every user without the genie antenna index, which
-    detects the antenna first and then runs the vector SIC chain on it) or
+    then the cell-edge user's channel matrix and noise, then per power user
     its MRC statistics, one gamma and one complex normal per trial."""
     cfg = mc.make_config(scheme=scheme, n_users=3, n_r=2, snr_grid_db=[6.0],
-                         seed=8, block_size=40, genie_antenna=genie)
-    errors = mc._ber_trials(cfg, mc._tables(cfg), 6.0, 2)
+                         seed=8, block_size=40)
+    errors = mc._ber_trials(cfg, 6.0, 2)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(6.0), 2)
     b, power, first = cfg.block_size, 10.0 ** 0.6, cfg.first_power_user
-    consts = cfg.constellations()
-    chis = cfg.sc_alphabet().values
+    consts = cfg.tables.consts
     points = [c.points for c in consts]
     amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]
     v = rng.integers(0, cfg.n_t, b) if first > 1 else np.zeros(b, dtype=int)
@@ -357,16 +352,12 @@ def test_ber_block_matches_brute_force_chain(scheme, genie):
     for i in range(1, cfg.n_users + 1):
         var = cfg.fading.variances[i - 1]
         k = i - first
-        if i < first or not genie:
+        if i < first:
             h = complex_normal(rng, (b, cfg.n_t, cfg.n_r), var)
             r = h[np.arange(b), v] * signal[:, None] + complex_normal(rng, (b, cfg.n_r), 1.0)
             for t in range(b):
-                v_hat, _ = _brute_force_sm(r[t], h[t], chis, power)
-                if i < first:
-                    want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
-                    continue
-                dec, _ = _brute_force_sic(r[t], h[t, v_hat], amps[:k + 1], points[:k + 1])
-                want[i - 1, t] = consts[k].bit_distance_table()[ks[k][t], dec[-1]]
+                v_hat, _ = _brute_force_sm(r[t], h[t], cfg.tables.alphabet.values, power)
+                want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
             continue
         g = var * rng.standard_gamma(cfg.n_r, b)
         y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
@@ -375,7 +366,7 @@ def test_ber_block_matches_brute_force_chain(scheme, genie):
             want[i - 1, t] = consts[k].bit_distance_table()[ks[k][t], dec[-1]]
     assert np.array_equal(errors, want)
     # one antenna bit for user 1 of SSK-NOMA, two bits per QPSK symbol
-    assert mc._bits_per_trial(cfg) == [1] * (first - 1) + [2] * (cfg.n_users + 1 - first)
+    assert cfg.tables.bits == (1,) * (first - 1) + (2,) * (cfg.n_users + 1 - first)
 
 
 # --- nearest-point ML stages ----------------------------------------------------
@@ -471,7 +462,7 @@ def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
     """An 8-PSK user has no nearest-point grid, so its stage takes the metric
     scan while the QPSK stage after it takes the grid."""
     cfg = mc.make_config(mc.SSK_NOMA, 3, 2, [10.0], seed=1, modulations=(8, 4))
-    tables = mc._tables(cfg)
+    tables = cfg.tables
     assert tables.grids[0] is None and tables.grids[1] is not None
     assert tables.sm_grid is None
     grid_sizes = []
@@ -513,7 +504,7 @@ def test_every_preset_detects_on_grids():
     configs = list(_preset_configs())
     assert {name for name, _ in configs} >= {f"fig{n}.json" for n in range(2, 8)}
     for name, cfg in configs:
-        tables = mc._tables(cfg)
+        tables = cfg.tables
         assert len(tables.grids) == len(cfg.modulations)
         assert all(grid is not None for grid in tables.grids), name
         assert (tables.sm_grid is not None) == (cfg.first_power_user > 1), name

@@ -30,6 +30,14 @@ def test_make_config_defaults():
     assert cfg.fading.variances == (1.0, 2.0, 4.0)
 
 
+def test_make_config_takes_integral_floats():
+    """An integer field takes an integral float such as 1e5, as an int."""
+    cfg = _cfg(n_users=3.0, n_r=2.0, max_trials=1e5, seed=9.0)
+    assert (cfg.n_users, cfg.n_r, cfg.n_t, cfg.max_trials, cfg.seed) == (3, 2, 2, 100_000, 9)
+    assert all(type(v) is int for v in (cfg.n_users, cfg.n_r, cfg.max_trials, cfg.seed))
+    assert cfg == _cfg()
+
+
 def test_make_config_baseline_defaults():
     cfg = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                          snr_grid_db=GRID, seed=1)
@@ -53,6 +61,16 @@ def test_default_pa_unknown_count():
     dict(max_trials=100),
     dict(snr_grid_db=[5, 5]),               # points that share a stream key
     dict(snr_grid_db=[10, 10.004]),
+    dict(snr_grid_db=[400.0]),              # beyond +-300 dB (10^(1e300/10) overflows)
+    dict(snr_grid_db=[float("nan")]),
+    dict(seed=-1),                          # random streams take nonnegative seeds
+    dict(n_users=None),                     # required
+    dict(scheme=["ssk-noma"]),
+    dict(pa=(0.8, "0.2")),
+    dict(fading=(1.0, 2.0, None)),
+    dict(target_rates="1, 1, 2"),
+    dict(modulations=(4, 4.5)),
+    dict(noise=1),
 ])
 def test_config_validation_errors(bad):
     with pytest.raises(ConfigError):
@@ -111,15 +129,8 @@ def test_ber_point_stops_on_error_budget():
     points = mc.run_point(cfg, "ber", 0.0)
     # noisy point: every user collects its errors inside the first round
     assert all(p.n_trials == cfg.block_size * cfg.blocks_per_round for p in points)
-    for p, bits in zip(points, mc._bits_per_trial(cfg)):
+    for p, bits in zip(points, cfg.tables.bits):
         assert round(p.value * p.n_trials * bits) >= 100
-
-
-def test_antenna_estimation_path_runs():
-    cfg = _cfg(genie_antenna=False, max_trials=10_000, block_size=2_500)
-    points = {p.user: p for p in mc.run_point(cfg, "ber", 20.0)}
-    assert set(points) == {1, 2, 3}
-    assert all(0.0 <= p.value <= 1.0 for p in points.values())
 
 
 def test_rate_point_sum_slot():
@@ -164,9 +175,8 @@ def test_halfwidth_replays_the_trial_variance(monkeypatch, metric, trials_fn):
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
     cfg = _cfg(seed=19, target_rates=(0.5, 1.0, 1.5), max_trials=40_000, block_size=5_000)
     points = mc.run_point(cfg, metric, 10.0)
-    tables = mc._tables(cfg)
-    blocks = [trials_fn(cfg, tables, 10.0, j) for j in range(points[0].n_trials // cfg.block_size)]
-    bits = mc._bits_per_trial(cfg) if metric == "ber" else [1] * cfg.n_users
+    blocks = [trials_fn(cfg, 10.0, j) for j in range(points[0].n_trials // cfg.block_size)]
+    bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
     for p in points:
         trials = np.concatenate([block[p.user - 1] for block in blocks]) / bits[p.user - 1]
         assert p.n_trials == trials.size
@@ -188,7 +198,7 @@ def _coverage(metric, n_r, grid, **kw):
     for seed in COVERAGE_SEEDS:
         cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=n_r, snr_grid_db=grid,
                              seed=seed, max_trials=10_000, block_size=2_500, **kw)
-        bits = mc._bits_per_trial(cfg) if metric == "ber" else [1] * cfg.n_users
+        bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
         for snr in grid:
             for p in mc.run_point(cfg, metric, snr):
                 key = (metric, p.user, snr)
