@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .channel import FadingProfile, default_profile  # noqa: F401
 from .constellation import (  # noqa: F401
     PowerAllocation,
-    ScAlphabet,
     UserConstellation,
     enumerate_sc_alphabet,
     make_constellation,

@@ -14,7 +14,7 @@ from math import comb, factorial, prod
 import numpy as np
 from scipy import integrate, special
 
-from .constellation import PowerAllocation, ScAlphabet
+from .constellation import PowerAllocation
 from .errors import ConfigError, InputError, as_tuple
 
 # ---------------------------------------------------------------------------
@@ -73,25 +73,11 @@ def rayleigh_q_average(mu: float, n_r: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaSet:
-    """Composite-symbol energy levels derived from (a_2, a_3)."""
-
-    zeta1: float
-    zeta2: float
-    zeta3: float
-    zeta4: float
-    zeta5: float
-
-    def as_tuple(self):
-        return (self.zeta1, self.zeta2, self.zeta3, self.zeta4, self.zeta5)
-
-
-def zeta_set(a2: float, a3: float) -> ZetaSet:
+def zeta_set(a2: float, a3: float) -> tuple:
+    """Composite-symbol energy levels (zeta_1, ..., zeta_5) derived from
+    (a_2, a_3)."""
     r2, r3 = np.sqrt(a2), np.sqrt(a3)
-    return ZetaSet(
-        (r2 - r3) ** 2, (r2 + r3) ** 2, a3, (2 * r2 - r3) ** 2, (2 * r2 + r3) ** 2
-    )
+    return (r2 - r3) ** 2, (r2 + r3) ** 2, a3, (2 * r2 - r3) ** 2, (2 * r2 + r3) ** 2
 
 
 @dataclass(frozen=True)
@@ -136,19 +122,19 @@ def _check_power_user(i: int, pa: PowerAllocation, first_user: int = 2):
 # ---------------------------------------------------------------------------
 
 
-def _pair_energy_levels(alphabet: ScAlphabet):
+def _pair_energy_levels(alphabet: np.ndarray):
     """Distinct pair energies |chi_k|^2 + |chi_hat|^2 over all ordered
     composite-symbol pairs, with the share of pairs at each level. The pair
     energies collapse to a handful of levels even for large alphabets; each
     level is the energy of its first pair, not the rounded grouping key."""
-    energy = np.abs(alphabet.values) ** 2
+    energy = np.abs(alphabet) ** 2
     e = (energy[:, None] + energy[None, :]).ravel()
     _, first, counts = np.unique(np.round(e, 12), return_index=True,
                                  return_counts=True)
     return e[first], counts / e.size
 
 
-def abep_u1(alphabet: ScAlphabet, n_t: int, n_r: int, rho: float,
+def abep_u1(alphabet: np.ndarray, n_t: int, n_r: int, rho: float,
             sigma1_sq: float, clamp: bool = True) -> float:
     """Union bound on the cell-edge user's ABEP: antenna-pair factor times the
     pairwise error probability averaged uniformly over all ordered composite
@@ -176,7 +162,7 @@ BEP_CHUNK_ROWS = 1024
 _SQRT2 = np.sqrt(2.0)
 
 
-def _bep_u1_curve(alphabet: ScAlphabet, n_t: int, clamp: bool):
+def _bep_u1_curve(alphabet: np.ndarray, n_t: int, clamp: bool):
     """Cell-edge BEP as a function of an array of instantaneous MRC SNRs,
     with the pair-energy levels built once.
 
@@ -230,7 +216,7 @@ def _bep_u1_curve(alphabet: ScAlphabet, n_t: int, clamp: bool):
     return bep
 
 
-def conditional_bep_u1_vec(gammas: np.ndarray, alphabet: ScAlphabet,
+def conditional_bep_u1_vec(gammas: np.ndarray, alphabet: np.ndarray,
                            n_t: int, clamp: bool = True) -> np.ndarray:
     """BEP of the cell-edge user conditioned on each instantaneous MRC SNR,
     clamped to [0, 1] unless ``clamp`` is false."""
@@ -240,7 +226,7 @@ def conditional_bep_u1_vec(gammas: np.ndarray, alphabet: ScAlphabet,
     return _bep_u1_curve(alphabet, n_t, clamp)(gammas)
 
 
-def conditional_bep_u1(gamma1: float, alphabet: ScAlphabet, n_t: int,
+def conditional_bep_u1(gamma1: float, alphabet: np.ndarray, n_t: int,
                        clamp: bool = True) -> float:
     """Scalar :func:`conditional_bep_u1_vec`."""
     if gamma1 < 0:
@@ -255,16 +241,15 @@ def conditional_bep_u1(gamma1: float, alphabet: ScAlphabet, n_t: int,
 
 def conditional_bep_u2(gamma2: float, a2: float, a3: float) -> float:
     """Exact conditional BEP of U2 (QPSK, weaker user treated as noise)."""
-    z = zeta_set(a2, a3)
-    return float(0.5 * (q_func(np.sqrt(z.zeta1 * gamma2)) + q_func(np.sqrt(z.zeta2 * gamma2))))
+    z1, z2, *_ = zeta_set(a2, a3)
+    return float(0.5 * (q_func(np.sqrt(z1 * gamma2)) + q_func(np.sqrt(z2 * gamma2))))
 
 
 def abep_u2(a2: float, a3: float, gamma_bar_2: float, n_r: int) -> float:
     """Exact ABEP of U2 for the three-user QPSK network."""
     _check_two_user_pa(a2, a3)
-    z = zeta_set(a2, a3)
     total = 0.0
-    for zc in (z.zeta1, z.zeta2):
+    for zc in zeta_set(a2, a3)[:2]:
         mu = np.sqrt(zc * gamma_bar_2 / (2.0 + zc * gamma_bar_2))
         total += 0.5 * rayleigh_q_average(mu, n_r)
     return total
@@ -276,17 +261,17 @@ _U3_WEIGHTS = (1.0, 1.0, 2.0, 1.0, 1.0)
 
 def conditional_bep_u3_correct(gamma3: float, a2: float, a3: float) -> float:
     """BEP of U3 jointly with a correct SIC decision on U2's symbol."""
-    z = zeta_set(a2, a3)
-    return float(0.5 * (2 * q_func(np.sqrt(z.zeta3 * gamma3)) - q_func(np.sqrt(z.zeta2 * gamma3))))
+    _, z2, z3, _, _ = zeta_set(a2, a3)
+    return float(0.5 * (2 * q_func(np.sqrt(z3 * gamma3)) - q_func(np.sqrt(z2 * gamma3))))
 
 
 def conditional_bep_u3_error(gamma3: float, a2: float, a3: float) -> float:
     """BEP of U3 jointly with an erroneous SIC decision on U2's symbol."""
-    z = zeta_set(a2, a3)
+    z1, _, _, z4, z5 = zeta_set(a2, a3)
     return float(0.5 * (
-        q_func(np.sqrt(z.zeta1 * gamma3))
-        - q_func(np.sqrt(z.zeta4 * gamma3))
-        + q_func(np.sqrt(z.zeta5 * gamma3))
+        q_func(np.sqrt(z1 * gamma3))
+        - q_func(np.sqrt(z4 * gamma3))
+        + q_func(np.sqrt(z5 * gamma3))
     ))
 
 
@@ -298,9 +283,8 @@ def conditional_bep_u3(gamma3: float, a2: float, a3: float) -> float:
 def abep_u3(a2: float, a3: float, gamma_bar_3: float, n_r: int) -> float:
     """Exact ABEP of U3: five-term alternating sum over the energy levels."""
     _check_two_user_pa(a2, a3)
-    zetas = zeta_set(a2, a3).as_tuple()
     total = 0.0
-    for zc, sign, weight in zip(zetas, _U3_SIGNS, _U3_WEIGHTS):
+    for zc, sign, weight in zip(zeta_set(a2, a3), _U3_SIGNS, _U3_WEIGHTS):
         mu = np.sqrt(zc * gamma_bar_3 / (2.0 + zc * gamma_bar_3))
         total += 0.5 * weight * sign * rayleigh_q_average(mu, n_r)
     return total
@@ -483,7 +467,7 @@ def outage_noma_user(i: int, pa: PowerAllocation, targets: OutageTargets,
     return float(chi2_cdf(psi, n_r, rho * sigma_i_sq))
 
 
-def outage_u1(targets: OutageTargets, n_t: int, alphabet: ScAlphabet, n_r: int,
+def outage_u1(targets: OutageTargets, n_t: int, alphabet: np.ndarray, n_r: int,
               rho: float, sigma1_sq: float) -> float:
     """Outage probability of the cell-edge user: tail integral of the
     conditional BEP against the fading density, as printed in the source

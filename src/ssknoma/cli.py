@@ -89,6 +89,8 @@ def _runs_from_doc(doc: dict, args):
     """A config document is either one run or {"runs": [...]} with shared
     top-level defaults."""
     runs = doc.get("runs")
+    if runs == []:
+        raise ConfigError("runs must not be empty")
     return [_build_sim_config({**doc, **run}, args) for run in ([{}] if runs is None else runs)]
 
 

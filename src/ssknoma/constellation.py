@@ -1,19 +1,21 @@
-"""Transmit-side primitives: Gray-mapped user constellations, power-domain
-superposition coding, composite-alphabet enumeration and antenna-index mapping.
+"""Transmit-side primitives: Gray-labelled user constellations, the
+power-domain superposition of their points into the composite alphabet, and
+the bit errors between two labels.
 
-Bit-string conventions
-----------------------
-Bit strings are plain ``str`` objects of '0'/'1'. For QPSK the label is read
-as (b2 b1): the last character selects the sign of the real axis and the
-first character the sign of the imaginary axis, so "00" -> (+1+1j)/sqrt(2)
-and "01" -> (-1+1j)/sqrt(2). Antenna labels are natural binary, zero maps to
-the first antenna.
+Bit labels
+----------
+A symbol's bits are the binary digits of an integer label: ``labels[k]``
+labels ``points[k]``, both numpy arrays. For QPSK the labels are
+[0, 1, 3, 2]: the low bit selects the sign of the real axis and the high bit
+the sign of the imaginary axis, so 0 -> (+1+1j)/sqrt(2) and
+1 -> (-1+1j)/sqrt(2). The cell-edge user's bits are the natural-binary
+0-based index of the active antenna, so that index is its label. A decision
+costs ``bit_errors(label, decided label)`` bits.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,80 +28,68 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _gray_code(n: int) -> int:
+def _gray_code(n):
     return n ^ (n >> 1)
 
 
-@dataclass(frozen=True)
-class UserConstellation:
-    """A unit-average-energy constellation with Gray-ordered labels.
+def bit_errors(a, b):
+    """Bits in which the integer labels ``a`` and ``b`` differ, elementwise:
+    the popcount of ``a ^ b``, as ``intp``."""
+    return np.bitwise_count(np.bitwise_xor(a, b)).astype(np.intp)
 
-    ``symbols[k]`` is labeled by ``labels[k]``; consecutive labels differ in
-    exactly one bit.
+
+@dataclass(frozen=True, eq=False)
+class UserConstellation:
+    """A unit-average-energy constellation with Gray-ordered integer labels.
+
+    ``points[k]`` is labeled by ``labels[k]``; consecutive labels differ in
+    exactly one bit. Both arrays are read-only.
     """
 
-    order: int
-    symbols: tuple
-    labels: tuple
+    points: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        m = self.order
+        pts = np.array(self.points, dtype=complex)
+        labels = np.array(self.labels, dtype=np.intp)
+        for name, values in (("points", pts), ("labels", labels)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        m = pts.size
         if m < 2 or not _is_pow2(m):
             raise ConfigError(f"constellation order must be a power of 2 >= 2, got {m}")
-        if len(self.symbols) != m or len(self.labels) != m:
-            raise ConfigError("symbols/labels length must equal the order")
-        nbits = self.bits_per_symbol
-        if any(len(lab) != nbits or set(lab) - {"0", "1"} for lab in self.labels):
-            raise ConfigError("labels must be bit strings of length log2(M)")
-        if len(set(self.labels)) != m:
-            raise ConfigError("labels must be distinct")
-        pts = np.asarray(self.symbols, dtype=complex)
+        if sorted(labels.tolist()) != list(range(m)):
+            raise ConfigError("labels must be the log2(M)-bit integers, one per point")
         if abs(np.mean(np.abs(pts) ** 2) - 1.0) > _ENERGY_TOL:
             raise ConfigError("constellation must have unit average energy")
-        if len({complex(p) for p in self.symbols}) != m:
+        if len(set(pts.tolist())) != m:
             raise ConfigError("constellation symbols must be distinct")
-        for a, b in zip(self.labels, self.labels[1:]):
-            if sum(x != y for x, y in zip(a, b)) != 1:
-                raise ConfigError("adjacent Gray labels must differ in exactly one bit")
+        if np.any(bit_errors(labels[:-1], labels[1:]) != 1):
+            raise ConfigError("adjacent Gray labels must differ in exactly one bit")
+
+    @property
+    def order(self) -> int:
+        return self.points.size
 
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.asarray(self.symbols, dtype=complex)
-
-    def index_of_label(self, bits: str) -> int:
-        try:
-            return self.labels.index(bits)
-        except ValueError:
-            raise InputError(f"unknown label {bits!r}") from None
-
     def bit_distance_table(self) -> np.ndarray:
-        """Hamming distance between the labels of every symbol pair."""
-        return hamming_table(self.labels)
-
-
-def hamming_table(labels) -> np.ndarray:
-    """Hamming distance between every pair of equal-length bit-string labels."""
-    bits = np.array([[int(b) for b in lab] for lab in labels], dtype=int)
-    bits = bits.reshape(len(labels), -1)  # keeps empty labels two-dimensional
-    return np.count_nonzero(bits[:, None, :] != bits[None, :, :], axis=2)
+        """Bit errors between the labels of every symbol pair."""
+        return bit_errors(self.labels[:, None], self.labels[None, :])
 
 
 def bpsk() -> UserConstellation:
-    return UserConstellation(2, (1 + 0j, -1 + 0j), ("0", "1"))
+    return UserConstellation([1 + 0j, -1 + 0j], [0, 1])
 
 
 def qpsk() -> UserConstellation:
-    """Diagonal QPSK: (b2 b1) with b1 flipping the real axis, b2 the imaginary."""
+    """Diagonal QPSK: the low label bit flips the real axis, the high bit the
+    imaginary."""
     s = 1 / np.sqrt(2)
-    return UserConstellation(
-        4,
-        (complex(s, s), complex(-s, s), complex(-s, -s), complex(s, -s)),
-        ("00", "01", "11", "10"),
-    )
+    return UserConstellation([complex(s, s), complex(-s, s), complex(-s, -s), complex(s, -s)],
+                             [0, 1, 3, 2])
 
 
 def mpsk(order: int) -> UserConstellation:
@@ -110,14 +100,13 @@ def mpsk(order: int) -> UserConstellation:
         return qpsk()
     if not _is_pow2(order):
         raise ConfigError(f"M-PSK order must be a power of 2, got {order}")
-    nbits = order.bit_length() - 1
-    symbols = tuple(np.exp(2j * np.pi * n / order) for n in range(order))
-    labels = tuple(format(_gray_code(n), f"0{nbits}b") for n in range(order))
-    return UserConstellation(order, symbols, labels)
+    n = np.arange(order)
+    return UserConstellation(np.exp(2j * np.pi * n / order), _gray_code(n))
 
 
 def square_qam(order: int) -> UserConstellation:
-    """Square M-QAM, per-axis Gray labels, unit average energy.
+    """Square M-QAM, per-axis Gray labels (in-phase bits high), unit average
+    energy.
 
     Symbols are listed in boustrophedon (snake) order through the grid so
     consecutive entries stay Gray-adjacent.
@@ -125,19 +114,15 @@ def square_qam(order: int) -> UserConstellation:
     m_axis = int(round(np.sqrt(order)))
     if m_axis * m_axis != order or not _is_pow2(order) or order < 4:
         raise ConfigError(f"square QAM order must be an even power of 2 >= 4, got {order}")
-    bits_axis = m_axis.bit_length() - 1
     levels = 2 * np.arange(m_axis) - (m_axis - 1)
     scale = np.sqrt(np.mean(levels**2) * 2)
-    symbols, labels = [], []
-    for qi in range(m_axis):
-        i_range = range(m_axis) if qi % 2 == 0 else range(m_axis - 1, -1, -1)
-        for ii in i_range:
-            symbols.append(complex(levels[ii], levels[qi]) / scale)
-            labels.append(
-                format(_gray_code(ii), f"0{bits_axis}b")
-                + format(_gray_code(qi), f"0{bits_axis}b")
-            )
-    return UserConstellation(order, tuple(symbols), tuple(labels))
+    qi, ii = np.divmod(np.arange(order), m_axis)
+    ii = np.where(qi % 2 == 0, ii, m_axis - 1 - ii)
+    # each axis divided on its own: dividing the complex sum by the scale
+    # rounds differently in the last bit
+    points = levels[ii] / scale + 1j * (levels[qi] / scale)
+    bits_axis = m_axis.bit_length() - 1
+    return UserConstellation(points, (_gray_code(ii) << bits_axis) | _gray_code(qi))
 
 
 def make_constellation(order: int) -> UserConstellation:
@@ -175,48 +160,12 @@ class PowerAllocation:
         return len(self.coefficients)
 
 
-@dataclass(frozen=True)
-class ScAlphabet:
-    """All composite superposition-coded symbols, lexicographic by the
-    per-user symbol index tuple."""
-
-    entries: tuple  # of (index tuple, complex symbol)
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "size", len(self.entries))
-        if self.size == 0:
-            raise ConfigError("SC alphabet must not be empty")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([chi for _, chi in self.entries], dtype=complex)
-
-
-def superpose(symbols, pa: PowerAllocation) -> complex:
-    """Superposition-coded composite symbol sum(sqrt(a_i) * s_i)."""
-    if len(symbols) != pa.n_users:
-        raise InputError(
-            f"expected {pa.n_users} symbols, got {len(symbols)}"
-        )
-    return complex(sum(np.sqrt(a) * s for a, s in zip(pa.coefficients, symbols)))
-
-
-def enumerate_sc_alphabet(constellations, pa: PowerAllocation) -> ScAlphabet:
-    """Enumerate all prod(M_i) composite symbols in lexicographic index order."""
+def enumerate_sc_alphabet(constellations, pa: PowerAllocation) -> np.ndarray:
+    """All prod(M_i) composite symbols sum(sqrt(a_i) * s_i), lexicographic in
+    the per-user symbol indices, as one complex array."""
     if len(constellations) != pa.n_users:
         raise InputError("one constellation per power-multiplexed user required")
-    entries = []
-    for idx in itertools.product(*(range(c.order) for c in constellations)):
-        chi = superpose([c.symbols[k] for c, k in zip(constellations, idx)], pa)
-        entries.append((idx, chi))
-    return ScAlphabet(tuple(entries))
-
-
-def antenna_label(v: int, n_antennas: int) -> str:
-    """Natural-binary log2(N_t)-bit label of antenna index v in 1..N_t."""
-    nbits = n_antennas.bit_length() - 1
-    if not 1 <= v <= n_antennas:
-        raise InputError(f"antenna index {v} out of 1..{n_antennas}")
-    return format(v - 1, f"0{nbits}b") if nbits else ""
-
+    alphabet = np.zeros(1, dtype=complex)
+    for c, a in zip(constellations, pa.coefficients):
+        alphabet = (alphabet[:, None] + np.sqrt(a) * c.points).ravel()
+    return alphabet

@@ -26,14 +26,7 @@ import numpy as np
 
 from . import analytics
 from .channel import FadingProfile, complex_normal, default_profile, rng_stream
-from .constellation import (
-    PowerAllocation,
-    ScAlphabet,
-    antenna_label,
-    enumerate_sc_alphabet,
-    hamming_table,
-    make_constellation,
-)
+from .constellation import PowerAllocation, bit_errors, enumerate_sc_alphabet, make_constellation
 from .errors import ConfigError, as_int, as_tuple
 from .analytics import OutageTargets
 
@@ -238,10 +231,8 @@ class _Tables(NamedTuple):
 
     consts: tuple                # power users' constellations, decoding order
     grids: tuple                 # their nearest-point grids (None if not Cartesian)
-    bit_tables: tuple            # their label Hamming distances
-    alphabet: ScAlphabet | None  # composite alphabet (None without user 1)
+    alphabet: np.ndarray | None  # composite alphabet (None without user 1)
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
-    antenna_bits: np.ndarray     # Hamming distances of the antenna labels
     bits: tuple                  # each user's bits per trial
 
 
@@ -279,14 +270,12 @@ def _tables(cfg: SimConfig) -> _Tables:
     alphabet = sm_grid = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
-        sm_grid = _sm_grid(alphabet.values)
-    antenna_labels = [antenna_label(v, cfg.n_t) for v in range(1, cfg.n_t + 1)]
+        sm_grid = _sm_grid(alphabet)
     # log2 N_t bits on the antenna index, else bits per symbol
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
-    return _Tables(consts, tuple(_sm_grid(c.points) for c in consts),
-                   tuple(c.bit_distance_table() for c in consts), alphabet, sm_grid,
-                   hamming_table(antenna_labels), bits)
+    return _Tables(consts, tuple(_sm_grid(c.points) for c in consts), alphabet, sm_grid,
+                   bits)
 
 
 def _ml_detect_block(y, g, amp, points, grid=None):
@@ -420,14 +409,14 @@ def _ber_trials(cfg: SimConfig, snr_db: float, block: int):
         r = h_full[np.arange(b), v, :] * signal[:, None]
         if cfg.noise:
             r += complex_normal(rng, (b, n_r), 1.0)
-        v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet.values,
-                                    tables.sm_grid)
-        errors.append(tables.antenna_bits[v, v_hat])
+        v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet, tables.sm_grid)
+        errors.append(bit_errors(v, v_hat))  # an antenna's label is its index
     for k, var in enumerate(variances[first - 1:]):
         y, g = _mrc_statistic(rng, var, n_r, signal, cfg.noise)
         decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1],
                                           tables.grids[:k + 1])
-        errors.append(tables.bit_tables[k][ks[k], decisions[-1]])
+        labels = tables.consts[k].labels
+        errors.append(bit_errors(labels[ks[k]], labels[decisions[-1]]))
     return errors
 
 

@@ -81,7 +81,7 @@ def test_c02_composite_alphabet_table():
     a2, a3 = 0.8, 0.2
     labels = ("00", "01", "11", "10")  # Gray storage order used by qpsk()
     worst = 0.0
-    for (k2, k3), chi in ALPHABET3.entries:
+    for (k2, k3), chi in zip(itertools.product(range(4), range(4)), ALPHABET3):
         l2, l3 = labels[k2], labels[k3]
         re = (1 if l2[1] == "0" else -1) * math.sqrt(a2 / 2) + (
             1 if l3[1] == "0" else -1
@@ -227,7 +227,7 @@ def test_c07_diversity_order():
 
 
 def test_c08_energy_level_identities():
-    z = zeta_set(0.8, 0.2).as_tuple()
+    z = zeta_set(0.8, 0.2)
     want = (0.2, 1.8, 0.2, 1.8, 5.0)
     worst = max(abs(a - b) for a, b in zip(z, want))
     _verdict(8, "energy-level identities", worst < 1e-12, f"max|err|={worst:.1e}")

@@ -121,7 +121,7 @@ def test_rayleigh_q_average_reflection(n_r):
 
 
 def test_zeta_identities():
-    z = zeta_set(0.8, 0.2).as_tuple()
+    z = zeta_set(0.8, 0.2)
     assert np.allclose(z, (0.2, 1.8, 0.2, 1.8, 5.0), atol=1e-12)
 
 
@@ -183,8 +183,8 @@ def _pair_loop_peps(alphabet, per_pair):
     """Mean of ``per_pair(|chi_k|^2 + |chi_hat|^2)`` over every ordered pair of
     composite symbols, one pair at a time."""
     total = 0.0
-    for chi_k in alphabet.values:
-        for chi_hat in alphabet.values:
+    for chi_k in alphabet:
+        for chi_hat in alphabet:
             total += per_pair(abs(chi_k) ** 2 + abs(chi_hat) ** 2)
     return total / alphabet.size**2
 

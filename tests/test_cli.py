@@ -263,6 +263,11 @@ INVALID_RUNS = {
     # values the random streams and the SNR conversion cannot take
     "ber-seed-negative": (["ber", "--seed", "-1"], BER_CONFIG),
     "ber-snr-overflow": (["ber"], dict(BER_CONFIG, snr_grid_db=[1e300])),
+    # a document that runs nothing wrote a header-only CSV or passed validation
+    "ber-empty-runs": (["ber"], {"snr_grid_db": [10.0], "runs": []}),
+    "capacity-empty-runs": (["capacity"], {"snr_grid_db": [10.0], "runs": []}),
+    "outage-empty-runs": (["outage"], {"snr_grid_db": [10.0], "runs": []}),
+    "validate-empty-runs": (["validate"], {"snr_grid_db": [10.0], "runs": []}),
 }
 
 

@@ -1,5 +1,6 @@
-"""Transmit-side unit tests: constellations, superposition coding, antenna
-mapping. Oracle values are computed independently inside the tests."""
+"""Transmit-side unit tests: constellations and their integer bit labels,
+superposition coding, the antenna index as a label. Oracle values are
+computed independently inside the tests."""
 
 import itertools
 
@@ -9,49 +10,50 @@ import pytest
 from ssknoma.constellation import (
     PowerAllocation,
     UserConstellation,
-    antenna_label,
+    bit_errors,
     bpsk,
     enumerate_sc_alphabet,
-    hamming_table,
     make_constellation,
     mpsk,
     qpsk,
     square_qam,
-    superpose,
 )
 from ssknoma.errors import ConfigError, InputError
 
 S = 1 / np.sqrt(2)
 
-# label -> expected point, fixed by the bit-direction convention in the module
+# label -> expected point, fixed by the bit-direction convention in the module:
+# the low bit flips the real axis, the high bit the imaginary one
 QPSK_POINTS = {
-    "00": complex(S, S),
-    "01": complex(-S, S),
-    "11": complex(-S, -S),
-    "10": complex(S, -S),
+    0b00: complex(S, S),
+    0b01: complex(-S, S),
+    0b11: complex(-S, -S),
+    0b10: complex(S, -S),
 }
 
 
 def test_qpsk_labels_and_points():
     c = qpsk()
     assert c.order == 4
+    got = dict(zip(c.labels.tolist(), c.points.tolist()))
     for lab, want in QPSK_POINTS.items():
-        got = c.symbols[c.index_of_label(lab)]
-        assert got == pytest.approx(want, abs=1e-15)
+        assert got[lab] == pytest.approx(want, abs=1e-15)
 
 
 def test_qpsk_gray_order():
-    assert qpsk().labels == ("00", "01", "11", "10")
+    assert qpsk().labels.tolist() == [0, 1, 3, 2]
 
 
 @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
 def test_constellation_unit_energy_and_gray(order):
     c = make_constellation(order)
     pts = c.points
+    assert pts.dtype == complex and c.labels.dtype == np.intp
     assert np.mean(np.abs(pts) ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert len(set(c.labels)) == order
-    for a, b in zip(c.labels, c.labels[1:]):
-        assert sum(x != y for x, y in zip(a, b)) == 1
+    # the labels are the log2(M)-bit integers, each once
+    assert sorted(c.labels.tolist()) == list(range(order))
+    for a, b in zip(c.labels.tolist(), c.labels[1:].tolist()):
+        assert bin(a ^ b).count("1") == 1
 
 
 def test_square_qam_grid():
@@ -69,14 +71,23 @@ def test_bad_constellations_rejected():
     with pytest.raises(ConfigError):
         square_qam(8)
     with pytest.raises(ConfigError):
-        UserConstellation(2, (2 + 0j, -2 + 0j), ("0", "1"))  # energy 4
+        UserConstellation([2 + 0j, -2 + 0j], [0, 1])  # energy 4
     with pytest.raises(ConfigError):
-        UserConstellation(4, qpsk().symbols, ("00", "11", "01", "10"))  # not Gray
+        UserConstellation(qpsk().points, [0, 3, 1, 2])  # not Gray
+    with pytest.raises(ConfigError):
+        UserConstellation(qpsk().points[:3], [0, 1, 3])  # order not a power of 2
+    with pytest.raises(ConfigError):
+        UserConstellation(qpsk().points, [0, 1, 1, 0])  # labels not distinct
+    with pytest.raises(ConfigError):
+        UserConstellation(qpsk().points, [0, 1, 3])  # a point without a label
+    with pytest.raises(ConfigError):
+        UserConstellation([1 + 0j, 1 + 0j, -1 + 0j, -1 + 0j], [0, 1, 3, 2])  # repeated points
 
 
 def test_bit_distance_table_properties():
     c = make_constellation(16)
     t = c.bit_distance_table()
+    assert t.dtype == np.intp
     assert (np.diag(t) == 0).all()
     assert (t == t.T).all()
     assert t.max() <= c.bits_per_symbol
@@ -85,18 +96,26 @@ def test_bit_distance_table_properties():
         assert t[k, k + 1] == 1
 
 
-@pytest.mark.parametrize("n_antennas", [1, 2, 4, 8])
+@pytest.mark.parametrize("n_antennas", [1, 2, 4, 8, 16])
 def test_hamming_table_of_antenna_labels(n_antennas):
-    labels = [antenna_label(v, n_antennas) for v in range(1, n_antennas + 1)]
+    """An antenna's label is its 0-based index, so the bits a wrong antenna
+    decision costs are ``bit_errors`` of the two indices, for every pair."""
+    v = np.arange(n_antennas)
     want = [[bin(a ^ b).count("1") for b in range(n_antennas)] for a in range(n_antennas)]
-    assert hamming_table(labels).tolist() == want
+    got = bit_errors(v[:, None], v[None, :])
+    assert got.dtype == np.intp
+    assert got.tolist() == want
 
 
 def test_gray_map_rejects_wrong_length():
-    with pytest.raises(InputError):
-        qpsk().index_of_label("0")
-    with pytest.raises(InputError):
-        qpsk().index_of_label("02")
+    """Labels wider than log2(M) bits are rejected, even when distinct and
+    Gray-adjacent, and so are negative ones."""
+    with pytest.raises(ConfigError):
+        UserConstellation(bpsk().points, [0, 2])
+    with pytest.raises(ConfigError):
+        UserConstellation(qpsk().points, [0, 1, 5, 4])
+    with pytest.raises(ConfigError):
+        UserConstellation(bpsk().points, [-1, 0])
 
 
 # --- power allocation -------------------------------------------------------
@@ -114,28 +133,30 @@ def test_power_allocation_validation():
 
 
 def test_superpose_matches_direct_sum():
+    """The composite symbol of the label pair (0b00, 0b01) is the direct sum."""
     pa = PowerAllocation((0.8, 0.2))
-    s2 = QPSK_POINTS["00"]
-    s3 = QPSK_POINTS["01"]
+    s2 = QPSK_POINTS[0b00]
+    s3 = QPSK_POINTS[0b01]
     want = np.sqrt(0.8) * s2 + np.sqrt(0.2) * s3
-    assert superpose([s2, s3], pa) == pytest.approx(want, abs=1e-15)
+    chi = enumerate_sc_alphabet([qpsk(), qpsk()], pa)[1]  # indices (0, 1)
+    assert chi == pytest.approx(want, abs=1e-15)
     # pinned numeric value for the canonical pair
-    assert superpose([s2, s3], pa) == pytest.approx(0.31622777 + 0.94868330j, abs=1e-7)
+    assert chi == pytest.approx(0.31622777 + 0.94868330j, abs=1e-7)
 
 
 def test_superpose_length_check():
     with pytest.raises(InputError):
-        superpose([1 + 0j], PowerAllocation((0.8, 0.2)))
+        enumerate_sc_alphabet([qpsk()], PowerAllocation((0.8, 0.2)))
 
 
 def test_sc_alphabet_enumeration_order_and_values():
     pa = PowerAllocation((0.8, 0.2))
     alphabet = enumerate_sc_alphabet([qpsk(), qpsk()], pa)
-    assert alphabet.size == 16
-    assert [idx for idx, _ in alphabet.entries] == list(itertools.product(range(4), range(4)))
-    # every entry equals the direct weighted sum of its component symbols
+    assert alphabet.dtype == complex and alphabet.shape == (16,)
+    # entry j is the direct weighted sum of the j-th index tuple in
+    # lexicographic order
     q = qpsk().points
-    for (k2, k3), chi in alphabet.entries:
+    for (k2, k3), chi in zip(itertools.product(range(4), range(4)), alphabet):
         want = np.sqrt(0.8) * q[k2] + np.sqrt(0.2) * q[k3]
         assert abs(chi - want) < 1e-14
 
@@ -143,25 +164,33 @@ def test_sc_alphabet_enumeration_order_and_values():
 def test_sc_alphabet_mean_energy_is_one():
     pa = PowerAllocation((0.7, 0.2, 0.1))
     alphabet = enumerate_sc_alphabet([qpsk()] * 3, pa)
-    assert np.mean(np.abs(alphabet.values) ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert np.mean(np.abs(alphabet) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-# --- antenna mapping --------------------------------------------------------
+# --- the antenna index as a label ---------------------------------------------
 
 
 @pytest.mark.parametrize("n_t", [1, 2, 4, 8, 16])
 def test_antenna_map_bijection(n_t):
-    """Antenna v in 1..N_t carries the natural-binary label of v - 1."""
+    """Antenna indices 0..N_t-1 are their own natural-binary labels of
+    log2(N_t) bits: distinct antennas differ in at least one bit and at most
+    log2(N_t), and each bit differs between half of the ordered pairs."""
     nbits = n_t.bit_length() - 1
-    labels = [antenna_label(v, n_t) for v in range(1, n_t + 1)]
-    assert labels == [format(n, f"0{nbits}b") if nbits else "" for n in range(n_t)]
-
-
-def test_map_antenna_errors():
-    for v in (0, 5):
-        with pytest.raises(InputError):
-            antenna_label(v, 4)
+    v = np.arange(n_t)
+    table = bit_errors(v[:, None], v[None, :])
+    assert ((table == 0) == np.eye(n_t, dtype=bool)).all()
+    assert table.max() <= nbits
+    assert table.sum() == nbits * n_t * n_t // 2
 
 
 def test_bpsk_points():
-    assert bpsk().symbols == (1 + 0j, -1 + 0j)
+    assert bpsk().points.tolist() == [1 + 0j, -1 + 0j]
+    assert bpsk().labels.tolist() == [0, 1]
+
+
+def test_constellation_arrays_are_read_only():
+    """Every config shares its constellations' arrays through its tables."""
+    c = qpsk()
+    for values in (c.points, c.labels):
+        with pytest.raises(ValueError):
+            values[0] = 0

@@ -30,7 +30,7 @@ from ssknoma.montecarlo import (
 
 PA3 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA3)
-GRID3 = _sm_grid(ALPHABET3.values)
+GRID3 = _sm_grid(ALPHABET3)
 BATCH = 5
 
 # composite alphabets of the power users: (modulation orders, allocation)
@@ -46,7 +46,7 @@ SM_ALPHABETS = {
 def _alphabet(name):
     orders, pa = SM_ALPHABETS[name]
     return enumerate_sc_alphabet([make_constellation(m) for m in orders],
-                                 PowerAllocation(pa)).values
+                                 PowerAllocation(pa))
 
 
 def _brute_force_sm(r, h, chis, power):
@@ -112,9 +112,9 @@ def test_detect_sm_matches_brute_force(trial):
     power = 10.0
     h = complex_normal(rng, (BATCH, 4, 2), 1.0)
     r = complex_normal(rng, (BATCH, 2), 3.0)
-    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), ALPHABET3.values, GRID3)
+    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), ALPHABET3, GRID3)
     for b in range(BATCH):
-        assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], ALPHABET3.values, power)
+        assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], ALPHABET3, power)
 
 
 def test_detect_sm_noiseless_recovers_truth():
@@ -123,9 +123,9 @@ def test_detect_sm_noiseless_recovers_truth():
     power = 25.0
     h = complex_normal(rng, (2, 4), 1.0)
     v, k = np.divmod(np.arange(2 * ALPHABET3.size), ALPHABET3.size)
-    r = np.sqrt(power) * h[v] * ALPHABET3.values[k][:, None]
+    r = np.sqrt(power) * h[v] * ALPHABET3[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 2, 4))
-    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), ALPHABET3.values, GRID3)
+    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), ALPHABET3, GRID3)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
 
@@ -170,7 +170,7 @@ def test_nearest_point_breaks_ties_like_brute_force():
     """Two 16-QAM users at (0.8, 0.2): sqrt(0.8) = 2 sqrt(0.2), so the 256
     composite symbols hold 100 distinct points. Equal points score equal
     metrics, so both searches must pick the first alphabet index."""
-    chis = enumerate_sc_alphabet([make_constellation(16)] * 2, PA3).values
+    chis = enumerate_sc_alphabet([make_constellation(16)] * 2, PA3)
     grid = _sm_grid(chis)
     assert np.unique(chis).size == 100 and grid.index.shape == (10, 10)
     rng = rng_stream(700, 0)
@@ -221,7 +221,7 @@ def test_zero_fading_cell_edge_user_runs_a_block():
 def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
     """8-PSK users: no nearest-point grid, so every pair is scored in chunks
     of trials; a batch that is not a multiple of the chunk loses no row."""
-    chis = enumerate_sc_alphabet([make_constellation(8)] * 2, PA3).values
+    chis = enumerate_sc_alphabet([make_constellation(8)] * 2, PA3)
     assert _sm_grid(chis) is None
     monkeypatch.setattr(mc, "_SM_CHUNK_ENTRIES", 1000)  # 3 trials per chunk
     rng = rng_stream(600, 0)
@@ -356,7 +356,7 @@ def test_ber_block_matches_brute_force_chain(scheme):
             h = complex_normal(rng, (b, cfg.n_t, cfg.n_r), var)
             r = h[np.arange(b), v] * signal[:, None] + complex_normal(rng, (b, cfg.n_r), 1.0)
             for t in range(b):
-                v_hat, _ = _brute_force_sm(r[t], h[t], cfg.tables.alphabet.values, power)
+                v_hat, _ = _brute_force_sm(r[t], h[t], cfg.tables.alphabet, power)
                 want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
             continue
         g = var * rng.standard_gamma(cfg.n_r, b)

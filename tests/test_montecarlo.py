@@ -3,6 +3,7 @@ counts, noise-free sanity, and agreement with the closed forms."""
 
 import collections
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ def test_make_config_takes_integral_floats():
     assert (cfg.n_users, cfg.n_r, cfg.n_t, cfg.max_trials, cfg.seed) == (3, 2, 2, 100_000, 9)
     assert all(type(v) is int for v in (cfg.n_users, cfg.n_r, cfg.max_trials, cfg.seed))
     assert cfg == _cfg()
+
+
+def test_config_tables_do_not_grow_with_antenna_pairs():
+    """An antenna's bit label is its index, so building the tables allocates
+    nothing per antenna pair: an N_t x N_t table of bit distances and its
+    comparison temporaries would take over 300 MiB at N_t = 4096."""
+    mc.make_config(n_users=3, n_r=2, n_t=4, snr_grid_db=[10])  # one-time costs
+    tracemalloc.start()
+    try:
+        mc.make_config(n_users=3, n_r=2, n_t=4096, snr_grid_db=[10])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_make_config_baseline_defaults():
