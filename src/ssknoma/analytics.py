@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
@@ -122,32 +123,48 @@ def _check_power_user(i: int, pa: PowerAllocation, first_user: int = 2):
 # ---------------------------------------------------------------------------
 
 
-def _pair_energy_levels(alphabet: np.ndarray):
-    """Distinct pair energies |chi_k|^2 + |chi_hat|^2 over all ordered
-    composite-symbol pairs, with the share of pairs at each level. The pair
-    energies collapse to a handful of levels even for large alphabets; each
-    level is the energy of its first pair, not the rounded grouping key."""
-    energy = np.abs(alphabet) ** 2
-    e = (energy[:, None] + energy[None, :]).ravel()
-    _, first, counts = np.unique(np.round(e, 12), return_index=True,
-                                 return_counts=True)
-    return e[first], counts / e.size
+class PairEnergyTable(NamedTuple):
+    """The cell-edge union bound's pair table of one composite alphabet:
+    its distinct pair energies |chi_k|^2 + |chi_hat|^2 over the ordered
+    composite-symbol pairs, quartered, with the share of pairs at each."""
+
+    quarter: np.ndarray  # each level / 4 (exact), ascending
+    weights: np.ndarray  # share of the M_T^2 ordered pairs at each level
+    bits: float          # log2 M_T
 
 
-def abep_u1(alphabet: np.ndarray, n_t: int, n_r: int, rho: float,
+def pair_energy_table(alphabet: np.ndarray) -> PairEnergyTable:
+    """Pair table of ``alphabet``, built from its distinct symbol energies:
+    a pair's energy depends only on the energies of its two symbols, so the
+    distinct energies are paired, each pair counted once per symbol pair
+    behind it. The energies are taken in order of first appearance, so each
+    level, grouped by its value rounded to 12 decimals, is the energy of the
+    first of all M_T^2 symbol pairs (row by row) at that level."""
+    values, first, counts = np.unique(np.abs(alphabet) ** 2, return_index=True,
+                                      return_counts=True)
+    order = np.argsort(first)
+    distinct, counts = values[order], counts[order]
+    e = (distinct[:, None] + distinct[None, :]).ravel()
+    _, head, level = np.unique(np.round(e, 12), return_index=True, return_inverse=True)
+    pairs = np.bincount(level, np.outer(counts, counts).ravel())
+    return PairEnergyTable(e[head] / 4.0, pairs / alphabet.size**2, np.log2(alphabet.size))
+
+
+def abep_u1(table: PairEnergyTable, n_t: int, n_r: int, rho: float,
             sigma1_sq: float, clamp: bool = True) -> float:
-    """Union bound on the cell-edge user's ABEP: antenna-pair factor times the
-    pairwise error probability averaged uniformly over all ordered composite
-    symbol pairs, each weighted by log2(M_T)."""
+    """Cell-edge user's ABEP by the SSK union-bound sum: antenna-pair factor
+    times the pairwise error probability averaged uniformly over all ordered
+    composite symbol pairs (``table``), each weighted by log2(M_T). It is an
+    approximation, not an upper bound: at L = 4 (M_T = 64) it lies below the
+    simulated BER."""
     if n_t == 1:
         return 0.0
     if rho <= 0 or sigma1_sq <= 0:
         raise InputError("rho and sigma1_sq must be positive")
-    levels, weights = _pair_energy_levels(alphabet)
-    sigma_a_sq = rho * sigma1_sq * levels / 4.0
+    sigma_a_sq = rho * sigma1_sq * table.quarter
     mu = np.sqrt(sigma_a_sq / (2.0 + sigma_a_sq))
-    peps = np.log2(alphabet.size) * rayleigh_q_average(mu, n_r)
-    bound = (n_t / 2.0) * float(peps @ weights)
+    peps = table.bits * rayleigh_q_average(mu, n_r)
+    bound = (n_t / 2.0) * float(peps @ table.weights)
     return _clamp(bound) if clamp else bound
 
 
@@ -162,76 +179,51 @@ BEP_CHUNK_ROWS = 1024
 _SQRT2 = np.sqrt(2.0)
 
 
-def _bep_u1_curve(alphabet: np.ndarray, n_t: int, clamp: bool):
-    """Cell-edge BEP as a function of an array of instantaneous MRC SNRs,
-    with the pair-energy levels built once.
-
-    Each value is ``scale * einsum("ij,j->i", Q(sqrt(gamma * levels / 4)),
-    weights)`` as one dense table would give it, bit for bit: the einsum sums
-    each row on its own, so a row's value does not depend on its neighbours
-    or on a BLAS build. A table of up to ``_BEP_WHOLE_ENTRIES`` entries is
-    evaluated whole. Beyond it the SNRs are sorted and walked in chunks of
-    ``BEP_CHUNK_ROWS``, and each chunk evaluates erfc only up to the last
-    level whose argument is below ``ERFC_ZERO_FROM`` at the chunk's smallest
-    SNR: the later terms of every row in the chunk are exactly 0.
-    """
-    levels, weights = _pair_energy_levels(alphabet)
-    scale = (n_t / 2.0) * np.log2(alphabet.size)
-    quarter = levels / 4.0  # exact, like every power-of-two scaling
-
-    def weighted_sum(g, scratch, p):
-        """``einsum(Q(sqrt(g * levels / 4)), weights)`` over the first ``p``
-        levels only (the rest are 0), with ``scratch`` as the erfc table."""
-        part = scratch[:g.size * p].reshape(g.size, p)
-        np.multiply(g[:, None], quarter[:p], out=part)
-        np.sqrt(part, out=part)
-        np.divide(part, _SQRT2, out=part)
-        special.erfc(part, out=part)
-        np.multiply(part, 0.5, out=part)
-        return np.einsum("ij,j->i", part, weights[:p])
-
-    def live_levels(g_min) -> int:
-        """Levels up to the last one whose erfc argument at ``g_min`` is below
-        ``ERFC_ZERO_FROM``; beyond it every term at SNR >= g_min is 0."""
-        x = np.sqrt(g_min * quarter) / _SQRT2
-        live = np.flatnonzero(~(x >= ERFC_ZERO_FROM))  # a NaN stays live
-        return live[-1] + 1 if live.size else 0
-
-    def bep(gammas: np.ndarray) -> np.ndarray:
-        n = gammas.size
-        if n * levels.size <= _BEP_WHOLE_ENTRIES:
-            vals = np.einsum("ij,j->i", 0.5 * special.erfc(
-                np.sqrt(gammas[:, None] * quarter) / _SQRT2), weights)
-        else:
-            order = np.argsort(gammas)
-            scratch = np.empty(BEP_CHUNK_ROWS * levels.size)
-            vals = np.empty(n)
-            for start in range(0, n, BEP_CHUNK_ROWS):
-                idx = order[start:start + BEP_CHUNK_ROWS]
-                g = gammas[idx]
-                vals[idx] = weighted_sum(g, scratch, live_levels(g.min()))
-        vals = scale * vals
-        return np.clip(vals, 0.0, 1.0) if clamp else vals
-
-    return bep
-
-
-def conditional_bep_u1_vec(gammas: np.ndarray, alphabet: np.ndarray,
+def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
                            n_t: int, clamp: bool = True) -> np.ndarray:
     """BEP of the cell-edge user conditioned on each instantaneous MRC SNR,
-    clamped to [0, 1] unless ``clamp`` is false."""
+    clamped to [0, 1] unless ``clamp`` is false.
+
+    Each value is ``(N_t / 2) log2(M_T) * einsum("ij,j->i", Q(sqrt(gamma *
+    levels / 4)), weights)`` as one dense table would give it, bit for bit:
+    the einsum sums each row on its own, so a row's value does not depend on
+    its neighbours or on a BLAS build. A table of up to
+    ``_BEP_WHOLE_ENTRIES`` entries is evaluated whole. Beyond it the SNRs are
+    sorted and walked in chunks of ``BEP_CHUNK_ROWS``, and each chunk
+    evaluates erfc only up to the last level whose argument is below
+    ``ERFC_ZERO_FROM`` at the chunk's smallest SNR: the later terms of every
+    row in the chunk are exactly 0.
+    """
     gammas = np.asarray(gammas, dtype=float)
     if n_t == 1:
         return np.zeros_like(gammas)
-    return _bep_u1_curve(alphabet, n_t, clamp)(gammas)
-
-
-def conditional_bep_u1(gamma1: float, alphabet: np.ndarray, n_t: int,
-                       clamp: bool = True) -> float:
-    """Scalar :func:`conditional_bep_u1_vec`."""
-    if gamma1 < 0:
-        raise InputError("gamma1 must be nonnegative")
-    return float(conditional_bep_u1_vec(np.array([gamma1]), alphabet, n_t, clamp)[0])
+    quarter, weights = table.quarter, table.weights
+    n = gammas.size
+    if n * quarter.size <= _BEP_WHOLE_ENTRIES:
+        vals = np.einsum("ij,j->i", 0.5 * special.erfc(
+            np.sqrt(gammas[:, None] * quarter) / _SQRT2), weights)
+    else:
+        order = np.argsort(gammas)
+        scratch = np.empty(BEP_CHUNK_ROWS * quarter.size)
+        vals = np.empty(n)
+        for start in range(0, n, BEP_CHUNK_ROWS):
+            idx = order[start:start + BEP_CHUNK_ROWS]
+            g = gammas[idx]
+            # levels up to the last one whose erfc argument at the chunk's
+            # smallest SNR is below ERFC_ZERO_FROM (a NaN stays live), as an
+            # erfc table evaluated in place
+            x = np.sqrt(g.min() * quarter) / _SQRT2
+            live = np.flatnonzero(~(x >= ERFC_ZERO_FROM))
+            p = live[-1] + 1 if live.size else 0
+            part = scratch[:g.size * p].reshape(g.size, p)
+            np.multiply(g[:, None], quarter[:p], out=part)
+            np.sqrt(part, out=part)
+            np.divide(part, _SQRT2, out=part)
+            special.erfc(part, out=part)
+            np.multiply(part, 0.5, out=part)
+            vals[idx] = np.einsum("ij,j->i", part, weights[:p])
+    vals = ((n_t / 2.0) * table.bits) * vals
+    return np.clip(vals, 0.0, 1.0) if clamp else vals
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +459,7 @@ def outage_noma_user(i: int, pa: PowerAllocation, targets: OutageTargets,
     return float(chi2_cdf(psi, n_r, rho * sigma_i_sq))
 
 
-def outage_u1(targets: OutageTargets, n_t: int, alphabet: np.ndarray, n_r: int,
+def outage_u1(targets: OutageTargets, n_t: int, table: PairEnergyTable, n_r: int,
               rho: float, sigma1_sq: float) -> float:
     """Outage probability of the cell-edge user: tail integral of the
     conditional BEP against the fading density, as printed in the source
@@ -477,10 +469,10 @@ def outage_u1(targets: OutageTargets, n_t: int, alphabet: np.ndarray, n_r: int,
         raise ConfigError(f"target rate {r1} exceeds log2(N_t) = {np.log2(n_t)}")
     psi1 = 1.0 - r1 / np.log2(n_t)
     gbar = rho * sigma1_sq
-    bep = _bep_u1_curve(alphabet, n_t, clamp=True)
 
     def integrand(g):
-        return float(bep(np.array([g]))[0]) * chi2_pdf(g, n_r, gbar)
+        bep = conditional_bep_u1_vec(np.array([g]), table, n_t)[0]
+        return float(bep) * chi2_pdf(g, n_r, gbar)
 
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
     full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)

@@ -215,7 +215,7 @@ def _cmd_validate(args) -> int:
             if p.analytic is None or p.user == 0:
                 continue
             if p.metric == "ber" and p.user < cfg.first_power_user:
-                continue  # the cell-edge analytic value is a bound, not an estimate
+                continue  # the cell-edge value is a union-bound approximation, not an estimate
             if p.metric == "ber" and p.analytic < 1e-4:
                 continue  # too few events at this depth to compare
             hw = max(p.ci_halfwidth, 1e-300)
@@ -245,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="named preset (fig2..fig9)")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials-max", type=int, default=None)
+        p.add_argument("--trials-max", type=int, default=None,
+                       help="override the trial cap per SNR point; trials run in rounds "
+                            "of 4 blocks of 25000, so a point runs at least 100000")
         p.add_argument("--quiet", action="store_true")
     p = sub.add_parser("complexity")
     p.add_argument("--row", help="single scenario as L,M,N_r")

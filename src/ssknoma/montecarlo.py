@@ -119,6 +119,11 @@ class SimConfig:
             raise ConfigError("SSK-NOMA needs a power-of-2 antenna count >= 2")
         if self.first_power_user == 1 and self.n_t != 1:
             raise ConfigError("the baseline uses a single transmit antenna")
+        # the cell-edge user carries log2 N_t bits; the slack is outage_u1's
+        if (self.first_power_user > 1 and self.target_rates is not None
+                and self.target_rates.rate(1) > np.log2(self.n_t) + 1e-12):
+            raise ConfigError(f"target rate {self.target_rates.rate(1)} of user 1 exceeds "
+                              f"log2(N_t) = {np.log2(self.n_t):g}")
         if self.min_bit_errors < 100:
             raise ConfigError("min_bit_errors must be >= 100")
         if self.max_trials < 10_000:
@@ -233,6 +238,7 @@ class _Tables(NamedTuple):
     grids: tuple                 # their nearest-point grids (None if not Cartesian)
     alphabet: np.ndarray | None  # composite alphabet (None without user 1)
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
+    pairs: analytics.PairEnergyTable | None  # its pair-energy table
     bits: tuple                  # each user's bits per trial
 
 
@@ -267,35 +273,48 @@ def _nearest_point(grid: _SmGrid, re, im):
 
 def _tables(cfg: SimConfig) -> _Tables:
     consts = tuple(make_constellation(m) for m in cfg.modulations)
-    alphabet = sm_grid = None
+    alphabet = sm_grid = pairs = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
         sm_grid = _sm_grid(alphabet)
+        pairs = analytics.pair_energy_table(alphabet)
     # log2 N_t bits on the antenna index, else bits per symbol
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
     return _Tables(consts, tuple(_sm_grid(c.points) for c in consts), alphabet, sm_grid,
-                   bits)
+                   pairs, bits)
+
+
+# entries of one chunk of the metric scan
+_SM_CHUNK_ENTRIES = 1 << 22
+
+
+def _sm_metric(inner, h_norm, sqrt_p, chi):
+    """ML metric ||r - sqrt(P) h chi||^2 less its constant ||r||^2, from the
+    combiner output ``inner`` = h^H r and the channel energy ``h_norm``."""
+    return (-2.0 * sqrt_p * np.real(inner * np.conj(chi))
+            + sqrt_p * sqrt_p * h_norm * np.abs(chi) ** 2)
 
 
 def _ml_detect_block(y, g, amp, points, grid=None):
-    """Vectorized ML symbol decision per trial from the MRC combiner output
-    y = h^H r and channel energy g = ||h||^2. The metric
-    -2 amp Re(y conj(s_n)) + amp^2 g |s_n|^2 is ||r - amp h s_n||^2 less its
-    constant ||r||^2, and for g > 0 it is amp^2 g |s_n - z|^2 less a constant,
-    z = y / (amp g). With a nearest-point ``grid`` of ``points`` the decision
-    is the point nearest z (``_nearest_point``); a trial with g = 0 scores
-    every point 0 and decides index 0. Without one (M-PSK with M > 4) every
-    point is scored and the first minimum wins. Both make the same decisions
-    except where z lies within rounding error of a decision boundary (on one,
-    the grid takes the lower neighbour and the scan the lower index), which
-    noise makes a null event.
+    """Vectorized ML point decision per trial from the MRC combiner output
+    y = h^H r and channel energy g = ||h||^2 (a SIC stage, or one antenna of
+    the joint search). The metric ``_sm_metric`` is amp^2 g |s_n - z|^2 less
+    a constant for g > 0, z = y / (amp g). With a nearest-point ``grid`` of
+    ``points`` the decision is the point nearest z (``_nearest_point``); a
+    trial with g = 0 scores every point 0 and decides index 0. Without one
+    (M-PSK with M > 4) every point is scored, in chunks of trials that keep
+    the metric table near ``_SM_CHUNK_ENTRIES`` entries, and the first
+    minimum wins. Both make the same decisions except where z lies within
+    rounding error of a decision boundary (on one, the grid takes the lower
+    neighbour and the scan the lower index), which noise makes a null event.
     """
     if grid is None:
-        metrics = np.outer(g, (amp * amp) * np.abs(points) ** 2)
-        metrics -= np.outer(y.real, (2.0 * amp) * points.real)
-        metrics -= np.outer(y.imag, (2.0 * amp) * points.imag)
-        return np.argmin(metrics, axis=1)
+        chunk = max(1, _SM_CHUNK_ENTRIES // points.size)
+        return np.concatenate([
+            _sm_metric(y[s:s + chunk, None], g[s:s + chunk, None], amp, points).argmin(axis=1)
+            for s in range(0, y.size, chunk)
+        ])
     live = g > 0.0
     scale = amp * g
     if live.all():
@@ -306,43 +325,18 @@ def _ml_detect_block(y, g, amp, points, grid=None):
     return k
 
 
-# complex entries of one chunk of the point-by-point joint search
-_SM_CHUNK_ENTRIES = 1 << 22
-
-
-def _sm_metric(inner, h_norm, sqrt_p, chi):
-    """ML metric ||r - sqrt(P) h_t chi||^2 less its constant ||r||^2."""
-    return (-2.0 * sqrt_p * np.real(inner * np.conj(chi))
-            + sqrt_p * sqrt_p * h_norm * np.abs(chi) ** 2)
-
-
 def _sm_detect_block(r, h_full, sqrt_p, chi_values, grid):
     """Vectorized joint (antenna, composite symbol) ML search; returns the
     0-based antenna and composite-symbol indices, first minimum on ties.
 
-    Per antenna t the metric is P||h_t||^2 |chi - z_t|^2 plus a constant,
-    with z_t = h_t^H r / (sqrt(P) ||h_t||^2), so with a nearest-point
-    ``grid`` each antenna's best symbol is the grid point nearest z_t
-    (``_nearest_point``) and only those N_t candidates are scored. Without
-    one, every (antenna, symbol) pair is scored, in chunks of trials that keep
-    the metric tensor near ``_SM_CHUNK_ENTRIES`` entries.
+    Per antenna t the metric is that of an ML decision on the statistics
+    h_t^H r and ||h_t||^2, so ``_ml_detect_block`` decides each antenna's
+    best symbol and only those N_t candidates are scored.
     """
     inner = np.einsum("btr,br->bt", np.conj(h_full), r)
     h_norm = np.sum(np.abs(h_full) ** 2, axis=2)
-    if grid is None:
-        m_t = chi_values.size
-        chunk = max(1, _SM_CHUNK_ENTRIES // (inner.shape[1] * m_t))
-        flat = np.concatenate([
-            _sm_metric(inner[s:s + chunk, :, None], h_norm[s:s + chunk, :, None], sqrt_p,
-                       chi_values).reshape(-1, inner.shape[1] * m_t).argmin(axis=1)
-            for s in range(0, len(inner), chunk)
-        ])
-        return flat // m_t, flat % m_t
-    live = h_norm > 0.0
-    z = np.divide(inner, sqrt_p * h_norm, out=np.zeros_like(inner), where=live)
-    k = _nearest_point(grid, z.real, z.imag)
-    # a zero channel scores every symbol 0, where the first one wins
-    k = np.where(live, k, 0)
+    k = _ml_detect_block(inner.ravel(), h_norm.ravel(), sqrt_p, chi_values,
+                         grid).reshape(inner.shape)
     t = _sm_metric(inner, h_norm, sqrt_p, chi_values[k]).argmin(axis=1)
     return t, k[np.arange(len(t)), t]
 
@@ -446,7 +440,7 @@ def _outage_trials(cfg: SimConfig, snr_db: float, block: int):
         # averaged over the fading tail above the rate-derived limit, so it
         # reduces to the ABEP when the target rate saturates the antenna bits
         psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
-        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.alphabet, cfg.n_t)
+        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
         outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
     for i, g in enumerate(gammas[first - 1:], start=first):
         # g >= psi_i iff every SINR of the SIC cascade meets its target, up
@@ -465,7 +459,7 @@ def _rate_trials(cfg: SimConfig, snr_db: float, block: int):
     first = cfg.first_power_user
     rates = []
     if first > 1:
-        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.alphabet, cfg.n_t)
+        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
         rates.append(np.log2(cfg.n_t) * (1.0 - bep))
     for k, g in enumerate(gammas[first - 1:]):
         with_own = sum(coeffs[k:])
@@ -587,7 +581,7 @@ def _analytic_ber(cfg: SimConfig, user: int, rho: float):
     if first == 1 or sigma_sq == 0.0:
         return None  # the BER closed forms cover faded SSK-NOMA users only
     if user < first:
-        return analytics.abep_u1(cfg.tables.alphabet, cfg.n_t, cfg.n_r, rho, sigma_sq)
+        return analytics.abep_u1(cfg.tables.pairs, cfg.n_t, cfg.n_r, rho, sigma_sq)
     a = cfg.pa.coefficients
     exact = cfg.n_users == 3 and cfg.modulations == (4, 4)
     if exact and user == 2:
@@ -606,7 +600,7 @@ def _analytic_rate(cfg: SimConfig, user: int, rho: float):
     if sigma_sq == 0.0:
         return None
     if user < cfg.first_power_user:
-        abep = analytics.abep_u1(cfg.tables.alphabet, cfg.n_t, cfg.n_r, rho, sigma_sq)
+        abep = analytics.abep_u1(cfg.tables.pairs, cfg.n_t, cfg.n_r, rho, sigma_sq)
         return analytics.ergodic_capacity_u1(cfg.n_t, abep)
     return analytics.ergodic_capacity_noma_user(user, cfg.pa, rho, sigma_sq, cfg.n_r,
                                                 cfg.first_power_user)
@@ -617,7 +611,7 @@ def _analytic_outage(cfg: SimConfig, user: int, rho: float):
     if sigma_sq == 0.0:
         return None
     if user < cfg.first_power_user:
-        return analytics.outage_u1(cfg.target_rates, cfg.n_t, cfg.tables.alphabet,
+        return analytics.outage_u1(cfg.target_rates, cfg.n_t, cfg.tables.pairs,
                                    cfg.n_r, rho, sigma_sq)
     return analytics.outage_noma_user(user, cfg.pa, cfg.target_rates, rho, sigma_sq,
                                       cfg.n_r, cfg.first_power_user)

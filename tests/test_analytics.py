@@ -17,13 +17,11 @@ from ssknoma.analytics import (
     ERFC_ZERO_FROM,
     _BEP_WHOLE_ENTRIES,
     OutageTargets,
-    _pair_energy_levels,
     abep_u1,
     abep_u2,
     abep_u3,
     chi2_cdf,
     chi2_pdf,
-    conditional_bep_u1,
     conditional_bep_u1_vec,
     conditional_bep_u2,
     conditional_bep_u3,
@@ -34,6 +32,7 @@ from ssknoma.analytics import (
     outage_noma_user,
     outage_threshold_psi,
     outage_u1,
+    pair_energy_table,
     q_func,
     rayleigh_q_average,
     union_bound_ber,
@@ -50,6 +49,7 @@ from ssknoma.errors import ConfigError, InputError
 
 PA2 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
+PAIRS3 = pair_energy_table(ALPHABET3)
 
 
 def _gamma_pdf(x, shape, scale):
@@ -164,19 +164,19 @@ def test_abep_pa_validation():
 def test_abep_u1_matches_conditional_average():
     rho, n_t, n_r = 10.0, 4, 2
     want, _ = integrate.quad(
-        lambda g: conditional_bep_u1(g, ALPHABET3, n_t, clamp=False)
+        lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3, n_t, clamp=False)[0]
         * _gamma_pdf(g, n_r, rho),
         0.0,
         np.inf,
         limit=400,
     )
-    got = abep_u1(ALPHABET3, n_t, n_r, rho, 1.0, clamp=False)
+    got = abep_u1(PAIRS3, n_t, n_r, rho, 1.0, clamp=False)
     assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_abep_u1_single_antenna_is_zero():
-    assert abep_u1(ALPHABET3, 1, 2, 10.0, 1.0) == 0.0
-    assert conditional_bep_u1(5.0, ALPHABET3, 1) == 0.0
+    assert abep_u1(PAIRS3, 1, 2, 10.0, 1.0) == 0.0
+    assert list(conditional_bep_u1_vec(np.array([5.0]), PAIRS3, 1)) == [0.0]
 
 
 def _pair_loop_peps(alphabet, per_pair):
@@ -210,18 +210,20 @@ def test_abep_u1_matches_pair_loop_oracle(n_users):
     alphabet = enumerate_sc_alphabet([qpsk()] * pa.n_users, pa)
     for rho, n_r in ((10.0, 2), (1000.0, 4)):
         want = _abep_u1_oracle(alphabet, 4, n_r, rho, 1.0)
-        got = abep_u1(alphabet, 4, n_r, rho, 1.0, clamp=False)
+        got = abep_u1(pair_energy_table(alphabet), 4, n_r, rho, 1.0, clamp=False)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_conditional_bep_u1_vec_matches_scalar():
-    """Both forms against the pair-loop oracle, clamped at 1 for low SNR."""
+    """One call over several SNRs and one call per SNR against the pair-loop
+    oracle, clamped at 1 for low SNR."""
     gammas = np.array([0.0, 0.3, 2.0, 40.0])
-    vec = conditional_bep_u1_vec(gammas, ALPHABET3, 4)
+    vec = conditional_bep_u1_vec(gammas, PAIRS3, 4)
     for g, v in zip(gammas, vec):
         want = _conditional_bep_u1_oracle(float(g), ALPHABET3, 4)
         assert v == pytest.approx(want, rel=1e-12, abs=0)
-        assert conditional_bep_u1(float(g), ALPHABET3, 4) == pytest.approx(want, rel=1e-12, abs=0)
+        one = conditional_bep_u1_vec(np.array([g]), PAIRS3, 4)[0]
+        assert one == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # the cell-edge BEP curve on these composite alphabets: (orders, PA)
@@ -231,6 +233,41 @@ BEP_CURVE_ALPHABETS = {
     "L5-qpsk": ((4, 4, 4, 4), (0.6, 0.25, 0.1, 0.05)),
     "qpsk-qam16": ((4, 16), (0.8, 0.2)),
 }
+# and the pair-energy table on these as well (M_T up to 1 024)
+PAIR_TABLE_ALPHABETS = {
+    **BEP_CURVE_ALPHABETS,
+    "qam64-qpsk": ((64, 4), (0.8, 0.2)),
+    "psk8-bpsk": ((8, 2), (0.8, 0.2)),
+    "psk32": ((32,), (1.0,)),
+    "qam64-qam16": ((64, 16), (0.8, 0.2)),
+}
+
+
+def _sc_alphabet(orders, pa):
+    return enumerate_sc_alphabet([make_constellation(m) for m in orders], PowerAllocation(pa))
+
+
+def _pair_energy_levels(alphabet):
+    """Distinct pair energies |chi_k|^2 + |chi_hat|^2 over all M_T^2 ordered
+    composite-symbol pairs, grouped by their value rounded to 12 decimals,
+    each the energy of its group's first pair; with the share of pairs at
+    each."""
+    energy = np.abs(alphabet) ** 2
+    e = (energy[:, None] + energy[None, :]).ravel()
+    _, first, counts = np.unique(np.round(e, 12), return_index=True, return_counts=True)
+    return e[first], counts / e.size
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_TABLE_ALPHABETS))
+def test_pair_energy_table_matches_all_pairs(name):
+    """The table built from the distinct symbol energies holds the levels of
+    the all-pairs table bit for bit, and the same shares."""
+    alphabet = _sc_alphabet(*PAIR_TABLE_ALPHABETS[name])
+    levels, weights = _pair_energy_levels(alphabet)
+    table = pair_energy_table(alphabet)
+    assert [float(q).hex() for q in table.quarter] == [float(x / 4.0).hex() for x in levels]
+    assert np.array_equal(table.weights, weights)
+    assert table.bits == np.log2(alphabet.size)
 
 
 def _dense_bep_u1(gammas, alphabet, n_t, clamp):
@@ -268,8 +305,8 @@ def test_bep_curve_equals_dense_formula():
     rng = np.random.default_rng(2024)
     bad = []
     for name, (orders, pa) in BEP_CURVE_ALPHABETS.items():
-        alphabet = enumerate_sc_alphabet([make_constellation(m) for m in orders],
-                                         PowerAllocation(pa))
+        alphabet = _sc_alphabet(orders, pa)
+        table = pair_energy_table(alphabet)
         levels = _pair_energy_levels(alphabet)[0]
         whole = _BEP_WHOLE_ENTRIES // levels.size  # more SNRs are chunked
         sizes = {0, 1, BEP_CHUNK_ROWS - 1, BEP_CHUNK_ROWS + 1, 3 * BEP_CHUNK_ROWS + 7,
@@ -277,7 +314,7 @@ def test_bep_curve_equals_dense_formula():
         for n, n_t in itertools.product(sorted(sizes), (2, 4)):
             gammas = _curve_snrs(levels, n, rng)
             for clamp in (True, False):
-                got = conditional_bep_u1_vec(gammas, alphabet, n_t, clamp)
+                got = conditional_bep_u1_vec(gammas, table, n_t, clamp)
                 if not np.array_equal(got, _dense_bep_u1(gammas, alphabet, n_t, clamp)):
                     bad.append((name, n_t, n, clamp))
     assert bad == []
@@ -288,17 +325,16 @@ def test_bep_curve_does_not_depend_on_how_snrs_are_grouped(name):
     """A value depends on its SNR only: one call over 25 000 SNRs, one call
     per SNR and calls of 1 022 SNRs (each chunked differently, with its rows
     at other offsets) agree bit for bit."""
-    orders, pa = BEP_CURVE_ALPHABETS[name]
-    alphabet = enumerate_sc_alphabet([make_constellation(m) for m in orders],
-                                     PowerAllocation(pa))
+    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
+    table = pair_energy_table(alphabet)
     rng = np.random.default_rng(7)
     gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000, rng)
-    whole = conditional_bep_u1_vec(gammas, alphabet, 4, clamp=False)
-    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], alphabet, 4, False)
+    whole = conditional_bep_u1_vec(gammas, table, 4, clamp=False)
+    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], table, 4, False)
                              for s in range(0, gammas.size, 1022)])
     assert np.array_equal(chunks, whole)
     picks = rng.choice(gammas.size, 500, replace=False)
-    singles = [conditional_bep_u1_vec(gammas[j:j + 1], alphabet, 4, False)[0] for j in picks]
+    singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, 4, False)[0] for j in picks]
     assert np.array_equal(singles, whole[picks])
 
 
@@ -660,12 +696,12 @@ def test_outage_u1_saturated_rate_reduces_to_error_average():
     average of the conditional error probability (Monte Carlo oracle)."""
     rho, n_r = 100.0, 2
     targets = OutageTargets((2.0, 1.0, 1.0))
-    got = outage_u1(targets, 4, ALPHABET3, n_r, rho, 1.0)
+    got = outage_u1(targets, 4, PAIRS3, n_r, rho, 1.0)
     rng = rng_stream(77, 0)
     h = np.sqrt(0.5) * (rng.standard_normal((200_000, n_r))
                         + 1j * rng.standard_normal((200_000, n_r)))
     gam = rho * np.sum(np.abs(h) ** 2, axis=1)
-    bep = conditional_bep_u1_vec(gam, ALPHABET3, 4)
+    bep = conditional_bep_u1_vec(gam, PAIRS3, 4)
     se = np.std(bep) / np.sqrt(bep.size)
     assert abs(got - np.mean(bep)) < 4.0 * se
 
@@ -673,13 +709,13 @@ def test_outage_u1_saturated_rate_reduces_to_error_average():
 def test_outage_u1_monotone_in_rate_and_snr():
     targets_lo = OutageTargets((1.0, 1.0, 1.0))
     targets_hi = OutageTargets((2.0, 1.0, 1.0))
-    lo = outage_u1(targets_lo, 4, ALPHABET3, 2, 50.0, 1.0)
-    hi = outage_u1(targets_hi, 4, ALPHABET3, 2, 50.0, 1.0)
+    lo = outage_u1(targets_lo, 4, PAIRS3, 2, 50.0, 1.0)
+    hi = outage_u1(targets_hi, 4, PAIRS3, 2, 50.0, 1.0)
     assert lo <= hi
-    worse = outage_u1(targets_hi, 4, ALPHABET3, 2, 5.0, 1.0)
+    worse = outage_u1(targets_hi, 4, PAIRS3, 2, 5.0, 1.0)
     assert worse > hi
 
 
 def test_outage_u1_rejects_excess_rate():
     with pytest.raises(ConfigError):
-        outage_u1(OutageTargets((3.0, 1.0, 1.0)), 4, ALPHABET3, 2, 10.0, 1.0)
+        outage_u1(OutageTargets((3.0, 1.0, 1.0)), 4, PAIRS3, 2, 10.0, 1.0)

@@ -268,6 +268,13 @@ INVALID_RUNS = {
     "capacity-empty-runs": (["capacity"], {"snr_grid_db": [10.0], "runs": []}),
     "outage-empty-runs": (["outage"], {"snr_grid_db": [10.0], "runs": []}),
     "validate-empty-runs": (["validate"], {"snr_grid_db": [10.0], "runs": []}),
+    # a cell-edge target rate above log2 N_t: outage counted every trial's
+    # conditional BEP (an ABEP) and printed no companion value
+    "outage-unreachable-cell-edge-rate": (["outage"], {
+        "snr_grid_db": [10], "max_trials": 10000,
+        "runs": [{"scheme": "ssk-noma", "n_users": 3, "n_r": 2,
+                  "target_rates": [1.5, 1.0, 2.0]}]}),
+    "pa-sweep-unreachable-cell-edge-rate": (["pa-sweep"], {"target_rates": [1.5, 1.0, 1.0]}),
 }
 
 

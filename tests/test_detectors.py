@@ -219,8 +219,9 @@ def test_zero_fading_cell_edge_user_runs_a_block():
 
 
 def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
-    """8-PSK users: no nearest-point grid, so every pair is scored in chunks
-    of trials; a batch that is not a multiple of the chunk loses no row."""
+    """8-PSK users: no nearest-point grid, so the joint search and an 8-PSK
+    SIC stage both take the metric scan of ``_ml_detect_block``, in chunks
+    of rows; a batch that is not a multiple of the chunk loses no row."""
     chis = enumerate_sc_alphabet([make_constellation(8)] * 2, PA3)
     assert _sm_grid(chis) is None
     monkeypatch.setattr(mc, "_SM_CHUNK_ENTRIES", 1000)  # 3 trials per chunk
@@ -234,6 +235,18 @@ def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
     v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), chis, None)
     for b in range(100):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], chis, power)
+    # an 8-PSK stage then a QPSK stage, 3 trials per chunk of the scan
+    monkeypatch.setattr(mc, "_SM_CHUNK_ENTRIES", 24)
+    points = [make_constellation(8).points, qpsk().points]
+    amps = [np.sqrt(0.8 * power), np.sqrt(0.2 * power)]
+    hu = complex_normal(rng, (100, 2), 2.0)
+    ks = [rng.integers(0, p.size, 100) for p in points]
+    ru = hu * sum(a * p[k] for a, p, k in zip(amps, points, ks))[:, None]
+    ru = ru + complex_normal(rng, (100, 2), 1.0)
+    decisions, _ = _sic_detect_block(*_mrc(ru, hu), amps, points)
+    for b in range(100):
+        want, _ = _brute_force_sic(ru[b], hu[b], amps, points)
+        assert [int(d[b]) for d in decisions] == want
 
 
 @pytest.mark.parametrize("trial", range(20))

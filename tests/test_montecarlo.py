@@ -53,6 +53,21 @@ def test_config_tables_do_not_grow_with_antenna_pairs():
     assert peak < 1 << 20
 
 
+def test_rate_block_memory_does_not_grow_with_symbol_pairs():
+    """The cell-edge pair-energy table is built once per config from the
+    distinct symbol energies, so a 1 000-trial rate block at M_T = 4 096
+    allocates no table of all M_T^2 symbol pairs (672 MiB)."""
+    cfg = mc.make_config(n_users=3, n_r=2, modulations=[64, 64], block_size=1000,
+                         snr_grid_db=[10])
+    tracemalloc.start()
+    try:
+        mc._rate_trials(cfg, 10.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_make_config_baseline_defaults():
     cfg = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                          snr_grid_db=GRID, seed=1)
@@ -86,6 +101,7 @@ def test_default_pa_unknown_count():
     dict(target_rates="1, 1, 2"),
     dict(modulations=(4, 4.5)),
     dict(noise=1),
+    dict(target_rates=(1.5, 1.0, 2.0)),     # user 1 carries log2 N_t = 1 bit
 ])
 def test_config_validation_errors(bad):
     with pytest.raises(ConfigError):
@@ -165,7 +181,7 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
     rng = np.random.default_rng(21)
     drawn = []
 
-    def fake_bep(gammas, alphabet, n_t, clamp=True):
+    def fake_bep(gammas, table, n_t, clamp=True):
         drawn.append(-2.0 - 1e-9 * rng.standard_normal(np.shape(gammas)))
         return drawn[-1]
 
