@@ -16,9 +16,9 @@ from .errors import ConfigError, as_tuple
 
 
 def rng_stream(seed: int, *keys: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, keys...): identical draws for the
-    same key regardless of how many other streams exist."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, keys)])))
+    """SeedSequence-keyed SFC64 stream of (seed, keys...): identical draws
+    for the same key regardless of how many other streams exist."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), *map(int, keys)])))
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

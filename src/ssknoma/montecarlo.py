@@ -8,9 +8,10 @@ schemes share one receiver (the batched joint antenna/symbol search, ML
 detection and SIC below), and the power-multiplexed users start at
 ``SimConfig.first_power_user``.
 
-Determinism: every block of trials draws from a counter-based stream keyed by
-(seed, metric, SNR point, block index), and the stopping rule is evaluated on
-fixed-size rounds of blocks, so results are identical for any worker count.
+Determinism: every block of trials draws from a SeedSequence-keyed SFC64
+stream of (seed, metric, SNR point, block index), and the stopping rule is
+evaluated on fixed-size rounds of blocks, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -287,6 +288,11 @@ def _tables(cfg: SimConfig) -> _Tables:
 
 # entries of one chunk of the metric scan
 _SM_CHUNK_ENTRIES = 1 << 22
+# trial-antenna entries of one chunk of the cell-edge statistics: the draw
+# and the search hold about 70 bytes per entry, so a chunk peaks near
+# 36 MiB. The chunk size depends on N_t alone, so the streams do not depend
+# on the worker count.
+_SM_DRAW_ENTRIES = 1 << 19
 
 
 def _sm_metric(inner, h_norm, sqrt_p, chi):
@@ -325,19 +331,18 @@ def _ml_detect_block(y, g, amp, points, grid=None):
     return k
 
 
-def _sm_detect_block(r, h_full, sqrt_p, chi_values, grid):
-    """Vectorized joint (antenna, composite symbol) ML search; returns the
-    0-based antenna and composite-symbol indices, first minimum on ties.
+def _sm_detect_block(y, g, sqrt_p, chi_values, grid):
+    """Vectorized joint (antenna, composite symbol) ML search on each
+    antenna's statistics y = h_t^H r and g = ||h_t||^2, (B, N_t) arrays;
+    returns the 0-based antenna and composite-symbol indices, first minimum
+    on ties.
 
-    Per antenna t the metric is that of an ML decision on the statistics
-    h_t^H r and ||h_t||^2, so ``_ml_detect_block`` decides each antenna's
-    best symbol and only those N_t candidates are scored.
+    Per antenna t the metric is that of an ML decision on (y_t, g_t), so
+    ``_ml_detect_block`` decides each antenna's best symbol and only those
+    N_t candidates are scored.
     """
-    inner = np.einsum("btr,br->bt", np.conj(h_full), r)
-    h_norm = np.sum(np.abs(h_full) ** 2, axis=2)
-    k = _ml_detect_block(inner.ravel(), h_norm.ravel(), sqrt_p, chi_values,
-                         grid).reshape(inner.shape)
-    t = _sm_metric(inner, h_norm, sqrt_p, chi_values[k]).argmin(axis=1)
+    k = _ml_detect_block(y.ravel(), g.ravel(), sqrt_p, chi_values, grid).reshape(y.shape)
+    t = _sm_metric(y, g, sqrt_p, chi_values[k]).argmin(axis=1)
     return t, k[np.arange(len(t)), t]
 
 
@@ -371,13 +376,44 @@ def _mrc_statistic(rng, var, n_r, signal, noise):
     return y, g
 
 
+def _sm_statistics(rng, var, n_t, n_r, v, signal, noise):
+    """The cell-edge joint search's statistics y = h_t^H r and g = ||h_t||^2
+    of every antenna t, (B, N_t) arrays, drawn from their joint law rather
+    than from a (B, N_t, N_r) channel and noise (Jeganathan et al., "Space
+    shift keying modulation for MIMO channels", IEEE TWC 2009).
+
+    The active antenna v has the MRC statistics (y_v, g_v) of
+    ``_mrc_statistic``, and ||r||^2 = |y_v|^2 / g_v + Gamma(N_r - 1), the
+    second term being the noise energy orthogonal to h_v (0 where g_v = 0).
+    Every other h_t is independent of r, so by unitary invariance
+    h_t^H r = ||r|| c_t and ||h_t||^2 = |c_t|^2 + var Gamma(N_r - 1) with
+    c_t ~ CN(0, var). Draw order: g_v, the noise of y_v, the noise energy,
+    c (B, N_t), then the gamma term (B, N_t); a Gamma(0) term (N_r = 1, or
+    the noise energy without noise) draws nothing."""
+    b = signal.size
+    y_v, g_v = _mrc_statistic(rng, var, n_r, signal, noise)
+    r_sq = np.divide(y_v.real ** 2 + y_v.imag ** 2, g_v, out=np.zeros(b), where=g_v > 0.0)
+    if noise and n_r > 1:
+        r_sq += rng.standard_gamma(n_r - 1, b)
+    y = complex_normal(rng, (b, n_t), var)
+    g = y.real ** 2 + y.imag ** 2
+    if n_r > 1:
+        g += var * rng.standard_gamma(n_r - 1, (b, n_t))
+    y *= np.sqrt(r_sq)[:, None]
+    rows = np.arange(b)
+    y[rows, v] = y_v
+    g[rows, v] = g_v
+    return y, g
+
+
 def _ber_trials(cfg: SimConfig, snr_db: float, block: int):
     """Simulate one block of trials; returns each user's bit errors per trial,
     one (B,) integer array per user.
 
     Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
-    the cell-edge user's (B, N_t, N_r) channel matrix and (B, N_r) noise for
-    the joint antenna/symbol search, then per power user its MRC statistics
+    the cell-edge user's per-antenna statistics (``_sm_statistics``) in
+    chunks of ``_SM_DRAW_ENTRIES // N_t`` trials, each chunk searched
+    before the next is drawn, then per power user its MRC statistics
     (``_mrc_statistic``: one gamma and one complex normal per trial), on
     which its SIC chain runs as (B,) arrays."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], _snr_key(snr_db), block)
@@ -399,11 +435,13 @@ def _ber_trials(cfg: SimConfig, snr_db: float, block: int):
     signal = sqrt_p * chi
 
     if first > 1:
-        h_full = complex_normal(rng, (b, n_t, n_r), variances[0])
-        r = h_full[np.arange(b), v, :] * signal[:, None]
-        if cfg.noise:
-            r += complex_normal(rng, (b, n_r), 1.0)
-        v_hat, _ = _sm_detect_block(r, h_full, sqrt_p, tables.alphabet, tables.sm_grid)
+        chunk = max(1, _SM_DRAW_ENTRIES // n_t)
+        v_hat = np.concatenate([
+            _sm_detect_block(*_sm_statistics(rng, variances[0], n_t, n_r, v[s:s + chunk],
+                                             signal[s:s + chunk], cfg.noise),
+                             sqrt_p, tables.alphabet, tables.sm_grid)[0]
+            for s in range(0, b, chunk)
+        ])
         errors.append(bit_errors(v, v_hat))  # an antenna's label is its index
     for k, var in enumerate(variances[first - 1:]):
         y, g = _mrc_statistic(rng, var, n_r, signal, cfg.noise)

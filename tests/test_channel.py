@@ -102,3 +102,51 @@ def test_ber_mrc_statistic_law_ks(n_r):
     y_clean, g_clean = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, sqrt_p * chi,
                                          False)
     assert np.array_equal(g_clean, g) and np.array_equal(y_clean, g * (sqrt_p * chi))
+
+
+def _ks_2samp(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical CDFs of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, x, side="right") / a.size
+                         - np.searchsorted(b, x, side="right") / b.size))
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_sm_statistics_law_ks(n_r):
+    """The cell-edge search's statistics as the BER engine draws them
+    (N_t = 2, antenna 0 active, 3 dB) against those of a brute-force draw
+    of the channel matrix and noise: the active antenna's g_v = ||h_v||^2,
+    h_v^H r per axis and ||r||^2, and the inactive antenna's h_t^H r per
+    axis and ||h_t||^2. ||r|| is read off the engine's inactive statistic,
+    h_t^H r = ||r|| c_t, by replaying its draws up to c."""
+    n = 50_000
+    var, sqrt_p = 2.0, np.sqrt(2.0)
+    chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
+    y, g = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r, np.zeros(n, dtype=int),
+                             sqrt_p * chi, True)
+    replay = rng_stream(44, n_r, 1)
+    mc._mrc_statistic(replay, var, n_r, sqrt_p * chi, True)
+    if n_r > 1:
+        replay.standard_gamma(n_r - 1, n)
+    c = complex_normal(replay, (n, 2), var)
+    r_sq = np.abs(y[:, 1]) ** 2 / np.abs(c[:, 1]) ** 2
+
+    rng = rng_stream(45, n_r)
+    h = complex_normal(rng, (n, 2, n_r), var)
+    r = sqrt_p * h[:, 0] * chi[:, None] + complex_normal(rng, (n, n_r), 1.0)
+    inner = np.einsum("btr,br->bt", np.conj(h), r)
+    energy = np.sum(np.abs(h) ** 2, axis=2)
+    pairs = {
+        "g_v": (g[:, 0], energy[:, 0]),
+        "Re y_v": (y[:, 0].real, inner[:, 0].real),
+        "Im y_v": (y[:, 0].imag, inner[:, 0].imag),
+        "||r||^2": (r_sq, np.sum(np.abs(r) ** 2, axis=1)),
+        "Re y_t": (y[:, 1].real, inner[:, 1].real),
+        "Im y_t": (y[:, 1].imag, inner[:, 1].imag),
+        "g_t": (g[:, 1], energy[:, 1]),
+    }
+    # 1% critical value is about 1.63 sqrt(2/n); allow headroom for the seed
+    for name, (drawn, brute) in pairs.items():
+        assert _ks_2samp(drawn, brute) < 2.0 * np.sqrt(2.0 / n), name

@@ -91,6 +91,12 @@ def _mrc(r, h):
     return np.sum(np.conj(h) * r, axis=1), np.sum(np.abs(h) ** 2, axis=1)
 
 
+def _antenna_statistics(r, h):
+    """The joint search's statistics from (B, N_r) received vectors and
+    (B, N_t, N_r) channels: h_t^H r and ||h_t||^2, (B, N_t) each."""
+    return np.einsum("btr,br->bt", np.conj(h), r), np.sum(np.abs(h) ** 2, axis=2)
+
+
 def _vector_sic_chain(r, h, amps, points):
     """Batched SIC on the received vectors: each stage minimises
     ||resid - amp h s||^2 over its constellation, then subtracts
@@ -112,7 +118,7 @@ def test_detect_sm_matches_brute_force(trial):
     power = 10.0
     h = complex_normal(rng, (BATCH, 4, 2), 1.0)
     r = complex_normal(rng, (BATCH, 2), 3.0)
-    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), ALPHABET3, GRID3)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h), np.sqrt(power), ALPHABET3, GRID3)
     for b in range(BATCH):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], ALPHABET3, power)
 
@@ -125,7 +131,8 @@ def test_detect_sm_noiseless_recovers_truth():
     v, k = np.divmod(np.arange(2 * ALPHABET3.size), ALPHABET3.size)
     r = np.sqrt(power) * h[v] * ALPHABET3[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 2, 4))
-    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), ALPHABET3, GRID3)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch), np.sqrt(power),
+                                    ALPHABET3, GRID3)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
 
@@ -140,7 +147,8 @@ def test_nearest_point_noiseless_recovers_truth(name):
     v, k = np.divmod(np.arange(4 * chis.size), chis.size)
     r = np.sqrt(power) * h[v] * chis[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 4, 2))
-    v_hat, k_hat = _sm_detect_block(r, h_batch, np.sqrt(power), chis, _sm_grid(chis))
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch), np.sqrt(power), chis,
+                                    _sm_grid(chis))
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
 
@@ -161,8 +169,9 @@ def test_nearest_point_search_equals_brute_force(name, n_t):
         v = rng.integers(0, n_t, b)
         k = rng.integers(0, chis.size, b)
         r = sqrt_p * h[np.arange(b), v] * chis[k][:, None] + complex_normal(rng, (b, n_r), 1.0)
-        v_fast, k_fast = _sm_detect_block(r, h, sqrt_p, chis, grid)
-        v_brute, k_brute = _sm_detect_block(r, h, sqrt_p, chis, None)
+        stats = _antenna_statistics(r, h)
+        v_fast, k_fast = _sm_detect_block(*stats, sqrt_p, chis, grid)
+        v_brute, k_brute = _sm_detect_block(*stats, sqrt_p, chis, None)
         assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute), snr_db
 
 
@@ -180,11 +189,12 @@ def test_nearest_point_breaks_ties_like_brute_force():
     k = rng.integers(0, chis.size, b)
     clean = sqrt_p * h[np.arange(b), v] * chis[k][:, None]
     first = np.array([np.flatnonzero(chis == chi)[0] for chi in chis])
-    v_hat, k_hat = _sm_detect_block(clean, h, sqrt_p, chis, grid)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(clean, h), sqrt_p, chis, grid)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, first[k])
     r = clean + complex_normal(rng, (b, 2), 1.0)
-    v_fast, k_fast = _sm_detect_block(r, h, sqrt_p, chis, grid)
-    v_brute, k_brute = _sm_detect_block(r, h, sqrt_p, chis, None)
+    stats = _antenna_statistics(r, h)
+    v_fast, k_fast = _sm_detect_block(*stats, sqrt_p, chis, grid)
+    v_brute, k_brute = _sm_detect_block(*stats, sqrt_p, chis, None)
     assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute)
 
 
@@ -198,7 +208,7 @@ def test_zero_channel_decides_first_pair_without_warning(grid):
     r = complex_normal(rng, (BATCH, 2), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(10.0), chis,
+        v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h), np.sqrt(10.0), chis,
                                         _sm_grid(chis) if grid else None)
     assert not v_hat.any() and not k_hat.any()
 
@@ -232,7 +242,7 @@ def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
     k = rng.integers(0, chis.size, 100)
     r = np.sqrt(power) * h[np.arange(100), v] * chis[k][:, None]
     r = r + complex_normal(rng, (100, 2), 1.0)
-    v_hat, k_hat = _sm_detect_block(r, h, np.sqrt(power), chis, None)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h), np.sqrt(power), chis, None)
     for b in range(100):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], chis, power)
     # an 8-PSK stage then a QPSK stage, 3 trials per chunk of the scan
@@ -343,14 +353,39 @@ def test_zero_variance_genie_user_decides_symbol_0():
     assert not decisions[0].any() and not decisions[1].any()
 
 
+def _brute_force_sm_statistics(r_sq, y, g, chis, power):
+    """(antenna, composite symbol) of the smallest
+    ||r||^2 - 2 sqrt(P) Re(chi* h_t^H r) + P |chi|^2 ||h_t||^2, which is
+    ||r - sqrt(P) h_t chi||^2 written in the per-antenna statistics, lowest
+    pair first on ties."""
+    best = None
+    for t in range(len(y)):
+        for k, chi in enumerate(chis):
+            d = (r_sq - 2.0 * np.sqrt(power) * (np.conj(chi) * y[t]).real
+                 + power * abs(chi) ** 2 * g[t])
+            if best is None or d < best[0] - 1e-12:
+                best = (d, t, k)
+    return best[1:]
+
+
 @pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
 def test_ber_block_matches_brute_force_chain(scheme):
     """The engine's per-trial bit errors equal a brute-force receiver's
     fed with the same draws, in the engine's order: antenna index, symbols,
-    then the cell-edge user's channel matrix and noise, then per power user
-    its MRC statistics, one gamma and one complex normal per trial."""
-    cfg = mc.make_config(scheme=scheme, n_users=3, n_r=2, snr_grid_db=[6.0],
-                         seed=8, block_size=40)
+    then the cell-edge user's statistics (its active antenna's MRC
+    statistics, the noise energy orthogonal to h_v for N_r > 1, then c_t and
+    the energy of h_t orthogonal to r for every antenna), then per power
+    user its MRC statistics, one gamma and one complex normal per trial.
+    Every cell-edge statistic is rebuilt from its law trial by trial, at
+    N_r = 1 (no orthogonal energies) and N_r = 2."""
+    for n_r in (1, 2):
+        _check_ber_block_against_brute_force(scheme, n_r)
+
+
+def _check_ber_block_against_brute_force(scheme, n_r):
+    cfg = mc.make_config(scheme=scheme, n_users=3, n_r=n_r,
+                         n_t=4 if scheme == mc.SSK_NOMA else 1,
+                         snr_grid_db=[6.0], seed=8, block_size=40)
     errors = mc._ber_trials(cfg, 6.0, 2)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(6.0), 2)
     b, power, first = cfg.block_size, 10.0 ** 0.6, cfg.first_power_user
@@ -365,21 +400,28 @@ def test_ber_block_matches_brute_force_chain(scheme):
     for i in range(1, cfg.n_users + 1):
         var = cfg.fading.variances[i - 1]
         k = i - first
-        if i < first:
-            h = complex_normal(rng, (b, cfg.n_t, cfg.n_r), var)
-            r = h[np.arange(b), v] * signal[:, None] + complex_normal(rng, (b, cfg.n_r), 1.0)
-            for t in range(b):
-                v_hat, _ = _brute_force_sm(r[t], h[t], cfg.tables.alphabet, power)
-                want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
-            continue
         g = var * rng.standard_gamma(cfg.n_r, b)
         y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
+        if i < first:
+            perp = rng.standard_gamma(cfg.n_r - 1, b) if cfg.n_r > 1 else np.zeros(b)
+            c = complex_normal(rng, (b, cfg.n_t), var)
+            c_perp = (var * rng.standard_gamma(cfg.n_r - 1, (b, cfg.n_t)) if cfg.n_r > 1
+                      else np.zeros((b, cfg.n_t)))
+            for t in range(b):
+                r_sq = abs(y[t]) ** 2 / g[t] + perp[t]
+                y_t = [y[t] if u == v[t] else np.sqrt(r_sq) * c[t, u] for u in range(cfg.n_t)]
+                g_t = [g[t] if u == v[t] else abs(c[t, u]) ** 2 + c_perp[t, u]
+                       for u in range(cfg.n_t)]
+                v_hat, _ = _brute_force_sm_statistics(r_sq, y_t, g_t, cfg.tables.alphabet,
+                                                      power)
+                want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
+            continue
         for t in range(b):
             dec = _brute_force_scalar_sic(y[t], g[t], amps[:k + 1], points[:k + 1])
             want[i - 1, t] = consts[k].bit_distance_table()[ks[k][t], dec[-1]]
-    assert np.array_equal(errors, want)
-    # one antenna bit for user 1 of SSK-NOMA, two bits per QPSK symbol
-    assert cfg.tables.bits == (1,) * (first - 1) + (2,) * (cfg.n_users + 1 - first)
+    assert np.array_equal(errors, want), n_r
+    # log2 N_t = 2 antenna bits for user 1 of SSK-NOMA, two bits per QPSK symbol
+    assert cfg.tables.bits == (2,) * cfg.n_users
 
 
 # --- nearest-point ML stages ----------------------------------------------------

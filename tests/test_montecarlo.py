@@ -4,12 +4,14 @@ counts, noise-free sanity, and agreement with the closed forms."""
 import collections
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from ssknoma import montecarlo as mc
 from ssknoma.analytics import abep_u2, abep_u3
+from ssknoma.channel import rng_stream
 from ssknoma.errors import ConfigError
 
 GRID = [10.0]
@@ -66,6 +68,21 @@ def test_rate_block_memory_does_not_grow_with_symbol_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+def test_ber_block_memory_does_not_grow_with_antennas():
+    """The cell-edge statistics are drawn and searched in chunks of a fixed
+    number of trial-antenna entries, so a 1 000-trial BER block at
+    N_t = 4 096 holds no B x N_t x N_r channel matrix, which with its
+    temporaries traced over 400 MiB."""
+    cfg = mc.make_config(n_users=3, n_r=2, n_t=4096, block_size=1000, snr_grid_db=[10])
+    tracemalloc.start()
+    try:
+        mc._ber_trials(cfg, 10.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_make_config_baseline_defaults():
@@ -135,6 +152,41 @@ def test_noise_free_runs_are_error_free():
         assert p.value == 0.0
         # no trial spreads: the rule of three bounds the rate at 3/n
         assert p.ci_halfwidth == 3.0 / p.n_trials
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_noise_free_cell_edge_search_is_error_free(n_r):
+    """Without noise every statistic of the true antenna and symbol fits r
+    exactly, at N_r = 1 (no orthogonal energies) as at N_r > 1, so no
+    user errs at low or high SNR."""
+    cfg = _cfg(n_r=n_r, n_t=4, noise=False, block_size=5_000)
+    for snr_db in (0.0, 30.0):
+        for errors in mc._ber_trials(cfg, snr_db, 0):
+            assert not errors.any(), snr_db
+
+
+def test_chunked_cell_edge_search_keeps_every_trial(monkeypatch):
+    """Chunks of 3 trials at N_t = 4, the last one short: each chunk
+    searches its own trials' antennas and symbols, so a noise-free block
+    stays error-free and no trial is lost."""
+    monkeypatch.setattr(mc, "_SM_DRAW_ENTRIES", 12)
+    cfg = _cfg(n_t=4, noise=False, block_size=100)
+    errors = mc._ber_trials(cfg, 10.0, 0)
+    assert errors[0].shape == (100,) and not any(e.any() for e in errors)
+
+
+@pytest.mark.parametrize("noise", [True, False])
+def test_zero_variance_cell_edge_user_decides_antenna_0(noise):
+    """fading [0, 2, 4]: every cell-edge statistic is 0 (||r||^2 included,
+    which would be 0/0), so the search decides antenna 0 on every trial
+    without a RuntimeWarning, and user 1 errs in the bits of its antenna."""
+    cfg = _cfg(n_t=4, fading=(0.0, 2.0, 4.0), noise=noise, block_size=2_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = mc._ber_trials(cfg, 10.0, 0)
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
+    v = rng.integers(0, cfg.n_t, cfg.block_size)
+    assert np.array_equal(errors[0], np.bitwise_count(v))
 
 
 def test_noise_free_baseline_is_error_free():
