@@ -83,11 +83,10 @@ def zeta_set(a2: float, a3: float) -> tuple:
 
 @dataclass(frozen=True)
 class OutageTargets:
-    """Target rates for users 1..L; ``literal_phi`` selects the printed
-    threshold form 2**(R-1) instead of the Shannon inversion 2**R - 1."""
+    """Target rates for users 1..L, with the Shannon SINR thresholds
+    phi = 2**R - 1."""
 
     rates: tuple
-    literal_phi: bool = False
 
     def __post_init__(self):
         r = as_tuple("target_rates", self.rates, float)
@@ -99,8 +98,7 @@ class OutageTargets:
         return self.rates[user - 1]
 
     def phi(self, user: int) -> float:
-        r = self.rate(user)
-        return 2.0 ** (r - 1.0) if self.literal_phi else 2.0**r - 1.0
+        return 2.0 ** self.rate(user) - 1.0
 
 
 def _check_two_user_pa(a2: float, a3: float):

@@ -17,7 +17,10 @@ from .errors import ConfigError, as_tuple
 
 def rng_stream(seed: int, *keys: int) -> np.random.Generator:
     """SeedSequence-keyed SFC64 stream of (seed, keys...): identical draws
-    for the same key regardless of how many other streams exist."""
+    for the same key regardless of how many other streams exist. The trial
+    engine keys each block by (seed, metric, block index). SeedSequence pads
+    a short key with zeros, so keys are distinct streams only when they have
+    one length and every value fits in 32 bits."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), *map(int, keys)])))
 
 

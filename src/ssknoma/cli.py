@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials-max", type=int, default=None,
                        help="override the trial cap per SNR point; trials run in rounds "
-                            "of 4 blocks of 25000, so a point runs at least 100000")
+                            "of 4 blocks, so the cap is rounded up to a multiple of 4")
         p.add_argument("--quiet", action="store_true")
     p = sub.add_parser("complexity")
     p.add_argument("--row", help="single scenario as L,M,N_r")

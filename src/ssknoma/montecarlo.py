@@ -9,9 +9,9 @@ detection and SIC below), and the power-multiplexed users start at
 ``SimConfig.first_power_user``.
 
 Determinism: every block of trials draws from a SeedSequence-keyed SFC64
-stream of (seed, metric, SNR point, block index), and the stopping rule is
-evaluated on fixed-size rounds of blocks, so results are identical for any
-worker count.
+stream of (seed, metric, block index), once for every SNR point it serves,
+and each point's stopping rule is evaluated on fixed-size rounds of blocks,
+so results are identical for any worker count and any SNR grid.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ DEFAULT_PA = {
 }
 
 _METRIC_CODE = {"ber": 1, "outage": 2, "rate": 3}
+
+# Largest accepted antenna count, a power of 2. A BER block's time grows
+# with N_t, and beyond the 2^19-entry chunk budget below so does its memory;
+# no preset uses more than 16.
+_MAX_N_T = 4096
 
 # index of the first power-multiplexed user: SSK-NOMA carries user 1 on the
 # antenna index, the baseline power-multiplexes every user
@@ -106,18 +111,20 @@ class SimConfig:
             raise ConfigError(f"expected {self.n_users} target rates: {self.target_rates.rates}")
         if self.n_r < 1:
             raise ConfigError(f"n_r must be >= 1, got {self.n_r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the streams take the seed as one 32-bit key word: seed 2^32 + s would
+        # spill into a second word, and its (metric, block 0) stream would be
+        # seed s's (1, metric) stream
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must be in 0..2^32 - 1, got {self.seed}")
         if not self.snr_grid_db:
             raise ConfigError("SNR grid must not be empty")
         if any(abs(snr) > 300.0 for snr in self.snr_grid_db):
             raise ConfigError(f"SNR points must lie within +-300 dB: {list(self.snr_grid_db)}")
-        keys = [_snr_key(snr) for snr in self.snr_grid_db]
-        if len(set(keys)) != len(keys):
-            raise ConfigError("SNR grid points closer than 0.01 dB would share "
-                              f"random streams: {list(self.snr_grid_db)}")
-        if self.first_power_user > 1 and (self.n_t < 2 or self.n_t & (self.n_t - 1)):
-            raise ConfigError("SSK-NOMA needs a power-of-2 antenna count >= 2")
+        if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
+            raise ConfigError(f"SNR grid repeats a point: {list(self.snr_grid_db)}")
+        # the powers of 2 in 2.._MAX_N_T are the divisors of _MAX_N_T above 1
+        if self.first_power_user > 1 and (self.n_t < 2 or _MAX_N_T % self.n_t):
+            raise ConfigError(f"SSK-NOMA needs N_t a power of 2 in 2..{_MAX_N_T}, got {self.n_t}")
         if self.first_power_user == 1 and self.n_t != 1:
             raise ConfigError("the baseline uses a single transmit antenna")
         # the cell-edge user carries log2 N_t bits; the slack is outage_u1's
@@ -212,8 +219,11 @@ def _n_workers() -> int:
     return int(raw)
 
 
-def _snr_key(snr_db: float) -> int:
-    return int(round(snr_db * 100.0)) & 0xFFFFFFFF
+def _block_trials(cfg: SimConfig, block: int) -> int:
+    """Trials of block ``block``: ``block_size``, but in the round that
+    reaches ``max_trials`` an equal share of what is left of it, rounded up."""
+    left = cfg.max_trials - block // cfg.blocks_per_round * cfg.blocks_per_round * cfg.block_size
+    return min(cfg.block_size, -(-left // cfg.blocks_per_round))
 
 
 # ---------------------------------------------------------------------------
@@ -363,148 +373,151 @@ def _sic_detect_block(y, g, amps, points, grids=None):
     return decisions, resid
 
 
-def _mrc_statistic(rng, var, n_r, signal, noise):
-    """MRC statistics of one user with a known channel, drawn from their
-    joint law rather than from a channel vector and noise: the energy
-    g = ||h||^2 over N_r Rayleigh branches of variance ``var`` is
+def _mrc_statistic(rng, var, n_r, b, noise):
+    """MRC statistics of one user with a known channel over ``b`` trials,
+    drawn from their joint law rather than from a channel vector and noise:
+    the energy g = ||h||^2 over N_r Rayleigh branches of variance ``var`` is
     var * Gamma(N_r, 1), and given g the combiner output h^H r is
-    g * signal plus, with ``noise``, sqrt(g) * CN(0, 1)."""
-    g = var * rng.standard_gamma(n_r, signal.size)
-    y = g * signal
-    if noise:
-        y += np.sqrt(g) * complex_normal(rng, signal.size, 1.0)
-    return y, g
+    g * sqrt(P) * chi plus, with ``noise``, sqrt(g) * CN(0, 1). Returns g and
+    that noise term (0.0 without noise), neither of which depends on the SNR."""
+    g = var * rng.standard_gamma(n_r, b)
+    return g, (np.sqrt(g) * complex_normal(rng, b, 1.0) if noise else 0.0)
 
 
-def _sm_statistics(rng, var, n_t, n_r, v, signal, noise):
+def _sm_statistics(rng, var, n_t, n_r, v, chi, sqrt_ps, noise):
     """The cell-edge joint search's statistics y = h_t^H r and g = ||h_t||^2
     of every antenna t, (B, N_t) arrays, drawn from their joint law rather
     than from a (B, N_t, N_r) channel and noise (Jeganathan et al., "Space
-    shift keying modulation for MIMO channels", IEEE TWC 2009).
+    shift keying modulation for MIMO channels", IEEE TWC 2009). Yields
+    (y, g) for each sqrt(P) of ``sqrt_ps``; g is the same array every time.
 
     The active antenna v has the MRC statistics (y_v, g_v) of
     ``_mrc_statistic``, and ||r||^2 = |y_v|^2 / g_v + Gamma(N_r - 1), the
     second term being the noise energy orthogonal to h_v (0 where g_v = 0).
     Every other h_t is independent of r, so by unitary invariance
     h_t^H r = ||r|| c_t and ||h_t||^2 = |c_t|^2 + var Gamma(N_r - 1) with
-    c_t ~ CN(0, var). Draw order: g_v, the noise of y_v, the noise energy,
-    c (B, N_t), then the gamma term (B, N_t); a Gamma(0) term (N_r = 1, or
-    the noise energy without noise) draws nothing."""
-    b = signal.size
-    y_v, g_v = _mrc_statistic(rng, var, n_r, signal, noise)
-    r_sq = np.divide(y_v.real ** 2 + y_v.imag ** 2, g_v, out=np.zeros(b), where=g_v > 0.0)
-    if noise and n_r > 1:
-        r_sq += rng.standard_gamma(n_r - 1, b)
-    y = complex_normal(rng, (b, n_t), var)
-    g = y.real ** 2 + y.imag ** 2
+    c_t ~ CN(0, var). Draw order, once before the first yield: g_v, the
+    noise of y_v, the noise energy, c (B, N_t), then the gamma term
+    (B, N_t); a Gamma(0) term (N_r = 1, or the noise energy without noise)
+    draws nothing."""
+    b = chi.size
+    g_v, w_v = _mrc_statistic(rng, var, n_r, b, noise)
+    perp = rng.standard_gamma(n_r - 1, b) if noise and n_r > 1 else 0.0
+    c = complex_normal(rng, (b, n_t), var)
+    g = c.real ** 2 + c.imag ** 2
     if n_r > 1:
         g += var * rng.standard_gamma(n_r - 1, (b, n_t))
-    y *= np.sqrt(r_sq)[:, None]
     rows = np.arange(b)
-    y[rows, v] = y_v
     g[rows, v] = g_v
-    return y, g
+    for sqrt_p in sqrt_ps:
+        y_v = g_v * (sqrt_p * chi) + w_v
+        r_sq = np.divide(y_v.real ** 2 + y_v.imag ** 2, g_v, out=np.zeros(b), where=g_v > 0.0)
+        y = c * np.sqrt(r_sq + perp)[:, None]
+        y[rows, v] = y_v
+        yield y, g
 
 
-def _ber_trials(cfg: SimConfig, snr_db: float, block: int):
-    """Simulate one block of trials; returns each user's bit errors per trial,
-    one (B,) integer array per user.
+def _ber_trials(cfg: SimConfig, snrs, block: int):
+    """Simulate one block of trials at every SNR point of ``snrs``; yields
+    per point, in order, each user's bit errors per trial, one (B,) integer
+    array per user.
 
     Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
     the cell-edge user's per-antenna statistics (``_sm_statistics``) in
-    chunks of ``_SM_DRAW_ENTRIES // N_t`` trials, each chunk searched
-    before the next is drawn, then per power user its MRC statistics
-    (``_mrc_statistic``: one gamma and one complex normal per trial), on
-    which its SIC chain runs as (B,) arrays."""
-    rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], _snr_key(snr_db), block)
+    chunks of ``_SM_DRAW_ENTRIES // N_t`` trials, each chunk searched at
+    every point before the next is drawn, then per power user its MRC
+    statistics (``_mrc_statistic``: one gamma and one complex normal per
+    trial), on which each point's SIC chain runs as (B,) arrays."""
+    rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], block)
     tables = cfg.tables
-    b, n_t, n_r = cfg.block_size, cfg.n_t, cfg.n_r
+    b, n_t, n_r = _block_trials(cfg, block), cfg.n_t, cfg.n_r
     first = cfg.first_power_user
-    rho = 10.0 ** (snr_db / 10.0)
-    sqrt_p = np.sqrt(rho)
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
+    sqrt_ps = [np.sqrt(rho) for rho in rhos]
     coeffs = cfg.pa.coefficients
-    amps = [np.sqrt(a * rho) for a in coeffs]
     points = [c.points for c in tables.consts]
     variances = cfg.fading.variances
-    errors = []
 
     if first > 1:
         v = rng.integers(0, n_t, b)
     ks = [rng.integers(0, c.order, b) for c in tables.consts]
     chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
-    signal = sqrt_p * chi
 
+    v_hats = [[] for _ in snrs]
     if first > 1:
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
-        v_hat = np.concatenate([
-            _sm_detect_block(*_sm_statistics(rng, variances[0], n_t, n_r, v[s:s + chunk],
-                                             signal[s:s + chunk], cfg.noise),
-                             sqrt_p, tables.alphabet, tables.sm_grid)[0]
-            for s in range(0, b, chunk)
-        ])
-        errors.append(bit_errors(v, v_hat))  # an antenna's label is its index
-    for k, var in enumerate(variances[first - 1:]):
-        y, g = _mrc_statistic(rng, var, n_r, signal, cfg.noise)
-        decisions, _ = _sic_detect_block(y, g, amps[:k + 1], points[:k + 1],
-                                          tables.grids[:k + 1])
-        labels = tables.consts[k].labels
-        errors.append(bit_errors(labels[ks[k]], labels[decisions[-1]]))
-    return errors
+        for s in range(0, b, chunk):
+            stats = _sm_statistics(rng, variances[0], n_t, n_r, v[s:s + chunk],
+                                   chi[s:s + chunk], sqrt_ps, cfg.noise)
+            for sqrt_p, v_hat, (y, g) in zip(sqrt_ps, v_hats, stats):
+                v_hat.append(_sm_detect_block(y, g, sqrt_p, tables.alphabet, tables.sm_grid)[0])
+    mrc = [_mrc_statistic(rng, var, n_r, b, cfg.noise) for var in variances[first - 1:]]
+    for rho, sqrt_p, v_hat in zip(rhos, sqrt_ps, v_hats):
+        # an antenna's label is its index
+        errors = [bit_errors(v, np.concatenate(v_hat))] if first > 1 else []
+        signal = sqrt_p * chi
+        amps = [np.sqrt(a * rho) for a in coeffs]
+        for k, (g, w) in enumerate(mrc):
+            decisions, _ = _sic_detect_block(g * signal + w, g, amps[:k + 1], points[:k + 1],
+                                              tables.grids[:k + 1])
+            labels = tables.consts[k].labels
+            errors.append(bit_errors(labels[ks[k]], labels[decisions[-1]]))
+        yield errors
 
 
-def _gamma_block(cfg: SimConfig, metric: str, snr_db: float, block: int):
-    """Per-user MRC output SNR draws for one block (rate/outage metrics).
+def _gamma_block(cfg: SimConfig, metric: str, snrs, block: int):
+    """Per-user MRC output SNR draws of one block (rate/outage metrics) at
+    each SNR point of ``snrs``: rho * ||h||^2 over N_r Rayleigh branches of
+    variance sigma^2 is rho * sigma^2 * Gamma(N_r, 1), so each user, in user
+    order, draws sigma^2 * Gamma(N_r, 1) once per trial, and each point
+    scales those draws by its rho (exact zeros for a zero-variance user)."""
+    rng = rng_stream(cfg.seed, _METRIC_CODE[metric], block)
+    b = _block_trials(cfg, block)
+    draws = [var * rng.standard_gamma(cfg.n_r, b) for var in cfg.fading.variances]
+    return [[10.0 ** (snr_db / 10.0) * d for d in draws] for snr_db in snrs]
 
-    The MRC output SNR rho * ||h||^2 over N_r Rayleigh branches of variance
-    sigma^2 is Gamma(N_r, rho * sigma^2), so each user, in user order,
-    draws one standard gamma variate per trial; a zero-variance user gets
-    exact zeros."""
-    rng = rng_stream(cfg.seed, _METRIC_CODE[metric], _snr_key(snr_db), block)
-    rho = 10.0 ** (snr_db / 10.0)
-    return [(rho * var) * rng.standard_gamma(cfg.n_r, cfg.block_size)
-            for var in cfg.fading.variances]
 
-
-def _outage_trials(cfg: SimConfig, snr_db: float, block: int):
-    """Per-user outage outcome of each trial of one block, one (B,) float
-    array per user: 1 or 0 for a power-multiplexed user, and for the
-    cell-edge user its conditional BEP where gamma >= psi_1, else 0."""
-    gammas = _gamma_block(cfg, "outage", snr_db, block)
+def _outage_trials(cfg: SimConfig, snrs, block: int):
+    """Yields per SNR point of ``snrs`` the per-user outage outcome of each
+    trial of one block, one (B,) float array per user: 1 or 0 for a
+    power-multiplexed user, and for the cell-edge user its conditional BEP
+    where gamma >= psi_1, else 0."""
     targets = cfg.target_rates
     first = cfg.first_power_user
-    outcomes = []
-    if first > 1:
-        # the cell-edge outage metric is the conditional error probability
-        # averaged over the fading tail above the rate-derived limit, so it
-        # reduces to the ABEP when the target rate saturates the antenna bits
-        psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
-        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
-        outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
-    for i, g in enumerate(gammas[first - 1:], start=first):
-        # g >= psi_i iff every SINR of the SIC cascade meets its target, up
-        # to rounding at the stage thresholds (a property test in
-        # tests/test_analytics.py checks it against the cascade)
-        psi = analytics.outage_threshold_psi(i, cfg.pa, targets, first)
-        outcomes.append((g < psi).astype(float))
-    return outcomes
+    for gammas in _gamma_block(cfg, "outage", snrs, block):
+        outcomes = []
+        if first > 1:
+            # the cell-edge outage metric is the conditional error probability
+            # averaged over the fading tail above the rate-derived limit, so it
+            # reduces to the ABEP when the target rate saturates the antenna bits
+            psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
+            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
+            outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
+        for i, g in enumerate(gammas[first - 1:], start=first):
+            # g >= psi_i iff every SINR of the SIC cascade meets its target, up
+            # to rounding at the stage thresholds (a property test in
+            # tests/test_analytics.py checks it against the cascade)
+            psi = analytics.outage_threshold_psi(i, cfg.pa, targets, first)
+            outcomes.append((g < psi).astype(float))
+        yield outcomes
 
 
-def _rate_trials(cfg: SimConfig, snr_db: float, block: int):
-    """Per-draw rate of each user of one block, one (B,) array per user,
-    plus the per-draw sum rate last."""
-    gammas = _gamma_block(cfg, "rate", snr_db, block)
+def _rate_trials(cfg: SimConfig, snrs, block: int):
+    """Yields per SNR point of ``snrs`` the per-draw rate of each user of
+    one block, one (B,) array per user, plus the per-draw sum rate last."""
     coeffs = cfg.pa.coefficients
     first = cfg.first_power_user
-    rates = []
-    if first > 1:
-        bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
-        rates.append(np.log2(cfg.n_t) * (1.0 - bep))
-    for k, g in enumerate(gammas[first - 1:]):
-        with_own = sum(coeffs[k:])
-        without = sum(coeffs[k + 1:])
-        rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
-    rates.append(sum(rates))
-    return rates
+    for gammas in _gamma_block(cfg, "rate", snrs, block):
+        rates = []
+        if first > 1:
+            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
+            rates.append(np.log2(cfg.n_t) * (1.0 - bep))
+        for k, g in enumerate(gammas[first - 1:]):
+            with_own = sum(coeffs[k:])
+            without = sum(coeffs[k + 1:])
+            rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
+        rates.append(sum(rates))
+        yield rates
 
 
 _TRIALS_FN = {"ber": _ber_trials, "outage": _outage_trials, "rate": _rate_trials}
@@ -526,81 +539,67 @@ def _moments(trials):
 
 
 def _worker(args):
-    cfg, metric, snr_db, block = args
-    return _moments(_TRIALS_FN[metric](cfg, snr_db, block))
-
-
-def _run_rounds(cfg: SimConfig, metric: str, snr_db: float, stop_fn=None):
-    """Run fixed-size rounds of blocks until the trial cap or the optional
-    early stop ``stop_fn(results)``; block results merge in block order so
-    worker count never changes the outcome."""
-    workers = _n_workers()
-    results = []
-    block = 0
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    try:
-        while True:
-            idxs = list(range(block, block + cfg.blocks_per_round))
-            args = [(cfg, metric, snr_db, j) for j in idxs]
-            if pool is None:
-                batch = [_worker(a) for a in args]
-            else:
-                batch = list(pool.map(_worker, args))
-            results.extend(batch)
-            block += cfg.blocks_per_round
-            if block * cfg.block_size >= cfg.max_trials or (stop_fn and stop_fn(results)):
-                return results
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    cfg, metric, snrs, block = args
+    return [_moments(trials) for trials in _TRIALS_FN[metric](cfg, snrs, block)]
 
 
 _Z95 = 1.959963984540054
 
 
-def _check_metric(cfg: SimConfig, metric: str) -> None:
-    if metric not in _TRIALS_FN:
-        raise ConfigError(f"unknown metric {metric!r}")
-    if metric == "outage" and cfg.target_rates is None:
-        raise ConfigError("outage metric requires target rates")
+def _sweep_points(cfg: SimConfig, metric: str):
+    """Yield (SNR point, per-user estimates) of each SNR point as it stops.
 
-
-def run_point(cfg: SimConfig, metric: str, snr_db: float):
-    """Per-user estimates of one metric at one SNR point, each the mean of
-    one i.i.d. per-trial quantity with a 95% interval from its trial-level
-    variance: a trial's bit errors (BER, divided by the user's bits per trial
-    at the end), its outage outcome (``_outage_trials``) or its rate (with
-    the sum rate as user 0). A slot whose trials do not spread at all (no
-    event, say) gets the rule-of-three half-width 3/n instead of 0. BER
-    rounds stop once every user has ``min_bit_errors`` errors."""
-    _check_metric(cfg, metric)
-    stop = None
-    if metric == "ber":
-        def stop(results):
-            return bool(np.all(sum(r[0] for r in results) >= cfg.min_bit_errors))
-    results = _run_rounds(cfg, metric, snr_db, stop)
-    sums = sum(r[0] for r in results)
-    n = sum(r[4] for r in results)
-    # Chan et al.'s merge of per-block centred sums of squares, in block
-    # order; block means are taken relative to the first block's, so their
-    # differences keep full precision when the spread is tiny
-    base = results[0][1]
-    count, mean, m2 = 0.0, 0.0, 0.0
-    for _, mean_b, dev_b, sq_b, count_b in results:
-        offset = (mean_b - base) + dev_b / count_b
-        merged = count + count_b
-        delta = offset - mean
-        mean = mean + delta * (count_b / merged)
-        m2 = m2 + (sq_b - dev_b * dev_b / count_b) + delta * delta * (count * count_b / merged)
-        count = merged
+    Rounds of ``blocks_per_round`` blocks run until every point has stopped,
+    each block drawn once for all points still running. A point stops at the
+    trial cap or, for BER, once every user has ``min_bit_errors`` errors. An
+    estimate is the mean of one i.i.d. per-trial quantity: a trial's bit
+    errors (BER, divided by the user's bits per trial at the end), outage
+    outcome (``_outage_trials``) or rate (the sum rate as user 0), with a 95%
+    interval from its trial-level variance, or the rule-of-three half-width
+    3/n where the trials do not spread at all. A point's blocks merge in
+    block order, so its estimate depends neither on the worker count nor on
+    the other grid points."""
     users = list(range(1, cfg.n_users + 1)) + ([0] if metric == "rate" else [])
     bits = cfg.tables.bits if metric == "ber" else (1,) * len(users)
-    out = []
-    for slot, user in enumerate(users):
-        hw = _Z95 * np.sqrt(m2[slot] / n / n) / bits[slot] if m2[slot] > 0.0 else 3.0 / n
-        out.append(PointEstimate(metric, user, float(snr_db),
-                                 float(sums[slot] / (n * bits[slot])), float(hw), int(n)))
-    return out
+    workers = _n_workers()
+    running = {snr_db: [] for snr_db in cfg.snr_grid_db}  # SNR point -> block moments
+    block = 0
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
+        while running:
+            args = [(cfg, metric, tuple(running), block + j) for j in range(cfg.blocks_per_round)]
+            for per_point in (map if pool is None else pool.map)(_worker, args):
+                for results, moments in zip(running.values(), per_point):
+                    results.append(moments)
+            block += cfg.blocks_per_round
+            for snr_db, results in list(running.items()):
+                sums, n = sum(r[0] for r in results), sum(r[4] for r in results)
+                if n < cfg.max_trials and not (metric == "ber"
+                                               and np.all(sums >= cfg.min_bit_errors)):
+                    continue
+                del running[snr_db]
+                # Chan et al.'s merge of per-block centred sums of squares, in
+                # block order; block means are taken relative to the first
+                # block's, so their differences keep full precision when the
+                # spread is tiny
+                base = results[0][1]
+                count, mean, m2 = 0.0, 0.0, 0.0
+                for _, mean_b, dev_b, sq_b, count_b in results:
+                    offset = (mean_b - base) + dev_b / count_b
+                    merged = count + count_b
+                    delta = offset - mean
+                    mean = mean + delta * (count_b / merged)
+                    m2 = (m2 + (sq_b - dev_b * dev_b / count_b)
+                          + delta * delta * (count * count_b / merged))
+                    count = merged
+                hw = [_Z95 * np.sqrt(m2[s] / n / n) / bits[s] if m2[s] > 0.0 else 3.0 / n
+                      for s in range(len(users))]
+                yield snr_db, [PointEstimate(metric, user, snr_db, float(sums[s] / (n * bits[s])),
+                                             float(hw[s]), int(n))
+                               for s, user in enumerate(users)]
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +658,20 @@ _ANALYTIC_FN = {"ber": _analytic_ber, "rate": _analytic_rate, "outage": _analyti
 
 
 def run_sweep(cfg: SimConfig, metrics=("ber",)) -> SweepResult:
-    """Evaluate the requested metrics over the whole SNR grid and attach the
-    closed-form companion value wherever the configuration is covered."""
+    """Evaluate the requested metrics over the whole SNR grid, one round loop
+    per metric (``_sweep_points``), and attach the closed-form companion
+    value wherever the configuration is covered."""
     for metric in metrics:
-        _check_metric(cfg, metric)
+        if metric not in _TRIALS_FN:
+            raise ConfigError(f"unknown metric {metric!r}")
+        if metric == "outage" and cfg.target_rates is None:
+            raise ConfigError("outage metric requires target rates")
     points = []
     for metric in metrics:
+        by_point = dict(_sweep_points(cfg, metric))
         for snr_db in cfg.snr_grid_db:
             rho = 10.0 ** (snr_db / 10.0)
-            for est in run_point(cfg, metric, snr_db):
+            for est in by_point[snr_db]:
                 try:
                     analytic = _ANALYTIC_FN[metric](cfg, est.user, rho)
                 except ConfigError:

@@ -158,7 +158,7 @@ def test_c05_capacity_agreement():
             cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=n_users, n_r=n_r,
                                  snr_grid_db=[10.0], seed=53,
                                  max_trials=1_000_000)
-            points = {p.user: p for p in mc.run_point(cfg, "rate", 10.0)}
+            points = {p.user: p for p in mc.run_sweep(cfg, metrics=("rate",)).points}
             for user in range(2, n_users + 1):
                 want = ergodic_capacity_noma_user(
                     user, cfg.pa, 10.0, cfg.fading.variances[user - 1], n_r
@@ -269,8 +269,8 @@ def test_c10_scheme_superiority():
     base = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                           snr_grid_db=[20.0], seed=41, min_bit_errors=400,
                           max_trials=2_000_000)
-    ssk_ber = {p.user: p for p in mc.run_point(ssk, "ber", 20.0)}
-    base_ber = {p.user: p for p in mc.run_point(base, "ber", 20.0)}
+    ssk_ber = {p.user: p for p in mc.run_sweep(ssk, metrics=("ber",)).points}
+    base_ber = {p.user: p for p in mc.run_sweep(base, metrics=("ber",)).points}
     for user in (1, 2, 3):
         a, b = ssk_ber[user], base_ber[user]
         margin = 3.0 * math.hypot(a.ci_halfwidth, b.ci_halfwidth)
@@ -280,8 +280,8 @@ def test_c10_scheme_superiority():
                            snr_grid_db=[20.0], seed=41, max_trials=1_000_000)
     base_r = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=4,
                             snr_grid_db=[20.0], seed=41, max_trials=1_000_000)
-    rs = {p.user: p for p in mc.run_point(ssk_r, "rate", 20.0)}
-    rb = {p.user: p for p in mc.run_point(base_r, "rate", 20.0)}
+    rs = {p.user: p for p in mc.run_sweep(ssk_r, metrics=("rate",)).points}
+    rb = {p.user: p for p in mc.run_sweep(base_r, metrics=("rate",)).points}
     margin = 3.0 * math.hypot(rs[0].ci_halfwidth, rb[0].ci_halfwidth)
     if not rs[0].value - rb[0].value > margin:
         failures.append("sum rate")

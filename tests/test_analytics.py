@@ -609,8 +609,6 @@ def test_outage_targets_phi():
     t = OutageTargets((1.0, 1.5, 2.0))
     assert t.phi(1) == pytest.approx(1.0)
     assert t.phi(3) == pytest.approx(3.0)
-    lit = OutageTargets((1.0, 1.5, 2.0), literal_phi=True)
-    assert lit.phi(3) == pytest.approx(2.0)
     with pytest.raises(ConfigError):
         OutageTargets((0.0, 1.0))
 
@@ -652,7 +650,7 @@ def _outage_cases(draw):
     first_user = draw(st.sampled_from([1, 2]))
     rates = draw(st.lists(st.floats(0.01, 4.0), min_size=n_power + first_user - 1,
                           max_size=n_power + first_user - 1))
-    targets = OutageTargets(tuple(rates), literal_phi=draw(st.booleans()))
+    targets = OutageTargets(tuple(rates))
     i = draw(st.integers(first_user, first_user + n_power - 1))
     drawn = draw(st.lists(st.floats(0.0, 1e7), min_size=1, max_size=20))
     return pa, targets, first_user, i, np.array(drawn)

@@ -68,7 +68,8 @@ def test_mrc_snr_distribution_ks(n_r):
     n = 50_000
     cfg = mc.make_config(mc.SSK_NOMA, 3, n_r, [10.0], seed=42, n_t=2, block_size=n)
     ecdf = (np.arange(n) + 0.5) / n
-    for var, gammas in zip(cfg.fading.variances, mc._gamma_block(cfg, "rate", 10.0, 0)):
+    [point] = mc._gamma_block(cfg, "rate", [10.0], 0)
+    for var, gammas in zip(cfg.fading.variances, point):
         model = chi2_cdf(np.sort(gammas), n_r, 10.0 * var)
         # 1% critical value is about 1.63/sqrt(n); allow headroom for the seed
         assert np.max(np.abs(ecdf - model)) < 2.0 / np.sqrt(n)
@@ -78,7 +79,7 @@ def test_zero_variance_user_draws_exact_zero_snr():
     cfg = mc.make_config(mc.SSK_NOMA, 3, 2, [10.0], seed=42, fading=(0.0, 2.0, 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gammas = mc._gamma_block(cfg, "outage", 10.0, 0)
+        [gammas] = mc._gamma_block(cfg, "outage", [10.0], 0)
     assert np.array_equal(gammas[0], np.zeros(cfg.block_size))
     assert np.all(gammas[1] > 0.0)
 
@@ -87,21 +88,19 @@ def test_zero_variance_user_draws_exact_zero_snr():
 def test_ber_mrc_statistic_law_ks(n_r):
     """A genie user's MRC statistics as the BER engine draws them: g / var
     against the chi-square CDF with N_r complex branches, and the
-    normalised noise (y - sqrt(P) g chi) / sqrt(g), per axis, against
-    N(0, 1/2); without noise, y is exactly g sqrt(P) chi."""
+    normalised noise term w / sqrt(g) of y = sqrt(P) g chi + w, per axis,
+    against N(0, 1/2); without noise, g is the same and w is 0."""
     n = 50_000
-    var, sqrt_p = 2.0, np.sqrt(10.0)
-    chi = qpsk().points[rng_stream(43, n_r, 0).integers(0, 4, n)]
-    y, g = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, sqrt_p * chi, True)
+    var = 2.0
+    g, w = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, n, True)
     ecdf = (np.arange(n) + 0.5) / n
     assert np.max(np.abs(ecdf - chi2_cdf(np.sort(g / var), n_r, 1.0))) < 2.0 / np.sqrt(n)
-    w = (y - sqrt_p * g * chi) / np.sqrt(g)
+    w = w / np.sqrt(g)
     for part in (w.real, w.imag):
         # CDF of N(0, 1/2) is erfc(-x) / 2
         assert np.max(np.abs(ecdf - 0.5 * erfc(-np.sort(part)))) < 2.0 / np.sqrt(n)
-    y_clean, g_clean = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, sqrt_p * chi,
-                                         False)
-    assert np.array_equal(g_clean, g) and np.array_equal(y_clean, g * (sqrt_p * chi))
+    g_clean, w_clean = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, n, False)
+    assert np.array_equal(g_clean, g) and w_clean == 0.0
 
 
 def _ks_2samp(a, b):
@@ -124,10 +123,10 @@ def test_sm_statistics_law_ks(n_r):
     n = 50_000
     var, sqrt_p = 2.0, np.sqrt(2.0)
     chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
-    y, g = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r, np.zeros(n, dtype=int),
-                             sqrt_p * chi, True)
+    [(y, g)] = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r, np.zeros(n, dtype=int),
+                                 chi, [sqrt_p], True)
     replay = rng_stream(44, n_r, 1)
-    mc._mrc_statistic(replay, var, n_r, sqrt_p * chi, True)
+    mc._mrc_statistic(replay, var, n_r, n, True)
     if n_r > 1:
         replay.standard_gamma(n_r - 1, n)
     c = complex_normal(replay, (n, 2), var)

@@ -66,8 +66,8 @@ def test_csv_payload_reproducible_across_workers(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,csv_name", [("capacity", "rate.csv"), ("outage", "outage.csv")])
 def test_rate_and_outage_csvs_reproducible_across_workers(tmp_path, monkeypatch, command,
                                                           csv_name):
-    """Each block's MRC-SNR draws are keyed by (seed, metric, SNR point,
-    block), so the worker count cannot move a byte of the CSV."""
+    """Each block's MRC-SNR draws are keyed by (seed, metric, block), so the
+    worker count cannot move a byte of the CSV."""
     cfg = _write_config(tmp_path, dict(BER_CONFIG, target_rates=[1.0, 1.0, 1.5],
                                        max_trials=200000))
     payloads = []
@@ -99,6 +99,27 @@ def test_csvs_do_not_depend_on_blas_threads(tmp_path):
         payloads.append([(out / name).read_bytes()
                          for name in ("ber.csv", "rate.csv", "outage.csv")])
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("command,csv_name", [("ber", "ber.csv"), ("capacity", "rate.csv")])
+def test_point_rows_do_not_depend_on_the_rest_of_the_grid(tmp_path, command, csv_name):
+    """Each block is drawn once for every SNR point and each point stops on
+    its own rule, so a point's CSV rows are byte-identical whether it is
+    swept alone or in a larger grid. At BER the 0 dB point meets its error
+    budget in the first round and the 20 dB point runs to the cap."""
+    def rows(grid):
+        cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=grid, max_trials=200000),
+                            f"{len(grid)}-{grid[0]}.json")
+        out = tmp_path / f"{len(grid)}-{grid[0]}"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        return _read_csv(out / csv_name)[1:]
+
+    grid = [0.0, 10.0, 20.0]
+    together = rows(grid)
+    assert together == [row for snr_db in grid for row in rows([snr_db])]
+    if command == "ber":
+        n_trials = {row[0]: row[6] for row in together}
+        assert (n_trials["0"], n_trials["20"]) == ("100000", "200000")
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -262,6 +283,10 @@ INVALID_RUNS = {
     "validate-metrics-number": (["validate"], dict(BER_CONFIG, metrics=5)),
     # values the random streams and the SNR conversion cannot take
     "ber-seed-negative": (["ber", "--seed", "-1"], BER_CONFIG),
+    "ber-seed-above-32-bits": (["ber", "--seed", str(2**32)], BER_CONFIG),
+    # block time grows with N_t, and beyond 2^19 trial-antenna entries per
+    # chunk so does its memory
+    "ber-n_t-above-4096": (["ber"], dict(BER_CONFIG, n_t=8192)),
     "ber-snr-overflow": (["ber"], dict(BER_CONFIG, snr_grid_db=[1e300])),
     # a document that runs nothing wrote a header-only CSV or passed validation
     "ber-empty-runs": (["ber"], {"snr_grid_db": [10.0], "runs": []}),

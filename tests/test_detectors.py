@@ -220,8 +220,8 @@ def test_zero_fading_cell_edge_user_runs_a_block():
                          seed=4, fading=(0.0, 0.0, 4.0), block_size=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors = mc._ber_trials(cfg, 10.0, 0)
-    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
+        [errors] = mc._ber_trials(cfg, [10.0], 0)
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
     assert np.array_equal(errors[0], rng.integers(0, cfg.n_t, cfg.block_size) != 0)
     assert cfg.tables.bits[0] == 1
     k2 = rng.integers(0, 4, cfg.block_size)
@@ -346,7 +346,8 @@ def test_zero_variance_genie_user_decides_symbol_0():
     signal = np.sqrt(10.0) * qpsk().points[rng.integers(0, 4, BATCH)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y, g = mc._mrc_statistic(rng, 0.0, 2, signal, True)
+        g, w = mc._mrc_statistic(rng, 0.0, 2, BATCH, True)
+        y = g * signal + w
         decisions, _ = _sic_detect_block(y, g, [np.sqrt(8.0), np.sqrt(2.0)],
                                          [qpsk().points] * 2)
     assert not y.any() and not g.any()
@@ -377,18 +378,20 @@ def test_ber_block_matches_brute_force_chain(scheme):
     the energy of h_t orthogonal to r for every antenna), then per power
     user its MRC statistics, one gamma and one complex normal per trial.
     Every cell-edge statistic is rebuilt from its law trial by trial, at
-    N_r = 1 (no orthogonal energies) and N_r = 2."""
+    N_r = 1 (no orthogonal energies) and N_r = 2. The block is evaluated at
+    two SNR points at once, each of which the brute-force receiver replays
+    from the same draws."""
     for n_r in (1, 2):
-        _check_ber_block_against_brute_force(scheme, n_r)
+        cfg = mc.make_config(scheme=scheme, n_users=3, n_r=n_r,
+                             n_t=4 if scheme == mc.SSK_NOMA else 1,
+                             snr_grid_db=[6.0, 12.0], seed=8, block_size=40)
+        for snr_db, errors in zip(cfg.snr_grid_db, mc._ber_trials(cfg, cfg.snr_grid_db, 2)):
+            _check_ber_block_against_brute_force(cfg, snr_db, errors)
 
 
-def _check_ber_block_against_brute_force(scheme, n_r):
-    cfg = mc.make_config(scheme=scheme, n_users=3, n_r=n_r,
-                         n_t=4 if scheme == mc.SSK_NOMA else 1,
-                         snr_grid_db=[6.0], seed=8, block_size=40)
-    errors = mc._ber_trials(cfg, 6.0, 2)
-    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(6.0), 2)
-    b, power, first = cfg.block_size, 10.0 ** 0.6, cfg.first_power_user
+def _check_ber_block_against_brute_force(cfg, snr_db, errors):
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 2)
+    b, power, first = cfg.block_size, 10.0 ** (snr_db / 10.0), cfg.first_power_user
     consts = cfg.tables.consts
     points = [c.points for c in consts]
     amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]
@@ -419,7 +422,7 @@ def _check_ber_block_against_brute_force(scheme, n_r):
         for t in range(b):
             dec = _brute_force_scalar_sic(y[t], g[t], amps[:k + 1], points[:k + 1])
             want[i - 1, t] = consts[k].bit_distance_table()[ks[k][t], dec[-1]]
-    assert np.array_equal(errors, want), n_r
+    assert np.array_equal(errors, want), (cfg.n_r, snr_db)
     # log2 N_t = 2 antenna bits for user 1 of SSK-NOMA, two bits per QPSK symbol
     assert cfg.tables.bits == (2,) * cfg.n_users
 

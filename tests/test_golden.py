@@ -100,17 +100,19 @@ def _companion(fn, cfg, user, rho):
 
 def _pins(name: str) -> dict:
     """The tables, then per SNR point block 0's per-trial arrays of every
-    metric and every user's companions, of config ``name``."""
+    metric (one block evaluated at every point) and every user's
+    companions, of config ``name``."""
     cfg = mc.make_config(**PIN_SHARED, **PIN_CONFIGS[name])
     tables = cfg.tables
     pins = {"points": [_digest(c.points) for c in tables.consts],
             "alphabet": None if tables.alphabet is None else _digest(tables.alphabet)}
     users = range(1, cfg.n_users + 1)
-    for snr_db in PIN_SNRS_DB:
+    trials = {metric: list(fn(cfg, PIN_SNRS_DB, 0)) for metric, fn in mc._TRIALS_FN.items()}
+    for i, snr_db in enumerate(PIN_SNRS_DB):
         rho = 10.0 ** (snr_db / 10.0)
         pins[f"{snr_db:g} dB"] = {
-            "trials": {metric: [_digest(t) for t in fn(cfg, snr_db, 0)]
-                       for metric, fn in mc._TRIALS_FN.items()},
+            "trials": {metric: [_digest(t) for t in points[i]]
+                       for metric, points in trials.items()},
             "companions": {metric: [_companion(fn, cfg, user, rho)
                                     for user in (*users, 0) if metric == "rate" or user]
                            for metric, fn in mc._ANALYTIC_FN.items()},

@@ -24,6 +24,11 @@ def _cfg(**kw):
     return mc.make_config(**base)
 
 
+def _sweep(cfg, metric="ber"):
+    """The estimates of one metric over the config's whole SNR grid."""
+    return mc.run_sweep(cfg, metrics=(metric,)).points
+
+
 def test_make_config_defaults():
     cfg = _cfg()
     assert cfg.n_t == 2
@@ -63,7 +68,7 @@ def test_rate_block_memory_does_not_grow_with_symbol_pairs():
                          snr_grid_db=[10])
     tracemalloc.start()
     try:
-        mc._rate_trials(cfg, 10.0, 0)
+        list(mc._rate_trials(cfg, [10.0], 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -74,15 +79,17 @@ def test_ber_block_memory_does_not_grow_with_antennas():
     """The cell-edge statistics are drawn and searched in chunks of a fixed
     number of trial-antenna entries, so a 1 000-trial BER block at
     N_t = 4 096 holds no B x N_t x N_r channel matrix, which with its
-    temporaries traced over 400 MiB."""
-    cfg = mc.make_config(n_users=3, n_r=2, n_t=4096, block_size=1000, snr_grid_db=[10])
-    tracemalloc.start()
-    try:
-        mc._ber_trials(cfg, 10.0, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 << 20
+    temporaries traced over 400 MiB; each SNR point builds and searches its
+    statistics of a chunk in turn, so four points take no more memory."""
+    for snrs in ([10.0], [0.0, 10.0, 20.0, 30.0]):
+        cfg = mc.make_config(n_users=3, n_r=2, n_t=4096, block_size=1000, snr_grid_db=snrs)
+        tracemalloc.start()
+        try:
+            list(mc._ber_trials(cfg, snrs, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, snrs
 
 
 def test_make_config_baseline_defaults():
@@ -104,13 +111,14 @@ def test_default_pa_unknown_count():
     dict(pa=(0.7, 0.2, 0.1)),               # PA length mismatch
     dict(snr_grid_db=[]),                   # empty grid
     dict(n_t=3),                            # not a power of two
+    dict(n_t=8192),                         # above the largest accepted N_t, 4096
     dict(min_bit_errors=10),
     dict(max_trials=100),
-    dict(snr_grid_db=[5, 5]),               # points that share a stream key
-    dict(snr_grid_db=[10, 10.004]),
+    dict(snr_grid_db=[5, 5]),               # a repeated point would print duplicate rows
     dict(snr_grid_db=[400.0]),              # beyond +-300 dB (10^(1e300/10) overflows)
     dict(snr_grid_db=[float("nan")]),
     dict(seed=-1),                          # random streams take nonnegative seeds
+    dict(seed=2**32),                       # ... of one 32-bit key word
     dict(n_users=None),                     # required
     dict(scheme=["ssk-noma"]),
     dict(pa=(0.8, "0.2")),
@@ -123,6 +131,13 @@ def test_default_pa_unknown_count():
 def test_config_validation_errors(bad):
     with pytest.raises(ConfigError):
         _cfg(**bad)
+
+
+def test_close_grid_points_are_accepted():
+    """The streams are keyed by block, not by SNR point, so points closer
+    than any rounding of the SNR are distinct points."""
+    cfg = _cfg(snr_grid_db=[10, 10.004], max_trials=10_000)
+    assert [p.snr_db for p in _sweep(cfg)] == [10.0] * 3 + [10.004] * 3
 
 
 def test_baseline_requires_single_antenna():
@@ -148,7 +163,7 @@ def test_config_hash_tracks_content():
 def test_noise_free_runs_are_error_free():
     cfg = _cfg(noise=False, max_trials=10_000, block_size=2_500,
                blocks_per_round=4)
-    for p in mc.run_point(cfg, "ber", 10.0):
+    for p in _sweep(cfg):
         assert p.value == 0.0
         # no trial spreads: the rule of three bounds the rate at 3/n
         assert p.ci_halfwidth == 3.0 / p.n_trials
@@ -160,8 +175,8 @@ def test_noise_free_cell_edge_search_is_error_free(n_r):
     exactly, at N_r = 1 (no orthogonal energies) as at N_r > 1, so no
     user errs at low or high SNR."""
     cfg = _cfg(n_r=n_r, n_t=4, noise=False, block_size=5_000)
-    for snr_db in (0.0, 30.0):
-        for errors in mc._ber_trials(cfg, snr_db, 0):
+    for snr_db, point in zip((0.0, 30.0), mc._ber_trials(cfg, (0.0, 30.0), 0)):
+        for errors in point:
             assert not errors.any(), snr_db
 
 
@@ -171,8 +186,8 @@ def test_chunked_cell_edge_search_keeps_every_trial(monkeypatch):
     stays error-free and no trial is lost."""
     monkeypatch.setattr(mc, "_SM_DRAW_ENTRIES", 12)
     cfg = _cfg(n_t=4, noise=False, block_size=100)
-    errors = mc._ber_trials(cfg, 10.0, 0)
-    assert errors[0].shape == (100,) and not any(e.any() for e in errors)
+    for errors in mc._ber_trials(cfg, (0.0, 10.0), 0):
+        assert errors[0].shape == (100,) and not any(e.any() for e in errors)
 
 
 @pytest.mark.parametrize("noise", [True, False])
@@ -183,8 +198,8 @@ def test_zero_variance_cell_edge_user_decides_antenna_0(noise):
     cfg = _cfg(n_t=4, fading=(0.0, 2.0, 4.0), noise=noise, block_size=2_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors = mc._ber_trials(cfg, 10.0, 0)
-    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], mc._snr_key(10.0), 0)
+        [errors] = mc._ber_trials(cfg, [10.0], 0)
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
     v = rng.integers(0, cfg.n_t, cfg.block_size)
     assert np.array_equal(errors[0], np.bitwise_count(v))
 
@@ -193,13 +208,13 @@ def test_noise_free_baseline_is_error_free():
     cfg = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                          snr_grid_db=GRID, seed=2, noise=False,
                          max_trials=10_000, block_size=2_500)
-    for p in mc.run_point(cfg, "ber", 10.0):
+    for p in _sweep(cfg):
         assert p.value == 0.0
 
 
 def test_ber_matches_exact_forms_within_ci():
     cfg = _cfg(seed=21, max_trials=400_000)
-    points = {p.user: p for p in mc.run_point(cfg, "ber", 10.0)}
+    points = {p.user: p for p in _sweep(cfg)}
     rho = 10.0
     want2 = abep_u2(0.8, 0.2, rho * 2.0, 2)
     want3 = abep_u3(0.8, 0.2, rho * 4.0, 2)
@@ -208,8 +223,8 @@ def test_ber_matches_exact_forms_within_ci():
 
 
 def test_ber_point_stops_on_error_budget():
-    cfg = _cfg(seed=4, min_bit_errors=100, max_trials=1_000_000)
-    points = mc.run_point(cfg, "ber", 0.0)
+    cfg = _cfg(seed=4, min_bit_errors=100, max_trials=1_000_000, snr_grid_db=[0.0])
+    points = _sweep(cfg)
     # noisy point: every user collects its errors inside the first round
     assert all(p.n_trials == cfg.block_size * cfg.blocks_per_round for p in points)
     for p, bits in zip(points, cfg.tables.bits):
@@ -218,7 +233,7 @@ def test_ber_point_stops_on_error_budget():
 
 def test_rate_point_sum_slot():
     cfg = _cfg(seed=6, max_trials=100_000)
-    points = {p.user: p for p in mc.run_point(cfg, "rate", 10.0)}
+    points = {p.user: p for p in _sweep(cfg, "rate")}
     total = sum(points[u].value for u in (1, 2, 3))
     assert points[0].value == pytest.approx(total, rel=1e-12)
     assert all(p.ci_halfwidth > 0 for p in points.values())
@@ -239,7 +254,7 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
 
     monkeypatch.setattr(mc.analytics, "conditional_bep_u1_vec", fake_bep)
     cfg = _cfg(target_rates=(1.0, 1.0, 1.0))  # N_t = 2: user 1's rate is 1 - bep
-    est = {p.user: p for p in mc.run_point(cfg, "rate", 10.0)}[1]
+    est = {p.user: p for p in _sweep(cfg, "rate")}[1]
     rates = np.log2(cfg.n_t) * (1.0 - np.concatenate(drawn))
     assert est.n_trials == rates.size == 100_000
     want = 1.959963984540054 * np.sqrt(np.var(rates) / rates.size)
@@ -253,14 +268,22 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
                                               ("outage", mc._outage_trials)])
 def test_halfwidth_replays_the_trial_variance(monkeypatch, metric, trials_fn):
     """Every printed half-width is 1.96 sqrt(var / n) of the concatenated
-    per-trial outcomes of the point's blocks, BER in units of the user's bits,
-    and the estimate is their mean."""
+    per-trial outcomes of the point's blocks, each block evaluated at that
+    point alone, BER in units of the user's bits, and the estimate is their
+    mean. Two rounds of 20 000 trials leave 10 000 of the cap, which the
+    third round's four blocks share."""
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
-    cfg = _cfg(seed=19, target_rates=(0.5, 1.0, 1.5), max_trials=40_000, block_size=5_000)
-    points = mc.run_point(cfg, metric, 10.0)
-    blocks = [trials_fn(cfg, 10.0, j) for j in range(points[0].n_trials // cfg.block_size)]
+    cfg = _cfg(seed=19, target_rates=(0.5, 1.0, 1.5), max_trials=50_000, block_size=5_000,
+               snr_grid_db=[5.0, 10.0])
+    points = _sweep(cfg, metric)
+    if metric == "outage":  # no early stop: every point runs exactly the cap
+        assert {p.n_trials for p in points} == {50_000}
     bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
     for p in points:
+        blocks, n = [], 0
+        while n < p.n_trials:
+            blocks.append(next(trials_fn(cfg, [p.snr_db], len(blocks))))
+            n += blocks[-1][0].size
         trials = np.concatenate([block[p.user - 1] for block in blocks]) / bits[p.user - 1]
         assert p.n_trials == trials.size
         assert p.value == pytest.approx(trials.mean(), rel=1e-12, abs=0.0)
@@ -273,17 +296,19 @@ COVERAGE_SEEDS = range(7000, 7300)
 
 
 def _coverage(metric, n_r, grid, **kw):
-    """Per (user, SNR) of an L=3 SSK-NOMA network: the share of
-    ``COVERAGE_SEEDS`` whose 95% interval holds the exact closed form the
-    sweep attaches (``abep_u2/u3``, ``outage_u1``, ``outage_noma_user``), and
-    the expected event count of one seed (bit errors for BER)."""
+    """Per (user, SNR) of an L=3 SSK-NOMA network swept over ``grid``: the
+    share of ``COVERAGE_SEEDS`` whose 95% interval holds the exact closed
+    form the sweep attaches (``abep_u2/u3``, ``outage_u1``,
+    ``outage_noma_user``), and the expected event count of one seed (bit
+    errors for BER). The grid's points share their draws, so they are
+    correlated, but each point's interval is still a 95% interval."""
     hits, exact, expected = collections.Counter(), {}, {}
     for seed in COVERAGE_SEEDS:
         cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=n_r, snr_grid_db=grid,
                              seed=seed, max_trials=10_000, block_size=2_500, **kw)
         bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
-        for snr in grid:
-            for p in mc.run_point(cfg, metric, snr):
+        for snr, estimates in mc._sweep_points(cfg, metric):
+            for p in estimates:
                 key = (metric, p.user, snr)
                 if key not in exact:
                     exact[key] = mc._ANALYTIC_FN[metric](cfg, p.user, 10.0 ** (snr / 10.0))
@@ -309,8 +334,6 @@ def test_intervals_cover_the_exact_values():
 
 
 def test_outage_point_requires_targets():
-    with pytest.raises(ConfigError):
-        mc.run_point(_cfg(), "outage", 10.0)
     with pytest.raises(ConfigError):
         mc.run_sweep(_cfg(), metrics=("outage",))
 
@@ -352,12 +375,12 @@ def test_union_bound_companion_for_larger_networks():
 
 
 def _ber_snapshot(cfg):
-    return [(p.user, p.value, p.ci_halfwidth, p.n_trials)
-            for p in mc.run_point(cfg, "ber", 10.0)]
+    return [(p.snr_db, p.user, p.value, p.ci_halfwidth, p.n_trials) for p in _sweep(cfg)]
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    cfg = _cfg(seed=12, max_trials=100_000)
+    """0 dB meets its error budget in the first round, 20 dB runs both."""
+    cfg = _cfg(seed=12, max_trials=200_000, snr_grid_db=[0.0, 20.0])
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
     serial = _ber_snapshot(cfg)
     monkeypatch.setenv("SSKNOMA_WORKERS", str(min(3, os.cpu_count())))
@@ -370,6 +393,23 @@ def test_same_seed_reproduces_and_seeds_differ():
     assert _ber_snapshot(cfg) == _ber_snapshot(cfg)
     other = _cfg(seed=14, max_trials=100_000)
     assert _ber_snapshot(cfg) != _ber_snapshot(other)
+
+
+@pytest.mark.parametrize("metric", ["ber", "rate"])
+def test_one_stream_per_block_for_every_point(monkeypatch, metric):
+    """A one-round sweep over three SNR points opens one random stream per
+    block, keyed by (seed, metric, block), not one per block and point."""
+    keys = []
+
+    def counted(seed, *key):
+        keys.append((seed, *key))
+        return rng_stream(seed, *key)
+
+    monkeypatch.setattr(mc, "rng_stream", counted)
+    cfg = _cfg(snr_grid_db=[0.0, 10.0, 20.0], max_trials=10_000, block_size=2_500)
+    assert len(_sweep(cfg, metric)) == 3 * (cfg.n_users + (metric == "rate"))
+    code = mc._METRIC_CODE[metric]
+    assert keys == [(cfg.seed, code, j) for j in range(cfg.blocks_per_round)]
 
 
 def test_metric_streams_are_independent():
