@@ -13,7 +13,7 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .constellation import PowerAllocation
 from .errors import ConfigError, InputError, as_tuple
@@ -124,11 +124,14 @@ def _check_power_user(i: int, pa: PowerAllocation, first_user: int = 2):
 class PairEnergyTable(NamedTuple):
     """The cell-edge union bound's pair table of one composite alphabet:
     its distinct pair energies |chi_k|^2 + |chi_hat|^2 over the ordered
-    composite-symbol pairs, quartered, with the share of pairs at each."""
+    composite-symbol pairs, quartered, with the share of pairs at each, and
+    the level cutoff of :func:`conditional_bep_u1_vec`."""
 
     quarter: np.ndarray  # each level / 4 (exact), ascending
     weights: np.ndarray  # share of the M_T^2 ordered pairs at each level
     bits: float          # log2 M_T
+    gap: np.ndarray      # quarter - quarter[0], ascending from 0
+    cutoff: float        # T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0), 0 for one level
 
 
 def pair_energy_table(alphabet: np.ndarray) -> PairEnergyTable:
@@ -145,7 +148,12 @@ def pair_energy_table(alphabet: np.ndarray) -> PairEnergyTable:
     e = (distinct[:, None] + distinct[None, :]).ravel()
     _, head, level = np.unique(np.round(e, 12), return_index=True, return_inverse=True)
     pairs = np.bincount(level, np.outer(counts, counts).ravel())
-    return PairEnergyTable(e[head] / 4.0, pairs / alphabet.size**2, np.log2(alphabet.size))
+    quarter, weights = e[head] / 4.0, pairs / alphabet.size**2
+    # a lone level has nothing to drop
+    rest = weights[1:].sum()
+    cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
+    return PairEnergyTable(quarter, weights, np.log2(alphabet.size), quarter - quarter[0],
+                           float(cutoff))
 
 
 def abep_u1(table: PairEnergyTable, n_t: int, n_r: int, rho: float,
@@ -166,15 +174,21 @@ def abep_u1(table: PairEnergyTable, n_t: int, n_r: int, rho: float,
     return _clamp(bound) if clamp else bound
 
 
-# scipy's erfc is exactly 0 once x*x exceeds MAXLOG = log(DBL_MAX), that is
-# from x = 26.6418 on (cephes ndtr.c), so a pair term whose argument is at
-# least this contributes nothing
-ERFC_ZERO_FROM = 26.65
-# the cell-edge BEP curve evaluates an erfc table of up to this many entries
-# (2 MB) whole, and a larger one in chunks of BEP_CHUNK_ROWS SNRs
-_BEP_WHOLE_ENTRIES = 1 << 18
+# the cell-edge BEP curve evaluates its erfc terms for at most this many SNRs
+# at once
 BEP_CHUNK_ROWS = 1024
 _SQRT2 = np.sqrt(2.0)
+
+
+def _q_sums(part: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row of ``part`` (gamma * quarter per SNR and level, overwritten)
+    turned into its Q terms in place and summed on its own against
+    ``weights``."""
+    np.sqrt(part, out=part)
+    np.divide(part, _SQRT2, out=part)
+    special.erfc(part, out=part)
+    np.multiply(part, 0.5, out=part)
+    return np.einsum("ij,j->i", part, weights)
 
 
 def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
@@ -182,46 +196,53 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     """BEP of the cell-edge user conditioned on each instantaneous MRC SNR,
     clamped to [0, 1] unless ``clamp`` is false.
 
-    Each value is ``(N_t / 2) log2(M_T) * einsum("ij,j->i", Q(sqrt(gamma *
-    levels / 4)), weights)`` as one dense table would give it, bit for bit:
-    the einsum sums each row on its own, so a row's value does not depend on
-    its neighbours or on a BLAS build. A table of up to
-    ``_BEP_WHOLE_ENTRIES`` entries is evaluated whole. Beyond it the SNRs are
-    sorted and walked in chunks of ``BEP_CHUNK_ROWS``, and each chunk
-    evaluates erfc only up to the last level whose argument is below
-    ``ERFC_ZERO_FROM`` at the chunk's smallest SNR: the later terms of every
-    row in the chunk are exactly 0.
+    Each value is ``(N_t / 2) log2(M_T) * sum_j w_j Q(sqrt(gamma q_j))`` over
+    the quartered pair energies q_0 < q_1 < ... and their shares w_j of
+    ``table``, summed over the levels its SNR keeps. erfcx(x) = exp(x^2)
+    erfc(x) decreases (Mills' ratio), so with x_j^2 = gamma q_j / 2 each term
+    is at most w_j erfc(x_0) exp(-gamma (q_j - q_0) / 2). A level with
+    gamma (q_j - q_0) / 2 > T = ``table.cutoff`` is dropped: the dropped
+    terms sum to at most 2^-53 w_0 erfc(x_0), at most 2^-53 of the value, so
+    a value lies within a few ulps of the full sum. An SNR of 0 or NaN keeps
+    every level.
+
+    The SNRs are sorted, so that the kept-level count falls along them, and
+    walked in runs of equal counts, at most ``BEP_CHUNK_ROWS`` SNRs each.
+    Each run evaluates its Q terms in place over exactly its levels, and
+    ``np.einsum`` (not a BLAS gemv) sums each row on its own. A value
+    therefore depends only on its own SNR, bit for bit: not on how the SNRs
+    are grouped into calls, nor on the BLAS build or its thread count.
     """
     gammas = np.asarray(gammas, dtype=float)
     if n_t == 1:
         return np.zeros_like(gammas)
-    quarter, weights = table.quarter, table.weights
+    quarter, weights, gap = table.quarter, table.weights, table.gap
     n = gammas.size
-    if n * quarter.size <= _BEP_WHOLE_ENTRIES:
-        vals = np.einsum("ij,j->i", 0.5 * special.erfc(
-            np.sqrt(gammas[:, None] * quarter) / _SQRT2), weights)
+    if n == 1:
+        # one SNR (the outage quadrature's calls): no sort and no run walk
+        g = float(gammas[0])
+        k = gap.searchsorted(2.0 * table.cutoff / g, "right") if g else gap.size
+        vals = _q_sums(g * quarter[None, :k], weights[:k])
     else:
+        # levels kept per SNR: those with gap <= 2T / gamma, every one at 0
+        # (a division by zero) or NaN
         order = np.argsort(gammas)
-        scratch = np.empty(BEP_CHUNK_ROWS * quarter.size)
+        g = gammas[order]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep = gap.searchsorted(2.0 * table.cutoff / g, "right")
+        starts = np.union1d(np.flatnonzero(np.diff(keep)) + 1,
+                            np.arange(0, n, BEP_CHUNK_ROWS))
+        scratch = np.empty(min(n, BEP_CHUNK_ROWS) * quarter.size)
         vals = np.empty(n)
-        for start in range(0, n, BEP_CHUNK_ROWS):
-            idx = order[start:start + BEP_CHUNK_ROWS]
-            g = gammas[idx]
-            # levels up to the last one whose erfc argument at the chunk's
-            # smallest SNR is below ERFC_ZERO_FROM (a NaN stays live), as an
-            # erfc table evaluated in place
-            x = np.sqrt(g.min() * quarter) / _SQRT2
-            live = np.flatnonzero(~(x >= ERFC_ZERO_FROM))
-            p = live[-1] + 1 if live.size else 0
-            part = scratch[:g.size * p].reshape(g.size, p)
-            np.multiply(g[:, None], quarter[:p], out=part)
-            np.sqrt(part, out=part)
-            np.divide(part, _SQRT2, out=part)
-            special.erfc(part, out=part)
-            np.multiply(part, 0.5, out=part)
-            vals[idx] = np.einsum("ij,j->i", part, weights[:p])
+        for start, stop in zip(starts, [*starts[1:], n]):
+            k = keep[start]
+            part = scratch[:(stop - start) * k].reshape(stop - start, k)
+            np.multiply(g[start:stop, None], quarter[:k], out=part)
+            vals[order[start:stop]] = _q_sums(part, weights[:k])
     vals = ((n_t / 2.0) * table.bits) * vals
-    return np.clip(vals, 0.0, 1.0) if clamp else vals
+    # no sum is negative, so the clamp is a minimum (far cheaper than np.clip
+    # on the quadrature's one-SNR calls)
+    return np.minimum(vals, 1.0) if clamp else vals
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +483,10 @@ def outage_u1(targets: OutageTargets, n_t: int, table: PairEnergyTable, n_r: int
     """Outage probability of the cell-edge user: tail integral of the
     conditional BEP against the fading density, as printed in the source
     analysis (the lower limit is applied to the SNR variable)."""
+    # the only user of scipy.integrate, whose import would add about half to
+    # the package's import time and a third to its memory
+    from scipy import integrate
+
     r1 = targets.rate(1)
     if r1 > np.log2(n_t) + 1e-12:
         raise ConfigError(f"target rate {r1} exceeds log2(N_t) = {np.log2(n_t)}")

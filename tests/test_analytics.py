@@ -14,8 +14,6 @@ from scipy import integrate, special
 from ssknoma import montecarlo as mc
 from ssknoma.analytics import (
     BEP_CHUNK_ROWS,
-    ERFC_ZERO_FROM,
-    _BEP_WHOLE_ENTRIES,
     OutageTargets,
     abep_u1,
     abep_u2,
@@ -279,17 +277,20 @@ def _dense_bep_u1(gammas, alphabet, n_t, clamp):
     return np.clip(vals, 0.0, 1.0) if clamp else vals
 
 
-def _curve_snrs(levels, n, rng):
+def _curve_snrs(levels, n, rng, table=None):
     """``n`` unsorted SNRs: 0; for each level, the SNRs where its erfc
     argument reaches 26, 26.5, 26.6, the true underflow limit sqrt(MAXLOG)
-    and the pruning limit, each with its neighbours one ulp away; half of the
-    rest within 1e-4 of those SNRs of the two lowest and the highest level
-    (so whole chunks straddle them), the other half spread from 0 to ~1e5."""
-    limits = np.array([26.0, 26.5, 26.6, np.sqrt(np.log(np.finfo(float).max)),
-                       ERFC_ZERO_FROM])
+    and 26.65, and with ``table`` also where it crosses the table's level
+    cutoff, each with its neighbours one ulp away; half of the rest within
+    1e-4 of the first five kinds of SNR of the two lowest and the highest
+    level (so whole chunks straddle them), the other half spread from 0 to
+    ~1e5."""
+    limits = np.array([26.0, 26.5, 26.6, np.sqrt(np.log(np.finfo(float).max)), 26.65])
     edges = 8.0 * limits[:, None] ** 2 / levels
-    marked = np.concatenate([[0.0], edges.ravel(), np.nextafter(edges, 0.0).ravel(),
-                             np.nextafter(edges, np.inf).ravel()])
+    crossings = [] if table is None else 2.0 * table.cutoff / table.gap[1:]
+    marked = np.concatenate([[0.0], edges.ravel(), crossings])
+    marked = np.concatenate([marked, np.nextafter(marked[1:], 0.0),
+                             np.nextafter(marked[1:], np.inf)])
     near = (rng.choice(edges[:, [0, 1, -1]].ravel(), n)
             * (1.0 + 1e-4 * rng.uniform(-1.0, 1.0, n)))
     spread = 10.0 ** rng.uniform(-1.0, 4.0, n) * rng.standard_gamma(2.0, n)
@@ -299,25 +300,105 @@ def _curve_snrs(levels, n, rng):
     return gammas
 
 
-def test_bep_curve_equals_dense_formula():
-    """The sorted, chunked and underflow-pruned curve equals the dense formula
-    bit for bit."""
+def _level_cutoff(weights):
+    """T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0), 0 for one level."""
+    rest = weights[1:].sum()
+    return 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
+
+
+def _kept_level_sums(gammas, alphabet):
+    """sum_j w_j Q(sqrt(gamma q_j)) one SNR at a time, each summed with one
+    einsum over exactly the levels it keeps: every level q_j with
+    gamma (q_j - q_0) / 2 <= T, and every level at gamma = 0 or NaN."""
+    levels, weights = _pair_energy_levels(alphabet)
+    quarter = levels / 4.0
+    gap, cutoff = quarter - quarter[0], _level_cutoff(weights)
+    sums = np.empty(gammas.size)
+    for i, g in enumerate(map(float, gammas)):
+        keep = ~(gap > 2.0 * cutoff / g) if g else np.ones(gap.size, dtype=bool)
+        sums[i] = np.einsum("ij,j->i", q_func(np.sqrt(g * quarter[keep]))[None, :],
+                            weights[keep])[0]
+    return sums
+
+
+def test_bep_curve_equals_per_row_oracle():
+    """The sorted, chunked and run-walked curve equals, bit for bit, each
+    SNR's sum over exactly the levels it keeps."""
     rng = np.random.default_rng(2024)
     bad = []
     for name, (orders, pa) in BEP_CURVE_ALPHABETS.items():
         alphabet = _sc_alphabet(orders, pa)
         table = pair_energy_table(alphabet)
         levels = _pair_energy_levels(alphabet)[0]
-        whole = _BEP_WHOLE_ENTRIES // levels.size  # more SNRs are chunked
-        sizes = {0, 1, BEP_CHUNK_ROWS - 1, BEP_CHUNK_ROWS + 1, 3 * BEP_CHUNK_ROWS + 7,
-                 whole, whole + 1, 25_000}
-        for n, n_t in itertools.product(sorted(sizes), (2, 4)):
-            gammas = _curve_snrs(levels, n, rng)
-            for clamp in (True, False):
-                got = conditional_bep_u1_vec(gammas, table, n_t, clamp)
-                if not np.array_equal(got, _dense_bep_u1(gammas, alphabet, n_t, clamp)):
+        for n in (0, 1, 2, BEP_CHUNK_ROWS - 1, BEP_CHUNK_ROWS + 1, 3 * BEP_CHUNK_ROWS + 7,
+                  25_000):
+            gammas = _curve_snrs(levels, n, rng, table)
+            sums = _kept_level_sums(gammas, alphabet)
+            for n_t, clamp in itertools.product((2, 4), (True, False)):
+                want = (n_t / 2.0) * np.log2(alphabet.size) * sums
+                want = np.clip(want, 0.0, 1.0) if clamp else want
+                if not np.array_equal(conditional_bep_u1_vec(gammas, table, n_t, clamp), want):
                     bad.append((name, n_t, n, clamp))
     assert bad == []
+
+
+@pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
+def test_bep_curve_is_within_2_to_the_minus_50_of_dense_formula(name):
+    """Dropping the levels past the cutoff moves no value by more than a few
+    ulps of the full dense sum, and leaves every zero a zero."""
+    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
+    table = pair_energy_table(alphabet)
+    gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000,
+                         np.random.default_rng(3), table)
+    for n_t, clamp in itertools.product((2, 4), (True, False)):
+        got = conditional_bep_u1_vec(gammas, table, n_t, clamp)
+        want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 2.0**-50 * want)
+
+
+def test_bep_curve_on_a_single_level_table():
+    """One pair energy (32-PSK alone): nothing to drop, no warning, and the
+    dense formula's values at every SNR, 0 and infinity included."""
+    alphabet = _sc_alphabet((32,), (1.0,))
+    table = pair_energy_table(alphabet)
+    assert table.quarter.size == 1 and table.cutoff == 0.0
+    gammas = np.array([0.0, 1e-300, 0.3, 2.0, 40.0, 1e3, 1e300, np.inf])
+    for n_t, clamp in itertools.product((4, 16), (True, False)):
+        want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
+        assert np.array_equal(conditional_bep_u1_vec(gammas, table, n_t, clamp), want)
+        singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, n_t, clamp)[0]
+                   for j in range(gammas.size)]
+        assert np.array_equal(singles, want)
+
+
+@pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
+def test_bep_curve_keeps_every_level_at_zero_snr(name):
+    """At gamma = 0 (where 2T / gamma divides by zero) every level is kept,
+    without a warning: each Q term is 1/2, alone or among other SNRs."""
+    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
+    table = pair_energy_table(alphabet)
+    gammas = np.array([0.0, 5.0, 0.0, 50.0])
+    want = _dense_bep_u1(gammas, alphabet, 4, False)
+    assert want[0] == (2.0 * np.log2(alphabet.size)) * np.einsum(
+        "ij,j->i", np.full((1, table.weights.size), 0.5), table.weights)[0]
+    assert np.array_equal(conditional_bep_u1_vec(gammas, table, 4, False)[[0, 2]], want[[0, 2]])
+    assert conditional_bep_u1_vec(gammas[:1], table, 4, False)[0] == want[0]
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_bep_curve_keeps_nan_snrs_as_nan(clamp):
+    """A NaN SNR keeps every level and yields NaN, without a warning and
+    without moving its neighbours' values."""
+    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS["L4-qpsk"])
+    table = pair_energy_table(alphabet)
+    gammas = np.array([3.0, np.nan, 0.0, 300.0, np.nan, 30.0])
+    got = conditional_bep_u1_vec(gammas, table, 4, clamp)
+    assert np.isnan(got[[1, 4]]).all()
+    assert np.isnan(conditional_bep_u1_vec(gammas[1:2], table, 4, clamp)).all()
+    finite = ~np.isnan(gammas)
+    assert np.array_equal(got[finite],
+                          conditional_bep_u1_vec(gammas[finite], table, 4, clamp))
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
@@ -338,11 +419,17 @@ def test_bep_curve_does_not_depend_on_how_snrs_are_grouped(name):
     assert np.array_equal(singles, whole[picks])
 
 
-def test_erfc_is_exactly_zero_from_the_pruning_limit():
-    assert not special.erfc(np.linspace(ERFC_ZERO_FROM, 1e3, 1_000_001)).any()
-    assert special.erfc(np.inf) == 0.0
-    # the limit is tight: erfc still underflows gradually just below it
-    assert special.erfc(26.64) > 0.0
+def test_erfc_tail_bound_behind_the_level_cutoff():
+    """erfc(y) <= erfc(x) exp(x^2 - y^2) for 0 <= x <= y (erfcx decreases),
+    on a grid up to where erfc(y) leaves the normal range (y ~ 26.55); the
+    slack covers the rounding of x^2 - y^2 (up to ~700) inside exp."""
+    axis = np.concatenate([np.linspace(0.0, 26.5, 1061),
+                           np.random.default_rng(5).uniform(0.0, 26.5, 500)])
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    x, y = x[x <= y], y[x <= y]
+    bound = special.erfc(x) * np.exp((x - y) * (x + y))
+    assert special.erfc(26.5) > np.finfo(float).tiny
+    assert np.all(special.erfc(y) <= bound * (1.0 + 1e-12))
 
 
 # --- pairwise error probabilities ----------------------------------------------

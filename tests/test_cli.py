@@ -101,6 +101,24 @@ def test_csvs_do_not_depend_on_blas_threads(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_ber_sweep_does_not_import_scipy_integrate(tmp_path):
+    """Only the cell-edge outage quadrature needs ``scipy.integrate`` (about
+    0.4 s and 26 MB of import), so a fresh ``import ssknoma.cli`` and a BER
+    sweep leave it unloaded."""
+    cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0], max_trials=10_000))
+    script = ("import sys\n"
+              "from ssknoma import cli\n"
+              "assert 'scipy.integrate' not in sys.modules\n"
+              "assert cli.main(['ber', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+              "                 '--quiet']) == 0\n"
+              "assert 'scipy.integrate' not in sys.modules\n")
+    src = str(Path(ssknoma.__file__).resolve().parents[1])
+    env = dict(os.environ, SSKNOMA_WORKERS="1", PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "run")], env=env,
+                   check=True)
+    assert (tmp_path / "run" / "ber.csv").exists()
+
+
 @pytest.mark.parametrize("command,csv_name", [("ber", "ber.csv"), ("capacity", "rate.csv")])
 def test_point_rows_do_not_depend_on_the_rest_of_the_grid(tmp_path, command, csv_name):
     """Each block is drawn once for every SNR point and each point stops on
