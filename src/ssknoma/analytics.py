@@ -3,7 +3,10 @@ network, pairwise-error union bounds with SIC error propagation, ergodic
 capacities and outage probabilities, plus the special functions they need.
 
 All fading averages assume the MRC output SNR is chi-square with 2*N_r
-degrees of freedom and per-branch mean gamma_bar = rho * sigma_i^2.
+degrees of freedom and per-branch mean gamma_bar = rho * sigma_i^2. A
+power-multiplexed user is named by its 0-based SIC stage k, its index in
+``pa.coefficients``: one form serves SSK-NOMA user k + 2 and baseline user
+k + 1.
 """
 
 from __future__ import annotations
@@ -83,8 +86,7 @@ def zeta_set(a2: float, a3: float) -> tuple:
 
 @dataclass(frozen=True)
 class OutageTargets:
-    """Target rates for users 1..L, with the Shannon SINR thresholds
-    phi = 2**R - 1."""
+    """Target rates for users 1..L."""
 
     rates: tuple
 
@@ -93,12 +95,6 @@ class OutageTargets:
         object.__setattr__(self, "rates", r)
         if any(x <= 0 for x in r):
             raise ConfigError("target rates must be positive")
-
-    def rate(self, user: int) -> float:
-        return self.rates[user - 1]
-
-    def phi(self, user: int) -> float:
-        return 2.0 ** self.rate(user) - 1.0
 
 
 def _check_two_user_pa(a2: float, a3: float):
@@ -110,10 +106,10 @@ def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _check_power_user(i: int, pa: PowerAllocation, first_user: int = 2):
-    last = pa.n_users + first_user - 1
-    if not first_user <= i <= last:
-        raise InputError(f"user index {i} out of {first_user}..{last}")
+def _check_stage(k: int, pa: PowerAllocation):
+    """A power user's SIC stage k indexes ``pa.coefficients``."""
+    if not 0 <= k < pa.n_users:
+        raise InputError(f"SIC stage {k} out of 0..{pa.n_users - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +318,15 @@ _UNION_BOUND_CHUNK = 1 << 18
 
 
 def _union_bound_block(s, tx, consts, coeffs, rho, sigma_i_sq, n_r):
-    """BER bound of user s+2 conditioned on each transmitted tuple (rows of
-    ``tx``), one SIC stage at a time over every residual-error path.
+    """BER bound of the stage-s power user conditioned on each transmitted
+    tuple (rows of ``tx``), one SIC stage at a time over every residual-error
+    path.
 
     A path fixes the decision of every stage before the current one: slot 0
     is the correct symbol, slots 1..M-1 the wrong ones in index order. Each
     stage weighs its wrong decisions by their average PEPs, scaled so they
     sum to at most 1 (a stage error probability is at most 1); the last stage
-    sums user s+2's bit-distance-weighted own-error PEPs, capped at 1. The
+    sums stage s's bit-distance-weighted own-error PEPs, capped at 1. The
     stages are then folded back: a path's bound is its correct branch plus
     each wrong branch's weight times that branch's bound.
     """
@@ -365,22 +362,21 @@ def _union_bound_block(s, tx, consts, coeffs, rho, sigma_i_sq, n_r):
     return bound[:, 0]
 
 
-def union_bound_ber(i: int, constellations, pa: PowerAllocation, rho: float,
+def union_bound_ber(s: int, constellations, pa: PowerAllocation, rho: float,
                     sigma_i_sq: float, n_r: int) -> float:
-    """Union bound on the BER of intra-cell user i (2..L): enumerate the
-    transmitted tuple, every joint SIC-decision hypothesis for users decoded
-    before i and every own-symbol error; each term carries the probability of
+    """Union bound on the BER of the power user at SIC stage s: enumerate the
+    transmitted tuple, every joint SIC-decision hypothesis for the stages
+    before s and every own-symbol error; each term carries the probability of
     the SIC errors it assumes so the bound stays tight at high SNR.
 
     The sum is exact, evaluated with numpy in chunks of transmitted tuples.
     Beyond ``_UNION_BOUND_BUDGET`` joint hypotheses it raises ``ConfigError``.
     """
-    _check_power_user(i, pa)
+    _check_stage(s, pa)
     consts = list(constellations)
     if len(consts) != pa.n_users:
         raise InputError("one constellation per power-multiplexed user required")
     orders = [c.order for c in consts]
-    s = i - 2
     n_hyp = prod(orders) * prod(orders[:s]) * (orders[s] - 1)
     if n_hyp > _UNION_BOUND_BUDGET:
         raise ConfigError(
@@ -426,13 +422,11 @@ def ergodic_capacity_fractions(b_with: float, b_without: float, gamma_bar: float
             - _log_capacity_integral(b_without * gamma_bar, n_r))
 
 
-def ergodic_capacity_noma_user(i: int, pa: PowerAllocation, rho: float,
-                               sigma_i_sq: float, n_r: int,
-                               first_user: int = 2) -> float:
-    """Exact ergodic capacity of power-multiplexed user i; ``pa`` covers
-    users ``first_user``..L (2 for SSK-NOMA, 1 for the baseline)."""
-    _check_power_user(i, pa, first_user)
-    own_and_weaker = pa.coefficients[i - first_user:]
+def ergodic_capacity_noma_user(k: int, pa: PowerAllocation, rho: float,
+                               sigma_i_sq: float, n_r: int) -> float:
+    """Exact ergodic capacity of the power user at SIC stage k."""
+    _check_stage(k, pa)
+    own_and_weaker = pa.coefficients[k:]
     return ergodic_capacity_fractions(sum(own_and_weaker), sum(own_and_weaker[1:]),
                                       rho * sigma_i_sq, n_r)
 
@@ -449,30 +443,31 @@ def ergodic_capacity_u1(n_t: int, abep1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def outage_threshold_psi(i: int, pa: PowerAllocation, targets: OutageTargets,
-                         first_user: int = 2) -> float:
-    """Equivalent MRC-SNR outage threshold of power-multiplexed user i: the
-    max over decoding stages m = first_user..i of the SNR level below which
-    stage m's SINR misses its threshold; +inf when a stage can never meet it.
-    ``pa`` covers users ``first_user``..L (2 for SSK-NOMA, 1 for the baseline).
-    """
-    _check_power_user(i, pa, first_user)
+def outage_threshold_psi(k: int, pa: PowerAllocation, rates) -> float:
+    """Equivalent MRC-SNR outage threshold of the power user at SIC stage k:
+    the max over stages m = 0..k of the SNR level below which stage m's SINR
+    misses its Shannon threshold phi_m = 2**R_m - 1; +inf when a stage can
+    never meet it. ``rates`` are the power users' target rates in decoding
+    order."""
+    _check_stage(k, pa)
+    if len(rates) != pa.n_users:
+        raise InputError("one target rate per power-multiplexed user required")
     coeffs = pa.coefficients
     worst = 0.0
-    for k in range(i - first_user + 1):
-        phi = targets.phi(first_user + k)
-        denom = coeffs[k] - phi * sum(coeffs[k + 1:])
+    for m in range(k + 1):
+        phi = 2.0 ** rates[m] - 1.0
+        denom = coeffs[m] - phi * sum(coeffs[m + 1:])
         if denom <= 0:
             return float("inf")
         worst = max(worst, phi / denom)
     return worst
 
 
-def outage_noma_user(i: int, pa: PowerAllocation, targets: OutageTargets,
-                     rho: float, sigma_i_sq: float, n_r: int,
-                     first_user: int = 2) -> float:
-    """Average outage probability of power-multiplexed user i."""
-    psi = outage_threshold_psi(i, pa, targets, first_user)
+def outage_noma_user(k: int, pa: PowerAllocation, rates, rho: float,
+                     sigma_i_sq: float, n_r: int) -> float:
+    """Average outage probability of the power user at SIC stage k, with the
+    power users' target ``rates`` in decoding order."""
+    psi = outage_threshold_psi(k, pa, rates)
     if not np.isfinite(psi):
         return 1.0
     return float(chi2_cdf(psi, n_r, rho * sigma_i_sq))
@@ -487,7 +482,7 @@ def outage_u1(targets: OutageTargets, n_t: int, table: PairEnergyTable, n_r: int
     # the package's import time and a third to its memory
     from scipy import integrate
 
-    r1 = targets.rate(1)
+    r1 = targets.rates[0]
     if r1 > np.log2(n_t) + 1e-12:
         raise ConfigError(f"target rate {r1} exceeds log2(N_t) = {np.log2(n_t)}")
     psi1 = 1.0 - r1 / np.log2(n_t)

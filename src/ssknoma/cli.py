@@ -163,14 +163,12 @@ def _cmd_pa_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for cfg in configs:
-        users = range(cfg.first_power_user, cfg.n_users + 1)
+        metrics = ("ber",) if cfg.target_rates is None else ("ber", "outage")
         row = {"a2": f"{cfg.pa.coefficients[0]:g}", "snr_db": f"{rho_db:g}"}
-        row.update((f"abep_u{user}", _optional(montecarlo._analytic_ber(cfg, user, rho)))
-                   for user in users)
-        if cfg.target_rates is not None:
-            row.update((f"outage_u{user}",
-                        _optional(montecarlo._analytic_outage(cfg, user, rho)))
-                       for user in users)
+        row.update((f"{'abep' if metric == 'ber' else metric}_u{user}",
+                    _optional(montecarlo.companion(cfg, metric, user, rho)))
+                   for metric in metrics
+                   for user in range(cfg.first_power_user, cfg.n_users + 1))
         rows.append(row)
     path = out_dir / "pa_sweep.csv"
     _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
@@ -182,14 +180,17 @@ def _cmd_pa_sweep(args) -> int:
 
 def _cmd_complexity(args) -> int:
     if args.row:
-        fields = args.row.split(",")
-        if len(fields) != 3 or not all(f.strip().isdecimal() for f in fields):
-            raise ConfigError(f"--row must be three integers L,M,N_r, got {args.row!r}")
+        fields = [f.strip() for f in args.row.split(",")]
+        # 20 digits hold every accepted value and keep int() fast
+        if len(fields) != 3 or not all(f.isdecimal() and len(f) <= 20 for f in fields):
+            raise ConfigError(f"--row must be 3 integers L,M,N_r of <= 20 digits: {args.row!r}")
         n_users, m, n_r = (int(x) for x in fields)
-        # the counts assume SIC over at least two users and power-of-2 orders
-        if n_users < 2 or m < 2 or m & (m - 1) or n_r < 1:
-            raise ConfigError("--row needs L >= 2, M a power of 2 >= 2 and N_r >= 1, "
-                              f"got {args.row!r}")
+        # the counts assume SIC over at least two users and power-of-2 orders;
+        # the bound keeps M_T = M^(L-1) within 64 bits
+        if (n_users < 2 or m < 2 or m & (m - 1) or n_r < 1
+                or (n_users - 1) * (m.bit_length() - 1) > 64):
+            raise ConfigError("--row needs L >= 2, M a power of 2 >= 2, N_r >= 1 and "
+                              f"(L - 1) log2 M <= 64, got {args.row!r}")
         rows = [(n_users, m, n_r)]
     else:
         rows = [tuple(r) for r in _load_preset("table1")["rows"]]
@@ -205,10 +206,9 @@ def _cmd_validate(args) -> int:
     doc = _load_config(args)
     configs = _runs_from_doc(doc, args)
     metrics = doc.get("metrics", ["ber"])
-    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-        raise ConfigError(f"metrics must be a list of metric names, got {metrics!r}")
-    worst = 0.0
-    worst_label = ""
+    for cfg in configs:
+        montecarlo.check_metrics(cfg, metrics)
+    scores = []
     for cfg in configs:
         result = montecarlo.run_sweep(cfg, metrics=tuple(metrics))
         for p in result.points:
@@ -224,8 +224,11 @@ def _cmd_validate(args) -> int:
             if not args.quiet:
                 print(f"{label}: sim={p.value:.4e} analytic={p.analytic:.4e} "
                       f"|diff|/ci={score:.2f}")
-            if score > worst:
-                worst, worst_label = score, label
+            scores.append((score, label))
+    if not scores:
+        print("validation FAILED: no point compared", file=sys.stderr)
+        return 3
+    worst, worst_label = max(scores)
     print(f"max |sim-analytic|/ci_halfwidth = {worst:.2f} ({worst_label})")
     if worst > 3.0:
         print("validation FAILED", file=sys.stderr)

@@ -6,7 +6,9 @@ scheme and a conventional single-antenna NOMA baseline.
 The baseline is modelled as SSK-NOMA without the antenna-index user: both
 schemes share one receiver (the batched joint antenna/symbol search, ML
 detection and SIC below), and the power-multiplexed users start at
-``SimConfig.first_power_user``.
+``SimConfig.first_power_user``. User ``first_power_user + k`` is SIC stage
+k, both in the receiver and in the stage-indexed closed forms of
+:mod:`ssknoma.analytics` that ``companion`` attaches to each point.
 
 Determinism: every block of trials draws from a SeedSequence-keyed SFC64
 stream of (seed, metric, block index), once for every SNR point it serves,
@@ -75,9 +77,10 @@ class SimConfig:
     """Full experiment description, built by ``make_config``.
 
     ``modulations`` and ``pa`` cover the power-multiplexed users
-    ``first_power_user``..L: users 2..L for SSK-NOMA, users 1..L for the
-    baseline (whose ``n_t`` must be 1). ``tables`` holds what every block
-    and companion derives from the config, built once here.
+    ``first_power_user``..L in decoding order, entry k for SIC stage k:
+    users 2..L for SSK-NOMA, users 1..L for the baseline (whose ``n_t``
+    must be 1). ``target_rates`` covers users 1..L. ``tables`` holds what
+    every block and companion derives from the config, built once here.
     """
 
     scheme: str
@@ -129,8 +132,8 @@ class SimConfig:
             raise ConfigError("the baseline uses a single transmit antenna")
         # the cell-edge user carries log2 N_t bits; the slack is outage_u1's
         if (self.first_power_user > 1 and self.target_rates is not None
-                and self.target_rates.rate(1) > np.log2(self.n_t) + 1e-12):
-            raise ConfigError(f"target rate {self.target_rates.rate(1)} of user 1 exceeds "
+                and self.target_rates.rates[0] > np.log2(self.n_t) + 1e-12):
+            raise ConfigError(f"target rate {self.target_rates.rates[0]} of user 1 exceeds "
                               f"log2(N_t) = {np.log2(self.n_t):g}")
         if self.min_bit_errors < 100:
             raise ConfigError("min_bit_errors must be >= 100")
@@ -484,21 +487,21 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
     where gamma >= psi_1, else 0."""
     targets = cfg.target_rates
     first = cfg.first_power_user
+    # gamma >= psi_k iff every SINR of stage k's SIC cascade meets its
+    # target, up to rounding at the stage thresholds (a property test in
+    # tests/test_analytics.py checks it against the cascade)
+    psis = [analytics.outage_threshold_psi(k, cfg.pa, targets.rates[first - 1:])
+            for k in range(cfg.pa.n_users)]
     for gammas in _gamma_block(cfg, "outage", snrs, block):
         outcomes = []
         if first > 1:
             # the cell-edge outage metric is the conditional error probability
             # averaged over the fading tail above the rate-derived limit, so it
             # reduces to the ABEP when the target rate saturates the antenna bits
-            psi1 = 1.0 - targets.rate(1) / np.log2(cfg.n_t)
+            psi1 = 1.0 - targets.rates[0] / np.log2(cfg.n_t)
             bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
             outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
-        for i, g in enumerate(gammas[first - 1:], start=first):
-            # g >= psi_i iff every SINR of the SIC cascade meets its target, up
-            # to rounding at the stage thresholds (a property test in
-            # tests/test_analytics.py checks it against the cascade)
-            psi = analytics.outage_threshold_psi(i, cfg.pa, targets, first)
-            outcomes.append((g < psi).astype(float))
+        outcomes += [(g < psi).astype(float) for g, psi in zip(gammas[first - 1:], psis)]
         yield outcomes
 
 
@@ -607,74 +610,62 @@ def _sweep_points(cfg: SimConfig, metric: str):
 # ---------------------------------------------------------------------------
 
 
-# The closed forms average over Rayleigh fading of positive variance; for a
-# user whose variance is 0 (a configuration the CLI accepts) every companion
-# is None, and so is the sum rate that would include it.
-
-
-def _analytic_ber(cfg: SimConfig, user: int, rho: float):
-    first = cfg.first_power_user
-    sigma_sq = cfg.fading.variances[user - 1]
-    if first == 1 or sigma_sq == 0.0:
-        return None  # the BER closed forms cover faded SSK-NOMA users only
-    if user < first:
-        return analytics.abep_u1(cfg.tables.pairs, cfg.n_t, cfg.n_r, rho, sigma_sq)
-    a = cfg.pa.coefficients
-    exact = cfg.n_users == 3 and cfg.modulations == (4, 4)
-    if exact and user == 2:
-        return analytics.abep_u2(a[0], a[1], rho * sigma_sq, cfg.n_r)
-    if exact and user == 3:
-        return analytics.abep_u3(a[0], a[1], rho * sigma_sq, cfg.n_r)
-    return analytics.union_bound_ber(user, cfg.tables.consts, cfg.pa, rho, sigma_sq,
-                                     cfg.n_r)
-
-
-def _analytic_rate(cfg: SimConfig, user: int, rho: float):
+def companion(cfg: SimConfig, metric: str, user: int, rho: float):
+    """Closed form of ``metric`` for ``user`` at SNR ``rho``: the cell-edge
+    user's SSK forms, a power user's at SIC stage ``user - first_power_user``
+    and for user 0 the sum rate. None where there is none: BER of the
+    baseline, a user of fading variance 0 (the forms average over positive
+    variance) and a sum with such a user, or a form beyond its budget."""
     if user == 0:
-        rates = [_analytic_rate(cfg, u, rho) for u in range(1, cfg.n_users + 1)]
-        return None if None in rates else sum(rates)
+        values = [companion(cfg, metric, u, rho) for u in range(1, cfg.n_users + 1)]
+        return None if None in values else sum(values)
     sigma_sq = cfg.fading.variances[user - 1]
-    if sigma_sq == 0.0:
+    k = user - cfg.first_power_user
+    if sigma_sq == 0.0 or (metric == "ber" and cfg.first_power_user == 1):
         return None
-    if user < cfg.first_power_user:
-        abep = analytics.abep_u1(cfg.tables.pairs, cfg.n_t, cfg.n_r, rho, sigma_sq)
-        return analytics.ergodic_capacity_u1(cfg.n_t, abep)
-    return analytics.ergodic_capacity_noma_user(user, cfg.pa, rho, sigma_sq, cfg.n_r,
-                                                cfg.first_power_user)
-
-
-def _analytic_outage(cfg: SimConfig, user: int, rho: float):
-    sigma_sq = cfg.fading.variances[user - 1]
-    if sigma_sq == 0.0:
+    pairs, pa, n_r = cfg.tables.pairs, cfg.pa, cfg.n_r
+    try:
+        if metric == "outage":
+            if k < 0:
+                return analytics.outage_u1(cfg.target_rates, cfg.n_t, pairs, n_r, rho, sigma_sq)
+            rates = cfg.target_rates.rates[cfg.first_power_user - 1:]
+            return analytics.outage_noma_user(k, pa, rates, rho, sigma_sq, n_r)
+        if k < 0:
+            abep = analytics.abep_u1(pairs, cfg.n_t, n_r, rho, sigma_sq)
+            return abep if metric == "ber" else analytics.ergodic_capacity_u1(cfg.n_t, abep)
+        if metric == "rate":
+            return analytics.ergodic_capacity_noma_user(k, pa, rho, sigma_sq, n_r)
+        if cfg.n_users == 3 and cfg.modulations == (4, 4):
+            exact = analytics.abep_u3 if k else analytics.abep_u2
+            return exact(*pa.coefficients, rho * sigma_sq, n_r)
+        return analytics.union_bound_ber(k, cfg.tables.consts, pa, rho, sigma_sq, n_r)
+    except ConfigError:
         return None
-    if user < cfg.first_power_user:
-        return analytics.outage_u1(cfg.target_rates, cfg.n_t, cfg.tables.pairs,
-                                   cfg.n_r, rho, sigma_sq)
-    return analytics.outage_noma_user(user, cfg.pa, cfg.target_rates, rho, sigma_sq,
-                                      cfg.n_r, cfg.first_power_user)
 
 
-_ANALYTIC_FN = {"ber": _analytic_ber, "rate": _analytic_rate, "outage": _analytic_outage}
-
-
-def run_sweep(cfg: SimConfig, metrics=("ber",)) -> SweepResult:
-    """Evaluate the requested metrics over the whole SNR grid, one round loop
-    per metric (``_sweep_points``), and attach the closed-form companion
-    value wherever the configuration is covered."""
+def check_metrics(cfg: SimConfig, metrics) -> None:
+    """Reject metrics ``run_sweep`` cannot run on ``cfg``: anything but a
+    non-empty list of distinct known names, or outage without target rates."""
+    if (not isinstance(metrics, (list, tuple)) or not all(isinstance(m, str) for m in metrics)
+            or not metrics or len(set(metrics)) != len(metrics)):
+        raise ConfigError(f"metrics must be a list naming each metric once, got {metrics!r}")
     for metric in metrics:
         if metric not in _TRIALS_FN:
             raise ConfigError(f"unknown metric {metric!r}")
         if metric == "outage" and cfg.target_rates is None:
             raise ConfigError("outage metric requires target rates")
+
+
+def run_sweep(cfg: SimConfig, metrics=("ber",)) -> SweepResult:
+    """Evaluate the requested metrics (``check_metrics``) over the whole SNR
+    grid, one round loop per metric (``_sweep_points``), and attach each
+    point's closed-form ``companion``."""
+    check_metrics(cfg, metrics)
     points = []
     for metric in metrics:
         by_point = dict(_sweep_points(cfg, metric))
         for snr_db in cfg.snr_grid_db:
             rho = 10.0 ** (snr_db / 10.0)
             for est in by_point[snr_db]:
-                try:
-                    analytic = _ANALYTIC_FN[metric](cfg, est.user, rho)
-                except ConfigError:
-                    analytic = None
-                points.append(replace(est, analytic=analytic))
+                points.append(replace(est, analytic=companion(cfg, metric, est.user, rho)))
     return SweepResult(cfg.config_hash(), tuple(points))

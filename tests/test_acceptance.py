@@ -137,7 +137,7 @@ def test_c04_union_bound_dominance_and_tightness():
             for p in curves[user]:
                 rho = 10.0 ** (p.snr_db / 10.0)
                 bounds[p.snr_db] = union_bound_ber(
-                    user, cfg.tables.consts, cfg.pa, rho, sig, n_r
+                    user - 2, cfg.tables.consts, cfg.pa, rho, sig, n_r
                 )
                 if bounds[p.snr_db] < p.value - 3.0 * p.ci_halfwidth:
                     failures.append(f"dominance u{user} nr={n_r} {p.snr_db}dB")
@@ -161,7 +161,7 @@ def test_c05_capacity_agreement():
             points = {p.user: p for p in mc.run_sweep(cfg, metrics=("rate",)).points}
             for user in range(2, n_users + 1):
                 want = ergodic_capacity_noma_user(
-                    user, cfg.pa, 10.0, cfg.fading.variances[user - 1], n_r
+                    user - 2, cfg.pa, 10.0, cfg.fading.variances[user - 1], n_r
                 )
                 if abs(points[user].value - want) > 0.02:
                     failures.append(f"L={n_users} nr={n_r} u{user}")

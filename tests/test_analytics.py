@@ -535,14 +535,14 @@ def _oracle_bound_no_sic(consts, pa, rho, sigma_sq, n_r):
 def test_union_bound_strongest_user_oracle(rho_db):
     rho = 10.0 ** (rho_db / 10.0)
     consts = [qpsk(), qpsk()]
-    got = union_bound_ber(2, consts, PA2, rho, 2.0, 2)
+    got = union_bound_ber(0, consts, PA2, rho, 2.0, 2)
     want = _oracle_bound_no_sic(consts, PA2, rho, 2.0, 2)
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
-    """Pairwise error weights of every wrong decision at SIC stage q (0-based
-    slot, user q+2), given the residual errors accumulated so far."""
+    """Pairwise error weights of every wrong decision at SIC stage q, given
+    the residual errors accumulated so far."""
     s_q = consts[q].points[tx[q]]
     interferers = [(coeffs[p], consts[p].points[tx[p]]) for p in range(q + 1, len(coeffs))]
     return [(n, _noma_pep(_pep_term(s_q, consts[q].points[n], coeffs[q], rho, interferers,
@@ -550,30 +550,30 @@ def _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
             for n in range(consts[q].order) if n != tx[q]]
 
 
-def _ber_given_tx(i, tx, q, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
-    """Recursive oracle of the union bound: BER bound of user i conditioned on
-    the transmitted tuple, recursing over the SIC stages. Wrong-branch weights
-    are scaled so their sum never exceeds 1; the own-error sum is capped at 1."""
-    slot = i - 2
+def _ber_given_tx(slot, tx, q, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
+    """Recursive oracle of the union bound: BER bound of the stage-``slot``
+    user conditioned on the transmitted tuple, recursing over the SIC stages.
+    Wrong-branch weights are scaled so their sum never exceeds 1; the
+    own-error sum is capped at 1."""
     branches = _stage_branch_weights(q, tx, deltas, coeffs, consts, rho, sigma_i_sq, n_r)
     if q == slot:
         dist = consts[slot].bit_distance_table()[tx[slot]]
         return min(1.0, sum(dist[n] / consts[slot].bits_per_symbol * w for n, w in branches))
-    total = _ber_given_tx(i, tx, q + 1, deltas, coeffs, consts, rho, sigma_i_sq, n_r)
+    total = _ber_given_tx(slot, tx, q + 1, deltas, coeffs, consts, rho, sigma_i_sq, n_r)
     wsum = sum(w for _, w in branches)
     if wsum <= 0.0:
         return total
     scale = min(1.0, 1.0 / wsum)
     for n, w in branches:
         d = (coeffs[q], consts[q].points[tx[q]] - consts[q].points[n])
-        total += scale * w * _ber_given_tx(i, tx, q + 1, deltas + [d], coeffs, consts, rho,
+        total += scale * w * _ber_given_tx(slot, tx, q + 1, deltas + [d], coeffs, consts, rho,
                                            sigma_i_sq, n_r)
     return total
 
 
-def _oracle_union_bound(i, consts, pa, rho, sigma_i_sq, n_r):
+def _oracle_union_bound(slot, consts, pa, rho, sigma_i_sq, n_r):
     orders = [c.order for c in consts]
-    total = sum(_ber_given_tx(i, tx, 0, [], pa.coefficients, consts, rho, sigma_i_sq, n_r)
+    total = sum(_ber_given_tx(slot, tx, 0, [], pa.coefficients, consts, rho, sigma_i_sq, n_r)
                 for tx in itertools.product(*(range(m) for m in orders)))
     return min(1.0, max(0.0, total / prod(orders)))
 
@@ -581,25 +581,25 @@ def _oracle_union_bound(i, consts, pa, rho, sigma_i_sq, n_r):
 _PA3 = PowerAllocation((0.7, 0.2, 0.1))
 _PA4 = PowerAllocation((0.6, 0.25, 0.1, 0.05))
 UNION_BOUND_CASES = [
-    # (power-user orders, allocation, users, SNRs in dB)
-    ((4, 4), PA2, (2, 3), (0, 10, 20, 30)),
-    ((4, 4, 4), _PA3, (2, 3, 4), (0, 10, 20, 30)),
-    ((4, 4, 4, 4), _PA4, (2, 3, 4, 5), (10, 30)),
-    ((16, 4), PA2, (2, 3), (10,)),
+    # (power-user orders, allocation, SIC stages, SNRs in dB)
+    ((4, 4), PA2, (0, 1), (0, 10, 20, 30)),
+    ((4, 4, 4), _PA3, (0, 1, 2), (0, 10, 20, 30)),
+    ((4, 4, 4, 4), _PA4, (0, 1, 2, 3), (10, 30)),
+    ((16, 4), PA2, (0, 1), (10,)),
 ]
 
 
-@pytest.mark.parametrize("orders,pa,users,snrs_db", UNION_BOUND_CASES,
+@pytest.mark.parametrize("orders,pa,stages,snrs_db", UNION_BOUND_CASES,
                          ids=["L3-qpsk", "L4-qpsk", "L5-qpsk", "qam16-qpsk"])
-def test_union_bound_matches_recursive_oracle(orders, pa, users, snrs_db):
+def test_union_bound_matches_recursive_oracle(orders, pa, stages, snrs_db):
     consts = [make_constellation(m) for m in orders]
-    for user in users:
-        sigma_sq = 2.0 ** (user - 1)
+    for stage in stages:
+        sigma_sq = 2.0 ** (stage + 1)
         for snr_db in snrs_db:
             rho = 10.0 ** (snr_db / 10.0)
-            got = union_bound_ber(user, consts, pa, rho, sigma_sq, 2)
-            want = _oracle_union_bound(user, consts, pa, rho, sigma_sq, 2)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (user, snr_db)
+            got = union_bound_ber(stage, consts, pa, rho, sigma_sq, 2)
+            want = _oracle_union_bound(stage, consts, pa, rho, sigma_sq, 2)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (stage, snr_db)
 
 
 @pytest.mark.parametrize("user", [2, 3])
@@ -608,28 +608,30 @@ def test_union_bound_dominates_exact_three_user(user):
     sigma_sq = 2.0 ** (user - 1)
     for rho_db in (0, 10, 20):
         rho = 10.0 ** (rho_db / 10.0)
-        bound = union_bound_ber(user, [qpsk(), qpsk()], PA2, rho, sigma_sq, 2)
+        bound = union_bound_ber(user - 2, [qpsk(), qpsk()], PA2, rho, sigma_sq, 2)
         assert bound >= exact_fn(0.8, 0.2, rho * sigma_sq, 2)
 
 
 def test_union_bound_decreases_with_snr():
     vals = [
-        union_bound_ber(3, [qpsk(), qpsk()], PA2, 10.0**e, 4.0, 2)
+        union_bound_ber(1, [qpsk(), qpsk()], PA2, 10.0**e, 4.0, 2)
         for e in (0.0, 1.0, 2.0, 3.0)
     ]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_union_bound_budget_error():
-    """L = 5 16-QAM, user 5: 4.0e9 joint hypotheses, beyond the budget."""
+    """L = 5 16-QAM, user 5 (stage 3): 4.0e9 joint hypotheses, beyond the
+    budget."""
     consts = [make_constellation(16)] * 4
     with pytest.raises(ConfigError):
-        union_bound_ber(5, consts, _PA4, 10.0, 16.0, 2)
+        union_bound_ber(3, consts, _PA4, 10.0, 16.0, 2)
 
 
 def test_union_bound_user_range():
-    with pytest.raises(InputError):
-        union_bound_ber(4, [qpsk(), qpsk()], PA2, 10.0, 1.0, 2)
+    for stage in (-1, 2):
+        with pytest.raises(InputError):
+            union_bound_ber(stage, [qpsk(), qpsk()], PA2, 10.0, 1.0, 2)
 
 
 # --- ergodic capacity ----------------------------------------------------------
@@ -668,13 +670,13 @@ def test_noma_user_capacity_against_quadrature(user):
         np.inf,
         limit=400,
     )
-    got = ergodic_capacity_noma_user(user, pa, rho, sigma_sq, n_r)
+    got = ergodic_capacity_noma_user(user - 2, pa, rho, sigma_sq, n_r)
     assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_weakest_user_capacity_has_single_term():
     pa = PowerAllocation((0.8, 0.2))
-    got = ergodic_capacity_noma_user(3, pa, 10.0, 4.0, 2)
+    got = ergodic_capacity_noma_user(1, pa, 10.0, 4.0, 2)
     want = ergodic_capacity_fractions(0.2, 0.0, 40.0, 2)
     assert got == pytest.approx(want, abs=1e-14)
 
@@ -685,44 +687,45 @@ def test_capacity_u1_and_sum_rate():
         ergodic_capacity_u1(4, 1.5)
     # the sum-rate companion (user 0) adds the users' closed forms
     cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0], seed=1)
-    rates = [mc._analytic_rate(cfg, user, 10.0) for user in (1, 2, 3)]
-    assert mc._analytic_rate(cfg, 0, 10.0) == sum(rates)
+    rates = [mc.companion(cfg, "rate", user, 10.0) for user in (1, 2, 3)]
+    assert mc.companion(cfg, "rate", 0, 10.0) == sum(rates)
 
 
 # --- outage ---------------------------------------------------------------------
 
 
 def test_outage_targets_phi():
-    t = OutageTargets((1.0, 1.5, 2.0))
-    assert t.phi(1) == pytest.approx(1.0)
-    assert t.phi(3) == pytest.approx(3.0)
+    """A lone stage's threshold is its Shannon threshold phi = 2**R - 1."""
+    assert outage_threshold_psi(0, PowerAllocation((1.0,)), (1.0,)) == pytest.approx(1.0)
+    assert outage_threshold_psi(0, PowerAllocation((1.0,)), (2.0,)) == pytest.approx(3.0)
     with pytest.raises(ConfigError):
         OutageTargets((0.0, 1.0))
+    with pytest.raises(InputError):
+        outage_threshold_psi(0, PA2, (1.0,))
 
 
 def test_outage_threshold_hand_value():
     pa = PowerAllocation((0.8, 0.2))
-    targets = OutageTargets((1.0, 1.0, 1.0))
-    # phi = 1 for both stages: psi_2 = 1/(0.8 - 0.2), psi_3 = max(psi_2, 1/0.2)
-    assert outage_threshold_psi(2, pa, targets) == pytest.approx(1.0 / 0.6)
-    assert outage_threshold_psi(3, pa, targets) == pytest.approx(5.0)
+    # phi = 1 for both stages: psi_0 = 1/(0.8 - 0.2), psi_1 = max(psi_0, 1/0.2)
+    assert outage_threshold_psi(0, pa, (1.0, 1.0)) == pytest.approx(1.0 / 0.6)
+    assert outage_threshold_psi(1, pa, (1.0, 1.0)) == pytest.approx(5.0)
 
 
 def test_outage_threshold_infeasible_denominator():
     pa = PowerAllocation((0.8, 0.2))
-    targets = OutageTargets((1.0, 2.5, 1.0))  # phi_2 = 4.8 > a2/a3
-    assert outage_threshold_psi(2, pa, targets) == np.inf
-    assert outage_noma_user(2, pa, targets, 100.0, 2.0, 2) == 1.0
+    rates = (2.5, 1.0)  # phi_0 = 4.66 > a2/a3
+    assert outage_threshold_psi(0, pa, rates) == np.inf
+    assert outage_noma_user(0, pa, rates, 100.0, 2.0, 2) == 1.0
 
 
-def _stage_thresholds(pa, targets, first_user, i):
+def _stage_thresholds(pa, rates, k):
     """phi_m / (a_m - phi_m * sum of the later a) of every feasible SIC stage
-    m = first_user..i: the SNR at which stage m's SINR equals its target."""
+    m = 0..k: the SNR at which stage m's SINR equals its target."""
     coeffs = pa.coefficients
     out = []
-    for k in range(i - first_user + 1):
-        phi = targets.phi(first_user + k)
-        denom = coeffs[k] - phi * sum(coeffs[k + 1:])
+    for m in range(k + 1):
+        phi = 2.0 ** rates[m] - 1.0
+        denom = coeffs[m] - phi * sum(coeffs[m + 1:])
         if denom > 0:
             out.append(phi / denom)
     return np.array(out)
@@ -734,13 +737,10 @@ def _outage_cases(draw):
     weights = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n_power,
                                    max_size=n_power, unique=True)), reverse=True)
     pa = PowerAllocation(tuple(w / sum(weights) for w in weights))
-    first_user = draw(st.sampled_from([1, 2]))
-    rates = draw(st.lists(st.floats(0.01, 4.0), min_size=n_power + first_user - 1,
-                          max_size=n_power + first_user - 1))
-    targets = OutageTargets(tuple(rates))
-    i = draw(st.integers(first_user, first_user + n_power - 1))
+    rates = tuple(draw(st.lists(st.floats(0.01, 4.0), min_size=n_power, max_size=n_power)))
+    k = draw(st.integers(0, n_power - 1))
     drawn = draw(st.lists(st.floats(0.0, 1e7), min_size=1, max_size=20))
-    return pa, targets, first_user, i, np.array(drawn)
+    return pa, rates, k, np.array(drawn)
 
 
 @settings(max_examples=400, deadline=None)
@@ -751,17 +751,17 @@ def test_outage_threshold_matches_sinr_cascade(case):
     random SNRs and on each stage's threshold, its one-ulp neighbours and
     points 1e-12 and 1e-9 away; the two may differ only within 1e-13 of a
     stage threshold, where a stage's SINR equals its target up to rounding."""
-    pa, targets, first_user, i, drawn = case
-    edges = _stage_thresholds(pa, targets, first_user, i)
+    pa, rates, k, drawn = case
+    edges = _stage_thresholds(pa, rates, k)
     gammas = np.concatenate([drawn, edges, np.nextafter(edges, 0.0),
                              np.nextafter(edges, np.inf),
                              *(edges * (1.0 + d) for d in (-1e-9, -1e-12, 1e-12, 1e-9))])
-    by_threshold = gammas < outage_threshold_psi(i, pa, targets, first_user)
+    by_threshold = gammas < outage_threshold_psi(k, pa, rates)
     coeffs = pa.coefficients
     by_cascade = np.zeros(gammas.size, dtype=bool)
-    for k in range(i - first_user + 1):
-        sinr = coeffs[k] * gammas / (1.0 + sum(coeffs[k + 1:]) * gammas)
-        by_cascade |= sinr < targets.phi(first_user + k)
+    for m in range(k + 1):
+        sinr = coeffs[m] * gammas / (1.0 + sum(coeffs[m + 1:]) * gammas)
+        by_cascade |= sinr < 2.0 ** rates[m] - 1.0
     at_edge = np.zeros(gammas.size, dtype=bool)
     for t in edges:
         at_edge |= np.abs(gammas - t) <= 1e-13 * t
@@ -770,9 +770,8 @@ def test_outage_threshold_matches_sinr_cascade(case):
 
 def test_outage_noma_user_is_chi2_cdf():
     pa = PowerAllocation((0.8, 0.2))
-    targets = OutageTargets((1.0, 1.0, 1.0))
-    psi = outage_threshold_psi(3, pa, targets)
-    got = outage_noma_user(3, pa, targets, 20.0, 4.0, 2)
+    psi = outage_threshold_psi(1, pa, (1.0, 1.0))
+    got = outage_noma_user(1, pa, (1.0, 1.0), 20.0, 4.0, 2)
     assert got == pytest.approx(chi2_cdf(psi, 2, 80.0), abs=1e-14)
 
 

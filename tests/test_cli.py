@@ -281,6 +281,12 @@ INVALID_RUNS = {
     "complexity-not-integers": (["complexity", "--row", "a,b,c"], None),
     "complexity-order-not-power-of-2": (["complexity", "--row", "3,3,2"], None),
     "complexity-zero-order-and-n_r": (["complexity", "--row", "3,0,0"], None),
+    # M_T = M^(L-1) beyond 64 bits: a traceback on printing the count, and a
+    # time without bound for larger L
+    "complexity-row-beyond-64-bits": (["complexity", "--row", "2000,1024,1"], None),
+    "complexity-row-66-users": (["complexity", "--row", "66,2,1"], None),
+    # int() refuses a string of more than 4300 digits, with a traceback
+    "complexity-field-of-5000-digits": (["complexity", "--row", "3,4," + "9" * 5000], None),
     # a value of the wrong type: these ran with a truncated value, or ended in
     # a traceback
     "ber-n_users-float": (["ber"], dict(BER_CONFIG, n_users=3.9)),
@@ -394,6 +400,14 @@ def test_complexity_single_row(capsys):
     assert "72" in out and "108" in out
 
 
+@pytest.mark.parametrize("row", ["65,2,1", "5,65536,1"])
+def test_complexity_row_at_the_64_bit_bound(capsys, row):
+    """(L - 1) log2 M = 64 is the largest row accepted: M_T = 2^64."""
+    assert cli.main(["complexity", "--row", row]) == 0
+    d_ssk = int(capsys.readouterr().out.splitlines()[1].split()[3])
+    assert d_ssk > 2**64  # counts every composite symbol
+
+
 # --- pa sweep --------------------------------------------------------------------
 
 
@@ -409,6 +423,18 @@ def test_pa_sweep_grid(tmp_path):
     # stronger-user error rate never improves as its power share shrinks
     u2 = [float(r[rows[0].index("abep_u2")]) for r in rows[1:]]
     assert all(a >= b for a, b in zip(u2, u2[1:]))
+
+
+def test_pa_sweep_leaves_a_cell_beyond_the_budget_empty(tmp_path):
+    """User 3 of a 64-QAM/256-QAM pair needs 2.7e8 joint hypotheses, beyond
+    the union bound's budget: its cell is empty, as in the sweeps, and the
+    run still succeeds."""
+    cfg = _write_config(tmp_path, {"modulations": [64, 256], "a2_grid": [0.9]})
+    out = tmp_path / "pa"
+    assert cli.main(["pa-sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header, row = _read_csv(out / "pa_sweep.csv")
+    cells = dict(zip(header, row))
+    assert cells["abep_u3"] == "" and 0.0 < float(cells["abep_u2"]) < 1.0
 
 
 def test_pa_sweep_rejects_out_of_range_a2(tmp_path):
@@ -450,3 +476,32 @@ def test_validate_fails_on_corrupted_constant(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert "ber/user2" in out
+
+
+@pytest.mark.parametrize("metrics", [[], ["ber", "ber"], ["fer"], ["ber", "outage"]],
+                         ids=["empty", "repeated", "unknown", "outage-without-targets"])
+def test_validate_checks_metrics_before_any_run_simulates(tmp_path, monkeypatch, capsys,
+                                                          metrics):
+    """The metric list is checked against every run before the first one
+    simulates; here the second run has no target rates."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was started")
+
+    monkeypatch.setattr(mc, "run_sweep", no_sweep)
+    doc = {"snr_grid_db": [10.0], "max_trials": 10_000, "metrics": metrics,
+           "runs": [dict(VALIDATE_CONFIG, target_rates=[1.0, 1.0, 1.5]),
+                    VALIDATE_CONFIG]}
+    assert cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
+                     str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_fails_when_no_point_is_compared(tmp_path, capsys):
+    """The baseline has no BER companion, so nothing is compared: that is no
+    pass."""
+    doc = dict(VALIDATE_CONFIG, scheme="noma-baseline", snr_grid_db=[10.0], max_trials=10_000)
+    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
+                   str(tmp_path), "--quiet"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "no point compared" in err and "validation passed" not in out

@@ -311,7 +311,7 @@ def _coverage(metric, n_r, grid, **kw):
             for p in estimates:
                 key = (metric, p.user, snr)
                 if key not in exact:
-                    exact[key] = mc._ANALYTIC_FN[metric](cfg, p.user, 10.0 ** (snr / 10.0))
+                    exact[key] = mc.companion(cfg, metric, p.user, 10.0 ** (snr / 10.0))
                     expected[key] = exact[key] * p.n_trials * bits[p.user - 1]
                 hits[key] += abs(p.value - exact[key]) <= p.ci_halfwidth
     return {key: (hits[key] / len(COVERAGE_SEEDS), expected[key]) for key in exact}
@@ -349,6 +349,31 @@ def test_outage_point_matches_closed_form():
 def test_run_sweep_unknown_metric():
     with pytest.raises(ConfigError):
         mc.run_sweep(_cfg(), metrics=("fer",))
+
+
+@pytest.mark.parametrize("metrics", [(), ("ber", "ber")], ids=["empty", "repeated"])
+def test_run_sweep_needs_each_metric_once(metrics):
+    with pytest.raises(ConfigError):
+        mc.run_sweep(_cfg(), metrics=metrics)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_baseline_and_ssk_power_users_share_the_closed_forms(n_r):
+    """One scheme model: baseline user i and SSK-NOMA user i + 1 are the
+    same SIC stage, so with the same allocation, fading variance, N_r, SNR
+    and power-user target rates their rate and outage companions are
+    bit-identical."""
+    pa, variances, rates = (0.6, 0.3, 0.1), [1.0, 2.0, 4.0], [1.0, 0.5, 0.25]
+    base = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=n_r, snr_grid_db=[10.0],
+                          pa=pa, fading=variances, target_rates=rates)
+    ssk = mc.make_config(scheme=mc.SSK_NOMA, n_users=4, n_r=n_r, n_t=2, snr_grid_db=[10.0],
+                         pa=pa, fading=[0.5, *variances], target_rates=[1.0, *rates])
+    for rho in (0.5, 10.0, 1e3):
+        for metric in ("rate", "outage"):
+            for user in (1, 2, 3):
+                want = mc.companion(base, metric, user, rho)
+                got = mc.companion(ssk, metric, user + 1, rho)
+                assert want is not None and got.hex() == want.hex(), (rho, metric, user)
 
 
 def test_run_sweep_companion_coverage():
