@@ -118,25 +118,78 @@ def _check_stage(k: int, pa: PowerAllocation):
 
 
 class PairEnergyTable(NamedTuple):
-    """The cell-edge union bound's pair table of one composite alphabet:
-    its distinct pair energies |chi_k|^2 + |chi_hat|^2 over the ordered
-    composite-symbol pairs, quartered, with the share of pairs at each, and
-    the level cutoff of :func:`conditional_bep_u1_vec`."""
+    """The cell-edge union bound's pair table of one composite alphabet and
+    antenna count N_t: its distinct pair energies |chi_k|^2 + |chi_hat|^2
+    over the ordered composite-symbol pairs, quartered, with the share of
+    pairs at each, the level cutoff of :func:`conditional_bep_u1_vec` and
+    the SNR up to which its clamped curve is exactly 1."""
 
     quarter: np.ndarray  # each level / 4 (exact), ascending
     weights: np.ndarray  # share of the M_T^2 ordered pairs at each level
     bits: float          # log2 M_T
     gap: np.ndarray      # quarter - quarter[0], ascending from 0
     cutoff: float        # T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0), 0 for one level
+    n_t: int             # transmit antennas N_t
+    saturation: float    # gamma_sat: the clamped curve is 1.0 on [0, gamma_sat]
 
 
-def pair_energy_table(alphabet: np.ndarray) -> PairEnergyTable:
-    """Pair table of ``alphabet``, built from its distinct symbol energies:
-    a pair's energy depends only on the energies of its two symbols, so the
-    distinct energies are paired, each pair counted once per symbol pair
-    behind it. The energies are taken in order of first appearance, so each
-    level, grouped by its value rounded to 12 decimals, is the energy of the
-    first of all M_T^2 symbol pairs (row by row) at that level."""
+# the dense curve stays this far above 1 at gamma_sat, far beyond its
+# rounding error, so the computed curve clamps to 1 below it
+_SATURATION_MARGIN = 2.0**-40
+
+
+def _saturation(quarter: np.ndarray, weights: np.ndarray, scale: float) -> float:
+    """The largest double gamma at which the dense curve ``scale * sum_j w_j
+    Q(sqrt(gamma q_j))`` (every level, unclamped) is at least 1 + 2^-40;
+    -inf if it is below that at 0 already, +inf if it never falls below it
+    (a level q_0 = 0 keeps its Q term at 1/2).
+
+    Bracketed by doubling or halving from 1, then bisected to adjacent
+    doubles, so the curve is >= 1 + 2^-40 at the result and below it one ulp
+    above it."""
+    def above(g):
+        return scale * _q_sums(g * quarter[None, :], weights)[0] >= 1.0 + _SATURATION_MARGIN
+
+    biggest = np.finfo(float).max
+    # gamma q_j may overflow to inf, whose Q term is 0
+    with np.errstate(over="ignore"):
+        if not above(0.0):
+            return -np.inf
+        if above(biggest):
+            return np.inf
+        lo, hi = 0.0, 1.0
+        if above(hi):
+            while above(hi):
+                lo, hi = hi, min(2.0 * hi, biggest)
+        else:
+            while not above(hi / 2.0):
+                hi /= 2.0
+            lo = hi / 2.0
+        # above(lo) and not above(hi); halve until they are adjacent doubles
+        while True:
+            mid = lo + (hi - lo) / 2.0
+            if mid in (lo, hi):
+                return lo
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+
+
+def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
+    """Pair table of ``alphabet`` for ``n_t`` transmit antennas, built from
+    its distinct symbol energies: a pair's energy depends only on the
+    energies of its two symbols, so the distinct energies are paired, each
+    pair counted once per symbol pair behind it. The energies are taken in
+    order of first appearance, so each level, grouped by its value rounded
+    to 12 decimals, is the energy of the first of all M_T^2 symbol pairs (row
+    by row) at that level.
+
+    The table also holds gamma_sat, the largest double at which the dense
+    curve (every level, unclamped) is at least 1 + 2^-40, found by
+    bisection. The exact curve does not increase with gamma, and a computed
+    value lies within a few ulps of it plus the 2^-53 the level cutoff
+    drops, so on [0, gamma_sat] the clamped curve is exactly 1.0 and is not
+    evaluated. It is -inf (nothing skipped) with one antenna and when the
+    curve starts below 1 + 2^-40, which N_t log2 M_T <= 4 implies; +inf when
+    a composite symbol of zero energy keeps the curve above it."""
     values, first, counts = np.unique(np.abs(alphabet) ** 2, return_index=True,
                                       return_counts=True)
     order = np.argsort(first)
@@ -148,17 +201,20 @@ def pair_energy_table(alphabet: np.ndarray) -> PairEnergyTable:
     # a lone level has nothing to drop
     rest = weights[1:].sum()
     cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
-    return PairEnergyTable(quarter, weights, np.log2(alphabet.size), quarter - quarter[0],
-                           float(cutoff))
+    bits = np.log2(alphabet.size)
+    saturation = _saturation(quarter, weights, (n_t / 2.0) * bits) if n_t > 1 else -np.inf
+    return PairEnergyTable(quarter, weights, bits, quarter - quarter[0], float(cutoff),
+                           n_t, float(saturation))
 
 
-def abep_u1(table: PairEnergyTable, n_t: int, n_r: int, rho: float,
-            sigma1_sq: float, clamp: bool = True) -> float:
+def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma1_sq: float,
+            clamp: bool = True) -> float:
     """Cell-edge user's ABEP by the SSK union-bound sum: antenna-pair factor
-    times the pairwise error probability averaged uniformly over all ordered
-    composite symbol pairs (``table``), each weighted by log2(M_T). It is an
-    approximation, not an upper bound: at L = 4 (M_T = 64) it lies below the
-    simulated BER."""
+    (N_t from ``table``) times the pairwise error probability averaged
+    uniformly over all ordered composite symbol pairs (``table``), each
+    weighted by log2(M_T). It is an approximation, not an upper bound: at
+    L = 4 (M_T = 64) it lies below the simulated BER."""
+    n_t = table.n_t
     if n_t == 1:
         return 0.0
     if rho <= 0 or sigma1_sq <= 0:
@@ -188,19 +244,22 @@ def _q_sums(part: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
-                           n_t: int, clamp: bool = True) -> np.ndarray:
+                           clamp: bool = True) -> np.ndarray:
     """BEP of the cell-edge user conditioned on each instantaneous MRC SNR,
     clamped to [0, 1] unless ``clamp`` is false.
 
     Each value is ``(N_t / 2) log2(M_T) * sum_j w_j Q(sqrt(gamma q_j))`` over
     the quartered pair energies q_0 < q_1 < ... and their shares w_j of
-    ``table``, summed over the levels its SNR keeps. erfcx(x) = exp(x^2)
-    erfc(x) decreases (Mills' ratio), so with x_j^2 = gamma q_j / 2 each term
-    is at most w_j erfc(x_0) exp(-gamma (q_j - q_0) / 2). A level with
-    gamma (q_j - q_0) / 2 > T = ``table.cutoff`` is dropped: the dropped
-    terms sum to at most 2^-53 w_0 erfc(x_0), at most 2^-53 of the value, so
-    a value lies within a few ulps of the full sum. An SNR of 0 or NaN keeps
-    every level.
+    ``table`` (which also gives N_t), summed over the levels its SNR keeps.
+    erfcx(x) = exp(x^2) erfc(x) decreases (Mills' ratio), so with
+    x_j^2 = gamma q_j / 2 each term is at most w_j erfc(x_0)
+    exp(-gamma (q_j - q_0) / 2). A level with gamma (q_j - q_0) / 2 > T =
+    ``table.cutoff`` is dropped: the dropped terms sum to at most 2^-53 w_0
+    erfc(x_0), at most 2^-53 of the value, so a value lies within a few ulps
+    of the full sum. An SNR of 0 (of either sign) or NaN keeps every level.
+    Clamped, an SNR in [0, gamma_sat] (``table.saturation``) is set to 1.0
+    without evaluating any erfc: the curve is at least 1 + 2^-40 there (see
+    :func:`pair_energy_table`), so the clamp would return exactly 1.0.
 
     The SNRs are sorted, so that the kept-level count falls along them, and
     walked in runs of equal counts, at most ``BEP_CHUNK_ROWS`` SNRs each.
@@ -210,35 +269,34 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     are grouped into calls, nor on the BLAS build or its thread count.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if n_t == 1:
+    if table.n_t == 1:
         return np.zeros_like(gammas)
-    quarter, weights, gap = table.quarter, table.weights, table.gap
-    n = gammas.size
-    if n == 1:
-        # one SNR (the outage quadrature's calls): no sort and no run walk
-        g = float(gammas[0])
-        k = gap.searchsorted(2.0 * table.cutoff / g, "right") if g else gap.size
-        vals = _q_sums(g * quarter[None, :k], weights[:k])
-    else:
-        # levels kept per SNR: those with gap <= 2T / gamma, every one at 0
-        # (a division by zero) or NaN
-        order = np.argsort(gammas)
-        g = gammas[order]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keep = gap.searchsorted(2.0 * table.cutoff / g, "right")
-        starts = np.union1d(np.flatnonzero(np.diff(keep)) + 1,
-                            np.arange(0, n, BEP_CHUNK_ROWS))
-        scratch = np.empty(min(n, BEP_CHUNK_ROWS) * quarter.size)
-        vals = np.empty(n)
-        for start, stop in zip(starts, [*starts[1:], n]):
-            k = keep[start]
-            part = scratch[:(stop - start) * k].reshape(stop - start, k)
-            np.multiply(g[start:stop, None], quarter[:k], out=part)
-            vals[order[start:stop]] = _q_sums(part, weights[:k])
-    vals = ((n_t / 2.0) * table.bits) * vals
-    # no sum is negative, so the clamp is a minimum (far cheaper than np.clip
-    # on the quadrature's one-SNR calls)
-    return np.minimum(vals, 1.0) if clamp else vals
+    quarter, weights = table.quarter, table.weights
+    order = np.argsort(gammas)
+    g = gammas[order]
+    vals = np.empty(gammas.size)
+    if clamp:
+        # the sorted SNRs in [0, gamma_sat] clamp to 1.0; the rest are summed
+        lo = g.searchsorted(0.0)
+        hi = max(lo, g.searchsorted(table.saturation, "right"))
+        vals[order[lo:hi]] = 1.0
+        order, g = np.r_[order[:lo], order[hi:]], np.r_[g[:lo], g[hi:]]
+    n = g.size
+    # levels kept per SNR: those with gap <= 2T / gamma, every one at 0 (a
+    # division by zero; adding 0.0 turns -0.0 into +0.0) or NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = table.gap.searchsorted(2.0 * table.cutoff / (g + 0.0), "right")
+    starts = np.union1d(np.flatnonzero(np.diff(keep)) + 1, np.arange(0, n, BEP_CHUNK_ROWS))
+    scratch = np.empty(min(n, BEP_CHUNK_ROWS) * quarter.size)
+    scale = (table.n_t / 2.0) * table.bits
+    for start, stop in zip(starts, [*starts[1:], n]):
+        k = keep[start]
+        part = scratch[:(stop - start) * k].reshape(stop - start, k)
+        np.multiply(g[start:stop, None], quarter[:k], out=part)
+        sums = scale * _q_sums(part, weights[:k])
+        # no sum is negative, so the clamp is a minimum
+        vals[order[start:stop]] = np.minimum(sums, 1.0, out=sums) if clamp else sums
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +531,41 @@ def outage_noma_user(k: int, pa: PowerAllocation, rates, rho: float,
     return float(chi2_cdf(psi, n_r, rho * sigma_i_sq))
 
 
-def outage_u1(targets: OutageTargets, n_t: int, table: PairEnergyTable, n_r: int,
-              rho: float, sigma1_sq: float) -> float:
+def outage_u1(targets: OutageTargets, table: PairEnergyTable, n_r: int, rho: float,
+              sigma1_sq: float) -> float:
     """Outage probability of the cell-edge user: tail integral of the
-    conditional BEP against the fading density, as printed in the source
-    analysis (the lower limit is applied to the SNR variable)."""
+    clamped conditional BEP (N_t from ``table``) against the fading density,
+    as printed in the source analysis (the lower limit is applied to the SNR
+    variable).
+
+    The integrand is the clamped curve of :func:`conditional_bep_u1_vec`
+    times :func:`chi2_pdf`, with the same arithmetic, bit for bit: at an SNR
+    in [0, gamma_sat] the clamped curve is exactly 1.0 (see
+    :func:`pair_energy_table`), so there it is the bare density, and no erfc
+    is evaluated."""
     # the only user of scipy.integrate, whose import would add about half to
     # the package's import time and a third to its memory
     from scipy import integrate
 
+    n_t = table.n_t
     r1 = targets.rates[0]
     if r1 > np.log2(n_t) + 1e-12:
         raise ConfigError(f"target rate {r1} exceeds log2(N_t) = {np.log2(n_t)}")
     psi1 = 1.0 - r1 / np.log2(n_t)
     gbar = rho * sigma1_sq
+    quarter, weights, gap = table.quarter, table.weights, table.gap
+    two_t, saturation = 2.0 * table.cutoff, table.saturation
+    scale = (n_t / 2.0) * table.bits
+    norm = factorial(n_r - 1) * gbar**n_r
 
     def integrand(g):
-        bep = conditional_bep_u1_vec(np.array([g]), table, n_t)[0]
-        return float(bep) * chi2_pdf(g, n_r, gbar)
+        # chi2_pdf's arithmetic; quad passes no negative SNR
+        density = np.asarray(g) ** (n_r - 1) * np.exp(-g / gbar) / norm
+        if g <= saturation:
+            return density
+        k = gap.searchsorted(two_t / g, "right") if g else gap.size
+        bep = scale * _q_sums(g * quarter[None, :k], weights[:k])[0]
+        return min(float(bep), 1.0) * density
 
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
     full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)

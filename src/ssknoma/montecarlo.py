@@ -291,7 +291,7 @@ def _tables(cfg: SimConfig) -> _Tables:
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
         sm_grid = _sm_grid(alphabet)
-        pairs = analytics.pair_energy_table(alphabet)
+        pairs = analytics.pair_energy_table(alphabet, cfg.n_t)
     # log2 N_t bits on the antenna index, else bits per symbol
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
@@ -499,7 +499,7 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
             # averaged over the fading tail above the rate-derived limit, so it
             # reduces to the ABEP when the target rate saturates the antenna bits
             psi1 = 1.0 - targets.rates[0] / np.log2(cfg.n_t)
-            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
+            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs)
             outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
         outcomes += [(g < psi).astype(float) for g, psi in zip(gammas[first - 1:], psis)]
         yield outcomes
@@ -513,7 +513,7 @@ def _rate_trials(cfg: SimConfig, snrs, block: int):
     for gammas in _gamma_block(cfg, "rate", snrs, block):
         rates = []
         if first > 1:
-            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs, cfg.n_t)
+            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs)
             rates.append(np.log2(cfg.n_t) * (1.0 - bep))
         for k, g in enumerate(gammas[first - 1:]):
             with_own = sum(coeffs[k:])
@@ -627,11 +627,11 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
     try:
         if metric == "outage":
             if k < 0:
-                return analytics.outage_u1(cfg.target_rates, cfg.n_t, pairs, n_r, rho, sigma_sq)
+                return analytics.outage_u1(cfg.target_rates, pairs, n_r, rho, sigma_sq)
             rates = cfg.target_rates.rates[cfg.first_power_user - 1:]
             return analytics.outage_noma_user(k, pa, rates, rho, sigma_sq, n_r)
         if k < 0:
-            abep = analytics.abep_u1(pairs, cfg.n_t, n_r, rho, sigma_sq)
+            abep = analytics.abep_u1(pairs, n_r, rho, sigma_sq)
             return abep if metric == "ber" else analytics.ergodic_capacity_u1(cfg.n_t, abep)
         if metric == "rate":
             return analytics.ergodic_capacity_noma_user(k, pa, rho, sigma_sq, n_r)

@@ -43,7 +43,8 @@ from ssknoma.detectors import complexity_noma, complexity_ssk_noma
 
 PA2 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
-PAIRS3 = pair_energy_table(ALPHABET3)
+# per N_t
+PAIRS3 = {n_t: pair_energy_table(ALPHABET3, n_t) for n_t in (2, 4)}
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):
@@ -107,7 +108,7 @@ def test_c03_exact_abep_agreement():
         curves = _ber_curves(cfg)
         for p in curves[1]:
             rho = 10.0 ** (p.snr_db / 10.0)
-            bound = abep_u1(PAIRS3, n_r, n_r, rho, 1.0)
+            bound = abep_u1(PAIRS3[n_r], n_r, rho, 1.0)
             if p.value > bound + 3.0 * p.ci_halfwidth:
                 failures.append(f"u1 nr={n_r} {p.snr_db}dB")
         for user, exact_fn, sig in ((2, abep_u2, 2.0), (3, abep_u3, 4.0)):
@@ -167,9 +168,9 @@ def test_c05_capacity_agreement():
                     failures.append(f"L={n_users} nr={n_r} u{user}")
     # closed-form cell-edge error rate vs its conditional-BEP average
     for n_r in (2, 4):
-        closed = abep_u1(PAIRS3, n_r, n_r, 10.0, 1.0, clamp=False)
+        closed = abep_u1(PAIRS3[n_r], n_r, 10.0, 1.0, clamp=False)
         avg, _ = integrate.quad(
-            lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3, n_r, clamp=False)[0]
+            lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3[n_r], clamp=False)[0]
             * chi2_pdf(g, n_r, 10.0),
             0.0, np.inf, limit=400,
         )
@@ -209,7 +210,7 @@ def test_c07_diversity_order():
 
     for n_r in (2, 4):
         analytic = {
-            1: lambda rho, n=n_r: abep_u1(PAIRS3, n, n, rho, 1.0),
+            1: lambda rho, n=n_r: abep_u1(PAIRS3[n], n, rho, 1.0),
             2: lambda rho, n=n_r: abep_u2(0.8, 0.2, rho * 2.0, n),
             3: lambda rho, n=n_r: abep_u3(0.8, 0.2, rho * 4.0, n),
         }

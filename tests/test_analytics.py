@@ -2,6 +2,7 @@
 Carlo oracles."""
 
 import itertools
+import warnings
 from math import gamma as gamma_fn
 from math import prod
 
@@ -47,7 +48,7 @@ from ssknoma.errors import ConfigError, InputError
 
 PA2 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
-PAIRS3 = pair_energy_table(ALPHABET3)
+PAIRS3 = pair_energy_table(ALPHABET3, 4)
 
 
 def _gamma_pdf(x, shape, scale):
@@ -160,21 +161,22 @@ def test_abep_pa_validation():
 
 
 def test_abep_u1_matches_conditional_average():
-    rho, n_t, n_r = 10.0, 4, 2
+    rho, n_r = 10.0, 2
     want, _ = integrate.quad(
-        lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3, n_t, clamp=False)[0]
+        lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3, clamp=False)[0]
         * _gamma_pdf(g, n_r, rho),
         0.0,
         np.inf,
         limit=400,
     )
-    got = abep_u1(PAIRS3, n_t, n_r, rho, 1.0, clamp=False)
+    got = abep_u1(PAIRS3, n_r, rho, 1.0, clamp=False)
     assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_abep_u1_single_antenna_is_zero():
-    assert abep_u1(PAIRS3, 1, 2, 10.0, 1.0) == 0.0
-    assert list(conditional_bep_u1_vec(np.array([5.0]), PAIRS3, 1)) == [0.0]
+    table = pair_energy_table(ALPHABET3, 1)
+    assert abep_u1(table, 2, 10.0, 1.0) == 0.0
+    assert list(conditional_bep_u1_vec(np.array([5.0]), table)) == [0.0]
 
 
 def _pair_loop_peps(alphabet, per_pair):
@@ -208,7 +210,7 @@ def test_abep_u1_matches_pair_loop_oracle(n_users):
     alphabet = enumerate_sc_alphabet([qpsk()] * pa.n_users, pa)
     for rho, n_r in ((10.0, 2), (1000.0, 4)):
         want = _abep_u1_oracle(alphabet, 4, n_r, rho, 1.0)
-        got = abep_u1(pair_energy_table(alphabet), 4, n_r, rho, 1.0, clamp=False)
+        got = abep_u1(pair_energy_table(alphabet, 4), n_r, rho, 1.0, clamp=False)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -216,11 +218,11 @@ def test_conditional_bep_u1_vec_matches_scalar():
     """One call over several SNRs and one call per SNR against the pair-loop
     oracle, clamped at 1 for low SNR."""
     gammas = np.array([0.0, 0.3, 2.0, 40.0])
-    vec = conditional_bep_u1_vec(gammas, PAIRS3, 4)
+    vec = conditional_bep_u1_vec(gammas, PAIRS3)
     for g, v in zip(gammas, vec):
         want = _conditional_bep_u1_oracle(float(g), ALPHABET3, 4)
         assert v == pytest.approx(want, rel=1e-12, abs=0)
-        one = conditional_bep_u1_vec(np.array([g]), PAIRS3, 4)[0]
+        one = conditional_bep_u1_vec(np.array([g]), PAIRS3)[0]
         assert one == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -262,7 +264,7 @@ def test_pair_energy_table_matches_all_pairs(name):
     the all-pairs table bit for bit, and the same shares."""
     alphabet = _sc_alphabet(*PAIR_TABLE_ALPHABETS[name])
     levels, weights = _pair_energy_levels(alphabet)
-    table = pair_energy_table(alphabet)
+    table = pair_energy_table(alphabet, 4)
     assert [float(q).hex() for q in table.quarter] == [float(x / 4.0).hex() for x in levels]
     assert np.array_equal(table.weights, weights)
     assert table.bits == np.log2(alphabet.size)
@@ -281,13 +283,17 @@ def _curve_snrs(levels, n, rng, table=None):
     """``n`` unsorted SNRs: 0; for each level, the SNRs where its erfc
     argument reaches 26, 26.5, 26.6, the true underflow limit sqrt(MAXLOG)
     and 26.65, and with ``table`` also where it crosses the table's level
-    cutoff, each with its neighbours one ulp away; half of the rest within
-    1e-4 of the first five kinds of SNR of the two lowest and the highest
-    level (so whole chunks straddle them), the other half spread from 0 to
-    ~1e5."""
+    cutoff, and the table's clamp point gamma_sat if it is finite, each with
+    its neighbours one ulp away; half of the rest within 1e-4 of the first
+    five kinds of SNR of the two lowest and the highest level (so whole
+    chunks straddle them), the other half spread from 0 to ~1e5."""
     limits = np.array([26.0, 26.5, 26.6, np.sqrt(np.log(np.finfo(float).max)), 26.65])
     edges = 8.0 * limits[:, None] ** 2 / levels
-    crossings = [] if table is None else 2.0 * table.cutoff / table.gap[1:]
+    crossings = []
+    if table is not None:
+        crossings = 2.0 * table.cutoff / table.gap[1:]
+        if np.isfinite(table.saturation):
+            crossings = np.append(crossings, table.saturation)
     marked = np.concatenate([[0.0], edges.ravel(), crossings])
     marked = np.concatenate([marked, np.nextafter(marked[1:], 0.0),
                              np.nextafter(marked[1:], np.inf)])
@@ -326,18 +332,18 @@ def test_bep_curve_equals_per_row_oracle():
     SNR's sum over exactly the levels it keeps."""
     rng = np.random.default_rng(2024)
     bad = []
-    for name, (orders, pa) in BEP_CURVE_ALPHABETS.items():
+    for (name, (orders, pa)), n_t in itertools.product(BEP_CURVE_ALPHABETS.items(), (2, 4)):
         alphabet = _sc_alphabet(orders, pa)
-        table = pair_energy_table(alphabet)
+        table = pair_energy_table(alphabet, n_t)
         levels = _pair_energy_levels(alphabet)[0]
         for n in (0, 1, 2, BEP_CHUNK_ROWS - 1, BEP_CHUNK_ROWS + 1, 3 * BEP_CHUNK_ROWS + 7,
                   25_000):
             gammas = _curve_snrs(levels, n, rng, table)
             sums = _kept_level_sums(gammas, alphabet)
-            for n_t, clamp in itertools.product((2, 4), (True, False)):
+            for clamp in (True, False):
                 want = (n_t / 2.0) * np.log2(alphabet.size) * sums
                 want = np.clip(want, 0.0, 1.0) if clamp else want
-                if not np.array_equal(conditional_bep_u1_vec(gammas, table, n_t, clamp), want):
+                if not np.array_equal(conditional_bep_u1_vec(gammas, table, clamp), want):
                     bad.append((name, n_t, n, clamp))
     assert bad == []
 
@@ -347,43 +353,46 @@ def test_bep_curve_is_within_2_to_the_minus_50_of_dense_formula(name):
     """Dropping the levels past the cutoff moves no value by more than a few
     ulps of the full dense sum, and leaves every zero a zero."""
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
-    table = pair_energy_table(alphabet)
-    gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000,
-                         np.random.default_rng(3), table)
-    for n_t, clamp in itertools.product((2, 4), (True, False)):
-        got = conditional_bep_u1_vec(gammas, table, n_t, clamp)
-        want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
-        assert np.array_equal(got == 0.0, want == 0.0)
-        assert np.all(np.abs(got - want) <= 2.0**-50 * want)
+    rng = np.random.default_rng(3)
+    for n_t in (2, 4):
+        table = pair_energy_table(alphabet, n_t)
+        gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000, rng, table)
+        for clamp in (True, False):
+            got = conditional_bep_u1_vec(gammas, table, clamp)
+            want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= 2.0**-50 * want)
 
 
 def test_bep_curve_on_a_single_level_table():
     """One pair energy (32-PSK alone): nothing to drop, no warning, and the
     dense formula's values at every SNR, 0 and infinity included."""
     alphabet = _sc_alphabet((32,), (1.0,))
-    table = pair_energy_table(alphabet)
-    assert table.quarter.size == 1 and table.cutoff == 0.0
     gammas = np.array([0.0, 1e-300, 0.3, 2.0, 40.0, 1e3, 1e300, np.inf])
     for n_t, clamp in itertools.product((4, 16), (True, False)):
+        table = pair_energy_table(alphabet, n_t)
+        assert table.quarter.size == 1 and table.cutoff == 0.0
         want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
-        assert np.array_equal(conditional_bep_u1_vec(gammas, table, n_t, clamp), want)
-        singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, n_t, clamp)[0]
+        assert np.array_equal(conditional_bep_u1_vec(gammas, table, clamp), want)
+        singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, clamp)[0]
                    for j in range(gammas.size)]
         assert np.array_equal(singles, want)
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
 def test_bep_curve_keeps_every_level_at_zero_snr(name):
-    """At gamma = 0 (where 2T / gamma divides by zero) every level is kept,
-    without a warning: each Q term is 1/2, alone or among other SNRs."""
+    """At gamma = 0 of either sign (where 2T / gamma divides by zero) every
+    level is kept, without a warning: each Q term is 1/2, alone or among
+    other SNRs."""
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
-    table = pair_energy_table(alphabet)
-    gammas = np.array([0.0, 5.0, 0.0, 50.0])
+    table = pair_energy_table(alphabet, 4)
+    gammas = np.array([0.0, 5.0, -0.0, 50.0])
     want = _dense_bep_u1(gammas, alphabet, 4, False)
     assert want[0] == (2.0 * np.log2(alphabet.size)) * np.einsum(
         "ij,j->i", np.full((1, table.weights.size), 0.5), table.weights)[0]
-    assert np.array_equal(conditional_bep_u1_vec(gammas, table, 4, False)[[0, 2]], want[[0, 2]])
-    assert conditional_bep_u1_vec(gammas[:1], table, 4, False)[0] == want[0]
+    assert np.array_equal(conditional_bep_u1_vec(gammas, table, False)[[0, 2]], want[[0, 2]])
+    assert conditional_bep_u1_vec(gammas[:1], table, False)[0] == want[0]
+    assert conditional_bep_u1_vec(gammas[2:3], table, False)[0] == want[0]
 
 
 @pytest.mark.parametrize("clamp", [True, False])
@@ -391,14 +400,14 @@ def test_bep_curve_keeps_nan_snrs_as_nan(clamp):
     """A NaN SNR keeps every level and yields NaN, without a warning and
     without moving its neighbours' values."""
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS["L4-qpsk"])
-    table = pair_energy_table(alphabet)
+    table = pair_energy_table(alphabet, 4)
     gammas = np.array([3.0, np.nan, 0.0, 300.0, np.nan, 30.0])
-    got = conditional_bep_u1_vec(gammas, table, 4, clamp)
+    got = conditional_bep_u1_vec(gammas, table, clamp)
     assert np.isnan(got[[1, 4]]).all()
-    assert np.isnan(conditional_bep_u1_vec(gammas[1:2], table, 4, clamp)).all()
+    assert np.isnan(conditional_bep_u1_vec(gammas[1:2], table, clamp)).all()
     finite = ~np.isnan(gammas)
     assert np.array_equal(got[finite],
-                          conditional_bep_u1_vec(gammas[finite], table, 4, clamp))
+                          conditional_bep_u1_vec(gammas[finite], table, clamp))
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
@@ -407,16 +416,55 @@ def test_bep_curve_does_not_depend_on_how_snrs_are_grouped(name):
     per SNR and calls of 1 022 SNRs (each chunked differently, with its rows
     at other offsets) agree bit for bit."""
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
-    table = pair_energy_table(alphabet)
+    table = pair_energy_table(alphabet, 4)
     rng = np.random.default_rng(7)
     gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000, rng)
-    whole = conditional_bep_u1_vec(gammas, table, 4, clamp=False)
-    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], table, 4, False)
+    whole = conditional_bep_u1_vec(gammas, table, clamp=False)
+    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], table, False)
                              for s in range(0, gammas.size, 1022)])
     assert np.array_equal(chunks, whole)
     picks = rng.choice(gammas.size, 500, replace=False)
-    singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, 4, False)[0] for j in picks]
+    singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, False)[0] for j in picks]
     assert np.array_equal(singles, whole[picks])
+
+
+@pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
+def test_bep_curve_clamp_point(name):
+    """gamma_sat is the last double at which the dense curve is at least
+    1 + 2^-40. Evaluated in full (unclamped, then clamped), the curve is
+    exactly 1.0 at 0, at gamma_sat, at its 200 lower neighbours and at
+    10 000 uniform points below it, so the clamped curve may skip them."""
+    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
+    rng = np.random.default_rng(11)
+    for n_t in (2, 4, 16, 4096):
+        table = pair_energy_table(alphabet, n_t)
+        sat = table.saturation
+        assert 0.0 < sat < np.inf
+        dense = _dense_bep_u1(np.array([sat, np.nextafter(sat, np.inf)]), alphabet, n_t, False)
+        assert dense[0] >= 1.0 + 2.0**-40 > dense[1]
+        below = [sat]
+        for _ in range(200):
+            below.append(np.nextafter(below[-1], 0.0))
+        gammas = np.concatenate([[0.0], below, rng.uniform(0.0, sat, 10_000)])
+        assert np.all(np.minimum(conditional_bep_u1_vec(gammas, table, clamp=False), 1.0) == 1.0)
+        assert np.all(conditional_bep_u1_vec(gammas, table) == 1.0)
+
+
+def test_bep_curve_clamp_point_edge_cases():
+    """BPSK alone with N_t = 2 starts at 1/2, so nothing is skipped. A
+    composite symbol of zero energy keeps a Q term at 1/2 at every SNR,
+    which N_t = 64 lifts above 1 + 2^-40: gamma_sat is +inf."""
+    bpsk = pair_energy_table(_sc_alphabet((2,), (1.0,)), 2)
+    assert bpsk.saturation == -np.inf
+    gammas = np.array([0.0, 0.5, 3.0, 30.0])
+    clamped = conditional_bep_u1_vec(gammas, bpsk)
+    assert clamped[0] == 0.5
+    assert np.array_equal(clamped, conditional_bep_u1_vec(gammas, bpsk, clamp=False))
+    zero = pair_energy_table(np.array([0.0, 1.0, -1.0, 1j, -1j]), 64)
+    assert zero.saturation == np.inf
+    gammas = np.array([0.0, 1.0, 1e3, 1e300])
+    assert np.all(np.minimum(conditional_bep_u1_vec(gammas, zero, clamp=False), 1.0) == 1.0)
+    assert np.all(conditional_bep_u1_vec(gammas, zero) == 1.0)
 
 
 def test_erfc_tail_bound_behind_the_level_cutoff():
@@ -780,26 +828,115 @@ def test_outage_u1_saturated_rate_reduces_to_error_average():
     average of the conditional error probability (Monte Carlo oracle)."""
     rho, n_r = 100.0, 2
     targets = OutageTargets((2.0, 1.0, 1.0))
-    got = outage_u1(targets, 4, PAIRS3, n_r, rho, 1.0)
+    got = outage_u1(targets, PAIRS3, n_r, rho, 1.0)
     rng = rng_stream(77, 0)
     h = np.sqrt(0.5) * (rng.standard_normal((200_000, n_r))
                         + 1j * rng.standard_normal((200_000, n_r)))
     gam = rho * np.sum(np.abs(h) ** 2, axis=1)
-    bep = conditional_bep_u1_vec(gam, PAIRS3, 4)
+    bep = conditional_bep_u1_vec(gam, PAIRS3)
     se = np.std(bep) / np.sqrt(bep.size)
     assert abs(got - np.mean(bep)) < 4.0 * se
+
+
+def _oracle_outage_integrand(table, n_r, gbar):
+    """The outage quadrature's integrand as it was before the clamp point
+    existed: the clamped curve at one SNR times chi2_pdf. The clamp is taken
+    here, outside the curve, so that every SNR evaluates its erfc terms."""
+    def integrand(g):
+        bep = min(float(conditional_bep_u1_vec(np.array([g]), table, clamp=False)[0]), 1.0)
+        return bep * chi2_pdf(g, n_r, gbar)
+    return integrand
+
+
+def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
+    """At every node quad visits for the pinned outage configs (tests/
+    test_golden.py), on both sides of gamma_sat, the integrand equals the
+    oracle's bit for bit."""
+    from test_golden import PIN_CONFIGS, PIN_SHARED, PIN_SNRS_DB
+
+    nodes = []
+    real_quad = integrate.quad
+
+    def recording_quad(func, a, b, **kwargs):
+        def recorded(g):
+            nodes.append((g, func(g)))
+            return nodes[-1][1]
+        return real_quad(recorded, a, b, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", recording_quad)
+    sides, bad = [0, 0], []
+    for name, run in PIN_CONFIGS.items():
+        cfg = mc.make_config(**PIN_SHARED, **run)
+        if cfg.first_power_user == 1:
+            continue
+        for snr_db in PIN_SNRS_DB:
+            rho = 10.0 ** (snr_db / 10.0)
+            nodes.clear()
+            mc.companion(cfg, "outage", 1, rho)
+            oracle = _oracle_outage_integrand(cfg.tables.pairs, cfg.n_r,
+                                            rho * cfg.fading.variances[0])
+            for g, value in nodes:
+                sides[g <= cfg.tables.pairs.saturation] += 1
+                if float(value).hex() != float(oracle(g)).hex():
+                    bad.append((name, snr_db, g))
+    assert bad == []
+    assert min(sides) > 100
+
+
+def _oracle_outage_u1(targets, table, n_r, rho, sigma1_sq):
+    """outage_u1's two quadratures over the oracle integrand."""
+    psi1 = 1.0 - targets.rates[0] / np.log2(table.n_t)
+    gbar = rho * sigma1_sq
+    integrand = _oracle_outage_integrand(table, n_r, gbar)
+    upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
+    full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)
+    if psi1 <= 0.0:
+        return min(1.0, max(0.0, full))
+    head, _ = integrate.quad(integrand, 0.0, min(psi1, upper), epsabs=1e-8, limit=200)
+    return min(1.0, max(0.0, full - head))
+
+
+# (alphabet, N_t, N_r, SNR in dB) of the outage_u1 oracle check, each at
+# psi_1 = 0, 0.5 and 0.99
+OUTAGE_U1_CASES = [
+    (name, n_t, n_r, (-10, 0, 10, 20, 30, 40)[i // 3 % 6])
+    for i, (name, n_t, n_r) in enumerate(itertools.product(
+        ("L3-qpsk", "L4-qpsk", "qpsk-qam16"), (2, 4, 16), (1, 2, 4, 8)))
+    if i % 3 == 0
+]
+
+
+def test_outage_u1_matches_oracle_quadrature():
+    """outage_u1 equals, bit for bit, a quad over the oracle integrand, with
+    psi_1 = 0 and psi_1 > 0 (below and above gamma_sat), and warns where and
+    as the oracle does."""
+    bad = []
+    for name, n_t, n_r, snr_db in OUTAGE_U1_CASES:
+        table = pair_energy_table(_sc_alphabet(*BEP_CURVE_ALPHABETS[name]), n_t)
+        rho = 10.0 ** (snr_db / 10.0)
+        for share in (1.0, 0.5, 0.01):
+            targets = OutageTargets((share * np.log2(n_t), 1.0, 1.0, 1.0))
+            got, want = [], []
+            for fn, out in ((outage_u1, got), (_oracle_outage_u1, want)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    out.append(float(fn(targets, table, n_r, rho, 1.5)).hex())
+                out.extend(str(w.message) for w in caught)
+            if got != want:
+                bad.append((name, n_t, n_r, snr_db, share, got, want))
+    assert bad == []
 
 
 def test_outage_u1_monotone_in_rate_and_snr():
     targets_lo = OutageTargets((1.0, 1.0, 1.0))
     targets_hi = OutageTargets((2.0, 1.0, 1.0))
-    lo = outage_u1(targets_lo, 4, PAIRS3, 2, 50.0, 1.0)
-    hi = outage_u1(targets_hi, 4, PAIRS3, 2, 50.0, 1.0)
+    lo = outage_u1(targets_lo, PAIRS3, 2, 50.0, 1.0)
+    hi = outage_u1(targets_hi, PAIRS3, 2, 50.0, 1.0)
     assert lo <= hi
-    worse = outage_u1(targets_hi, 4, PAIRS3, 2, 5.0, 1.0)
+    worse = outage_u1(targets_hi, PAIRS3, 2, 5.0, 1.0)
     assert worse > hi
 
 
 def test_outage_u1_rejects_excess_rate():
     with pytest.raises(ConfigError):
-        outage_u1(OutageTargets((3.0, 1.0, 1.0)), 4, PAIRS3, 2, 10.0, 1.0)
+        outage_u1(OutageTargets((3.0, 1.0, 1.0)), PAIRS3, 2, 10.0, 1.0)

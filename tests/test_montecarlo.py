@@ -248,7 +248,7 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
     rng = np.random.default_rng(21)
     drawn = []
 
-    def fake_bep(gammas, table, n_t, clamp=True):
+    def fake_bep(gammas, table, clamp=True):
         drawn.append(-2.0 - 1e-9 * rng.standard_normal(np.shape(gammas)))
         return drawn[-1]
 
