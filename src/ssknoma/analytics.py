@@ -12,11 +12,10 @@ k + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial, prod
-from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .constellation import PowerAllocation
 from .errors import ConfigError, InputError, as_tuple
@@ -24,34 +23,25 @@ from .errors import ConfigError, InputError, as_tuple
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
-
-
-def q_func(x):
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+#
+# scipy.special is imported only inside the functions that evaluate erfc or
+# Ei, so that importing the package or running a BER sweep never loads it:
+# its import, which pulls in numpy.f2py and numpy.testing, takes longer than
+# the rest of the package's, numpy's included.
 
 
 def exp_integral(x: float) -> float:
     """Exponential integral Ei(x) for negative arguments."""
+    from scipy.special import expi
+
     if x >= 0:
         raise InputError(f"Ei is only needed for x < 0 here, got {x}")
-    return float(special.expi(x))
-
-
-def chi2_pdf(gamma, n_r: int, gamma_bar: float):
-    """PDF of the MRC output SNR (2*N_r-degree chi-square, branch mean gamma_bar)."""
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise InputError("gamma must be nonnegative")
-    return (
-        gamma ** (n_r - 1)
-        * np.exp(-gamma / gamma_bar)
-        / (factorial(n_r - 1) * gamma_bar**n_r)
-    )
+    return float(expi(x))
 
 
 def chi2_cdf(gamma, n_r: int, gamma_bar: float):
-    """CDF matching :func:`chi2_pdf`."""
+    """CDF of the MRC output SNR (2*N_r-degree chi-square, branch mean
+    gamma_bar)."""
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise InputError("gamma must be nonnegative")
@@ -117,12 +107,16 @@ def _check_stage(k: int, pa: PowerAllocation):
 # ---------------------------------------------------------------------------
 
 
-class PairEnergyTable(NamedTuple):
+@dataclass(frozen=True)
+class PairEnergyTable:
     """The cell-edge union bound's pair table of one composite alphabet and
     antenna count N_t: its distinct pair energies |chi_k|^2 + |chi_hat|^2
     over the ordered composite-symbol pairs, quartered, with the share of
-    pairs at each, the level cutoff of :func:`conditional_bep_u1_vec` and
-    the SNR up to which its clamped curve is exactly 1."""
+    pairs at each and the level cutoff of :func:`conditional_bep_u1_vec`.
+
+    ``saturation``, the SNR up to which its clamped curve is exactly 1, is
+    bisected on first read and then kept on the table, so a pickled copy
+    carries it and a table whose curve is never evaluated never bisects."""
 
     quarter: np.ndarray  # each level / 4 (exact), ascending
     weights: np.ndarray  # share of the M_T^2 ordered pairs at each level
@@ -130,7 +124,13 @@ class PairEnergyTable(NamedTuple):
     gap: np.ndarray      # quarter - quarter[0], ascending from 0
     cutoff: float        # T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0), 0 for one level
     n_t: int             # transmit antennas N_t
-    saturation: float    # gamma_sat: the clamped curve is 1.0 on [0, gamma_sat]
+
+    @cached_property
+    def saturation(self) -> float:
+        """gamma_sat: the clamped curve is 1.0 on [0, gamma_sat]."""
+        if self.n_t == 1:
+            return -np.inf
+        return float(_saturation(self.quarter, self.weights, (self.n_t / 2.0) * self.bits))
 
 
 # the dense curve stays this far above 1 at gamma_sat, far beyond its
@@ -147,8 +147,10 @@ def _saturation(quarter: np.ndarray, weights: np.ndarray, scale: float) -> float
     Bracketed by doubling or halving from 1, then bisected to adjacent
     doubles, so the curve is >= 1 + 2^-40 at the result and below it one ulp
     above it."""
+    from scipy.special import erfc
+
     def above(g):
-        return scale * _q_sums(g * quarter[None, :], weights)[0] >= 1.0 + _SATURATION_MARGIN
+        return scale * _q_sums(g * quarter[None, :], weights, erfc)[0] >= 1.0 + _SATURATION_MARGIN
 
     biggest = np.finfo(float).max
     # gamma q_j may overflow to inf, whose Q term is 0
@@ -182,14 +184,16 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     to 12 decimals, is the energy of the first of all M_T^2 symbol pairs (row
     by row) at that level.
 
-    The table also holds gamma_sat, the largest double at which the dense
-    curve (every level, unclamped) is at least 1 + 2^-40, found by
-    bisection. The exact curve does not increase with gamma, and a computed
-    value lies within a few ulps of it plus the 2^-53 the level cutoff
-    drops, so on [0, gamma_sat] the clamped curve is exactly 1.0 and is not
-    evaluated. It is -inf (nothing skipped) with one antenna and when the
-    curve starts below 1 + 2^-40, which N_t log2 M_T <= 4 implies; +inf when
-    a composite symbol of zero energy keeps the curve above it."""
+    The table's ``saturation`` is gamma_sat, the largest double at which the
+    dense curve (every level, unclamped) is at least 1 + 2^-40. It is not
+    computed here but by bisection on its first read, which only the rate
+    and outage metrics make, once per table. The exact curve does not
+    increase with gamma, and a computed value lies within a few ulps of it
+    plus the 2^-53 the level cutoff drops, so on [0, gamma_sat] the clamped
+    curve is exactly 1.0 and is not evaluated. It is -inf (nothing skipped)
+    with one antenna and when the curve starts below 1 + 2^-40, which
+    N_t log2 M_T <= 4 implies; +inf when a composite symbol of zero energy
+    keeps the curve above it."""
     values, first, counts = np.unique(np.abs(alphabet) ** 2, return_index=True,
                                       return_counts=True)
     order = np.argsort(first)
@@ -201,10 +205,8 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     # a lone level has nothing to drop
     rest = weights[1:].sum()
     cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
-    bits = np.log2(alphabet.size)
-    saturation = _saturation(quarter, weights, (n_t / 2.0) * bits) if n_t > 1 else -np.inf
-    return PairEnergyTable(quarter, weights, bits, quarter - quarter[0], float(cutoff),
-                           n_t, float(saturation))
+    return PairEnergyTable(quarter, weights, np.log2(alphabet.size), quarter - quarter[0],
+                           float(cutoff), n_t)
 
 
 def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma1_sq: float,
@@ -232,13 +234,13 @@ BEP_CHUNK_ROWS = 1024
 _SQRT2 = np.sqrt(2.0)
 
 
-def _q_sums(part: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _q_sums(part: np.ndarray, weights: np.ndarray, erfc) -> np.ndarray:
     """Each row of ``part`` (gamma * quarter per SNR and level, overwritten)
     turned into its Q terms in place and summed on its own against
-    ``weights``."""
+    ``weights``; ``erfc`` is scipy.special's, bound once by the caller."""
     np.sqrt(part, out=part)
     np.divide(part, _SQRT2, out=part)
-    special.erfc(part, out=part)
+    erfc(part, out=part)
     np.multiply(part, 0.5, out=part)
     return np.einsum("ij,j->i", part, weights)
 
@@ -271,6 +273,8 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     gammas = np.asarray(gammas, dtype=float)
     if table.n_t == 1:
         return np.zeros_like(gammas)
+    from scipy.special import erfc
+
     quarter, weights = table.quarter, table.weights
     order = np.argsort(gammas)
     g = gammas[order]
@@ -293,7 +297,7 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
         k = keep[start]
         part = scratch[:(stop - start) * k].reshape(stop - start, k)
         np.multiply(g[start:stop, None], quarter[:k], out=part)
-        sums = scale * _q_sums(part, weights[:k])
+        sums = scale * _q_sums(part, weights[:k], erfc)
         # no sum is negative, so the clamp is a minimum
         vals[order[start:stop]] = np.minimum(sums, 1.0, out=sums) if clamp else sums
     return vals
@@ -302,12 +306,6 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
 # ---------------------------------------------------------------------------
 # Exact three-user QPSK bit error probabilities
 # ---------------------------------------------------------------------------
-
-
-def conditional_bep_u2(gamma2: float, a2: float, a3: float) -> float:
-    """Exact conditional BEP of U2 (QPSK, weaker user treated as noise)."""
-    z1, z2, *_ = zeta_set(a2, a3)
-    return float(0.5 * (q_func(np.sqrt(z1 * gamma2)) + q_func(np.sqrt(z2 * gamma2))))
 
 
 def abep_u2(a2: float, a3: float, gamma_bar_2: float, n_r: int) -> float:
@@ -322,27 +320,6 @@ def abep_u2(a2: float, a3: float, gamma_bar_2: float, n_r: int) -> float:
 
 _U3_SIGNS = (1.0, -1.0, 1.0, -1.0, 1.0)
 _U3_WEIGHTS = (1.0, 1.0, 2.0, 1.0, 1.0)
-
-
-def conditional_bep_u3_correct(gamma3: float, a2: float, a3: float) -> float:
-    """BEP of U3 jointly with a correct SIC decision on U2's symbol."""
-    _, z2, z3, _, _ = zeta_set(a2, a3)
-    return float(0.5 * (2 * q_func(np.sqrt(z3 * gamma3)) - q_func(np.sqrt(z2 * gamma3))))
-
-
-def conditional_bep_u3_error(gamma3: float, a2: float, a3: float) -> float:
-    """BEP of U3 jointly with an erroneous SIC decision on U2's symbol."""
-    z1, _, _, z4, z5 = zeta_set(a2, a3)
-    return float(0.5 * (
-        q_func(np.sqrt(z1 * gamma3))
-        - q_func(np.sqrt(z4 * gamma3))
-        + q_func(np.sqrt(z5 * gamma3))
-    ))
-
-
-def conditional_bep_u3(gamma3: float, a2: float, a3: float) -> float:
-    """Exact conditional BEP of U3: correct-SIC and erroneous-SIC branches."""
-    return conditional_bep_u3_correct(gamma3, a2, a3) + conditional_bep_u3_error(gamma3, a2, a3)
 
 
 def abep_u3(a2: float, a3: float, gamma_bar_3: float, n_r: int) -> float:
@@ -538,14 +515,16 @@ def outage_u1(targets: OutageTargets, table: PairEnergyTable, n_r: int, rho: flo
     as printed in the source analysis (the lower limit is applied to the SNR
     variable).
 
-    The integrand is the clamped curve of :func:`conditional_bep_u1_vec`
-    times :func:`chi2_pdf`, with the same arithmetic, bit for bit: at an SNR
-    in [0, gamma_sat] the clamped curve is exactly 1.0 (see
-    :func:`pair_energy_table`), so there it is the bare density, and no erfc
-    is evaluated."""
-    # the only user of scipy.integrate, whose import would add about half to
-    # the package's import time and a third to its memory
+    The integrand is the clamped curve of :func:`conditional_bep_u1_vec`,
+    bit for bit, times the fading density, computed inline as
+    gamma^(N_r - 1) * exp(-gamma / gamma_bar) / ((N_r - 1)! gamma_bar^N_r)
+    in that order. At an SNR in [0, gamma_sat] the clamped curve is exactly
+    1.0 (see :func:`pair_energy_table`), so there the integrand is the bare
+    density, and no erfc is evaluated."""
+    # the only user of scipy.integrate, whose import adds about a third to
+    # the package's memory
     from scipy import integrate
+    from scipy.special import erfc
 
     n_t = table.n_t
     r1 = targets.rates[0]
@@ -559,12 +538,12 @@ def outage_u1(targets: OutageTargets, table: PairEnergyTable, n_r: int, rho: flo
     norm = factorial(n_r - 1) * gbar**n_r
 
     def integrand(g):
-        # chi2_pdf's arithmetic; quad passes no negative SNR
+        # the density as documented; quad passes no negative SNR
         density = np.asarray(g) ** (n_r - 1) * np.exp(-g / gbar) / norm
         if g <= saturation:
             return density
         k = gap.searchsorted(two_t / g, "right") if g else gap.size
-        bep = scale * _q_sums(g * quarter[None, :k], weights[:k])[0]
+        bep = scale * _q_sums(g * quarter[None, :k], weights[:k], erfc)[0]
         return min(float(bep), 1.0) * density
 
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -567,7 +566,15 @@ def _sweep_points(cfg: SimConfig, metric: str):
     workers = _n_workers()
     running = {snr_db: [] for snr_db in cfg.snr_grid_db}  # SNR point -> block moments
     block = 0
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: it loads multiprocessing, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        if metric != "ber" and cfg.tables.pairs is not None:
+            # computed once here and pickled with cfg, not once per task
+            cfg.tables.pairs.saturation
+        pool = ProcessPoolExecutor(workers)
     try:
         while running:
             args = [(cfg, metric, tuple(running), block + j) for j in range(cfg.blocks_per_round)]

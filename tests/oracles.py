@@ -1,0 +1,57 @@
+"""Closed forms the package itself does not evaluate, kept as test oracles:
+the Gaussian tail Q, the chi-square fading density, and the three-user QPSK
+network's conditional BEPs, whose fading averages the exact ABEPs
+``abep_u2`` and ``abep_u3`` give in closed form."""
+
+from math import factorial
+
+import numpy as np
+from scipy import special
+
+from ssknoma.analytics import zeta_set
+from ssknoma.errors import InputError
+
+
+def q_func(x):
+    """Gaussian tail probability Q(x)."""
+    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+def chi2_pdf(gamma, n_r: int, gamma_bar: float):
+    """PDF of the MRC output SNR (2*N_r-degree chi-square, branch mean
+    gamma_bar), whose CDF is ``ssknoma.analytics.chi2_cdf``."""
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 0):
+        raise InputError("gamma must be nonnegative")
+    return (
+        gamma ** (n_r - 1)
+        * np.exp(-gamma / gamma_bar)
+        / (factorial(n_r - 1) * gamma_bar**n_r)
+    )
+
+
+def conditional_bep_u2(gamma2: float, a2: float, a3: float) -> float:
+    """Exact conditional BEP of U2 (QPSK, weaker user treated as noise)."""
+    z1, z2, *_ = zeta_set(a2, a3)
+    return float(0.5 * (q_func(np.sqrt(z1 * gamma2)) + q_func(np.sqrt(z2 * gamma2))))
+
+
+def conditional_bep_u3_correct(gamma3: float, a2: float, a3: float) -> float:
+    """BEP of U3 jointly with a correct SIC decision on U2's symbol."""
+    _, z2, z3, _, _ = zeta_set(a2, a3)
+    return float(0.5 * (2 * q_func(np.sqrt(z3 * gamma3)) - q_func(np.sqrt(z2 * gamma3))))
+
+
+def conditional_bep_u3_error(gamma3: float, a2: float, a3: float) -> float:
+    """BEP of U3 jointly with an erroneous SIC decision on U2's symbol."""
+    z1, _, _, z4, z5 = zeta_set(a2, a3)
+    return float(0.5 * (
+        q_func(np.sqrt(z1 * gamma3))
+        - q_func(np.sqrt(z4 * gamma3))
+        + q_func(np.sqrt(z5 * gamma3))
+    ))
+
+
+def conditional_bep_u3(gamma3: float, a2: float, a3: float) -> float:
+    """Exact conditional BEP of U3: correct-SIC and erroneous-SIC branches."""
+    return conditional_bep_u3_correct(gamma3, a2, a3) + conditional_bep_u3_error(gamma3, a2, a3)

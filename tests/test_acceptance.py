@@ -23,13 +23,11 @@ from ssknoma.analytics import (
     abep_u1,
     abep_u2,
     abep_u3,
-    chi2_pdf,
     conditional_bep_u1_vec,
     ergodic_capacity_fractions,
     ergodic_capacity_noma_user,
     exp_integral,
     pair_energy_table,
-    q_func,
     union_bound_ber,
     zeta_set,
 )
@@ -40,6 +38,8 @@ from ssknoma.constellation import (
     qpsk,
 )
 from ssknoma.detectors import complexity_noma, complexity_ssk_noma
+
+from oracles import chi2_pdf, q_func
 
 PA2 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)

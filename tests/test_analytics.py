@@ -20,10 +20,7 @@ from ssknoma.analytics import (
     abep_u2,
     abep_u3,
     chi2_cdf,
-    chi2_pdf,
     conditional_bep_u1_vec,
-    conditional_bep_u2,
-    conditional_bep_u3,
     ergodic_capacity_fractions,
     ergodic_capacity_noma_user,
     ergodic_capacity_u1,
@@ -32,7 +29,6 @@ from ssknoma.analytics import (
     outage_threshold_psi,
     outage_u1,
     pair_energy_table,
-    q_func,
     rayleigh_q_average,
     union_bound_ber,
     zeta_set,
@@ -45,6 +41,8 @@ from ssknoma.constellation import (
     qpsk,
 )
 from ssknoma.errors import ConfigError, InputError
+
+from oracles import chi2_pdf, conditional_bep_u2, conditional_bep_u3, q_func
 
 PA2 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)

@@ -1,9 +1,12 @@
 """CLI tests: exit codes, CSV schema, manifests, presets, fault injection."""
 
+import concurrent.futures
 import csv
 import importlib.resources
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ssknoma
-from ssknoma import cli
+from ssknoma import analytics, cli
 from ssknoma import montecarlo as mc
 
 BER_CONFIG = {
@@ -101,22 +104,100 @@ def test_csvs_do_not_depend_on_blas_threads(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_ber_sweep_does_not_import_scipy_integrate(tmp_path):
-    """Only the cell-edge outage quadrature needs ``scipy.integrate`` (about
-    0.4 s and 26 MB of import), so a fresh ``import ssknoma.cli`` and a BER
-    sweep leave it unloaded."""
+def test_start_ber_sweep_and_complexity_load_no_scipy(tmp_path):
+    """Only the rate and outage metrics evaluate an erfc or Ei, and only a
+    pool of two or more workers needs ``multiprocessing``, so a fresh
+    ``import ssknoma.cli``, the complexity table (with and without
+    ``--row``) and a 1-worker BER sweep load neither ``scipy`` nor
+    ``multiprocessing``. A fresh interpreter, because the test session's
+    warning filter imports ``scipy.integrate``."""
     cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0], max_trials=10_000))
     script = ("import sys\n"
+              "def loaded():\n"
+              "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
+              "                  or m.split('.')[0] == 'multiprocessing')\n"
               "from ssknoma import cli\n"
-              "assert 'scipy.integrate' not in sys.modules\n"
+              "assert not loaded(), ('import', loaded())\n"
+              "assert cli.main(['complexity']) == 0\n"
+              "assert cli.main(['complexity', '--row', '3,4,2']) == 0\n"
+              "assert not loaded(), ('complexity', loaded())\n"
               "assert cli.main(['ber', '--config', sys.argv[1], '--out', sys.argv[2],\n"
               "                 '--quiet']) == 0\n"
-              "assert 'scipy.integrate' not in sys.modules\n")
+              "assert not loaded(), ('ber', loaded())\n")
     src = str(Path(ssknoma.__file__).resolve().parents[1])
     env = dict(os.environ, SSKNOMA_WORKERS="1", PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "run")], env=env,
-                   check=True)
+                   check=True, stdout=subprocess.DEVNULL)
     assert (tmp_path / "run" / "ber.csv").exists()
+
+
+# two cell-edge configs and a baseline one, which has no pair table
+SATURATION_DOC = {
+    "n_users": 3, "snr_grid_db": [0.0, 10.0], "seed": 17, "max_trials": 10_000,
+    "target_rates": [1.0, 1.0, 1.5],
+    "runs": [{"scheme": "ssk-noma", "n_r": 2}, {"scheme": "ssk-noma", "n_r": 4},
+             {"scheme": "noma-baseline", "n_r": 2}],
+}
+
+
+def _count_saturation_calls(monkeypatch):
+    calls = []
+    real = analytics._saturation
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analytics, "_saturation", counting)
+    return calls
+
+
+def test_saturation_is_computed_at_most_once_per_table(tmp_path, monkeypatch):
+    """gamma_sat is bisected on its table's first read and kept there: never
+    for a BER sweep, which does not evaluate the cell-edge curve, once per
+    cell-edge config for a 1-worker capacity or outage run, and not again
+    for a pickled copy of a table that has been read."""
+    monkeypatch.setenv("SSKNOMA_WORKERS", "1")
+    calls = _count_saturation_calls(monkeypatch)
+    cfg = _write_config(tmp_path, SATURATION_DOC)
+    assert cli.main(["ber", "--config", cfg, "--out", str(tmp_path / "ber"), "--quiet"]) == 0
+    assert len(calls) == 0
+    for command in ("capacity", "outage"):
+        calls.clear()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command),
+                         "--quiet"]) == 0
+        assert len(calls) == 2, command
+    config = mc.make_config(n_users=3, n_r=4, snr_grid_db=[10.0])
+    saturation = config.tables.pairs.saturation
+    calls.clear()
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy.tables.pairs.saturation == saturation
+    assert len(calls) == 0
+
+
+# the first start method listed is the default
+@pytest.mark.skipif(os.cpu_count() < 2 or multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="needs two workers forked from this process")
+def test_pooled_sweeps_send_saturation_to_workers(tmp_path, monkeypatch):
+    """A pooled rate or outage sweep reads gamma_sat before it dispatches, so
+    every task receives it with its pickled config and no worker bisects:
+    the forked workers inherit a ``_saturation`` that fails outside this
+    process."""
+    monkeypatch.setenv("SSKNOMA_WORKERS", "2")
+    calls = _count_saturation_calls(monkeypatch)
+    parent, counting = os.getpid(), analytics._saturation
+
+    def parent_only(*args):
+        assert os.getpid() == parent, "a worker computed gamma_sat"
+        return counting(*args)
+
+    monkeypatch.setattr(analytics, "_saturation", parent_only)
+    cfg = _write_config(tmp_path, SATURATION_DOC)
+    for command in ("capacity", "outage"):
+        calls.clear()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command),
+                         "--quiet"]) == 0
+        assert len(calls) == 2, command
 
 
 @pytest.mark.parametrize("command,csv_name", [("ber", "ber.csv"), ("capacity", "rate.csv")])
@@ -236,7 +317,8 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    # where the sweep's import finds it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("SSKNOMA_WORKERS", workers)
     cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0]))
     assert cli.main(["ber", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
