@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics
-from .channel import FadingProfile, complex_normal, default_profile, rng_stream
+from .channel import FadingProfile, complex_normal, default_profile, erlang, rng_stream
 from .constellation import PowerAllocation, bit_errors, enumerate_sc_alphabet, make_constellation
 from .errors import ConfigError, as_int, as_tuple
 from .analytics import OutageTargets
@@ -248,11 +248,19 @@ class _Tables(NamedTuple):
     built once per SimConfig (``SimConfig.tables``)."""
 
     consts: tuple                # power users' constellations, decoding order
+    levels: tuple                # their level tables (``_levels``)
     grids: tuple                 # their nearest-point grids (None if not Cartesian)
     alphabet: np.ndarray | None  # composite alphabet (None without user 1)
+    alphabet_levels: np.ndarray | None  # its level table
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
     pairs: analytics.PairEnergyTable | None  # its pair-energy table
     bits: tuple                  # each user's bits per trial
+
+
+def _levels(points: np.ndarray) -> np.ndarray:
+    """Level table of a point set, the (3, M) real array the receivers
+    gather from: each point's real part, imaginary part and energy |s|^2."""
+    return np.stack([points.real, points.imag, points.real ** 2 + points.imag ** 2])
 
 
 def _sm_grid(values: np.ndarray) -> _SmGrid | None:
@@ -268,17 +276,18 @@ def _sm_grid(values: np.ndarray) -> _SmGrid | None:
                    first.reshape(re_axis.size, im_axis.size))
 
 
-def _nearest_point(grid: _SmGrid, re, im):
-    """Index of the grid point nearest each (re, im), arrays of one shape.
-    Per axis the position is the number of midpoints the coordinate exceeds
-    (``searchsorted``'s ``side="left"``), so a coordinate exactly on a
+def _nearest_point(grid: _SmGrid, re, im, scale):
+    """Index of the grid point nearest each (re, im) / ``scale`` (> 0), from
+    real arrays of one shape. Per axis the position is the number of
+    midpoints, scaled by ``scale``, that the coordinate exceeds
+    (``searchsorted``'s ``side="left"``), so a coordinate exactly on a scaled
     midpoint takes the lower of its two neighbours."""
     pos = np.zeros(re.shape, dtype=np.intp)
     for m in grid.re_mid:
-        pos += re > m
+        pos += re > scale * m
     pos *= grid.im_mid.size + 1
     for m in grid.im_mid:
-        pos += im > m
+        pos += im > scale * m
     # gather in place: take reads each position before it writes it, and
     # every position is in range
     return np.take(grid.index.ravel(), pos, out=pos, mode="clip")
@@ -286,16 +295,18 @@ def _nearest_point(grid: _SmGrid, re, im):
 
 def _tables(cfg: SimConfig) -> _Tables:
     consts = tuple(make_constellation(m) for m in cfg.modulations)
-    alphabet = sm_grid = pairs = None
+    alphabet = alphabet_levels = sm_grid = pairs = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
+        alphabet_levels = _levels(alphabet)
         sm_grid = _sm_grid(alphabet)
         pairs = analytics.pair_energy_table(alphabet, cfg.n_t)
     # log2 N_t bits on the antenna index, else bits per symbol
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
-    return _Tables(consts, tuple(_sm_grid(c.points) for c in consts), alphabet, sm_grid,
-                   pairs, bits)
+    return _Tables(consts, tuple(_levels(c.points) for c in consts),
+                   tuple(_sm_grid(c.points) for c in consts), alphabet, alphabet_levels,
+                   sm_grid, pairs, bits)
 
 
 # entries of one chunk of the metric scan
@@ -307,71 +318,90 @@ _SM_CHUNK_ENTRIES = 1 << 22
 _SM_DRAW_ENTRIES = 1 << 19
 
 
-def _sm_metric(inner, h_norm, sqrt_p, chi):
-    """ML metric ||r - sqrt(P) h chi||^2 less its constant ||r||^2, from the
-    combiner output ``inner`` = h^H r and the channel energy ``h_norm``."""
-    return (-2.0 * sqrt_p * np.real(inner * np.conj(chi))
-            + sqrt_p * sqrt_p * h_norm * np.abs(chi) ** 2)
+def _dead(g):
+    """Mask of the trials with channel energy g = 0, where every point
+    scores 0 and the receivers decide index 0; None if there is none."""
+    return None if g.all() else g == 0.0
 
 
-def _ml_detect_block(y, g, amp, points, grid=None):
-    """Vectorized ML point decision per trial from the MRC combiner output
-    y = h^H r and channel energy g = ||h||^2 (a SIC stage, or one antenna of
-    the joint search). The metric ``_sm_metric`` is amp^2 g |s_n - z|^2 less
-    a constant for g > 0, z = y / (amp g). With a nearest-point ``grid`` of
-    ``points`` the decision is the point nearest z (``_nearest_point``); a
-    trial with g = 0 scores every point 0 and decides index 0. Without one
-    (M-PSK with M > 4) every point is scored, in chunks of trials that keep
-    the metric table near ``_SM_CHUNK_ENTRIES`` entries, and the first
-    minimum wins. Both make the same decisions except where z lies within
-    rounding error of a decision boundary (on one, the grid takes the lower
-    neighbour and the scan the lower index), which noise makes a null event.
-    """
+def _unit_gain(x, g):
+    """x / g for a complex x and g >= 0 broadcast to it, as a (2, *x.shape)
+    array of real and imaginary parts: the per-unit-gain coordinates the
+    receivers decide on. 0 where g = 0, without a RuntimeWarning."""
+    out = np.zeros((2, *x.shape))
+    live = True if g.all() else g != 0.0
+    np.divide(x.real, g, out=out[0], where=live)
+    np.divide(x.imag, g, out=out[1], where=live)
+    return out
+
+
+def _ml_detect_block(u, dead, amp, levels, grid=None):
+    """Vectorized ML point decision per trial on per-unit-gain coordinates
+    u, a (2, n) array of real and imaginary parts: a SIC stage's y / g
+    (y = h^H r the MRC combiner output, g = ||h||^2, stage amplitude
+    ``amp``), or one antenna's y / (sqrt(P) g) in the joint search (amp 1).
+    ``dead`` flags the trials with g = 0, or is None if there is none.
+    The decision is the point s of the level table ``levels`` that minimises
+    |u - amp s|^2, which is the ML metric amp^2 g |s - u / amp|^2 divided by
+    g > 0. With a nearest-point ``grid`` of the points, it is the point
+    nearest u / amp (``_nearest_point``, midpoints scaled by amp). Without
+    one (M-PSK with M > 4) every point scores amp |s|^2 - 2 Re(u s*), in
+    chunks of trials that keep the metric table near ``_SM_CHUNK_ENTRIES``
+    entries, and the first minimum wins. Dead trials, where every point
+    scores 0, decide index 0. Both paths make the same decisions except
+    where u / amp lies within rounding error of a decision boundary (on one,
+    the grid takes the lower neighbour and the scan the lower index), which
+    noise makes a null event."""
     if grid is None:
-        chunk = max(1, _SM_CHUNK_ENTRIES // points.size)
-        return np.concatenate([
-            _sm_metric(y[s:s + chunk, None], g[s:s + chunk, None], amp, points).argmin(axis=1)
-            for s in range(0, y.size, chunk)
+        chunk = max(1, _SM_CHUNK_ENTRIES // levels.shape[1])
+        k = np.concatenate([
+            (amp * levels[2] - 2.0 * (u[0, s:s + chunk, None] * levels[0]
+                                      + u[1, s:s + chunk, None] * levels[1])).argmin(axis=1)
+            for s in range(0, u.shape[1], chunk)
         ])
-    live = g > 0.0
-    scale = amp * g
-    if live.all():
-        return _nearest_point(grid, y.real / scale, y.imag / scale)
-    scale[~live] = 1.0
-    k = _nearest_point(grid, y.real / scale, y.imag / scale)
-    k[~live] = 0
+    else:
+        k = _nearest_point(grid, u[0], u[1], amp)
+    if dead is not None:
+        k[dead] = 0
     return k
 
 
-def _sm_detect_block(y, g, sqrt_p, chi_values, grid):
+def _sm_detect_block(z, g, dead, levels, grid):
     """Vectorized joint (antenna, composite symbol) ML search on each
-    antenna's statistics y = h_t^H r and g = ||h_t||^2, (B, N_t) arrays;
-    returns the 0-based antenna and composite-symbol indices, first minimum
-    on ties.
+    antenna's per-unit-gain coordinates z_t = h_t^H r / (sqrt(P) ||h_t||^2),
+    a (2, B, N_t) array, and channel energies g_t = ||h_t||^2, a (B, N_t)
+    array (``dead`` flags its zeros, where z must be finite); returns the
+    0-based antenna and composite-symbol indices, first minimum on ties.
 
-    Per antenna t the metric is that of an ML decision on (y_t, g_t), so
-    ``_ml_detect_block`` decides each antenna's best symbol and only those
-    N_t candidates are scored.
+    Less ||r||^2 and divided by P, the metric ||r - sqrt(P) h_t chi||^2 is
+    g_t (|chi|^2 - 2 Re(chi* z_t)), for each antenna that of an ML decision
+    on z_t at amplitude 1. So ``_ml_detect_block`` decides each antenna's
+    best symbol, and only those N_t candidates are scored, from real gathers
+    of the alphabet's level table ``levels``.
     """
-    k = _ml_detect_block(y.ravel(), g.ravel(), sqrt_p, chi_values, grid).reshape(y.shape)
-    t = _sm_metric(y, g, sqrt_p, chi_values[k]).argmin(axis=1)
-    return t, k[np.arange(len(t)), t]
+    b, n_t = g.shape
+    k = _ml_detect_block(z.reshape(2, -1), None if dead is None else dead.ravel(), 1.0,
+                         levels, grid).reshape(b, n_t)
+    re, im, energy = np.take(levels, k, axis=1)
+    t = (g * (energy - 2.0 * (z[0] * re + z[1] * im))).argmin(axis=1)
+    return t, k[np.arange(b), t]
 
 
-def _sic_detect_block(y, g, amps, points, grids=None):
-    """Successive interference cancellation on the MRC statistics (y, g) of
-    each trial, all (B,) arrays: ML-detect each stage (amplitude ``amps[m]``,
-    constellation ``points[m]``, nearest-point grid ``grids[m]``, or the
-    metric scan where that is None or ``grids`` is) on the combiner output
-    left by cancelling the stages before it, y - amp s_hat g per cancelled
-    stage. Returns every stage's decisions and the combiner output the last
-    stage saw."""
+def _sic_detect_block(u, dead, amps, levels, grids=None):
+    """Successive interference cancellation on each trial's per-unit-gain
+    coordinates u = y / g (a (2, B) array; ``dead`` flags the trials with
+    g = 0): ML-detect each stage (amplitude ``amps[m]``, level table
+    ``levels[m]``, nearest-point grid ``grids[m]``, or the metric scan where
+    that is None or ``grids`` is) on what is left after cancelling the stages
+    before it, amp times the decided point's real and imaginary levels per
+    cancelled stage. Returns every stage's decisions and the coordinates the
+    last stage saw."""
     grids = grids or (None,) * len(amps)
-    resid = y
-    decisions = [_ml_detect_block(resid, g, amps[0], points[0], grids[0])]
+    resid = u
+    decisions = [_ml_detect_block(resid, dead, amps[0], levels[0], grids[0])]
     for m in range(1, len(amps)):
-        resid = resid - amps[m - 1] * points[m - 1][decisions[-1]] * g
-        decisions.append(_ml_detect_block(resid, g, amps[m], points[m], grids[m]))
+        resid = resid - amps[m - 1] * np.take(levels[m - 1][:2], decisions[-1], axis=1)
+        decisions.append(_ml_detect_block(resid, dead, amps[m], levels[m], grids[m]))
     return decisions, resid
 
 
@@ -380,43 +410,57 @@ def _mrc_statistic(rng, var, n_r, b, noise):
     drawn from their joint law rather than from a channel vector and noise:
     the energy g = ||h||^2 over N_r Rayleigh branches of variance ``var`` is
     var * Gamma(N_r, 1), and given g the combiner output h^H r is
-    g * sqrt(P) * chi plus, with ``noise``, sqrt(g) * CN(0, 1). Returns g and
-    that noise term (0.0 without noise), neither of which depends on the SNR."""
-    g = var * rng.standard_gamma(n_r, b)
-    return g, (np.sqrt(g) * complex_normal(rng, b, 1.0) if noise else 0.0)
+    g * sqrt(P) * chi plus, with ``noise``, w = sqrt(g) * CN(0, 1). Returns g
+    and the per-unit-gain noise w / g = CN(0, 1) / sqrt(g), a (2, b) array
+    of real and imaginary parts (0 where g = 0), or 0.0 without noise;
+    neither depends on the SNR. Draw order: g (``erlang``: N_r * b uniforms
+    for N_r <= 4), then, with noise, b complex normals."""
+    g = var * erlang(rng, n_r, b)
+    return g, (_unit_gain(complex_normal(rng, b, 1.0), np.sqrt(g)) if noise else 0.0)
 
 
 def _sm_statistics(rng, var, n_t, n_r, v, chi, sqrt_ps, noise):
-    """The cell-edge joint search's statistics y = h_t^H r and g = ||h_t||^2
-    of every antenna t, (B, N_t) arrays, drawn from their joint law rather
-    than from a (B, N_t, N_r) channel and noise (Jeganathan et al., "Space
-    shift keying modulation for MIMO channels", IEEE TWC 2009). Yields
-    (y, g) for each sqrt(P) of ``sqrt_ps``; g is the same array every time.
+    """The cell-edge joint search's per-unit-gain coordinates
+    z_t = h_t^H r / (sqrt(P) g_t) and channel energies g_t = ||h_t||^2 of
+    every antenna t, a (2, B, N_t) and a (B, N_t) array, drawn from their
+    joint law rather than from a (B, N_t, N_r) channel and noise (Jeganathan
+    et al., "Space shift keying modulation for MIMO channels", IEEE TWC
+    2009). ``chi`` holds the composite symbols' real and imaginary parts, a
+    (2, B) array. Yields (z, g, ``_dead(g)``) for each sqrt(P) of
+    ``sqrt_ps``; g is the same array every time.
 
-    The active antenna v has the MRC statistics (y_v, g_v) of
-    ``_mrc_statistic``, and ||r||^2 = |y_v|^2 / g_v + Gamma(N_r - 1), the
-    second term being the noise energy orthogonal to h_v (0 where g_v = 0).
-    Every other h_t is independent of r, so by unitary invariance
-    h_t^H r = ||r|| c_t and ||h_t||^2 = |c_t|^2 + var Gamma(N_r - 1) with
-    c_t ~ CN(0, var). Draw order, once before the first yield: g_v, the
-    noise of y_v, the noise energy, c (B, N_t), then the gamma term
-    (B, N_t); a Gamma(0) term (N_r = 1, or the noise energy without noise)
-    draws nothing."""
-    b = chi.size
-    g_v, w_v = _mrc_statistic(rng, var, n_r, b, noise)
-    perp = rng.standard_gamma(n_r - 1, b) if noise and n_r > 1 else 0.0
+    The active antenna v has the MRC statistics (g_v, e_v = w_v / g_v) of
+    ``_mrc_statistic``, so z_v = chi + e_v / sqrt(P), and
+    ||r||^2 = P g_v |z_v|^2 + Gamma(N_r - 1), the second term being the
+    noise energy orthogonal to h_v. Every other h_t is independent of r, so
+    by unitary invariance h_t^H r = ||r|| c_t and
+    g_t = |c_t|^2 + var Gamma(N_r - 1) with c_t ~ CN(0, var); c_t / g_t is
+    formed once. Draw order, once before the first yield: g_v, the noise of
+    y_v, the noise energy, c (B, N_t), then the gamma term (B, N_t). Each
+    Gamma(k) term of n values is ``erlang``'s, k * n uniforms for k <= 4; a
+    Gamma(0) term (N_r = 1, or the noise energy without noise) draws
+    nothing."""
+    b = v.size
+    g_v, e_v = _mrc_statistic(rng, var, n_r, b, noise)
+    perp = erlang(rng, n_r - 1, b) if noise and n_r > 1 else 0.0
     c = complex_normal(rng, (b, n_t), var)
     g = c.real ** 2 + c.imag ** 2
     if n_r > 1:
-        g += var * rng.standard_gamma(n_r - 1, (b, n_t))
-    rows = np.arange(b)
-    g[rows, v] = g_v
+        g += var * erlang(rng, n_r - 1, (b, n_t))
+    # the active antenna's entries: put_along_axis writes them in about half
+    # the time of a 2-D fancy assignment
+    active = v[:, None]
+    np.put_along_axis(g, active, g_v[:, None], axis=1)
+    c_unit = _unit_gain(c, g)
+    del c  # the SNR loop needs only c / g
+    dead = _dead(g)
     for sqrt_p in sqrt_ps:
-        y_v = g_v * (sqrt_p * chi) + w_v
-        r_sq = np.divide(y_v.real ** 2 + y_v.imag ** 2, g_v, out=np.zeros(b), where=g_v > 0.0)
-        y = c * np.sqrt(r_sq + perp)[:, None]
-        y[rows, v] = y_v
-        yield y, g
+        z_v = chi + e_v / sqrt_p
+        # ||r|| / sqrt(P)
+        r_norm = np.sqrt(g_v * (z_v[0] ** 2 + z_v[1] ** 2) + perp / (sqrt_p * sqrt_p))
+        z = c_unit * r_norm[:, None]
+        np.put_along_axis(z, active[None], z_v[:, :, None], axis=2)
+        yield z, g, dead
 
 
 def _ber_trials(cfg: SimConfig, snrs, block: int):
@@ -428,8 +472,10 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     the cell-edge user's per-antenna statistics (``_sm_statistics``) in
     chunks of ``_SM_DRAW_ENTRIES // N_t`` trials, each chunk searched at
     every point before the next is drawn, then per power user its MRC
-    statistics (``_mrc_statistic``: one gamma and one complex normal per
-    trial), on which each point's SIC chain runs as (B,) arrays."""
+    statistics (``_mrc_statistic``: a Gamma(N_r) draw, N_r uniforms for
+    N_r <= 4, and one complex normal per trial). Each point's SIC chain runs
+    on the per-unit-gain coordinates u = sqrt(P) chi + w / g, whose noise
+    term is formed once per block."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], block)
     tables = cfg.tables
     b, n_t, n_r = _block_trials(cfg, block), cfg.n_t, cfg.n_r
@@ -437,31 +483,32 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
     sqrt_ps = [np.sqrt(rho) for rho in rhos]
     coeffs = cfg.pa.coefficients
-    points = [c.points for c in tables.consts]
     variances = cfg.fading.variances
 
     if first > 1:
         v = rng.integers(0, n_t, b)
     ks = [rng.integers(0, c.order, b) for c in tables.consts]
-    chi = sum(np.sqrt(a) * pts[k] for a, pts, k in zip(coeffs, points, ks))
+    chi = sum(np.sqrt(a) * c.points[k] for a, c, k in zip(coeffs, tables.consts, ks))
+    chi = np.stack([chi.real, chi.imag])  # the receivers' real coordinates, (2, B)
 
     v_hats = [[] for _ in snrs]
     if first > 1:
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
         for s in range(0, b, chunk):
             stats = _sm_statistics(rng, variances[0], n_t, n_r, v[s:s + chunk],
-                                   chi[s:s + chunk], sqrt_ps, cfg.noise)
-            for sqrt_p, v_hat, (y, g) in zip(sqrt_ps, v_hats, stats):
-                v_hat.append(_sm_detect_block(y, g, sqrt_p, tables.alphabet, tables.sm_grid)[0])
-    mrc = [_mrc_statistic(rng, var, n_r, b, cfg.noise) for var in variances[first - 1:]]
+                                   chi[:, s:s + chunk], sqrt_ps, cfg.noise)
+            for v_hat, stat in zip(v_hats, stats):
+                v_hat.append(_sm_detect_block(*stat, tables.alphabet_levels, tables.sm_grid)[0])
+    mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b, cfg.noise)
+                                      for var in variances[first - 1:])]
     for rho, sqrt_p, v_hat in zip(rhos, sqrt_ps, v_hats):
         # an antenna's label is its index
         errors = [bit_errors(v, np.concatenate(v_hat))] if first > 1 else []
         signal = sqrt_p * chi
         amps = [np.sqrt(a * rho) for a in coeffs]
-        for k, (g, w) in enumerate(mrc):
-            decisions, _ = _sic_detect_block(g * signal + w, g, amps[:k + 1], points[:k + 1],
-                                              tables.grids[:k + 1])
+        for k, (e, dead) in enumerate(mrc):
+            decisions, _ = _sic_detect_block(signal + e, dead, amps[:k + 1],
+                                             tables.levels[:k + 1], tables.grids[:k + 1])
             labels = tables.consts[k].labels
             errors.append(bit_errors(labels[ks[k]], labels[decisions[-1]]))
         yield errors
@@ -471,11 +518,12 @@ def _gamma_block(cfg: SimConfig, metric: str, snrs, block: int):
     """Per-user MRC output SNR draws of one block (rate/outage metrics) at
     each SNR point of ``snrs``: rho * ||h||^2 over N_r Rayleigh branches of
     variance sigma^2 is rho * sigma^2 * Gamma(N_r, 1), so each user, in user
-    order, draws sigma^2 * Gamma(N_r, 1) once per trial, and each point
+    order, draws sigma^2 * Gamma(N_r, 1) once per trial (``erlang``: N_r * B
+    uniforms per user for N_r <= 4, numpy's sampler above), and each point
     scales those draws by its rho (exact zeros for a zero-variance user)."""
     rng = rng_stream(cfg.seed, _METRIC_CODE[metric], block)
     b = _block_trials(cfg, block)
-    draws = [var * rng.standard_gamma(cfg.n_r, b) for var in cfg.fading.variances]
+    draws = [var * erlang(rng, cfg.n_r, b) for var in cfg.fading.variances]
     return [[10.0 ** (snr_db / 10.0) * d for d in draws] for snr_db in snrs]
 
 
@@ -540,9 +588,23 @@ def _moments(trials):
     return sums, means, np.array(dev_sums), np.array(sq_sums), count
 
 
-def _worker(args):
-    cfg, metric, snrs, block = args
+def _block_moments(cfg: SimConfig, metric: str, snrs, block: int):
     return [_moments(trials) for trials in _TRIALS_FN[metric](cfg, snrs, block)]
+
+
+# the config a pool worker serves, received once when the worker starts
+_pool_cfg = None
+
+
+def _init_pool_worker(cfg: SimConfig):
+    global _pool_cfg
+    _pool_cfg = cfg
+
+
+def _pool_task(task):
+    """A block's moments in a pool worker; ``task`` is (metric, SNR points,
+    block index)."""
+    return _block_moments(_pool_cfg, *task)
 
 
 _Z95 = 1.959963984540054
@@ -572,13 +634,15 @@ def _sweep_points(cfg: SimConfig, metric: str):
         from concurrent.futures import ProcessPoolExecutor
 
         if metric != "ber" and cfg.tables.pairs is not None:
-            # computed once here and pickled with cfg, not once per task
+            # computed once here and sent with cfg, not once per worker
             cfg.tables.pairs.saturation
-        pool = ProcessPoolExecutor(workers)
+        # each worker receives cfg once; a task is (metric, SNR points, block)
+        pool = ProcessPoolExecutor(workers, initializer=_init_pool_worker, initargs=(cfg,))
     try:
         while running:
-            args = [(cfg, metric, tuple(running), block + j) for j in range(cfg.blocks_per_round)]
-            for per_point in (map if pool is None else pool.map)(_worker, args):
+            tasks = [(metric, tuple(running), block + j) for j in range(cfg.blocks_per_round)]
+            for per_point in (pool.map(_pool_task, tasks) if pool is not None
+                              else (_block_moments(cfg, *task) for task in tasks)):
                 for results, moments in zip(running.values(), per_point):
                     results.append(moments)
             block += cfg.blocks_per_round

@@ -11,12 +11,14 @@ from ssknoma.channel import (
     FadingProfile,
     complex_normal,
     default_profile,
+    erlang,
     rng_stream,
 )
 from ssknoma.analytics import chi2_cdf
 from ssknoma.constellation import qpsk
 from ssknoma.errors import ConfigError
 from scipy.special import erfc
+from scipy.stats import gamma, kstest
 
 
 def test_rng_stream_reproducible():
@@ -61,6 +63,44 @@ def test_default_profile_doubles():
     assert default_profile(2, sigma1_sq=0.5).variances == (0.5, 1.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_erlang_law_ks(k):
+    """Product-of-uniforms Gamma(k) draws against scipy's Gamma(k) CDF, by a
+    one-sample KS test on 10^5 draws of a vector and 10^5 of a (B, N_t)
+    array."""
+    n = 100_000
+    assert kstest(erlang(rng_stream(46, k), k, n), gamma(k).cdf).pvalue > 1e-3
+    x = erlang(rng_stream(46, k, 1), k, (n // 4, 4))
+    assert x.shape == (n // 4, 4)
+    assert kstest(x.ravel(), gamma(k).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_erlang_uses_k_uniforms_per_draw(k):
+    """A call for n draws uses exactly k n uniforms: each draw is -ln of the
+    product of 1 - U down one column of the first k n uniforms taken as a
+    (k, n) batch, and the stream's next draw is the (k n + 1)-th uniform."""
+    n = 1000
+    rng = rng_stream(47, k)
+    x = erlang(rng, k, n)
+    u = rng_stream(47, k).random(k * n + 1)
+    factors = 1.0 - u[:-1].reshape(k, n)
+    product = factors[0]
+    for row in factors[1:]:
+        product = product * row
+    assert np.array_equal(x, -np.log(product))
+    assert rng.random() == u[-1]
+
+
+@pytest.mark.parametrize("k", [5, 6, 9])
+def test_erlang_takes_numpys_sampler_above_shape_4(k):
+    """From shape 5 on, the draws and the stream after them are numpy's
+    ``standard_gamma``'s, bit for bit."""
+    rng, ref = rng_stream(48, k), rng_stream(48, k)
+    assert np.array_equal(erlang(rng, k, (100, 3)), ref.standard_gamma(k, (100, 3)))
+    assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_mrc_snr_distribution_ks(n_r):
     """Empirical CDF of the MRC output SNR draws the rate and outage engines
@@ -89,14 +129,15 @@ def test_ber_mrc_statistic_law_ks(n_r):
     """A genie user's MRC statistics as the BER engine draws them: g / var
     against the chi-square CDF with N_r complex branches, and the
     normalised noise term w / sqrt(g) of y = sqrt(P) g chi + w, per axis,
-    against N(0, 1/2); without noise, g is the same and w is 0."""
+    against N(0, 1/2), read off the engine's per-unit-gain noise w / g;
+    without noise, g is the same and w is 0."""
     n = 50_000
     var = 2.0
-    g, w = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, n, True)
+    g, e = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, n, True)
     ecdf = (np.arange(n) + 0.5) / n
     assert np.max(np.abs(ecdf - chi2_cdf(np.sort(g / var), n_r, 1.0))) < 2.0 / np.sqrt(n)
-    w = w / np.sqrt(g)
-    for part in (w.real, w.imag):
+    assert e.shape == (2, n)
+    for part in e * np.sqrt(g):
         # CDF of N(0, 1/2) is erfc(-x) / 2
         assert np.max(np.abs(ecdf - 0.5 * erfc(-np.sort(part)))) < 2.0 / np.sqrt(n)
     g_clean, w_clean = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, n, False)
@@ -118,17 +159,23 @@ def test_sm_statistics_law_ks(n_r):
     (N_t = 2, antenna 0 active, 3 dB) against those of a brute-force draw
     of the channel matrix and noise: the active antenna's g_v = ||h_v||^2,
     h_v^H r per axis and ||r||^2, and the inactive antenna's h_t^H r per
-    axis and ||h_t||^2. ||r|| is read off the engine's inactive statistic,
-    h_t^H r = ||r|| c_t, by replaying its draws up to c."""
+    axis and ||h_t||^2. The engine yields h_t^H r / (sqrt(P) ||h_t||^2), so
+    h_t^H r is rebuilt from it, and ||r|| is read off the inactive
+    statistic, h_t^H r = ||r|| c_t, by replaying the draws up to c: the
+    active antenna's N_r * n uniforms and n complex normals, then the
+    (N_r - 1) * n uniforms of the noise energy."""
     n = 50_000
     var, sqrt_p = 2.0, np.sqrt(2.0)
     chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
-    [(y, g)] = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r, np.zeros(n, dtype=int),
-                                 chi, [sqrt_p], True)
+    [(z, g, dead)] = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r,
+                                       np.zeros(n, dtype=int), np.stack([chi.real, chi.imag]),
+                                       [sqrt_p], True)
+    assert dead is None
+    y = (z[0] + 1j * z[1]) * sqrt_p * g
     replay = rng_stream(44, n_r, 1)
-    mc._mrc_statistic(replay, var, n_r, n, True)
-    if n_r > 1:
-        replay.standard_gamma(n_r - 1, n)
+    replay.random(n_r * n)
+    complex_normal(replay, n, 1.0)
+    replay.random((n_r - 1) * n)
     c = complex_normal(replay, (n, 2), var)
     r_sq = np.abs(y[:, 1]) ** 2 / np.abs(c[:, 1]) ** 2
 

@@ -179,10 +179,10 @@ def test_saturation_is_computed_at_most_once_per_table(tmp_path, monkeypatch):
 @pytest.mark.skipif(os.cpu_count() < 2 or multiprocessing.get_all_start_methods()[0] != "fork",
                     reason="needs two workers forked from this process")
 def test_pooled_sweeps_send_saturation_to_workers(tmp_path, monkeypatch):
-    """A pooled rate or outage sweep reads gamma_sat before it dispatches, so
-    every task receives it with its pickled config and no worker bisects:
-    the forked workers inherit a ``_saturation`` that fails outside this
-    process."""
+    """A pooled rate or outage sweep reads gamma_sat before it starts the
+    pool, so every worker receives it with the config it is started with and
+    no worker bisects: the forked workers inherit a ``_saturation`` that
+    fails outside this process."""
     monkeypatch.setenv("SSKNOMA_WORKERS", "2")
     calls = _count_saturation_calls(monkeypatch)
     parent, counting = os.getpid(), analytics._saturation

@@ -21,6 +21,7 @@ from ssknoma.constellation import (
 from ssknoma.detectors import complexity_noma, complexity_ssk_noma
 from ssknoma.errors import InputError
 from ssknoma.montecarlo import (
+    _levels,
     _ml_detect_block,
     _nearest_point,
     _sic_detect_block,
@@ -30,7 +31,9 @@ from ssknoma.montecarlo import (
 
 PA3 = PowerAllocation((0.8, 0.2))
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA3)
+LEVELS3 = _levels(ALPHABET3)
 GRID3 = _sm_grid(ALPHABET3)
+QPSK_LEVELS = _levels(qpsk().points)
 BATCH = 5
 
 # composite alphabets of the power users: (modulation orders, allocation)
@@ -86,15 +89,33 @@ def _brute_force_scalar_sic(y, g, amps, points):
     return decisions
 
 
+def _unit(y, g):
+    """Per-unit-gain coordinates y / g as a (2, *y.shape) array of real and
+    imaginary parts, 0 where g = 0, and the mask of those zeros (None if
+    there is none): the receivers' inputs."""
+    u = np.divide(np.stack([y.real, y.imag]), g, out=np.zeros((2, *y.shape)), where=g != 0.0)
+    return u, (g == 0.0 if (g == 0.0).any() else None)
+
+
 def _mrc(r, h):
-    """Combiner output h^H r and channel energy ||h||^2 per trial."""
-    return np.sum(np.conj(h) * r, axis=1), np.sum(np.abs(h) ** 2, axis=1)
+    """A SIC chain's inputs from (B, N_r) received vectors and channels: the
+    coordinates of h^H r / ||h||^2 per trial and the mask of zero channels."""
+    return _unit(np.sum(np.conj(h) * r, axis=1), np.sum(np.abs(h) ** 2, axis=1))
 
 
-def _antenna_statistics(r, h):
-    """The joint search's statistics from (B, N_r) received vectors and
-    (B, N_t, N_r) channels: h_t^H r and ||h_t||^2, (B, N_t) each."""
-    return np.einsum("btr,br->bt", np.conj(h), r), np.sum(np.abs(h) ** 2, axis=2)
+def _antenna_statistics(r, h, sqrt_p):
+    """The joint search's inputs from (B, N_r) received vectors and
+    (B, N_t, N_r) channels: the coordinates of h_t^H r / (sqrt(P) ||h_t||^2),
+    (2, B, N_t), the energies ||h_t||^2, (B, N_t), and the mask of their
+    zeros."""
+    g = np.sum(np.abs(h) ** 2, axis=2)
+    z, dead = _unit(np.einsum("btr,br->bt", np.conj(h), r) / sqrt_p, g)
+    return z, g, dead
+
+
+def _complex(u):
+    """The complex numbers whose real and imaginary parts ``u`` holds."""
+    return u[0] + 1j * u[1]
 
 
 def _vector_sic_chain(r, h, amps, points):
@@ -118,7 +139,7 @@ def test_detect_sm_matches_brute_force(trial):
     power = 10.0
     h = complex_normal(rng, (BATCH, 4, 2), 1.0)
     r = complex_normal(rng, (BATCH, 2), 3.0)
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h), np.sqrt(power), ALPHABET3, GRID3)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h, np.sqrt(power)), LEVELS3, GRID3)
     for b in range(BATCH):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], ALPHABET3, power)
 
@@ -131,8 +152,8 @@ def test_detect_sm_noiseless_recovers_truth():
     v, k = np.divmod(np.arange(2 * ALPHABET3.size), ALPHABET3.size)
     r = np.sqrt(power) * h[v] * ALPHABET3[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 2, 4))
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch), np.sqrt(power),
-                                    ALPHABET3, GRID3)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch, np.sqrt(power)), LEVELS3,
+                                    GRID3)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
 
@@ -147,8 +168,8 @@ def test_nearest_point_noiseless_recovers_truth(name):
     v, k = np.divmod(np.arange(4 * chis.size), chis.size)
     r = np.sqrt(power) * h[v] * chis[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 4, 2))
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch), np.sqrt(power), chis,
-                                    _sm_grid(chis))
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch, np.sqrt(power)),
+                                    _levels(chis), _sm_grid(chis))
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
 
@@ -169,9 +190,9 @@ def test_nearest_point_search_equals_brute_force(name, n_t):
         v = rng.integers(0, n_t, b)
         k = rng.integers(0, chis.size, b)
         r = sqrt_p * h[np.arange(b), v] * chis[k][:, None] + complex_normal(rng, (b, n_r), 1.0)
-        stats = _antenna_statistics(r, h)
-        v_fast, k_fast = _sm_detect_block(*stats, sqrt_p, chis, grid)
-        v_brute, k_brute = _sm_detect_block(*stats, sqrt_p, chis, None)
+        stats = _antenna_statistics(r, h, sqrt_p)
+        v_fast, k_fast = _sm_detect_block(*stats, _levels(chis), grid)
+        v_brute, k_brute = _sm_detect_block(*stats, _levels(chis), None)
         assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute), snr_db
 
 
@@ -189,12 +210,12 @@ def test_nearest_point_breaks_ties_like_brute_force():
     k = rng.integers(0, chis.size, b)
     clean = sqrt_p * h[np.arange(b), v] * chis[k][:, None]
     first = np.array([np.flatnonzero(chis == chi)[0] for chi in chis])
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(clean, h), sqrt_p, chis, grid)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(clean, h, sqrt_p), _levels(chis), grid)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, first[k])
     r = clean + complex_normal(rng, (b, 2), 1.0)
-    stats = _antenna_statistics(r, h)
-    v_fast, k_fast = _sm_detect_block(*stats, sqrt_p, chis, grid)
-    v_brute, k_brute = _sm_detect_block(*stats, sqrt_p, chis, None)
+    stats = _antenna_statistics(r, h, sqrt_p)
+    v_fast, k_fast = _sm_detect_block(*stats, _levels(chis), grid)
+    v_brute, k_brute = _sm_detect_block(*stats, _levels(chis), None)
     assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute)
 
 
@@ -208,8 +229,8 @@ def test_zero_channel_decides_first_pair_without_warning(grid):
     r = complex_normal(rng, (BATCH, 2), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h), np.sqrt(10.0), chis,
-                                        _sm_grid(chis) if grid else None)
+        v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h, np.sqrt(10.0)),
+                                        _levels(chis), _sm_grid(chis) if grid else None)
     assert not v_hat.any() and not k_hat.any()
 
 
@@ -242,7 +263,8 @@ def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
     k = rng.integers(0, chis.size, 100)
     r = np.sqrt(power) * h[np.arange(100), v] * chis[k][:, None]
     r = r + complex_normal(rng, (100, 2), 1.0)
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h), np.sqrt(power), chis, None)
+    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h, np.sqrt(power)), _levels(chis),
+                                    None)
     for b in range(100):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], chis, power)
     # an 8-PSK stage then a QPSK stage, 3 trials per chunk of the scan
@@ -253,7 +275,7 @@ def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
     ks = [rng.integers(0, p.size, 100) for p in points]
     ru = hu * sum(a * p[k] for a, p, k in zip(amps, points, ks))[:, None]
     ru = ru + complex_normal(rng, (100, 2), 1.0)
-    decisions, _ = _sic_detect_block(*_mrc(ru, hu), amps, points)
+    decisions, _ = _sic_detect_block(*_mrc(ru, hu), amps, [_levels(p) for p in points])
     for b in range(100):
         want, _ = _brute_force_sic(ru[b], hu[b], amps, points)
         assert [int(d[b]) for d in decisions] == want
@@ -267,7 +289,7 @@ def test_detect_u2_matches_brute_force(trial):
     h = complex_normal(rng, (BATCH, 2), 2.0)
     r = complex_normal(rng, (BATCH, 2), 4.0)
     amp = np.sqrt(0.8 * 5.0)
-    got = _ml_detect_block(*_mrc(r, h), amp, qpsk().points)
+    got = _ml_detect_block(*_mrc(r, h), amp, QPSK_LEVELS)
     for b in range(BATCH):
         assert got[b] == _brute_force_ml(r[b], h[b], amp, qpsk().points)
 
@@ -277,12 +299,13 @@ def _check_sic_against_brute_force(rng, coefficients, power):
     amps = [np.sqrt(a * power) for a in coefficients]
     h = complex_normal(rng, (BATCH, 2), 4.0)
     r = complex_normal(rng, (BATCH, 2), 6.0)
-    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, points)
+    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * len(amps))
     assert len(decisions) == len(coefficients)
     for b in range(BATCH):
         want, want_resid = _brute_force_sic(r[b], h[b], amps, points)
         assert [int(d[b]) for d in decisions] == want
-        assert np.isclose(resid[b], np.vdot(h[b], want_resid))
+        # the residual's coordinates: h^H resid / ||h||^2
+        assert np.isclose(_complex(resid)[b], np.vdot(h[b], want_resid) / np.vdot(h[b], h[b]))
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -298,18 +321,17 @@ def test_noma_baseline_matches_stagewise_brute_force(trial):
 
 
 def test_sic_chain_residual_cancels_known_symbol():
-    """Noise-free, the first decision is exact and the combiner output the
-    last stage sees is h^H r less the strongest user's contribution,
-    sqrt(P) ||h||^2 sqrt(0.2) s_3."""
+    """Noise-free, the first decision is exact and the coordinates the last
+    stage sees are those of h^H r / ||h||^2 less the strongest user's
+    contribution, sqrt(P) sqrt(0.2) s_3."""
     rng = rng_stream(301, 0)
     power = 100.0
     s2, s3 = qpsk().points[1], qpsk().points[2]
     h = complex_normal(rng, (1, 2), 1.0)
     r = np.sqrt(power) * h * (np.sqrt(0.8) * s2 + np.sqrt(0.2) * s3)
     amps = [np.sqrt(0.8 * power), np.sqrt(0.2 * power)]
-    y, g = _mrc(r, h)
-    decisions, resid = _sic_detect_block(y, g, amps, [qpsk().points] * 2)
-    assert np.allclose(resid, np.sqrt(power) * g * np.sqrt(0.2) * s3, atol=1e-12)
+    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * 2)
+    assert np.allclose(_complex(resid), np.sqrt(power) * np.sqrt(0.2) * s3, atol=1e-12)
     assert [int(d[0]) for d in decisions] == [1, 2]
 
 
@@ -333,7 +355,7 @@ def test_scalar_sic_equals_vector_ml_chain(n_r):
             chi = sum(np.sqrt(a) * qpsk().points[k] for a, k in zip(pa, ks))
             h = complex_normal(rng, (b, n_r), 2.0)
             r = np.sqrt(power) * h * chi[:, None] + complex_normal(rng, (b, n_r), 1.0)
-            got, _ = _sic_detect_block(*_mrc(r, h), amps, points)
+            got, _ = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * len(pa))
             want = _vector_sic_chain(r, h, amps, points)
             for stage, (g_dec, w_dec) in enumerate(zip(got, want)):
                 assert np.array_equal(g_dec, w_dec), (pa, snr_db, stage)
@@ -341,16 +363,17 @@ def test_scalar_sic_equals_vector_ml_chain(n_r):
 
 def test_zero_variance_genie_user_decides_symbol_0():
     """A genie user of fading variance 0 has g = 0 and y = 0, so every
-    symbol scores 0 and the first wins, without a RuntimeWarning."""
+    symbol scores 0 and the first wins, without a RuntimeWarning: its
+    per-unit-gain noise is 0 and every trial is dead."""
     rng = rng_stream(9, 0)
     signal = np.sqrt(10.0) * qpsk().points[rng.integers(0, 4, BATCH)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, w = mc._mrc_statistic(rng, 0.0, 2, BATCH, True)
-        y = g * signal + w
-        decisions, _ = _sic_detect_block(y, g, [np.sqrt(8.0), np.sqrt(2.0)],
-                                         [qpsk().points] * 2)
-    assert not y.any() and not g.any()
+        g, e = mc._mrc_statistic(rng, 0.0, 2, BATCH, True)
+        u = np.stack([signal.real, signal.imag]) + e
+        decisions, _ = _sic_detect_block(u, mc._dead(g), [np.sqrt(8.0), np.sqrt(2.0)],
+                                         [QPSK_LEVELS] * 2)
+    assert not e.any() and not g.any() and mc._dead(g).all()
     assert not decisions[0].any() and not decisions[1].any()
 
 
@@ -377,6 +400,7 @@ def test_ber_block_matches_brute_force_chain(scheme):
     statistics, the noise energy orthogonal to h_v for N_r > 1, then c_t and
     the energy of h_t orthogonal to r for every antenna), then per power
     user its MRC statistics, one gamma and one complex normal per trial.
+    Each Gamma(k) draw is -ln of a product of k uniforms (``_gamma_replay``).
     Every cell-edge statistic is rebuilt from its law trial by trial, at
     N_r = 1 (no orthogonal energies) and N_r = 2. The block is evaluated at
     two SNR points at once, each of which the brute-force receiver replays
@@ -387,6 +411,13 @@ def test_ber_block_matches_brute_force_chain(scheme):
                              snr_grid_db=[6.0, 12.0], seed=8, block_size=40)
         for snr_db, errors in zip(cfg.snr_grid_db, mc._ber_trials(cfg, cfg.snr_grid_db, 2)):
             _check_ber_block_against_brute_force(cfg, snr_db, errors)
+
+
+def _gamma_replay(rng, k, shape):
+    """Gamma(k) draws of an integer k <= 4 as the engine makes them: -ln of
+    the product of 1 - U over each column of a (k, *shape) batch of
+    uniforms."""
+    return -np.log(np.prod(1.0 - rng.random((k, *np.atleast_1d(shape))), axis=0))
 
 
 def _check_ber_block_against_brute_force(cfg, snr_db, errors):
@@ -403,12 +434,12 @@ def _check_ber_block_against_brute_force(cfg, snr_db, errors):
     for i in range(1, cfg.n_users + 1):
         var = cfg.fading.variances[i - 1]
         k = i - first
-        g = var * rng.standard_gamma(cfg.n_r, b)
+        g = var * _gamma_replay(rng, cfg.n_r, b)
         y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
         if i < first:
-            perp = rng.standard_gamma(cfg.n_r - 1, b) if cfg.n_r > 1 else np.zeros(b)
+            perp = _gamma_replay(rng, cfg.n_r - 1, b) if cfg.n_r > 1 else np.zeros(b)
             c = complex_normal(rng, (b, cfg.n_t), var)
-            c_perp = (var * rng.standard_gamma(cfg.n_r - 1, (b, cfg.n_t)) if cfg.n_r > 1
+            c_perp = (var * _gamma_replay(rng, cfg.n_r - 1, (b, cfg.n_t)) if cfg.n_r > 1
                       else np.zeros((b, cfg.n_t)))
             for t in range(b):
                 r_sq = abs(y[t]) ** 2 / g[t] + perp[t]
@@ -434,9 +465,9 @@ GRID_ORDERS = {"bpsk": 2, "qpsk": 4, "qam16": 16, "qam64": 64}
 
 
 def _chain_draws(rng, order, pa, snr_db, b, noise=True):
-    """(y, g, amps, points, grids) of a SIC chain of ``order``-point users
-    at allocation ``pa``: MRC statistics of N_r = 2 branches, a tenth of the
-    trials with a zero channel."""
+    """(u, dead, amps, levels, grids) of a SIC chain of ``order``-point users
+    at allocation ``pa``: the receiver inputs of MRC statistics of N_r = 2
+    branches, a tenth of the trials with a zero channel."""
     const = make_constellation(order)
     power = 10.0 ** (snr_db / 10.0)
     chi = sum(np.sqrt(a) * const.points[rng.integers(0, order, b)] for a in pa)
@@ -446,7 +477,8 @@ def _chain_draws(rng, order, pa, snr_db, b, noise=True):
     if noise:
         y = y + np.sqrt(g) * complex_normal(rng, b, 1.0)
     amps = [np.sqrt(a * power) for a in pa]
-    return y, g, amps, [const.points] * len(pa), [_sm_grid(const.points)] * len(pa)
+    return (*_unit(y, g), amps, [_levels(const.points)] * len(pa),
+            [_sm_grid(const.points)] * len(pa))
 
 
 @pytest.mark.parametrize("name", sorted(GRID_ORDERS))
@@ -459,18 +491,18 @@ def test_grid_ml_stage_equals_scan(name):
     cases = [(snr_db, True) for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0)] + [(20.0, False)]
     for snr_db, noise in cases:
         rng = rng_stream(900, order, int(snr_db), noise)
-        y, g, amps, points, grids = _chain_draws(rng, order, (0.7, 0.2, 0.1), snr_db,
-                                                 20_000, noise)
+        u, dead, amps, levels, grids = _chain_draws(rng, order, (0.7, 0.2, 0.1), snr_db,
+                                                    20_000, noise)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            one_grid = _ml_detect_block(y, g, amps[0], points[0], grids[0])
-            chain_grid, resid_grid = _sic_detect_block(y, g, amps, points, grids)
-        assert np.array_equal(one_grid, _ml_detect_block(y, g, amps[0], points[0]))
-        chain_scan, resid_scan = _sic_detect_block(y, g, amps, points)
+            one_grid = _ml_detect_block(u, dead, amps[0], levels[0], grids[0])
+            chain_grid, resid_grid = _sic_detect_block(u, dead, amps, levels, grids)
+        assert np.array_equal(one_grid, _ml_detect_block(u, dead, amps[0], levels[0]))
+        chain_scan, resid_scan = _sic_detect_block(u, dead, amps, levels)
         for stage, (got, want) in enumerate(zip(chain_grid, chain_scan)):
             assert np.array_equal(got, want), (snr_db, noise, stage)
         assert np.array_equal(resid_grid, resid_scan)
-        assert not np.any(one_grid[g == 0.0])
+        assert dead.any() and not np.any(one_grid[dead])
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -482,7 +514,7 @@ def test_grid_sic_chain_matches_stagewise_brute_force(trial):
     amps = [np.sqrt(a * 12.0) for a in (0.7, 0.2, 0.1)]
     h = complex_normal(rng, (BATCH, 2), 4.0)
     r = complex_normal(rng, (BATCH, 2), 6.0)
-    decisions, _ = _sic_detect_block(*_mrc(r, h), amps, points,
+    decisions, _ = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * 3,
                                      [_sm_grid(qpsk().points)] * 3)
     for b in range(BATCH):
         want, _ = _brute_force_sic(r[b], h[b], amps, points)
@@ -500,20 +532,83 @@ def test_grid_decides_the_lower_neighbour_on_a_midpoint():
     points = qpsk().points
     grid = _sm_grid(points)
     z = np.array([0.3j, -0.3j, 0.3, -0.3, 0.0])
-    assert list(_nearest_point(grid, z.real, z.imag)) == [1, 2, 3, 2, 2]
+    assert list(_nearest_point(grid, z.real, z.imag, 1.0)) == [1, 2, 3, 2, 2]
     qam = make_constellation(16).points
     qam_grid = _sm_grid(qam)
     for mid in qam_grid.re_mid:
-        k = _nearest_point(qam_grid, np.array([mid]), np.array([qam.imag.max()]))[0]
+        k = _nearest_point(qam_grid, np.array([mid]), np.array([qam.imag.max()]), 1.0)[0]
         lower = np.max(qam.real[qam.real < mid])
         assert qam[k] == lower + 1j * qam.imag.max()
     # there the scan's metrics tie exactly and its first minimum, point 0,
     # wins; a coordinate just off the midpoint decides the nearer point on
     # both paths
-    g = np.ones(3)
-    y = np.array([0.3j, 1e-9 + 0.3j, -1e-9 + 0.3j])
-    assert list(_ml_detect_block(y, g, 1.0, points, grid)) == [1, 0, 1]
-    assert list(_ml_detect_block(y, g, 1.0, points)) == [0, 0, 1]
+    u = np.array([[0.0, 1e-9, -1e-9], [0.3, 0.3, 0.3]])
+    assert list(_ml_detect_block(u, None, 1.0, QPSK_LEVELS, grid)) == [1, 0, 1]
+    assert list(_ml_detect_block(u, None, 1.0, QPSK_LEVELS)) == [0, 0, 1]
+
+
+def test_stage_input_on_a_scaled_midpoint_takes_the_lower_neighbour():
+    """A stage compares its input with its grid's midpoints scaled by the
+    stage amplitude, so an input exactly on a scaled midpoint takes the lower
+    neighbour: at a 16-QAM stage of amplitude 2.5, and at the second stage of
+    a QPSK chain whose first stage cancels exactly, leaving a real part of 0
+    on that stage's midpoint."""
+    qam = make_constellation(16).points
+    grid, amp, top = _sm_grid(qam), 2.5, qam.imag.max()
+    u = np.stack([amp * grid.re_mid, np.full(grid.re_mid.size, amp * top)])
+    for mid, k in zip(grid.re_mid, _ml_detect_block(u, None, amp, _levels(qam), grid)):
+        assert qam[k] == np.max(qam.real[qam.real < mid]) + 1j * top
+    amps, first = [3.0, 1.5], qpsk().points[2]
+    u = np.array([[amps[0] * first.real], [amps[0] * first.imag + 0.3 * amps[1]]])
+    decisions, resid = _sic_detect_block(u, None, amps, [QPSK_LEVELS] * 2,
+                                         [_sm_grid(qpsk().points)] * 2)
+    assert decisions[0][0] == 2 and resid[0, 0] == 0.0 and resid[1, 0] > 0.0
+    # between points 1 (-1+1j)/sqrt(2) and 0 (1+1j)/sqrt(2), the lower wins
+    assert decisions[1][0] == 1
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["nearest-point", "scan"])
+def test_dead_rows_among_live_rows_decide_index_0(grid):
+    """A block that mixes trials of channel energy 0 with live ones, its
+    inputs formed as the engine forms them (``_unit_gain``, ``_dead``): every
+    SIC stage and the joint search decide index 0 on the dead trials and
+    decide the live ones as in a block of their own, without a
+    RuntimeWarning."""
+    rng = rng_stream(920, grid)
+    b, power = 3000, 100.0
+    pa = (0.7, 0.2, 0.1)
+    amps = [np.sqrt(a * power) for a in pa]
+    grids = [_sm_grid(qpsk().points) if grid else None] * 3
+    chi = sum(np.sqrt(a) * qpsk().points[rng.integers(0, 4, b)] for a in pa)
+    g = rng.standard_gamma(2.0, b)
+    g[::3] = 0.0
+    live = g > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, dead = mc._unit_gain(complex_normal(rng, b, 1.0), np.sqrt(g)), mc._dead(g)
+        u = np.sqrt(power) * np.stack([chi.real, chi.imag]) + e
+        decisions, _ = _sic_detect_block(u, dead, amps, [QPSK_LEVELS] * 3, grids)
+    assert np.array_equal(dead, ~live)
+    alone, _ = _sic_detect_block(u[:, live], None, amps, [QPSK_LEVELS] * 3, grids)
+    for got, want in zip(decisions, alone):
+        assert not got[~live].any() and np.array_equal(got[live], want)
+
+    chis = _alphabet("L4-qpsk")
+    h = complex_normal(rng, (b, 4, 2), 1.0)
+    h[~live] = 0.0
+    r = np.sqrt(power) * h[:, 0] * chis[rng.integers(0, chis.size, b)][:, None]
+    r = r + complex_normal(rng, (b, 2), 1.0)
+    g = np.sum(np.abs(h) ** 2, axis=2)
+    y = np.einsum("btr,br->bt", np.conj(h), r)
+    search_grid = _sm_grid(chis) if grid else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v_hat, k_hat = _sm_detect_block(mc._unit_gain(y / np.sqrt(power), g), g, mc._dead(g),
+                                        _levels(chis), search_grid)
+    assert not v_hat[~live].any() and not k_hat[~live].any()
+    v_alone, k_alone = _sm_detect_block(*_antenna_statistics(r[live], h[live], np.sqrt(power)),
+                                        _levels(chis), search_grid)
+    assert np.array_equal(v_hat[live], v_alone) and np.array_equal(k_hat[live], k_alone)
 
 
 def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
@@ -525,9 +620,9 @@ def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
     assert tables.sm_grid is None
     grid_sizes = []
 
-    def nearest(grid, re, im):
+    def nearest(grid, *args):
         grid_sizes.append(grid.index.size)
-        return _nearest_point(grid, re, im)
+        return _nearest_point(grid, *args)
 
     monkeypatch.setattr(mc, "_nearest_point", nearest)
     rng = rng_stream(910, 0)
@@ -538,9 +633,10 @@ def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
               for a, p in zip(cfg.pa.coefficients, points))
     g = rng.standard_gamma(2.0, 5000)
     y = np.sqrt(power) * g * chi + np.sqrt(g) * complex_normal(rng, 5000, 1.0)
-    got, _ = _sic_detect_block(y, g, amps, points, tables.grids)
+    u, dead = _unit(y, g)
+    got, _ = _sic_detect_block(u, dead, amps, tables.levels, tables.grids)
     assert grid_sizes == [4]
-    want, _ = _sic_detect_block(y, g, amps, points)
+    want, _ = _sic_detect_block(u, dead, amps, tables.levels)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

@@ -2,6 +2,7 @@
 counts, noise-free sanity, and agreement with the closed forms."""
 
 import collections
+import concurrent.futures
 import os
 import tracemalloc
 import warnings
@@ -411,6 +412,38 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("SSKNOMA_WORKERS", str(min(3, os.cpu_count())))
     parallel = _ber_snapshot(cfg)
     assert serial == parallel
+
+
+def test_pool_sends_each_config_once(monkeypatch):
+    """A pooled sweep hands its config to each worker once, through the
+    pool's initializer, and every task is (metric, SNR points, block index),
+    carrying no config; the estimates equal one worker's. The pool is an
+    in-process stand-in that records what it is sent."""
+    sent = {"tasks": []}
+
+    class RecordingPool:
+        def __init__(self, workers, initializer, initargs):
+            sent["initargs"] = initargs
+            initializer(*initargs)
+
+        def map(self, fn, tasks):
+            sent["tasks"] += tasks
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_pool_cfg", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _cfg(seed=15, max_trials=40_000, snr_grid_db=[0.0, 20.0])
+    monkeypatch.setenv("SSKNOMA_WORKERS", "2")
+    pooled = _ber_snapshot(cfg)
+    assert len(sent["initargs"]) == 1 and sent["initargs"][0] is cfg
+    assert [block for _, _, block in sent["tasks"]] == list(range(cfg.blocks_per_round))
+    assert all(metric == "ber" and snrs == (0.0, 20.0) for metric, snrs, _ in sent["tasks"])
+    monkeypatch.setenv("SSKNOMA_WORKERS", "1")
+    assert _ber_snapshot(cfg) == pooled
 
 
 def test_same_seed_reproduces_and_seeds_differ():
