@@ -10,4 +10,4 @@ from .constellation import (  # noqa: F401
     make_constellation,
 )
 from .analytics import OutageTargets  # noqa: F401
-from .montecarlo import SimConfig, SweepResult, make_config, run_sweep  # noqa: F401
+from .montecarlo import SimConfig, make_config, run_sweep  # noqa: F401

@@ -84,6 +84,6 @@ class FadingProfile:
         return len(self.variances)
 
 
-def default_profile(n_users: int, sigma1_sq: float = 1.0) -> FadingProfile:
+def default_profile(n_users: int) -> FadingProfile:
     """Geometric profile sigma_i^2 = 2 * sigma_{i-1}^2 with sigma_1^2 = 0 dB."""
-    return FadingProfile(tuple(sigma1_sq * 2.0**i for i in range(n_users)))
+    return FadingProfile(tuple(2.0**i for i in range(n_users)))

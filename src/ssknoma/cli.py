@@ -24,12 +24,10 @@ CSV_COLUMNS = ["snr_db", "user", "scheme", "sim_value", "ci_halfwidth",
                "analytic_value", "n_trials"]
 
 
-# keys of one run: read by the sweep and validate commands, at the top level
-# of a config document (shared by its runs) or in an entry of "runs"
-_RUN_KEYS = frozenset({
-    "scheme", "n_users", "n_r", "n_t", "snr_grid_db", "seed", "modulations", "pa",
-    "fading", "target_rates", "min_bit_errors", "max_trials",
-})
+# keys of one run, SimConfig's fields: read by the sweep and validate
+# commands, at the top level of a config document (shared by its runs) or in
+# an entry of "runs"
+_RUN_KEYS = frozenset(montecarlo.RUN_KEYS)
 # top-level keys besides those: the run list, validate's metric list,
 # pa-sweep's allocation grid and SNR, and the complexity table's rows
 _DOC_KEYS = _RUN_KEYS | {"runs", "metrics", "a2_grid", "snr_db", "rows"}
@@ -118,8 +116,8 @@ def _optional(value) -> str:
     return "" if value is None else f"{value:.10e}"
 
 
-def _sweep_rows(cfg, result):
-    for p in result.points:
+def _sweep_rows(cfg, points):
+    for p in points:
         yield [f"{p.snr_db:g}", p.user, cfg.scheme, f"{p.value:.10e}",
                f"{p.ci_halfwidth:.10e}", _optional(p.analytic), p.n_trials]
 
@@ -134,8 +132,7 @@ def _cmd_metric(metric: str, args) -> int:
         if not args.quiet:
             print(f"running {metric} sweep: {cfg.scheme} L={cfg.n_users} "
                   f"N_r={cfg.n_r} seed={cfg.seed}", file=sys.stderr)
-        result = montecarlo.run_sweep(cfg, metrics=(metric,))
-        rows.extend(_sweep_rows(cfg, result))
+        rows.extend(_sweep_rows(cfg, montecarlo.run_sweep(cfg, metrics=(metric,))))
     _write_csv(out_dir / f"{metric}.csv", CSV_COLUMNS, rows)
     _write_manifest(out_dir, metric, args, [c.seed for c in configs])
     if not args.quiet:
@@ -210,8 +207,7 @@ def _cmd_validate(args) -> int:
         montecarlo.check_metrics(cfg, metrics)
     scores = []
     for cfg in configs:
-        result = montecarlo.run_sweep(cfg, metrics=tuple(metrics))
-        for p in result.points:
+        for p in montecarlo.run_sweep(cfg, metrics=tuple(metrics)):
             if p.analytic is None or p.user == 0:
                 continue
             if p.metric == "ber" and p.user < cfg.first_power_user:
@@ -249,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials-max", type=int, default=None,
-                       help="override the trial cap per SNR point; trials run in rounds "
-                            "of 4 blocks, so the cap is rounded up to a multiple of 4")
+                       help="override the trial cap per SNR point; trials run in rounds of "
+                            f"{montecarlo._BLOCKS_PER_ROUND} blocks, so the cap is rounded up "
+                            f"to a multiple of {montecarlo._BLOCKS_PER_ROUND}")
         p.add_argument("--quiet", action="store_true")
     p = sub.add_parser("complexity")
     p.add_argument("--row", help="single scenario as L,M,N_r")

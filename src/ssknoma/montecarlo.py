@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,13 @@ _METRIC_CODE = {"ber": 1, "outage": 2, "rate": 3}
 # with N_t, and beyond the 2^19-entry chunk budget below so does its memory;
 # no preset uses more than 16.
 _MAX_N_T = 4096
+# Largest accepted receive antenna count: the capacity forms loop over N_r^2
+# terms, and no preset uses more than 8.
+_MAX_N_R = 64
+# Largest accepted constellation order, and for SSK-NOMA composite alphabet
+# size M_T: the alphabet and its tables take memory and time that grow with
+# M_T, and the largest documented alphabet is [256, 256].
+_MAX_ORDER = 1 << 16
 
 # index of the first power-multiplexed user: SSK-NOMA carries user 1 on the
 # antenna index, the baseline power-multiplexes every user
@@ -94,9 +102,6 @@ class SimConfig:
     target_rates: OutageTargets | None
     min_bit_errors: int
     max_trials: int
-    noise: bool
-    block_size: int
-    blocks_per_round: int
     tables: _Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,8 +116,12 @@ class SimConfig:
             raise ConfigError("fading profile must cover all users")
         if self.target_rates is not None and len(self.target_rates.rates) != self.n_users:
             raise ConfigError(f"expected {self.n_users} target rates: {self.target_rates.rates}")
-        if self.n_r < 1:
-            raise ConfigError(f"n_r must be >= 1, got {self.n_r}")
+        if not 1 <= self.n_r <= _MAX_N_R:
+            raise ConfigError(f"n_r must be in 1..{_MAX_N_R}, got {self.n_r}")
+        if any(m > _MAX_ORDER for m in self.modulations) or (
+                self.first_power_user > 1 and prod(self.modulations) > _MAX_ORDER):
+            raise ConfigError(f"constellation orders and the SSK-NOMA composite alphabet size "
+                              f"must be <= {_MAX_ORDER}, got {list(self.modulations)}")
         # the streams take the seed as one 32-bit key word: seed 2^32 + s would
         # spill into a second word, and its (metric, block 0) stream would be
         # seed s's (1, metric) stream
@@ -138,8 +147,6 @@ class SimConfig:
             raise ConfigError("min_bit_errors must be >= 100")
         if self.max_trials < 10_000:
             raise ConfigError("max_trials must be >= 1e4")
-        if self.block_size < 1 or self.blocks_per_round < 1:
-            raise ConfigError("block_size and blocks_per_round must be >= 1")
         object.__setattr__(self, "tables", _tables(self))
 
     @property
@@ -149,8 +156,8 @@ class SimConfig:
         return _first_power_user(self.scheme)
 
     def canonical_dict(self) -> dict:
-        """Every field but the derived tables, as JSON values."""
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        """The ``RUN_KEYS`` fields as JSON values, for ``make_config``."""
+        values = {name: getattr(self, name) for name in RUN_KEYS}
         values.update(pa=self.pa.coefficients, fading=self.fading.variances,
                       target_rates=self.target_rates and self.target_rates.rates)
         return values
@@ -160,10 +167,14 @@ class SimConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+# the fields a config document sets, every SimConfig field but the derived
+# tables; also make_config's parameters
+RUN_KEYS = tuple(f.name for f in fields(SimConfig) if f.init)
+
+
 def make_config(scheme=SSK_NOMA, n_users=None, n_r=None, snr_grid_db=None, seed=1,
                 n_t=None, modulations=None, pa=None, fading=None, target_rates=None,
-                min_bit_errors=400, max_trials=1_000_000, noise=True,
-                block_size=25_000, blocks_per_round=4) -> SimConfig:
+                min_bit_errors=400, max_trials=1_000_000) -> SimConfig:
     """The one path from config values to a SimConfig: checks each value's
     type before using it (``as_int``, ``as_tuple``), then fills the §IV
     defaults: QPSK users, geometric fading, the fixed PA set for the NOMA
@@ -175,12 +186,6 @@ def make_config(scheme=SSK_NOMA, n_users=None, n_r=None, snr_grid_db=None, seed=
             raise ConfigError(f"config is missing required field {name!r}")
     first = _first_power_user(scheme)
     n_users, n_r, seed = as_int("n_users", n_users), as_int("n_r", n_r), as_int("seed", seed)
-    min_bit_errors = as_int("min_bit_errors", min_bit_errors)
-    max_trials = as_int("max_trials", max_trials)
-    block_size = as_int("block_size", block_size)
-    blocks_per_round = as_int("blocks_per_round", blocks_per_round)
-    if not isinstance(noise, bool):
-        raise ConfigError(f"noise must be true or false, got {noise!r}")
     pa = default_pa(n_users + 1 - first) if pa is None else PowerAllocation(pa)
     # the defaults follow pa's length, which SimConfig checks against n_users
     if modulations is None:
@@ -192,7 +197,7 @@ def make_config(scheme=SSK_NOMA, n_users=None, n_r=None, snr_grid_db=None, seed=
                      as_tuple("modulations", modulations, int), pa, fading,
                      as_tuple("snr_grid_db", snr_grid_db, float), seed,
                      None if target_rates is None else OutageTargets(target_rates),
-                     min_bit_errors, max_trials, noise, block_size, blocks_per_round)
+                     as_int("min_bit_errors", min_bit_errors), as_int("max_trials", max_trials))
 
 
 @dataclass(frozen=True)
@@ -206,12 +211,6 @@ class PointEstimate:
     analytic: float | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config_hash: str
-    points: tuple
-
-
 def _n_workers() -> int:
     """Worker processes from ``SSKNOMA_WORKERS``: an integer in 1..cpu_count."""
     raw = os.environ.get("SSKNOMA_WORKERS", "1")
@@ -222,10 +221,10 @@ def _n_workers() -> int:
 
 
 def _block_trials(cfg: SimConfig, block: int) -> int:
-    """Trials of block ``block``: ``block_size``, but in the round that
+    """Trials of block ``block``: ``_BLOCK_SIZE``, but in the round that
     reaches ``max_trials`` an equal share of what is left of it, rounded up."""
-    left = cfg.max_trials - block // cfg.blocks_per_round * cfg.blocks_per_round * cfg.block_size
-    return min(cfg.block_size, -(-left // cfg.blocks_per_round))
+    left = cfg.max_trials - block // _BLOCKS_PER_ROUND * _BLOCKS_PER_ROUND * _BLOCK_SIZE
+    return min(_BLOCK_SIZE, -(-left // _BLOCKS_PER_ROUND))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +315,9 @@ _SM_CHUNK_ENTRIES = 1 << 22
 # 36 MiB. The chunk size depends on N_t alone, so the streams do not depend
 # on the worker count.
 _SM_DRAW_ENTRIES = 1 << 19
+# trials per block, and blocks per round of the stopping rule
+_BLOCK_SIZE = 25_000
+_BLOCKS_PER_ROUND = 4
 
 
 def _dead(g):
@@ -405,21 +407,21 @@ def _sic_detect_block(u, dead, amps, levels, grids=None):
     return decisions, resid
 
 
-def _mrc_statistic(rng, var, n_r, b, noise):
+def _mrc_statistic(rng, var, n_r, b):
     """MRC statistics of one user with a known channel over ``b`` trials,
     drawn from their joint law rather than from a channel vector and noise:
     the energy g = ||h||^2 over N_r Rayleigh branches of variance ``var`` is
     var * Gamma(N_r, 1), and given g the combiner output h^H r is
-    g * sqrt(P) * chi plus, with ``noise``, w = sqrt(g) * CN(0, 1). Returns g
-    and the per-unit-gain noise w / g = CN(0, 1) / sqrt(g), a (2, b) array
-    of real and imaginary parts (0 where g = 0), or 0.0 without noise;
-    neither depends on the SNR. Draw order: g (``erlang``: N_r * b uniforms
-    for N_r <= 4), then, with noise, b complex normals."""
+    g * sqrt(P) * chi plus w = sqrt(g) * CN(0, 1). Returns g and the
+    per-unit-gain noise w / g = CN(0, 1) / sqrt(g), a (2, b) array of real
+    and imaginary parts (0 where g = 0); neither depends on the SNR. Draw
+    order: g (``erlang``: N_r * b uniforms for N_r <= 4), then b complex
+    normals."""
     g = var * erlang(rng, n_r, b)
-    return g, (_unit_gain(complex_normal(rng, b, 1.0), np.sqrt(g)) if noise else 0.0)
+    return g, _unit_gain(complex_normal(rng, b, 1.0), np.sqrt(g))
 
 
-def _sm_statistics(rng, var, n_t, n_r, v, chi, sqrt_ps, noise):
+def _sm_statistics(rng, var, n_t, n_r, v, chi, sqrt_ps):
     """The cell-edge joint search's per-unit-gain coordinates
     z_t = h_t^H r / (sqrt(P) g_t) and channel energies g_t = ||h_t||^2 of
     every antenna t, a (2, B, N_t) and a (B, N_t) array, drawn from their
@@ -438,11 +440,10 @@ def _sm_statistics(rng, var, n_t, n_r, v, chi, sqrt_ps, noise):
     formed once. Draw order, once before the first yield: g_v, the noise of
     y_v, the noise energy, c (B, N_t), then the gamma term (B, N_t). Each
     Gamma(k) term of n values is ``erlang``'s, k * n uniforms for k <= 4; a
-    Gamma(0) term (N_r = 1, or the noise energy without noise) draws
-    nothing."""
+    Gamma(0) term (N_r = 1) draws nothing."""
     b = v.size
-    g_v, e_v = _mrc_statistic(rng, var, n_r, b, noise)
-    perp = erlang(rng, n_r - 1, b) if noise and n_r > 1 else 0.0
+    g_v, e_v = _mrc_statistic(rng, var, n_r, b)
+    perp = erlang(rng, n_r - 1, b) if n_r > 1 else 0.0
     c = complex_normal(rng, (b, n_t), var)
     g = c.real ** 2 + c.imag ** 2
     if n_r > 1:
@@ -496,10 +497,10 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
         for s in range(0, b, chunk):
             stats = _sm_statistics(rng, variances[0], n_t, n_r, v[s:s + chunk],
-                                   chi[:, s:s + chunk], sqrt_ps, cfg.noise)
+                                   chi[:, s:s + chunk], sqrt_ps)
             for v_hat, stat in zip(v_hats, stats):
                 v_hat.append(_sm_detect_block(*stat, tables.alphabet_levels, tables.sm_grid)[0])
-    mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b, cfg.noise)
+    mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b)
                                       for var in variances[first - 1:])]
     for rho, sqrt_p, v_hat in zip(rhos, sqrt_ps, v_hats):
         # an antenna's label is its index
@@ -613,7 +614,7 @@ _Z95 = 1.959963984540054
 def _sweep_points(cfg: SimConfig, metric: str):
     """Yield (SNR point, per-user estimates) of each SNR point as it stops.
 
-    Rounds of ``blocks_per_round`` blocks run until every point has stopped,
+    Rounds of ``_BLOCKS_PER_ROUND`` blocks run until every point has stopped,
     each block drawn once for all points still running. A point stops at the
     trial cap or, for BER, once every user has ``min_bit_errors`` errors. An
     estimate is the mean of one i.i.d. per-trial quantity: a trial's bit
@@ -640,12 +641,12 @@ def _sweep_points(cfg: SimConfig, metric: str):
         pool = ProcessPoolExecutor(workers, initializer=_init_pool_worker, initargs=(cfg,))
     try:
         while running:
-            tasks = [(metric, tuple(running), block + j) for j in range(cfg.blocks_per_round)]
+            tasks = [(metric, tuple(running), block + j) for j in range(_BLOCKS_PER_ROUND)]
             for per_point in (pool.map(_pool_task, tasks) if pool is not None
                               else (_block_moments(cfg, *task) for task in tasks)):
                 for results, moments in zip(running.values(), per_point):
                     results.append(moments)
-            block += cfg.blocks_per_round
+            block += _BLOCKS_PER_ROUND
             for snr_db, results in list(running.items()):
                 sums, n = sum(r[0] for r in results), sum(r[4] for r in results)
                 if n < cfg.max_trials and not (metric == "ber"
@@ -686,7 +687,8 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
     user's SSK forms, a power user's at SIC stage ``user - first_power_user``
     and for user 0 the sum rate. None where there is none: BER of the
     baseline, a user of fading variance 0 (the forms average over positive
-    variance) and a sum with such a user, or a form beyond its budget."""
+    variance) and a sum with such a user, a form beyond its budget, or one
+    that leaves double range (overflows, divides by zero or is not finite)."""
     if user == 0:
         values = [companion(cfg, metric, u, rho) for u in range(1, cfg.n_users + 1)]
         return None if None in values else sum(values)
@@ -696,22 +698,26 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
         return None
     pairs, pa, n_r = cfg.tables.pairs, cfg.pa, cfg.n_r
     try:
-        if metric == "outage":
-            if k < 0:
-                return analytics.outage_u1(cfg.target_rates, pairs, n_r, rho, sigma_sq)
-            rates = cfg.target_rates.rates[cfg.first_power_user - 1:]
-            return analytics.outage_noma_user(k, pa, rates, rho, sigma_sq, n_r)
-        if k < 0:
-            abep = analytics.abep_u1(pairs, n_r, rho, sigma_sq)
-            return abep if metric == "ber" else analytics.ergodic_capacity_u1(cfg.n_t, abep)
-        if metric == "rate":
-            return analytics.ergodic_capacity_noma_user(k, pa, rho, sigma_sq, n_r)
-        if cfg.n_users == 3 and cfg.modulations == (4, 4):
-            exact = analytics.abep_u3 if k else analytics.abep_u2
-            return exact(*pa.coefficients, rho * sigma_sq, n_r)
-        return analytics.union_bound_ber(k, cfg.tables.consts, pa, rho, sigma_sq, n_r)
-    except ConfigError:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if metric == "outage" and k < 0:
+                value = analytics.outage_u1(cfg.target_rates, pairs, n_r, rho, sigma_sq)
+            elif metric == "outage":
+                rates = cfg.target_rates.rates[cfg.first_power_user - 1:]
+                value = analytics.outage_noma_user(k, pa, rates, rho, sigma_sq, n_r)
+            elif k < 0:
+                value = analytics.abep_u1(pairs, n_r, rho, sigma_sq)
+                if metric == "rate":
+                    value = analytics.ergodic_capacity_u1(cfg.n_t, value)
+            elif metric == "rate":
+                value = analytics.ergodic_capacity_noma_user(k, pa, rho, sigma_sq, n_r)
+            elif cfg.n_users == 3 and cfg.modulations == (4, 4):
+                exact = analytics.abep_u3 if k else analytics.abep_u2
+                value = exact(*pa.coefficients, rho * sigma_sq, n_r)
+            else:
+                value = analytics.union_bound_ber(k, cfg.tables.consts, pa, rho, sigma_sq, n_r)
+    except (ConfigError, ArithmeticError):
         return None
+    return value if np.isfinite(value) else None
 
 
 def check_metrics(cfg: SimConfig, metrics) -> None:
@@ -727,7 +733,7 @@ def check_metrics(cfg: SimConfig, metrics) -> None:
             raise ConfigError("outage metric requires target rates")
 
 
-def run_sweep(cfg: SimConfig, metrics=("ber",)) -> SweepResult:
+def run_sweep(cfg: SimConfig, metrics=("ber",)) -> tuple:
     """Evaluate the requested metrics (``check_metrics``) over the whole SNR
     grid, one round loop per metric (``_sweep_points``), and attach each
     point's closed-form ``companion``."""
@@ -739,4 +745,4 @@ def run_sweep(cfg: SimConfig, metrics=("ber",)) -> SweepResult:
             rho = 10.0 ** (snr_db / 10.0)
             for est in by_point[snr_db]:
                 points.append(replace(est, analytic=companion(cfg, metric, est.user, rho)))
-    return SweepResult(cfg.config_hash(), tuple(points))
+    return tuple(points)

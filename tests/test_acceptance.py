@@ -54,7 +54,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = ""):
 
 def _ber_curves(cfg):
     curves = collections.defaultdict(list)
-    for p in mc.run_sweep(cfg, metrics=("ber",)).points:
+    for p in mc.run_sweep(cfg, metrics=("ber",)):
         curves[p.user].append(p)
     return curves
 
@@ -159,7 +159,7 @@ def test_c05_capacity_agreement():
             cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=n_users, n_r=n_r,
                                  snr_grid_db=[10.0], seed=53,
                                  max_trials=1_000_000)
-            points = {p.user: p for p in mc.run_sweep(cfg, metrics=("rate",)).points}
+            points = {p.user: p for p in mc.run_sweep(cfg, metrics=("rate",))}
             for user in range(2, n_users + 1):
                 want = ergodic_capacity_noma_user(
                     user - 2, cfg.pa, 10.0, cfg.fading.variances[user - 1], n_r
@@ -191,7 +191,7 @@ def test_c06_outage_agreement():
                              snr_grid_db=[0.0, 10.0, 20.0, 30.0], seed=99,
                              target_rates=(1.0, 1.5, 1.5, 2.0),
                              max_trials=1_000_000)
-        for p in mc.run_sweep(cfg, metrics=("outage",)).points:
+        for p in mc.run_sweep(cfg, metrics=("outage",)):
             if p.user == 1 or p.value < 1e-3 or p.analytic is None:
                 continue
             se = max(p.ci_halfwidth / 1.96, 1e-12)
@@ -270,8 +270,8 @@ def test_c10_scheme_superiority():
     base = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                           snr_grid_db=[20.0], seed=41, min_bit_errors=400,
                           max_trials=2_000_000)
-    ssk_ber = {p.user: p for p in mc.run_sweep(ssk, metrics=("ber",)).points}
-    base_ber = {p.user: p for p in mc.run_sweep(base, metrics=("ber",)).points}
+    ssk_ber = {p.user: p for p in mc.run_sweep(ssk, metrics=("ber",))}
+    base_ber = {p.user: p for p in mc.run_sweep(base, metrics=("ber",))}
     for user in (1, 2, 3):
         a, b = ssk_ber[user], base_ber[user]
         margin = 3.0 * math.hypot(a.ci_halfwidth, b.ci_halfwidth)
@@ -281,8 +281,8 @@ def test_c10_scheme_superiority():
                            snr_grid_db=[20.0], seed=41, max_trials=1_000_000)
     base_r = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=4,
                             snr_grid_db=[20.0], seed=41, max_trials=1_000_000)
-    rs = {p.user: p for p in mc.run_sweep(ssk_r, metrics=("rate",)).points}
-    rb = {p.user: p for p in mc.run_sweep(base_r, metrics=("rate",)).points}
+    rs = {p.user: p for p in mc.run_sweep(ssk_r, metrics=("rate",))}
+    rb = {p.user: p for p in mc.run_sweep(base_r, metrics=("rate",))}
     margin = 3.0 * math.hypot(rs[0].ci_halfwidth, rb[0].ci_halfwidth)
     if not rs[0].value - rb[0].value > margin:
         failures.append("sum rate")

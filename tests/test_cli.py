@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import importlib.resources
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -327,9 +328,9 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     """A key no command reads stops the run before any simulation, named in
-    the message, at the top level and inside a run: ``noise`` is a
-    simulation setting the CLI does not expose, so a document that sets it
-    would otherwise get a noisy CSV, and ``genie_antenna`` is no setting."""
+    the message, at the top level and inside a run: neither ``noise`` nor
+    ``genie_antenna`` is a setting (every draw is noisy), so a document that
+    sets them to ask for a noise-free run would otherwise get a noisy CSV."""
     doc = dict(BER_CONFIG, noise=False, genie_antenna=False, typo_key=1)
     out = tmp_path / "out"
     assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
@@ -406,6 +407,16 @@ INVALID_RUNS = {
         "runs": [{"scheme": "ssk-noma", "n_users": 3, "n_r": 2,
                   "target_rates": [1.5, 1.0, 2.0]}]}),
     "pa-sweep-unreachable-cell-edge-rate": (["pa-sweep"], {"target_rates": [1.5, 1.0, 1.0]}),
+    # alphabets and antenna counts too large to build or evaluate: [4096, 4096]
+    # raised MemoryError after 18 s in its tables, [16, 4096] (M_T = 2^16 but
+    # 8 105 distinct energies) took 3.6 GB, and at N_r = 200 the capacity and
+    # outage forms overflowed to a traceback
+    "ber-alphabet-of-2^24-points": (["ber"], dict(BER_CONFIG, modulations=[4096, 4096])),
+    "ber-alphabet-of-8105-energies": (["ber"], dict(BER_CONFIG, modulations=[16, 4096])),
+    "ber-n_r-65": (["ber"], dict(BER_CONFIG, n_r=65, n_t=2)),
+    "capacity-n_r-200": (["capacity"], dict(BER_CONFIG, n_r=200, n_t=2, snr_grid_db=[10.0])),
+    "outage-n_r-200": (["outage"], dict(BER_CONFIG, n_r=200, n_t=2, snr_grid_db=[10.0],
+                                        target_rates=[0.5, 1.0, 1.5])),
 }
 
 
@@ -417,6 +428,34 @@ def test_invalid_run_is_config_error(tmp_path, capsys, argv, doc):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.glob("*.csv"))
+
+
+# each of these once wrote a nan companion or ended in a traceback: at -25 dB
+# and below exp(1/eta) overflows beside Ei(-1/eta) = 0, and at N_r = 12 the
+# capacity and outage forms overflow or divide by zero at +-300 dB
+N_R_12 = dict(BER_CONFIG, n_r=12, n_t=2, max_trials=10_000, target_rates=[0.5, 1.0, 1.5])
+OUT_OF_RANGE_COMPANIONS = {
+    "capacity-at-minus-25-dB-and-below": (
+        "capacity", dict(BER_CONFIG, snr_grid_db=[-25.0, -30.0, -300.0], max_trials=10_000)),
+    "capacity-n_r-12-at-minus-300-dB": ("capacity", dict(N_R_12, snr_grid_db=[-300.0])),
+    "capacity-n_r-12-at-300-dB": ("capacity", dict(N_R_12, snr_grid_db=[300.0])),
+    "outage-n_r-12-at-300-dB": ("outage", dict(N_R_12, snr_grid_db=[300.0])),
+}
+
+
+@pytest.mark.parametrize("command,doc", OUT_OF_RANGE_COMPANIONS.values(),
+                         ids=OUT_OF_RANGE_COMPANIONS)
+def test_companion_outside_double_range_is_left_empty(tmp_path, command, doc):
+    """The run succeeds, without a RuntimeWarning (an error under this
+    suite), and a companion whose evaluation leaves double range is an
+    empty cell, never nan."""
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 0
+    [path] = out.glob("*.csv")
+    analytic = [row[5] for row in _read_csv(path)[1:]]
+    assert "" in analytic
+    assert all(math.isfinite(float(v)) for v in analytic if v)
 
 
 def test_invalid_second_run_fails_before_the_first_simulates(tmp_path, monkeypatch, capsys):
@@ -463,6 +502,10 @@ def test_sweep_presets_build_valid_configs(name):
 
     configs = cli._runs_from_doc(doc, Args)
     assert configs and all(isinstance(c, mc.SimConfig) for c in configs)
+    # the run keys are SimConfig's fields, and a config rebuilds from them
+    for cfg in configs:
+        assert set(cfg.canonical_dict()) == cli._RUN_KEYS
+        assert mc.make_config(**cfg.canonical_dict()) == cfg
 
 
 # --- complexity ------------------------------------------------------------------
@@ -576,6 +619,21 @@ def test_validate_checks_metrics_before_any_run_simulates(tmp_path, monkeypatch,
     assert cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
                      str(tmp_path), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_skips_points_without_a_companion(tmp_path, capsys):
+    """The baseline's rate companions at -30 dB leave double range and are
+    left empty, so only the 0 dB points are compared; they once scored nan,
+    which ``max`` ranked above every later failure, and passed."""
+    doc = {"scheme": "noma-baseline", "n_users": 3, "n_r": 2, "snr_grid_db": [-30, 0],
+           "metrics": ["rate"], "max_trials": 10_000}
+    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
+                   str(tmp_path)])
+    out = capsys.readouterr().out
+    compared = [line for line in out.splitlines() if "|diff|/ci=" in line]
+    assert [line.split(":")[0] for line in compared] == [
+        f"rate/user{user}@0dB" for user in (1, 2, 3)]
+    assert "nan" not in out and rc == 0
 
 
 def test_validate_fails_when_no_point_is_compared(tmp_path, capsys):

@@ -234,18 +234,19 @@ def test_zero_channel_decides_first_pair_without_warning(grid):
     assert not v_hat.any() and not k_hat.any()
 
 
-def test_zero_fading_cell_edge_user_runs_a_block():
+def test_zero_fading_cell_edge_user_runs_a_block(monkeypatch):
     """Users 1 and 2 of variance 0: both always decide index 0, so they err on
     exactly the trials whose antenna or symbol differs from it."""
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 200)
     cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0],
-                         seed=4, fading=(0.0, 0.0, 4.0), block_size=200)
+                         seed=4, fading=(0.0, 0.0, 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [errors] = mc._ber_trials(cfg, [10.0], 0)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
-    assert np.array_equal(errors[0], rng.integers(0, cfg.n_t, cfg.block_size) != 0)
+    assert np.array_equal(errors[0], rng.integers(0, cfg.n_t, 200) != 0)
     assert cfg.tables.bits[0] == 1
-    k2 = rng.integers(0, 4, cfg.block_size)
+    k2 = rng.integers(0, 4, 200)
     assert np.array_equal(errors[1], qpsk().bit_distance_table()[k2, 0])
 
 
@@ -369,7 +370,7 @@ def test_zero_variance_genie_user_decides_symbol_0():
     signal = np.sqrt(10.0) * qpsk().points[rng.integers(0, 4, BATCH)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, e = mc._mrc_statistic(rng, 0.0, 2, BATCH, True)
+        g, e = mc._mrc_statistic(rng, 0.0, 2, BATCH)
         u = np.stack([signal.real, signal.imag]) + e
         decisions, _ = _sic_detect_block(u, mc._dead(g), [np.sqrt(8.0), np.sqrt(2.0)],
                                          [QPSK_LEVELS] * 2)
@@ -393,7 +394,7 @@ def _brute_force_sm_statistics(r_sq, y, g, chis, power):
 
 
 @pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
-def test_ber_block_matches_brute_force_chain(scheme):
+def test_ber_block_matches_brute_force_chain(scheme, monkeypatch):
     """The engine's per-trial bit errors equal a brute-force receiver's
     fed with the same draws, in the engine's order: antenna index, symbols,
     then the cell-edge user's statistics (its active antenna's MRC
@@ -405,10 +406,11 @@ def test_ber_block_matches_brute_force_chain(scheme):
     N_r = 1 (no orthogonal energies) and N_r = 2. The block is evaluated at
     two SNR points at once, each of which the brute-force receiver replays
     from the same draws."""
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 40)
     for n_r in (1, 2):
         cfg = mc.make_config(scheme=scheme, n_users=3, n_r=n_r,
                              n_t=4 if scheme == mc.SSK_NOMA else 1,
-                             snr_grid_db=[6.0, 12.0], seed=8, block_size=40)
+                             snr_grid_db=[6.0, 12.0], seed=8)
         for snr_db, errors in zip(cfg.snr_grid_db, mc._ber_trials(cfg, cfg.snr_grid_db, 2)):
             _check_ber_block_against_brute_force(cfg, snr_db, errors)
 
@@ -422,7 +424,7 @@ def _gamma_replay(rng, k, shape):
 
 def _check_ber_block_against_brute_force(cfg, snr_db, errors):
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 2)
-    b, power, first = cfg.block_size, 10.0 ** (snr_db / 10.0), cfg.first_power_user
+    b, power, first = mc._BLOCK_SIZE, 10.0 ** (snr_db / 10.0), cfg.first_power_user
     consts = cfg.tables.consts
     points = [c.points for c in consts]
     amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]

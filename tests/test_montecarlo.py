@@ -1,8 +1,9 @@
 """Trial-engine tests: configuration defaults, determinism across worker
-counts, noise-free sanity, and agreement with the closed forms."""
+counts, error-free runs at 300 dB, and agreement with the closed forms."""
 
 import collections
 import concurrent.futures
+import inspect
 import os
 import tracemalloc
 import warnings
@@ -27,7 +28,7 @@ def _cfg(**kw):
 
 def _sweep(cfg, metric="ber"):
     """The estimates of one metric over the config's whole SNR grid."""
-    return mc.run_sweep(cfg, metrics=(metric,)).points
+    return mc.run_sweep(cfg, metrics=(metric,))
 
 
 def test_make_config_defaults():
@@ -61,12 +62,12 @@ def test_config_tables_do_not_grow_with_antenna_pairs():
     assert peak < 1 << 20
 
 
-def test_rate_block_memory_does_not_grow_with_symbol_pairs():
+def test_rate_block_memory_does_not_grow_with_symbol_pairs(monkeypatch):
     """The cell-edge pair-energy table is built once per config from the
     distinct symbol energies, so a 1 000-trial rate block at M_T = 4 096
     allocates no table of all M_T^2 symbol pairs (672 MiB)."""
-    cfg = mc.make_config(n_users=3, n_r=2, modulations=[64, 64], block_size=1000,
-                         snr_grid_db=[10])
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 1000)
+    cfg = mc.make_config(n_users=3, n_r=2, modulations=[64, 64], snr_grid_db=[10])
     tracemalloc.start()
     try:
         list(mc._rate_trials(cfg, [10.0], 0))
@@ -76,14 +77,15 @@ def test_rate_block_memory_does_not_grow_with_symbol_pairs():
     assert peak < 16 << 20
 
 
-def test_ber_block_memory_does_not_grow_with_antennas():
+def test_ber_block_memory_does_not_grow_with_antennas(monkeypatch):
     """The cell-edge statistics are drawn and searched in chunks of a fixed
     number of trial-antenna entries, so a 1 000-trial BER block at
     N_t = 4 096 holds no B x N_t x N_r channel matrix, which with its
     temporaries traced over 400 MiB; each SNR point builds and searches its
     statistics of a chunk in turn, so four points take no more memory."""
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 1000)
     for snrs in ([10.0], [0.0, 10.0, 20.0, 30.0]):
-        cfg = mc.make_config(n_users=3, n_r=2, n_t=4096, block_size=1000, snr_grid_db=snrs)
+        cfg = mc.make_config(n_users=3, n_r=2, n_t=4096, snr_grid_db=snrs)
         tracemalloc.start()
         try:
             list(mc._ber_trials(cfg, snrs, 0))
@@ -126,7 +128,11 @@ def test_default_pa_unknown_count():
     dict(fading=(1.0, 2.0, None)),
     dict(target_rates="1, 1, 2"),
     dict(modulations=(4, 4.5)),
-    dict(noise=1),
+    dict(n_r=65, n_t=2),                    # above the largest accepted N_r, 64
+    dict(n_r=200, n_t=2),
+    dict(modulations=(256, 512)),           # M_T = 2^17, above the largest, 2^16
+    dict(scheme=mc.NOMA_BASELINE, n_t=1, modulations=(131072, 16, 4)),  # order 2^17
+    dict(modulations=(16, 4096)),           # M_T = 2^16 of 8 105 distinct energies
     dict(target_rates=(1.5, 1.0, 2.0)),     # user 1 carries log2 N_t = 1 bit
 ])
 def test_config_validation_errors(bad):
@@ -152,6 +158,27 @@ def test_unknown_scheme():
         _cfg(scheme="tdma")
 
 
+@pytest.mark.parametrize("kw", [
+    dict(n_r=64, n_t=2),
+    dict(modulations=(256, 256)),           # M_T = 2^16 of 304 distinct energies
+    dict(modulations=(64, 256)),            # 2 046 distinct energies, of at most 2 048
+    dict(scheme=mc.NOMA_BASELINE, n_t=1, modulations=(65536, 16, 4)),
+], ids=["n_r-64", "M_T-2^16", "2046-energies", "baseline-order-2^16"])
+def test_configs_at_the_caps_are_accepted(kw):
+    """N_r up to 64, constellation orders and the SSK-NOMA composite
+    alphabet up to 2^16 points, and up to 2^11 distinct symbol energies;
+    ``test_config_validation_errors`` takes each one step beyond."""
+    assert _cfg(**kw).tables
+
+
+def test_make_config_takes_the_run_keys():
+    """SimConfig's fields, which a config document sets, are make_config's
+    parameters; ``test_sweep_presets_build_valid_configs`` rebuilds every
+    preset run from them."""
+    assert len(mc.RUN_KEYS) == 12
+    assert set(inspect.signature(mc.make_config).parameters) == set(mc.RUN_KEYS)
+
+
 def test_config_hash_tracks_content():
     assert _cfg().config_hash() == _cfg().config_hash()
     assert _cfg().config_hash() != _cfg(seed=10).config_hash()
@@ -162,8 +189,9 @@ def test_config_hash_tracks_content():
 
 
 def test_noise_free_runs_are_error_free():
-    cfg = _cfg(noise=False, max_trials=10_000, block_size=2_500,
-               blocks_per_round=4)
+    """Noise-free in effect: at 300 dB, the largest accepted SNR, the noise
+    moves no decision."""
+    cfg = _cfg(snr_grid_db=[300.0], max_trials=10_000)
     for p in _sweep(cfg):
         assert p.value == 0.0
         # no trial spreads: the rule of three bounds the rate at 3/n
@@ -171,44 +199,46 @@ def test_noise_free_runs_are_error_free():
 
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])
-def test_noise_free_cell_edge_search_is_error_free(n_r):
-    """Without noise every statistic of the true antenna and symbol fits r
-    exactly, at N_r = 1 (no orthogonal energies) as at N_r > 1, so no
-    user errs at low or high SNR."""
-    cfg = _cfg(n_r=n_r, n_t=4, noise=False, block_size=5_000)
-    for snr_db, point in zip((0.0, 30.0), mc._ber_trials(cfg, (0.0, 30.0), 0)):
-        for errors in point:
-            assert not errors.any(), snr_db
+def test_noise_free_cell_edge_search_is_error_free(n_r, monkeypatch):
+    """At 300 dB the statistics of the true antenna and symbol fit r to
+    within rounding, at N_r = 1 (no orthogonal energies) as at N_r > 1, so
+    no user errs."""
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 5_000)
+    cfg = _cfg(n_r=n_r, n_t=4)
+    [point] = mc._ber_trials(cfg, (300.0,), 0)
+    for errors in point:
+        assert not errors.any()
 
 
 def test_chunked_cell_edge_search_keeps_every_trial(monkeypatch):
     """Chunks of 3 trials at N_t = 4, the last one short: each chunk
-    searches its own trials' antennas and symbols, so a noise-free block
+    searches its own trials' antennas and symbols, so a block at 300 dB
     stays error-free and no trial is lost."""
     monkeypatch.setattr(mc, "_SM_DRAW_ENTRIES", 12)
-    cfg = _cfg(n_t=4, noise=False, block_size=100)
-    for errors in mc._ber_trials(cfg, (0.0, 10.0), 0):
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 100)
+    cfg = _cfg(n_t=4)
+    for errors in mc._ber_trials(cfg, (300.0,), 0):
         assert errors[0].shape == (100,) and not any(e.any() for e in errors)
 
 
-@pytest.mark.parametrize("noise", [True, False])
-def test_zero_variance_cell_edge_user_decides_antenna_0(noise):
+def test_zero_variance_cell_edge_user_decides_antenna_0(monkeypatch):
     """fading [0, 2, 4]: every cell-edge statistic is 0 (||r||^2 included,
     which would be 0/0), so the search decides antenna 0 on every trial
     without a RuntimeWarning, and user 1 errs in the bits of its antenna."""
-    cfg = _cfg(n_t=4, fading=(0.0, 2.0, 4.0), noise=noise, block_size=2_000)
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 2_000)
+    cfg = _cfg(n_t=4, fading=(0.0, 2.0, 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [errors] = mc._ber_trials(cfg, [10.0], 0)
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
-    v = rng.integers(0, cfg.n_t, cfg.block_size)
+    v = rng.integers(0, cfg.n_t, 2_000)
     assert np.array_equal(errors[0], np.bitwise_count(v))
 
 
 def test_noise_free_baseline_is_error_free():
+    """At 300 dB, as above."""
     cfg = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
-                         snr_grid_db=GRID, seed=2, noise=False,
-                         max_trials=10_000, block_size=2_500)
+                         snr_grid_db=[300.0], seed=2, max_trials=10_000)
     for p in _sweep(cfg):
         assert p.value == 0.0
 
@@ -227,7 +257,7 @@ def test_ber_point_stops_on_error_budget():
     cfg = _cfg(seed=4, min_bit_errors=100, max_trials=1_000_000, snr_grid_db=[0.0])
     points = _sweep(cfg)
     # noisy point: every user collects its errors inside the first round
-    assert all(p.n_trials == cfg.block_size * cfg.blocks_per_round for p in points)
+    assert all(p.n_trials == mc._BLOCK_SIZE * mc._BLOCKS_PER_ROUND for p in points)
     for p, bits in zip(points, cfg.tables.bits):
         assert round(p.value * p.n_trials * bits) >= 100
 
@@ -274,7 +304,8 @@ def test_halfwidth_replays_the_trial_variance(monkeypatch, metric, trials_fn):
     mean. Two rounds of 20 000 trials leave 10 000 of the cap, which the
     third round's four blocks share."""
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
-    cfg = _cfg(seed=19, target_rates=(0.5, 1.0, 1.5), max_trials=50_000, block_size=5_000,
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 5_000)
+    cfg = _cfg(seed=19, target_rates=(0.5, 1.0, 1.5), max_trials=50_000,
                snr_grid_db=[5.0, 10.0])
     points = _sweep(cfg, metric)
     if metric == "outage":  # no early stop: every point runs exactly the cap
@@ -302,11 +333,12 @@ def _coverage(metric, n_r, grid, **kw):
     form the sweep attaches (``abep_u2/u3``, ``outage_u1``,
     ``outage_noma_user``), and the expected event count of one seed (bit
     errors for BER). The grid's points share their draws, so they are
-    correlated, but each point's interval is still a 95% interval."""
+    correlated, but each point's interval is still a 95% interval. The
+    10 000-trial cap runs one round of four 2 500-trial blocks."""
     hits, exact, expected = collections.Counter(), {}, {}
     for seed in COVERAGE_SEEDS:
         cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=n_r, snr_grid_db=grid,
-                             seed=seed, max_trials=10_000, block_size=2_500, **kw)
+                             seed=seed, max_trials=10_000, **kw)
         bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
         for snr, estimates in mc._sweep_points(cfg, metric):
             for p in estimates:
@@ -341,8 +373,7 @@ def test_outage_point_requires_targets():
 
 def test_outage_point_matches_closed_form():
     cfg = _cfg(seed=31, target_rates=(1.0, 1.0, 1.5), max_trials=200_000)
-    result = mc.run_sweep(cfg, metrics=("outage",))
-    for p in result.points:
+    for p in mc.run_sweep(cfg, metrics=("outage",)):
         assert p.analytic is not None
         assert abs(p.value - p.analytic) < 4.0 * max(p.ci_halfwidth, 1e-6)
 
@@ -379,19 +410,16 @@ def test_baseline_and_ssk_power_users_share_the_closed_forms(n_r):
 
 def test_run_sweep_companion_coverage():
     cfg = _cfg(max_trials=100_000)
-    res = mc.run_sweep(cfg, metrics=("ber",))
-    assert all(p.analytic is not None for p in res.points)
+    assert all(p.analytic is not None for p in mc.run_sweep(cfg, metrics=("ber",)))
     base = mc.make_config(scheme=mc.NOMA_BASELINE, n_users=3, n_r=2,
                           snr_grid_db=GRID, seed=3, max_trials=100_000)
-    res_base = mc.run_sweep(base, metrics=("ber",))
-    assert all(p.analytic is None for p in res_base.points)
+    assert all(p.analytic is None for p in mc.run_sweep(base, metrics=("ber",)))
 
 
 def test_union_bound_companion_for_larger_networks():
     cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=4, n_r=2,
                          snr_grid_db=[10.0], seed=5, max_trials=100_000)
-    res = mc.run_sweep(cfg, metrics=("ber",))
-    by_user = {p.user: p for p in res.points}
+    by_user = {p.user: p for p in mc.run_sweep(cfg, metrics=("ber",))}
     # intra-cell companions are bounds here, so they sit above the estimate
     for u in (2, 3, 4):
         assert by_user[u].analytic >= by_user[u].value - 3 * by_user[u].ci_halfwidth
@@ -440,7 +468,7 @@ def test_pool_sends_each_config_once(monkeypatch):
     monkeypatch.setenv("SSKNOMA_WORKERS", "2")
     pooled = _ber_snapshot(cfg)
     assert len(sent["initargs"]) == 1 and sent["initargs"][0] is cfg
-    assert [block for _, _, block in sent["tasks"]] == list(range(cfg.blocks_per_round))
+    assert [block for _, _, block in sent["tasks"]] == list(range(mc._BLOCKS_PER_ROUND))
     assert all(metric == "ber" and snrs == (0.0, 20.0) for metric, snrs, _ in sent["tasks"])
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
     assert _ber_snapshot(cfg) == pooled
@@ -464,15 +492,13 @@ def test_one_stream_per_block_for_every_point(monkeypatch, metric):
         return rng_stream(seed, *key)
 
     monkeypatch.setattr(mc, "rng_stream", counted)
-    cfg = _cfg(snr_grid_db=[0.0, 10.0, 20.0], max_trials=10_000, block_size=2_500)
+    cfg = _cfg(snr_grid_db=[0.0, 10.0, 20.0], max_trials=10_000)
     assert len(_sweep(cfg, metric)) == 3 * (cfg.n_users + (metric == "rate"))
     code = mc._METRIC_CODE[metric]
-    assert keys == [(cfg.seed, code, j) for j in range(cfg.blocks_per_round)]
+    assert keys == [(cfg.seed, code, j) for j in range(mc._BLOCKS_PER_ROUND)]
 
 
 def test_metric_streams_are_independent():
     """BER and rate metrics at the same point consume different streams."""
     cfg = _cfg(seed=15, max_trials=100_000, target_rates=(1.0, 1.0, 1.0))
-    res = mc.run_sweep(cfg, metrics=("ber", "rate"))
-    metrics = {p.metric for p in res.points}
-    assert metrics == {"ber", "rate"}
+    assert {p.metric for p in mc.run_sweep(cfg, metrics=("ber", "rate"))} == {"ber", "rate"}
