@@ -128,8 +128,6 @@ class PairEnergyTable:
     @cached_property
     def saturation(self) -> float:
         """gamma_sat: the clamped curve is 1.0 on [0, gamma_sat]."""
-        if self.n_t == 1:
-            return -np.inf
         return float(_saturation(self.quarter, self.weights, (self.n_t / 2.0) * self.bits))
 
 
@@ -144,35 +142,26 @@ def _saturation(quarter: np.ndarray, weights: np.ndarray, scale: float) -> float
     -inf if it is below that at 0 already, +inf if it never falls below it
     (a level q_0 = 0 keeps its Q term at 1/2).
 
-    Bracketed by doubling or halving from 1, then bisected to adjacent
-    doubles, so the curve is >= 1 + 2^-40 at the result and below it one ulp
-    above it."""
+    Bisected on the bit patterns of the doubles in [0, the largest finite
+    double], which sort as their values do, to adjacent doubles: the curve
+    is >= 1 + 2^-40 at the result and below it one ulp above it."""
     from scipy.special import erfc
 
-    def above(g):
+    def above(bits):
+        g = float(np.int64(bits).view(np.float64))
         return scale * _q_sums(g * quarter[None, :], weights, erfc)[0] >= 1.0 + _SATURATION_MARGIN
 
-    biggest = np.finfo(float).max
+    lo, hi = 0, int(np.float64(np.finfo(float).max).view(np.int64))
     # gamma q_j may overflow to inf, whose Q term is 0
     with np.errstate(over="ignore"):
-        if not above(0.0):
+        if not above(lo):
             return -np.inf
-        if above(biggest):
-            return np.inf
-        lo, hi = 0.0, 1.0
         if above(hi):
-            while above(hi):
-                lo, hi = hi, min(2.0 * hi, biggest)
-        else:
-            while not above(hi / 2.0):
-                hi /= 2.0
-            lo = hi / 2.0
-        # above(lo) and not above(hi); halve until they are adjacent doubles
-        while True:
-            mid = lo + (hi - lo) / 2.0
-            if mid in (lo, hi):
-                return lo
+            return np.inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
 
 
 # Largest accepted count of distinct symbol energies in a composite alphabet.
@@ -184,13 +173,14 @@ _MAX_ENERGIES = 1 << 11
 
 
 def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
-    """Pair table of ``alphabet`` for ``n_t`` transmit antennas, built from
-    its distinct symbol energies: a pair's energy depends only on the
-    energies of its two symbols, so the distinct energies are paired, each
-    pair counted once per symbol pair behind it. The energies are taken in
-    order of first appearance, so each level, grouped by its value rounded
-    to 12 decimals, is the energy of the first of all M_T^2 symbol pairs (row
-    by row) at that level.
+    """Pair table of ``alphabet`` for ``n_t`` >= 2 transmit antennas (fewer
+    carry no cell-edge user, an ``InputError``), built from its distinct
+    symbol energies: a pair's energy depends only on the energies of its two
+    symbols, so the distinct energies are paired, each pair counted once per
+    symbol pair behind it. The energies are taken in order of first
+    appearance, so each level, grouped by its value rounded to 12 decimals,
+    is the energy of the first of all M_T^2 symbol pairs (row by row) at that
+    level.
 
     The table's ``saturation`` is gamma_sat, the largest double at which the
     dense curve (every level, unclamped) is at least 1 + 2^-40. It is not
@@ -199,9 +189,10 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     increase with gamma, and a computed value lies within a few ulps of it
     plus the 2^-53 the level cutoff drops, so on [0, gamma_sat] the clamped
     curve is exactly 1.0 and is not evaluated. It is -inf (nothing skipped)
-    with one antenna and when the curve starts below 1 + 2^-40, which
-    N_t log2 M_T <= 4 implies; +inf when a composite symbol of zero energy
-    keeps the curve above it."""
+    when the curve starts below 1 + 2^-40, which N_t log2 M_T <= 4 implies;
+    +inf when a composite symbol of zero energy keeps the curve above it."""
+    if n_t < 2:
+        raise InputError(f"the cell-edge user needs N_t >= 2 transmit antennas, got {n_t}")
     values, first, counts = np.unique(np.abs(alphabet) ** 2, return_index=True,
                                       return_counts=True)
     if values.size > _MAX_ENERGIES:
@@ -228,8 +219,6 @@ def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma_sq: float,
     weighted by log2(M_T). It is an approximation, not an upper bound: at
     L = 4 (M_T = 64) it lies below the simulated BER."""
     n_t = table.n_t
-    if n_t == 1:
-        return 0.0
     if rho <= 0 or sigma_sq <= 0:
         raise InputError("rho and sigma_sq must be positive")
     sigma_a_sq = rho * sigma_sq * table.quarter
@@ -282,8 +271,6 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     are grouped into calls, nor on the BLAS build or its thread count.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if table.n_t == 1:
-        return np.zeros_like(gammas)
     from scipy.special import erfc
 
     quarter, weights = table.quarter, table.weights
@@ -509,6 +496,16 @@ def outage_threshold_psi(k: int, pa: PowerAllocation, rates) -> float:
     return worst
 
 
+def outage_threshold_u1(rate: float, n_t: int) -> float:
+    """Outage threshold psi_1 = 1 - R_1 / log2(N_t) of the cell-edge user,
+    whose target rate R_1 is set against the log2(N_t) bits its antenna
+    index carries; a ``ConfigError`` when R_1 exceeds them by more than
+    1e-12."""
+    if rate > np.log2(n_t) + 1e-12:
+        raise ConfigError(f"target rate {rate} of user 1 exceeds log2(N_t) = {np.log2(n_t):g}")
+    return 1.0 - rate / np.log2(n_t)
+
+
 def outage_noma_user(k: int, pa: PowerAllocation, rates, rho: float,
                      sigma_i_sq: float, n_r: int) -> float:
     """Average outage probability of the power user at SIC stage k, with the
@@ -538,10 +535,7 @@ def outage_u1(targets: OutageTargets, table: PairEnergyTable, n_r: int, rho: flo
     from scipy.special import erfc
 
     n_t = table.n_t
-    r1 = targets.rates[0]
-    if r1 > np.log2(n_t) + 1e-12:
-        raise ConfigError(f"target rate {r1} exceeds log2(N_t) = {np.log2(n_t)}")
-    psi1 = 1.0 - r1 / np.log2(n_t)
+    psi1 = outage_threshold_u1(targets.rates[0], n_t)
     gbar = rho * sigma_sq
     quarter, weights, gap = table.quarter, table.weights, table.gap
     two_t, saturation = 2.0 * table.cutoff, table.saturation

@@ -72,24 +72,26 @@ def _load_config(args) -> dict:
     return _check_keys(doc)
 
 
-def _build_sim_config(doc: dict, args) -> montecarlo.SimConfig:
-    """The run given by ``doc``'s run keys, with the --seed and --trials-max
-    overrides; ``make_config`` checks the values and fills the rest."""
-    run = {k: v for k, v in doc.items() if k in _RUN_KEYS}
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if args.trials_max is not None:
-        run["max_trials"] = args.trials_max
-    return montecarlo.make_config(**run)
+def _make_run(values: dict) -> montecarlo.SimConfig:
+    """The run given by the run keys of ``values``; ``make_config`` checks
+    them and fills the rest."""
+    return montecarlo.make_config(**{k: v for k, v in values.items() if k in _RUN_KEYS})
 
 
-def _runs_from_doc(doc: dict, args):
-    """A config document is either one run or {"runs": [...]} with shared
-    top-level defaults."""
+def _load_runs(doc: dict, args, metrics) -> list:
+    """Every run of ``doc``, with the --seed and --trials-max overrides,
+    each checked against ``metrics`` (``montecarlo.check_metrics``) before
+    any of them simulates. A config document is either one run or
+    {"runs": [...]} with shared top-level defaults."""
     runs = doc.get("runs")
     if runs == []:
         raise ConfigError("runs must not be empty")
-    return [_build_sim_config({**doc, **run}, args) for run in ([{}] if runs is None else runs)]
+    overrides = {k: v for k, v in (("seed", args.seed), ("max_trials", args.trials_max))
+                 if v is not None}
+    configs = [_make_run({**doc, **run, **overrides}) for run in ([{}] if runs is None else runs)]
+    for cfg in configs:
+        montecarlo.check_metrics(cfg, metrics)
+    return configs
 
 
 def _write_manifest(out_dir: Path, command: str, args, seeds) -> None:
@@ -122,9 +124,9 @@ def _sweep_rows(cfg, points):
                f"{p.ci_halfwidth:.10e}", _optional(p.analytic), p.n_trials]
 
 
-def _cmd_metric(metric: str, args) -> int:
-    doc = _load_config(args)
-    configs = _runs_from_doc(doc, args)
+def _cmd_metric(args) -> int:
+    metric = args.metric
+    configs = _load_runs(_load_config(args), args, (metric,))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -154,8 +156,8 @@ def _cmd_pa_sweep(args) -> int:
     rho_db = as_float("snr_db", doc.get("snr_db", 20.0))
     rho = 10.0 ** (rho_db / 10.0)
     # one config per a2, so SimConfig and PowerAllocation check every run
-    configs = [_build_sim_config({**_PA_SWEEP_RUN, **doc, "snr_grid_db": [rho_db],
-                                  "pa": [a2, 1.0 - a2]}, args) for a2 in a2_grid]
+    configs = [_make_run({**_PA_SWEEP_RUN, **doc, "snr_grid_db": [rho_db], "pa": [a2, 1.0 - a2]})
+               for a2 in a2_grid]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -201,10 +203,8 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_validate(args) -> int:
     doc = _load_config(args)
-    configs = _runs_from_doc(doc, args)
     metrics = doc.get("metrics", ["ber"])
-    for cfg in configs:
-        montecarlo.check_metrics(cfg, metrics)
+    configs = _load_runs(doc, args, metrics)
     scores = []
     for cfg in configs:
         for p in montecarlo.run_sweep(cfg, metrics=tuple(metrics)):
@@ -234,41 +234,38 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command, declared once with the flag groups it reads and its
+    handler."""
+    document = argparse.ArgumentParser(add_help=False)  # the commands that read a config
+    document.add_argument("--config", help="JSON config file")
+    document.add_argument("--preset", help="named preset (fig2..fig9)")
+    document.add_argument("--out", default="results", help="output directory")
+    document.add_argument("--quiet", action="store_true")
+    runs = argparse.ArgumentParser(add_help=False)  # the commands that simulate
+    runs.add_argument("--seed", type=int, default=None, help="override the config seed")
+    runs.add_argument("--trials-max", type=int, default=None,
+                      help="override the trial cap per SNR point; trials run in rounds of "
+                           f"{montecarlo._BLOCKS_PER_ROUND} blocks, so the cap is rounded up "
+                           f"to a multiple of {montecarlo._BLOCKS_PER_ROUND}")
     parser = argparse.ArgumentParser(prog="ssknoma",
                                      description="SSK-NOMA link-level simulator")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ber", "capacity", "outage", "pa-sweep", "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help="named preset (fig2..fig9)")
-        p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials-max", type=int, default=None,
-                       help="override the trial cap per SNR point; trials run in rounds of "
-                            f"{montecarlo._BLOCKS_PER_ROUND} blocks, so the cap is rounded up "
-                            f"to a multiple of {montecarlo._BLOCKS_PER_ROUND}")
-        p.add_argument("--quiet", action="store_true")
-    p = sub.add_parser("complexity")
-    p.add_argument("--row", help="single scenario as L,M,N_r")
+    for name, metric in (("ber", "ber"), ("capacity", "rate"), ("outage", "outage")):
+        command = sub.add_parser(name, parents=[document, runs])
+        command.set_defaults(handler=_cmd_metric, metric=metric)
+    sub.add_parser("pa-sweep", parents=[document]).set_defaults(handler=_cmd_pa_sweep)
+    sub.add_parser("validate", parents=[document, runs]).set_defaults(handler=_cmd_validate)
+    complexity = sub.add_parser("complexity")
+    complexity.add_argument("--row", help="single scenario as L,M,N_r")
+    complexity.set_defaults(handler=_cmd_complexity)
     return parser
-
-
-_METRIC_OF_COMMAND = {"ber": "ber", "capacity": "rate", "outage": "outage"}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _METRIC_OF_COMMAND:
-            return _cmd_metric(_METRIC_OF_COMMAND[args.command], args)
-        if args.command == "pa-sweep":
-            return _cmd_pa_sweep(args)
-        if args.command == "complexity":
-            return _cmd_complexity(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -138,11 +138,9 @@ class SimConfig:
             raise ConfigError(f"SSK-NOMA needs N_t a power of 2 in 2..{_MAX_N_T}, got {self.n_t}")
         if self.first_power_user == 1 and self.n_t != 1:
             raise ConfigError("the baseline uses a single transmit antenna")
-        # the cell-edge user carries log2 N_t bits; the slack is outage_u1's
-        if (self.first_power_user > 1 and self.target_rates is not None
-                and self.target_rates.rates[0] > np.log2(self.n_t) + 1e-12):
-            raise ConfigError(f"target rate {self.target_rates.rates[0]} of user 1 exceeds "
-                              f"log2(N_t) = {np.log2(self.n_t):g}")
+        # raises when user 1's target rate exceeds the log2 N_t bits it carries
+        if self.first_power_user > 1 and self.target_rates is not None:
+            analytics.outage_threshold_u1(self.target_rates.rates[0], self.n_t)
         if self.min_bit_errors < 100:
             raise ConfigError("min_bit_errors must be >= 100")
         if self.max_trials < 10_000:
@@ -249,8 +247,7 @@ class _Tables(NamedTuple):
     consts: tuple                # power users' constellations, decoding order
     levels: tuple                # their level tables (``_levels``)
     grids: tuple                 # their nearest-point grids (None if not Cartesian)
-    alphabet: np.ndarray | None  # composite alphabet (None without user 1)
-    alphabet_levels: np.ndarray | None  # its level table
+    alphabet_levels: np.ndarray | None  # composite alphabet's level table (None without user 1)
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
     pairs: analytics.PairEnergyTable | None  # its pair-energy table
     bits: tuple                  # each user's bits per trial
@@ -294,7 +291,7 @@ def _nearest_point(grid: _SmGrid, re, im, scale):
 
 def _tables(cfg: SimConfig) -> _Tables:
     consts = tuple(make_constellation(m) for m in cfg.modulations)
-    alphabet = alphabet_levels = sm_grid = pairs = None
+    alphabet_levels = sm_grid = pairs = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
         alphabet_levels = _levels(alphabet)
@@ -304,8 +301,8 @@ def _tables(cfg: SimConfig) -> _Tables:
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
     return _Tables(consts, tuple(_levels(c.points) for c in consts),
-                   tuple(_sm_grid(c.points) for c in consts), alphabet, alphabet_levels,
-                   sm_grid, pairs, bits)
+                   tuple(_sm_grid(c.points) for c in consts), alphabet_levels, sm_grid,
+                   pairs, bits)
 
 
 # entries of one chunk of the metric scan
@@ -546,7 +543,7 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
             # the cell-edge outage metric is the conditional error probability
             # averaged over the fading tail above the rate-derived limit, so it
             # reduces to the ABEP when the target rate saturates the antenna bits
-            psi1 = 1.0 - targets.rates[0] / np.log2(cfg.n_t)
+            psi1 = analytics.outage_threshold_u1(targets.rates[0], cfg.n_t)
             bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs)
             outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
         outcomes += [(g < psi).astype(float) for g, psi in zip(gammas[first - 1:], psis)]

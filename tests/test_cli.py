@@ -458,18 +458,25 @@ def test_companion_outside_double_range_is_left_empty(tmp_path, command, doc):
     assert all(math.isfinite(float(v)) for v in analytic if v)
 
 
-def test_invalid_second_run_fails_before_the_first_simulates(tmp_path, monkeypatch, capsys):
-    """Every run's config, tables included, is built before any run
-    simulates, so an invalid modulation in run 2 costs no simulation."""
+@pytest.mark.parametrize("command,second", [
+    ("ber", {"modulations": [4, 6]}),
+    # outage once simulated all of run 1 before finding no target rates in run 2
+    ("outage", {"target_rates": None}),
+], ids=["ber-bad-modulation", "outage-without-target-rates"])
+def test_invalid_second_run_fails_before_the_first_simulates(tmp_path, monkeypatch, capsys,
+                                                             command, second):
+    """Every run's config, tables included, is built and checked against
+    the command's metric before any run simulates, so an invalid run 2
+    costs no simulation."""
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep was started")
 
     monkeypatch.setattr(mc, "run_sweep", no_sweep)
+    first = {"scheme": "ssk-noma", "n_users": 3, "n_r": 2}
     doc = {"snr_grid_db": [10.0], "seed": 3, "max_trials": 10_000,
-           "runs": [{"scheme": "ssk-noma", "n_users": 3, "n_r": 2},
-                    {"scheme": "ssk-noma", "n_users": 3, "n_r": 2, "modulations": [4, 6]}]}
+           "target_rates": [1.0, 1.0, 1.5], "runs": [first, {**first, **second}]}
     out = tmp_path / "out"
-    assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out", str(out),
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out),
                      "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.glob("*.csv"))
@@ -500,7 +507,7 @@ def test_sweep_presets_build_valid_configs(name):
         seed = None
         trials_max = None
 
-    configs = cli._runs_from_doc(doc, Args)
+    configs = cli._load_runs(doc, Args, ("ber",))
     assert configs and all(isinstance(c, mc.SimConfig) for c in configs)
     # the run keys are SimConfig's fields, and a config rebuilds from them
     for cfg in configs:
@@ -560,6 +567,17 @@ def test_pa_sweep_leaves_a_cell_beyond_the_budget_empty(tmp_path):
     header, row = _read_csv(out / "pa_sweep.csv")
     cells = dict(zip(header, row))
     assert cells["abep_u3"] == "" and 0.0 < float(cells["abep_u2"]) < 1.0
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trials-max"])
+def test_pa_sweep_takes_no_run_overrides(tmp_path, capsys, flag):
+    """pa-sweep draws nothing, so it has no seed or trial cap to override;
+    both flags once only made its runs fail the config checks."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pa-sweep", "--preset", "fig8", "--out", str(tmp_path), flag, "5000"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "pa_sweep.csv").exists()
 
 
 def test_pa_sweep_rejects_out_of_range_a2(tmp_path):

@@ -427,6 +427,7 @@ def _check_ber_block_against_brute_force(cfg, snr_db, errors):
     b, power, first = mc._BLOCK_SIZE, 10.0 ** (snr_db / 10.0), cfg.first_power_user
     consts = cfg.tables.consts
     points = [c.points for c in consts]
+    alphabet = enumerate_sc_alphabet(consts, cfg.pa)
     amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]
     v = rng.integers(0, cfg.n_t, b) if first > 1 else np.zeros(b, dtype=int)
     ks = [rng.integers(0, c.order, b) for c in consts]
@@ -448,8 +449,7 @@ def _check_ber_block_against_brute_force(cfg, snr_db, errors):
                 y_t = [y[t] if u == v[t] else np.sqrt(r_sq) * c[t, u] for u in range(cfg.n_t)]
                 g_t = [g[t] if u == v[t] else abs(c[t, u]) ** 2 + c_perp[t, u]
                        for u in range(cfg.n_t)]
-                v_hat, _ = _brute_force_sm_statistics(r_sq, y_t, g_t, cfg.tables.alphabet,
-                                                      power)
+                v_hat, _ = _brute_force_sm_statistics(r_sq, y_t, g_t, alphabet, power)
                 want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
             continue
         for t in range(b):
@@ -650,7 +650,7 @@ def _preset_configs():
         if ref.name.endswith(".json"):
             doc = json.loads(ref.read_text())
             if "n_users" in doc or "runs" in doc:
-                for cfg in cli._runs_from_doc(doc, args):
+                for cfg in cli._load_runs(doc, args, ("ber",)):
                     yield ref.name, cfg
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from ssknoma import cli
 from ssknoma import montecarlo as mc
+from ssknoma.constellation import enumerate_sc_alphabet
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -101,7 +102,8 @@ def _pins(name: str) -> dict:
     cfg = mc.make_config(**PIN_SHARED, **PIN_CONFIGS[name])
     tables = cfg.tables
     pins = {"points": [_digest(c.points) for c in tables.consts],
-            "alphabet": None if tables.alphabet is None else _digest(tables.alphabet)}
+            "alphabet": None if cfg.first_power_user == 1
+            else _digest(enumerate_sc_alphabet(tables.consts, cfg.pa))}
     users = range(1, cfg.n_users + 1)
     trials = {metric: list(fn(cfg, PIN_SNRS_DB, 0)) for metric, fn in mc._TRIALS_FN.items()}
     for i, snr_db in enumerate(PIN_SNRS_DB):
