@@ -24,52 +24,41 @@ CSV_COLUMNS = ["snr_db", "user", "scheme", "sim_value", "ci_halfwidth",
                "analytic_value", "n_trials"]
 
 
-# keys of one run, SimConfig's fields: read by the sweep and validate
-# commands, at the top level of a config document (shared by its runs) or in
-# an entry of "runs"
+# keys of one run, SimConfig's fields: set at the top level of a config
+# document (shared by its runs) or in an entry of "runs"
 _RUN_KEYS = frozenset(montecarlo.RUN_KEYS)
-# top-level keys besides those: the run list, validate's metric list,
-# pa-sweep's allocation grid and SNR, and the complexity table's rows
-_DOC_KEYS = _RUN_KEYS | {"runs", "metrics", "a2_grid", "snr_db", "rows"}
-
-
-def _check_keys(doc) -> dict:
-    """Reject a config document with a key no command reads, naming it."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    runs = doc.get("runs")
-    if runs is None:
-        runs = []
-    elif not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
-        raise ConfigError("config field 'runs' must be a list of objects")
-    unknown = [repr(k) for k in doc if k not in _DOC_KEYS]
-    unknown += [f"{k!r} (runs[{j}])" for j, run in enumerate(runs)
-                for k in run if k not in _RUN_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return doc
-
-
-def _load_preset(name: str) -> dict:
-    ref = importlib.resources.files("ssknoma.presets").joinpath(f"{name}.json")
-    if not ref.is_file():
-        raise ConfigError(f"unknown preset {name!r}")
-    return _check_keys(json.loads(ref.read_text()))
 
 
 def _load_config(args) -> dict:
+    """The document of --config or --preset. A key the command does not
+    read (not in ``args.keys``, or not a run key inside an entry of "runs")
+    is a ConfigError naming the key and the command."""
     if args.preset:
-        return _load_preset(args.preset)
-    if not args.config:
+        source = importlib.resources.files("ssknoma.presets").joinpath(f"{args.preset}.json")
+        if not source.is_file():
+            raise ConfigError(f"unknown preset {args.preset!r}")
+    elif args.config:
+        source = Path(args.config)
+        if not source.is_file():
+            raise ConfigError(f"config file not found: {source}")
+    else:
         raise ConfigError("either --config or --preset is required")
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(source.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _check_keys(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = [repr(k) for k in doc if k not in args.keys]
+    runs = doc.get("runs") if "runs" in args.keys else None
+    if runs is not None:
+        if not runs or not isinstance(runs, list) or not all(isinstance(r, dict) for r in runs):
+            raise ConfigError("config field 'runs' must be a non-empty list of objects")
+        unknown += [f"{k!r} (runs[{j}])" for j, run in enumerate(runs)
+                    for k in run if k not in _RUN_KEYS]
+    if unknown:
+        raise ConfigError(f"{args.command} does not read config key(s): {', '.join(unknown)}")
+    return doc
 
 
 def _make_run(values: dict) -> montecarlo.SimConfig:
@@ -84,14 +73,23 @@ def _load_runs(doc: dict, args, metrics) -> list:
     any of them simulates. A config document is either one run or
     {"runs": [...]} with shared top-level defaults."""
     runs = doc.get("runs")
-    if runs == []:
-        raise ConfigError("runs must not be empty")
     overrides = {k: v for k, v in (("seed", args.seed), ("max_trials", args.trials_max))
                  if v is not None}
     configs = [_make_run({**doc, **run, **overrides}) for run in ([{}] if runs is None else runs)]
     for cfg in configs:
         montecarlo.check_metrics(cfg, metrics)
     return configs
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, created if missing; a path that cannot be a
+    directory is a ConfigError naming it."""
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
 
 
 def _write_manifest(out_dir: Path, command: str, args, seeds) -> None:
@@ -127,8 +125,7 @@ def _sweep_rows(cfg, points):
 def _cmd_metric(args) -> int:
     metric = args.metric
     configs = _load_runs(_load_config(args), args, (metric,))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     rows = []
     for cfg in configs:
         if not args.quiet:
@@ -144,7 +141,7 @@ def _cmd_metric(args) -> int:
 
 # pa-sweep's run before the document's run keys are laid over it: the
 # three-user network, with N_t fixed at 2 since no column depends on it
-_PA_SWEEP_RUN = {"n_users": 3, "n_r": 2, "n_t": 2, "fading": [1.0, 2.0, 4.0]}
+_PA_SWEEP_RUN = {"n_users": 3, "n_r": 2, "n_t": 2}
 
 
 def _cmd_pa_sweep(args) -> int:
@@ -158,8 +155,7 @@ def _cmd_pa_sweep(args) -> int:
     # one config per a2, so SimConfig and PowerAllocation check every run
     configs = [_make_run({**_PA_SWEEP_RUN, **doc, "snr_grid_db": [rho_db], "pa": [a2, 1.0 - a2]})
                for a2 in a2_grid]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     rows = []
     for cfg in configs:
         metrics = ("ber",) if cfg.target_rates is None else ("ber", "outage")
@@ -177,7 +173,12 @@ def _cmd_pa_sweep(args) -> int:
     return 0
 
 
+# Table I's scenarios (L, M, N_r), printed when no --row is given
+_TABLE_I = ((3, 2, 2), (3, 4, 4), (4, 2, 2), (4, 4, 4), (5, 2, 2), (5, 4, 4))
+
+
 def _cmd_complexity(args) -> int:
+    rows = _TABLE_I
     if args.row:
         fields = [f.strip() for f in args.row.split(",")]
         # 20 digits hold every accepted value and keep int() fast
@@ -191,8 +192,6 @@ def _cmd_complexity(args) -> int:
             raise ConfigError("--row needs L >= 2, M a power of 2 >= 2, N_r >= 1 and "
                               f"(L - 1) log2 M <= 64, got {args.row!r}")
         rows = [(n_users, m, n_r)]
-    else:
-        rows = [tuple(r) for r in _load_preset("table1")["rows"]]
     print(f"{'L':>3} {'M':>3} {'N_r':>4} {'ssk-noma':>10} {'noma':>10}")
     for n_users, m, n_r in rows:
         d_ssk = detectors.complexity_ssk_noma(n_users, m, m, n_r)  # N_t = M
@@ -234,13 +233,15 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command, declared once with the flag groups it reads and its
-    handler."""
+    """Each command, declared once with the flag groups it reads, the config
+    document keys it reads (``keys``; an entry of "runs" sets run keys) and
+    its handler."""
     document = argparse.ArgumentParser(add_help=False)  # the commands that read a config
     document.add_argument("--config", help="JSON config file")
     document.add_argument("--preset", help="named preset (fig2..fig9)")
-    document.add_argument("--out", default="results", help="output directory")
     document.add_argument("--quiet", action="store_true")
+    output = argparse.ArgumentParser(add_help=False)  # the commands that write files
+    output.add_argument("--out", default="results", help="output directory")
     runs = argparse.ArgumentParser(add_help=False)  # the commands that simulate
     runs.add_argument("--seed", type=int, default=None, help="override the config seed")
     runs.add_argument("--trials-max", type=int, default=None,
@@ -251,11 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="SSK-NOMA link-level simulator")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    sweep_keys = _RUN_KEYS | {"runs"}
     for name, metric in (("ber", "ber"), ("capacity", "rate"), ("outage", "outage")):
-        command = sub.add_parser(name, parents=[document, runs])
-        command.set_defaults(handler=_cmd_metric, metric=metric)
-    sub.add_parser("pa-sweep", parents=[document]).set_defaults(handler=_cmd_pa_sweep)
-    sub.add_parser("validate", parents=[document, runs]).set_defaults(handler=_cmd_validate)
+        command = sub.add_parser(name, parents=[document, output, runs])
+        command.set_defaults(handler=_cmd_metric, metric=metric, keys=sweep_keys)
+    sub.add_parser("validate", parents=[document, runs]).set_defaults(
+        handler=_cmd_validate, keys=sweep_keys | {"metrics"})
+    # one run per a2, whose pa and SNR grid pa-sweep sets; it draws nothing,
+    # so the seed and the trial budget have no use
+    sub.add_parser("pa-sweep", parents=[document, output]).set_defaults(
+        handler=_cmd_pa_sweep, keys=_RUN_KEYS - {"pa", "snr_grid_db", "seed", "max_trials",
+                                                  "min_bit_errors"} | {"a2_grid", "snr_db"})
     complexity = sub.add_parser("complexity")
     complexity.add_argument("--row", help="single scenario as L,M,N_r")
     complexity.set_defaults(handler=_cmd_complexity)

@@ -624,7 +624,8 @@ def _sweep_points(cfg: SimConfig, metric: str):
     users = list(range(1, cfg.n_users + 1)) + ([0] if metric == "rate" else [])
     bits = cfg.tables.bits if metric == "ber" else (1,) * len(users)
     workers = _n_workers()
-    running = {snr_db: [] for snr_db in cfg.snr_grid_db}  # SNR point -> block moments
+    # SNR point -> (base, sums, count, mean, m2) of its blocks so far
+    running = {snr_db: None for snr_db in cfg.snr_grid_db}
     block = 0
     pool = None
     if workers > 1:
@@ -639,31 +640,30 @@ def _sweep_points(cfg: SimConfig, metric: str):
     try:
         while running:
             tasks = [(metric, tuple(running), block + j) for j in range(_BLOCKS_PER_ROUND)]
-            for per_point in (pool.map(_pool_task, tasks) if pool is not None
-                              else (_block_moments(cfg, *task) for task in tasks)):
-                for results, moments in zip(running.values(), per_point):
-                    results.append(moments)
+            # the round's blocks are all drawn before any is merged: merging
+            # between blocks left small arrays among the freed block arrays,
+            # and a long run's peak RSS rose by about 3 MB
+            for per_point in list(pool.map(_pool_task, tasks) if pool is not None
+                                  else (_block_moments(cfg, *task) for task in tasks)):
+                # Chan et al.'s merge of per-block centred sums of squares,
+                # each block into its point's state, in block order; block
+                # means are taken relative to the first block's (base), so
+                # their differences keep full precision when the spread is
+                # tiny
+                for snr_db, (sums_b, mean_b, dev_b, sq_b, count_b) in zip(running, per_point):
+                    base, sums, count, mean, m2 = running[snr_db] or (mean_b, 0, 0.0, 0.0, 0.0)
+                    merged = count + count_b
+                    delta = (mean_b - base) + dev_b / count_b - mean
+                    running[snr_db] = (
+                        base, sums + sums_b, merged, mean + delta * (count_b / merged),
+                        (m2 + (sq_b - dev_b * dev_b / count_b))
+                        + delta * delta * (count * count_b / merged))
             block += _BLOCKS_PER_ROUND
-            for snr_db, results in list(running.items()):
-                sums, n = sum(r[0] for r in results), sum(r[4] for r in results)
+            for snr_db, (_, sums, n, _, m2) in list(running.items()):
                 if n < cfg.max_trials and not (metric == "ber"
                                                and np.all(sums >= cfg.min_bit_errors)):
                     continue
                 del running[snr_db]
-                # Chan et al.'s merge of per-block centred sums of squares, in
-                # block order; block means are taken relative to the first
-                # block's, so their differences keep full precision when the
-                # spread is tiny
-                base = results[0][1]
-                count, mean, m2 = 0.0, 0.0, 0.0
-                for _, mean_b, dev_b, sq_b, count_b in results:
-                    offset = (mean_b - base) + dev_b / count_b
-                    merged = count + count_b
-                    delta = offset - mean
-                    mean = mean + delta * (count_b / merged)
-                    m2 = (m2 + (sq_b - dev_b * dev_b / count_b)
-                          + delta * delta * (count * count_b / merged))
-                    count = merged
                 hw = [_Z95 * np.sqrt(m2[s] / n / n) / bits[s] if m2[s] > 0.0 else 3.0 / n
                       for s in range(len(users))]
                 yield snr_db, [PointEstimate(metric, user, snr_db, float(sums[s] / (n * bits[s])),

@@ -298,7 +298,7 @@ def test_invalid_json_is_config_error(tmp_path):
 
 def test_empty_grid_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[]))
-    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert cli.main(["validate", "--config", cfg]) == 2
 
 
 def test_missing_field_is_config_error(tmp_path):
@@ -327,10 +327,11 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
-    """A key no command reads stops the run before any simulation, named in
-    the message, at the top level and inside a run: neither ``noise`` nor
-    ``genie_antenna`` is a setting (every draw is noisy), so a document that
-    sets them to ask for a noise-free run would otherwise get a noisy CSV."""
+    """A key this command does not read stops the run before any
+    simulation, named in the message, at the top level and inside a run:
+    neither ``noise`` nor ``genie_antenna`` is a setting (every draw is
+    noisy), so a document that sets them to ask for a noise-free run would
+    otherwise get a noisy CSV."""
     doc = dict(BER_CONFIG, noise=False, genie_antenna=False, typo_key=1)
     out = tmp_path / "out"
     assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
@@ -346,6 +347,70 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     for doc in ([BER_CONFIG], {"snr_grid_db": [10.0], "runs": [3]}):
         assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
                          str(out), "--quiet"]) == 2
+
+
+# keys of another command: each of these documents, and fig2 under pa-sweep,
+# once exited 0 with a CSV that ignored them; fig8 under a sweep failed on
+# its missing n_users instead
+UNREAD_KEYS = {
+    "pa-sweep-runs": (["pa-sweep"], {"n_r": 2, "runs": [{"n_r": 4}]}, ["runs"]),
+    "pa-sweep-pa": (["pa-sweep"], {"n_r": 2, "pa": [0.9, 0.1]}, ["pa"]),
+    "pa-sweep-snr_grid_db": (["pa-sweep"], {"n_r": 2, "snr_grid_db": [30.0]}, ["snr_grid_db"]),
+    "pa-sweep-seed": (["pa-sweep"], {"n_r": 2, "seed": 5}, ["seed"]),
+    "ber-metrics": (["ber"], dict(BER_CONFIG, metrics=["rate"]), ["metrics"]),
+    "ber-a2_grid": (["ber"], dict(BER_CONFIG, a2_grid=[0.6]), ["a2_grid"]),
+    "capacity-rows": (["capacity"], dict(BER_CONFIG, rows=[[3, 2, 2]]), ["rows"]),
+    "validate-snr_db": (["validate"], dict(BER_CONFIG, snr_db=10.0), ["snr_db"]),
+    # a preset under a command it is not written for
+    "outage-preset-fig8": (["outage", "--preset", "fig8"], None, ["a2_grid", "snr_db"]),
+    "ber-preset-fig8": (["ber", "--preset", "fig8"], None, ["a2_grid", "snr_db"]),
+    "pa-sweep-preset-fig2": (["pa-sweep", "--preset", "fig2"], None,
+                             ["snr_grid_db", "seed", "max_trials", "runs"]),
+}
+
+
+@pytest.mark.parametrize("argv,doc,keys", UNREAD_KEYS.values(), ids=UNREAD_KEYS)
+def test_key_the_command_does_not_read_is_config_error(tmp_path, monkeypatch, capsys, argv,
+                                                       doc, keys):
+    """Each command reads only the keys ``build_parser`` declares for it:
+    any other key stops it before a run is built, named in the message with
+    the command, and nothing is written."""
+    def no_run(**kwargs):
+        raise AssertionError("a run was built")
+
+    monkeypatch.setattr(mc, "make_config", no_run)
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        argv = argv + ["--config", _write_config(tmp_path, doc)]
+    if argv[0] != "validate":  # validate writes no file
+        argv = argv + ["--out", "out"]
+    assert cli.main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {argv[0]} does not read config key(s): " in err
+    assert all(f"'{key}'" in err for key in keys)
+    assert os.listdir(tmp_path) == ([] if doc is None else ["cfg.json"])
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command,doc", [("ber", BER_CONFIG), ("pa-sweep", {"n_r": 2})],
+                         ids=["ber", "pa-sweep"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, monkeypatch, capsys,
+                                                        command, doc, out):
+    """An --out naming a file, or a path under one, once ended in a
+    FileExistsError or NotADirectoryError traceback; it is a config error
+    naming the path, before any run simulates."""
+    def nothing_runs(*args, **kwargs):
+        raise AssertionError("a run was evaluated")
+
+    monkeypatch.setattr(mc, "run_sweep", nothing_runs)
+    monkeypatch.setattr(mc, "companion", nothing_runs)
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / out
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 # each of these once ran to a traceback or to a CSV of nonsense
@@ -424,7 +489,9 @@ INVALID_RUNS = {
 def test_invalid_run_is_config_error(tmp_path, capsys, argv, doc):
     out = tmp_path / "out"
     if doc is not None:
-        argv = argv + ["--config", _write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        argv = argv + ["--config", _write_config(tmp_path, doc), "--quiet"]
+        if argv[0] != "validate":  # validate writes no file
+            argv += ["--out", str(out)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.glob("*.csv"))
@@ -491,17 +558,29 @@ PRESETS = sorted(ref.name[:-len(".json")]
                  if ref.name.endswith(".json"))
 
 
+# the commands each shipped preset is written for
+PRESET_COMMANDS = {
+    "fig2": ("ber", "validate"), "fig3": ("ber", "validate"), "fig4": ("capacity",),
+    "fig5": ("ber", "validate"), "fig6": ("outage",), "fig7": ("outage",),
+    "fig8": ("pa-sweep",), "fig9": ("pa-sweep",),
+}
+
+
+def _load_preset(command, name):
+    return cli._load_config(cli.build_parser().parse_args([command, "--preset", name]))
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_presets_parse(name):
-    """Every shipped preset loads and passes the unknown-key check, including
-    the pa-sweep and complexity keys."""
-    doc = cli._load_preset(name)
-    assert isinstance(doc, dict)
+    """Every shipped preset loads under each command it is written for, so
+    it sets no key those commands do not read."""
+    for command in PRESET_COMMANDS[name]:
+        assert isinstance(_load_preset(command, name), dict)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7"])
 def test_sweep_presets_build_valid_configs(name):
-    doc = cli._load_preset(name)
+    doc = _load_preset(PRESET_COMMANDS[name][0], name)
 
     class Args:
         seed = None
@@ -519,11 +598,13 @@ def test_sweep_presets_build_valid_configs(name):
 
 
 def test_complexity_default_table(capsys):
+    """Table I's six scenarios, in its order."""
     assert cli.main(["complexity"]) == 0
-    out = capsys.readouterr().out
-    for left, right in ((72, 108), (312, 408), (140, 184), (760, 688),
-                        (240, 280), (2000, 1040)):
-        assert f"{left:>10} {right:>10}" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [["L", "M", "N_r", "ssk-noma", "noma"]] + [
+        [str(v) for v in row] for row in (
+            (3, 2, 2, 72, 108), (3, 4, 4, 312, 408), (4, 2, 2, 140, 184),
+            (4, 4, 4, 760, 688), (5, 2, 2, 240, 280), (5, 4, 4, 2000, 1040))]
 
 
 def test_complexity_single_row(capsys):
@@ -600,7 +681,7 @@ VALIDATE_CONFIG = {
 
 def test_validate_passes_in_coverage(tmp_path, capsys):
     cfg = _write_config(tmp_path, VALIDATE_CONFIG)
-    rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    rc = cli.main(["validate", "--config", cfg, "--quiet"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
@@ -615,7 +696,7 @@ def test_validate_fails_on_corrupted_constant(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(engine.analytics, "abep_u2",
                         lambda *a, **k: 2.0 * real(*a, **k))
     cfg = _write_config(tmp_path, VALIDATE_CONFIG)
-    rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    rc = cli.main(["validate", "--config", cfg, "--quiet"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "ber/user2" in out
@@ -634,8 +715,7 @@ def test_validate_checks_metrics_before_any_run_simulates(tmp_path, monkeypatch,
     doc = {"snr_grid_db": [10.0], "max_trials": 10_000, "metrics": metrics,
            "runs": [dict(VALIDATE_CONFIG, target_rates=[1.0, 1.0, 1.5]),
                     VALIDATE_CONFIG]}
-    assert cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
-                     str(tmp_path), "--quiet"]) == 2
+    assert cli.main(["validate", "--config", _write_config(tmp_path, doc), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -645,8 +725,7 @@ def test_validate_skips_points_without_a_companion(tmp_path, capsys):
     which ``max`` ranked above every later failure, and passed."""
     doc = {"scheme": "noma-baseline", "n_users": 3, "n_r": 2, "snr_grid_db": [-30, 0],
            "metrics": ["rate"], "max_trials": 10_000}
-    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
-                   str(tmp_path)])
+    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc)])
     out = capsys.readouterr().out
     compared = [line for line in out.splitlines() if "|diff|/ci=" in line]
     assert [line.split(":")[0] for line in compared] == [
@@ -658,8 +737,7 @@ def test_validate_fails_when_no_point_is_compared(tmp_path, capsys):
     """The baseline has no BER companion, so nothing is compared: that is no
     pass."""
     doc = dict(VALIDATE_CONFIG, scheme="noma-baseline", snr_grid_db=[10.0], max_trials=10_000)
-    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc), "--out",
-                   str(tmp_path), "--quiet"])
+    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc), "--quiet"])
     out, err = capsys.readouterr()
     assert rc == 3
     assert "no point compared" in err and "validation passed" not in out

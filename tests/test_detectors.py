@@ -643,8 +643,8 @@ def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
 
 
 def _preset_configs():
-    """(preset, SimConfig) of every run of every preset; the pa-sweep and
-    complexity-table presets run no simulation and contribute none."""
+    """(preset, SimConfig) of every run of every preset; the pa-sweep
+    presets run no simulation and contribute none."""
     args = argparse.Namespace(seed=None, trials_max=None)
     for ref in importlib.resources.files("ssknoma.presets").iterdir():
         if ref.name.endswith(".json"):

@@ -4,6 +4,7 @@ counts, error-free runs at 300 dB, and agreement with the closed forms."""
 import collections
 import concurrent.futures
 import inspect
+import itertools
 import os
 import tracemalloc
 import warnings
@@ -93,6 +94,32 @@ def test_ber_block_memory_does_not_grow_with_antennas(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20, snrs
+
+
+def test_running_point_memory_does_not_grow_with_its_rounds(monkeypatch):
+    """Each block's moments merge into its point's running state at the end
+    of its round, so two points that run 250 rounds of 10-trial blocks hold
+    no more memory at their last block than at their eleventh round;
+    keeping every block's moments until the point stopped held about
+    0.7 kB per block and point."""
+    monkeypatch.setenv("SSKNOMA_WORKERS", "1")
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 10)
+    cfg = _cfg(max_trials=10_000, snr_grid_db=[0.0, 10.0])
+    # traced memory as each block starts, into an array allocated up front
+    held, blocks, block_moments = np.zeros(1001, np.int64), itertools.count(), mc._block_moments
+
+    def tracing(*args):
+        held[next(blocks)] = tracemalloc.get_traced_memory()[0]
+        return block_moments(*args)
+
+    monkeypatch.setattr(mc, "_block_moments", tracing)
+    tracemalloc.start()
+    try:
+        assert [snr_db for snr_db, _ in mc._sweep_points(cfg, "rate")] == [0.0, 10.0]
+    finally:
+        tracemalloc.stop()
+    assert next(blocks) == 1000
+    assert held[999] - held[40] < 16 << 10
 
 
 def test_make_config_baseline_defaults():
