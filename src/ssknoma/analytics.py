@@ -172,6 +172,19 @@ def _saturation(quarter: np.ndarray, weights: np.ndarray, scale: float) -> float
 _MAX_ENERGIES = 1 << 11
 
 
+def distinct_energies(alphabet: np.ndarray):
+    """``np.unique`` of the symbol energies |chi|^2 of ``alphabet``, with
+    each one's first index and count; a ``ConfigError`` above the
+    ``_MAX_ENERGIES`` its pair table takes. Cheap next to the table, so a
+    config checks the count before any table is built."""
+    values, first, counts = np.unique(np.abs(alphabet) ** 2, return_index=True,
+                                      return_counts=True)
+    if values.size > _MAX_ENERGIES:
+        raise ConfigError(f"the composite alphabet has {values.size} distinct symbol energies, "
+                          f"more than the {_MAX_ENERGIES} its pair table takes")
+    return values, first, counts
+
+
 def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     """Pair table of ``alphabet`` for ``n_t`` >= 2 transmit antennas (fewer
     carry no cell-edge user, an ``InputError``), built from its distinct
@@ -193,11 +206,7 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     +inf when a composite symbol of zero energy keeps the curve above it."""
     if n_t < 2:
         raise InputError(f"the cell-edge user needs N_t >= 2 transmit antennas, got {n_t}")
-    values, first, counts = np.unique(np.abs(alphabet) ** 2, return_index=True,
-                                      return_counts=True)
-    if values.size > _MAX_ENERGIES:
-        raise ConfigError(f"the composite alphabet has {values.size} distinct symbol energies, "
-                          f"more than the {_MAX_ENERGIES} its pair table takes")
+    values, first, counts = distinct_energies(alphabet)
     order = np.argsort(first)
     distinct, counts = values[order], counts[order]
     e = (distinct[:, None] + distinct[None, :]).ravel()

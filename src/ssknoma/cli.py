@@ -133,7 +133,7 @@ def _cmd_metric(args) -> int:
                   f"N_r={cfg.n_r} seed={cfg.seed}", file=sys.stderr)
         rows.extend(_sweep_rows(cfg, montecarlo.run_sweep(cfg, metrics=(metric,))))
     _write_csv(out_dir / f"{metric}.csv", CSV_COLUMNS, rows)
-    _write_manifest(out_dir, metric, args, [c.seed for c in configs])
+    _write_manifest(out_dir, args.command, args, [c.seed for c in configs])
     if not args.quiet:
         print(f"wrote {out_dir / (metric + '.csv')}", file=sys.stderr)
     return 0

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from math import prod
 from typing import NamedTuple
 
@@ -87,7 +88,8 @@ class SimConfig:
     ``first_power_user``..L in decoding order, entry k for SIC stage k:
     users 2..L for SSK-NOMA, users 1..L for the baseline (whose ``n_t``
     must be 1). ``target_rates`` covers users 1..L. ``tables`` holds what
-    every block and companion derives from the config, built once here.
+    every block and companion derives from the config, built once here;
+    ``pairs``, the cell-edge pair-energy table, is built on first read.
     """
 
     scheme: str
@@ -146,6 +148,17 @@ class SimConfig:
         if self.max_trials < 10_000:
             raise ConfigError("max_trials must be >= 1e4")
         object.__setattr__(self, "tables", _tables(self))
+
+    @cached_property
+    def pairs(self) -> analytics.PairEnergyTable | None:
+        """The composite alphabet's pair-energy table (None for the
+        baseline), built on first read and then kept, so a pickled copy
+        carries it: only the cell-edge closed forms and the rate and outage
+        metrics read it, and for [64, 256] it takes about 1 s and 270 MB."""
+        if self.first_power_user == 1:
+            return None
+        return analytics.pair_energy_table(enumerate_sc_alphabet(self.tables.consts, self.pa),
+                                           self.n_t)
 
     @property
     def first_power_user(self) -> int:
@@ -249,7 +262,6 @@ class _Tables(NamedTuple):
     grids: tuple                 # their nearest-point grids (None if not Cartesian)
     alphabet_levels: np.ndarray | None  # composite alphabet's level table (None without user 1)
     sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
-    pairs: analytics.PairEnergyTable | None  # its pair-energy table
     bits: tuple                  # each user's bits per trial
 
 
@@ -272,18 +284,24 @@ def _sm_grid(values: np.ndarray) -> _SmGrid | None:
                    first.reshape(re_axis.size, im_axis.size))
 
 
+def _axis_position(coord, mids, scale):
+    """Per coordinate, the number of ``mids`` scaled by ``scale`` that it
+    exceeds, counted in the smallest unsigned type that holds them."""
+    pos = np.zeros(coord.shape, dtype=np.min_scalar_type(mids.size))
+    for m in mids:
+        pos += coord > scale * m
+    return pos
+
+
 def _nearest_point(grid: _SmGrid, re, im, scale):
     """Index of the grid point nearest each (re, im) / ``scale`` (> 0), from
     real arrays of one shape. Per axis the position is the number of
     midpoints, scaled by ``scale``, that the coordinate exceeds
     (``searchsorted``'s ``side="left"``), so a coordinate exactly on a scaled
     midpoint takes the lower of its two neighbours."""
-    pos = np.zeros(re.shape, dtype=np.intp)
-    for m in grid.re_mid:
-        pos += re > scale * m
+    pos = _axis_position(re, grid.re_mid, scale).astype(np.intp)
     pos *= grid.im_mid.size + 1
-    for m in grid.im_mid:
-        pos += im > scale * m
+    pos += _axis_position(im, grid.im_mid, scale)
     # gather in place: take reads each position before it writes it, and
     # every position is in range
     return np.take(grid.index.ravel(), pos, out=pos, mode="clip")
@@ -291,26 +309,29 @@ def _nearest_point(grid: _SmGrid, re, im, scale):
 
 def _tables(cfg: SimConfig) -> _Tables:
     consts = tuple(make_constellation(m) for m in cfg.modulations)
-    alphabet_levels = sm_grid = pairs = None
+    alphabet_levels = sm_grid = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
         alphabet_levels = _levels(alphabet)
         sm_grid = _sm_grid(alphabet)
-        pairs = analytics.pair_energy_table(alphabet, cfg.n_t)
+        # the pair table (SimConfig.pairs) is built on first read, but a
+        # config whose table would not fit is rejected here
+        analytics.distinct_energies(alphabet)
     # log2 N_t bits on the antenna index, else bits per symbol
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
     return _Tables(consts, tuple(_levels(c.points) for c in consts),
                    tuple(_sm_grid(c.points) for c in consts), alphabet_levels, sm_grid,
-                   pairs, bits)
+                   bits)
 
 
 # entries of one chunk of the metric scan
 _SM_CHUNK_ENTRIES = 1 << 22
-# trial-antenna entries of one chunk of the cell-edge statistics: the draw
-# and the search hold about 70 bytes per entry, so a chunk peaks near
-# 36 MiB. The chunk size depends on N_t alone, so the streams do not depend
-# on the worker count.
+# trial-antenna entries of one chunk of the cell-edge statistics: the
+# search holds the statistics, the decided symbols and their gathered levels,
+# about 80 traced bytes per entry at any N_r, so a chunk peaks near 40 MiB.
+# The chunk size depends on N_t alone, so the streams do not depend on the
+# worker count.
 _SM_DRAW_ENTRIES = 1 << 19
 # trials per block, and blocks per round of the stopping rule
 _BLOCK_SIZE = 25_000
@@ -368,9 +389,11 @@ def _ml_detect_block(u, dead, amp, levels, grid=None):
 def _sm_detect_block(z, g, dead, levels, grid):
     """Vectorized joint (antenna, composite symbol) ML search on each
     antenna's per-unit-gain coordinates z_t = h_t^H r / (sqrt(P) ||h_t||^2),
-    a (2, B, N_t) array, and channel energies g_t = ||h_t||^2, a (B, N_t)
-    array (``dead`` flags its zeros, where z must be finite); returns the
-    0-based antenna and composite-symbol indices, first minimum on ties.
+    a (2, N_t, B) array, and channel energies g_t = ||h_t||^2, an (N_t, B)
+    array, one row per antenna (``dead`` flags the zeros of g, where z must
+    be finite); returns per trial the row of the least metric, the first
+    row on ties, and that row's 0-based composite-symbol index. A trial
+    whose every g_t is 0 scores 0 on every row and decides row 0, symbol 0.
 
     Less ||r||^2 and divided by P, the metric ||r - sqrt(P) h_t chi||^2 is
     g_t (|chi|^2 - 2 Re(chi* z_t)), for each antenna that of an ML decision
@@ -378,12 +401,12 @@ def _sm_detect_block(z, g, dead, levels, grid):
     best symbol, and only those N_t candidates are scored, from real gathers
     of the alphabet's level table ``levels``.
     """
-    b, n_t = g.shape
+    n_t, b = g.shape
     k = _ml_detect_block(z.reshape(2, -1), None if dead is None else dead.ravel(), 1.0,
-                         levels, grid).reshape(b, n_t)
+                         levels, grid).reshape(n_t, b)
     re, im, energy = np.take(levels, k, axis=1)
-    t = (g * (energy - 2.0 * (z[0] * re + z[1] * im))).argmin(axis=1)
-    return t, k[np.arange(b), t]
+    row = (g * (energy - 2.0 * (z[0] * re + z[1] * im))).argmin(axis=0)
+    return row, k[row, np.arange(b)]
 
 
 def _sic_detect_block(u, dead, amps, levels, grids=None):
@@ -418,46 +441,46 @@ def _mrc_statistic(rng, var, n_r, b):
     return g, _unit_gain(complex_normal(rng, b, 1.0), np.sqrt(g))
 
 
-def _sm_statistics(rng, var, n_t, n_r, v, chi, sqrt_ps):
+def _sm_statistics(rng, var, n_t, n_r, chi, sqrt_ps):
     """The cell-edge joint search's per-unit-gain coordinates
-    z_t = h_t^H r / (sqrt(P) g_t) and channel energies g_t = ||h_t||^2 of
-    every antenna t, a (2, B, N_t) and a (B, N_t) array, drawn from their
+    z_t = h_t^H r / (sqrt(P) g_t) and channel energies g_t = ||h_t||^2, one
+    row per antenna, a (2, N_t, B) and an (N_t, B) array, drawn from their
     joint law rather than from a (B, N_t, N_r) channel and noise (Jeganathan
     et al., "Space shift keying modulation for MIMO channels", IEEE TWC
     2009). ``chi`` holds the composite symbols' real and imaginary parts, a
     (2, B) array. Yields (z, g, ``_dead(g)``) for each sqrt(P) of
-    ``sqrt_ps``; g is the same array every time.
+    ``sqrt_ps``; g is the same array every time, and so is z, overwritten
+    for each point.
 
-    The active antenna v has the MRC statistics (g_v, e_v = w_v / g_v) of
-    ``_mrc_statistic``, so z_v = chi + e_v / sqrt(P), and
-    ||r||^2 = P g_v |z_v|^2 + Gamma(N_r - 1), the second term being the
-    noise energy orthogonal to h_v. Every other h_t is independent of r, so
-    by unitary invariance h_t^H r = ||r|| c_t and
-    g_t = |c_t|^2 + var Gamma(N_r - 1) with c_t ~ CN(0, var); c_t / g_t is
-    formed once. Draw order, once before the first yield: g_v, the noise of
-    y_v, the noise energy, c (B, N_t), then the gamma term (B, N_t). Each
-    Gamma(k) term of n values is ``erlang``'s, k * n uniforms for k <= 4; a
-    Gamma(0) term (N_r = 1) draws nothing."""
-    b = v.size
-    g_v, e_v = _mrc_statistic(rng, var, n_r, b)
+    Row 0 is the active antenna v, with the MRC statistics
+    (g_v, e_v = w_v / g_v) of ``_mrc_statistic``, so z_v = chi + e_v / sqrt(P),
+    and ||r||^2 = P g_v |z_v|^2 + Gamma(N_r - 1), the second term being the
+    noise energy orthogonal to h_v. Rows 1..N_t - 1 are the other antennas,
+    in an order the caller chooses: each h_t is independent of r, so by
+    unitary invariance h_t^H r = ||r|| c_t and
+    g_t = |c_t|^2 + var Gamma(N_r - 1) with c_t ~ CN(0, var), i.i.d. over
+    those rows; c_t / g_t is formed once. Draw order, once before the first
+    yield: g_v, the noise of y_v, the noise energy, c (N_t - 1, B), then the
+    gamma term (N_t - 1, B). Each Gamma(k) term of n values is ``erlang``'s,
+    k * n uniforms for k <= 4; a Gamma(0) term (N_r = 1) draws nothing."""
+    b = chi.shape[1]
+    g = np.empty((n_t, b))
+    g[0], e_v = _mrc_statistic(rng, var, n_r, b)
     perp = erlang(rng, n_r - 1, b) if n_r > 1 else 0.0
-    c = complex_normal(rng, (b, n_t), var)
-    g = c.real ** 2 + c.imag ** 2
+    c = complex_normal(rng, (n_t - 1, b), var)
+    g[1:] = c.real ** 2 + c.imag ** 2
     if n_r > 1:
-        g += var * erlang(rng, n_r - 1, (b, n_t))
-    # the active antenna's entries: put_along_axis writes them in about half
-    # the time of a 2-D fancy assignment
-    active = v[:, None]
-    np.put_along_axis(g, active, g_v[:, None], axis=1)
-    c_unit = _unit_gain(c, g)
+        g[1:] += var * erlang(rng, n_r - 1, (n_t - 1, b))
+    c_unit = _unit_gain(c, g[1:])
     del c  # the SNR loop needs only c / g
     dead = _dead(g)
+    z = np.empty((2, n_t, b))
+    z_v = z[:, 0]
     for sqrt_p in sqrt_ps:
-        z_v = chi + e_v / sqrt_p
+        z_v[:] = chi + e_v / sqrt_p
         # ||r|| / sqrt(P)
-        r_norm = np.sqrt(g_v * (z_v[0] ** 2 + z_v[1] ** 2) + perp / (sqrt_p * sqrt_p))
-        z = c_unit * r_norm[:, None]
-        np.put_along_axis(z, active[None], z_v[:, :, None], axis=2)
+        r_norm = np.sqrt(g[0] * (z_v[0] ** 2 + z_v[1] ** 2) + perp / (sqrt_p * sqrt_p))
+        np.multiply(c_unit, r_norm, out=z[:, 1:])
         yield z, g, dead
 
 
@@ -469,7 +492,9 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
     the cell-edge user's per-antenna statistics (``_sm_statistics``) in
     chunks of ``_SM_DRAW_ENTRIES // N_t`` trials, each chunk searched at
-    every point before the next is drawn, then per power user its MRC
+    every point before the next is drawn; the search's row 0 is the active
+    antenna v and row j the antenna v + j mod N_t, so a decided row maps
+    back to the antenna (v + row) & (N_t - 1). Then per power user its MRC
     statistics (``_mrc_statistic``: a Gamma(N_r) draw, N_r uniforms for
     N_r <= 4, and one complex normal per trial). Each point's SIC chain runs
     on the per-unit-gain coordinates u = sqrt(P) chi + w / g, whose noise
@@ -493,10 +518,16 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     if first > 1:
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
         for s in range(0, b, chunk):
-            stats = _sm_statistics(rng, variances[0], n_t, n_r, v[s:s + chunk],
-                                   chi[:, s:s + chunk], sqrt_ps)
-            for v_hat, stat in zip(v_hats, stats):
-                v_hat.append(_sm_detect_block(*stat, tables.alphabet_levels, tables.sm_grid)[0])
+            v_chunk = v[s:s + chunk]
+            stats = _sm_statistics(rng, variances[0], n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
+            for v_hat, (z, g, dead) in zip(v_hats, stats):
+                row, _ = _sm_detect_block(z, g, dead, tables.alphabet_levels, tables.sm_grid)
+                # row j holds antenna v + j mod N_t; a trial whose every g_t
+                # is 0 decides antenna 0, as the full search would
+                t_hat = (v_chunk + row) & (n_t - 1)
+                if dead is not None:
+                    t_hat[dead.all(axis=0)] = 0
+                v_hat.append(t_hat)
     mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b)
                                       for var in variances[first - 1:])]
     for rho, sqrt_p, v_hat in zip(rhos, sqrt_ps, v_hats):
@@ -544,7 +575,7 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
             # averaged over the fading tail above the rate-derived limit, so it
             # reduces to the ABEP when the target rate saturates the antenna bits
             psi1 = analytics.outage_threshold_u1(targets.rates[0], cfg.n_t)
-            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs)
+            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.pairs)
             outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
         outcomes += [(g < psi).astype(float) for g, psi in zip(gammas[first - 1:], psis)]
         yield outcomes
@@ -558,7 +589,7 @@ def _rate_trials(cfg: SimConfig, snrs, block: int):
     for gammas in _gamma_block(cfg, "rate", snrs, block):
         rates = []
         if first > 1:
-            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.tables.pairs)
+            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.pairs)
             rates.append(np.log2(cfg.n_t) * (1.0 - bep))
         for k, g in enumerate(gammas[first - 1:]):
             with_own = sum(coeffs[k:])
@@ -632,9 +663,9 @@ def _sweep_points(cfg: SimConfig, metric: str):
         # imported here: it loads multiprocessing, which one worker never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        if metric != "ber" and cfg.tables.pairs is not None:
+        if metric != "ber" and cfg.pairs is not None:
             # computed once here and sent with cfg, not once per worker
-            cfg.tables.pairs.saturation
+            cfg.pairs.saturation
         # each worker receives cfg once; a task is (metric, SNR points, block)
         pool = ProcessPoolExecutor(workers, initializer=_init_pool_worker, initargs=(cfg,))
     try:
@@ -693,7 +724,8 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
     k = user - cfg.first_power_user
     if sigma_sq == 0.0 or (metric == "ber" and cfg.first_power_user == 1):
         return None
-    pairs, pa, n_r = cfg.tables.pairs, cfg.pa, cfg.n_r
+    # only the cell-edge forms read the pair table, built on first read
+    pairs, pa, n_r = cfg.pairs if k < 0 else None, cfg.pa, cfg.n_r
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if metric == "outage" and k < 0:

@@ -909,10 +909,10 @@ def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
             rho = 10.0 ** (snr_db / 10.0)
             nodes.clear()
             mc.companion(cfg, "outage", 1, rho)
-            oracle = _oracle_outage_integrand(cfg.tables.pairs, cfg.n_r,
+            oracle = _oracle_outage_integrand(cfg.pairs, cfg.n_r,
                                             rho * cfg.fading.variances[0])
             for g, value in nodes:
-                sides[g <= cfg.tables.pairs.saturation] += 1
+                sides[g <= cfg.pairs.saturation] += 1
                 if float(value).hex() != float(oracle(g)).hex():
                     bad.append((name, snr_db, g))
     assert bad == []

@@ -153,28 +153,28 @@ def _ks_2samp(a, b):
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_sm_statistics_law_ks(n_r):
     """The cell-edge search's statistics as the BER engine draws them
-    (N_t = 2, antenna 0 active, 3 dB) against those of a brute-force draw
-    of the channel matrix and noise: the active antenna's g_v = ||h_v||^2,
-    h_v^H r per axis and ||r||^2, and the inactive antenna's h_t^H r per
-    axis and ||h_t||^2. The engine yields h_t^H r / (sqrt(P) ||h_t||^2), so
-    h_t^H r is rebuilt from it, and ||r|| is read off the inactive
-    statistic, h_t^H r = ||r|| c_t, by replaying the draws up to c: the
-    active antenna's N_r * n uniforms and n complex normals, then the
-    (N_r - 1) * n uniforms of the noise energy."""
+    (N_t = 2, 3 dB) against those of a brute-force draw of the channel
+    matrix and noise with antenna 0 active: the active antenna's (row 0)
+    g_v = ||h_v||^2, h_v^H r per axis and ||r||^2, and the inactive
+    antenna's (row 1) h_t^H r per axis and ||h_t||^2. The engine yields
+    h_t^H r / (sqrt(P) ||h_t||^2), so h_t^H r is rebuilt from it, and ||r||
+    is read off the inactive statistic, h_t^H r = ||r|| c_t, by replaying the
+    draws up to c: the active antenna's N_r * n uniforms and n complex
+    normals, the (N_r - 1) * n uniforms of the noise energy, then c, one
+    row of n complex normals."""
     n = 50_000
     var, sqrt_p = 2.0, np.sqrt(2.0)
     chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
     [(z, g, dead)] = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r,
-                                       np.zeros(n, dtype=int), np.stack([chi.real, chi.imag]),
-                                       [sqrt_p])
-    assert dead is None
+                                       np.stack([chi.real, chi.imag]), [sqrt_p])
+    assert dead is None and z.shape == (2, 2, n) and g.shape == (2, n)
     y = (z[0] + 1j * z[1]) * sqrt_p * g
     replay = rng_stream(44, n_r, 1)
     replay.random(n_r * n)
     complex_normal(replay, n, 1.0)
     replay.random((n_r - 1) * n)
-    c = complex_normal(replay, (n, 2), var)
-    r_sq = np.abs(y[:, 1]) ** 2 / np.abs(c[:, 1]) ** 2
+    [c] = complex_normal(replay, (1, n), var)
+    r_sq = np.abs(y[1]) ** 2 / np.abs(c) ** 2
 
     rng = rng_stream(45, n_r)
     h = complex_normal(rng, (n, 2, n_r), var)
@@ -182,13 +182,13 @@ def test_sm_statistics_law_ks(n_r):
     inner = np.einsum("btr,br->bt", np.conj(h), r)
     energy = np.sum(np.abs(h) ** 2, axis=2)
     pairs = {
-        "g_v": (g[:, 0], energy[:, 0]),
-        "Re y_v": (y[:, 0].real, inner[:, 0].real),
-        "Im y_v": (y[:, 0].imag, inner[:, 0].imag),
+        "g_v": (g[0], energy[:, 0]),
+        "Re y_v": (y[0].real, inner[:, 0].real),
+        "Im y_v": (y[0].imag, inner[:, 0].imag),
         "||r||^2": (r_sq, np.sum(np.abs(r) ** 2, axis=1)),
-        "Re y_t": (y[:, 1].real, inner[:, 1].real),
-        "Im y_t": (y[:, 1].imag, inner[:, 1].imag),
-        "g_t": (g[:, 1], energy[:, 1]),
+        "Re y_t": (y[1].real, inner[:, 1].real),
+        "Im y_t": (y[1].imag, inner[:, 1].imag),
+        "g_t": (g[1], energy[:, 1]),
     }
     # 1% critical value is about 1.63 sqrt(2/n); allow headroom for the seed
     for name, (drawn, brute) in pairs.items():

@@ -56,6 +56,17 @@ def test_ber_command_writes_csv_and_manifest(tmp_path):
     assert "timestamp" in manifest and "version" in manifest
 
 
+@pytest.mark.parametrize("command,csv_name", [("capacity", "rate.csv"), ("outage", "outage.csv")])
+def test_manifest_names_the_command_not_the_metric(tmp_path, command, csv_name):
+    """``capacity`` writes rate.csv, but its manifest names the command run."""
+    cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0], max_trials=10_000,
+                                       target_rates=[1.0, 1.0, 1.5]))
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (out / csv_name).exists()
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+
 def test_csv_payload_reproducible_across_workers(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, BER_CONFIG)
     payloads = []
@@ -169,10 +180,10 @@ def test_saturation_is_computed_at_most_once_per_table(tmp_path, monkeypatch):
                          "--quiet"]) == 0
         assert len(calls) == 2, command
     config = mc.make_config(n_users=3, n_r=4, snr_grid_db=[10.0])
-    saturation = config.tables.pairs.saturation
+    saturation = config.pairs.saturation
     calls.clear()
     copy = pickle.loads(pickle.dumps(config))
-    assert copy.tables.pairs.saturation == saturation
+    assert copy.pairs.saturation == saturation
     assert len(calls) == 0
 
 
@@ -648,6 +659,20 @@ def test_pa_sweep_leaves_a_cell_beyond_the_budget_empty(tmp_path):
     header, row = _read_csv(out / "pa_sweep.csv")
     cells = dict(zip(header, row))
     assert cells["abep_u3"] == "" and 0.0 < float(cells["abep_u2"]) < 1.0
+
+
+def test_pa_sweep_never_builds_the_pair_table(tmp_path, monkeypatch):
+    """pa-sweep reads only the power users' closed forms, so it never builds
+    the cell-edge pair table, which for [64, 256] took about 1 s and 270 MB
+    per a2 before any output."""
+    def fail(*args):
+        raise AssertionError("the pair table was built")
+
+    monkeypatch.setattr(analytics, "pair_energy_table", fail)
+    cfg = _write_config(tmp_path, {"modulations": [64, 256], "a2_grid": [0.85, 0.9]})
+    out = tmp_path / "pa"
+    assert cli.main(["pa-sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert len(_read_csv(out / "pa_sweep.csv")) == 1 + 2
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--trials-max"])

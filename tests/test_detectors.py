@@ -105,11 +105,11 @@ def _mrc(r, h):
 
 def _antenna_statistics(r, h, sqrt_p):
     """The joint search's inputs from (B, N_r) received vectors and
-    (B, N_t, N_r) channels: the coordinates of h_t^H r / (sqrt(P) ||h_t||^2),
-    (2, B, N_t), the energies ||h_t||^2, (B, N_t), and the mask of their
-    zeros."""
-    g = np.sum(np.abs(h) ** 2, axis=2)
-    z, dead = _unit(np.einsum("btr,br->bt", np.conj(h), r) / sqrt_p, g)
+    (B, N_t, N_r) channels, one row per antenna t in index order: the
+    coordinates of h_t^H r / (sqrt(P) ||h_t||^2), (2, N_t, B), the energies
+    ||h_t||^2, (N_t, B), and the mask of their zeros."""
+    g = np.ascontiguousarray(np.sum(np.abs(h) ** 2, axis=2).T)
+    z, dead = _unit(np.einsum("btr,br->tb", np.conj(h), r) / sqrt_p, g)
     return z, g, dead
 
 
@@ -399,7 +399,8 @@ def test_ber_block_matches_brute_force_chain(scheme, monkeypatch):
     fed with the same draws, in the engine's order: antenna index, symbols,
     then the cell-edge user's statistics (its active antenna's MRC
     statistics, the noise energy orthogonal to h_v for N_r > 1, then c_t and
-    the energy of h_t orthogonal to r for every antenna), then per power
+    the energy of h_t orthogonal to r for the N_t - 1 inactive antennas, in
+    rows that start at antenna v + 1 and wrap around), then per power
     user its MRC statistics, one gamma and one complex normal per trial.
     Each Gamma(k) draw is -ln of a product of k uniforms (``_gamma_replay``).
     Every cell-edge statistic is rebuilt from its law trial by trial, at
@@ -441,14 +442,17 @@ def _check_ber_block_against_brute_force(cfg, snr_db, errors):
         y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
         if i < first:
             perp = _gamma_replay(rng, cfg.n_r - 1, b) if cfg.n_r > 1 else np.zeros(b)
-            c = complex_normal(rng, (b, cfg.n_t), var)
-            c_perp = (var * _gamma_replay(rng, cfg.n_r - 1, (b, cfg.n_t)) if cfg.n_r > 1
-                      else np.zeros((b, cfg.n_t)))
+            # the inactive antennas' draws, antenna-major: row j - 1 is
+            # antenna v + j mod N_t
+            c = complex_normal(rng, (cfg.n_t - 1, b), var)
+            c_perp = (var * _gamma_replay(rng, cfg.n_r - 1, (cfg.n_t - 1, b)) if cfg.n_r > 1
+                      else np.zeros((cfg.n_t - 1, b)))
             for t in range(b):
                 r_sq = abs(y[t]) ** 2 / g[t] + perp[t]
-                y_t = [y[t] if u == v[t] else np.sqrt(r_sq) * c[t, u] for u in range(cfg.n_t)]
-                g_t = [g[t] if u == v[t] else abs(c[t, u]) ** 2 + c_perp[t, u]
-                       for u in range(cfg.n_t)]
+                rows = [(u - v[t]) % cfg.n_t - 1 for u in range(cfg.n_t)]
+                y_t = [y[t] if u == v[t] else np.sqrt(r_sq) * c[j, t] for u, j in enumerate(rows)]
+                g_t = [g[t] if u == v[t] else abs(c[j, t]) ** 2 + c_perp[j, t]
+                       for u, j in enumerate(rows)]
                 v_hat, _ = _brute_force_sm_statistics(r_sq, y_t, g_t, alphabet, power)
                 want[0, t] = bin(int(v[t]) ^ v_hat).count("1")
             continue
@@ -600,8 +604,8 @@ def test_dead_rows_among_live_rows_decide_index_0(grid):
     h[~live] = 0.0
     r = np.sqrt(power) * h[:, 0] * chis[rng.integers(0, chis.size, b)][:, None]
     r = r + complex_normal(rng, (b, 2), 1.0)
-    g = np.sum(np.abs(h) ** 2, axis=2)
-    y = np.einsum("btr,br->bt", np.conj(h), r)
+    g = np.ascontiguousarray(np.sum(np.abs(h) ** 2, axis=2).T)
+    y = np.einsum("btr,br->tb", np.conj(h), r)
     search_grid = _sm_grid(chis) if grid else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -6,6 +6,10 @@ digits cannot show.
 
 Regenerate the files (only for a deliberate change of the random streams or
 of the computed values) with ``PYTHONPATH=src python tests/test_golden.py``.
+With ``--compare`` it writes nothing and reports how the regenerated files
+differ from the checked-in ones: each sweep CSV row by row, in combined 95%
+half-widths (the row check of ``perfbench/check.py``), with the worst z per
+file, and every pin that changed.
 """
 
 import hashlib
@@ -123,14 +127,65 @@ def test_engine_outputs_match_golden_pins(name):
     assert _pins(name) == json.loads(PINS.read_text())[name]
 
 
+def _compare_csv(produced: Path, golden: Path) -> None:
+    """Print whether ``produced`` equals ``golden`` and, for a sweep CSV that
+    does not, every row that fails perfbench's row check and the worst
+    distance in combined half-widths."""
+    sys.path.insert(0, str(GOLDEN.parents[1] / "perfbench"))
+    import check
+
+    if produced.read_bytes() == golden.read_bytes():
+        print(f"{golden.name}: unchanged")
+        return
+    header, rows = check.read_rows(produced)
+    ref_header, ref_rows = check.read_rows(golden)
+    if header != check.COLUMNS or ref_header != header or len(rows) != len(ref_rows):
+        print(f"{golden.name}: changed, not comparable row by row")
+        return
+    result = check.CheckResult()
+    for i, (row, ref) in enumerate(zip(rows, ref_rows), start=2):
+        problem = check._row_problem(row, ref, result)
+        if problem:
+            print(f"{golden.name} line {i}: {problem}")
+    print(f"{golden.name}: changed; worst z {result.max_z:.2f} combined half-widths "
+          f"over {len(rows)} rows (limit {check.SIM_Z:g})")
+
+
+def _changed_pins(new, old, path):
+    """The paths of the pins that differ between two pin trees."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        return [p for key in new.keys() | old.keys()
+                for p in _changed_pins(new.get(key), old.get(key), f"{path} / {key}")]
+    if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        return [p for i, (a, b) in enumerate(zip(new, old))
+                for p in _changed_pins(a, b, f"{path} [{i}]")]
+    return [] if new == old else [path]
+
+
 if __name__ == "__main__":
+    import argparse
     import shutil
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Regenerate the golden files.")
+    parser.add_argument("--compare", action="store_true",
+                        help="write nothing; report how the regenerated files differ")
+    compare = parser.parse_args().compare
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             golden = GOLDEN / CASES[case][3]
-            shutil.copyfile(_run(case, Path(tmp) / case), golden)
-            print(f"wrote {golden}", file=sys.stderr)
-    PINS.write_text(json.dumps({name: _pins(name) for name in PIN_CONFIGS}, indent=1) + "\n")
-    print(f"wrote {PINS}", file=sys.stderr)
+            produced = _run(case, Path(tmp) / case)
+            if compare:
+                _compare_csv(produced, golden)
+            else:
+                shutil.copyfile(produced, golden)
+                print(f"wrote {golden}", file=sys.stderr)
+    pins = {name: _pins(name) for name in PIN_CONFIGS}
+    if compare:
+        changed = _changed_pins(pins, json.loads(PINS.read_text()), PINS.name)
+        for path in sorted(changed):
+            print(f"changed: {path}")
+        print(f"{PINS.name}: {len(changed)} pins changed")
+    else:
+        PINS.write_text(json.dumps(pins, indent=1) + "\n")
+        print(f"wrote {PINS}", file=sys.stderr)

@@ -248,6 +248,44 @@ def test_chunked_cell_edge_search_keeps_every_trial(monkeypatch):
         assert errors[0].shape == (100,) and not any(e.any() for e in errors)
 
 
+def test_cell_edge_chunk_draws_only_the_inactive_antennas(monkeypatch):
+    """At N_t = 4 a chunk draws c for the 3 inactive antennas only: 3 x B
+    complex normals after the active antenna's B, and the power users' MRC
+    statistics then start where a replay of exactly those draws leaves the
+    stream, so their channel energies equal the replay's."""
+    b = 300
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", b)
+    cfg = _cfg(n_t=4)
+    shapes, energies = [], []
+    complex_normal, mrc_statistic = mc.complex_normal, mc._mrc_statistic
+
+    def counting_normal(rng, shape, variance):
+        x = complex_normal(rng, shape, variance)
+        shapes.append(x.shape)
+        return x
+
+    def recording_mrc(rng, var, n_r, n):
+        g, e = mrc_statistic(rng, var, n_r, n)
+        energies.append(g)
+        return g, e
+
+    monkeypatch.setattr(mc, "complex_normal", counting_normal)
+    monkeypatch.setattr(mc, "_mrc_statistic", recording_mrc)
+    list(mc._ber_trials(cfg, [10.0], 0))
+    # the active antenna's noise, c, then each power user's noise
+    assert shapes == [(b,), (3, b), (b,), (b,)]
+    replay = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
+    for order in (4, 4, 4):  # the antenna index, then both users' symbols
+        replay.integers(0, order, b)
+    replay.random(2 * b)               # g_v, Gamma(N_r = 2)
+    replay.standard_normal(2 * b)      # the active antenna's noise
+    replay.random(b)                   # its orthogonal noise energy, Gamma(1)
+    replay.standard_normal(2 * 3 * b)  # c of the 3 inactive antennas
+    replay.random(3 * b)               # their Gamma(1) terms
+    g2 = cfg.fading.variances[1] * -np.log(np.prod(1.0 - replay.random((2, b)), axis=0))
+    assert len(energies) == 3 and np.array_equal(energies[1], g2)
+
+
 def test_zero_variance_cell_edge_user_decides_antenna_0(monkeypatch):
     """fading [0, 2, 4]: every cell-edge statistic is 0 (||r||^2 included,
     which would be 0/0), so the search decides antenna 0 on every trial
