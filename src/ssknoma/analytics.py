@@ -237,9 +237,9 @@ def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma_sq: float,
     return _clamp(bound) if clamp else bound
 
 
-# the cell-edge BEP curve evaluates its erfc terms for at most this many SNRs
-# at once
-BEP_CHUNK_ROWS = 1024
+# the cell-edge BEP curve evaluates at most this many erfc terms at once
+# (512 KiB of scratch), or one SNR's where it keeps more levels than that
+BEP_CHUNK_ENTRIES = 1 << 16
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -273,8 +273,10 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     :func:`pair_energy_table`), so the clamp would return exactly 1.0.
 
     The SNRs are sorted, so that the kept-level count falls along them, and
-    walked in runs of equal counts, at most ``BEP_CHUNK_ROWS`` SNRs each.
-    Each run evaluates its Q terms in place over exactly its levels, and
+    walked in runs of equal counts k, in chunks of max(1,
+    ``BEP_CHUNK_ENTRIES`` // k) SNRs, so the scratch stays near
+    ``BEP_CHUNK_ENTRIES`` doubles however many levels the table holds.
+    Each chunk evaluates its Q terms in place over exactly its levels, and
     ``np.einsum`` (not a BLAS gemv) sums each row on its own. A value
     therefore depends only on its own SNR, bit for bit: not on how the SNRs
     are grouped into calls, nor on the BLAS build or its thread count.
@@ -297,16 +299,20 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     # division by zero; adding 0.0 turns -0.0 into +0.0) or NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         keep = table.gap.searchsorted(2.0 * table.cutoff / (g + 0.0), "right")
-    starts = np.union1d(np.flatnonzero(np.diff(keep)) + 1, np.arange(0, n, BEP_CHUNK_ROWS))
-    scratch = np.empty(min(n, BEP_CHUNK_ROWS) * quarter.size)
+    runs = np.flatnonzero(np.diff(keep, prepend=-1))
+    widest = int(keep.max(initial=0))
+    scratch = np.empty(min(n * widest, max(BEP_CHUNK_ENTRIES, widest)))
     scale = (table.n_t / 2.0) * table.bits
-    for start, stop in zip(starts, [*starts[1:], n]):
-        k = keep[start]
-        part = scratch[:(stop - start) * k].reshape(stop - start, k)
-        np.multiply(g[start:stop, None], quarter[:k], out=part)
-        sums = scale * _q_sums(part, weights[:k], erfc)
-        # no sum is negative, so the clamp is a minimum
-        vals[order[start:stop]] = np.minimum(sums, 1.0, out=sums) if clamp else sums
+    for run, run_stop in zip(runs, [*runs[1:], n]):
+        k = int(keep[run])
+        rows = max(1, BEP_CHUNK_ENTRIES // max(k, 1))
+        for start in range(run, run_stop, rows):
+            stop = min(start + rows, run_stop)
+            part = scratch[:(stop - start) * k].reshape(stop - start, k)
+            np.multiply(g[start:stop, None], quarter[:k], out=part)
+            sums = scale * _q_sums(part, weights[:k], erfc)
+            # no sum is negative, so the clamp is a minimum
+            vals[order[start:stop]] = np.minimum(sums, 1.0, out=sums) if clamp else sums
     return vals
 
 

@@ -92,14 +92,22 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _write_manifest(out_dir: Path, command: str, args, seeds) -> None:
+def _write_manifest(out_dir: Path, command: str, args, configs, seeds) -> None:
+    """manifest.json: the command, its config source, the seeds of the runs
+    it simulated, each run's resolved config (``make_config`` rebuilds it
+    from ``config``) with its hash, and the package, Python and numpy
+    versions."""
     manifest = {
         "command": command,
         "config": args.config or f"preset:{args.preset}",
         "output": str(out_dir),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seeds": seeds,
+        "runs": [{"config_hash": cfg.config_hash(), "config": cfg.canonical_dict()}
+                 for cfg in configs],
         "version": __version__,
+        "python": sys.version,
+        "numpy": np.__version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -133,7 +141,7 @@ def _cmd_metric(args) -> int:
                   f"N_r={cfg.n_r} seed={cfg.seed}", file=sys.stderr)
         rows.extend(_sweep_rows(cfg, montecarlo.run_sweep(cfg, metrics=(metric,))))
     _write_csv(out_dir / f"{metric}.csv", CSV_COLUMNS, rows)
-    _write_manifest(out_dir, args.command, args, [c.seed for c in configs])
+    _write_manifest(out_dir, args.command, args, configs, [c.seed for c in configs])
     if not args.quiet:
         print(f"wrote {out_dir / (metric + '.csv')}", file=sys.stderr)
     return 0
@@ -167,7 +175,8 @@ def _cmd_pa_sweep(args) -> int:
         rows.append(row)
     path = out_dir / "pa_sweep.csv"
     _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
-    _write_manifest(out_dir, "pa-sweep", args, [])
+    # closed forms only: no run draws from its seed
+    _write_manifest(out_dir, "pa-sweep", args, configs, [])
     if not args.quiet:
         print(f"wrote {path}", file=sys.stderr)
     return 0

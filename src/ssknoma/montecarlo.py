@@ -392,8 +392,8 @@ def _sm_detect_block(z, g, dead, levels, grid):
     a (2, N_t, B) array, and channel energies g_t = ||h_t||^2, an (N_t, B)
     array, one row per antenna (``dead`` flags the zeros of g, where z must
     be finite); returns per trial the row of the least metric, the first
-    row on ties, and that row's 0-based composite-symbol index. A trial
-    whose every g_t is 0 scores 0 on every row and decides row 0, symbol 0.
+    row on ties (``_first_min_row``). A trial whose every g_t is 0 scores 0
+    on every row and decides row 0.
 
     Less ||r||^2 and divided by P, the metric ||r - sqrt(P) h_t chi||^2 is
     g_t (|chi|^2 - 2 Re(chi* z_t)), for each antenna that of an ML decision
@@ -405,8 +405,21 @@ def _sm_detect_block(z, g, dead, levels, grid):
     k = _ml_detect_block(z.reshape(2, -1), None if dead is None else dead.ravel(), 1.0,
                          levels, grid).reshape(n_t, b)
     re, im, energy = np.take(levels, k, axis=1)
-    row = (g * (energy - 2.0 * (z[0] * re + z[1] * im))).argmin(axis=0)
-    return row, k[row, np.arange(b)]
+    return _first_min_row(g * (energy - 2.0 * (z[0] * re + z[1] * im)))
+
+
+def _first_min_row(metric):
+    """Per column of an (N_t, B) array of finite metrics, the row of the
+    least entry, the lower row on ties: ``metric.argmin(axis=0)``, bit for
+    bit; ``metric[0]`` may be overwritten. The rows are walked as a running
+    minimum, a whole row per step (``argmin(axis=0)`` copies the array
+    transposed and scans N_t entries per trial): row t takes a trial only
+    where its metric is strictly below the least so far."""
+    best, row = metric[0], np.zeros(metric.shape[1], dtype=np.intp)
+    for t in range(1, metric.shape[0]):
+        row[metric[t] < best] = t
+        np.minimum(best, metric[t], out=best)
+    return row
 
 
 def _sic_detect_block(u, dead, amps, levels, grids=None):
@@ -498,7 +511,10 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     statistics (``_mrc_statistic``: a Gamma(N_r) draw, N_r uniforms for
     N_r <= 4, and one complex normal per trial). Each point's SIC chain runs
     on the per-unit-gain coordinates u = sqrt(P) chi + w / g, whose noise
-    term is formed once per block."""
+    term is formed once per block. What no SNR changes is formed once per
+    block too: chi, summed as real and imaginary parts gathered from the
+    power users' level tables, and each power user's sent labels; each
+    point's decided antennas are written into one (points, B) array."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], block)
     tables = cfg.tables
     b, n_t, n_r = _block_trials(cfg, block), cfg.n_t, cfg.n_r
@@ -511,35 +527,37 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     if first > 1:
         v = rng.integers(0, n_t, b)
     ks = [rng.integers(0, c.order, b) for c in tables.consts]
-    chi = sum(np.sqrt(a) * c.points[k] for a, c, k in zip(coeffs, tables.consts, ks))
-    chi = np.stack([chi.real, chi.imag])  # the receivers' real coordinates, (2, B)
+    # the receivers' real coordinates of the composite symbols, (2, B)
+    chi = np.zeros((2, b))
+    for a, levels, k in zip(coeffs, tables.levels, ks):
+        chi += np.sqrt(a) * np.take(levels[:2], k, axis=1)
+    sent = [c.labels[k] for c, k in zip(tables.consts, ks)]
 
-    v_hats = [[] for _ in snrs]
     if first > 1:
+        v_hats = np.empty((len(snrs), b), dtype=v.dtype)
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
         for s in range(0, b, chunk):
             v_chunk = v[s:s + chunk]
             stats = _sm_statistics(rng, variances[0], n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
-            for v_hat, (z, g, dead) in zip(v_hats, stats):
-                row, _ = _sm_detect_block(z, g, dead, tables.alphabet_levels, tables.sm_grid)
+            for t_hat, (z, g, dead) in zip(v_hats[:, s:s + chunk], stats):
+                row = _sm_detect_block(z, g, dead, tables.alphabet_levels, tables.sm_grid)
                 # row j holds antenna v + j mod N_t; a trial whose every g_t
                 # is 0 decides antenna 0, as the full search would
-                t_hat = (v_chunk + row) & (n_t - 1)
+                np.add(v_chunk, row, out=t_hat)
+                t_hat &= n_t - 1
                 if dead is not None:
                     t_hat[dead.all(axis=0)] = 0
-                v_hat.append(t_hat)
     mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b)
                                       for var in variances[first - 1:])]
-    for rho, sqrt_p, v_hat in zip(rhos, sqrt_ps, v_hats):
+    for i, (rho, sqrt_p) in enumerate(zip(rhos, sqrt_ps)):
         # an antenna's label is its index
-        errors = [bit_errors(v, np.concatenate(v_hat))] if first > 1 else []
+        errors = [bit_errors(v, v_hats[i])] if first > 1 else []
         signal = sqrt_p * chi
         amps = [np.sqrt(a * rho) for a in coeffs]
         for k, (e, dead) in enumerate(mrc):
             decisions, _ = _sic_detect_block(signal + e, dead, amps[:k + 1],
                                              tables.levels[:k + 1], tables.grids[:k + 1])
-            labels = tables.consts[k].labels
-            errors.append(bit_errors(labels[ks[k]], labels[decisions[-1]]))
+            errors.append(bit_errors(sent[k], tables.consts[k].labels[decisions[-1]]))
         yield errors
 
 

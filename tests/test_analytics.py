@@ -2,6 +2,7 @@
 Carlo oracles."""
 
 import itertools
+import tracemalloc
 import warnings
 from math import gamma as gamma_fn
 from math import prod
@@ -14,8 +15,9 @@ from scipy import integrate, special
 
 from ssknoma import montecarlo as mc
 from ssknoma.analytics import (
-    BEP_CHUNK_ROWS,
+    BEP_CHUNK_ENTRIES,
     OutageTargets,
+    PairEnergyTable,
     abep_u1,
     abep_u2,
     abep_u3,
@@ -341,23 +343,49 @@ def _kept_level_sums(gammas, alphabet):
 
 def test_bep_curve_equals_per_row_oracle():
     """The sorted, chunked and run-walked curve equals, bit for bit, each
-    SNR's sum over exactly the levels it keeps."""
+    SNR's sum over exactly the levels it keeps: on mixes of SNRs, and on runs
+    of SNRs above gamma_sat that keep every level, one SNR short of a chunk,
+    one SNR past it, and 7 past two chunks."""
     rng = np.random.default_rng(2024)
     bad = []
     for (name, (orders, pa)), n_t in itertools.product(BEP_CURVE_ALPHABETS.items(), (2, 4)):
         alphabet = _sc_alphabet(orders, pa)
         table = pair_energy_table(alphabet, n_t)
         levels = _pair_energy_levels(alphabet)[0]
-        for n in (0, 1, 2, BEP_CHUNK_ROWS - 1, BEP_CHUNK_ROWS + 1, 3 * BEP_CHUNK_ROWS + 7,
-                  25_000):
-            gammas = _curve_snrs(levels, n, rng, table)
+        # SNRs per chunk where every level is kept, and where that is so
+        rows = BEP_CHUNK_ENTRIES // table.quarter.size
+        every_level = (table.saturation, 2.0 * table.cutoff / table.gap[-1])
+        for n, run in itertools.chain(((n, False) for n in (0, 1, 2, 25_000)),
+                                      ((n, True) for n in (rows - 1, rows + 1, 2 * rows + 7))):
+            gammas = rng.uniform(*every_level, n) if run else _curve_snrs(levels, n, rng, table)
             sums = _kept_level_sums(gammas, alphabet)
             for clamp in (True, False):
                 want = (n_t / 2.0) * np.log2(alphabet.size) * sums
                 want = np.clip(want, 0.0, 1.0) if clamp else want
                 if not np.array_equal(conditional_bep_u1_vec(gammas, table, clamp), want):
-                    bad.append((name, n_t, n, clamp))
+                    bad.append((name, n_t, n, run, clamp))
     assert bad == []
+
+
+def test_bep_curve_scratch_does_not_grow_with_levels():
+    """The curve's scratch is bounded in erfc terms, not in SNRs: at 64 SNRs
+    that keep all 200 000 levels of a synthetic table, one chunk of all 64
+    would take 102 MB, where one SNR at a time takes 1.6 MB."""
+    quarter = np.linspace(0.25, 2.0, 200_000)
+    weights = np.full(quarter.size, 1.0 / quarter.size)
+    table = PairEnergyTable(quarter, weights, 16.0, quarter - quarter[0],
+                            53.0 * np.log(2.0) + np.log(weights[1:].sum() / weights[0]), 2)
+    gammas = np.random.default_rng(5).uniform(0.1, 6.0, 64)
+    assert np.all(table.gap[-1] <= 2.0 * table.cutoff / gammas)  # every level is kept
+    conditional_bep_u1_vec(gammas[:1], table, clamp=False)  # one-time costs
+    tracemalloc.start()
+    try:
+        vals = conditional_bep_u1_vec(gammas, table, clamp=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert np.all(vals > 0.0) and np.all(np.isfinite(vals))
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))

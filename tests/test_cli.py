@@ -1,5 +1,6 @@
 """CLI tests: exit codes, CSV schema, manifests, presets, fault injection."""
 
+import argparse
 import concurrent.futures
 import csv
 import importlib.resources
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ssknoma
@@ -65,6 +67,39 @@ def test_manifest_names_the_command_not_the_metric(tmp_path, command, csv_name):
     assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert (out / csv_name).exists()
     assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+
+@pytest.mark.parametrize("command", ["ber", "pa-sweep"])
+def test_manifest_records_each_resolved_run(tmp_path, command):
+    """Each manifest run entry holds its run's resolved config, defaults
+    filled in, which ``make_config`` rebuilds to a config equal to the one
+    the command ran, of the recorded hash; the manifest also names the
+    Python and numpy versions."""
+    if command == "ber":
+        doc = {"snr_grid_db": [10.0], "max_trials": 10_000, "n_r": 2,
+               "runs": [{"scheme": "ssk-noma", "n_users": 3},
+                        {"scheme": "noma-baseline", "n_users": 3, "target_rates": [1, 1, 2]}]}
+        flags = ["--seed", "9"]
+    else:
+        doc, flags = {"a2_grid": [0.6, 0.8], "n_r": 4}, []
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--quiet", *flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    if command == "ber":
+        ran = cli._load_runs(doc, argparse.Namespace(seed=9, trials_max=None), ("ber",))
+        assert manifest["seeds"] == [9, 9]
+    else:
+        ran = [mc.make_config(**{**cli._PA_SWEEP_RUN, "n_r": 4}, snr_grid_db=[20.0],
+                              pa=[a2, 1.0 - a2])
+               for a2 in doc["a2_grid"]]
+        assert manifest["seeds"] == []
+    assert len(manifest["runs"]) == len(ran) == 2
+    for entry, cfg in zip(manifest["runs"], ran):
+        rebuilt = mc.make_config(**entry["config"])
+        assert rebuilt == cfg
+        assert entry["config_hash"] == rebuilt.config_hash() == cfg.config_hash()
+    assert manifest["python"] == sys.version and manifest["numpy"] == np.__version__
 
 
 def test_csv_payload_reproducible_across_workers(tmp_path, monkeypatch):

@@ -113,6 +113,16 @@ def _antenna_statistics(r, h, sqrt_p):
     return z, g, dead
 
 
+def _joint_decisions(z, g, dead, levels, grid):
+    """The joint search's decided row per trial (``_sm_detect_block``) and
+    that row's composite symbol, read from the row's own ML decision."""
+    row = _sm_detect_block(z, g, dead, levels, grid)
+    cols = np.arange(row.size)
+    k = _ml_detect_block(z[:, row, cols], None if dead is None else dead[row, cols], 1.0,
+                         levels, grid)
+    return row, k
+
+
 def _complex(u):
     """The complex numbers whose real and imaginary parts ``u`` holds."""
     return u[0] + 1j * u[1]
@@ -139,7 +149,7 @@ def test_detect_sm_matches_brute_force(trial):
     power = 10.0
     h = complex_normal(rng, (BATCH, 4, 2), 1.0)
     r = complex_normal(rng, (BATCH, 2), 3.0)
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h, np.sqrt(power)), LEVELS3, GRID3)
+    v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h, np.sqrt(power)), LEVELS3, GRID3)
     for b in range(BATCH):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], ALPHABET3, power)
 
@@ -152,7 +162,7 @@ def test_detect_sm_noiseless_recovers_truth():
     v, k = np.divmod(np.arange(2 * ALPHABET3.size), ALPHABET3.size)
     r = np.sqrt(power) * h[v] * ALPHABET3[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 2, 4))
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch, np.sqrt(power)), LEVELS3,
+    v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h_batch, np.sqrt(power)), LEVELS3,
                                     GRID3)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
@@ -168,7 +178,7 @@ def test_nearest_point_noiseless_recovers_truth(name):
     v, k = np.divmod(np.arange(4 * chis.size), chis.size)
     r = np.sqrt(power) * h[v] * chis[k][:, None]
     h_batch = np.broadcast_to(h, (v.size, 4, 2))
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h_batch, np.sqrt(power)),
+    v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h_batch, np.sqrt(power)),
                                     _levels(chis), _sm_grid(chis))
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, k)
 
@@ -191,8 +201,8 @@ def test_nearest_point_search_equals_brute_force(name, n_t):
         k = rng.integers(0, chis.size, b)
         r = sqrt_p * h[np.arange(b), v] * chis[k][:, None] + complex_normal(rng, (b, n_r), 1.0)
         stats = _antenna_statistics(r, h, sqrt_p)
-        v_fast, k_fast = _sm_detect_block(*stats, _levels(chis), grid)
-        v_brute, k_brute = _sm_detect_block(*stats, _levels(chis), None)
+        v_fast, k_fast = _joint_decisions(*stats, _levels(chis), grid)
+        v_brute, k_brute = _joint_decisions(*stats, _levels(chis), None)
         assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute), snr_db
 
 
@@ -210,12 +220,12 @@ def test_nearest_point_breaks_ties_like_brute_force():
     k = rng.integers(0, chis.size, b)
     clean = sqrt_p * h[np.arange(b), v] * chis[k][:, None]
     first = np.array([np.flatnonzero(chis == chi)[0] for chi in chis])
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(clean, h, sqrt_p), _levels(chis), grid)
+    v_hat, k_hat = _joint_decisions(*_antenna_statistics(clean, h, sqrt_p), _levels(chis), grid)
     assert np.array_equal(v_hat, v) and np.array_equal(k_hat, first[k])
     r = clean + complex_normal(rng, (b, 2), 1.0)
     stats = _antenna_statistics(r, h, sqrt_p)
-    v_fast, k_fast = _sm_detect_block(*stats, _levels(chis), grid)
-    v_brute, k_brute = _sm_detect_block(*stats, _levels(chis), None)
+    v_fast, k_fast = _joint_decisions(*stats, _levels(chis), grid)
+    v_brute, k_brute = _joint_decisions(*stats, _levels(chis), None)
     assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute)
 
 
@@ -229,7 +239,7 @@ def test_zero_channel_decides_first_pair_without_warning(grid):
     r = complex_normal(rng, (BATCH, 2), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h, np.sqrt(10.0)),
+        v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h, np.sqrt(10.0)),
                                         _levels(chis), _sm_grid(chis) if grid else None)
     assert not v_hat.any() and not k_hat.any()
 
@@ -264,7 +274,7 @@ def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
     k = rng.integers(0, chis.size, 100)
     r = np.sqrt(power) * h[np.arange(100), v] * chis[k][:, None]
     r = r + complex_normal(rng, (100, 2), 1.0)
-    v_hat, k_hat = _sm_detect_block(*_antenna_statistics(r, h, np.sqrt(power)), _levels(chis),
+    v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h, np.sqrt(power)), _levels(chis),
                                     None)
     for b in range(100):
         assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], chis, power)
@@ -573,6 +583,26 @@ def test_stage_input_on_a_scaled_midpoint_takes_the_lower_neighbour():
     assert decisions[1][0] == 1
 
 
+@pytest.mark.parametrize("n_t", [2, 4, 16, 4096])
+def test_first_min_row_equals_argmin(n_t):
+    """The joint search's row decision is ``argmin(axis=0)`` bit for bit,
+    dtype included: on metrics of five values, so that most trials tie
+    between rows, with signed zeros, trials of distinct normal metrics, and
+    columns of zeros (trials whose every g_t is 0), which decide row 0."""
+    rng = rng_stream(930, n_t)
+    b = max(128, (1 << 16) // n_t)
+    metric = rng.integers(-2, 3, (n_t, b)) / 2.0
+    metric[rng.random((n_t, b)) < 0.1] = -0.0
+    metric[:, ::3] = rng.standard_normal((n_t, metric[:, ::3].shape[1]))
+    metric[:, 1::7] = 0.0
+    # over a quarter of the trials tie at their least metric
+    assert ((metric == metric.min(axis=0)).sum(axis=0) > 1).mean() > 0.25
+    want = metric.argmin(axis=0)
+    got = mc._first_min_row(metric)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not got[1::7].any()
+
+
 @pytest.mark.parametrize("grid", [True, False], ids=["nearest-point", "scan"])
 def test_dead_rows_among_live_rows_decide_index_0(grid):
     """A block that mixes trials of channel energy 0 with live ones, its
@@ -609,10 +639,10 @@ def test_dead_rows_among_live_rows_decide_index_0(grid):
     search_grid = _sm_grid(chis) if grid else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v_hat, k_hat = _sm_detect_block(mc._unit_gain(y / np.sqrt(power), g), g, mc._dead(g),
+        v_hat, k_hat = _joint_decisions(mc._unit_gain(y / np.sqrt(power), g), g, mc._dead(g),
                                         _levels(chis), search_grid)
     assert not v_hat[~live].any() and not k_hat[~live].any()
-    v_alone, k_alone = _sm_detect_block(*_antenna_statistics(r[live], h[live], np.sqrt(power)),
+    v_alone, k_alone = _joint_decisions(*_antenna_statistics(r[live], h[live], np.sqrt(power)),
                                         _levels(chis), search_grid)
     assert np.array_equal(v_hat[live], v_alone) and np.array_equal(k_hat[live], k_alone)
 

@@ -9,9 +9,12 @@ of the computed values) with ``PYTHONPATH=src python tests/test_golden.py``.
 With ``--compare`` it writes nothing and reports how the regenerated files
 differ from the checked-in ones: each sweep CSV row by row, in combined 95%
 half-widths (the row check of ``perfbench/check.py``), with the worst z per
-file, and every pin that changed.
+file, and every pin that changed. It exits with status 1 if a regenerated
+sweep row fails that check or a changed file cannot be compared row by row,
+else 0: changed pins alone, as any stream change brings, do not fail it.
 """
 
+import csv
 import hashlib
 import json
 import sys
@@ -127,28 +130,57 @@ def test_engine_outputs_match_golden_pins(name):
     assert _pins(name) == json.loads(PINS.read_text())[name]
 
 
-def _compare_csv(produced: Path, golden: Path) -> None:
+def _compare_csv(produced: Path, golden: Path) -> bool:
     """Print whether ``produced`` equals ``golden`` and, for a sweep CSV that
     does not, every row that fails perfbench's row check and the worst
-    distance in combined half-widths."""
+    distance in combined half-widths. True if the file is unchanged or every
+    row passes; False if a row fails or the file cannot be compared row by
+    row."""
     sys.path.insert(0, str(GOLDEN.parents[1] / "perfbench"))
     import check
 
     if produced.read_bytes() == golden.read_bytes():
         print(f"{golden.name}: unchanged")
-        return
+        return True
     header, rows = check.read_rows(produced)
     ref_header, ref_rows = check.read_rows(golden)
     if header != check.COLUMNS or ref_header != header or len(rows) != len(ref_rows):
         print(f"{golden.name}: changed, not comparable row by row")
-        return
+        return False
     result = check.CheckResult()
+    passed = True
     for i, (row, ref) in enumerate(zip(rows, ref_rows), start=2):
         problem = check._row_problem(row, ref, result)
         if problem:
             print(f"{golden.name} line {i}: {problem}")
+            passed = False
     print(f"{golden.name}: changed; worst z {result.max_z:.2f} combined half-widths "
           f"over {len(rows)} rows (limit {check.SIM_Z:g})")
+    return passed
+
+
+def test_compare_fails_a_row_moved_beyond_the_row_check(tmp_path):
+    """``--compare``'s file check passes an unchanged sweep CSV and one whose
+    sim_value moved by one combined half-width, and fails one moved by 10
+    and a CSV short of a row, which cannot be compared row by row."""
+    golden = GOLDEN / "ber.csv"
+    with golden.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    i = next(i for i, row in enumerate(rows) if float(row[4]) > 0.0)
+    value, hw = float(rows[i][3]), float(rows[i][4])
+
+    def written(rows, name):
+        path = tmp_path / name
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        return path
+
+    assert _compare_csv(written(rows, "same.csv"), golden)
+    for z, passes in ((1.0, True), (10.0, False)):
+        moved = [list(row) for row in rows]
+        moved[i][3] = f"{value + z * np.hypot(hw, hw):.10e}"
+        assert _compare_csv(written(moved, f"moved{z:g}.csv"), golden) is passes
+    assert not _compare_csv(written(rows[:-1], "short.csv"), golden)
 
 
 def _changed_pins(new, old, path):
@@ -171,12 +203,13 @@ if __name__ == "__main__":
     parser.add_argument("--compare", action="store_true",
                         help="write nothing; report how the regenerated files differ")
     compare = parser.parse_args().compare
+    passed = True
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             golden = GOLDEN / CASES[case][3]
             produced = _run(case, Path(tmp) / case)
             if compare:
-                _compare_csv(produced, golden)
+                passed &= _compare_csv(produced, golden)
             else:
                 shutil.copyfile(produced, golden)
                 print(f"wrote {golden}", file=sys.stderr)
@@ -186,6 +219,8 @@ if __name__ == "__main__":
         for path in sorted(changed):
             print(f"changed: {path}")
         print(f"{PINS.name}: {len(changed)} pins changed")
+        # pins change with any stream change; only a failed row check fails
+        sys.exit(0 if passed else 1)
     else:
         PINS.write_text(json.dumps(pins, indent=1) + "\n")
         print(f"wrote {PINS}", file=sys.stderr)
