@@ -33,25 +33,27 @@ def _load_config(args) -> dict:
     """The document of --config or --preset. A key the command does not
     read (not in ``args.keys``, or not a run key inside an entry of "runs")
     is a ConfigError naming the key and the command."""
-    if args.preset:
+    if args.config is None:
         source = importlib.resources.files("ssknoma.presets").joinpath(f"{args.preset}.json")
         if not source.is_file():
             raise ConfigError(f"unknown preset {args.preset!r}")
-    elif args.config:
+    else:
         source = Path(args.config)
         if not source.is_file():
             raise ConfigError(f"config file not found: {source}")
-    else:
-        raise ConfigError("either --config or --preset is required")
     try:
-        doc = json.loads(source.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        doc = json.loads(source.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {source}: {exc.strerror}") from exc
+    # not UTF-8, not JSON, nested past the decoder's recursion limit, or an
+    # integer of more digits than int() converts
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config {source} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = [repr(k) for k in doc if k not in args.keys]
-    runs = doc.get("runs") if "runs" in args.keys else None
-    if runs is not None:
+    if "runs" in doc and "runs" in args.keys:
+        runs = doc["runs"]
         if not runs or not isinstance(runs, list) or not all(isinstance(r, dict) for r in runs):
             raise ConfigError("config field 'runs' must be a non-empty list of objects")
         unknown += [f"{k!r} (runs[{j}])" for j, run in enumerate(runs)
@@ -69,15 +71,16 @@ def _make_run(values: dict) -> montecarlo.SimConfig:
 
 def _load_runs(doc: dict, args, metrics) -> list:
     """Every run of ``doc``, with the --seed and --trials-max overrides,
-    each checked against ``metrics`` (``montecarlo.check_metrics``) before
-    any of them simulates. A config document is either one run or
+    each checked against ``metrics`` (``montecarlo.check_metrics``), and the
+    ``SSKNOMA_WORKERS`` count the sweeps will read, before any of them
+    simulates or --out is created. A config document is either one run or
     {"runs": [...]} with shared top-level defaults."""
-    runs = doc.get("runs")
     overrides = {k: v for k, v in (("seed", args.seed), ("max_trials", args.trials_max))
                  if v is not None}
-    configs = [_make_run({**doc, **run, **overrides}) for run in ([{}] if runs is None else runs)]
+    configs = [_make_run({**doc, **run, **overrides}) for run in doc.get("runs", [{}])]
     for cfg in configs:
         montecarlo.check_metrics(cfg, metrics)
+    montecarlo._n_workers()
     return configs
 
 
@@ -147,8 +150,9 @@ def _cmd_metric(args) -> int:
     return 0
 
 
-# pa-sweep's run before the document's run keys are laid over it: the
-# three-user network, with N_t fixed at 2 since no column depends on it
+# pa-sweep's run before the document's run keys are laid over it: the §V
+# network, SSK-NOMA (make_config's default scheme) with L = 3 and N_t fixed
+# at 2, since no column depends on it; a document sets only n_r of these
 _PA_SWEEP_RUN = {"n_users": 3, "n_r": 2, "n_t": 2}
 
 
@@ -246,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     document keys it reads (``keys``; an entry of "runs" sets run keys) and
     its handler."""
     document = argparse.ArgumentParser(add_help=False)  # the commands that read a config
-    document.add_argument("--config", help="JSON config file")
-    document.add_argument("--preset", help="named preset (fig2..fig9)")
+    source = document.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON config file")
+    source.add_argument("--preset", help="named preset (fig2..fig9)")
     document.add_argument("--quiet", action="store_true")
     output = argparse.ArgumentParser(add_help=False)  # the commands that write files
     output.add_argument("--out", default="results", help="output directory")
@@ -267,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         command.set_defaults(handler=_cmd_metric, metric=metric, keys=sweep_keys)
     sub.add_parser("validate", parents=[document, runs]).set_defaults(
         handler=_cmd_validate, keys=sweep_keys | {"metrics"})
-    # one run per a2, whose pa and SNR grid pa-sweep sets; it draws nothing,
-    # so the seed and the trial budget have no use
+    # one fixed run per a2 (_PA_SWEEP_RUN), whose pa and SNR grid pa-sweep
+    # sets; it draws nothing, so the seed and the trial budget have no use
     sub.add_parser("pa-sweep", parents=[document, output]).set_defaults(
-        handler=_cmd_pa_sweep, keys=_RUN_KEYS - {"pa", "snr_grid_db", "seed", "max_trials",
-                                                  "min_bit_errors"} | {"a2_grid", "snr_db"})
+        handler=_cmd_pa_sweep,
+        keys={"modulations", "n_r", "fading", "target_rates", "a2_grid", "snr_db"})
     complexity = sub.add_parser("complexity")
     complexity.add_argument("--row", help="single scenario as L,M,N_r")
     complexity.set_defaults(handler=_cmd_complexity)

@@ -31,8 +31,9 @@ BER_CONFIG = {
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
+    """``doc`` as a JSON file; bytes are written as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return str(path)
 
 
@@ -333,13 +334,42 @@ def test_zero_variance_cell_edge_user_has_no_companion(tmp_path, command, csv_na
 def test_missing_config_is_config_error(tmp_path):
     assert cli.main(["ber", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
-    assert cli.main(["ber", "--out", str(tmp_path)]) == 2
 
 
-def test_invalid_json_is_config_error(tmp_path):
+def test_invalid_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["ber", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {path} is not valid JSON: ")
+
+
+def _document_commands():
+    """The commands ``build_parser`` declares document keys for."""
+    [commands] = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return sorted(name for name, command in commands.items()
+                  if command.get_default("keys") is not None)
+
+
+@pytest.mark.parametrize("sources,message", [
+    (["--config", "cfg.json", "--preset", "fig2"],
+     "argument --preset: not allowed with argument --config"),
+    ([], "one of the arguments --config --preset is required"),
+], ids=["both", "neither"])
+@pytest.mark.parametrize("command", _document_commands())
+def test_command_reads_exactly_one_document_source(tmp_path, monkeypatch, capsys, command,
+                                                   sources, message):
+    """Given both --config and --preset, each command once ran the preset
+    and named the config file in its manifest; given neither, or both, it
+    is a usage error (exit 2) before any handler runs, so nothing is
+    written, not even the default --out directory."""
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, BER_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *sources, "--quiet"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_empty_grid_is_config_error(tmp_path):
@@ -370,6 +400,8 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, workers
     cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0]))
     assert cli.main(["ber", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "SSKNOMA_WORKERS" in capsys.readouterr().err
+    # checked with the runs, before --out is created
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
@@ -390,7 +422,8 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
                      str(out), "--quiet"]) == 2
     assert "'n_rx' (runs[0])" in capsys.readouterr().err
-    for doc in ([BER_CONFIG], {"snr_grid_db": [10.0], "runs": [3]}):
+    # "runs": null once ran the top level as the one run
+    for doc in ([BER_CONFIG], {"snr_grid_db": [10.0], "runs": [3]}, dict(BER_CONFIG, runs=None)):
         assert cli.main(["ber", "--config", _write_config(tmp_path, doc), "--out",
                          str(out), "--quiet"]) == 2
 
@@ -403,6 +436,11 @@ UNREAD_KEYS = {
     "pa-sweep-pa": (["pa-sweep"], {"n_r": 2, "pa": [0.9, 0.1]}, ["pa"]),
     "pa-sweep-snr_grid_db": (["pa-sweep"], {"n_r": 2, "snr_grid_db": [30.0]}, ["snr_grid_db"]),
     "pa-sweep-seed": (["pa-sweep"], {"n_r": 2, "seed": 5}, ["seed"]),
+    # pa-sweep's run is fixed: another scheme or L failed its checks, and
+    # N_t changed no column
+    "pa-sweep-scheme": (["pa-sweep"], {"n_r": 2, "scheme": "ssk-noma"}, ["scheme"]),
+    "pa-sweep-n_users": (["pa-sweep"], {"n_r": 2, "n_users": 4}, ["n_users"]),
+    "pa-sweep-n_t": (["pa-sweep"], {"n_r": 2, "n_t": 16}, ["n_t"]),
     "ber-metrics": (["ber"], dict(BER_CONFIG, metrics=["rate"]), ["metrics"]),
     "ber-a2_grid": (["ber"], dict(BER_CONFIG, a2_grid=[0.6]), ["a2_grid"]),
     "capacity-rows": (["capacity"], dict(BER_CONFIG, rows=[[3, 2, 2]]), ["rows"]),
@@ -528,6 +566,11 @@ INVALID_RUNS = {
     "capacity-n_r-200": (["capacity"], dict(BER_CONFIG, n_r=200, n_t=2, snr_grid_db=[10.0])),
     "outage-n_r-200": (["outage"], dict(BER_CONFIG, n_r=200, n_t=2, snr_grid_db=[10.0],
                                         target_rates=[0.5, 1.0, 1.5])),
+    # documents json cannot decode: these ended in a UnicodeDecodeError,
+    # RecursionError or ValueError traceback (exit 1)
+    "ber-config-not-utf-8": (["ber"], b'{"scheme": "\xff"}'),
+    "ber-config-nested-past-the-recursion-limit": (["ber"], b"[" * 100_000),
+    "pa-sweep-integer-of-5000-digits": (["pa-sweep"], b'{"n_r": ' + b"9" * 5000 + b"}"),
 }
 
 
