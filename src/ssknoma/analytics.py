@@ -5,8 +5,8 @@ capacities and outage probabilities, plus the special functions they need.
 All fading averages assume the MRC output SNR is chi-square with 2*N_r
 degrees of freedom and per-branch mean gamma_bar = rho * sigma_i^2. A
 power-multiplexed user is named by its 0-based SIC stage k, its index in
-``pa.coefficients``: one form serves SSK-NOMA user k + 2 and baseline user
-k + 1.
+the power coefficients ``pa`` (a_i in decoding order): one form serves
+SSK-NOMA user k + 2 and baseline user k + 1.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .constellation import PowerAllocation
-from .errors import ConfigError, InputError, as_tuple
+from .errors import ConfigError, InputError
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -63,7 +62,7 @@ def rayleigh_q_average(mu: float, n_r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Shared helpers
 # ---------------------------------------------------------------------------
 
 
@@ -72,19 +71,6 @@ def zeta_set(a2: float, a3: float) -> tuple:
     (a_2, a_3)."""
     r2, r3 = np.sqrt(a2), np.sqrt(a3)
     return (r2 - r3) ** 2, (r2 + r3) ** 2, a3, (2 * r2 - r3) ** 2, (2 * r2 + r3) ** 2
-
-
-@dataclass(frozen=True)
-class OutageTargets:
-    """Target rates for users 1..L."""
-
-    rates: tuple
-
-    def __post_init__(self):
-        r = as_tuple("target_rates", self.rates, float)
-        object.__setattr__(self, "rates", r)
-        if any(x <= 0 for x in r):
-            raise ConfigError("target rates must be positive")
 
 
 def _check_two_user_pa(a2: float, a3: float):
@@ -96,10 +82,10 @@ def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _check_stage(k: int, pa: PowerAllocation):
-    """A power user's SIC stage k indexes ``pa.coefficients``."""
-    if not 0 <= k < pa.n_users:
-        raise InputError(f"SIC stage {k} out of 0..{pa.n_users - 1}")
+def _check_stage(k: int, pa):
+    """A power user's SIC stage k indexes the power coefficients ``pa``."""
+    if not 0 <= k < len(pa):
+        raise InputError(f"SIC stage {k} out of 0..{len(pa) - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +396,7 @@ def _union_bound_block(s, tx, consts, coeffs, rho, sigma_i_sq, n_r):
     return bound[:, 0]
 
 
-def union_bound_ber(s: int, constellations, pa: PowerAllocation, rho: float,
+def union_bound_ber(s: int, constellations, pa, rho: float,
                     sigma_i_sq: float, n_r: int) -> float:
     """Union bound on the BER of the power user at SIC stage s: enumerate the
     transmitted tuple, every joint SIC-decision hypothesis for the stages
@@ -422,7 +408,7 @@ def union_bound_ber(s: int, constellations, pa: PowerAllocation, rho: float,
     """
     _check_stage(s, pa)
     consts = list(constellations)
-    if len(consts) != pa.n_users:
+    if len(consts) != len(pa):
         raise InputError("one constellation per power-multiplexed user required")
     orders = [c.order for c in consts]
     n_hyp = prod(orders) * prod(orders[:s]) * (orders[s] - 1)
@@ -436,7 +422,7 @@ def union_bound_ber(s: int, constellations, pa: PowerAllocation, rho: float,
     for start in range(0, n_tuples, chunk):
         tx = np.stack(np.unravel_index(np.arange(start, min(start + chunk, n_tuples)),
                                        orders), axis=1)
-        total += float(np.sum(_union_bound_block(s, tx, consts, pa.coefficients, rho,
+        total += float(np.sum(_union_bound_block(s, tx, consts, pa, rho,
                                                  sigma_i_sq, n_r)))
     return _clamp(total / n_tuples)
 
@@ -470,11 +456,11 @@ def ergodic_capacity_fractions(b_with: float, b_without: float, gamma_bar: float
             - _log_capacity_integral(b_without * gamma_bar, n_r))
 
 
-def ergodic_capacity_noma_user(k: int, pa: PowerAllocation, rho: float,
+def ergodic_capacity_noma_user(k: int, pa, rho: float,
                                sigma_i_sq: float, n_r: int) -> float:
     """Exact ergodic capacity of the power user at SIC stage k."""
     _check_stage(k, pa)
-    own_and_weaker = pa.coefficients[k:]
+    own_and_weaker = pa[k:]
     return ergodic_capacity_fractions(sum(own_and_weaker), sum(own_and_weaker[1:]),
                                       rho * sigma_i_sq, n_r)
 
@@ -491,20 +477,19 @@ def ergodic_capacity_u1(n_t: int, abep1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def outage_threshold_psi(k: int, pa: PowerAllocation, rates) -> float:
+def outage_threshold_psi(k: int, pa, rates) -> float:
     """Equivalent MRC-SNR outage threshold of the power user at SIC stage k:
     the max over stages m = 0..k of the SNR level below which stage m's SINR
     misses its Shannon threshold phi_m = 2**R_m - 1; +inf when a stage can
     never meet it. ``rates`` are the power users' target rates in decoding
     order."""
     _check_stage(k, pa)
-    if len(rates) != pa.n_users:
+    if len(rates) != len(pa):
         raise InputError("one target rate per power-multiplexed user required")
-    coeffs = pa.coefficients
     worst = 0.0
     for m in range(k + 1):
         phi = 2.0 ** rates[m] - 1.0
-        denom = coeffs[m] - phi * sum(coeffs[m + 1:])
+        denom = pa[m] - phi * sum(pa[m + 1:])
         if denom <= 0:
             return float("inf")
         worst = max(worst, phi / denom)
@@ -521,7 +506,7 @@ def outage_threshold_u1(rate: float, n_t: int) -> float:
     return 1.0 - rate / np.log2(n_t)
 
 
-def outage_noma_user(k: int, pa: PowerAllocation, rates, rho: float,
+def outage_noma_user(k: int, pa, rates, rho: float,
                      sigma_i_sq: float, n_r: int) -> float:
     """Average outage probability of the power user at SIC stage k, with the
     power users' target ``rates`` in decoding order."""
@@ -531,9 +516,10 @@ def outage_noma_user(k: int, pa: PowerAllocation, rates, rho: float,
     return float(chi2_cdf(psi, n_r, rho * sigma_i_sq))
 
 
-def outage_u1(targets: OutageTargets, table: PairEnergyTable, n_r: int, rho: float,
+def outage_u1(rate: float, table: PairEnergyTable, n_r: int, rho: float,
               sigma_sq: float) -> float:
-    """Outage probability of the cell-edge user: tail integral of the
+    """Outage probability of the cell-edge user at target rate ``rate``
+    (R_1, see :func:`outage_threshold_u1`): tail integral of the
     clamped conditional BEP (N_t from ``table``) against the fading density,
     as printed in the source analysis (the lower limit is applied to the SNR
     variable).
@@ -550,7 +536,7 @@ def outage_u1(targets: OutageTargets, table: PairEnergyTable, n_r: int, rho: flo
     from scipy.special import erfc
 
     n_t = table.n_t
-    psi1 = outage_threshold_u1(targets.rates[0], n_t)
+    psi1 = outage_threshold_u1(rate, n_t)
     gbar = rho * sigma_sq
     quarter, weights, gap = table.quarter, table.weights, table.gap
     two_t, saturation = 2.0 * table.cutoff, table.saturation

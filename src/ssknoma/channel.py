@@ -1,5 +1,5 @@
-"""Rayleigh fading profiles, keyed random streams, complex Gaussian draws
-and the integer-shape Gamma draws of MRC channel energies.
+"""Keyed random streams, complex Gaussian draws and the integer-shape Gamma
+draws of MRC channel energies.
 
 Normalization: the noise power is fixed to N_0 = 1 so the transmit power
 equals the linear SNR (P = rho) and the MRC output SNR is exactly
@@ -8,11 +8,7 @@ rho * ||h||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ConfigError, as_tuple
 
 
 def rng_stream(seed: int, *keys: int) -> np.random.Generator:
@@ -63,27 +59,3 @@ def erlang(rng: np.random.Generator, k: int, shape) -> np.ndarray:
         u[0] *= row
     x = np.log(u[0])
     return np.negative(x, out=x)
-
-
-@dataclass(frozen=True)
-class FadingProfile:
-    """Per-user large-scale fading powers, ascending with distance order."""
-
-    variances: tuple
-
-    def __post_init__(self):
-        v = as_tuple("fading", self.variances, float)
-        object.__setattr__(self, "variances", v)
-        if not v or any(x < 0 for x in v):
-            raise ConfigError("fading variances must be nonnegative")
-        if any(a > b for a, b in zip(v, v[1:])):
-            raise ConfigError("fading variances must be in ascending order")
-
-    @property
-    def n_users(self) -> int:
-        return len(self.variances)
-
-
-def default_profile(n_users: int) -> FadingProfile:
-    """Geometric profile sigma_i^2 = 2 * sigma_{i-1}^2 with sigma_1^2 = 0 dB."""
-    return FadingProfile(tuple(2.0**i for i in range(n_users)))

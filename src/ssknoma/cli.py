@@ -34,13 +34,16 @@ def _load_config(args) -> dict:
     read (not in ``args.keys``, or not a run key inside an entry of "runs")
     is a ConfigError naming the key and the command."""
     if args.config is None:
-        source = importlib.resources.files("ssknoma.presets").joinpath(f"{args.preset}.json")
-        if not source.is_file():
+        presets = importlib.resources.files("ssknoma.presets")
+        # a shipped preset's name only: a name such as ../x would leave the directory
+        if f"{args.preset}.json" not in {p.name for p in presets.iterdir()}:
             raise ConfigError(f"unknown preset {args.preset!r}")
+        source = presets.joinpath(f"{args.preset}.json")
     else:
         source = Path(args.config)
         if not source.is_file():
-            raise ConfigError(f"config file not found: {source}")
+            # as given: Path("") prints as "."
+            raise ConfigError(f"config file not found: {args.config!r}")
     try:
         doc = json.loads(source.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -164,14 +167,14 @@ def _cmd_pa_sweep(args) -> int:
         raise ConfigError("a2_grid must not be empty")
     rho_db = as_float("snr_db", doc.get("snr_db", 20.0))
     rho = 10.0 ** (rho_db / 10.0)
-    # one config per a2, so SimConfig and PowerAllocation check every run
+    # one config per a2, so SimConfig checks every run
     configs = [_make_run({**_PA_SWEEP_RUN, **doc, "snr_grid_db": [rho_db], "pa": [a2, 1.0 - a2]})
                for a2 in a2_grid]
     out_dir = _out_dir(args)
     rows = []
     for cfg in configs:
         metrics = ("ber",) if cfg.target_rates is None else ("ber", "outage")
-        row = {"a2": f"{cfg.pa.coefficients[0]:g}", "snr_db": f"{rho_db:g}"}
+        row = {"a2": f"{cfg.pa[0]:g}", "snr_db": f"{rho_db:g}"}
         row.update((f"{'abep' if metric == 'ber' else metric}_u{user}",
                     _optional(montecarlo.companion(cfg, metric, user, rho)))
                    for metric in metrics

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, as_tuple
+from .errors import ConfigError, InputError
 
 _ENERGY_TOL = 1e-12
 
@@ -135,37 +135,13 @@ def make_constellation(order: int) -> UserConstellation:
     return mpsk(order)
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """NOMA coefficients a_2..a_L: positive, summing to one, strictly
-    decreasing. A singleton [1.0] is accepted for single-NOMA-user setups."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        a = as_tuple("pa", self.coefficients, float)
-        object.__setattr__(self, "coefficients", a)
-        if not a:
-            raise ConfigError("power allocation must not be empty")
-        if abs(sum(a) - 1.0) > _ENERGY_TOL:
-            raise ConfigError(f"power allocation must sum to 1, got {sum(a)}")
-        if any(c <= 0 or c > 1 for c in a):
-            raise ConfigError("power allocation coefficients must lie in (0, 1]")
-        if len(a) > 1 and any(x <= y for x, y in zip(a, a[1:])):
-            raise ConfigError("power allocation must be strictly decreasing")
-
-    @property
-    def n_users(self) -> int:
-        """Number of power-multiplexed users."""
-        return len(self.coefficients)
-
-
-def enumerate_sc_alphabet(constellations, pa: PowerAllocation) -> np.ndarray:
-    """All prod(M_i) composite symbols sum(sqrt(a_i) * s_i), lexicographic in
-    the per-user symbol indices, as one complex array."""
-    if len(constellations) != pa.n_users:
+def enumerate_sc_alphabet(constellations, pa) -> np.ndarray:
+    """All prod(M_i) composite symbols sum(sqrt(a_i) * s_i) of the power
+    coefficients ``pa``, lexicographic in the per-user symbol indices, as
+    one complex array."""
+    if len(constellations) != len(pa):
         raise InputError("one constellation per power-multiplexed user required")
     alphabet = np.zeros(1, dtype=complex)
-    for c, a in zip(constellations, pa.coefficients):
+    for c, a in zip(constellations, pa):
         alphabet = (alphabet[:, None] + np.sqrt(a) * c.points).ravel()
     return alphabet

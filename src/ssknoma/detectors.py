@@ -12,15 +12,6 @@ from math import prod
 from .errors import InputError
 
 
-def _as_m_list(m, count: int):
-    if isinstance(m, int):
-        return [m] * count
-    m = list(m)
-    if len(m) != count:
-        raise InputError(f"expected {count} modulation orders, got {len(m)}")
-    return m
-
-
 def _ml_sic_ops(m, n_r: int) -> int:
     """ML detection for every power-multiplexed user (orders ``m`` in
     decoding order) plus the SIC stages each one cancels first."""
@@ -29,19 +20,20 @@ def _ml_sic_ops(m, n_r: int) -> int:
     return ml + sic
 
 
-def complexity_ssk_noma(n_users: int, m_orders, n_t: int, n_r: int) -> int:
-    """Complex-operation count of the full SSK-NOMA receiver chain:
-    SM search at the cell-edge user plus ML + SIC at intra-cell users."""
+def complexity_ssk_noma(n_users: int, m: int, n_t: int, n_r: int) -> int:
+    """Complex-operation count of the full SSK-NOMA receiver chain, every
+    power user of order ``m``: SM search at the cell-edge user plus ML + SIC
+    at intra-cell users."""
     if n_users < 2:
         raise InputError("need at least 2 users")
-    m = _as_m_list(m_orders, n_users - 1)  # users 2..L
-    m_t = prod(m)
-    return 2 * n_r * n_t + n_t * m_t + m_t + _ml_sic_ops(m, n_r)
+    orders = [m] * (n_users - 1)  # users 2..L
+    m_t = prod(orders)
+    return 2 * n_r * n_t + n_t * m_t + m_t + _ml_sic_ops(orders, n_r)
 
 
-def complexity_noma(n_users: int, m_orders, n_r: int) -> int:
+def complexity_noma(n_users: int, m: int, n_r: int) -> int:
     """Complex-operation count of a conventional single-antenna NOMA receiver
-    chain over all L power-multiplexed users."""
+    chain over all L power-multiplexed users, each of order ``m``."""
     if n_users < 2:
         raise InputError("need at least 2 users")
-    return _ml_sic_ops(_as_m_list(m_orders, n_users), n_r)  # users 1..L
+    return _ml_sic_ops([m] * n_users, n_r)  # users 1..L

@@ -29,10 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics
-from .channel import FadingProfile, complex_normal, default_profile, erlang, rng_stream
-from .constellation import PowerAllocation, bit_errors, enumerate_sc_alphabet, make_constellation
+from .channel import complex_normal, erlang, rng_stream
+from .constellation import bit_errors, enumerate_sc_alphabet, make_constellation
 from .errors import ConfigError, as_int, as_tuple
-from .analytics import OutageTargets
 
 SSK_NOMA = "ssk-noma"
 NOMA_BASELINE = "noma-baseline"
@@ -58,6 +57,8 @@ _MAX_N_R = 64
 # size M_T: the alphabet and its tables take memory and time that grow with
 # M_T, and the largest documented alphabet is [256, 256].
 _MAX_ORDER = 1 << 16
+# Largest accepted distance of the power coefficients' sum from 1.
+_PA_SUM_TOL = 1e-12
 
 # index of the first power-multiplexed user: SSK-NOMA carries user 1 on the
 # antenna index, the baseline power-multiplexes every user
@@ -71,9 +72,9 @@ def _first_power_user(scheme: str) -> int:
         raise ConfigError(f"unknown scheme {scheme!r}") from None
 
 
-def default_pa(n_noma_users: int) -> PowerAllocation:
+def default_pa(n_noma_users: int) -> tuple:
     try:
-        return PowerAllocation(DEFAULT_PA[n_noma_users])
+        return DEFAULT_PA[n_noma_users]
     except KeyError:
         raise ConfigError(
             f"no default power allocation for {n_noma_users} NOMA users"
@@ -84,10 +85,11 @@ def default_pa(n_noma_users: int) -> PowerAllocation:
 class SimConfig:
     """Full experiment description, built by ``make_config``.
 
-    ``modulations`` and ``pa`` cover the power-multiplexed users
-    ``first_power_user``..L in decoding order, entry k for SIC stage k:
-    users 2..L for SSK-NOMA, users 1..L for the baseline (whose ``n_t``
-    must be 1). ``target_rates`` covers users 1..L. ``tables`` holds what
+    ``modulations`` and ``pa`` (the power coefficients a_i) cover the
+    power-multiplexed users ``first_power_user``..L in decoding order, entry
+    k for SIC stage k: users 2..L for SSK-NOMA, users 1..L for the baseline
+    (whose ``n_t`` must be 1). ``fading`` (the variances sigma_i^2) and
+    ``target_rates`` (R_i, or None) cover users 1..L. ``tables`` holds what
     every block and companion derives from the config, built once here;
     ``pairs``, the cell-edge pair-energy table, is built on first read.
     """
@@ -97,27 +99,41 @@ class SimConfig:
     n_t: int
     n_r: int
     modulations: tuple
-    pa: PowerAllocation
-    fading: FadingProfile
+    pa: tuple
+    fading: tuple
     snr_grid_db: tuple
     seed: int
-    target_rates: OutageTargets | None
+    target_rates: tuple | None
     min_bit_errors: int
     max_trials: int
     tables: _Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        pa, fading, rates = self.pa, self.fading, self.target_rates
+        # an empty pa fails the sum, an empty fading profile its length check
+        if abs(sum(pa) - 1.0) > _PA_SUM_TOL:
+            raise ConfigError(f"power allocation must sum to 1, got {sum(pa)}")
+        if any(a <= 0 or a > 1 for a in pa):
+            raise ConfigError("power allocation coefficients must lie in (0, 1]")
+        if any(a <= b for a, b in zip(pa, pa[1:])):
+            raise ConfigError("power allocation must be strictly decreasing")
+        if any(v < 0 for v in fading):
+            raise ConfigError("fading variances must be nonnegative")
+        if any(a > b for a, b in zip(fading, fading[1:])):
+            raise ConfigError("fading variances must be in ascending order")
+        if rates is not None and any(r <= 0 for r in rates):
+            raise ConfigError("target rates must be positive")
         n_power_users = self.n_users + 1 - self.first_power_user
-        if self.pa.n_users != n_power_users:
+        if len(pa) != n_power_users:
             raise ConfigError("power allocation length does not match the scheme")
         if len(self.modulations) != n_power_users:
             raise ConfigError(
                 f"expected {n_power_users} modulation orders, got {len(self.modulations)}"
             )
-        if self.fading.n_users != self.n_users:
+        if len(fading) != self.n_users:
             raise ConfigError("fading profile must cover all users")
-        if self.target_rates is not None and len(self.target_rates.rates) != self.n_users:
-            raise ConfigError(f"expected {self.n_users} target rates: {self.target_rates.rates}")
+        if rates is not None and len(rates) != self.n_users:
+            raise ConfigError(f"expected {self.n_users} target rates: {rates}")
         if not 1 <= self.n_r <= _MAX_N_R:
             raise ConfigError(f"n_r must be in 1..{_MAX_N_R}, got {self.n_r}")
         if any(m > _MAX_ORDER for m in self.modulations) or (
@@ -141,8 +157,8 @@ class SimConfig:
         if self.first_power_user == 1 and self.n_t != 1:
             raise ConfigError("the baseline uses a single transmit antenna")
         # raises when user 1's target rate exceeds the log2 N_t bits it carries
-        if self.first_power_user > 1 and self.target_rates is not None:
-            analytics.outage_threshold_u1(self.target_rates.rates[0], self.n_t)
+        if self.first_power_user > 1 and rates is not None:
+            analytics.outage_threshold_u1(rates[0], self.n_t)
         if self.min_bit_errors < 100:
             raise ConfigError("min_bit_errors must be >= 100")
         if self.max_trials < 10_000:
@@ -168,10 +184,7 @@ class SimConfig:
 
     def canonical_dict(self) -> dict:
         """The ``RUN_KEYS`` fields as JSON values, for ``make_config``."""
-        values = {name: getattr(self, name) for name in RUN_KEYS}
-        values.update(pa=self.pa.coefficients, fading=self.fading.variances,
-                      target_rates=self.target_rates and self.target_rates.rates)
-        return values
+        return {name: getattr(self, name) for name in RUN_KEYS}
 
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
@@ -197,17 +210,20 @@ def make_config(scheme=SSK_NOMA, n_users=None, n_r=None, snr_grid_db=None, seed=
             raise ConfigError(f"config is missing required field {name!r}")
     first = _first_power_user(scheme)
     n_users, n_r, seed = as_int("n_users", n_users), as_int("n_r", n_r), as_int("seed", seed)
-    pa = default_pa(n_users + 1 - first) if pa is None else PowerAllocation(pa)
+    pa = default_pa(n_users + 1 - first) if pa is None else as_tuple("pa", pa, float)
     # the defaults follow pa's length, which SimConfig checks against n_users
     if modulations is None:
-        modulations = (4,) * pa.n_users
-    fading = default_profile(first - 1 + pa.n_users) if fading is None else FadingProfile(fading)
+        modulations = (4,) * len(pa)
+    if fading is None:  # geometric: sigma_i^2 = 2 sigma_{i-1}^2 from sigma_1^2 = 0 dB
+        fading = tuple(2.0**i for i in range(first - 1 + len(pa)))
     if n_t is None:
         n_t = n_r if first > 1 else 1
+    if target_rates is not None:
+        target_rates = as_tuple("target_rates", target_rates, float)
     return SimConfig(scheme, n_users, as_int("n_t", n_t), n_r,
-                     as_tuple("modulations", modulations, int), pa, fading,
-                     as_tuple("snr_grid_db", snr_grid_db, float), seed,
-                     None if target_rates is None else OutageTargets(target_rates),
+                     as_tuple("modulations", modulations, int), pa,
+                     as_tuple("fading", fading, float),
+                     as_tuple("snr_grid_db", snr_grid_db, float), seed, target_rates,
                      as_int("min_bit_errors", min_bit_errors), as_int("max_trials", max_trials))
 
 
@@ -521,15 +537,13 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     first = cfg.first_power_user
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
     sqrt_ps = [np.sqrt(rho) for rho in rhos]
-    coeffs = cfg.pa.coefficients
-    variances = cfg.fading.variances
 
     if first > 1:
         v = rng.integers(0, n_t, b)
     ks = [rng.integers(0, c.order, b) for c in tables.consts]
     # the receivers' real coordinates of the composite symbols, (2, B)
     chi = np.zeros((2, b))
-    for a, levels, k in zip(coeffs, tables.levels, ks):
+    for a, levels, k in zip(cfg.pa, tables.levels, ks):
         chi += np.sqrt(a) * np.take(levels[:2], k, axis=1)
     sent = [c.labels[k] for c, k in zip(tables.consts, ks)]
 
@@ -538,7 +552,7 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
         for s in range(0, b, chunk):
             v_chunk = v[s:s + chunk]
-            stats = _sm_statistics(rng, variances[0], n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
+            stats = _sm_statistics(rng, cfg.fading[0], n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
             for t_hat, (z, g, dead) in zip(v_hats[:, s:s + chunk], stats):
                 row = _sm_detect_block(z, g, dead, tables.alphabet_levels, tables.sm_grid)
                 # row j holds antenna v + j mod N_t; a trial whose every g_t
@@ -548,12 +562,12 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
                 if dead is not None:
                     t_hat[dead.all(axis=0)] = 0
     mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b)
-                                      for var in variances[first - 1:])]
+                                      for var in cfg.fading[first - 1:])]
     for i, (rho, sqrt_p) in enumerate(zip(rhos, sqrt_ps)):
         # an antenna's label is its index
         errors = [bit_errors(v, v_hats[i])] if first > 1 else []
         signal = sqrt_p * chi
-        amps = [np.sqrt(a * rho) for a in coeffs]
+        amps = [np.sqrt(a * rho) for a in cfg.pa]
         for k, (e, dead) in enumerate(mrc):
             decisions, _ = _sic_detect_block(signal + e, dead, amps[:k + 1],
                                              tables.levels[:k + 1], tables.grids[:k + 1])
@@ -570,7 +584,7 @@ def _gamma_block(cfg: SimConfig, metric: str, snrs, block: int):
     scales those draws by its rho (exact zeros for a zero-variance user)."""
     rng = rng_stream(cfg.seed, _METRIC_CODE[metric], block)
     b = _block_trials(cfg, block)
-    draws = [var * erlang(rng, cfg.n_r, b) for var in cfg.fading.variances]
+    draws = [var * erlang(rng, cfg.n_r, b) for var in cfg.fading]
     return [[10.0 ** (snr_db / 10.0) * d for d in draws] for snr_db in snrs]
 
 
@@ -579,20 +593,20 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
     trial of one block, one (B,) float array per user: 1 or 0 for a
     power-multiplexed user, and for the cell-edge user its conditional BEP
     where gamma >= psi_1, else 0."""
-    targets = cfg.target_rates
+    rates = cfg.target_rates
     first = cfg.first_power_user
     # gamma >= psi_k iff every SINR of stage k's SIC cascade meets its
     # target, up to rounding at the stage thresholds (a property test in
     # tests/test_analytics.py checks it against the cascade)
-    psis = [analytics.outage_threshold_psi(k, cfg.pa, targets.rates[first - 1:])
-            for k in range(cfg.pa.n_users)]
+    psis = [analytics.outage_threshold_psi(k, cfg.pa, rates[first - 1:])
+            for k in range(len(cfg.pa))]
     for gammas in _gamma_block(cfg, "outage", snrs, block):
         outcomes = []
         if first > 1:
             # the cell-edge outage metric is the conditional error probability
             # averaged over the fading tail above the rate-derived limit, so it
             # reduces to the ABEP when the target rate saturates the antenna bits
-            psi1 = analytics.outage_threshold_u1(targets.rates[0], cfg.n_t)
+            psi1 = analytics.outage_threshold_u1(rates[0], cfg.n_t)
             bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.pairs)
             outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
         outcomes += [(g < psi).astype(float) for g, psi in zip(gammas[first - 1:], psis)]
@@ -602,7 +616,6 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
 def _rate_trials(cfg: SimConfig, snrs, block: int):
     """Yields per SNR point of ``snrs`` the per-draw rate of each user of
     one block, one (B,) array per user, plus the per-draw sum rate last."""
-    coeffs = cfg.pa.coefficients
     first = cfg.first_power_user
     for gammas in _gamma_block(cfg, "rate", snrs, block):
         rates = []
@@ -610,8 +623,8 @@ def _rate_trials(cfg: SimConfig, snrs, block: int):
             bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.pairs)
             rates.append(np.log2(cfg.n_t) * (1.0 - bep))
         for k, g in enumerate(gammas[first - 1:]):
-            with_own = sum(coeffs[k:])
-            without = sum(coeffs[k + 1:])
+            with_own = sum(cfg.pa[k:])
+            without = sum(cfg.pa[k + 1:])
             rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
         rates.append(sum(rates))
         yield rates
@@ -729,16 +742,13 @@ def _sweep_points(cfg: SimConfig, metric: str):
 
 
 def companion(cfg: SimConfig, metric: str, user: int, rho: float):
-    """Closed form of ``metric`` for ``user`` at SNR ``rho``: the cell-edge
-    user's SSK forms, a power user's at SIC stage ``user - first_power_user``
-    and for user 0 the sum rate. None where there is none: BER of the
+    """Closed form of ``metric`` for ``user`` (1..L) at SNR ``rho``: the
+    cell-edge user's SSK forms or a power user's at SIC stage
+    ``user - first_power_user``. None where there is none: BER of the
     baseline, a user of fading variance 0 (the forms average over positive
-    variance) and a sum with such a user, a form beyond its budget, or one
-    that leaves double range (overflows, divides by zero or is not finite)."""
-    if user == 0:
-        values = [companion(cfg, metric, u, rho) for u in range(1, cfg.n_users + 1)]
-        return None if None in values else sum(values)
-    sigma_sq = cfg.fading.variances[user - 1]
+    variance), a form beyond its budget, or one that leaves double range
+    (overflows, divides by zero or is not finite)."""
+    sigma_sq = cfg.fading[user - 1]
     k = user - cfg.first_power_user
     if sigma_sq == 0.0 or (metric == "ber" and cfg.first_power_user == 1):
         return None
@@ -747,9 +757,9 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if metric == "outage" and k < 0:
-                value = analytics.outage_u1(cfg.target_rates, pairs, n_r, rho, sigma_sq)
+                value = analytics.outage_u1(cfg.target_rates[0], pairs, n_r, rho, sigma_sq)
             elif metric == "outage":
-                rates = cfg.target_rates.rates[cfg.first_power_user - 1:]
+                rates = cfg.target_rates[cfg.first_power_user - 1:]
                 value = analytics.outage_noma_user(k, pa, rates, rho, sigma_sq, n_r)
             elif k < 0:
                 value = analytics.abep_u1(pairs, n_r, rho, sigma_sq)
@@ -759,7 +769,7 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
                 value = analytics.ergodic_capacity_noma_user(k, pa, rho, sigma_sq, n_r)
             elif cfg.n_users == 3 and cfg.modulations == (4, 4):
                 exact = analytics.abep_u3 if k else analytics.abep_u2
-                value = exact(*pa.coefficients, rho * sigma_sq, n_r)
+                value = exact(*pa, rho * sigma_sq, n_r)
             else:
                 value = analytics.union_bound_ber(k, cfg.tables.consts, pa, rho, sigma_sq, n_r)
     except (ConfigError, ArithmeticError):
@@ -783,13 +793,20 @@ def check_metrics(cfg: SimConfig, metrics) -> None:
 def run_sweep(cfg: SimConfig, metrics=("ber",)) -> tuple:
     """Evaluate the requested metrics (``check_metrics``) over the whole SNR
     grid, one round loop per metric (``_sweep_points``), and attach each
-    point's closed-form ``companion``."""
+    point's closed-form ``companion``; the sum rate's (user 0, last) is the
+    sum of the users' in user order, None if any of them is."""
     check_metrics(cfg, metrics)
     points = []
     for metric in metrics:
         by_point = dict(_sweep_points(cfg, metric))
         for snr_db in cfg.snr_grid_db:
             rho = 10.0 ** (snr_db / 10.0)
+            values = []
             for est in by_point[snr_db]:
-                points.append(replace(est, analytic=companion(cfg, metric, est.user, rho)))
+                if est.user:
+                    value = companion(cfg, metric, est.user, rho)
+                    values.append(value)
+                else:
+                    value = None if None in values else sum(values)
+                points.append(replace(est, analytic=value))
     return tuple(points)

@@ -16,7 +16,6 @@ from scipy import integrate, special
 from ssknoma import montecarlo as mc
 from ssknoma.analytics import (
     BEP_CHUNK_ENTRIES,
-    OutageTargets,
     PairEnergyTable,
     abep_u1,
     abep_u2,
@@ -37,17 +36,12 @@ from ssknoma.analytics import (
     zeta_set,
 )
 from ssknoma.channel import rng_stream
-from ssknoma.constellation import (
-    PowerAllocation,
-    enumerate_sc_alphabet,
-    make_constellation,
-    qpsk,
-)
+from ssknoma.constellation import enumerate_sc_alphabet, make_constellation, qpsk
 from ssknoma.errors import ConfigError, InputError
 
 from oracles import chi2_pdf, conditional_bep_u2, conditional_bep_u3, q_func
 
-PA2 = PowerAllocation((0.8, 0.2))
+PA2 = (0.8, 0.2)
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
 PAIRS3 = pair_energy_table(ALPHABET3, 4)
 
@@ -219,9 +213,8 @@ def _conditional_bep_u1_oracle(gamma, alphabet, n_t):
 
 @pytest.mark.parametrize("n_users", [3, 4, 5])
 def test_abep_u1_matches_pair_loop_oracle(n_users):
-    pa = PowerAllocation({3: (0.8, 0.2), 4: (0.7, 0.2, 0.1),
-                          5: (0.6, 0.25, 0.1, 0.05)}[n_users])
-    alphabet = enumerate_sc_alphabet([qpsk()] * pa.n_users, pa)
+    pa = {3: (0.8, 0.2), 4: (0.7, 0.2, 0.1), 5: (0.6, 0.25, 0.1, 0.05)}[n_users]
+    alphabet = enumerate_sc_alphabet([qpsk()] * len(pa), pa)
     for rho, n_r in ((10.0, 2), (1000.0, 4)):
         want = _abep_u1_oracle(alphabet, 4, n_r, rho, 1.0)
         got = abep_u1(pair_energy_table(alphabet, 4), n_r, rho, 1.0, clamp=False)
@@ -258,7 +251,7 @@ PAIR_TABLE_ALPHABETS = {
 
 
 def _sc_alphabet(orders, pa):
-    return enumerate_sc_alphabet([make_constellation(m) for m in orders], PowerAllocation(pa))
+    return enumerate_sc_alphabet([make_constellation(m) for m in orders], pa)
 
 
 def _pair_energy_levels(alphabet):
@@ -593,7 +586,6 @@ def _oracle_bound_no_sic(consts, pa, rho, sigma_sq, n_r):
     every own error weighted by its bit distance, capped at one per tuple."""
     c2 = consts[0]
     table = c2.bit_distance_table()
-    coeffs = pa.coefficients
     total = 0.0
     tuples = 0
     for tx in itertools.product(*(range(c.order) for c in consts)):
@@ -602,10 +594,10 @@ def _oracle_bound_no_sic(consts, pa, rho, sigma_sq, n_r):
             if n == tx[0]:
                 continue
             delta = c2.points[tx[0]] - c2.points[n]
-            beta = np.sqrt(coeffs[0] * rho) * abs(delta) ** 2 + 2.0 * np.real(
+            beta = np.sqrt(pa[0] * rho) * abs(delta) ** 2 + 2.0 * np.real(
                 delta
                 * sum(
-                    np.sqrt(coeffs[p] * rho) * np.conj(consts[p].points[tx[p]])
+                    np.sqrt(pa[p] * rho) * np.conj(consts[p].points[tx[p]])
                     for p in range(1, len(consts))
                 )
             )
@@ -661,13 +653,13 @@ def _ber_given_tx(slot, tx, q, deltas, coeffs, consts, rho, sigma_i_sq, n_r):
 
 def _oracle_union_bound(slot, consts, pa, rho, sigma_i_sq, n_r):
     orders = [c.order for c in consts]
-    total = sum(_ber_given_tx(slot, tx, 0, [], pa.coefficients, consts, rho, sigma_i_sq, n_r)
+    total = sum(_ber_given_tx(slot, tx, 0, [], pa, consts, rho, sigma_i_sq, n_r)
                 for tx in itertools.product(*(range(m) for m in orders)))
     return min(1.0, max(0.0, total / prod(orders)))
 
 
-_PA3 = PowerAllocation((0.7, 0.2, 0.1))
-_PA4 = PowerAllocation((0.6, 0.25, 0.1, 0.05))
+_PA3 = (0.7, 0.2, 0.1)
+_PA4 = (0.6, 0.25, 0.1, 0.05)
 UNION_BOUND_CASES = [
     # (power-user orders, allocation, SIC stages, SNRs in dB)
     ((4, 4), PA2, (0, 1), (0, 10, 20, 30)),
@@ -745,12 +737,11 @@ def test_capacity_scalar_rayleigh_reduction():
 
 @pytest.mark.parametrize("user", [2, 3])
 def test_noma_user_capacity_against_quadrature(user):
-    pa = PowerAllocation((0.7, 0.2, 0.1))
+    pa = (0.7, 0.2, 0.1)
     rho, n_r = 31.6, 2
     sigma_sq = 2.0 ** (user - 1)
-    coeffs = pa.coefficients
-    with_own = sum(coeffs[user - 2:])
-    without = sum(coeffs[user - 1:])
+    with_own = sum(pa[user - 2:])
+    without = sum(pa[user - 1:])
     want, _ = integrate.quad(
         lambda g: (np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
         * _gamma_pdf(g, n_r, rho * sigma_sq),
@@ -763,7 +754,7 @@ def test_noma_user_capacity_against_quadrature(user):
 
 
 def test_weakest_user_capacity_has_single_term():
-    pa = PowerAllocation((0.8, 0.2))
+    pa = (0.8, 0.2)
     got = ergodic_capacity_noma_user(1, pa, 10.0, 4.0, 2)
     want = ergodic_capacity_fractions(0.2, 0.0, 40.0, 2)
     assert got == pytest.approx(want, abs=1e-14)
@@ -774,9 +765,13 @@ def test_capacity_u1_and_sum_rate():
     with pytest.raises(InputError):
         ergodic_capacity_u1(4, 1.5)
     # the sum-rate companion (user 0) adds the users' closed forms
-    cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0], seed=1)
+    cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=2, snr_grid_db=[10.0], seed=1,
+                         max_trials=10_000)
+    *users, total = mc.run_sweep(cfg, metrics=("rate",))
+    assert [p.user for p in users] == [1, 2, 3] and total.user == 0
     rates = [mc.companion(cfg, "rate", user, 10.0) for user in (1, 2, 3)]
-    assert mc.companion(cfg, "rate", 0, 10.0) == sum(rates)
+    assert [p.analytic for p in users] == rates
+    assert total.analytic == sum(rates)
 
 
 # --- outage ---------------------------------------------------------------------
@@ -784,23 +779,21 @@ def test_capacity_u1_and_sum_rate():
 
 def test_outage_targets_phi():
     """A lone stage's threshold is its Shannon threshold phi = 2**R - 1."""
-    assert outage_threshold_psi(0, PowerAllocation((1.0,)), (1.0,)) == pytest.approx(1.0)
-    assert outage_threshold_psi(0, PowerAllocation((1.0,)), (2.0,)) == pytest.approx(3.0)
-    with pytest.raises(ConfigError):
-        OutageTargets((0.0, 1.0))
+    assert outage_threshold_psi(0, (1.0,), (1.0,)) == pytest.approx(1.0)
+    assert outage_threshold_psi(0, (1.0,), (2.0,)) == pytest.approx(3.0)
     with pytest.raises(InputError):
         outage_threshold_psi(0, PA2, (1.0,))
 
 
 def test_outage_threshold_hand_value():
-    pa = PowerAllocation((0.8, 0.2))
+    pa = (0.8, 0.2)
     # phi = 1 for both stages: psi_0 = 1/(0.8 - 0.2), psi_1 = max(psi_0, 1/0.2)
     assert outage_threshold_psi(0, pa, (1.0, 1.0)) == pytest.approx(1.0 / 0.6)
     assert outage_threshold_psi(1, pa, (1.0, 1.0)) == pytest.approx(5.0)
 
 
 def test_outage_threshold_infeasible_denominator():
-    pa = PowerAllocation((0.8, 0.2))
+    pa = (0.8, 0.2)
     rates = (2.5, 1.0)  # phi_0 = 4.66 > a2/a3
     assert outage_threshold_psi(0, pa, rates) == np.inf
     assert outage_noma_user(0, pa, rates, 100.0, 2.0, 2) == 1.0
@@ -809,11 +802,10 @@ def test_outage_threshold_infeasible_denominator():
 def _stage_thresholds(pa, rates, k):
     """phi_m / (a_m - phi_m * sum of the later a) of every feasible SIC stage
     m = 0..k: the SNR at which stage m's SINR equals its target."""
-    coeffs = pa.coefficients
     out = []
     for m in range(k + 1):
         phi = 2.0 ** rates[m] - 1.0
-        denom = coeffs[m] - phi * sum(coeffs[m + 1:])
+        denom = pa[m] - phi * sum(pa[m + 1:])
         if denom > 0:
             out.append(phi / denom)
     return np.array(out)
@@ -824,7 +816,7 @@ def _outage_cases(draw):
     n_power = draw(st.integers(1, 5))
     weights = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n_power,
                                    max_size=n_power, unique=True)), reverse=True)
-    pa = PowerAllocation(tuple(w / sum(weights) for w in weights))
+    pa = tuple(w / sum(weights) for w in weights)
     rates = tuple(draw(st.lists(st.floats(0.01, 4.0), min_size=n_power, max_size=n_power)))
     k = draw(st.integers(0, n_power - 1))
     drawn = draw(st.lists(st.floats(0.0, 1e7), min_size=1, max_size=20))
@@ -845,10 +837,9 @@ def test_outage_threshold_matches_sinr_cascade(case):
                              np.nextafter(edges, np.inf),
                              *(edges * (1.0 + d) for d in (-1e-9, -1e-12, 1e-12, 1e-9))])
     by_threshold = gammas < outage_threshold_psi(k, pa, rates)
-    coeffs = pa.coefficients
     by_cascade = np.zeros(gammas.size, dtype=bool)
     for m in range(k + 1):
-        sinr = coeffs[m] * gammas / (1.0 + sum(coeffs[m + 1:]) * gammas)
+        sinr = pa[m] * gammas / (1.0 + sum(pa[m + 1:]) * gammas)
         by_cascade |= sinr < 2.0 ** rates[m] - 1.0
     at_edge = np.zeros(gammas.size, dtype=bool)
     for t in edges:
@@ -857,7 +848,7 @@ def test_outage_threshold_matches_sinr_cascade(case):
 
 
 def test_outage_noma_user_is_chi2_cdf():
-    pa = PowerAllocation((0.8, 0.2))
+    pa = (0.8, 0.2)
     psi = outage_threshold_psi(1, pa, (1.0, 1.0))
     got = outage_noma_user(1, pa, (1.0, 1.0), 20.0, 4.0, 2)
     assert got == pytest.approx(chi2_cdf(psi, 2, 80.0), abs=1e-14)
@@ -871,12 +862,12 @@ def test_outage_threshold_u1_at_the_antenna_bits(n_t):
     bits = np.log2(n_t)
     assert outage_threshold_u1(bits, n_t) == 0.0
     table = pair_energy_table(ALPHABET3, n_t)
-    at_bits = outage_u1(OutageTargets((bits, 1.0, 1.0)), table, 2, 10.0, 1.0)
+    at_bits = outage_u1(bits, table, 2, 10.0, 1.0)
     for rate in (bits, bits + 1e-12):
         assert outage_threshold_u1(rate, n_t) <= 0.0
         mc.make_config(n_users=3, n_r=2, n_t=n_t, snr_grid_db=[10.0],
                        target_rates=[rate, 1.0, 1.0])
-        assert outage_u1(OutageTargets((rate, 1.0, 1.0)), table, 2, 10.0, 1.0) == at_bits
+        assert outage_u1(rate, table, 2, 10.0, 1.0) == at_bits
     rate = bits + 2e-12
     with pytest.raises(ConfigError):
         outage_threshold_u1(rate, n_t)
@@ -884,15 +875,14 @@ def test_outage_threshold_u1_at_the_antenna_bits(n_t):
         mc.make_config(n_users=3, n_r=2, n_t=n_t, snr_grid_db=[10.0],
                        target_rates=[rate, 1.0, 1.0])
     with pytest.raises(ConfigError):
-        outage_u1(OutageTargets((rate, 1.0, 1.0)), table, 2, 10.0, 1.0)
+        outage_u1(rate, table, 2, 10.0, 1.0)
 
 
 def test_outage_u1_saturated_rate_reduces_to_error_average():
     """At the maximum target rate the cell-edge outage equals the fading
     average of the conditional error probability (Monte Carlo oracle)."""
     rho, n_r = 100.0, 2
-    targets = OutageTargets((2.0, 1.0, 1.0))
-    got = outage_u1(targets, PAIRS3, n_r, rho, 1.0)
+    got = outage_u1(2.0, PAIRS3, n_r, rho, 1.0)
     rng = rng_stream(77, 0)
     h = np.sqrt(0.5) * (rng.standard_normal((200_000, n_r))
                         + 1j * rng.standard_normal((200_000, n_r)))
@@ -938,7 +928,7 @@ def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
             nodes.clear()
             mc.companion(cfg, "outage", 1, rho)
             oracle = _oracle_outage_integrand(cfg.pairs, cfg.n_r,
-                                            rho * cfg.fading.variances[0])
+                                            rho * cfg.fading[0])
             for g, value in nodes:
                 sides[g <= cfg.pairs.saturation] += 1
                 if float(value).hex() != float(oracle(g)).hex():
@@ -947,9 +937,9 @@ def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
     assert min(sides) > 100
 
 
-def _oracle_outage_u1(targets, table, n_r, rho, sigma1_sq):
+def _oracle_outage_u1(rate, table, n_r, rho, sigma1_sq):
     """outage_u1's two quadratures over the oracle integrand."""
-    psi1 = 1.0 - targets.rates[0] / np.log2(table.n_t)
+    psi1 = 1.0 - rate / np.log2(table.n_t)
     gbar = rho * sigma1_sq
     integrand = _oracle_outage_integrand(table, n_r, gbar)
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
@@ -979,12 +969,12 @@ def test_outage_u1_matches_oracle_quadrature():
         table = pair_energy_table(_sc_alphabet(*BEP_CURVE_ALPHABETS[name]), n_t)
         rho = 10.0 ** (snr_db / 10.0)
         for share in (1.0, 0.5, 0.01):
-            targets = OutageTargets((share * np.log2(n_t), 1.0, 1.0, 1.0))
+            rate = share * np.log2(n_t)
             got, want = [], []
             for fn, out in ((outage_u1, got), (_oracle_outage_u1, want)):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    out.append(float(fn(targets, table, n_r, rho, 1.5)).hex())
+                    out.append(float(fn(rate, table, n_r, rho, 1.5)).hex())
                 out.extend(str(w.message) for w in caught)
             if got != want:
                 bad.append((name, n_t, n_r, snr_db, share, got, want))
@@ -992,15 +982,13 @@ def test_outage_u1_matches_oracle_quadrature():
 
 
 def test_outage_u1_monotone_in_rate_and_snr():
-    targets_lo = OutageTargets((1.0, 1.0, 1.0))
-    targets_hi = OutageTargets((2.0, 1.0, 1.0))
-    lo = outage_u1(targets_lo, PAIRS3, 2, 50.0, 1.0)
-    hi = outage_u1(targets_hi, PAIRS3, 2, 50.0, 1.0)
+    lo = outage_u1(1.0, PAIRS3, 2, 50.0, 1.0)
+    hi = outage_u1(2.0, PAIRS3, 2, 50.0, 1.0)
     assert lo <= hi
-    worse = outage_u1(targets_hi, PAIRS3, 2, 5.0, 1.0)
+    worse = outage_u1(2.0, PAIRS3, 2, 5.0, 1.0)
     assert worse > hi
 
 
 def test_outage_u1_rejects_excess_rate():
     with pytest.raises(ConfigError):
-        outage_u1(OutageTargets((3.0, 1.0, 1.0)), PAIRS3, 2, 10.0, 1.0)
+        outage_u1(3.0, PAIRS3, 2, 10.0, 1.0)

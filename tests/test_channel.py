@@ -8,15 +8,12 @@ import pytest
 
 from ssknoma import montecarlo as mc
 from ssknoma.channel import (
-    FadingProfile,
     complex_normal,
-    default_profile,
     erlang,
     rng_stream,
 )
 from ssknoma.analytics import chi2_cdf
 from ssknoma.constellation import qpsk
-from ssknoma.errors import ConfigError
 from scipy.special import erfc
 from scipy.stats import gamma, kstest
 
@@ -47,19 +44,6 @@ def test_complex_normal_moments():
 def test_complex_normal_zero_variance():
     x = complex_normal(rng_stream(0, 1), (3, 2), 0.0)
     assert not x.any()
-
-
-def test_fading_profile_validation():
-    FadingProfile((1.0, 2.0, 4.0))
-    with pytest.raises(ConfigError):
-        FadingProfile((2.0, 1.0))
-    with pytest.raises(ConfigError):
-        FadingProfile((-1.0,))
-
-
-def test_default_profile_doubles():
-    p = default_profile(4)
-    assert p.variances == (1.0, 2.0, 4.0, 8.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -109,7 +93,7 @@ def test_mrc_snr_distribution_ks(n_r, monkeypatch):
     cfg = mc.make_config(mc.SSK_NOMA, 3, n_r, [10.0], seed=42, n_t=2)
     ecdf = (np.arange(n) + 0.5) / n
     [point] = mc._gamma_block(cfg, "rate", [10.0], 0)
-    for var, gammas in zip(cfg.fading.variances, point):
+    for var, gammas in zip(cfg.fading, point):
         model = chi2_cdf(np.sort(gammas), n_r, 10.0 * var)
         # 1% critical value is about 1.63/sqrt(n); allow headroom for the seed
         assert np.max(np.abs(ecdf - model)) < 2.0 / np.sqrt(n)

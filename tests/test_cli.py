@@ -331,9 +331,14 @@ def test_zero_variance_cell_edge_user_has_no_companion(tmp_path, command, csv_na
 # --- error handling -------------------------------------------------------------
 
 
-def test_missing_config_is_config_error(tmp_path):
-    assert cli.main(["ber", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)]) == 2
+def test_missing_config_is_config_error(tmp_path, monkeypatch, capsys):
+    """The message names the path as given: ``--config ""`` was once
+    reported as ".", the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for path in ("nope.json", ""):
+        assert cli.main(["ber", "--config", path, "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {path!r}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):
@@ -386,6 +391,18 @@ def test_missing_field_is_config_error(tmp_path):
 
 def test_unknown_preset_is_config_error(tmp_path):
     assert cli.main(["ber", "--preset", "fig99", "--out", str(tmp_path)]) == 2
+
+
+def test_preset_is_a_shipped_name_not_a_path(tmp_path, monkeypatch, capsys):
+    """--preset names a shipped preset: a ``../`` name once loaded and ran
+    any JSON file reachable from the presets directory."""
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0], max_trials=10_000))
+    name = os.path.relpath(tmp_path / "cfg", Path(cli.__file__).parent / "presets")
+    assert name.startswith("../")
+    assert cli.main(["ber", "--preset", name, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: unknown preset {name!r}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("workers", ["two", "", "0", "-1", str(os.cpu_count() + 1)],
@@ -834,6 +851,18 @@ def test_validate_skips_points_without_a_companion(tmp_path, capsys):
     assert [line.split(":")[0] for line in compared] == [
         f"rate/user{user}@0dB" for user in (1, 2, 3)]
     assert "nan" not in out and rc == 0
+
+
+def test_validate_skips_deep_ber_points(tmp_path, capsys):
+    """A power user's BER point whose closed form is below 1e-4 (here at
+    25 dB) has too few errors to compare and is skipped, as is the
+    cell-edge user's union-bound approximation."""
+    doc = dict(VALIDATE_CONFIG, snr_grid_db=[10.0, 25.0], max_trials=10_000)
+    rc = cli.main(["validate", "--config", _write_config(tmp_path, doc)])
+    out = capsys.readouterr().out
+    compared = [line for line in out.splitlines() if "|diff|/ci=" in line]
+    assert [line.split(":")[0] for line in compared] == ["ber/user2@10dB", "ber/user3@10dB"]
+    assert rc == 0
 
 
 def test_validate_fails_when_no_point_is_compared(tmp_path, capsys):

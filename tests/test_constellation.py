@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ssknoma.constellation import (
-    PowerAllocation,
     UserConstellation,
     bit_errors,
     bpsk,
@@ -118,23 +117,12 @@ def test_gray_map_rejects_wrong_length():
         UserConstellation(bpsk().points, [-1, 0])
 
 
-# --- power allocation -------------------------------------------------------
-
-
-def test_power_allocation_validation():
-    PowerAllocation((0.8, 0.2))
-    PowerAllocation((1.0,))
-    with pytest.raises(ConfigError):
-        PowerAllocation((0.5, 0.5))  # not strictly decreasing
-    with pytest.raises(ConfigError):
-        PowerAllocation((0.7, 0.2))  # sum != 1
-    with pytest.raises(ConfigError):
-        PowerAllocation(())
+# --- superposition ------------------------------------------------------------
 
 
 def test_superpose_matches_direct_sum():
     """The composite symbol of the label pair (0b00, 0b01) is the direct sum."""
-    pa = PowerAllocation((0.8, 0.2))
+    pa = (0.8, 0.2)
     s2 = QPSK_POINTS[0b00]
     s3 = QPSK_POINTS[0b01]
     want = np.sqrt(0.8) * s2 + np.sqrt(0.2) * s3
@@ -146,11 +134,11 @@ def test_superpose_matches_direct_sum():
 
 def test_superpose_length_check():
     with pytest.raises(InputError):
-        enumerate_sc_alphabet([qpsk()], PowerAllocation((0.8, 0.2)))
+        enumerate_sc_alphabet([qpsk()], (0.8, 0.2))
 
 
 def test_sc_alphabet_enumeration_order_and_values():
-    pa = PowerAllocation((0.8, 0.2))
+    pa = (0.8, 0.2)
     alphabet = enumerate_sc_alphabet([qpsk(), qpsk()], pa)
     assert alphabet.dtype == complex and alphabet.shape == (16,)
     # entry j is the direct weighted sum of the j-th index tuple in
@@ -162,7 +150,7 @@ def test_sc_alphabet_enumeration_order_and_values():
 
 
 def test_sc_alphabet_mean_energy_is_one():
-    pa = PowerAllocation((0.7, 0.2, 0.1))
+    pa = (0.7, 0.2, 0.1)
     alphabet = enumerate_sc_alphabet([qpsk()] * 3, pa)
     assert np.mean(np.abs(alphabet) ** 2) == pytest.approx(1.0, abs=1e-12)
 

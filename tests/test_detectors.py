@@ -12,14 +12,8 @@ import pytest
 from ssknoma import cli
 from ssknoma import montecarlo as mc
 from ssknoma.channel import complex_normal, rng_stream
-from ssknoma.constellation import (
-    PowerAllocation,
-    enumerate_sc_alphabet,
-    make_constellation,
-    qpsk,
-)
+from ssknoma.constellation import enumerate_sc_alphabet, make_constellation, qpsk
 from ssknoma.detectors import complexity_noma, complexity_ssk_noma
-from ssknoma.errors import InputError
 from ssknoma.montecarlo import (
     _levels,
     _ml_detect_block,
@@ -29,7 +23,7 @@ from ssknoma.montecarlo import (
     _sm_grid,
 )
 
-PA3 = PowerAllocation((0.8, 0.2))
+PA3 = (0.8, 0.2)
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA3)
 LEVELS3 = _levels(ALPHABET3)
 GRID3 = _sm_grid(ALPHABET3)
@@ -48,8 +42,7 @@ SM_ALPHABETS = {
 
 def _alphabet(name):
     orders, pa = SM_ALPHABETS[name]
-    return enumerate_sc_alphabet([make_constellation(m) for m in orders],
-                                 PowerAllocation(pa))
+    return enumerate_sc_alphabet([make_constellation(m) for m in orders], pa)
 
 
 def _brute_force_sm(r, h, chis, power):
@@ -439,14 +432,14 @@ def _check_ber_block_against_brute_force(cfg, snr_db, errors):
     consts = cfg.tables.consts
     points = [c.points for c in consts]
     alphabet = enumerate_sc_alphabet(consts, cfg.pa)
-    amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]
+    amps = [np.sqrt(a * power) for a in cfg.pa]
     v = rng.integers(0, cfg.n_t, b) if first > 1 else np.zeros(b, dtype=int)
     ks = [rng.integers(0, c.order, b) for c in consts]
-    chi = sum(np.sqrt(a) * p[k] for a, p, k in zip(cfg.pa.coefficients, points, ks))
+    chi = sum(np.sqrt(a) * p[k] for a, p, k in zip(cfg.pa, points, ks))
     signal = np.sqrt(power) * chi
     want = np.zeros((cfg.n_users, b))
     for i in range(1, cfg.n_users + 1):
-        var = cfg.fading.variances[i - 1]
+        var = cfg.fading[i - 1]
         k = i - first
         g = var * _gamma_replay(rng, cfg.n_r, b)
         y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
@@ -663,10 +656,10 @@ def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
     monkeypatch.setattr(mc, "_nearest_point", nearest)
     rng = rng_stream(910, 0)
     power = 10.0 ** 1.5
-    amps = [np.sqrt(a * power) for a in cfg.pa.coefficients]
+    amps = [np.sqrt(a * power) for a in cfg.pa]
     points = [c.points for c in tables.consts]
     chi = sum(np.sqrt(a) * p[rng.integers(0, p.size, 5000)]
-              for a, p in zip(cfg.pa.coefficients, points))
+              for a, p in zip(cfg.pa, points))
     g = rng.standard_gamma(2.0, 5000)
     y = np.sqrt(power) * g * chi + np.sqrt(g) * complex_normal(rng, 5000, 1.0)
     u, dead = _unit(y, g)
@@ -723,12 +716,3 @@ def test_two_user_edge_has_no_sic_term():
     # one ML detection plus the joint search, nothing to cancel
     assert complexity_ssk_noma(2, 4, 2, 2) == (2 * 2 * 2 + 2 * 4 + 4) + 4 * 2 * 4
 
-
-def test_mixed_modulation_orders():
-    assert complexity_ssk_noma(3, [2, 4], 2, 2) == complexity_ssk_noma(
-        3, [2, 4], 2, 2
-    )
-    with pytest.raises(InputError):
-        complexity_ssk_noma(3, [4], 2, 2)
-    with pytest.raises(InputError):
-        complexity_noma(3, [4, 4], 2)

@@ -97,9 +97,13 @@ def _digest(values) -> str:
     return f"{values.dtype.str} {hashlib.sha256(values.tobytes()).hexdigest()}"
 
 
-def _companion(cfg, metric, user, rho):
-    value = mc.companion(cfg, metric, user, rho)
-    return None if value is None else float(value).hex()
+def _companions(cfg, metric, rho):
+    """Every user's companion, and for the rate the sum's (user 0) last,
+    summed in user order as ``run_sweep`` sums it."""
+    values = [mc.companion(cfg, metric, user, rho) for user in range(1, cfg.n_users + 1)]
+    if metric == "rate":
+        values.append(None if None in values else sum(values))
+    return [None if value is None else float(value).hex() for value in values]
 
 
 def _pins(name: str) -> dict:
@@ -111,15 +115,13 @@ def _pins(name: str) -> dict:
     pins = {"points": [_digest(c.points) for c in tables.consts],
             "alphabet": None if cfg.first_power_user == 1
             else _digest(enumerate_sc_alphabet(tables.consts, cfg.pa))}
-    users = range(1, cfg.n_users + 1)
     trials = {metric: list(fn(cfg, PIN_SNRS_DB, 0)) for metric, fn in mc._TRIALS_FN.items()}
     for i, snr_db in enumerate(PIN_SNRS_DB):
         rho = 10.0 ** (snr_db / 10.0)
         pins[f"{snr_db:g} dB"] = {
             "trials": {metric: [_digest(t) for t in points[i]]
                        for metric, points in trials.items()},
-            "companions": {metric: [_companion(cfg, metric, user, rho)
-                                    for user in (*users, 0) if metric == "rate" or user]
+            "companions": {metric: _companions(cfg, metric, rho)
                            for metric in ("ber", "rate", "outage")},
         }
     return pins

@@ -37,8 +37,8 @@ def test_make_config_defaults():
     assert cfg.n_t == 2
     assert cfg.first_power_user == 2
     assert cfg.modulations == (4, 4)
-    assert cfg.pa.coefficients == (0.8, 0.2)
-    assert cfg.fading.variances == (1.0, 2.0, 4.0)
+    assert cfg.pa == (0.8, 0.2)
+    assert cfg.fading == (1.0, 2.0, 4.0)
 
 
 def test_make_config_takes_integral_floats():
@@ -127,7 +127,8 @@ def test_make_config_baseline_defaults():
                          snr_grid_db=GRID, seed=1)
     assert cfg.n_t == 1
     assert cfg.first_power_user == 1
-    assert cfg.pa.coefficients == (0.7, 0.2, 0.1)
+    assert cfg.pa == (0.7, 0.2, 0.1)
+    assert cfg.fading == (1.0, 2.0, 4.0)  # geometric, from user 1
     assert len(cfg.modulations) == 3
 
 
@@ -161,6 +162,15 @@ def test_default_pa_unknown_count():
     dict(scheme=mc.NOMA_BASELINE, n_t=1, modulations=(131072, 16, 4)),  # order 2^17
     dict(modulations=(16, 4096)),           # M_T = 2^16 of 8 105 distinct energies
     dict(target_rates=(1.5, 1.0, 2.0)),     # user 1 carries log2 N_t = 1 bit
+    dict(pa=(0.7, 0.2)),                    # sums to 0.9
+    dict(n_users=1, pa=()),                 # sums to 0: no power user
+    dict(pa=(1.5, -0.5)),                   # sums to 1, outside (0, 1]
+    dict(pa=(1.0, 0.0)),                    # sums to 1, a zero coefficient
+    dict(n_users=2, pa=(1.0 + 5e-13,)),     # sums to 1 within 1e-12, above 1
+    dict(pa=(0.5, 0.5)),                    # not strictly decreasing
+    dict(fading=(-1.0, 2.0, 4.0)),          # negative, though ascending
+    dict(fading=(2.0, 1.0, 4.0)),           # not ascending
+    dict(target_rates=(1.0, 0.0, 1.0)),     # not positive
 ])
 def test_config_validation_errors(bad):
     with pytest.raises(ConfigError):
@@ -282,7 +292,7 @@ def test_cell_edge_chunk_draws_only_the_inactive_antennas(monkeypatch):
     replay.random(b)                   # its orthogonal noise energy, Gamma(1)
     replay.standard_normal(2 * 3 * b)  # c of the 3 inactive antennas
     replay.random(3 * b)               # their Gamma(1) terms
-    g2 = cfg.fading.variances[1] * -np.log(np.prod(1.0 - replay.random((2, b)), axis=0))
+    g2 = cfg.fading[1] * -np.log(np.prod(1.0 - replay.random((2, b)), axis=0))
     assert len(energies) == 3 and np.array_equal(energies[1], g2)
 
 
