@@ -50,8 +50,9 @@ _METRIC_CODE = {"ber": 1, "outage": 2, "rate": 3}
 # with N_t, and beyond the 2^19-entry chunk budget below so does its memory;
 # no preset uses more than 16.
 _MAX_N_T = 4096
-# Largest accepted receive antenna count: the capacity forms loop over N_r^2
-# terms, and no preset uses more than 8.
+# Largest accepted receive antenna count: the closed forms are tested up to
+# it (above N_r = 171 the outage forms' k! leaves double range, so every
+# outage companion would be empty), and no preset uses more than 8.
 _MAX_N_R = 64
 # Largest accepted constellation order, and for SSK-NOMA composite alphabet
 # size M_T: the alphabet and its tables take memory and time that grow with

@@ -23,9 +23,7 @@ from ssknoma.analytics import (
     abep_u2,
     abep_u3,
     conditional_bep_u1_vec,
-    ergodic_capacity_fractions,
     ergodic_capacity_noma_user,
-    exp_integral,
     pair_energy_table,
     union_bound_ber,
     zeta_set,
@@ -33,7 +31,7 @@ from ssknoma.analytics import (
 from ssknoma.constellation import enumerate_sc_alphabet, qpsk
 from ssknoma.detectors import complexity_noma, complexity_ssk_noma
 
-from oracles import chi2_pdf, q_func
+from oracles import capacity_quad, chi2_pdf, q_func
 
 PA2 = (0.8, 0.2)
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
@@ -231,8 +229,9 @@ def test_c08_energy_level_identities():
 
 
 def test_c09_special_functions():
-    """Q and Ei against quadrature oracles at 1e-9 relative; the single-branch
-    capacity closed form against the scalar Rayleigh formula at 1e-6."""
+    """Q against quadrature at 1e-9 relative; the capacity closed form
+    E[log2(1 + eta*gamma)], gamma ~ Gamma(N_r, 1), against quadrature at 1e-9
+    and, at N_r = 1, against the scalar Rayleigh formula at 1e-13."""
     failures = []
     for x in np.linspace(0.0, 8.0, 33):
         want, _ = integrate.quad(
@@ -241,14 +240,15 @@ def test_c09_special_functions():
         )
         if abs(q_func(x) - want) > 1e-9 * abs(want):
             failures.append(f"Q({x:g})")
-    for x in np.concatenate([-np.logspace(np.log10(1e-3), np.log10(50.0), 25)]):
-        want, _ = integrate.quad(lambda t: np.exp(-t) / t, -x, -x + 60.0,
-                                 epsabs=0.0, epsrel=1e-13)
-        if abs(exp_integral(float(x)) + want) > 1e-9 * abs(want):
-            failures.append(f"Ei({x:.4g})")
+    for n_r in (1, 2, 4, 8, 16):
+        for eta in (1e-2, 0.5, 5.0, 50.0, 1e4):
+            want = capacity_quad(eta, n_r)
+            got = ergodic_capacity_noma_user(0, (1.0,), eta, 1.0, n_r)
+            if abs(got - want) > 1e-9 * want:
+                failures.append(f"capacity nr={n_r} eta={eta:g}")
     for eta in (0.5, 5.0, 50.0):
         scalar = np.exp(1.0 / eta) * special.exp1(1.0 / eta) / np.log(2.0)
-        if abs(ergodic_capacity_fractions(1.0, 0.0, eta, 1) - scalar) > 1e-6:
+        if abs(ergodic_capacity_noma_user(0, (1.0,), eta, 1.0, 1) - scalar) > 1e-13 * scalar:
             failures.append(f"capacity eta={eta:g}")
     _verdict(9, "special functions", not failures, ";".join(failures))
 

@@ -22,10 +22,8 @@ from ssknoma.analytics import (
     abep_u3,
     chi2_cdf,
     conditional_bep_u1_vec,
-    ergodic_capacity_fractions,
     ergodic_capacity_noma_user,
     ergodic_capacity_u1,
-    exp_integral,
     outage_noma_user,
     outage_threshold_psi,
     outage_threshold_u1,
@@ -39,7 +37,7 @@ from ssknoma.channel import rng_stream
 from ssknoma.constellation import enumerate_sc_alphabet, make_constellation, qpsk
 from ssknoma.errors import ConfigError, InputError
 
-from oracles import chi2_pdf, conditional_bep_u2, conditional_bep_u3, q_func
+from oracles import capacity_quad, chi2_pdf, conditional_bep_u2, conditional_bep_u3, q_func
 
 PA2 = (0.8, 0.2)
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
@@ -60,17 +58,6 @@ def test_q_func_against_quadrature(x):
         x, x + 12.0, epsabs=0.0, epsrel=1e-13,
     )
     assert q_func(x) == pytest.approx(want, rel=1e-9, abs=1e-18)
-
-
-@pytest.mark.parametrize("x", [-50.0, -10.0, -3.0, -1.0, -0.1, -1e-3])
-def test_exp_integral_against_quadrature(x):
-    want, _ = integrate.quad(lambda t: np.exp(-t) / t, -x, np.inf, limit=400)
-    assert exp_integral(x) == pytest.approx(-want, rel=1e-9)
-
-
-def test_exp_integral_domain():
-    with pytest.raises(InputError):
-        exp_integral(0.5)
 
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])
@@ -717,22 +704,31 @@ def test_union_bound_user_range():
 # --- ergodic capacity ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n_r", [1, 2, 3, 4])
-@pytest.mark.parametrize("eta", [0.3, 2.0, 25.0])
+def _capacity(eta, n_r):
+    """E[log2(1 + eta * t)] with t ~ Gamma(N_r, 1): the single capacity form."""
+    return ergodic_capacity_noma_user(0, (1.0,), eta, 1.0, n_r)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 3, 4, 8, 16, 32])
+@pytest.mark.parametrize("eta", [1e-2, 0.3, 2.0, 25.0, 1e3])
 def test_capacity_fraction_against_quadrature(n_r, eta):
-    want, _ = integrate.quad(
-        lambda g: np.log2(1.0 + g) * _gamma_pdf(g, n_r, eta), 0.0, np.inf, limit=400
-    )
-    got = ergodic_capacity_fractions(1.0, 0.0, eta, n_r)
-    assert got == pytest.approx(want, rel=1e-8)
+    assert _capacity(eta, n_r) == pytest.approx(capacity_quad(eta, n_r), rel=1e-10)
 
 
 def test_capacity_scalar_rayleigh_reduction():
     """The n_r = 1 case collapses to exp(1/eta) * E1(1/eta) / ln 2."""
     for eta in (0.5, 5.0, 50.0):
         want = np.exp(1.0 / eta) * special.exp1(1.0 / eta) / np.log(2.0)
-        got = ergodic_capacity_fractions(1.0, 0.0, eta, 1)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert _capacity(eta, 1) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4, 8, 16, 32, 64])
+def test_capacity_below_the_overflow_of_exp_one_over_eta(n_r):
+    """Below eta = 1/700 the form takes the asymptotic series of e^a E_n(a):
+    it meets quadrature at -30 dB and the first-order value eta * N_r * log2 e
+    at -300 dB, where exp(1/eta) overflows."""
+    assert _capacity(1e-3, n_r) == pytest.approx(capacity_quad(1e-3, n_r), rel=1e-10)
+    assert _capacity(1e-30, n_r) == pytest.approx(1e-30 * n_r / np.log(2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("user", [2, 3])
@@ -756,7 +752,7 @@ def test_noma_user_capacity_against_quadrature(user):
 def test_weakest_user_capacity_has_single_term():
     pa = (0.8, 0.2)
     got = ergodic_capacity_noma_user(1, pa, 10.0, 4.0, 2)
-    want = ergodic_capacity_fractions(0.2, 0.0, 40.0, 2)
+    want = _capacity(0.2 * 40.0, 2)
     assert got == pytest.approx(want, abs=1e-14)
 
 
@@ -772,6 +768,34 @@ def test_capacity_u1_and_sum_rate():
     rates = [mc.companion(cfg, "rate", user, 10.0) for user in (1, 2, 3)]
     assert [p.analytic for p in users] == rates
     assert total.analytic == sum(rates)
+
+
+def test_power_user_capacity_matches_simulation_at_16_antennas():
+    """At N_r = 16 and -20 dB (a = 1/eta from 50 to 250) the power users'
+    simulated rates lie within 3 CI half-widths of their companions. User 1
+    is not scored: its companion clamps after averaging (ROADMAP item 6)."""
+    cfg = mc.make_config(n_users=3, n_r=16, n_t=2, snr_grid_db=[-20.0], seed=3,
+                         max_trials=100_000)
+    points = {p.user: p for p in mc.run_sweep(cfg, metrics=("rate",))}
+    for user in (2, 3):
+        p = points[user]
+        assert abs(p.value - p.analytic) <= 3.0 * p.ci_halfwidth, (user, p)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 4, 8, 16, 32, 64])
+def test_power_user_capacity_finite_and_monotone_over_the_snr_range(n_r):
+    """From -300 to 300 dB every power user's capacity companion is a finite,
+    nonnegative value, nondecreasing in SNR. Near saturation it is the
+    difference of two capacities of up to 100 bits, so a step may fall by
+    their rounding: 1e-12 is 70 ulps of 100."""
+    cfg = mc.make_config(n_users=3, n_r=n_r, n_t=2, snr_grid_db=[0.0])
+    rhos = 10.0 ** (np.arange(-300.0, 300.5, 0.5) / 10.0)
+    for user in (2, 3):
+        values = [mc.companion(cfg, "rate", user, rho) for rho in rhos]
+        assert None not in values
+        values = np.array(values)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert np.all(np.diff(values) >= -1e-12)
 
 
 # --- outage ---------------------------------------------------------------------

@@ -603,32 +603,36 @@ def test_invalid_run_is_config_error(tmp_path, capsys, argv, doc):
     assert not list(out.glob("*.csv"))
 
 
-# each of these once wrote a nan companion or ended in a traceback: at -25 dB
-# and below exp(1/eta) overflows beside Ei(-1/eta) = 0, and at N_r = 12 the
-# capacity and outage forms overflow or divide by zero at +-300 dB
+# each of these once wrote a nan companion or ended in a traceback. The
+# capacity form has a value at every SNR; at N_r = 12 the outage forms
+# still leave double range at +-300 dB: chi2_cdf's (gamma / gamma_bar)^11
+# and outage_u1's gamma_bar^N_r overflow
 N_R_12 = dict(BER_CONFIG, n_r=12, n_t=2, max_trials=10_000, target_rates=[0.5, 1.0, 1.5])
 OUT_OF_RANGE_COMPANIONS = {
+    # case: (command, config document, users whose companion is left empty)
     "capacity-at-minus-25-dB-and-below": (
-        "capacity", dict(BER_CONFIG, snr_grid_db=[-25.0, -30.0, -300.0], max_trials=10_000)),
-    "capacity-n_r-12-at-minus-300-dB": ("capacity", dict(N_R_12, snr_grid_db=[-300.0])),
-    "capacity-n_r-12-at-300-dB": ("capacity", dict(N_R_12, snr_grid_db=[300.0])),
-    "outage-n_r-12-at-300-dB": ("outage", dict(N_R_12, snr_grid_db=[300.0])),
+        "capacity", dict(BER_CONFIG, snr_grid_db=[-25.0, -30.0, -300.0], max_trials=10_000),
+        set()),
+    "capacity-n_r-12-at-minus-300-dB": ("capacity", dict(N_R_12, snr_grid_db=[-300.0]), set()),
+    "capacity-n_r-12-at-300-dB": ("capacity", dict(N_R_12, snr_grid_db=[300.0]), set()),
+    "outage-n_r-12-at-minus-300-dB": ("outage", dict(N_R_12, snr_grid_db=[-300.0]), {1, 2, 3}),
+    "outage-n_r-12-at-300-dB": ("outage", dict(N_R_12, snr_grid_db=[300.0]), {1}),
 }
 
 
-@pytest.mark.parametrize("command,doc", OUT_OF_RANGE_COMPANIONS.values(),
+@pytest.mark.parametrize("command,doc,empty", OUT_OF_RANGE_COMPANIONS.values(),
                          ids=OUT_OF_RANGE_COMPANIONS)
-def test_companion_outside_double_range_is_left_empty(tmp_path, command, doc):
+def test_companion_outside_double_range_is_left_empty(tmp_path, command, doc, empty):
     """The run succeeds, without a RuntimeWarning (an error under this
-    suite), and a companion whose evaluation leaves double range is an
-    empty cell, never nan."""
+    suite), and a companion is an empty cell exactly where its evaluation
+    leaves double range, never nan."""
     out = tmp_path / "out"
     assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out),
                      "--quiet"]) == 0
     [path] = out.glob("*.csv")
-    analytic = [row[5] for row in _read_csv(path)[1:]]
-    assert "" in analytic
-    assert all(math.isfinite(float(v)) for v in analytic if v)
+    rows = _read_csv(path)[1:]
+    assert {int(row[1]) for row in rows if row[5] == ""} == empty
+    assert all(math.isfinite(float(row[5])) for row in rows if row[5])
 
 
 @pytest.mark.parametrize("command,second", [
@@ -840,16 +844,17 @@ def test_validate_checks_metrics_before_any_run_simulates(tmp_path, monkeypatch,
 
 
 def test_validate_skips_points_without_a_companion(tmp_path, capsys):
-    """The baseline's rate companions at -30 dB leave double range and are
-    left empty, so only the 0 dB points are compared; they once scored nan,
-    which ``max`` ranked above every later failure, and passed."""
-    doc = {"scheme": "noma-baseline", "n_users": 3, "n_r": 2, "snr_grid_db": [-30, 0],
-           "metrics": ["rate"], "max_trials": 10_000}
+    """The baseline's outage companions at N_r = 12 and -300 dB leave double
+    range and are left empty, so only the 0 dB points are compared; such
+    points once scored nan, which ``max`` ranked above every later failure,
+    and passed."""
+    doc = {"scheme": "noma-baseline", "n_users": 3, "n_r": 12, "snr_grid_db": [-300, 0],
+           "metrics": ["outage"], "target_rates": [1.0, 1.0, 1.5], "max_trials": 10_000}
     rc = cli.main(["validate", "--config", _write_config(tmp_path, doc)])
     out = capsys.readouterr().out
     compared = [line for line in out.splitlines() if "|diff|/ci=" in line]
     assert [line.split(":")[0] for line in compared] == [
-        f"rate/user{user}@0dB" for user in (1, 2, 3)]
+        f"outage/user{user}@0dB" for user in (1, 2, 3)]
     assert "nan" not in out and rc == 0
 
 
