@@ -11,6 +11,7 @@ SSK-NOMA user k + 2 and baseline user k + 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, prod
@@ -217,7 +218,10 @@ def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma_sq: float,
 # the cell-edge BEP curve evaluates at most this many erfc terms at once
 # (512 KiB of scratch), or one SNR's where it keeps more levels than that
 BEP_CHUNK_ENTRIES = 1 << 16
-_SQRT2 = np.sqrt(2.0)
+# 0-d arrays: a ufunc takes them faster than a scalar, which the outage
+# integrand's one-row calls feel, and computes the same doubles
+_SQRT2 = np.array(np.sqrt(2.0))
+_HALF = np.array(0.5)
 
 
 def _q_sums(part: np.ndarray, weights: np.ndarray, erfc) -> np.ndarray:
@@ -227,7 +231,7 @@ def _q_sums(part: np.ndarray, weights: np.ndarray, erfc) -> np.ndarray:
     np.sqrt(part, out=part)
     np.divide(part, _SQRT2, out=part)
     erfc(part, out=part)
-    np.multiply(part, 0.5, out=part)
+    np.multiply(part, _HALF, out=part)
     return np.einsum("ij,j->i", part, weights)
 
 
@@ -249,47 +253,64 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     without evaluating any erfc: the curve is at least 1 + 2^-40 there (see
     :func:`pair_energy_table`), so the clamp would return exactly 1.0.
 
-    The SNRs are sorted, so that the kept-level count falls along them, and
-    walked in runs of equal counts k, in chunks of max(1,
-    ``BEP_CHUNK_ENTRIES`` // k) SNRs, so the scratch stays near
-    ``BEP_CHUNK_ENTRIES`` doubles however many levels the table holds.
-    Each chunk evaluates its Q terms in place over exactly its levels, and
-    ``np.einsum`` (not a BLAS gemv) sums each row on its own. A value
-    therefore depends only on its own SNR, bit for bit: not on how the SNRs
-    are grouped into calls, nor on the BLAS build or its thread count.
+    The SNRs may come in any order: they are sorted here, evaluated by
+    :func:`conditional_bep_u1_sorted` and scattered back once. A value
+    depends only on its own SNR, bit for bit: not on how the SNRs are
+    ordered or grouped into calls, nor on the BLAS build or its thread
+    count.
     """
     gammas = np.asarray(gammas, dtype=float)
+    order = np.argsort(gammas)
+    vals = np.empty(gammas.size)
+    vals[order] = conditional_bep_u1_sorted(gammas[order], table, clamp)
+    return vals
+
+
+def conditional_bep_u1_sorted(g: np.ndarray, table: PairEnergyTable,
+                              clamp: bool = True) -> np.ndarray:
+    """:func:`conditional_bep_u1_vec` of SNRs ``g`` already sorted ascending
+    (NaNs last, as ``np.sort`` puts them), its values in that order, bit for
+    bit: for a caller that sorts its draws once and scales them at several
+    SNR points, since rho * (sorted draws) is sorted for any rho > 0.
+
+    Clamped, the SNRs in [0, gamma_sat] form one slice, set to 1.0. The
+    others, the slices below and above it, are walked in runs of equal
+    kept-level counts k, in chunks of max(1, ``BEP_CHUNK_ENTRIES`` // k)
+    SNRs, so the scratch stays near ``BEP_CHUNK_ENTRIES`` doubles however
+    many levels the table holds. Each chunk evaluates its Q terms in place
+    over exactly its levels, and ``np.einsum`` (not a BLAS gemv) sums each
+    row on its own.
+    """
     from scipy.special import erfc
 
-    quarter, weights = table.quarter, table.weights
-    order = np.argsort(gammas)
-    g = gammas[order]
-    vals = np.empty(gammas.size)
+    vals = np.empty(g.size)
+    lo = hi = 0
     if clamp:
-        # the sorted SNRs in [0, gamma_sat] clamp to 1.0; the rest are summed
         lo = g.searchsorted(0.0)
         hi = max(lo, g.searchsorted(table.saturation, "right"))
-        vals[order[lo:hi]] = 1.0
-        order, g = np.r_[order[:lo], order[hi:]], np.r_[g[:lo], g[hi:]]
-    n = g.size
-    # levels kept per SNR: those with gap <= 2T / gamma, every one at 0 (a
-    # division by zero; adding 0.0 turns -0.0 into +0.0) or NaN
+        vals[lo:hi] = 1.0
+    # (first index, levels kept per SNR) of each summed slice: the levels
+    # with gap <= 2T / gamma, every one at 0 (a division by zero; adding 0.0
+    # turns -0.0 into +0.0) or NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        keep = table.gap.searchsorted(2.0 * table.cutoff / (g + 0.0), "right")
-    runs = np.flatnonzero(np.diff(keep, prepend=-1))
-    widest = int(keep.max(initial=0))
-    scratch = np.empty(min(n * widest, max(BEP_CHUNK_ENTRIES, widest)))
+        slices = [(a, table.gap.searchsorted(2.0 * table.cutoff / (g[a:b] + 0.0), "right"))
+                  for a, b in ((0, lo), (hi, g.size)) if b > a]
+    widest = max((int(keep.max()) for _, keep in slices), default=0)
+    scratch = np.empty(min((g.size - (hi - lo)) * widest, max(BEP_CHUNK_ENTRIES, widest)))
     scale = (table.n_t / 2.0) * table.bits
-    for run, run_stop in zip(runs, [*runs[1:], n]):
-        k = int(keep[run])
-        rows = max(1, BEP_CHUNK_ENTRIES // max(k, 1))
-        for start in range(run, run_stop, rows):
-            stop = min(start + rows, run_stop)
-            part = scratch[:(stop - start) * k].reshape(stop - start, k)
-            np.multiply(g[start:stop, None], quarter[:k], out=part)
-            sums = scale * _q_sums(part, weights[:k], erfc)
-            # no sum is negative, so the clamp is a minimum
-            vals[order[start:stop]] = np.minimum(sums, 1.0, out=sums) if clamp else sums
+    for offset, keep in slices:
+        # the runs of equal counts, as indices into g
+        runs = offset + np.flatnonzero(np.diff(keep, prepend=-1))
+        for run, run_stop in zip(runs, [*runs[1:], offset + keep.size]):
+            k = int(keep[run - offset])
+            rows = max(1, BEP_CHUNK_ENTRIES // max(k, 1))
+            for start in range(run, run_stop, rows):
+                stop = min(start + rows, run_stop)
+                part = scratch[:(stop - start) * k].reshape(stop - start, k)
+                np.multiply(g[start:stop, None], table.quarter[:k], out=part)
+                sums = scale * _q_sums(part, table.weights[:k], erfc)
+                # no sum is negative, so the clamp is a minimum
+                vals[start:stop] = np.minimum(sums, 1.0, out=sums) if clamp else sums
     return vals
 
 
@@ -526,7 +547,10 @@ def outage_u1(rate: float, table: PairEnergyTable, n_r: int, rho: float,
     gamma^(N_r - 1) * exp(-gamma / gamma_bar) / ((N_r - 1)! gamma_bar^N_r)
     in that order. At an SNR in [0, gamma_sat] the clamped curve is exactly
     1.0 (see :func:`pair_energy_table`), so there the integrand is the bare
-    density, and no erfc is evaluated."""
+    density, and no erfc is evaluated. Above it, the kept-level count k is a
+    ``bisect_right`` on the gaps as a list, and the Q terms are evaluated in
+    place in the first k entries of one (1, levels) scratch row made once
+    per call, so a node allocates no array of the table's size."""
     # the only user of scipy.integrate, whose import adds about a third to
     # the package's memory
     from scipy import integrate
@@ -535,18 +559,24 @@ def outage_u1(rate: float, table: PairEnergyTable, n_r: int, rho: float,
     n_t = table.n_t
     psi1 = outage_threshold_u1(rate, n_t)
     gbar = rho * sigma_sq
-    quarter, weights, gap = table.quarter, table.weights, table.gap
+    quarter, weights, gaps = table.quarter, table.weights, table.gap.tolist()
     two_t, saturation = 2.0 * table.cutoff, table.saturation
     scale = (n_t / 2.0) * table.bits
     norm = factorial(n_r - 1) * gbar**n_r
+    row = np.empty((1, quarter.size))
+    # kept-level count k -> (scratch, levels, weights) views of its first k
+    views = {}
 
     def integrand(g):
         # the density as documented; quad passes no negative SNR
         density = np.asarray(g) ** (n_r - 1) * np.exp(-g / gbar) / norm
         if g <= saturation:
             return density
-        k = gap.searchsorted(two_t / g, "right") if g else gap.size
-        bep = scale * _q_sums(g * quarter[None, :k], weights[:k], erfc)[0]
+        k = bisect_right(gaps, two_t / g) if g else len(gaps)
+        if k not in views:
+            views[k] = row[:, :k], quarter[None, :k], weights[:k]
+        part, levels, kept_weights = views[k]
+        bep = scale * _q_sums(np.multiply(levels, g, out=part), kept_weights, erfc)[0]
         return min(float(bep), 1.0) * density
 
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))

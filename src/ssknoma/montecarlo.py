@@ -576,24 +576,41 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
         yield errors
 
 
-def _gamma_block(cfg: SimConfig, metric: str, snrs, block: int):
+def _gamma_draws(cfg: SimConfig, metric: str, block: int):
     """Per-user MRC output SNR draws of one block (rate/outage metrics) at
-    each SNR point of ``snrs``: rho * ||h||^2 over N_r Rayleigh branches of
-    variance sigma^2 is rho * sigma^2 * Gamma(N_r, 1), so each user, in user
-    order, draws sigma^2 * Gamma(N_r, 1) once per trial (``erlang``: N_r * B
-    uniforms per user for N_r <= 4, numpy's sampler above), and each point
-    scales those draws by its rho (exact zeros for a zero-variance user)."""
+    0 dB: rho * ||h||^2 over N_r Rayleigh branches of variance sigma^2 is
+    rho * sigma^2 * Gamma(N_r, 1), so each user, in user order, draws
+    sigma^2 * Gamma(N_r, 1) once per trial (``erlang``: N_r * B uniforms per
+    user for N_r <= 4, numpy's sampler above), and each SNR point scales
+    them by its rho (exact zeros for a zero-variance user)."""
     rng = rng_stream(cfg.seed, _METRIC_CODE[metric], block)
     b = _block_trials(cfg, block)
-    draws = [var * erlang(rng, cfg.n_r, b) for var in cfg.fading]
-    return [[10.0 ** (snr_db / 10.0) * d for d in draws] for snr_db in snrs]
+    return [var * erlang(rng, cfg.n_r, b) for var in cfg.fading]
+
+
+def _cell_edge_curve(cfg: SimConfig, draws: np.ndarray):
+    """The cell-edge user's conditional BEP of each trial, in draw order, as
+    a function of rho, from its ``draws`` at 0 dB. The draws are sorted once
+    here: rho * (sorted draws) is sorted and holds exactly the doubles
+    rho * d, as rho > 0 and rounding is monotone, so each SNR point runs
+    ``conditional_bep_u1_sorted`` on it and scatters the values back once,
+    bit for bit what ``conditional_bep_u1_vec`` gives."""
+    order = np.argsort(draws)
+    ordered = draws[order]
+
+    def at(rho: float) -> np.ndarray:
+        bep = np.empty(ordered.size)
+        bep[order] = analytics.conditional_bep_u1_sorted(rho * ordered, cfg.pairs)
+        return bep
+
+    return at
 
 
 def _outage_trials(cfg: SimConfig, snrs, block: int):
     """Yields per SNR point of ``snrs`` the per-user outage outcome of each
     trial of one block, one (B,) float array per user: 1 or 0 for a
     power-multiplexed user, and for the cell-edge user its conditional BEP
-    where gamma >= psi_1, else 0."""
+    (``_cell_edge_curve``, one sort per block) where gamma >= psi_1, else 0."""
     rates = cfg.target_rates
     first = cfg.first_power_user
     # gamma >= psi_k iff every SINR of stage k's SIC cascade meets its
@@ -601,29 +618,35 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
     # tests/test_analytics.py checks it against the cascade)
     psis = [analytics.outage_threshold_psi(k, cfg.pa, rates[first - 1:])
             for k in range(len(cfg.pa))]
-    for gammas in _gamma_block(cfg, "outage", snrs, block):
-        outcomes = []
-        if first > 1:
-            # the cell-edge outage metric is the conditional error probability
-            # averaged over the fading tail above the rate-derived limit, so it
-            # reduces to the ABEP when the target rate saturates the antenna bits
-            psi1 = analytics.outage_threshold_u1(rates[0], cfg.n_t)
-            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.pairs)
-            outcomes.append(np.where(gammas[0] >= psi1, bep, 0.0))
+    draws = _gamma_draws(cfg, "outage", block)
+    if first > 1:
+        # the cell-edge outage metric is the conditional error probability
+        # averaged over the fading tail above the rate-derived limit, so it
+        # reduces to the ABEP when the target rate saturates the antenna bits
+        psi1 = analytics.outage_threshold_u1(rates[0], cfg.n_t)
+        bep_at = _cell_edge_curve(cfg, draws[0])
+    for snr_db in snrs:
+        rho = 10.0 ** (snr_db / 10.0)
+        gammas = [rho * d for d in draws]
+        outcomes = [np.where(gammas[0] >= psi1, bep_at(rho), 0.0)] if first > 1 else []
         outcomes += [(g < psi).astype(float) for g, psi in zip(gammas[first - 1:], psis)]
         yield outcomes
 
 
 def _rate_trials(cfg: SimConfig, snrs, block: int):
     """Yields per SNR point of ``snrs`` the per-draw rate of each user of
-    one block, one (B,) array per user, plus the per-draw sum rate last."""
+    one block, one (B,) array per user, plus the per-draw sum rate last; the
+    cell-edge user's from its conditional BEP (``_cell_edge_curve``, one
+    sort per block)."""
     first = cfg.first_power_user
-    for gammas in _gamma_block(cfg, "rate", snrs, block):
-        rates = []
-        if first > 1:
-            bep = analytics.conditional_bep_u1_vec(gammas[0], cfg.pairs)
-            rates.append(np.log2(cfg.n_t) * (1.0 - bep))
-        for k, g in enumerate(gammas[first - 1:]):
+    draws = _gamma_draws(cfg, "rate", block)
+    if first > 1:
+        bep_at = _cell_edge_curve(cfg, draws[0])
+    for snr_db in snrs:
+        rho = 10.0 ** (snr_db / 10.0)
+        rates = [np.log2(cfg.n_t) * (1.0 - bep_at(rho))] if first > 1 else []
+        for k, d in enumerate(draws[first - 1:]):
+            g = rho * d
             with_own = sum(cfg.pa[k:])
             without = sum(cfg.pa[k + 1:])
             rates.append(np.log2(1.0 + with_own * g) - np.log2(1.0 + without * g))
@@ -778,9 +801,20 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
     return value if np.isfinite(value) else None
 
 
+# Largest pair-table level count the rate and outage metrics take: their
+# blocks evaluate the cell-edge curve on every draw, at about 26 us of erfc
+# per 1 000 level terms on a 2-core Xeon, so a 25 000-trial block of a table
+# at the cap takes at most about 2.7 s. Every preset and benchmark config has
+# at most 329 levels and [16, 64] has 2 242, where [64, 256] has 198 581
+# (about 130 s a block).
+_MAX_LEVELS = 1 << 12
+
+
 def check_metrics(cfg: SimConfig, metrics) -> None:
     """Reject metrics ``run_sweep`` cannot run on ``cfg``: anything but a
-    non-empty list of distinct known names, or outage without target rates."""
+    non-empty list of distinct known names, outage without target rates, or
+    rate or outage on an SSK-NOMA run whose pair table (built here, on first
+    read) has more than ``_MAX_LEVELS`` levels. BER never builds the table."""
     if (not isinstance(metrics, (list, tuple)) or not all(isinstance(m, str) for m in metrics)
             or not metrics or len(set(metrics)) != len(metrics)):
         raise ConfigError(f"metrics must be a list naming each metric once, got {metrics!r}")
@@ -789,6 +823,9 @@ def check_metrics(cfg: SimConfig, metrics) -> None:
             raise ConfigError(f"unknown metric {metric!r}")
         if metric == "outage" and cfg.target_rates is None:
             raise ConfigError("outage metric requires target rates")
+        if metric != "ber" and cfg.pairs is not None and cfg.pairs.quarter.size > _MAX_LEVELS:
+            raise ConfigError(f"the cell-edge pair table has {cfg.pairs.quarter.size} levels, "
+                              f"more than the {_MAX_LEVELS} the {metric} metric evaluates")
 
 
 def run_sweep(cfg: SimConfig, metrics=("ber",)) -> tuple:

@@ -92,9 +92,9 @@ def test_mrc_snr_distribution_ks(n_r, monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_SIZE", n)
     cfg = mc.make_config(mc.SSK_NOMA, 3, n_r, [10.0], seed=42, n_t=2)
     ecdf = (np.arange(n) + 0.5) / n
-    [point] = mc._gamma_block(cfg, "rate", [10.0], 0)
-    for var, gammas in zip(cfg.fading, point):
-        model = chi2_cdf(np.sort(gammas), n_r, 10.0 * var)
+    # the 10 dB point scales each user's 0 dB draws by rho = 10
+    for var, draws in zip(cfg.fading, mc._gamma_draws(cfg, "rate", 0)):
+        model = chi2_cdf(np.sort(10.0 * draws), n_r, 10.0 * var)
         # 1% critical value is about 1.63/sqrt(n); allow headroom for the seed
         assert np.max(np.abs(ecdf - model)) < 2.0 / np.sqrt(n)
 
@@ -103,9 +103,9 @@ def test_zero_variance_user_draws_exact_zero_snr():
     cfg = mc.make_config(mc.SSK_NOMA, 3, 2, [10.0], seed=42, fading=(0.0, 2.0, 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [gammas] = mc._gamma_block(cfg, "outage", [10.0], 0)
-    assert np.array_equal(gammas[0], np.zeros(mc._BLOCK_SIZE))
-    assert np.all(gammas[1] > 0.0)
+        draws = mc._gamma_draws(cfg, "outage", 0)
+    assert np.array_equal(draws[0], np.zeros(mc._BLOCK_SIZE))
+    assert np.all(draws[1] > 0.0)
 
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])

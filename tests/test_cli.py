@@ -583,6 +583,13 @@ INVALID_RUNS = {
     "capacity-n_r-200": (["capacity"], dict(BER_CONFIG, n_r=200, n_t=2, snr_grid_db=[10.0])),
     "outage-n_r-200": (["outage"], dict(BER_CONFIG, n_r=200, n_t=2, snr_grid_db=[10.0],
                                         target_rates=[0.5, 1.0, 1.5])),
+    # 198 581 pair-table levels: about 130 s of erfc per 25 000-trial block
+    "capacity-pair-table-of-198581-levels": (["capacity"], dict(BER_CONFIG,
+                                                                modulations=[64, 256])),
+    "outage-pair-table-of-198581-levels": (["outage"], dict(BER_CONFIG, modulations=[64, 256],
+                                                            target_rates=[1.0, 1.0, 1.0])),
+    "validate-rate-on-a-pair-table-of-198581-levels": (["validate"], dict(
+        BER_CONFIG, modulations=[64, 256], metrics=["ber", "rate"])),
     # documents json cannot decode: these ended in a UnicodeDecodeError,
     # RecursionError or ValueError traceback (exit 1)
     "ber-config-not-utf-8": (["ber"], b'{"scheme": "\xff"}'),

@@ -358,13 +358,72 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
         drawn.append(-2.0 - 1e-9 * rng.standard_normal(np.shape(gammas)))
         return drawn[-1]
 
-    monkeypatch.setattr(mc.analytics, "conditional_bep_u1_vec", fake_bep)
+    # the rate block evaluates the curve on its sorted draws
+    monkeypatch.setattr(mc.analytics, "conditional_bep_u1_sorted", fake_bep)
     cfg = _cfg(target_rates=(1.0, 1.0, 1.0))  # N_t = 2: user 1's rate is 1 - bep
     est = {p.user: p for p in _sweep(cfg, "rate")}[1]
     rates = np.log2(cfg.n_t) * (1.0 - np.concatenate(drawn))
     assert est.n_trials == rates.size == 100_000
     want = 1.959963984540054 * np.sqrt(np.var(rates) / rates.size)
     assert est.ci_halfwidth == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+# (n_users, n_t, overrides) of the per-block curve check: L = 3/4/5 at N_t
+# 2/4/16, a zero-variance cell-edge user (every gamma is 0) and L = 2 with a
+# QPSK power user at N_t = 2, whose gamma_sat is -inf (N_t log2 M_T = 4)
+BLOCK_CURVE_CASES = [
+    *((n_users, n_t, {}) for n_users, n_t in itertools.product((3, 4, 5), (2, 4, 16))),
+    (3, 2, {"fading": (0.0, 2.0, 4.0)}),
+    (2, 2, {"pa": (1.0,), "modulations": (4,)}),
+]
+# all clamped, partly clamped and unclamped points
+BLOCK_CURVE_GRID = [-20.0, 0.0, 30.0, 60.0]
+
+
+@pytest.mark.parametrize("n_users,n_t,kw", BLOCK_CURVE_CASES,
+                         ids=[f"L{u}-nt{t}-{i}" for i, (u, t, _) in enumerate(BLOCK_CURVE_CASES)])
+def test_block_curve_equals_per_point_curve_bit_for_bit(monkeypatch, n_users, n_t, kw):
+    """The rate and outage blocks sort the cell-edge draws once and evaluate
+    every SNR point on rho * (sorted draws): their cell-edge outputs equal,
+    bit for bit, ``conditional_bep_u1_vec`` of each point's gammas in draw
+    order."""
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", 4_000)
+    cfg = _cfg(n_users=n_users, n_t=n_t, snr_grid_db=BLOCK_CURVE_GRID,
+               target_rates=(1.0,) * n_users, **kw)
+    sat = cfg.pairs.saturation
+    clamped = set()
+    for metric, trials_fn in (("rate", mc._rate_trials), ("outage", mc._outage_trials)):
+        draws = mc._gamma_draws(cfg, metric, 0)[0]
+        psi1 = 1.0 - 1.0 / np.log2(n_t)
+        for snr_db, users in zip(BLOCK_CURVE_GRID, trials_fn(cfg, BLOCK_CURVE_GRID, 0)):
+            gammas = 10.0 ** (snr_db / 10.0) * draws
+            clamped.add(float(np.mean(gammas <= sat)))
+            bep = mc.analytics.conditional_bep_u1_vec(gammas, cfg.pairs)
+            want = (np.log2(n_t) * (1.0 - bep) if metric == "rate"
+                    else np.where(gammas >= psi1, bep, 0.0))
+            assert np.array_equal(users[0].view(np.int64), want.view(np.int64)), (metric, snr_db)
+    if n_users == 2:
+        assert sat == -np.inf
+    elif not kw:
+        # the grid spans the clamp's regimes: at N_t = 16 the curve still
+        # clamps every draw at 0 dB
+        assert clamped >= {0.0, 1.0} and (n_t == 16 or len(clamped - {0.0, 1.0}) > 0)
+
+
+def test_rate_and_outage_reject_a_pair_table_beyond_the_level_budget():
+    """[64, 256] has 198 581 pair-table levels (about 130 s of erfc a
+    block): rate and outage are config errors naming the count and the
+    budget, BER is not. [16, 64] (2 242 levels) and [256, 256] (304
+    distinct energies but 878 levels) are within it."""
+    big = _cfg(modulations=(64, 256), target_rates=(1.0, 1.0, 1.0))
+    for metric in ("rate", "outage"):
+        with pytest.raises(ConfigError, match=f"198581 levels, more than the {mc._MAX_LEVELS}"):
+            mc.check_metrics(big, [metric])
+    mc.check_metrics(big, ["ber"])
+    for modulations, levels in (((16, 64), 2242), ((256, 256), 878)):
+        cfg = _cfg(modulations=modulations, target_rates=(1.0, 1.0, 1.0))
+        mc.check_metrics(cfg, ["rate", "outage"])
+        assert cfg.pairs.quarter.size == levels <= mc._MAX_LEVELS
 
 
 # --- interval estimates ---------------------------------------------------------
