@@ -92,7 +92,7 @@ class PairEnergyTable:
     over the ordered composite-symbol pairs, quartered, with the share of
     pairs at each and the level cutoff of :func:`conditional_bep_u1_vec`.
 
-    ``saturation``, the SNR up to which its clamped curve is exactly 1, is
+    ``saturation``, the SNR up to which its curve is exactly 1, is
     bisected on first read and then kept on the table, so a pickled copy
     carries it and a table whose curve is never evaluated never bisects."""
 
@@ -105,7 +105,7 @@ class PairEnergyTable:
 
     @cached_property
     def saturation(self) -> float:
-        """gamma_sat: the clamped curve is 1.0 on [0, gamma_sat]."""
+        """gamma_sat: the curve is 1.0 on [0, gamma_sat]."""
         return float(_saturation(self.quarter, self.weights, (self.n_t / 2.0) * self.bits))
 
 
@@ -178,10 +178,11 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     computed here but by bisection on its first read, which only the rate
     and outage metrics make, once per table. The exact curve does not
     increase with gamma, and a computed value lies within a few ulps of it
-    plus the 2^-53 the level cutoff drops, so on [0, gamma_sat] the clamped
-    curve is exactly 1.0 and is not evaluated. It is -inf (nothing skipped)
-    when the curve starts below 1 + 2^-40, which N_t log2 M_T <= 4 implies;
-    +inf when a composite symbol of zero energy keeps the curve above it."""
+    plus the 2^-53 the level cutoff drops, so on [0, gamma_sat] the curve,
+    clamped to 1, is exactly 1.0 and is not evaluated. It is -inf (nothing
+    skipped) when the curve starts below 1 + 2^-40, which N_t log2 M_T <= 4
+    implies; +inf when a composite symbol of zero energy keeps the curve
+    above it."""
     if n_t < 2:
         raise InputError(f"the cell-edge user needs N_t >= 2 transmit antennas, got {n_t}")
     values, first, counts = distinct_energies(alphabet)
@@ -198,21 +199,19 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
                            float(cutoff), n_t)
 
 
-def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma_sq: float,
-            clamp: bool = True) -> float:
+def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma_sq: float) -> float:
     """Cell-edge user's ABEP by the SSK union-bound sum: antenna-pair factor
     (N_t from ``table``) times the pairwise error probability averaged
     uniformly over all ordered composite symbol pairs (``table``), each
-    weighted by log2(M_T). It is an approximation, not an upper bound: at
-    L = 4 (M_T = 64) it lies below the simulated BER."""
+    weighted by log2(M_T), clamped to [0, 1]. It is an approximation, not an
+    upper bound: at L = 4 (M_T = 64) it lies below the simulated BER."""
     n_t = table.n_t
     if rho <= 0 or sigma_sq <= 0:
         raise InputError("rho and sigma_sq must be positive")
     sigma_a_sq = rho * sigma_sq * table.quarter
     mu = np.sqrt(sigma_a_sq / (2.0 + sigma_a_sq))
     peps = table.bits * rayleigh_q_average(mu, n_r)
-    bound = (n_t / 2.0) * float(peps @ table.weights)
-    return _clamp(bound) if clamp else bound
+    return _clamp((n_t / 2.0) * float(peps @ table.weights))
 
 
 # the cell-edge BEP curve evaluates at most this many erfc terms at once
@@ -235,10 +234,11 @@ def _q_sums(part: np.ndarray, weights: np.ndarray, erfc) -> np.ndarray:
     return np.einsum("ij,j->i", part, weights)
 
 
-def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
-                           clamp: bool = True) -> np.ndarray:
-    """BEP of the cell-edge user conditioned on each instantaneous MRC SNR,
-    clamped to [0, 1] unless ``clamp`` is false.
+def conditional_bep_u1_vec(g: np.ndarray, table: PairEnergyTable) -> np.ndarray:
+    """BEP of the cell-edge user conditioned on each instantaneous MRC SNR
+    of ``g``, clamped to [0, 1]: finite SNRs >= 0, sorted ascending, as the
+    rate and outage blocks scale their sorted draws (``rho * (sorted
+    draws)`` is sorted for any rho > 0); the values come in that order.
 
     Each value is ``(N_t / 2) log2(M_T) * sum_j w_j Q(sqrt(gamma q_j))`` over
     the quartered pair energies q_0 < q_1 < ... and their shares w_j of
@@ -248,69 +248,45 @@ def conditional_bep_u1_vec(gammas: np.ndarray, table: PairEnergyTable,
     exp(-gamma (q_j - q_0) / 2). A level with gamma (q_j - q_0) / 2 > T =
     ``table.cutoff`` is dropped: the dropped terms sum to at most 2^-53 w_0
     erfc(x_0), at most 2^-53 of the value, so a value lies within a few ulps
-    of the full sum. An SNR of 0 (of either sign) or NaN keeps every level.
-    Clamped, an SNR in [0, gamma_sat] (``table.saturation``) is set to 1.0
-    without evaluating any erfc: the curve is at least 1 + 2^-40 there (see
-    :func:`pair_energy_table`), so the clamp would return exactly 1.0.
+    of the full sum. An SNR of 0 keeps every level.
 
-    The SNRs may come in any order: they are sorted here, evaluated by
-    :func:`conditional_bep_u1_sorted` and scattered back once. A value
+    The SNRs in [0, gamma_sat] (``table.saturation``) form one slice, set to
+    1.0 without evaluating any erfc: the curve is at least 1 + 2^-40 there
+    (see :func:`pair_energy_table`), so the clamp would return exactly 1.0.
+    The rest is walked in runs of equal kept-level counts k, in chunks of
+    max(1, ``BEP_CHUNK_ENTRIES`` // k) SNRs, so the scratch stays near
+    ``BEP_CHUNK_ENTRIES`` doubles however many levels the table holds. Each
+    chunk evaluates its Q terms in place over exactly its levels, and
+    ``np.einsum`` (not a BLAS gemv) sums each row on its own, so a value
     depends only on its own SNR, bit for bit: not on how the SNRs are
-    ordered or grouped into calls, nor on the BLAS build or its thread
-    count.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    order = np.argsort(gammas)
-    vals = np.empty(gammas.size)
-    vals[order] = conditional_bep_u1_sorted(gammas[order], table, clamp)
-    return vals
-
-
-def conditional_bep_u1_sorted(g: np.ndarray, table: PairEnergyTable,
-                              clamp: bool = True) -> np.ndarray:
-    """:func:`conditional_bep_u1_vec` of SNRs ``g`` already sorted ascending
-    (NaNs last, as ``np.sort`` puts them), its values in that order, bit for
-    bit: for a caller that sorts its draws once and scales them at several
-    SNR points, since rho * (sorted draws) is sorted for any rho > 0.
-
-    Clamped, the SNRs in [0, gamma_sat] form one slice, set to 1.0. The
-    others, the slices below and above it, are walked in runs of equal
-    kept-level counts k, in chunks of max(1, ``BEP_CHUNK_ENTRIES`` // k)
-    SNRs, so the scratch stays near ``BEP_CHUNK_ENTRIES`` doubles however
-    many levels the table holds. Each chunk evaluates its Q terms in place
-    over exactly its levels, and ``np.einsum`` (not a BLAS gemv) sums each
-    row on its own.
+    grouped into calls, nor on the BLAS build or its thread count.
     """
     from scipy.special import erfc
 
     vals = np.empty(g.size)
-    lo = hi = 0
-    if clamp:
-        lo = g.searchsorted(0.0)
-        hi = max(lo, g.searchsorted(table.saturation, "right"))
-        vals[lo:hi] = 1.0
-    # (first index, levels kept per SNR) of each summed slice: the levels
-    # with gap <= 2T / gamma, every one at 0 (a division by zero; adding 0.0
-    # turns -0.0 into +0.0) or NaN
+    hi = g.searchsorted(table.saturation, "right")
+    vals[:hi] = 1.0
+    # the levels each SNR keeps, those with gap <= 2T / gamma. gamma = 0 gets
+    # here on a table of gamma_sat = -inf and keeps every level: 2T / 0 is
+    # inf (adding 0.0 turns -0.0 into +0.0), and on a one-level table (T = 0)
+    # 0 / 0 is NaN, which searchsorted puts past every gap
     with np.errstate(divide="ignore", invalid="ignore"):
-        slices = [(a, table.gap.searchsorted(2.0 * table.cutoff / (g[a:b] + 0.0), "right"))
-                  for a, b in ((0, lo), (hi, g.size)) if b > a]
-    widest = max((int(keep.max()) for _, keep in slices), default=0)
-    scratch = np.empty(min((g.size - (hi - lo)) * widest, max(BEP_CHUNK_ENTRIES, widest)))
+        keep = table.gap.searchsorted(2.0 * table.cutoff / (g[hi:] + 0.0), "right")
+    widest = int(keep.max(initial=0))
+    scratch = np.empty(min(keep.size * widest, max(BEP_CHUNK_ENTRIES, widest)))
     scale = (table.n_t / 2.0) * table.bits
-    for offset, keep in slices:
-        # the runs of equal counts, as indices into g
-        runs = offset + np.flatnonzero(np.diff(keep, prepend=-1))
-        for run, run_stop in zip(runs, [*runs[1:], offset + keep.size]):
-            k = int(keep[run - offset])
-            rows = max(1, BEP_CHUNK_ENTRIES // max(k, 1))
-            for start in range(run, run_stop, rows):
-                stop = min(start + rows, run_stop)
-                part = scratch[:(stop - start) * k].reshape(stop - start, k)
-                np.multiply(g[start:stop, None], table.quarter[:k], out=part)
-                sums = scale * _q_sums(part, table.weights[:k], erfc)
-                # no sum is negative, so the clamp is a minimum
-                vals[start:stop] = np.minimum(sums, 1.0, out=sums) if clamp else sums
+    # the runs of equal counts, as indices into g
+    runs = hi + np.flatnonzero(np.diff(keep, prepend=-1))
+    for run, run_stop in zip(runs, [*runs[1:], g.size]):
+        k = int(keep[run - hi])
+        rows = max(1, BEP_CHUNK_ENTRIES // max(k, 1))
+        for start in range(run, run_stop, rows):
+            stop = min(start + rows, run_stop)
+            part = scratch[:(stop - start) * k].reshape(stop - start, k)
+            np.multiply(g[start:stop, None], table.quarter[:k], out=part)
+            sums = scale * _q_sums(part, table.weights[:k], erfc)
+            # no sum is negative, so the clamp is a minimum
+            vals[start:stop] = np.minimum(sums, 1.0, out=sums)
     return vals
 
 
@@ -542,15 +518,17 @@ def outage_u1(rate: float, table: PairEnergyTable, n_r: int, rho: float,
     as printed in the source analysis (the lower limit is applied to the SNR
     variable).
 
-    The integrand is the clamped curve of :func:`conditional_bep_u1_vec`,
-    bit for bit, times the fading density, computed inline as
+    The integrand is the curve of :func:`conditional_bep_u1_vec`, bit for
+    bit, times the fading density, computed inline as
     gamma^(N_r - 1) * exp(-gamma / gamma_bar) / ((N_r - 1)! gamma_bar^N_r)
-    in that order. At an SNR in [0, gamma_sat] the clamped curve is exactly
-    1.0 (see :func:`pair_energy_table`), so there the integrand is the bare
+    in that order. At an SNR in [0, gamma_sat] the curve is exactly 1.0
+    (see :func:`pair_energy_table`), so there the integrand is the bare
     density, and no erfc is evaluated. Above it, the kept-level count k is a
     ``bisect_right`` on the gaps as a list, and the Q terms are evaluated in
     place in the first k entries of one (1, levels) scratch row made once
-    per call, so a node allocates no array of the table's size."""
+    per call, so a node allocates no array of the table's size. quad visits
+    one SNR at a time, and this scalar form takes about a quarter of the
+    time of :func:`conditional_bep_u1_vec` on a one-SNR array."""
     # the only user of scipy.integrate, whose import adds about a third to
     # the package's memory
     from scipy import integrate

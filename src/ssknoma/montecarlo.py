@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -111,6 +111,10 @@ class SimConfig:
 
     def __post_init__(self):
         pa, fading, rates = self.pa, self.fading, self.target_rates
+        # NaN passes every range check below, as each comparison is false
+        for name in ("pa", "fading", "snr_grid_db", "target_rates"):
+            if not all(map(isfinite, getattr(self, name) or ())):
+                raise ConfigError(f"{name} must be finite, got {list(getattr(self, name))}")
         # an empty pa fails the sum, an empty fading profile its length check
         if abs(sum(pa) - 1.0) > _PA_SUM_TOL:
             raise ConfigError(f"power allocation must sum to 1, got {sum(pa)}")
@@ -590,17 +594,17 @@ def _gamma_draws(cfg: SimConfig, metric: str, block: int):
 
 def _cell_edge_curve(cfg: SimConfig, draws: np.ndarray):
     """The cell-edge user's conditional BEP of each trial, in draw order, as
-    a function of rho, from its ``draws`` at 0 dB. The draws are sorted once
-    here: rho * (sorted draws) is sorted and holds exactly the doubles
-    rho * d, as rho > 0 and rounding is monotone, so each SNR point runs
-    ``conditional_bep_u1_sorted`` on it and scatters the values back once,
-    bit for bit what ``conditional_bep_u1_vec`` gives."""
+    a function of rho, from its ``draws`` at 0 dB (finite and >= 0). The
+    draws are sorted once here: rho * (sorted draws) is sorted and holds
+    exactly the doubles rho * d, as rho > 0 and rounding is monotone, so
+    each SNR point runs ``conditional_bep_u1_vec``, which takes its SNRs
+    sorted, on it and scatters the values back once."""
     order = np.argsort(draws)
     ordered = draws[order]
 
     def at(rho: float) -> np.ndarray:
         bep = np.empty(ordered.size)
-        bep[order] = analytics.conditional_bep_u1_sorted(rho * ordered, cfg.pairs)
+        bep[order] = analytics.conditional_bep_u1_vec(rho * ordered, cfg.pairs)
         return bep
 
     return at
@@ -610,7 +614,8 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
     """Yields per SNR point of ``snrs`` the per-user outage outcome of each
     trial of one block, one (B,) float array per user: 1 or 0 for a
     power-multiplexed user, and for the cell-edge user its conditional BEP
-    (``_cell_edge_curve``, one sort per block) where gamma >= psi_1, else 0."""
+    (``_cell_edge_curve``: one sort per block, then one clamped curve per
+    point) where gamma >= psi_1, else 0."""
     rates = cfg.target_rates
     first = cfg.first_power_user
     # gamma >= psi_k iff every SINR of stage k's SIC cascade meets its
@@ -636,8 +641,8 @@ def _outage_trials(cfg: SimConfig, snrs, block: int):
 def _rate_trials(cfg: SimConfig, snrs, block: int):
     """Yields per SNR point of ``snrs`` the per-draw rate of each user of
     one block, one (B,) array per user, plus the per-draw sum rate last; the
-    cell-edge user's from its conditional BEP (``_cell_edge_curve``, one
-    sort per block)."""
+    cell-edge user's from its conditional BEP (``_cell_edge_curve``: one
+    sort per block, then one clamped curve per point)."""
     first = cfg.first_power_user
     draws = _gamma_draws(cfg, "rate", block)
     if first > 1:
@@ -798,7 +803,7 @@ def companion(cfg: SimConfig, metric: str, user: int, rho: float):
                 value = analytics.union_bound_ber(k, cfg.tables.consts, pa, rho, sigma_sq, n_r)
     except (ConfigError, ArithmeticError):
         return None
-    return value if np.isfinite(value) else None
+    return float(value) if np.isfinite(value) else None
 
 
 # Largest pair-table level count the rate and outage metrics take: their

@@ -1,8 +1,11 @@
 """Closed forms the package itself does not evaluate, kept as test oracles:
 the Gaussian tail Q, the chi-square fading density, the three-user QPSK
 network's conditional BEPs, whose fading averages the exact ABEPs
-``abep_u2`` and ``abep_u3`` give in closed form, and the quadrature of the
-mean that the capacity closed form gives."""
+``abep_u2`` and ``abep_u3`` give in closed form, the quadrature of the
+mean that the capacity closed form gives, and the cell-edge user's
+conditional BEP curve before its clamp, from all M_T^2 symbol pairs: one
+SNR at a time over the levels the library keeps, or as one dense table over
+every level."""
 
 from math import factorial
 
@@ -67,3 +70,49 @@ def conditional_bep_u3_error(gamma3: float, a2: float, a3: float) -> float:
 def conditional_bep_u3(gamma3: float, a2: float, a3: float) -> float:
     """Exact conditional BEP of U3: correct-SIC and erroneous-SIC branches."""
     return conditional_bep_u3_correct(gamma3, a2, a3) + conditional_bep_u3_error(gamma3, a2, a3)
+
+
+def pair_energy_levels(alphabet):
+    """Distinct pair energies |chi_k|^2 + |chi_hat|^2 over all M_T^2 ordered
+    composite-symbol pairs, grouped by their value rounded to 12 decimals,
+    each the energy of its group's first pair; with the share of pairs at
+    each."""
+    energy = np.abs(alphabet) ** 2
+    e = (energy[:, None] + energy[None, :]).ravel()
+    _, first, counts = np.unique(np.round(e, 12), return_index=True, return_counts=True)
+    return e[first], counts / e.size
+
+
+def kept_level_bep_u1(alphabet, n_t: int):
+    """The cell-edge BEP curve of ``alphabet`` at ``n_t`` antennas, unclamped,
+    as a function of an array of SNRs: ``(N_t / 2) log2(M_T) * sum_j w_j
+    Q(sqrt(gamma q_j))`` one SNR at a time, each summed with one einsum over
+    exactly the levels it keeps: every level q_j with gamma (q_j - q_0) / 2
+    <= T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0) (T = 0 for one level), and
+    every level at gamma = 0. This is what
+    ``ssknoma.analytics.conditional_bep_u1_vec`` computes, bit for bit,
+    before it clamps to 1."""
+    levels, weights = pair_energy_levels(alphabet)
+    quarter = levels / 4.0
+    rest = weights[1:].sum()
+    cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
+    gap, scale = quarter - quarter[0], (n_t / 2.0) * np.log2(alphabet.size)
+
+    def curve(gammas):
+        sums = np.empty(len(gammas))
+        for i, g in enumerate(map(float, gammas)):
+            keep = ~(gap > 2.0 * cutoff / g) if g else np.ones(gap.size, dtype=bool)
+            sums[i] = np.einsum("ij,j->i", q_func(np.sqrt(g * quarter[keep]))[None, :],
+                                weights[keep])[0]
+        return scale * sums
+
+    return curve
+
+
+def dense_bep_u1(gammas, alphabet, n_t: int):
+    """The cell-edge BEP curve over every level, unclamped, as one dense erfc
+    table and one einsum."""
+    levels, weights = pair_energy_levels(alphabet)
+    scale = (n_t / 2.0) * np.log2(alphabet.size)
+    return scale * np.einsum("ij,j->i", q_func(np.sqrt(gammas[:, None] * levels / 4.0)),
+                             weights)

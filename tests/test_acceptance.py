@@ -22,7 +22,6 @@ from ssknoma.analytics import (
     abep_u1,
     abep_u2,
     abep_u3,
-    conditional_bep_u1_vec,
     ergodic_capacity_noma_user,
     pair_energy_table,
     union_bound_ber,
@@ -31,7 +30,7 @@ from ssknoma.analytics import (
 from ssknoma.constellation import enumerate_sc_alphabet, qpsk
 from ssknoma.detectors import complexity_noma, complexity_ssk_noma
 
-from oracles import capacity_quad, chi2_pdf, q_func
+from oracles import capacity_quad, chi2_pdf, dense_bep_u1, q_func
 
 PA2 = (0.8, 0.2)
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
@@ -160,10 +159,9 @@ def test_c05_capacity_agreement():
                     failures.append(f"L={n_users} nr={n_r} u{user}")
     # closed-form cell-edge error rate vs its conditional-BEP average
     for n_r in (2, 4):
-        closed = abep_u1(PAIRS3[n_r], n_r, 10.0, 1.0, clamp=False)
+        closed = abep_u1(PAIRS3[n_r], n_r, 10.0, 1.0)
         avg, _ = integrate.quad(
-            lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3[n_r], clamp=False)[0]
-            * chi2_pdf(g, n_r, 10.0),
+            lambda g: dense_bep_u1(np.array([g]), ALPHABET3, n_r)[0] * chi2_pdf(g, n_r, 10.0),
             0.0, np.inf, limit=400,
         )
         gap = abs(np.log2(n_r) * (1.0 - closed) - np.log2(n_r) * (1.0 - avg))

@@ -1,6 +1,7 @@
 """Closed-form expression tests against independent quadrature and Monte
 Carlo oracles."""
 
+import functools
 import itertools
 import tracemalloc
 import warnings
@@ -37,7 +38,16 @@ from ssknoma.channel import rng_stream
 from ssknoma.constellation import enumerate_sc_alphabet, make_constellation, qpsk
 from ssknoma.errors import ConfigError, InputError
 
-from oracles import capacity_quad, chi2_pdf, conditional_bep_u2, conditional_bep_u3, q_func
+from oracles import (
+    capacity_quad,
+    chi2_pdf,
+    conditional_bep_u2,
+    conditional_bep_u3,
+    dense_bep_u1,
+    kept_level_bep_u1,
+    pair_energy_levels,
+    q_func,
+)
 
 PA2 = (0.8, 0.2)
 ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA2)
@@ -158,13 +168,12 @@ def test_abep_pa_validation():
 def test_abep_u1_matches_conditional_average():
     rho, n_r = 10.0, 2
     want, _ = integrate.quad(
-        lambda g: conditional_bep_u1_vec(np.array([g]), PAIRS3, clamp=False)[0]
-        * _gamma_pdf(g, n_r, rho),
+        lambda g: dense_bep_u1(np.array([g]), ALPHABET3, 4)[0] * _gamma_pdf(g, n_r, rho),
         0.0,
         np.inf,
         limit=400,
     )
-    got = abep_u1(PAIRS3, n_r, rho, 1.0, clamp=False)
+    got = abep_u1(PAIRS3, n_r, rho, 1.0)
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -204,7 +213,7 @@ def test_abep_u1_matches_pair_loop_oracle(n_users):
     alphabet = enumerate_sc_alphabet([qpsk()] * len(pa), pa)
     for rho, n_r in ((10.0, 2), (1000.0, 4)):
         want = _abep_u1_oracle(alphabet, 4, n_r, rho, 1.0)
-        got = abep_u1(pair_energy_table(alphabet, 4), n_r, rho, 1.0, clamp=False)
+        got = abep_u1(pair_energy_table(alphabet, 4), n_r, rho, 1.0)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -241,40 +250,20 @@ def _sc_alphabet(orders, pa):
     return enumerate_sc_alphabet([make_constellation(m) for m in orders], pa)
 
 
-def _pair_energy_levels(alphabet):
-    """Distinct pair energies |chi_k|^2 + |chi_hat|^2 over all M_T^2 ordered
-    composite-symbol pairs, grouped by their value rounded to 12 decimals,
-    each the energy of its group's first pair; with the share of pairs at
-    each."""
-    energy = np.abs(alphabet) ** 2
-    e = (energy[:, None] + energy[None, :]).ravel()
-    _, first, counts = np.unique(np.round(e, 12), return_index=True, return_counts=True)
-    return e[first], counts / e.size
-
-
 @pytest.mark.parametrize("name", sorted(PAIR_TABLE_ALPHABETS))
 def test_pair_energy_table_matches_all_pairs(name):
     """The table built from the distinct symbol energies holds the levels of
     the all-pairs table bit for bit, and the same shares."""
     alphabet = _sc_alphabet(*PAIR_TABLE_ALPHABETS[name])
-    levels, weights = _pair_energy_levels(alphabet)
+    levels, weights = pair_energy_levels(alphabet)
     table = pair_energy_table(alphabet, 4)
     assert [float(q).hex() for q in table.quarter] == [float(x / 4.0).hex() for x in levels]
     assert np.array_equal(table.weights, weights)
     assert table.bits == np.log2(alphabet.size)
 
 
-def _dense_bep_u1(gammas, alphabet, n_t, clamp):
-    """The cell-edge BEP curve as one dense erfc table and one einsum."""
-    levels, weights = _pair_energy_levels(alphabet)
-    scale = (n_t / 2.0) * np.log2(alphabet.size)
-    vals = scale * np.einsum("ij,j->i", q_func(np.sqrt(gammas[:, None] * levels / 4.0)),
-                             weights)
-    return np.clip(vals, 0.0, 1.0) if clamp else vals
-
-
 def _curve_snrs(levels, n, rng, table=None):
-    """``n`` unsorted SNRs: 0; for each level, the SNRs where its erfc
+    """``n`` SNRs, sorted ascending: 0; for each level, the SNRs where its erfc
     argument reaches 26, 26.5, 26.6, the true underflow limit sqrt(MAXLOG)
     and 26.65, and with ``table`` also where it crosses the table's level
     cutoff, and the table's clamp point gamma_sat if it is finite, each with
@@ -297,53 +286,30 @@ def _curve_snrs(levels, n, rng, table=None):
     gammas = np.where(rng.random(n) < 0.5, near, spread)
     k = min(n, marked.size)
     gammas[rng.choice(n, k, replace=False)] = rng.choice(marked, k, replace=False)
-    return gammas
-
-
-def _level_cutoff(weights):
-    """T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0), 0 for one level."""
-    rest = weights[1:].sum()
-    return 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
-
-
-def _kept_level_sums(gammas, alphabet):
-    """sum_j w_j Q(sqrt(gamma q_j)) one SNR at a time, each summed with one
-    einsum over exactly the levels it keeps: every level q_j with
-    gamma (q_j - q_0) / 2 <= T, and every level at gamma = 0 or NaN."""
-    levels, weights = _pair_energy_levels(alphabet)
-    quarter = levels / 4.0
-    gap, cutoff = quarter - quarter[0], _level_cutoff(weights)
-    sums = np.empty(gammas.size)
-    for i, g in enumerate(map(float, gammas)):
-        keep = ~(gap > 2.0 * cutoff / g) if g else np.ones(gap.size, dtype=bool)
-        sums[i] = np.einsum("ij,j->i", q_func(np.sqrt(g * quarter[keep]))[None, :],
-                            weights[keep])[0]
-    return sums
+    return np.sort(gammas)
 
 
 def test_bep_curve_equals_per_row_oracle():
-    """The sorted, chunked and run-walked curve equals, bit for bit, each
-    SNR's sum over exactly the levels it keeps: on mixes of SNRs, and on runs
-    of SNRs above gamma_sat that keep every level, one SNR short of a chunk,
-    one SNR past it, and 7 past two chunks."""
+    """The chunked and run-walked curve equals, bit for bit, each SNR's sum
+    over exactly the levels it keeps, clamped to 1: on mixes of SNRs, and on
+    runs of SNRs above gamma_sat that keep every level, one SNR short of a
+    chunk, one SNR past it, and 7 past two chunks."""
     rng = np.random.default_rng(2024)
     bad = []
     for (name, (orders, pa)), n_t in itertools.product(BEP_CURVE_ALPHABETS.items(), (2, 4)):
         alphabet = _sc_alphabet(orders, pa)
         table = pair_energy_table(alphabet, n_t)
-        levels = _pair_energy_levels(alphabet)[0]
+        levels = pair_energy_levels(alphabet)[0]
         # SNRs per chunk where every level is kept, and where that is so
         rows = BEP_CHUNK_ENTRIES // table.quarter.size
         every_level = (table.saturation, 2.0 * table.cutoff / table.gap[-1])
         for n, run in itertools.chain(((n, False) for n in (0, 1, 2, 25_000)),
                                       ((n, True) for n in (rows - 1, rows + 1, 2 * rows + 7))):
-            gammas = rng.uniform(*every_level, n) if run else _curve_snrs(levels, n, rng, table)
-            sums = _kept_level_sums(gammas, alphabet)
-            for clamp in (True, False):
-                want = (n_t / 2.0) * np.log2(alphabet.size) * sums
-                want = np.clip(want, 0.0, 1.0) if clamp else want
-                if not np.array_equal(conditional_bep_u1_vec(gammas, table, clamp), want):
-                    bad.append((name, n_t, n, run, clamp))
+            gammas = (np.sort(rng.uniform(*every_level, n)) if run
+                      else _curve_snrs(levels, n, rng, table))
+            want = np.minimum(kept_level_bep_u1(alphabet, n_t)(gammas), 1.0)
+            if not np.array_equal(conditional_bep_u1_vec(gammas, table), want):
+                bad.append((name, n_t, n, run))
     assert bad == []
 
 
@@ -353,81 +319,82 @@ def test_bep_curve_scratch_does_not_grow_with_levels():
     would take 102 MB, where one SNR at a time takes 1.6 MB."""
     quarter = np.linspace(0.25, 2.0, 200_000)
     weights = np.full(quarter.size, 1.0 / quarter.size)
-    table = PairEnergyTable(quarter, weights, 16.0, quarter - quarter[0],
+    # N_t log2 M_T = 2: the curve starts at 1/2, so no SNR is skipped
+    table = PairEnergyTable(quarter, weights, 1.0, quarter - quarter[0],
                             53.0 * np.log(2.0) + np.log(weights[1:].sum() / weights[0]), 2)
-    gammas = np.random.default_rng(5).uniform(0.1, 6.0, 64)
+    gammas = np.sort(np.random.default_rng(5).uniform(0.1, 6.0, 64))
     assert np.all(table.gap[-1] <= 2.0 * table.cutoff / gammas)  # every level is kept
-    conditional_bep_u1_vec(gammas[:1], table, clamp=False)  # one-time costs
+    conditional_bep_u1_vec(gammas[:1], table)  # one-time costs, gamma_sat among them
+    assert table.saturation == -np.inf
     tracemalloc.start()
     try:
-        vals = conditional_bep_u1_vec(gammas, table, clamp=False)
+        vals = conditional_bep_u1_vec(gammas, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert np.all(vals > 0.0) and np.all(np.isfinite(vals))
+    assert np.all(vals > 0.0) and np.all(vals < 0.5)
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
 def test_bep_curve_is_within_2_to_the_minus_50_of_dense_formula(name):
     """Dropping the levels past the cutoff moves no value by more than a few
-    ulps of the full dense sum, and leaves every zero a zero."""
+    ulps of the full dense sum, clamped, and leaves every zero a zero."""
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
     rng = np.random.default_rng(3)
     for n_t in (2, 4):
         table = pair_energy_table(alphabet, n_t)
-        gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000, rng, table)
-        for clamp in (True, False):
-            got = conditional_bep_u1_vec(gammas, table, clamp)
-            want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
-            assert np.array_equal(got == 0.0, want == 0.0)
-            assert np.all(np.abs(got - want) <= 2.0**-50 * want)
+        gammas = _curve_snrs(pair_energy_levels(alphabet)[0], 25_000, rng, table)
+        got = conditional_bep_u1_vec(gammas, table)
+        want = np.minimum(dense_bep_u1(gammas, alphabet, n_t), 1.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 2.0**-50 * want)
 
 
 def test_bep_curve_on_a_single_level_table():
     """One pair energy (32-PSK alone): nothing to drop, no warning, and the
-    dense formula's values at every SNR, 0 and infinity included."""
+    clamped dense formula's values at every SNR, 0 and 1e300 included."""
     alphabet = _sc_alphabet((32,), (1.0,))
-    gammas = np.array([0.0, 1e-300, 0.3, 2.0, 40.0, 1e3, 1e300, np.inf])
-    for n_t, clamp in itertools.product((4, 16), (True, False)):
+    gammas = np.array([0.0, 1e-300, 0.3, 2.0, 40.0, 1e3, 1e300])
+    for n_t in (4, 16):
         table = pair_energy_table(alphabet, n_t)
         assert table.quarter.size == 1 and table.cutoff == 0.0
-        want = _dense_bep_u1(gammas, alphabet, n_t, clamp)
-        assert np.array_equal(conditional_bep_u1_vec(gammas, table, clamp), want)
-        singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, clamp)[0]
+        want = np.minimum(dense_bep_u1(gammas, alphabet, n_t), 1.0)
+        assert np.array_equal(conditional_bep_u1_vec(gammas, table), want)
+        singles = [conditional_bep_u1_vec(gammas[j:j + 1], table)[0]
                    for j in range(gammas.size)]
         assert np.array_equal(singles, want)
 
 
-@pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
+# composite alphabets whose curve starts at most at 1 at N_t = 2, so that
+# gamma_sat = -inf and an SNR of 0 is summed: BPSK alone and QPSK alone
+# (L = 2; one level, so 2T / gamma is 0 / 0 at gamma = 0), and two BPSK
+# power users (three levels, so 2T / gamma is 2T / 0)
+ZERO_SNR_ALPHABETS = {
+    "L2-bpsk": ((2,), (1.0,)),
+    "L2-qpsk": ((4,), (1.0,)),
+    "L3-bpsk": ((2, 2), (0.8, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS) + sorted(ZERO_SNR_ALPHABETS))
 def test_bep_curve_keeps_every_level_at_zero_snr(name):
-    """At gamma = 0 of either sign (where 2T / gamma divides by zero) every
-    level is kept, without a warning: each Q term is 1/2, alone or among
-    other SNRs."""
-    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
-    table = pair_energy_table(alphabet, 4)
-    gammas = np.array([0.0, 5.0, -0.0, 50.0])
-    want = _dense_bep_u1(gammas, alphabet, 4, False)
-    assert want[0] == (2.0 * np.log2(alphabet.size)) * np.einsum(
+    """At gamma = 0 of either sign every level is kept, without a warning:
+    each Q term is 1/2, alone or among other SNRs. The curve sums them on a
+    table of gamma_sat = -inf; on the others the sum is above 1, so 0 lies
+    in the clamped slice and the curve is 1.0."""
+    alphabet = _sc_alphabet(*{**BEP_CURVE_ALPHABETS, **ZERO_SNR_ALPHABETS}[name])
+    table = pair_energy_table(alphabet, 2)
+    assert (table.saturation == -np.inf) == (name in ZERO_SNR_ALPHABETS)
+    gammas = np.array([-0.0, 0.0, 5.0, 50.0])
+    at_zero = np.log2(alphabet.size) * np.einsum(
         "ij,j->i", np.full((1, table.weights.size), 0.5), table.weights)[0]
-    assert np.array_equal(conditional_bep_u1_vec(gammas, table, False)[[0, 2]], want[[0, 2]])
-    assert conditional_bep_u1_vec(gammas[:1], table, False)[0] == want[0]
-    assert conditional_bep_u1_vec(gammas[2:3], table, False)[0] == want[0]
-
-
-@pytest.mark.parametrize("clamp", [True, False])
-def test_bep_curve_keeps_nan_snrs_as_nan(clamp):
-    """A NaN SNR keeps every level and yields NaN, without a warning and
-    without moving its neighbours' values."""
-    alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS["L4-qpsk"])
-    table = pair_energy_table(alphabet, 4)
-    gammas = np.array([3.0, np.nan, 0.0, 300.0, np.nan, 30.0])
-    got = conditional_bep_u1_vec(gammas, table, clamp)
-    assert np.isnan(got[[1, 4]]).all()
-    assert np.isnan(conditional_bep_u1_vec(gammas[1:2], table, clamp)).all()
-    finite = ~np.isnan(gammas)
-    assert np.array_equal(got[finite],
-                          conditional_bep_u1_vec(gammas[finite], table, clamp))
+    want = kept_level_bep_u1(alphabet, 2)(gammas)
+    assert want[0] == want[1] == at_zero
+    want = np.minimum(want, 1.0)
+    assert np.array_equal(conditional_bep_u1_vec(gammas, table), want)
+    assert conditional_bep_u1_vec(gammas[:1], table)[0] == want[0]
+    assert conditional_bep_u1_vec(gammas[1:2], table)[0] == want[0]
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
@@ -438,35 +405,35 @@ def test_bep_curve_does_not_depend_on_how_snrs_are_grouped(name):
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
     table = pair_energy_table(alphabet, 4)
     rng = np.random.default_rng(7)
-    gammas = _curve_snrs(_pair_energy_levels(alphabet)[0], 25_000, rng)
-    whole = conditional_bep_u1_vec(gammas, table, clamp=False)
-    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], table, False)
+    gammas = _curve_snrs(pair_energy_levels(alphabet)[0], 25_000, rng)
+    whole = conditional_bep_u1_vec(gammas, table)
+    chunks = np.concatenate([conditional_bep_u1_vec(gammas[s:s + 1022], table)
                              for s in range(0, gammas.size, 1022)])
     assert np.array_equal(chunks, whole)
     picks = rng.choice(gammas.size, 500, replace=False)
-    singles = [conditional_bep_u1_vec(gammas[j:j + 1], table, False)[0] for j in picks]
+    singles = [conditional_bep_u1_vec(gammas[j:j + 1], table)[0] for j in picks]
     assert np.array_equal(singles, whole[picks])
 
 
 @pytest.mark.parametrize("name", sorted(BEP_CURVE_ALPHABETS))
 def test_bep_curve_clamp_point(name):
     """gamma_sat is the last double at which the dense curve is at least
-    1 + 2^-40. Evaluated in full (unclamped, then clamped), the curve is
+    1 + 2^-40. Summed over its kept levels and then clamped, the curve is
     exactly 1.0 at 0, at gamma_sat, at its 200 lower neighbours and at
-    10 000 uniform points below it, so the clamped curve may skip them."""
+    10 000 uniform points below it, so the library's curve may skip them."""
     alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
     rng = np.random.default_rng(11)
     for n_t in (2, 4, 16, 4096):
         table = pair_energy_table(alphabet, n_t)
         sat = table.saturation
         assert 0.0 < sat < np.inf
-        dense = _dense_bep_u1(np.array([sat, np.nextafter(sat, np.inf)]), alphabet, n_t, False)
+        dense = dense_bep_u1(np.array([sat, np.nextafter(sat, np.inf)]), alphabet, n_t)
         assert dense[0] >= 1.0 + 2.0**-40 > dense[1]
         below = [sat]
         for _ in range(200):
             below.append(np.nextafter(below[-1], 0.0))
-        gammas = np.concatenate([[0.0], below, rng.uniform(0.0, sat, 10_000)])
-        assert np.all(np.minimum(conditional_bep_u1_vec(gammas, table, clamp=False), 1.0) == 1.0)
+        gammas = np.sort(np.concatenate([[0.0], below, rng.uniform(0.0, sat, 10_000)]))
+        assert np.all(np.minimum(kept_level_bep_u1(alphabet, n_t)(gammas), 1.0) == 1.0)
         assert np.all(conditional_bep_u1_vec(gammas, table) == 1.0)
 
 
@@ -474,16 +441,18 @@ def test_bep_curve_clamp_point_edge_cases():
     """BPSK alone with N_t = 2 starts at 1/2, so nothing is skipped. A
     composite symbol of zero energy keeps a Q term at 1/2 at every SNR,
     which N_t = 64 lifts above 1 + 2^-40: gamma_sat is +inf."""
-    bpsk = pair_energy_table(_sc_alphabet((2,), (1.0,)), 2)
+    bpsk_alphabet = _sc_alphabet((2,), (1.0,))
+    bpsk = pair_energy_table(bpsk_alphabet, 2)
     assert bpsk.saturation == -np.inf
     gammas = np.array([0.0, 0.5, 3.0, 30.0])
     clamped = conditional_bep_u1_vec(gammas, bpsk)
     assert clamped[0] == 0.5
-    assert np.array_equal(clamped, conditional_bep_u1_vec(gammas, bpsk, clamp=False))
-    zero = pair_energy_table(np.array([0.0, 1.0, -1.0, 1j, -1j]), 64)
+    assert np.array_equal(clamped, kept_level_bep_u1(bpsk_alphabet, 2)(gammas))
+    zero_alphabet = np.array([0.0, 1.0, -1.0, 1j, -1j])
+    zero = pair_energy_table(zero_alphabet, 64)
     assert zero.saturation == np.inf
     gammas = np.array([0.0, 1.0, 1e3, 1e300])
-    assert np.all(np.minimum(conditional_bep_u1_vec(gammas, zero, clamp=False), 1.0) == 1.0)
+    assert np.all(np.minimum(kept_level_bep_u1(zero_alphabet, 64)(gammas), 1.0) == 1.0)
     assert np.all(conditional_bep_u1_vec(gammas, zero) == 1.0)
 
 
@@ -911,25 +880,25 @@ def test_outage_u1_saturated_rate_reduces_to_error_average():
     h = np.sqrt(0.5) * (rng.standard_normal((200_000, n_r))
                         + 1j * rng.standard_normal((200_000, n_r)))
     gam = rho * np.sum(np.abs(h) ** 2, axis=1)
-    bep = conditional_bep_u1_vec(gam, PAIRS3)
+    bep = conditional_bep_u1_vec(np.sort(gam), PAIRS3)
     se = np.std(bep) / np.sqrt(bep.size)
     assert abs(got - np.mean(bep)) < 4.0 * se
 
 
-def _oracle_outage_integrand(table, n_r, gbar):
-    """The outage quadrature's integrand as it was before the clamp point
-    existed: the clamped curve at one SNR times chi2_pdf. The clamp is taken
-    here, outside the curve, so that every SNR evaluates its erfc terms."""
+def _oracle_outage_integrand(curve, n_r, gbar):
+    """The outage quadrature's integrand: the unclamped ``curve``
+    (``oracles.kept_level_bep_u1``) at one SNR, clamped to 1 here, so that
+    every SNR evaluates its erfc terms, times chi2_pdf."""
     def integrand(g):
-        bep = min(float(conditional_bep_u1_vec(np.array([g]), table, clamp=False)[0]), 1.0)
-        return bep * chi2_pdf(g, n_r, gbar)
+        return min(float(curve(np.array([g]))[0]), 1.0) * chi2_pdf(g, n_r, gbar)
     return integrand
 
 
 def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
     """At every node quad visits for the pinned outage configs (tests/
-    test_golden.py), on both sides of gamma_sat, the integrand equals the
-    oracle's bit for bit."""
+    test_golden.py), on both sides of gamma_sat, the integrand equals, bit
+    for bit, the oracle's: the curve summed over each SNR's kept levels from
+    all symbol pairs, clamped to 1, times chi2_pdf."""
     from test_golden import PIN_CONFIGS, PIN_SHARED, PIN_SNRS_DB
 
     nodes = []
@@ -947,12 +916,12 @@ def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
         cfg = mc.make_config(**PIN_SHARED, **run)
         if cfg.first_power_user == 1:
             continue
+        curve = kept_level_bep_u1(enumerate_sc_alphabet(cfg.tables.consts, cfg.pa), cfg.n_t)
         for snr_db in PIN_SNRS_DB:
             rho = 10.0 ** (snr_db / 10.0)
             nodes.clear()
             mc.companion(cfg, "outage", 1, rho)
-            oracle = _oracle_outage_integrand(cfg.pairs, cfg.n_r,
-                                            rho * cfg.fading[0])
+            oracle = _oracle_outage_integrand(curve, cfg.n_r, rho * cfg.fading[0])
             for g, value in nodes:
                 sides[g <= cfg.pairs.saturation] += 1
                 if float(value).hex() != float(oracle(g)).hex():
@@ -961,11 +930,12 @@ def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
     assert min(sides) > 100
 
 
-def _oracle_outage_u1(rate, table, n_r, rho, sigma1_sq):
-    """outage_u1's two quadratures over the oracle integrand."""
+def _oracle_outage_u1(rate, table, n_r, rho, sigma1_sq, curve):
+    """outage_u1's two quadratures over the oracle integrand of ``curve``,
+    the table's unclamped curve."""
     psi1 = 1.0 - rate / np.log2(table.n_t)
     gbar = rho * sigma1_sq
-    integrand = _oracle_outage_integrand(table, n_r, gbar)
+    integrand = _oracle_outage_integrand(curve, n_r, gbar)
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
     full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)
     if psi1 <= 0.0:
@@ -990,12 +960,14 @@ def test_outage_u1_matches_oracle_quadrature():
     as the oracle does."""
     bad = []
     for name, n_t, n_r, snr_db in OUTAGE_U1_CASES:
-        table = pair_energy_table(_sc_alphabet(*BEP_CURVE_ALPHABETS[name]), n_t)
+        alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
+        table = pair_energy_table(alphabet, n_t)
+        oracle = functools.partial(_oracle_outage_u1, curve=kept_level_bep_u1(alphabet, n_t))
         rho = 10.0 ** (snr_db / 10.0)
         for share in (1.0, 0.5, 0.01):
             rate = share * np.log2(n_t)
             got, want = [], []
-            for fn, out in ((outage_u1, got), (_oracle_outage_u1, want)):
+            for fn, out in ((outage_u1, got), (oracle, want)):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     out.append(float(fn(rate, table, n_r, rho, 1.5)).hex())

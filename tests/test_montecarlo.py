@@ -3,9 +3,12 @@ counts, error-free runs at 300 dB, and agreement with the closed forms."""
 
 import collections
 import concurrent.futures
+import importlib
 import inspect
 import itertools
+import json
 import os
+import pathlib
 import tracemalloc
 import warnings
 
@@ -175,6 +178,19 @@ def test_default_pa_unknown_count():
 def test_config_validation_errors(bad):
     with pytest.raises(ConfigError):
         _cfg(**bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", ["pa", "fading", "snr_grid_db", "target_rates"])
+def test_config_built_directly_rejects_non_finite_values(key, bad):
+    """``make_config`` rejects a non-finite float (``as_float``), and so does
+    a SimConfig built without it: a NaN passes every range check, each
+    comparison being false, and would run as a NaN SNR point."""
+    values = _cfg(target_rates=(1.0, 1.0, 1.0)).canonical_dict()
+    assert mc.SimConfig(**values) == _cfg(target_rates=(1.0, 1.0, 1.0))
+    values[key] = (*values[key][:-1], bad)
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        mc.SimConfig(**values)
 
 
 def test_close_grid_points_are_accepted():
@@ -354,12 +370,12 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
     rng = np.random.default_rng(21)
     drawn = []
 
-    def fake_bep(gammas, table, clamp=True):
+    def fake_bep(gammas, table):
         drawn.append(-2.0 - 1e-9 * rng.standard_normal(np.shape(gammas)))
         return drawn[-1]
 
     # the rate block evaluates the curve on its sorted draws
-    monkeypatch.setattr(mc.analytics, "conditional_bep_u1_sorted", fake_bep)
+    monkeypatch.setattr(mc.analytics, "conditional_bep_u1_vec", fake_bep)
     cfg = _cfg(target_rates=(1.0, 1.0, 1.0))  # N_t = 2: user 1's rate is 1 - bep
     est = {p.user: p for p in _sweep(cfg, "rate")}[1]
     rates = np.log2(cfg.n_t) * (1.0 - np.concatenate(drawn))
@@ -370,11 +386,13 @@ def test_rate_ci_keeps_a_tiny_spread(monkeypatch):
 
 # (n_users, n_t, overrides) of the per-block curve check: L = 3/4/5 at N_t
 # 2/4/16, a zero-variance cell-edge user (every gamma is 0) and L = 2 with a
-# QPSK power user at N_t = 2, whose gamma_sat is -inf (N_t log2 M_T = 4)
+# QPSK power user at N_t = 2, whose gamma_sat is -inf (N_t log2 M_T = 4), so
+# that its zero-variance cell-edge user's gammas of 0 are summed
 BLOCK_CURVE_CASES = [
     *((n_users, n_t, {}) for n_users, n_t in itertools.product((3, 4, 5), (2, 4, 16))),
     (3, 2, {"fading": (0.0, 2.0, 4.0)}),
     (2, 2, {"pa": (1.0,), "modulations": (4,)}),
+    (2, 2, {"pa": (1.0,), "modulations": (4,), "fading": (0.0, 2.0)}),
 ]
 # all clamped, partly clamped and unclamped points
 BLOCK_CURVE_GRID = [-20.0, 0.0, 30.0, 60.0]
@@ -385,8 +403,8 @@ BLOCK_CURVE_GRID = [-20.0, 0.0, 30.0, 60.0]
 def test_block_curve_equals_per_point_curve_bit_for_bit(monkeypatch, n_users, n_t, kw):
     """The rate and outage blocks sort the cell-edge draws once and evaluate
     every SNR point on rho * (sorted draws): their cell-edge outputs equal,
-    bit for bit, ``conditional_bep_u1_vec`` of each point's gammas in draw
-    order."""
+    bit for bit, ``conditional_bep_u1_vec`` of each point's gammas, sorted
+    here and put back in draw order."""
     monkeypatch.setattr(mc, "_BLOCK_SIZE", 4_000)
     cfg = _cfg(n_users=n_users, n_t=n_t, snr_grid_db=BLOCK_CURVE_GRID,
                target_rates=(1.0,) * n_users, **kw)
@@ -398,7 +416,9 @@ def test_block_curve_equals_per_point_curve_bit_for_bit(monkeypatch, n_users, n_
         for snr_db, users in zip(BLOCK_CURVE_GRID, trials_fn(cfg, BLOCK_CURVE_GRID, 0)):
             gammas = 10.0 ** (snr_db / 10.0) * draws
             clamped.add(float(np.mean(gammas <= sat)))
-            bep = mc.analytics.conditional_bep_u1_vec(gammas, cfg.pairs)
+            order = np.argsort(gammas)
+            bep = np.empty(gammas.size)
+            bep[order] = mc.analytics.conditional_bep_u1_vec(gammas[order], cfg.pairs)
             want = (np.log2(n_t) * (1.0 - bep) if metric == "rate"
                     else np.where(gammas >= psi1, bep, 0.0))
             assert np.array_equal(users[0].view(np.int64), want.view(np.int64)), (metric, snr_db)
@@ -408,6 +428,43 @@ def test_block_curve_equals_per_point_curve_bit_for_bit(monkeypatch, n_users, n_
         # the grid spans the clamp's regimes: at N_t = 16 the curve still
         # clamps every draw at 0 dB
         assert clamped >= {0.0, 1.0} and (n_t == 16 or len(clamped - {0.0, 1.0}) > 0)
+
+
+def test_rate_and_outage_blocks_call_the_traced_curve(monkeypatch):
+    """The rate and outage blocks evaluate the cell-edge curve through
+    ``analytics.conditional_bep_u1_vec``, a name the benchmark traces, and
+    every ``<module>.<function>`` whose calls, time or values
+    ``BENCHMARK.json``'s per-layer list reports exists in the package."""
+    monkeypatch.setenv("SSKNOMA_WORKERS", "1")
+    real, calls = mc.analytics.conditional_bep_u1_vec, []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(mc.analytics, "conditional_bep_u1_vec", counting)
+    cfg = _cfg(target_rates=(1.0, 1.0, 1.0), max_trials=10_000)
+    for metric in ("rate", "outage"):
+        calls.clear()
+        _sweep(cfg, metric)
+        assert sum(calls) >= 10_000, metric
+    bench = json.loads((pathlib.Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    traced = {name.rsplit(".", 1)[0] for name in (m["name"] for m in bench["per_layer"])
+              if name.count(".") == 2
+              and name.endswith((".calls", ".busy_s", ".values", ".ns_per_value"))}
+    assert "analytics.conditional_bep_u1_vec" in traced
+    for name in sorted(traced):
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"ssknoma.{module}"), function, None)), name
+
+
+def test_companions_are_floats_or_none():
+    """Every point's ``analytic`` is a float or None, never a numpy scalar
+    (which the exact forms ``abep_u2`` and ``abep_u3`` return)."""
+    cfg = _cfg(target_rates=(1.0, 1.0, 1.0), snr_grid_db=[0.0, 10.0], max_trials=10_000)
+    for metric in ("ber", "rate", "outage"):
+        for p in _sweep(cfg, metric):
+            assert p.analytic is None or type(p.analytic) is float, (metric, p)
 
 
 def test_rate_and_outage_reject_a_pair_table_beyond_the_level_budget():
