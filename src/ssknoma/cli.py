@@ -13,6 +13,7 @@ import datetime
 import importlib.resources
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +99,11 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _write_manifest(out_dir: Path, command: str, args, configs, seeds) -> None:
+def _write_manifest(out_dir: Path, command: str, args, configs, seeds, workers) -> None:
     """manifest.json: the command, its config source, the seeds of the runs
-    it simulated, each run's resolved config (``make_config`` rebuilds it
+    it simulated, the worker count its sweeps ran on (None for ``pa-sweep``,
+    which simulates nothing), its wall time so far in seconds (from ``main``
+    to this call), each run's resolved config (``make_config`` rebuilds it
     from ``config``) with its hash, and the package, Python and numpy
     versions."""
     manifest = {
@@ -109,6 +112,8 @@ def _write_manifest(out_dir: Path, command: str, args, configs, seeds) -> None:
         "output": str(out_dir),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seeds": seeds,
+        "workers": workers,
+        "wall_s": time.perf_counter() - args.started,
         "runs": [{"config_hash": cfg.config_hash(), "config": cfg.canonical_dict()}
                  for cfg in configs],
         "version": __version__,
@@ -147,7 +152,8 @@ def _cmd_metric(args) -> int:
                   f"N_r={cfg.n_r} seed={cfg.seed}", file=sys.stderr)
         rows.extend(_sweep_rows(cfg, montecarlo.run_sweep(cfg, metrics=(metric,))))
     _write_csv(out_dir / f"{metric}.csv", CSV_COLUMNS, rows)
-    _write_manifest(out_dir, args.command, args, configs, [c.seed for c in configs])
+    _write_manifest(out_dir, args.command, args, configs, [c.seed for c in configs],
+                    montecarlo._n_workers())
     if not args.quiet:
         print(f"wrote {out_dir / (metric + '.csv')}", file=sys.stderr)
     return 0
@@ -182,8 +188,8 @@ def _cmd_pa_sweep(args) -> int:
         rows.append(row)
     path = out_dir / "pa_sweep.csv"
     _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
-    # closed forms only: no run draws from its seed
-    _write_manifest(out_dir, "pa-sweep", args, configs, [])
+    # closed forms only: no run draws from its seed or uses a worker
+    _write_manifest(out_dir, "pa-sweep", args, configs, [], None)
     if not args.quiet:
         print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -288,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.handler(args)
     except (ConfigError, InputError) as exc:

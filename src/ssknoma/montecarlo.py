@@ -13,7 +13,9 @@ k, both in the receiver and in the stage-indexed closed forms of
 Determinism: every block of trials draws from a SeedSequence-keyed SFC64
 stream of (seed, metric, block index), once for every SNR point it serves,
 and each point's stopping rule is evaluated on fixed-size rounds of blocks,
-so results are identical for any worker count and any SNR grid.
+so results are identical for any worker count and any SNR grid. The users
+of a trial share its one MRC gain (and, for BER, unit noise), each scaled
+to its fading variance, so each user's draws keep exactly their own law.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from math import isfinite, prod
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -110,11 +112,17 @@ class SimConfig:
     tables: _Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # each run key as the type its checks compare: an int, or a tuple of
+        # ints or finite floats (a NaN would pass every range check below, as
+        # each comparison is false), so a SimConfig built directly is
+        # checked as make_config's is
+        for name in _INT_KEYS:
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        for name, kind in _TUPLE_KEYS.items():
+            value = getattr(self, name)
+            if value is not None or name != "target_rates":  # it alone may be None
+                object.__setattr__(self, name, as_tuple(name, value, kind))
         pa, fading, rates = self.pa, self.fading, self.target_rates
-        # NaN passes every range check below, as each comparison is false
-        for name in ("pa", "fading", "snr_grid_db", "target_rates"):
-            if not all(map(isfinite, getattr(self, name) or ())):
-                raise ConfigError(f"{name} must be finite, got {list(getattr(self, name))}")
         # an empty pa fails the sum, an empty fading profile its length check
         if abs(sum(pa) - 1.0) > _PA_SUM_TOL:
             raise ConfigError(f"power allocation must sum to 1, got {sum(pa)}")
@@ -199,37 +207,37 @@ class SimConfig:
 # the fields a config document sets, every SimConfig field but the derived
 # tables; also make_config's parameters
 RUN_KEYS = tuple(f.name for f in fields(SimConfig) if f.init)
+# the run keys SimConfig converts (``as_int``, ``as_tuple``); the scheme is
+# checked by name
+_INT_KEYS = ("n_users", "n_t", "n_r", "seed", "min_bit_errors", "max_trials")
+_TUPLE_KEYS = {"modulations": int, "pa": float, "fading": float, "snr_grid_db": float,
+               "target_rates": float}
 
 
 def make_config(scheme=SSK_NOMA, n_users=None, n_r=None, snr_grid_db=None, seed=1,
                 n_t=None, modulations=None, pa=None, fading=None, target_rates=None,
                 min_bit_errors=400, max_trials=1_000_000) -> SimConfig:
-    """The one path from config values to a SimConfig: checks each value's
-    type before using it (``as_int``, ``as_tuple``), then fills the §IV
-    defaults: QPSK users, geometric fading, the fixed PA set for the NOMA
+    """The one path from config values to a SimConfig: fills the §IV
+    defaults, QPSK users, geometric fading, the fixed PA set for the NOMA
     user count, N_t = N_r for SSK-NOMA (1 for the baseline) and no target
-    rates, wherever those fields are None. n_users, n_r and snr_grid_db
-    have no default."""
+    rates, wherever those fields are None; SimConfig converts and checks
+    every value. n_users, n_r and snr_grid_db have no default."""
     for name, value in (("n_users", n_users), ("n_r", n_r), ("snr_grid_db", snr_grid_db)):
         if value is None:
             raise ConfigError(f"config is missing required field {name!r}")
     first = _first_power_user(scheme)
-    n_users, n_r, seed = as_int("n_users", n_users), as_int("n_r", n_r), as_int("seed", seed)
-    pa = default_pa(n_users + 1 - first) if pa is None else as_tuple("pa", pa, float)
-    # the defaults follow pa's length, which SimConfig checks against n_users
+    # the defaults take pa from n_users, and the others from pa's length
+    if pa is None:
+        pa = default_pa(as_int("n_users", n_users) + 1 - first)
+    pa = as_tuple("pa", pa, float)
     if modulations is None:
         modulations = (4,) * len(pa)
     if fading is None:  # geometric: sigma_i^2 = 2 sigma_{i-1}^2 from sigma_1^2 = 0 dB
         fading = tuple(2.0**i for i in range(first - 1 + len(pa)))
     if n_t is None:
         n_t = n_r if first > 1 else 1
-    if target_rates is not None:
-        target_rates = as_tuple("target_rates", target_rates, float)
-    return SimConfig(scheme, n_users, as_int("n_t", n_t), n_r,
-                     as_tuple("modulations", modulations, int), pa,
-                     as_tuple("fading", fading, float),
-                     as_tuple("snr_grid_db", snr_grid_db, float), seed, target_rates,
-                     as_int("min_bit_errors", min_bit_errors), as_int("max_trials", max_trials))
+    return SimConfig(scheme, n_users, n_t, n_r, modulations, pa, fading, snr_grid_db, seed,
+                     target_rates, min_bit_errors, max_trials)
 
 
 @dataclass(frozen=True)
@@ -470,12 +478,23 @@ def _mrc_statistic(rng, var, n_r, b):
     per-unit-gain noise w / g = CN(0, 1) / sqrt(g), a (2, b) array of real
     and imaginary parts (0 where g = 0); neither depends on the SNR. Draw
     order: g (``erlang``: N_r * b uniforms for N_r <= 4), then b complex
-    normals."""
+    normals. The BER engine draws it once per block at var = 1, for every
+    user (``_user_statistics``)."""
     g = var * erlang(rng, n_r, b)
     return g, _unit_gain(complex_normal(rng, b, 1.0), np.sqrt(g))
 
 
-def _sm_statistics(rng, var, n_t, n_r, chi, sqrt_ps):
+def _user_statistics(g, e, var):
+    """One user's MRC statistics from the unit-variance ones (g, e) of
+    ``_mrc_statistic`` at var = 1: var * g and e / sqrt(var), which have
+    exactly the law of ``_mrc_statistic`` at variance ``var``. Exact zeros at
+    var = 0, without a RuntimeWarning, so every trial of the user is dead."""
+    if var == 0.0:
+        return np.zeros_like(g), np.zeros_like(e)
+    return var * g, e / np.sqrt(var)
+
+
+def _sm_statistics(rng, g_v, e_v, var, n_t, n_r, chi, sqrt_ps):
     """The cell-edge joint search's per-unit-gain coordinates
     z_t = h_t^H r / (sqrt(P) g_t) and channel energies g_t = ||h_t||^2, one
     row per antenna, a (2, N_t, B) and an (N_t, B) array, drawn from their
@@ -486,20 +505,21 @@ def _sm_statistics(rng, var, n_t, n_r, chi, sqrt_ps):
     ``sqrt_ps``; g is the same array every time, and so is z, overwritten
     for each point.
 
-    Row 0 is the active antenna v, with the MRC statistics
-    (g_v, e_v = w_v / g_v) of ``_mrc_statistic``, so z_v = chi + e_v / sqrt(P),
+    Row 0 is the active antenna v, whose MRC statistics the caller gives:
+    ``g_v``, a (B,) array, and ``e_v`` = w_v / g_v, a (2, B) array (the
+    cell-edge user's ``_user_statistics``). So z_v = chi + e_v / sqrt(P),
     and ||r||^2 = P g_v |z_v|^2 + Gamma(N_r - 1), the second term being the
     noise energy orthogonal to h_v. Rows 1..N_t - 1 are the other antennas,
     in an order the caller chooses: each h_t is independent of r, so by
     unitary invariance h_t^H r = ||r|| c_t and
     g_t = |c_t|^2 + var Gamma(N_r - 1) with c_t ~ CN(0, var), i.i.d. over
     those rows; c_t / g_t is formed once. Draw order, once before the first
-    yield: g_v, the noise of y_v, the noise energy, c (N_t - 1, B), then the
-    gamma term (N_t - 1, B). Each Gamma(k) term of n values is ``erlang``'s,
-    k * n uniforms for k <= 4; a Gamma(0) term (N_r = 1) draws nothing."""
+    yield: the noise energy, c (N_t - 1, B), then the gamma term
+    (N_t - 1, B). Each Gamma(k) term of n values is ``erlang``'s, k * n
+    uniforms for k <= 4; a Gamma(0) term (N_r = 1) draws nothing."""
     b = chi.shape[1]
     g = np.empty((n_t, b))
-    g[0], e_v = _mrc_statistic(rng, var, n_r, b)
+    g[0] = g_v
     perp = erlang(rng, n_r - 1, b) if n_r > 1 else 0.0
     c = complex_normal(rng, (n_t - 1, b), var)
     g[1:] = c.real ** 2 + c.imag ** 2
@@ -523,19 +543,25 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     per point, in order, each user's bit errors per trial, one (B,) integer
     array per user.
 
-    Draw order: the antenna index (SSK-NOMA), each power user's symbol, then
-    the cell-edge user's per-antenna statistics (``_sm_statistics``) in
-    chunks of ``_SM_DRAW_ENTRIES // N_t`` trials, each chunk searched at
-    every point before the next is drawn; the search's row 0 is the active
-    antenna v and row j the antenna v + j mod N_t, so a decided row maps
-    back to the antenna (v + row) & (N_t - 1). Then per power user its MRC
-    statistics (``_mrc_statistic``: a Gamma(N_r) draw, N_r uniforms for
-    N_r <= 4, and one complex normal per trial). Each point's SIC chain runs
-    on the per-unit-gain coordinates u = sqrt(P) chi + w / g, whose noise
-    term is formed once per block. What no SNR changes is formed once per
-    block too: chi, summed as real and imaginary parts gathered from the
-    power users' level tables, and each power user's sent labels; each
-    point's decided antennas are written into one (points, B) array."""
+    Draw order: the antenna index (SSK-NOMA), each power user's symbol, the
+    trial's unit-variance MRC statistics (``_mrc_statistic`` at var = 1: a
+    Gamma(N_r) draw, N_r uniforms for N_r <= 4, and one complex normal per
+    trial), then the cell-edge user's other per-antenna statistics
+    (``_sm_statistics``) in chunks of ``_SM_DRAW_ENTRIES // N_t`` trials,
+    each chunk searched at every point before the next is drawn; the
+    search's row 0 is the active antenna v and row j the antenna
+    v + j mod N_t, so a decided row maps back to the antenna
+    (v + row) & (N_t - 1). Every user, the cell-edge user's active antenna
+    included, scales the one MRC draw by its fading variance
+    (``_user_statistics``): the users of a trial share one gain and one unit
+    noise, each with exactly its own law, so only the correlation between
+    different users' estimates changes, and no output reads it. Each
+    point's SIC chain runs on the per-unit-gain coordinates
+    u = sqrt(P) chi + w / g, whose noise term is formed once per block.
+    What no SNR changes is formed once per block too: chi, summed as real
+    and imaginary parts gathered from the power users' level tables, and
+    each power user's sent labels; each point's decided antennas are
+    written into one (points, B) array."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], block)
     tables = cfg.tables
     b, n_t, n_r = _block_trials(cfg, block), cfg.n_t, cfg.n_r
@@ -551,13 +577,17 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     for a, levels, k in zip(cfg.pa, tables.levels, ks):
         chi += np.sqrt(a) * np.take(levels[:2], k, axis=1)
     sent = [c.labels[k] for c, k in zip(tables.consts, ks)]
+    unit = _mrc_statistic(rng, 1.0, n_r, b)
+    users = [_user_statistics(*unit, var) for var in cfg.fading]
 
     if first > 1:
         v_hats = np.empty((len(snrs), b), dtype=v.dtype)
         chunk = max(1, _SM_DRAW_ENTRIES // n_t)
+        g_v, e_v = users[0]
         for s in range(0, b, chunk):
             v_chunk = v[s:s + chunk]
-            stats = _sm_statistics(rng, cfg.fading[0], n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
+            stats = _sm_statistics(rng, g_v[s:s + chunk], e_v[:, s:s + chunk], cfg.fading[0],
+                                   n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
             for t_hat, (z, g, dead) in zip(v_hats[:, s:s + chunk], stats):
                 row = _sm_detect_block(z, g, dead, tables.alphabet_levels, tables.sm_grid)
                 # row j holds antenna v + j mod N_t; a trial whose every g_t
@@ -566,8 +596,7 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
                 t_hat &= n_t - 1
                 if dead is not None:
                     t_hat[dead.all(axis=0)] = 0
-    mrc = [(e, _dead(g)) for g, e in (_mrc_statistic(rng, var, n_r, b)
-                                      for var in cfg.fading[first - 1:])]
+    mrc = [(e, _dead(g)) for g, e in users[first - 1:]]
     for i, (rho, sqrt_p) in enumerate(zip(rhos, sqrt_ps)):
         # an antenna's label is its index
         errors = [bit_errors(v, v_hats[i])] if first > 1 else []
@@ -582,14 +611,16 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
 
 def _gamma_draws(cfg: SimConfig, metric: str, block: int):
     """Per-user MRC output SNR draws of one block (rate/outage metrics) at
-    0 dB: rho * ||h||^2 over N_r Rayleigh branches of variance sigma^2 is
-    rho * sigma^2 * Gamma(N_r, 1), so each user, in user order, draws
-    sigma^2 * Gamma(N_r, 1) once per trial (``erlang``: N_r * B uniforms per
-    user for N_r <= 4, numpy's sampler above), and each SNR point scales
-    them by its rho (exact zeros for a zero-variance user)."""
+    0 dB, in user order: rho * ||h||^2 over N_r Rayleigh branches of
+    variance sigma^2 is rho * sigma^2 * Gamma(N_r, 1), so the block draws one
+    Gamma(N_r, 1) per trial (``erlang``: N_r * B uniforms for N_r <= 4,
+    numpy's sampler above), every user takes sigma^2 times it, and each SNR
+    point scales them by its rho (exact zeros for a zero-variance user).
+    Each user's draws have exactly their own law; the users of a trial share
+    the one gain, as in the BER engine (``_ber_trials``)."""
     rng = rng_stream(cfg.seed, _METRIC_CODE[metric], block)
-    b = _block_trials(cfg, block)
-    return [var * erlang(rng, cfg.n_r, b) for var in cfg.fading]
+    gain = erlang(rng, cfg.n_r, _block_trials(cfg, block))
+    return [var * gain for var in cfg.fading]
 
 
 def _cell_edge_curve(cfg: SimConfig, draws: np.ndarray):

@@ -137,19 +137,22 @@ def _ks_2samp(a, b):
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_sm_statistics_law_ks(n_r):
     """The cell-edge search's statistics as the BER engine draws them
-    (N_t = 2, 3 dB) against those of a brute-force draw of the channel
-    matrix and noise with antenna 0 active: the active antenna's (row 0)
-    g_v = ||h_v||^2, h_v^H r per axis and ||r||^2, and the inactive
-    antenna's (row 1) h_t^H r per axis and ||h_t||^2. The engine yields
-    h_t^H r / (sqrt(P) ||h_t||^2), so h_t^H r is rebuilt from it, and ||r||
-    is read off the inactive statistic, h_t^H r = ||r|| c_t, by replaying the
-    draws up to c: the active antenna's N_r * n uniforms and n complex
-    normals, the (N_r - 1) * n uniforms of the noise energy, then c, one
-    row of n complex normals."""
+    (N_t = 2, 3 dB), the active antenna's from the unit-variance MRC
+    statistics scaled to the user's variance, against those of a brute-force
+    draw of the channel matrix and noise with antenna 0 active: the active
+    antenna's (row 0) g_v = ||h_v||^2, h_v^H r per axis and ||r||^2, and the
+    inactive antenna's (row 1) h_t^H r per axis and ||h_t||^2. The engine
+    yields h_t^H r / (sqrt(P) ||h_t||^2), so h_t^H r is rebuilt from it, and
+    ||r|| is read off the inactive statistic, h_t^H r = ||r|| c_t, by
+    replaying the draws up to c: the unit MRC statistics' N_r * n uniforms
+    and n complex normals, the (N_r - 1) * n uniforms of the noise energy,
+    then c, one row of n complex normals."""
     n = 50_000
     var, sqrt_p = 2.0, np.sqrt(2.0)
     chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
-    [(z, g, dead)] = mc._sm_statistics(rng_stream(44, n_r, 1), var, 2, n_r,
+    rng = rng_stream(44, n_r, 1)
+    g_v, e_v = mc._user_statistics(*mc._mrc_statistic(rng, 1.0, n_r, n), var)
+    [(z, g, dead)] = mc._sm_statistics(rng, g_v, e_v, var, 2, n_r,
                                        np.stack([chi.real, chi.imag]), [sqrt_p])
     assert dead is None and z.shape == (2, 2, n) and g.shape == (2, n)
     y = (z[0] + 1j * z[1]) * sqrt_p * g

@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,29 @@ def test_manifest_records_each_resolved_run(tmp_path, command):
         assert rebuilt == cfg
         assert entry["config_hash"] == rebuilt.config_hash() == cfg.config_hash()
     assert manifest["python"] == sys.version and manifest["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("workers", ["1", "2", None])
+def test_manifest_records_workers_and_wall_time(tmp_path, monkeypatch, workers):
+    """A sweep's manifest records the worker count it resolved from
+    ``SSKNOMA_WORKERS`` (1 when unset) and the command's wall time, which
+    lies within the time ``main`` took; ``pa-sweep`` simulates nothing and
+    records no worker count."""
+    if workers is None:
+        monkeypatch.delenv("SSKNOMA_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("SSKNOMA_WORKERS", workers)
+    cfg = _write_config(tmp_path, dict(BER_CONFIG, snr_grid_db=[10.0], max_trials=10_000))
+    for command, want in (("ber", int(workers or 1)), ("pa-sweep", None)):
+        out = tmp_path / command
+        args = [command, "--out", str(out), "--quiet"]
+        args += ["--config", cfg] if command == "ber" else ["--preset", "fig8"]
+        started = time.perf_counter()
+        assert cli.main(args) == 0
+        took = time.perf_counter() - started
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == want
+        assert type(manifest["wall_s"]) is float and 0.0 < manifest["wall_s"] <= took
 
 
 def test_csv_payload_reproducible_across_workers(tmp_path, monkeypatch):

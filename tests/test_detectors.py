@@ -400,11 +400,11 @@ def _brute_force_sm_statistics(r_sq, y, g, chis, power):
 def test_ber_block_matches_brute_force_chain(scheme, monkeypatch):
     """The engine's per-trial bit errors equal a brute-force receiver's
     fed with the same draws, in the engine's order: antenna index, symbols,
-    then the cell-edge user's statistics (its active antenna's MRC
-    statistics, the noise energy orthogonal to h_v for N_r > 1, then c_t and
-    the energy of h_t orthogonal to r for the N_t - 1 inactive antennas, in
-    rows that start at antenna v + 1 and wrap around), then per power
-    user its MRC statistics, one gamma and one complex normal per trial.
+    one unit-variance MRC gain and one unit complex noise per trial, which
+    every user scales by its fading variance, then the rest of the cell-edge
+    user's statistics (the noise energy orthogonal to h_v for N_r > 1, then
+    c_t and the energy of h_t orthogonal to r for the N_t - 1 inactive
+    antennas, in rows that start at antenna v + 1 and wrap around).
     Each Gamma(k) draw is -ln of a product of k uniforms (``_gamma_replay``).
     Every cell-edge statistic is rebuilt from its law trial by trial, at
     N_r = 1 (no orthogonal energies) and N_r = 2. The block is evaluated at
@@ -437,12 +437,14 @@ def _check_ber_block_against_brute_force(cfg, snr_db, errors):
     ks = [rng.integers(0, c.order, b) for c in consts]
     chi = sum(np.sqrt(a) * p[k] for a, p, k in zip(cfg.pa, points, ks))
     signal = np.sqrt(power) * chi
+    # every user's gain and noise: sigma^2 G and sqrt(sigma^2 G) w
+    gain, noise = _gamma_replay(rng, cfg.n_r, b), complex_normal(rng, b, 1.0)
     want = np.zeros((cfg.n_users, b))
     for i in range(1, cfg.n_users + 1):
         var = cfg.fading[i - 1]
         k = i - first
-        g = var * _gamma_replay(rng, cfg.n_r, b)
-        y = g * signal + np.sqrt(g) * complex_normal(rng, b, 1.0)
+        g = var * gain
+        y = g * signal + np.sqrt(g) * noise
         if i < first:
             perp = _gamma_replay(rng, cfg.n_r - 1, b) if cfg.n_r > 1 else np.zeros(b)
             # the inactive antennas' draws, antenna-major: row j - 1 is

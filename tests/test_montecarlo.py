@@ -183,14 +183,48 @@ def test_config_validation_errors(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("key", ["pa", "fading", "snr_grid_db", "target_rates"])
 def test_config_built_directly_rejects_non_finite_values(key, bad):
-    """``make_config`` rejects a non-finite float (``as_float``), and so does
-    a SimConfig built without it: a NaN passes every range check, each
-    comparison being false, and would run as a NaN SNR point."""
+    """``make_config`` rejects a non-finite float, and so does a SimConfig
+    built without it, naming the entry (``as_float``): a NaN passes every
+    range check, each comparison being false, and would run as a NaN SNR
+    point."""
     values = _cfg(target_rates=(1.0, 1.0, 1.0)).canonical_dict()
     assert mc.SimConfig(**values) == _cfg(target_rates=(1.0, 1.0, 1.0))
     values[key] = (*values[key][:-1], bad)
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+    entry = len(values[key]) - 1
+    with pytest.raises(ConfigError, match=rf"^{key}\[{entry}\] must be a finite number"):
         mc.SimConfig(**values)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_r", 2.5), ("pa", ("0.8", "0.2")), ("seed", "1"),
+])
+def test_config_built_directly_rejects_mistyped_values(key, value):
+    """A SimConfig built directly checks each run key's type as
+    ``make_config`` does (``as_int``, ``as_tuple``): a fractional count, a
+    string coefficient and a string seed are config errors, not a config
+    or a TypeError."""
+    values = _cfg().canonical_dict()
+    with pytest.raises(ConfigError, match=key):
+        mc.make_config(**{**values, key: value})
+    with pytest.raises(ConfigError, match=key):
+        mc.SimConfig(**{**values, key: value})
+
+
+def test_config_built_directly_converts_integral_floats():
+    """``modulations=(4.0, 4)`` becomes the ints (4, 4) in a SimConfig built
+    directly, as through ``make_config``, and so its hash is the same."""
+    values = _cfg().canonical_dict()
+    direct = mc.SimConfig(**{**values, "modulations": (4.0, 4), "n_r": 2.0})
+    made = mc.make_config(**{**values, "modulations": (4.0, 4), "n_r": 2.0})
+    assert direct == made == _cfg()
+    assert direct.modulations == (4, 4) and all(type(m) is int for m in direct.modulations)
+    assert type(direct.n_r) is int and direct.config_hash() == _cfg().config_hash()
+
+
+def test_simconfig_converts_every_run_key():
+    """Every run key but the scheme, checked by name, has one conversion."""
+    assert {"scheme", *mc._INT_KEYS, *mc._TUPLE_KEYS} == set(mc.RUN_KEYS)
+    assert len(mc._INT_KEYS) + len(mc._TUPLE_KEYS) + 1 == len(mc.RUN_KEYS)
 
 
 def test_close_grid_points_are_accepted():
@@ -276,14 +310,14 @@ def test_chunked_cell_edge_search_keeps_every_trial(monkeypatch):
 
 def test_cell_edge_chunk_draws_only_the_inactive_antennas(monkeypatch):
     """At N_t = 4 a chunk draws c for the 3 inactive antennas only: 3 x B
-    complex normals after the active antenna's B, and the power users' MRC
-    statistics then start where a replay of exactly those draws leaves the
-    stream, so their channel energies equal the replay's."""
+    complex normals after the B of the block's one unit-variance MRC draw,
+    which every user shares, and the block's stream then stands exactly
+    where a replay of those draws leaves it, so no power user draws."""
     b = 300
     monkeypatch.setattr(mc, "_BLOCK_SIZE", b)
     cfg = _cfg(n_t=4)
-    shapes, energies = [], []
-    complex_normal, mrc_statistic = mc.complex_normal, mc._mrc_statistic
+    shapes, mrc_calls, streams = [], [], []
+    complex_normal, mrc_statistic, stream = mc.complex_normal, mc._mrc_statistic, mc.rng_stream
 
     def counting_normal(rng, shape, variance):
         x = complex_normal(rng, shape, variance)
@@ -291,25 +325,31 @@ def test_cell_edge_chunk_draws_only_the_inactive_antennas(monkeypatch):
         return x
 
     def recording_mrc(rng, var, n_r, n):
-        g, e = mrc_statistic(rng, var, n_r, n)
-        energies.append(g)
-        return g, e
+        mrc_calls.append((var, n_r, n))
+        return mrc_statistic(rng, var, n_r, n)
+
+    def recording_stream(*keys):
+        streams.append(stream(*keys))
+        return streams[-1]
 
     monkeypatch.setattr(mc, "complex_normal", counting_normal)
     monkeypatch.setattr(mc, "_mrc_statistic", recording_mrc)
+    monkeypatch.setattr(mc, "rng_stream", recording_stream)
     list(mc._ber_trials(cfg, [10.0], 0))
-    # the active antenna's noise, c, then each power user's noise
-    assert shapes == [(b,), (3, b), (b,), (b,)]
+    # the shared unit noise, then c
+    assert shapes == [(b,), (3, b)]
+    assert mrc_calls == [(1.0, 2, b)]
     replay = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
     for order in (4, 4, 4):  # the antenna index, then both users' symbols
         replay.integers(0, order, b)
-    replay.random(2 * b)               # g_v, Gamma(N_r = 2)
-    replay.standard_normal(2 * b)      # the active antenna's noise
-    replay.random(b)                   # its orthogonal noise energy, Gamma(1)
+    replay.random(2 * b)               # the shared gain, Gamma(N_r = 2)
+    replay.standard_normal(2 * b)      # the shared unit noise
+    replay.random(b)                   # the orthogonal noise energy, Gamma(1)
     replay.standard_normal(2 * 3 * b)  # c of the 3 inactive antennas
     replay.random(3 * b)               # their Gamma(1) terms
-    g2 = cfg.fading[1] * -np.log(np.prod(1.0 - replay.random((2, b)), axis=0))
-    assert len(energies) == 3 and np.array_equal(energies[1], g2)
+    [rng] = streams
+    got, want = rng.bit_generator.state, replay.bit_generator.state
+    assert np.array_equal(got.pop("state")["state"], want.pop("state")["state"]) and got == want
 
 
 def test_zero_variance_cell_edge_user_decides_antenna_0(monkeypatch):
@@ -324,6 +364,115 @@ def test_zero_variance_cell_edge_user_decides_antenna_0(monkeypatch):
     rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
     v = rng.integers(0, cfg.n_t, 2_000)
     assert np.array_equal(errors[0], np.bitwise_count(v))
+
+
+def _recording_user_statistics(monkeypatch):
+    """Wrap ``_mrc_statistic``, ``_user_statistics`` and the cell-edge
+    search, recording what each returns or receives, in call order."""
+    calls = collections.defaultdict(list)
+    mrc_statistic, user_statistics, sm_detect = (mc._mrc_statistic, mc._user_statistics,
+                                                 mc._sm_detect_block)
+
+    def mrc(rng, var, n_r, n):
+        calls["mrc"].append((var, *mrc_statistic(rng, var, n_r, n)))
+        return calls["mrc"][-1][1:]
+
+    def user(g, e, var):
+        calls["user"].append((var, *user_statistics(g, e, var)))
+        return calls["user"][-1][1:]
+
+    def search(z, g, dead, levels, grid):
+        calls["g_v"].append(g[0].copy())
+        return sm_detect(z, g, dead, levels, grid)
+
+    monkeypatch.setattr(mc, "_mrc_statistic", mrc)
+    monkeypatch.setattr(mc, "_user_statistics", user)
+    monkeypatch.setattr(mc, "_sm_detect_block", search)
+    return calls
+
+
+def _replay_unit_mrc(cfg, b):
+    """A BER block's unit-variance gain G and per-unit-gain noise w / sqrt(G),
+    replayed from its stream past the antenna index and the symbols."""
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
+    if cfg.first_power_user > 1:
+        rng.integers(0, cfg.n_t, b)
+    for c in cfg.tables.consts:
+        rng.integers(0, c.order, b)
+    gain = -np.log(np.prod(1.0 - rng.random((cfg.n_r, b)), axis=0))
+    w = rng.standard_normal((b, 2)) * np.sqrt(0.5)
+    return gain, w.T / np.sqrt(gain)
+
+
+@pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
+def test_ber_block_users_share_one_gain_and_noise(monkeypatch, scheme):
+    """One BER block draws one unit-variance MRC statistic, the replay's
+    Gamma(N_r) gain G and noise e = w / sqrt(G), and every user, in user
+    order, takes sigma_k^2 G and e / sigma_k; the cell-edge search reads
+    user 1's gain on its active antenna."""
+    b = 500
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", b)
+    cfg = _cfg(scheme=scheme, n_t=4 if scheme == mc.SSK_NOMA else 1, fading=(0.5, 2.0, 4.0))
+    calls = _recording_user_statistics(monkeypatch)
+    list(mc._ber_trials(cfg, [5.0, 15.0], 0))
+    gain, e = _replay_unit_mrc(cfg, b)
+    [(var, g, e_drawn)] = calls["mrc"]
+    assert var == 1.0 and np.array_equal(g, gain) and np.array_equal(e_drawn, e)
+    assert [var for var, _, _ in calls["user"]] == list(cfg.fading)
+    for var, g_k, e_k in calls["user"]:
+        assert np.array_equal(g_k, var * gain)
+        assert np.array_equal(e_k, e_drawn / np.sqrt(var))
+    if scheme == mc.SSK_NOMA:
+        # one chunk, searched at both points
+        assert len(calls["g_v"]) == 2
+        assert all(np.array_equal(g_v, cfg.fading[0] * gain) for g_v in calls["g_v"])
+
+
+@pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
+def test_zero_variance_user_gets_exact_zero_statistics(monkeypatch, scheme):
+    """fading [0, 2, 4]: user 1's gain and noise are exact zeros, drawn with
+    warnings as errors, and every trial of it decides index 0, so it errs in
+    the bits of what was sent: symbol 0 in the baseline (antenna 0 in
+    SSK-NOMA, which ``test_zero_variance_cell_edge_user_decides_antenna_0``
+    checks)."""
+    b = 2_000
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", b)
+    cfg = _cfg(scheme=scheme, n_t=4 if scheme == mc.SSK_NOMA else 1, fading=(0.0, 2.0, 4.0))
+    calls = _recording_user_statistics(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [errors] = mc._ber_trials(cfg, [10.0], 0)
+    (var, g, e), *others = calls["user"]
+    assert var == 0.0 and g.shape == (b,) and e.shape == (2, b)
+    assert not g.any() and not e.any()
+    assert all(g_k.all() for _, g_k, _ in others)
+    if scheme == mc.NOMA_BASELINE:
+        const = cfg.tables.consts[0]
+        sent = const.labels[rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
+                            .integers(0, const.order, b)]
+        assert np.array_equal(errors[0], np.bitwise_count(sent ^ const.labels[0]))
+
+
+@pytest.mark.parametrize("metric", ["rate", "outage"])
+@pytest.mark.parametrize("n_r", [2, 5])
+def test_rate_and_outage_users_share_one_gain(monkeypatch, metric, n_r):
+    """A rate or outage block draws one Gamma(N_r) gain per trial (a product
+    of uniforms at N_r = 2, numpy's sampler at 5) and every user takes
+    sigma_k^2 times it; a zero-variance user takes exact zeros, with
+    warnings as errors."""
+    b = 1_000
+    monkeypatch.setattr(mc, "_BLOCK_SIZE", b)
+    cfg = _cfg(n_r=n_r, n_t=2, fading=(0.0, 0.5, 2.0), target_rates=(0.5, 1.0, 1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = mc._gamma_draws(cfg, metric, 0)
+    rng = rng_stream(cfg.seed, mc._METRIC_CODE[metric], 0)
+    gain = (-np.log(np.prod(1.0 - rng.random((n_r, b)), axis=0)) if n_r <= 4
+            else rng.standard_gamma(n_r, b))
+    assert len(draws) == cfg.n_users
+    for var, d in zip(cfg.fading, draws):
+        assert np.array_equal(d, var * gain)
+    assert np.array_equal(draws[0], np.zeros(b))
 
 
 def test_noise_free_baseline_is_error_free():
@@ -518,24 +667,30 @@ def test_halfwidth_replays_the_trial_variance(monkeypatch, metric, trials_fn):
 COVERAGE_SEEDS = range(7000, 7300)
 
 
-def _coverage(metric, n_r, grid, **kw):
-    """Per (user, SNR) of an L=3 SSK-NOMA network swept over ``grid``: the
-    share of ``COVERAGE_SEEDS`` whose 95% interval holds the exact closed
-    form the sweep attaches (``abep_u2/u3``, ``outage_u1``,
-    ``outage_noma_user``), and the expected event count of one seed (bit
-    errors for BER). The grid's points share their draws, so they are
-    correlated, but each point's interval is still a 95% interval. The
-    10 000-trial cap runs one round of four 2 500-trial blocks."""
+def _coverage(metric, n_r, grid, scheme=mc.SSK_NOMA, **kw):
+    """Per (user, SNR) of an L=3 network (SSK-NOMA unless ``scheme`` says
+    otherwise) swept over ``grid``: the share of ``COVERAGE_SEEDS`` whose
+    95% interval holds the exact closed form the sweep attaches
+    (``abep_u2/u3``, ``outage_u1``, ``outage_noma_user``,
+    ``ergodic_capacity_noma_user``, and for the sum rate, user 0, the sum of
+    the users'), and the expected event count of one seed (bit errors for
+    BER). The grid's points share their draws, and so do a trial's users,
+    so their estimates are correlated, but each interval is still a 95%
+    interval. The 10 000-trial cap runs one round of four 2 500-trial
+    blocks."""
     hits, exact, expected = collections.Counter(), {}, {}
     for seed in COVERAGE_SEEDS:
-        cfg = mc.make_config(scheme=mc.SSK_NOMA, n_users=3, n_r=n_r, snr_grid_db=grid,
+        cfg = mc.make_config(scheme=scheme, n_users=3, n_r=n_r, snr_grid_db=grid,
                              seed=seed, max_trials=10_000, **kw)
         bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
         for snr, estimates in mc._sweep_points(cfg, metric):
             for p in estimates:
                 key = (metric, p.user, snr)
                 if key not in exact:
-                    exact[key] = mc.companion(cfg, metric, p.user, 10.0 ** (snr / 10.0))
+                    # the sum rate comes last, after every user's
+                    exact[key] = (mc.companion(cfg, metric, p.user, 10.0 ** (snr / 10.0))
+                                  if p.user else
+                                  sum(exact[metric, user, snr] for user in range(1, 4)))
                     expected[key] = exact[key] * p.n_trials * bits[p.user - 1]
                 hits[key] += abs(p.value - exact[key]) <= p.ci_halfwidth
     return {key: (hits[key] / len(COVERAGE_SEEDS), expected[key]) for key in exact}
@@ -554,6 +709,18 @@ def test_intervals_cover_the_exact_values():
     failures = [f"{key}: coverage {cover:.3f}, {events:.1f} events per seed"
                 for key, (cover, events) in checks.items()
                 if not (cover >= 0.92 and (events < 20 or cover <= 0.98))]
+    assert not failures, failures
+
+
+def test_sum_rate_intervals_cover_the_exact_values():
+    """The one interval whose trials add users that share a trial's fading
+    draw: the sum rate. In the baseline (every user's capacity form is
+    exact, N_r = 2), every user's rate interval and the sum rate's cover
+    the exact value in 0.92..0.98 of the seeds at 0, 10 and 20 dB."""
+    checks = _coverage("rate", 2, [0.0, 10.0, 20.0], scheme=mc.NOMA_BASELINE)
+    assert {user for _, user, _ in checks} == {0, 1, 2, 3}
+    failures = [f"{key}: coverage {cover:.3f}" for key, (cover, _) in checks.items()
+                if not 0.92 <= cover <= 0.98]
     assert not failures, failures
 
 
