@@ -11,7 +11,6 @@ SSK-NOMA user k + 2 and baseline user k + 1.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, prod
@@ -90,7 +89,7 @@ class PairEnergyTable:
     """The cell-edge union bound's pair table of one composite alphabet and
     antenna count N_t: its distinct pair energies |chi_k|^2 + |chi_hat|^2
     over the ordered composite-symbol pairs, quartered, with the share of
-    pairs at each and the level cutoff of :func:`conditional_bep_u1_vec`.
+    pairs at each.
 
     ``saturation``, the SNR up to which its curve is exactly 1, is
     bisected on first read and then kept on the table, so a pickled copy
@@ -99,14 +98,12 @@ class PairEnergyTable:
     quarter: np.ndarray  # each level / 4 (exact), ascending
     weights: np.ndarray  # share of the M_T^2 ordered pairs at each level
     bits: float          # log2 M_T
-    gap: np.ndarray      # quarter - quarter[0], ascending from 0
-    cutoff: float        # T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0), 0 for one level
     n_t: int             # transmit antennas N_t
 
     @cached_property
     def saturation(self) -> float:
         """gamma_sat: the curve is 1.0 on [0, gamma_sat]."""
-        return float(_saturation(self.quarter, self.weights, (self.n_t / 2.0) * self.bits))
+        return _saturation(self)
 
 
 # the dense curve stays this far above 1 at gamma_sat, far beyond its
@@ -114,20 +111,19 @@ class PairEnergyTable:
 _SATURATION_MARGIN = 2.0**-40
 
 
-def _saturation(quarter: np.ndarray, weights: np.ndarray, scale: float) -> float:
-    """The largest double gamma at which the dense curve ``scale * sum_j w_j
-    Q(sqrt(gamma q_j))`` (every level, unclamped) is at least 1 + 2^-40;
-    -inf if it is below that at 0 already, +inf if it never falls below it
-    (a level q_0 = 0 keeps its Q term at 1/2).
+def _saturation(table: PairEnergyTable) -> float:
+    """The largest double gamma at which the dense curve of ``table``
+    (:func:`_every_level_curve`) is at least 1 + 2^-40; -inf if it is below
+    that at 0 already, +inf if it never falls below it (a level q_0 = 0
+    keeps its Q term at 1/2).
 
     Bisected on the bit patterns of the doubles in [0, the largest finite
     double], which sort as their values do, to adjacent doubles: the curve
     is >= 1 + 2^-40 at the result and below it one ulp above it."""
-    from scipy.special import erfc
+    curve = _every_level_curve(table)
 
     def above(bits):
-        g = float(np.int64(bits).view(np.float64))
-        return scale * _q_sums(g * quarter[None, :], weights, erfc)[0] >= 1.0 + _SATURATION_MARGIN
+        return curve(float(np.int64(bits).view(np.float64))) >= 1.0 + _SATURATION_MARGIN
 
     lo, hi = 0, int(np.float64(np.finfo(float).max).view(np.int64))
     # gamma q_j may overflow to inf, whose Q term is 0
@@ -178,8 +174,9 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     computed here but by bisection on its first read, which only the rate
     and outage metrics make, once per table. The exact curve does not
     increase with gamma, and a computed value lies within a few ulps of it
-    plus the 2^-53 the level cutoff drops, so on [0, gamma_sat] the curve,
-    clamped to 1, is exactly 1.0 and is not evaluated. It is -inf (nothing
+    plus the 2^-53 the level cutoff of :func:`conditional_bep_u1_vec`
+    drops, so on [0, gamma_sat] the curve, clamped to 1, is exactly 1.0 and
+    is not evaluated. It is -inf (nothing
     skipped) when the curve starts below 1 + 2^-40, which N_t log2 M_T <= 4
     implies; +inf when a composite symbol of zero energy keeps the curve
     above it."""
@@ -192,11 +189,7 @@ def pair_energy_table(alphabet: np.ndarray, n_t: int) -> PairEnergyTable:
     _, head, level = np.unique(np.round(e, 12), return_index=True, return_inverse=True)
     pairs = np.bincount(level, np.outer(counts, counts).ravel())
     quarter, weights = e[head] / 4.0, pairs / alphabet.size**2
-    # a lone level has nothing to drop
-    rest = weights[1:].sum()
-    cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
-    return PairEnergyTable(quarter, weights, np.log2(alphabet.size), quarter - quarter[0],
-                           float(cutoff), n_t)
+    return PairEnergyTable(quarter, weights, np.log2(alphabet.size), n_t)
 
 
 def abep_u1(table: PairEnergyTable, n_r: int, rho: float, sigma_sq: float) -> float:
@@ -234,6 +227,20 @@ def _q_sums(part: np.ndarray, weights: np.ndarray, erfc) -> np.ndarray:
     return np.einsum("ij,j->i", part, weights)
 
 
+def _every_level_curve(table: PairEnergyTable):
+    """The unclamped curve ``(N_t / 2) log2(M_T) * sum_j w_j Q(sqrt(gamma
+    q_j))`` of ``table`` over every level, as a function of one SNR gamma:
+    its Q terms are evaluated in place in one (1, levels) scratch row made
+    once here, so an SNR allocates no array of the table's size. The SNR
+    scan of :func:`_saturation` and the outage integrand evaluate it."""
+    from scipy.special import erfc
+
+    quarter, weights = table.quarter, table.weights
+    scale = (table.n_t / 2.0) * table.bits
+    row = np.empty((1, quarter.size))
+    return lambda g: scale * _q_sums(np.multiply(quarter, g, out=row), weights, erfc)[0]
+
+
 def conditional_bep_u1_vec(g: np.ndarray, table: PairEnergyTable) -> np.ndarray:
     """BEP of the cell-edge user conditioned on each instantaneous MRC SNR
     of ``g``, clamped to [0, 1]: finite SNRs >= 0, sorted ascending, as the
@@ -245,10 +252,12 @@ def conditional_bep_u1_vec(g: np.ndarray, table: PairEnergyTable) -> np.ndarray:
     ``table`` (which also gives N_t), summed over the levels its SNR keeps.
     erfcx(x) = exp(x^2) erfc(x) decreases (Mills' ratio), so with
     x_j^2 = gamma q_j / 2 each term is at most w_j erfc(x_0)
-    exp(-gamma (q_j - q_0) / 2). A level with gamma (q_j - q_0) / 2 > T =
-    ``table.cutoff`` is dropped: the dropped terms sum to at most 2^-53 w_0
-    erfc(x_0), at most 2^-53 of the value, so a value lies within a few ulps
-    of the full sum. An SNR of 0 keeps every level.
+    exp(-gamma (q_j - q_0) / 2). A level whose gap q_j - q_0 exceeds 2T /
+    gamma, T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0) (0 for one level), is
+    dropped: the dropped terms sum to at most 2^-53 w_0 erfc(x_0), at most
+    2^-53 of the value, so a value lies within a few ulps of the full sum
+    (:func:`_every_level_curve`). An SNR of 0 keeps every level. The gaps
+    and T take O(levels) per call.
 
     The SNRs in [0, gamma_sat] (``table.saturation``) form one slice, set to
     1.0 without evaluating any erfc: the curve is at least 1 + 2^-40 there
@@ -263,15 +272,19 @@ def conditional_bep_u1_vec(g: np.ndarray, table: PairEnergyTable) -> np.ndarray:
     """
     from scipy.special import erfc
 
+    quarter, weights = table.quarter, table.weights
     vals = np.empty(g.size)
     hi = g.searchsorted(table.saturation, "right")
     vals[:hi] = 1.0
+    rest = weights[1:].sum()
+    # a lone level has nothing to drop
+    cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
     # the levels each SNR keeps, those with gap <= 2T / gamma. gamma = 0 gets
     # here on a table of gamma_sat = -inf and keeps every level: 2T / 0 is
     # inf (adding 0.0 turns -0.0 into +0.0), and on a one-level table (T = 0)
     # 0 / 0 is NaN, which searchsorted puts past every gap
     with np.errstate(divide="ignore", invalid="ignore"):
-        keep = table.gap.searchsorted(2.0 * table.cutoff / (g[hi:] + 0.0), "right")
+        keep = (quarter - quarter[0]).searchsorted(2.0 * cutoff / (g[hi:] + 0.0), "right")
     widest = int(keep.max(initial=0))
     scratch = np.empty(min(keep.size * widest, max(BEP_CHUNK_ENTRIES, widest)))
     scale = (table.n_t / 2.0) * table.bits
@@ -283,8 +296,8 @@ def conditional_bep_u1_vec(g: np.ndarray, table: PairEnergyTable) -> np.ndarray:
         for start in range(run, run_stop, rows):
             stop = min(start + rows, run_stop)
             part = scratch[:(stop - start) * k].reshape(stop - start, k)
-            np.multiply(g[start:stop, None], table.quarter[:k], out=part)
-            sums = scale * _q_sums(part, table.weights[:k], erfc)
+            np.multiply(g[start:stop, None], quarter[:k], out=part)
+            sums = scale * _q_sums(part, weights[:k], erfc)
             # no sum is negative, so the clamp is a minimum
             vals[start:stop] = np.minimum(sums, 1.0, out=sums)
     return vals
@@ -518,44 +531,29 @@ def outage_u1(rate: float, table: PairEnergyTable, n_r: int, rho: float,
     as printed in the source analysis (the lower limit is applied to the SNR
     variable).
 
-    The integrand is the curve of :func:`conditional_bep_u1_vec`, bit for
-    bit, times the fading density, computed inline as
+    The integrand is the curve over every level (:func:`_every_level_curve`),
+    clamped to 1, times the fading density, computed inline as
     gamma^(N_r - 1) * exp(-gamma / gamma_bar) / ((N_r - 1)! gamma_bar^N_r)
-    in that order. At an SNR in [0, gamma_sat] the curve is exactly 1.0
-    (see :func:`pair_energy_table`), so there the integrand is the bare
-    density, and no erfc is evaluated. Above it, the kept-level count k is a
-    ``bisect_right`` on the gaps as a list, and the Q terms are evaluated in
-    place in the first k entries of one (1, levels) scratch row made once
-    per call, so a node allocates no array of the table's size. quad visits
-    one SNR at a time, and this scalar form takes about a quarter of the
-    time of :func:`conditional_bep_u1_vec` on a one-SNR array."""
+    in that order. At an SNR in [0, gamma_sat] the clamped curve is exactly
+    1.0 (see :func:`pair_energy_table`), so there the integrand is the bare
+    density, and no erfc is evaluated. quad visits one SNR at a time, and
+    the levels :func:`conditional_bep_u1_vec` would drop add at most 2^-53
+    of a value, so the integrand lies within a few ulps of that curve's."""
     # the only user of scipy.integrate, whose import adds about a third to
     # the package's memory
     from scipy import integrate
-    from scipy.special import erfc
 
-    n_t = table.n_t
-    psi1 = outage_threshold_u1(rate, n_t)
+    psi1 = outage_threshold_u1(rate, table.n_t)
     gbar = rho * sigma_sq
-    quarter, weights, gaps = table.quarter, table.weights, table.gap.tolist()
-    two_t, saturation = 2.0 * table.cutoff, table.saturation
-    scale = (n_t / 2.0) * table.bits
+    curve, saturation = _every_level_curve(table), table.saturation
     norm = factorial(n_r - 1) * gbar**n_r
-    row = np.empty((1, quarter.size))
-    # kept-level count k -> (scratch, levels, weights) views of its first k
-    views = {}
 
     def integrand(g):
         # the density as documented; quad passes no negative SNR
         density = np.asarray(g) ** (n_r - 1) * np.exp(-g / gbar) / norm
         if g <= saturation:
             return density
-        k = bisect_right(gaps, two_t / g) if g else len(gaps)
-        if k not in views:
-            views[k] = row[:, :k], quarter[None, :k], weights[:k]
-        part, levels, kept_weights = views[k]
-        bep = scale * _q_sums(np.multiply(levels, g, out=part), kept_weights, erfc)[0]
-        return min(float(bep), 1.0) * density
+        return min(float(curve(g)), 1.0) * density
 
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
     full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)

@@ -83,6 +83,15 @@ def pair_energy_levels(alphabet):
     return e[first], counts / e.size
 
 
+def level_cutoff(quarter, weights):
+    """The gaps q_j - q_0 of the quartered levels ``quarter`` and the level
+    cutoff T = 53 ln 2 + ln(sum_{j>=1} w_j / w_0) (0 for one level) of their
+    shares ``weights``: an SNR gamma keeps the levels with gap <= 2T / gamma."""
+    rest = weights[1:].sum()
+    cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
+    return quarter - quarter[0], cutoff
+
+
 def kept_level_bep_u1(alphabet, n_t: int):
     """The cell-edge BEP curve of ``alphabet`` at ``n_t`` antennas, unclamped,
     as a function of an array of SNRs: ``(N_t / 2) log2(M_T) * sum_j w_j
@@ -94,9 +103,8 @@ def kept_level_bep_u1(alphabet, n_t: int):
     before it clamps to 1."""
     levels, weights = pair_energy_levels(alphabet)
     quarter = levels / 4.0
-    rest = weights[1:].sum()
-    cutoff = 53.0 * np.log(2.0) + np.log(rest / weights[0]) if rest > 0 else 0.0
-    gap, scale = quarter - quarter[0], (n_t / 2.0) * np.log2(alphabet.size)
+    gap, cutoff = level_cutoff(quarter, weights)
+    scale = (n_t / 2.0) * np.log2(alphabet.size)
 
     def curve(gammas):
         sums = np.empty(len(gammas))
@@ -109,10 +117,11 @@ def kept_level_bep_u1(alphabet, n_t: int):
     return curve
 
 
-def dense_bep_u1(gammas, alphabet, n_t: int):
-    """The cell-edge BEP curve over every level, unclamped, as one dense erfc
+def dense_bep_u1(alphabet, n_t: int):
+    """The cell-edge BEP curve of ``alphabet`` at ``n_t`` antennas over every
+    level, unclamped, as a function of an array of SNRs: one dense erfc
     table and one einsum."""
     levels, weights = pair_energy_levels(alphabet)
     scale = (n_t / 2.0) * np.log2(alphabet.size)
-    return scale * np.einsum("ij,j->i", q_func(np.sqrt(gammas[:, None] * levels / 4.0)),
-                             weights)
+    return lambda gammas: scale * np.einsum(
+        "ij,j->i", q_func(np.sqrt(gammas[:, None] * levels / 4.0)), weights)

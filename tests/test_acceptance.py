@@ -160,8 +160,9 @@ def test_c05_capacity_agreement():
     # closed-form cell-edge error rate vs its conditional-BEP average
     for n_r in (2, 4):
         closed = abep_u1(PAIRS3[n_r], n_r, 10.0, 1.0)
+        curve = dense_bep_u1(ALPHABET3, n_r)
         avg, _ = integrate.quad(
-            lambda g: dense_bep_u1(np.array([g]), ALPHABET3, n_r)[0] * chi2_pdf(g, n_r, 10.0),
+            lambda g: curve(np.array([g]))[0] * chi2_pdf(g, n_r, 10.0),
             0.0, np.inf, limit=400,
         )
         gap = abs(np.log2(n_r) * (1.0 - closed) - np.log2(n_r) * (1.0 - avg))

@@ -45,6 +45,7 @@ from oracles import (
     conditional_bep_u3,
     dense_bep_u1,
     kept_level_bep_u1,
+    level_cutoff,
     pair_energy_levels,
     q_func,
 )
@@ -167,8 +168,9 @@ def test_abep_pa_validation():
 
 def test_abep_u1_matches_conditional_average():
     rho, n_r = 10.0, 2
+    curve = dense_bep_u1(ALPHABET3, 4)
     want, _ = integrate.quad(
-        lambda g: dense_bep_u1(np.array([g]), ALPHABET3, 4)[0] * _gamma_pdf(g, n_r, rho),
+        lambda g: curve(np.array([g]))[0] * _gamma_pdf(g, n_r, rho),
         0.0,
         np.inf,
         limit=400,
@@ -274,7 +276,8 @@ def _curve_snrs(levels, n, rng, table=None):
     edges = 8.0 * limits[:, None] ** 2 / levels
     crossings = []
     if table is not None:
-        crossings = 2.0 * table.cutoff / table.gap[1:]
+        gap, cutoff = level_cutoff(table.quarter, table.weights)
+        crossings = 2.0 * cutoff / gap[1:]
         if np.isfinite(table.saturation):
             crossings = np.append(crossings, table.saturation)
     marked = np.concatenate([[0.0], edges.ravel(), crossings])
@@ -302,7 +305,8 @@ def test_bep_curve_equals_per_row_oracle():
         levels = pair_energy_levels(alphabet)[0]
         # SNRs per chunk where every level is kept, and where that is so
         rows = BEP_CHUNK_ENTRIES // table.quarter.size
-        every_level = (table.saturation, 2.0 * table.cutoff / table.gap[-1])
+        gap, cutoff = level_cutoff(table.quarter, table.weights)
+        every_level = (table.saturation, 2.0 * cutoff / gap[-1])
         for n, run in itertools.chain(((n, False) for n in (0, 1, 2, 25_000)),
                                       ((n, True) for n in (rows - 1, rows + 1, 2 * rows + 7))):
             gammas = (np.sort(rng.uniform(*every_level, n)) if run
@@ -320,10 +324,10 @@ def test_bep_curve_scratch_does_not_grow_with_levels():
     quarter = np.linspace(0.25, 2.0, 200_000)
     weights = np.full(quarter.size, 1.0 / quarter.size)
     # N_t log2 M_T = 2: the curve starts at 1/2, so no SNR is skipped
-    table = PairEnergyTable(quarter, weights, 1.0, quarter - quarter[0],
-                            53.0 * np.log(2.0) + np.log(weights[1:].sum() / weights[0]), 2)
+    table = PairEnergyTable(quarter, weights, 1.0, 2)
     gammas = np.sort(np.random.default_rng(5).uniform(0.1, 6.0, 64))
-    assert np.all(table.gap[-1] <= 2.0 * table.cutoff / gammas)  # every level is kept
+    gap, cutoff = level_cutoff(quarter, weights)
+    assert np.all(gap[-1] <= 2.0 * cutoff / gammas)  # every level is kept
     conditional_bep_u1_vec(gammas[:1], table)  # one-time costs, gamma_sat among them
     assert table.saturation == -np.inf
     tracemalloc.start()
@@ -346,7 +350,7 @@ def test_bep_curve_is_within_2_to_the_minus_50_of_dense_formula(name):
         table = pair_energy_table(alphabet, n_t)
         gammas = _curve_snrs(pair_energy_levels(alphabet)[0], 25_000, rng, table)
         got = conditional_bep_u1_vec(gammas, table)
-        want = np.minimum(dense_bep_u1(gammas, alphabet, n_t), 1.0)
+        want = np.minimum(dense_bep_u1(alphabet, n_t)(gammas), 1.0)
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.all(np.abs(got - want) <= 2.0**-50 * want)
 
@@ -358,8 +362,8 @@ def test_bep_curve_on_a_single_level_table():
     gammas = np.array([0.0, 1e-300, 0.3, 2.0, 40.0, 1e3, 1e300])
     for n_t in (4, 16):
         table = pair_energy_table(alphabet, n_t)
-        assert table.quarter.size == 1 and table.cutoff == 0.0
-        want = np.minimum(dense_bep_u1(gammas, alphabet, n_t), 1.0)
+        assert table.quarter.size == 1 and level_cutoff(table.quarter, table.weights)[1] == 0.0
+        want = np.minimum(dense_bep_u1(alphabet, n_t)(gammas), 1.0)
         assert np.array_equal(conditional_bep_u1_vec(gammas, table), want)
         singles = [conditional_bep_u1_vec(gammas[j:j + 1], table)[0]
                    for j in range(gammas.size)]
@@ -427,7 +431,7 @@ def test_bep_curve_clamp_point(name):
         table = pair_energy_table(alphabet, n_t)
         sat = table.saturation
         assert 0.0 < sat < np.inf
-        dense = dense_bep_u1(np.array([sat, np.nextafter(sat, np.inf)]), alphabet, n_t)
+        dense = dense_bep_u1(alphabet, n_t)(np.array([sat, np.nextafter(sat, np.inf)]))
         assert dense[0] >= 1.0 + 2.0**-40 > dense[1]
         below = [sat]
         for _ in range(200):
@@ -885,20 +889,23 @@ def test_outage_u1_saturated_rate_reduces_to_error_average():
     assert abs(got - np.mean(bep)) < 4.0 * se
 
 
-def _oracle_outage_integrand(curve, n_r, gbar):
-    """The outage quadrature's integrand: the unclamped ``curve``
-    (``oracles.kept_level_bep_u1``) at one SNR, clamped to 1 here, so that
-    every SNR evaluates its erfc terms, times chi2_pdf."""
+def _oracle_outage_integrand(alphabet, n_t, n_r, gbar):
+    """The outage quadrature's integrand: the dense curve of ``alphabet``
+    (``oracles.dense_bep_u1``, every level) at one SNR, clamped to 1 here,
+    so that every SNR evaluates its erfc terms, times chi2_pdf."""
+    curve = dense_bep_u1(alphabet, n_t)
+
     def integrand(g):
         return min(float(curve(np.array([g]))[0]), 1.0) * chi2_pdf(g, n_r, gbar)
     return integrand
 
 
-def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
+def test_outage_integrand_is_within_4_ulps_of_the_dense_curve_at_every_quad_node(monkeypatch):
     """At every node quad visits for the pinned outage configs (tests/
-    test_golden.py), on both sides of gamma_sat, the integrand equals, bit
-    for bit, the oracle's: the curve summed over each SNR's kept levels from
-    all symbol pairs, clamped to 1, times chi2_pdf."""
+    test_golden.py), on both sides of gamma_sat, the integrand equals the
+    oracle's within 4 ulps: the dense curve over every level from all symbol
+    pairs, clamped to 1, times chi2_pdf. At and below gamma_sat it is
+    chi2_pdf alone, bit for bit."""
     from test_golden import PIN_CONFIGS, PIN_SHARED, PIN_SNRS_DB
 
     nodes = []
@@ -916,26 +923,30 @@ def test_outage_integrand_is_bit_identical_at_every_quad_node(monkeypatch):
         cfg = mc.make_config(**PIN_SHARED, **run)
         if cfg.first_power_user == 1:
             continue
-        curve = kept_level_bep_u1(enumerate_sc_alphabet(cfg.tables.consts, cfg.pa), cfg.n_t)
+        alphabet = enumerate_sc_alphabet(cfg.tables.consts, cfg.pa)
         for snr_db in PIN_SNRS_DB:
             rho = 10.0 ** (snr_db / 10.0)
+            gbar = rho * cfg.fading[0]
             nodes.clear()
             mc.companion(cfg, "outage", 1, rho)
-            oracle = _oracle_outage_integrand(curve, cfg.n_r, rho * cfg.fading[0])
+            oracle = _oracle_outage_integrand(alphabet, cfg.n_t, cfg.n_r, gbar)
             for g, value in nodes:
-                sides[g <= cfg.pairs.saturation] += 1
-                if float(value).hex() != float(oracle(g)).hex():
+                saturated = g <= cfg.pairs.saturation
+                sides[saturated] += 1
+                want = oracle(g)
+                if abs(value - want) > 4.0 * np.spacing(want) or (
+                        saturated and float(value).hex() != float(chi2_pdf(g, cfg.n_r, gbar)).hex()):
                     bad.append((name, snr_db, g))
     assert bad == []
     assert min(sides) > 100
 
 
-def _oracle_outage_u1(rate, table, n_r, rho, sigma1_sq, curve):
-    """outage_u1's two quadratures over the oracle integrand of ``curve``,
-    the table's unclamped curve."""
+def _oracle_outage_u1(rate, table, n_r, rho, sigma1_sq, alphabet):
+    """outage_u1's two quadratures over the oracle integrand of
+    ``alphabet``, the table's."""
     psi1 = 1.0 - rate / np.log2(table.n_t)
     gbar = rho * sigma1_sq
-    integrand = _oracle_outage_integrand(curve, n_r, gbar)
+    integrand = _oracle_outage_integrand(alphabet, table.n_t, n_r, gbar)
     upper = gbar * (n_r + 40.0 * np.sqrt(n_r))
     full, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-8, limit=200)
     if psi1 <= 0.0:
@@ -962,7 +973,7 @@ def test_outage_u1_matches_oracle_quadrature():
     for name, n_t, n_r, snr_db in OUTAGE_U1_CASES:
         alphabet = _sc_alphabet(*BEP_CURVE_ALPHABETS[name])
         table = pair_energy_table(alphabet, n_t)
-        oracle = functools.partial(_oracle_outage_u1, curve=kept_level_bep_u1(alphabet, n_t))
+        oracle = functools.partial(_oracle_outage_u1, alphabet=alphabet)
         rho = 10.0 ** (snr_db / 10.0)
         for share in (1.0, 0.5, 0.01):
             rate = share * np.log2(n_t)

@@ -110,13 +110,14 @@ def test_zero_variance_user_draws_exact_zero_snr():
 
 @pytest.mark.parametrize("n_r", [1, 2, 4])
 def test_ber_mrc_statistic_law_ks(n_r):
-    """A genie user's MRC statistics as the BER engine draws them: g / var
+    """A genie user's MRC statistics as the BER engine draws them, the
+    unit-variance draw scaled to var = 2 by ``_user_statistics``: g / var
     against the chi-square CDF with N_r complex branches, and the
     normalised noise term w / sqrt(g) of y = sqrt(P) g chi + w, per axis,
     against N(0, 1/2), read off the engine's per-unit-gain noise w / g."""
     n = 50_000
     var = 2.0
-    g, e = mc._mrc_statistic(rng_stream(43, n_r, 1), var, n_r, n)
+    g, e = mc._user_statistics(*mc._mrc_statistic(rng_stream(43, n_r, 1), n_r, n), var)
     ecdf = (np.arange(n) + 0.5) / n
     assert np.max(np.abs(ecdf - chi2_cdf(np.sort(g / var), n_r, 1.0))) < 2.0 / np.sqrt(n)
     assert e.shape == (2, n)
@@ -151,7 +152,7 @@ def test_sm_statistics_law_ks(n_r):
     var, sqrt_p = 2.0, np.sqrt(2.0)
     chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
     rng = rng_stream(44, n_r, 1)
-    g_v, e_v = mc._user_statistics(*mc._mrc_statistic(rng, 1.0, n_r, n), var)
+    g_v, e_v = mc._user_statistics(*mc._mrc_statistic(rng, n_r, n), var)
     [(z, g, dead)] = mc._sm_statistics(rng, g_v, e_v, var, 2, n_r,
                                        np.stack([chi.real, chi.imag]), [sqrt_p])
     assert dead is None and z.shape == (2, 2, n) and g.shape == (2, n)

@@ -373,7 +373,7 @@ def test_zero_variance_genie_user_decides_symbol_0():
     signal = np.sqrt(10.0) * qpsk().points[rng.integers(0, 4, BATCH)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, e = mc._mrc_statistic(rng, 0.0, 2, BATCH)
+        g, e = mc._user_statistics(*mc._mrc_statistic(rng, 2, BATCH), 0.0)
         u = np.stack([signal.real, signal.imag]) + e
         decisions, _ = _sic_detect_block(u, mc._dead(g), [np.sqrt(8.0), np.sqrt(2.0)],
                                          [QPSK_LEVELS] * 2)

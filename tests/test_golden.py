@@ -9,7 +9,8 @@ of the computed values) with ``PYTHONPATH=src python tests/test_golden.py``.
 With ``--compare`` it writes nothing and reports how the regenerated files
 differ from the checked-in ones: each sweep CSV row by row, in combined 95%
 half-widths (the row check of ``perfbench/check.py``), with the worst z per
-file, and every pin that changed. It exits with status 1 if a regenerated
+file, and every pin that changed: a float pin as its old and new value and
+the count of doubles between them (ulps), a hash pin as changed. It exits with status 1 if a regenerated
 sweep row fails that check or a changed file cannot be compared row by row,
 else 0: changed pins alone, as any stream change brings, do not fail it.
 """
@@ -186,14 +187,60 @@ def test_compare_fails_a_row_moved_beyond_the_row_check(tmp_path):
 
 
 def _changed_pins(new, old, path):
-    """The paths of the pins that differ between two pin trees."""
+    """(path, new, old) of each pin that differs between two pin trees."""
     if isinstance(new, dict) and isinstance(old, dict):
         return [p for key in new.keys() | old.keys()
                 for p in _changed_pins(new.get(key), old.get(key), f"{path} / {key}")]
     if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
         return [p for i, (a, b) in enumerate(zip(new, old))
                 for p in _changed_pins(a, b, f"{path} [{i}]")]
-    return [] if new == old else [path]
+    return [] if new == old else [(path, new, old)]
+
+
+def _float_pin(pin):
+    """The double a float pin (``float.hex``) holds; None for any other pin."""
+    try:
+        return float.fromhex(pin)
+    except (TypeError, ValueError):
+        return None
+
+
+def _ulps(a: float, b: float) -> int:
+    """The count of doubles from ``a`` to ``b``: their bit patterns, mapped
+    to integers that sort as the values do (-0.0 and 0.0 to 0), differenced."""
+    def ordered(x):
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & (2**63 - 1))
+    return abs(ordered(a) - ordered(b))
+
+
+def _pin_change(path, new, old) -> str:
+    """One line of ``--compare``'s pin report: a float pin's old and new value
+    and the ulps between them, any other pin as changed."""
+    a, b = _float_pin(old), _float_pin(new)
+    if a is None or b is None:
+        return f"changed: {path}"
+    return f"changed: {path}: {old} -> {new} ({_ulps(a, b)} ulps)"
+
+
+def test_compare_reports_a_float_pin_moved_by_2_ulps():
+    """Two pin trees that differ in one companion by 2 ulps and in one hash
+    pin: the companion's line gives both values and 2 ulps, the hash pin's
+    only its path; the unchanged pins are not listed."""
+    value = float.fromhex("0x1.09234e9c7a556p-10")
+    moved = np.nextafter(np.nextafter(value, 1.0), 1.0)
+    old = {"c": {"trials": {"rate": ["<f8 00", "<f8 11"]},
+                 "companions": {"outage": [value.hex(), None, "0x1.8p-1"]}}}
+    new = {"c": {"trials": {"rate": ["<f8 00", "<f8 22"]},
+                 "companions": {"outage": [float(moved).hex(), None, "0x1.8p-1"]}}}
+    lines = sorted(_pin_change(*change) for change in _changed_pins(new, old, "pins.json"))
+    assert lines == [
+        "changed: pins.json / c / companions / outage [0]: "
+        "0x1.09234e9c7a556p-10 -> 0x1.09234e9c7a558p-10 (2 ulps)",
+        "changed: pins.json / c / trials / rate [1]",
+    ]
+    assert _ulps(-0.0, 0.0) == 0
+    assert _ulps(-np.nextafter(0.0, 1.0), np.nextafter(0.0, 1.0)) == 2
 
 
 if __name__ == "__main__":
@@ -218,8 +265,8 @@ if __name__ == "__main__":
     pins = {name: _pins(name) for name in PIN_CONFIGS}
     if compare:
         changed = _changed_pins(pins, json.loads(PINS.read_text()), PINS.name)
-        for path in sorted(changed):
-            print(f"changed: {path}")
+        for change in sorted(changed, key=lambda change: change[0]):
+            print(_pin_change(*change))
         print(f"{PINS.name}: {len(changed)} pins changed")
         # pins change with any stream change; only a failed row check fails
         sys.exit(0 if passed else 1)

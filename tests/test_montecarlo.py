@@ -118,7 +118,7 @@ def test_running_point_memory_does_not_grow_with_its_rounds(monkeypatch):
     monkeypatch.setattr(mc, "_block_moments", tracing)
     tracemalloc.start()
     try:
-        assert [snr_db for snr_db, _ in mc._sweep_points(cfg, "rate")] == [0.0, 10.0]
+        assert list(mc._sweep_points(cfg, "rate")) == [0.0, 10.0]
     finally:
         tracemalloc.stop()
     assert next(blocks) == 1000
@@ -324,9 +324,9 @@ def test_cell_edge_chunk_draws_only_the_inactive_antennas(monkeypatch):
         shapes.append(x.shape)
         return x
 
-    def recording_mrc(rng, var, n_r, n):
-        mrc_calls.append((var, n_r, n))
-        return mrc_statistic(rng, var, n_r, n)
+    def recording_mrc(rng, n_r, n):
+        mrc_calls.append((n_r, n))
+        return mrc_statistic(rng, n_r, n)
 
     def recording_stream(*keys):
         streams.append(stream(*keys))
@@ -338,7 +338,7 @@ def test_cell_edge_chunk_draws_only_the_inactive_antennas(monkeypatch):
     list(mc._ber_trials(cfg, [10.0], 0))
     # the shared unit noise, then c
     assert shapes == [(b,), (3, b)]
-    assert mrc_calls == [(1.0, 2, b)]
+    assert mrc_calls == [(2, b)]
     replay = rng_stream(cfg.seed, mc._METRIC_CODE["ber"], 0)
     for order in (4, 4, 4):  # the antenna index, then both users' symbols
         replay.integers(0, order, b)
@@ -373,9 +373,9 @@ def _recording_user_statistics(monkeypatch):
     mrc_statistic, user_statistics, sm_detect = (mc._mrc_statistic, mc._user_statistics,
                                                  mc._sm_detect_block)
 
-    def mrc(rng, var, n_r, n):
-        calls["mrc"].append((var, *mrc_statistic(rng, var, n_r, n)))
-        return calls["mrc"][-1][1:]
+    def mrc(rng, n_r, n):
+        calls["mrc"].append(mrc_statistic(rng, n_r, n))
+        return calls["mrc"][-1]
 
     def user(g, e, var):
         calls["user"].append((var, *user_statistics(g, e, var)))
@@ -416,8 +416,8 @@ def test_ber_block_users_share_one_gain_and_noise(monkeypatch, scheme):
     calls = _recording_user_statistics(monkeypatch)
     list(mc._ber_trials(cfg, [5.0, 15.0], 0))
     gain, e = _replay_unit_mrc(cfg, b)
-    [(var, g, e_drawn)] = calls["mrc"]
-    assert var == 1.0 and np.array_equal(g, gain) and np.array_equal(e_drawn, e)
+    [(g, e_drawn)] = calls["mrc"]
+    assert np.array_equal(g, gain) and np.array_equal(e_drawn, e)
     assert [var for var, _, _ in calls["user"]] == list(cfg.fading)
     for var, g_k, e_k in calls["user"]:
         assert np.array_equal(g_k, var * gain)
@@ -683,7 +683,7 @@ def _coverage(metric, n_r, grid, scheme=mc.SSK_NOMA, **kw):
         cfg = mc.make_config(scheme=scheme, n_users=3, n_r=n_r, snr_grid_db=grid,
                              seed=seed, max_trials=10_000, **kw)
         bits = cfg.tables.bits if metric == "ber" else [1] * cfg.n_users
-        for snr, estimates in mc._sweep_points(cfg, metric):
+        for snr, estimates in mc._sweep_points(cfg, metric).items():
             for p in estimates:
                 key = (metric, p.user, snr)
                 if key not in exact:
@@ -803,9 +803,10 @@ def test_worker_count_does_not_change_results(monkeypatch):
 def test_pool_sends_each_config_once(monkeypatch):
     """A pooled sweep hands its config to each worker once, through the
     pool's initializer, and every task is (metric, SNR points, block index),
-    carrying no config; the estimates equal one worker's. The pool is an
-    in-process stand-in that records what it is sent."""
-    sent = {"tasks": []}
+    carrying no config; the estimates equal one worker's, and the pool is
+    shut down once, before the sweep returns them. The pool is an in-process
+    stand-in that records what it is sent."""
+    sent = {"tasks": [], "shutdowns": 0}
 
     class RecordingPool:
         def __init__(self, workers, initializer, initargs):
@@ -817,7 +818,7 @@ def test_pool_sends_each_config_once(monkeypatch):
             return map(fn, tasks)
 
         def shutdown(self):
-            pass
+            sent["shutdowns"] += 1
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mc, "_pool_cfg", None)
@@ -825,9 +826,13 @@ def test_pool_sends_each_config_once(monkeypatch):
     cfg = _cfg(seed=15, max_trials=40_000, snr_grid_db=[0.0, 20.0])
     monkeypatch.setenv("SSKNOMA_WORKERS", "2")
     pooled = _ber_snapshot(cfg)
+    assert sent["shutdowns"] == 1
     assert len(sent["initargs"]) == 1 and sent["initargs"][0] is cfg
     assert [block for _, _, block in sent["tasks"]] == list(range(mc._BLOCKS_PER_ROUND))
     assert all(metric == "ber" and snrs == (0.0, 20.0) for metric, snrs, _ in sent["tasks"])
+    # the pool is shut down by the time the points come back
+    points = mc._sweep_points(cfg, "ber")
+    assert sent["shutdowns"] == 2 and list(points) == [0.0, 20.0]
     monkeypatch.setenv("SSKNOMA_WORKERS", "1")
     assert _ber_snapshot(cfg) == pooled
 
