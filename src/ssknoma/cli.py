@@ -172,10 +172,10 @@ def _cmd_pa_sweep(args) -> int:
     if not a2_grid:
         raise ConfigError("a2_grid must not be empty")
     rho_db = as_float("snr_db", doc.get("snr_db", 20.0))
-    rho = 10.0 ** (rho_db / 10.0)
-    # one config per a2, so SimConfig checks every run
+    # one config per a2, so SimConfig checks every run, snr_db's range included
     configs = [_make_run({**_PA_SWEEP_RUN, **doc, "snr_grid_db": [rho_db], "pa": [a2, 1.0 - a2]})
                for a2 in a2_grid]
+    rho = 10.0 ** (configs[0].snr_grid_db[0] / 10.0)
     out_dir = _out_dir(args)
     rows = []
     for cfg in configs:

@@ -1,4 +1,5 @@
-"""Transmit-side primitives: Gray-labelled user constellations, the
+"""Transmit-side primitives: Gray-labelled user constellations (BPSK, QPSK
+and square QAM, each a full grid of its real and imaginary parts), the
 power-domain superposition of their points into the composite alphabet, and
 the bit errors between two labels.
 
@@ -92,28 +93,11 @@ def qpsk() -> UserConstellation:
                              [0, 1, 3, 2])
 
 
-def mpsk(order: int) -> UserConstellation:
-    """M-PSK with reflected-Gray labeling, points at angles 2*pi*n/M."""
-    if order == 2:
-        return bpsk()
-    if order == 4:
-        return qpsk()
-    if not _is_pow2(order):
-        raise ConfigError(f"M-PSK order must be a power of 2, got {order}")
-    n = np.arange(order)
-    return UserConstellation(np.exp(2j * np.pi * n / order), _gray_code(n))
-
-
-def square_qam(order: int) -> UserConstellation:
-    """Square M-QAM, per-axis Gray labels (in-phase bits high), unit average
-    energy.
-
-    Symbols are listed in boustrophedon (snake) order through the grid so
-    consecutive entries stay Gray-adjacent.
-    """
+def _square_qam(order: int) -> UserConstellation:
+    """Square QAM of an even power of 2 ``order``, per-axis Gray labels
+    (in-phase bits high), unit average energy, listed in boustrophedon
+    (snake) order through the grid so consecutive entries stay Gray-adjacent."""
     m_axis = int(round(np.sqrt(order)))
-    if m_axis * m_axis != order or not _is_pow2(order) or order < 4:
-        raise ConfigError(f"square QAM order must be an even power of 2 >= 4, got {order}")
     levels = 2 * np.arange(m_axis) - (m_axis - 1)
     scale = np.sqrt(np.mean(levels**2) * 2)
     qi, ii = np.divmod(np.arange(order), m_axis)
@@ -126,13 +110,17 @@ def square_qam(order: int) -> UserConstellation:
 
 
 def make_constellation(order: int) -> UserConstellation:
-    """Default constellation family: PSK up to order 4, square QAM above."""
-    if order <= 4:
-        return mpsk(order)
-    m_axis = int(round(np.sqrt(order)))
-    if m_axis * m_axis == order:
-        return square_qam(order)
-    return mpsk(order)
+    """BPSK (order 2), QPSK (4) or square QAM (an even power of 2 >= 16),
+    each a full grid of its real and imaginary parts, as the receivers need;
+    any other order is a ConfigError, raised before any numeric work."""
+    if order == 2:
+        return bpsk()
+    if order == 4:
+        return qpsk()
+    # 2^(2k) has 2k + 1 binary digits
+    if order >= 16 and _is_pow2(order) and int(order).bit_length() % 2:
+        return _square_qam(order)
+    raise ConfigError(f"modulation order must be 2, 4 or an even power of 2 >= 16, got {order}")
 
 
 def enumerate_sc_alphabet(constellations, pa) -> np.ndarray:

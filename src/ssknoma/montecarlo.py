@@ -276,9 +276,8 @@ def _block_trials(cfg: SimConfig, block: int) -> int:
 
 
 class _SmGrid(NamedTuple):
-    """A point set (a constellation or a composite alphabet) that is the full
-    Cartesian grid of its distinct real and imaginary parts, so its nearest
-    point is found axis by axis."""
+    """A constellation or composite alphabet, the full Cartesian grid of its
+    distinct real and imaginary parts: its nearest point is found axis by axis."""
 
     re_mid: np.ndarray  # midpoints between consecutive distinct real parts
     im_mid: np.ndarray  # the same for the imaginary parts
@@ -291,9 +290,9 @@ class _Tables(NamedTuple):
 
     consts: tuple                # power users' constellations, decoding order
     levels: tuple                # their level tables (``_levels``)
-    grids: tuple                 # their nearest-point grids (None if not Cartesian)
+    grids: tuple                 # their nearest-point grids (``_sm_grid``)
     alphabet_levels: np.ndarray | None  # composite alphabet's level table (None without user 1)
-    sm_grid: _SmGrid | None      # its nearest-point grid (None if not Cartesian)
+    sm_grid: _SmGrid | None      # its nearest-point grid (None without user 1)
     bits: tuple                  # each user's bits per trial
 
 
@@ -303,15 +302,15 @@ def _levels(points: np.ndarray) -> np.ndarray:
     return np.stack([points.real, points.imag, points.real ** 2 + points.imag ** 2])
 
 
-def _sm_grid(values: np.ndarray) -> _SmGrid | None:
-    """Nearest-point grid of a point set that is a full Cartesian grid (BPSK,
-    QPSK, square QAM and their superpositions); ``None`` for any other set
-    (M-PSK with M > 4, say), which the detectors then scan point by point."""
+def _sm_grid(values: np.ndarray) -> _SmGrid:
+    """Nearest-point grid of a constellation or of a composite alphabet of
+    them, each a full Cartesian grid of its distinct real and imaginary
+    parts: numpy's real x complex product is exact on each axis, so a
+    composite point's real part depends only on the users' real indices,
+    and its imaginary part only on their imaginary ones."""
     re_axis, re_pos = np.unique(values.real, return_inverse=True)
     im_axis, im_pos = np.unique(values.imag, return_inverse=True)
-    cells, first = np.unique(re_pos * im_axis.size + im_pos, return_index=True)
-    if cells.size != re_axis.size * im_axis.size:
-        return None
+    _, first = np.unique(re_pos * im_axis.size + im_pos, return_index=True)
     return _SmGrid((re_axis[:-1] + re_axis[1:]) / 2.0, (im_axis[:-1] + im_axis[1:]) / 2.0,
                    first.reshape(re_axis.size, im_axis.size))
 
@@ -357,8 +356,6 @@ def _tables(cfg: SimConfig) -> _Tables:
                    bits)
 
 
-# entries of one chunk of the metric scan
-_SM_CHUNK_ENTRIES = 1 << 22
 # trial-antenna entries of one chunk of the cell-edge statistics: the
 # search holds the statistics, the decided symbols and their gathered levels,
 # about 80 traced bytes per entry at any N_r, so a chunk peaks near 40 MiB.
@@ -387,32 +384,15 @@ def _unit_gain(x, g):
     return out
 
 
-def _ml_detect_block(u, dead, amp, levels, grid=None):
+def _ml_detect_block(u, dead, amp, grid):
     """Vectorized ML point decision per trial on per-unit-gain coordinates
     u, a (2, n) array of real and imaginary parts: a SIC stage's y / g
     (y = h^H r the MRC combiner output, g = ||h||^2, stage amplitude
     ``amp``), or one antenna's y / (sqrt(P) g) in the joint search (amp 1).
-    ``dead`` flags the trials with g = 0, or is None if there is none.
-    The decision is the point s of the level table ``levels`` that minimises
-    |u - amp s|^2, which is the ML metric amp^2 g |s - u / amp|^2 divided by
-    g > 0. With a nearest-point ``grid`` of the points, it is the point
-    nearest u / amp (``_nearest_point``, midpoints scaled by amp). Without
-    one (M-PSK with M > 4) every point scores amp |s|^2 - 2 Re(u s*), in
-    chunks of trials that keep the metric table near ``_SM_CHUNK_ENTRIES``
-    entries, and the first minimum wins. Dead trials, where every point
-    scores 0, decide index 0. Both paths make the same decisions except
-    where u / amp lies within rounding error of a decision boundary (on one,
-    the grid takes the lower neighbour and the scan the lower index), which
-    noise makes a null event."""
-    if grid is None:
-        chunk = max(1, _SM_CHUNK_ENTRIES // levels.shape[1])
-        k = np.concatenate([
-            (amp * levels[2] - 2.0 * (u[0, s:s + chunk, None] * levels[0]
-                                      + u[1, s:s + chunk, None] * levels[1])).argmin(axis=1)
-            for s in range(0, u.shape[1], chunk)
-        ])
-    else:
-        k = _nearest_point(grid, u[0], u[1], amp)
+    It is the point of ``grid`` nearest u / amp (``_nearest_point``), which
+    minimises the ML metric amp^2 g |s - u / amp|^2. Trials flagged ``dead``
+    (g = 0, where every point scores 0; None if there is none) decide 0."""
+    k = _nearest_point(grid, u[0], u[1], amp)
     if dead is not None:
         k[dead] = 0
     return k
@@ -430,12 +410,12 @@ def _sm_detect_block(z, g, dead, levels, grid):
     Less ||r||^2 and divided by P, the metric ||r - sqrt(P) h_t chi||^2 is
     g_t (|chi|^2 - 2 Re(chi* z_t)), for each antenna that of an ML decision
     on z_t at amplitude 1. So ``_ml_detect_block`` decides each antenna's
-    best symbol, and only those N_t candidates are scored, from real gathers
-    of the alphabet's level table ``levels``.
+    best symbol on the alphabet's nearest-point ``grid``, and only those N_t
+    candidates are scored, from real gathers of its level table ``levels``.
     """
     n_t, b = g.shape
     k = _ml_detect_block(z.reshape(2, -1), None if dead is None else dead.ravel(), 1.0,
-                         levels, grid).reshape(n_t, b)
+                         grid).reshape(n_t, b)
     re, im, energy = np.take(levels, k, axis=1)
     return _first_min_row(g * (energy - 2.0 * (z[0] * re + z[1] * im)))
 
@@ -454,21 +434,19 @@ def _first_min_row(metric):
     return row
 
 
-def _sic_detect_block(u, dead, amps, levels, grids=None):
+def _sic_detect_block(u, dead, amps, levels, grids):
     """Successive interference cancellation on each trial's per-unit-gain
     coordinates u = y / g (a (2, B) array; ``dead`` flags the trials with
-    g = 0): ML-detect each stage (amplitude ``amps[m]``, level table
-    ``levels[m]``, nearest-point grid ``grids[m]``, or the metric scan where
-    that is None or ``grids`` is) on what is left after cancelling the stages
-    before it, amp times the decided point's real and imaginary levels per
-    cancelled stage. Returns every stage's decisions and the coordinates the
-    last stage saw."""
-    grids = grids or (None,) * len(amps)
+    g = 0): ML-detect each stage (amplitude ``amps[m]``, nearest-point grid
+    ``grids[m]``) on what is left after cancelling the stages before it, amp
+    times the decided point's real and imaginary levels (level table
+    ``levels[m]``) per cancelled stage. Returns every stage's decisions and
+    the coordinates the last stage saw."""
     resid = u
-    decisions = [_ml_detect_block(resid, dead, amps[0], levels[0], grids[0])]
+    decisions = [_ml_detect_block(resid, dead, amps[0], grids[0])]
     for m in range(1, len(amps)):
         resid = resid - amps[m - 1] * np.take(levels[m - 1][:2], decisions[-1], axis=1)
-        decisions.append(_ml_detect_block(resid, dead, amps[m], levels[m], grids[m]))
+        decisions.append(_ml_detect_block(resid, dead, amps[m], grids[m]))
     return decisions, resid
 
 

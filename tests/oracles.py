@@ -5,7 +5,8 @@ network's conditional BEPs, whose fading averages the exact ABEPs
 mean that the capacity closed form gives, and the cell-edge user's
 conditional BEP curve before its clamp, from all M_T^2 symbol pairs: one
 SNR at a time over the levels the library keeps, or as one dense table over
-every level."""
+every level. Also M-PSK, a constellation the package does not build, on
+which the closed forms that take any constellation are tested."""
 
 from math import factorial
 
@@ -13,7 +14,16 @@ import numpy as np
 from scipy import integrate, special
 
 from ssknoma.analytics import zeta_set
+from ssknoma.constellation import UserConstellation
 from ssknoma.errors import InputError
+
+
+def psk(order: int) -> UserConstellation:
+    """M-PSK with reflected-Gray labels, points at angles 2 pi n / M. Above
+    order 4 it is not a grid of its real and imaginary parts, so the
+    receivers cannot decide on it and ``make_constellation`` rejects it."""
+    n = np.arange(order)
+    return UserConstellation(np.exp(2j * np.pi * n / order), n ^ (n >> 1))
 
 
 def q_func(x):

@@ -47,6 +47,7 @@ from oracles import (
     kept_level_bep_u1,
     level_cutoff,
     pair_energy_levels,
+    psk,
     q_func,
 )
 
@@ -238,7 +239,8 @@ BEP_CURVE_ALPHABETS = {
     "L5-qpsk": ((4, 4, 4, 4), (0.6, 0.25, 0.1, 0.05)),
     "qpsk-qam16": ((4, 16), (0.8, 0.2)),
 }
-# and the pair-energy table on these as well (M_T up to 1 024)
+# and the pair-energy table on these as well (M_T up to 1 024); orders 8 and
+# 32 are M-PSK (``oracles.psk``), which the table takes like any constellation
 PAIR_TABLE_ALPHABETS = {
     **BEP_CURVE_ALPHABETS,
     "qam64-qpsk": ((64, 4), (0.8, 0.2)),
@@ -249,7 +251,8 @@ PAIR_TABLE_ALPHABETS = {
 
 
 def _sc_alphabet(orders, pa):
-    return enumerate_sc_alphabet([make_constellation(m) for m in orders], pa)
+    return enumerate_sc_alphabet([psk(m) if m in (8, 32) else make_constellation(m)
+                                  for m in orders], pa)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_TABLE_ALPHABETS))

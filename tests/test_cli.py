@@ -585,6 +585,12 @@ INVALID_RUNS = {
     # chunk so does its memory
     "ber-n_t-above-4096": (["ber"], dict(BER_CONFIG, n_t=8192)),
     "ber-snr-overflow": (["ber"], dict(BER_CONFIG, snr_grid_db=[1e300])),
+    # 10 ** (snr_db / 10) overflowed to a traceback before the range check
+    "pa-sweep-snr_db-5000": (["pa-sweep"], {"snr_db": 5000}),
+    "pa-sweep-snr_db-minus-5000": (["pa-sweep"], {"snr_db": -5000}),
+    # an order whose constellation is not a grid of its real and imaginary
+    # parts (8-PSK), which the receivers cannot decide on
+    "ber-8-psk-user": (["ber"], dict(BER_CONFIG, modulations=[8, 4])),
     # a document that runs nothing wrote a header-only CSV or passed validation
     "ber-empty-runs": (["ber"], {"snr_grid_db": [10.0], "runs": []}),
     "capacity-empty-runs": (["capacity"], {"snr_grid_db": [10.0], "runs": []}),
@@ -622,15 +628,24 @@ INVALID_RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv,doc", INVALID_RUNS.values(), ids=INVALID_RUNS)
-def test_invalid_run_is_config_error(tmp_path, capsys, argv, doc):
+# the start of the error message of the cases that must name their value
+INVALID_RUN_MESSAGES = {
+    "pa-sweep-snr_db-5000": "SNR points must lie within +-300 dB: [5000.0]",
+    "pa-sweep-snr_db-minus-5000": "SNR points must lie within +-300 dB: [-5000.0]",
+    "ber-8-psk-user": "modulation order must be 2, 4 or an even power of 2 >= 16, got 8",
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_RUNS))
+def test_invalid_run_is_config_error(tmp_path, capsys, case):
+    argv, doc = INVALID_RUNS[case]
     out = tmp_path / "out"
     if doc is not None:
         argv = argv + ["--config", _write_config(tmp_path, doc), "--quiet"]
         if argv[0] != "validate":  # validate writes no file
             argv += ["--out", str(out)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: " + INVALID_RUN_MESSAGES.get(case, ""))
     assert not list(out.glob("*.csv"))
 
 

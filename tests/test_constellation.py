@@ -13,9 +13,7 @@ from ssknoma.constellation import (
     bpsk,
     enumerate_sc_alphabet,
     make_constellation,
-    mpsk,
     qpsk,
-    square_qam,
 )
 from ssknoma.errors import ConfigError, InputError
 
@@ -43,7 +41,7 @@ def test_qpsk_gray_order():
     assert qpsk().labels.tolist() == [0, 1, 3, 2]
 
 
-@pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
 def test_constellation_unit_energy_and_gray(order):
     c = make_constellation(order)
     pts = c.points
@@ -56,19 +54,27 @@ def test_constellation_unit_energy_and_gray(order):
 
 
 def test_square_qam_grid():
-    c = square_qam(16)
+    c = make_constellation(16)
     # 4 amplitude levels per axis, equally spaced
     re = sorted(set(np.round(p.real, 12) for p in c.points))
     assert len(re) == 4
     gaps = np.diff(re)
     assert np.allclose(gaps, gaps[0])
+    # a numpy integer order builds the same constellation
+    assert np.array_equal(make_constellation(np.int64(16)).points, c.points)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 6, 8, 32, 128, -4])
+def test_make_constellation_rejects_order(order):
+    """BPSK, QPSK and square QAM only: any other order, M-PSK's 8 and 32
+    among them, is a ConfigError naming it and the accepted orders, raised
+    before any numeric work (np.sqrt(-4) would be nan)."""
+    accepted = "must be 2, 4 or an even power of 2 >= 16"
+    with pytest.raises(ConfigError, match=rf"{accepted}, got {order}$"):
+        make_constellation(order)
 
 
 def test_bad_constellations_rejected():
-    with pytest.raises(ConfigError):
-        mpsk(3)
-    with pytest.raises(ConfigError):
-        square_qam(8)
     with pytest.raises(ConfigError):
         UserConstellation([2 + 0j, -2 + 0j], [0, 1])  # energy 4
     with pytest.raises(ConfigError):

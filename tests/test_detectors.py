@@ -5,9 +5,12 @@ import argparse
 import importlib.resources
 import json
 import warnings
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssknoma import cli
 from ssknoma import montecarlo as mc
@@ -28,6 +31,7 @@ ALPHABET3 = enumerate_sc_alphabet([qpsk(), qpsk()], PA3)
 LEVELS3 = _levels(ALPHABET3)
 GRID3 = _sm_grid(ALPHABET3)
 QPSK_LEVELS = _levels(qpsk().points)
+QPSK_GRID = _sm_grid(qpsk().points)
 BATCH = 5
 
 # composite alphabets of the power users: (modulation orders, allocation)
@@ -82,6 +86,32 @@ def _brute_force_scalar_sic(y, g, amps, points):
     return decisions
 
 
+def _scan_sic(y, g, amps, points):
+    """``_brute_force_scalar_sic`` over a batch: per trial and stage the
+    first point of least |y - amp g s|^2, every point scored. Every point
+    scores 0 where g = 0, so index 0 wins there."""
+    decisions = []
+    for amp, pts in zip(amps, points):
+        decisions.append(np.argmin(np.abs(y[:, None] - (amp * g)[:, None] * pts) ** 2, axis=1))
+        y = y - amp * g * pts[decisions[-1]]
+    return decisions
+
+
+def _scan_sm(z, g, chis):
+    """``_brute_force_sm_statistics`` over a batch, less ||r||^2 and divided
+    by P: per trial the (row, composite symbol) of least
+    g_t (|chi|^2 - 2 Re(chi* z_t)) over every pair, the first pair in
+    row-major order on ties, so (0, 0) where every g_t is 0; in chunks of
+    1 000 trials."""
+    re, im, energy = _levels(chis)
+    pairs = []
+    for s in range(0, g.shape[1], 1000):
+        z0, z1 = (z[c, :, s:s + 1000, None] for c in (0, 1))
+        metric = g[:, s:s + 1000, None] * (energy - 2.0 * (z0 * re + z1 * im))
+        pairs.append(metric.transpose(1, 0, 2).reshape(metric.shape[1], -1).argmin(axis=1))
+    return np.divmod(np.concatenate(pairs), chis.size)
+
+
 def _unit(y, g):
     """Per-unit-gain coordinates y / g as a (2, *y.shape) array of real and
     imaginary parts, 0 where g = 0, and the mask of those zeros (None if
@@ -111,8 +141,7 @@ def _joint_decisions(z, g, dead, levels, grid):
     that row's composite symbol, read from the row's own ML decision."""
     row = _sm_detect_block(z, g, dead, levels, grid)
     cols = np.arange(row.size)
-    k = _ml_detect_block(z[:, row, cols], None if dead is None else dead[row, cols], 1.0,
-                         levels, grid)
+    k = _ml_detect_block(z[:, row, cols], None if dead is None else dead[row, cols], 1.0, grid)
     return row, k
 
 
@@ -183,7 +212,6 @@ def test_nearest_point_search_equals_brute_force(name, n_t):
     70 000 seeded trials per case, 1.05e6 over the 15 cases."""
     chis = _alphabet(name)
     grid = _sm_grid(chis)
-    assert grid is not None
     n_r = min(n_t, 4)
     for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
         rng = rng_stream(500, n_t, int(snr_db))
@@ -195,7 +223,7 @@ def test_nearest_point_search_equals_brute_force(name, n_t):
         r = sqrt_p * h[np.arange(b), v] * chis[k][:, None] + complex_normal(rng, (b, n_r), 1.0)
         stats = _antenna_statistics(r, h, sqrt_p)
         v_fast, k_fast = _joint_decisions(*stats, _levels(chis), grid)
-        v_brute, k_brute = _joint_decisions(*stats, _levels(chis), None)
+        v_brute, k_brute = _scan_sm(*stats[:2], chis)
         assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute), snr_db
 
 
@@ -218,14 +246,16 @@ def test_nearest_point_breaks_ties_like_brute_force():
     r = clean + complex_normal(rng, (b, 2), 1.0)
     stats = _antenna_statistics(r, h, sqrt_p)
     v_fast, k_fast = _joint_decisions(*stats, _levels(chis), grid)
-    v_brute, k_brute = _joint_decisions(*stats, _levels(chis), None)
+    v_brute, k_brute = _scan_sm(*stats[:2], chis)
     assert np.array_equal(v_fast, v_brute) and np.array_equal(k_fast, k_brute)
 
 
-@pytest.mark.parametrize("grid", [True, False], ids=["nearest-point", "brute-force"])
-def test_zero_channel_decides_first_pair_without_warning(grid):
+@pytest.mark.parametrize("oracle", [True, False], ids=["brute-force", "nearest-point"])
+def test_zero_channel_decides_first_pair_without_warning(oracle):
     """A fading variance of 0 scores every hypothesis 0, so the first
-    (antenna, symbol) pair wins, as in the brute-force search."""
+    (antenna, symbol) pair wins in the nearest-point search; with
+    ``oracle``, its decisions also equal the brute-force search's over every
+    pair of each trial."""
     chis = _alphabet("L4-qpsk")
     rng = rng_stream(7, 0)
     h = complex_normal(rng, (BATCH, 4, 2), 0.0)
@@ -233,8 +263,11 @@ def test_zero_channel_decides_first_pair_without_warning(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h, np.sqrt(10.0)),
-                                        _levels(chis), _sm_grid(chis) if grid else None)
+                                        _levels(chis), _sm_grid(chis))
     assert not v_hat.any() and not k_hat.any()
+    if oracle:
+        assert list(zip(v_hat, k_hat)) == [_brute_force_sm(r[b], h[b], chis, 10.0)
+                                           for b in range(BATCH)]
 
 
 def test_zero_fading_cell_edge_user_runs_a_block(monkeypatch):
@@ -253,38 +286,6 @@ def test_zero_fading_cell_edge_user_runs_a_block(monkeypatch):
     assert np.array_equal(errors[1], qpsk().bit_distance_table()[k2, 0])
 
 
-def test_non_cartesian_alphabet_falls_back_to_chunked_brute_force(monkeypatch):
-    """8-PSK users: no nearest-point grid, so the joint search and an 8-PSK
-    SIC stage both take the metric scan of ``_ml_detect_block``, in chunks
-    of rows; a batch that is not a multiple of the chunk loses no row."""
-    chis = enumerate_sc_alphabet([make_constellation(8)] * 2, PA3)
-    assert _sm_grid(chis) is None
-    monkeypatch.setattr(mc, "_SM_CHUNK_ENTRIES", 1000)  # 3 trials per chunk
-    rng = rng_stream(600, 0)
-    power = 30.0
-    h = complex_normal(rng, (100, 4, 2), 1.0)
-    v = rng.integers(0, 4, 100)
-    k = rng.integers(0, chis.size, 100)
-    r = np.sqrt(power) * h[np.arange(100), v] * chis[k][:, None]
-    r = r + complex_normal(rng, (100, 2), 1.0)
-    v_hat, k_hat = _joint_decisions(*_antenna_statistics(r, h, np.sqrt(power)), _levels(chis),
-                                    None)
-    for b in range(100):
-        assert (v_hat[b], k_hat[b]) == _brute_force_sm(r[b], h[b], chis, power)
-    # an 8-PSK stage then a QPSK stage, 3 trials per chunk of the scan
-    monkeypatch.setattr(mc, "_SM_CHUNK_ENTRIES", 24)
-    points = [make_constellation(8).points, qpsk().points]
-    amps = [np.sqrt(0.8 * power), np.sqrt(0.2 * power)]
-    hu = complex_normal(rng, (100, 2), 2.0)
-    ks = [rng.integers(0, p.size, 100) for p in points]
-    ru = hu * sum(a * p[k] for a, p, k in zip(amps, points, ks))[:, None]
-    ru = ru + complex_normal(rng, (100, 2), 1.0)
-    decisions, _ = _sic_detect_block(*_mrc(ru, hu), amps, [_levels(p) for p in points])
-    for b in range(100):
-        want, _ = _brute_force_sic(ru[b], hu[b], amps, points)
-        assert [int(d[b]) for d in decisions] == want
-
-
 @pytest.mark.parametrize("trial", range(20))
 def test_detect_u2_matches_brute_force(trial):
     """ML detection of the strongest NOMA user, weaker users as noise, from
@@ -293,7 +294,7 @@ def test_detect_u2_matches_brute_force(trial):
     h = complex_normal(rng, (BATCH, 2), 2.0)
     r = complex_normal(rng, (BATCH, 2), 4.0)
     amp = np.sqrt(0.8 * 5.0)
-    got = _ml_detect_block(*_mrc(r, h), amp, QPSK_LEVELS)
+    got = _ml_detect_block(*_mrc(r, h), amp, QPSK_GRID)
     for b in range(BATCH):
         assert got[b] == _brute_force_ml(r[b], h[b], amp, qpsk().points)
 
@@ -303,7 +304,8 @@ def _check_sic_against_brute_force(rng, coefficients, power):
     amps = [np.sqrt(a * power) for a in coefficients]
     h = complex_normal(rng, (BATCH, 2), 4.0)
     r = complex_normal(rng, (BATCH, 2), 6.0)
-    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * len(amps))
+    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * len(amps),
+                                         [QPSK_GRID] * len(amps))
     assert len(decisions) == len(coefficients)
     for b in range(BATCH):
         want, want_resid = _brute_force_sic(r[b], h[b], amps, points)
@@ -334,7 +336,7 @@ def test_sic_chain_residual_cancels_known_symbol():
     h = complex_normal(rng, (1, 2), 1.0)
     r = np.sqrt(power) * h * (np.sqrt(0.8) * s2 + np.sqrt(0.2) * s3)
     amps = [np.sqrt(0.8 * power), np.sqrt(0.2 * power)]
-    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * 2)
+    decisions, resid = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * 2, [QPSK_GRID] * 2)
     assert np.allclose(_complex(resid), np.sqrt(power) * np.sqrt(0.2) * s3, atol=1e-12)
     assert [int(d[0]) for d in decisions] == [1, 2]
 
@@ -359,7 +361,8 @@ def test_scalar_sic_equals_vector_ml_chain(n_r):
             chi = sum(np.sqrt(a) * qpsk().points[k] for a, k in zip(pa, ks))
             h = complex_normal(rng, (b, n_r), 2.0)
             r = np.sqrt(power) * h * chi[:, None] + complex_normal(rng, (b, n_r), 1.0)
-            got, _ = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * len(pa))
+            got, _ = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * len(pa),
+                                       [QPSK_GRID] * len(pa))
             want = _vector_sic_chain(r, h, amps, points)
             for stage, (g_dec, w_dec) in enumerate(zip(got, want)):
                 assert np.array_equal(g_dec, w_dec), (pa, snr_db, stage)
@@ -376,7 +379,7 @@ def test_zero_variance_genie_user_decides_symbol_0():
         g, e = mc._user_statistics(*mc._mrc_statistic(rng, 2, BATCH), 0.0)
         u = np.stack([signal.real, signal.imag]) + e
         decisions, _ = _sic_detect_block(u, mc._dead(g), [np.sqrt(8.0), np.sqrt(2.0)],
-                                         [QPSK_LEVELS] * 2)
+                                         [QPSK_LEVELS] * 2, [QPSK_GRID] * 2)
     assert not e.any() and not g.any() and mc._dead(g).all()
     assert not decisions[0].any() and not decisions[1].any()
 
@@ -476,44 +479,72 @@ GRID_ORDERS = {"bpsk": 2, "qpsk": 4, "qam16": 16, "qam64": 64}
 
 
 def _chain_draws(rng, order, pa, snr_db, b, noise=True):
-    """(u, dead, amps, levels, grids) of a SIC chain of ``order``-point users
-    at allocation ``pa``: the receiver inputs of MRC statistics of N_r = 2
-    branches, a tenth of the trials with a zero channel."""
-    const = make_constellation(order)
+    """(y, g, amps, points) of a SIC chain of ``order``-point users at
+    allocation ``pa``: MRC statistics of N_r = 2 branches, a tenth of the
+    trials with a zero channel."""
+    points = make_constellation(order).points
     power = 10.0 ** (snr_db / 10.0)
-    chi = sum(np.sqrt(a) * const.points[rng.integers(0, order, b)] for a in pa)
+    chi = sum(np.sqrt(a) * points[rng.integers(0, order, b)] for a in pa)
     g = rng.standard_gamma(2.0, b)
     g[rng.random(b) < 0.1] = 0.0
     y = np.sqrt(power) * g * chi
     if noise:
         y = y + np.sqrt(g) * complex_normal(rng, b, 1.0)
-    amps = [np.sqrt(a * power) for a in pa]
-    return (*_unit(y, g), amps, [_levels(const.points)] * len(pa),
-            [_sm_grid(const.points)] * len(pa))
+    return y, g, [np.sqrt(a * power) for a in pa], [points] * len(pa)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_ORDERS))
 def test_grid_ml_stage_equals_scan(name):
-    """One stage and a three-stage SIC chain decide as the metric scan on
-    20 000 seeded trials per SNR from 0 to 40 dB and noise-free, with zero
-    channels among them and no RuntimeWarning."""
+    """One stage and a three-stage SIC chain decide as the brute-force scan
+    of every point's ML metric (``_scan_sic``) on 20 000 seeded trials per
+    SNR from 0 to 40 dB and noise-free, with zero channels among them and no
+    RuntimeWarning."""
     order = GRID_ORDERS[name]
-    assert _sm_grid(make_constellation(order).points) is not None
     cases = [(snr_db, True) for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0)] + [(20.0, False)]
     for snr_db, noise in cases:
         rng = rng_stream(900, order, int(snr_db), noise)
-        u, dead, amps, levels, grids = _chain_draws(rng, order, (0.7, 0.2, 0.1), snr_db,
-                                                    20_000, noise)
+        y, g, amps, points = _chain_draws(rng, order, (0.7, 0.2, 0.1), snr_db, 20_000, noise)
+        u, dead = _unit(y, g)
+        levels, grids = [_levels(p) for p in points], [_sm_grid(p) for p in points]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            one_grid = _ml_detect_block(u, dead, amps[0], levels[0], grids[0])
-            chain_grid, resid_grid = _sic_detect_block(u, dead, amps, levels, grids)
-        assert np.array_equal(one_grid, _ml_detect_block(u, dead, amps[0], levels[0]))
-        chain_scan, resid_scan = _sic_detect_block(u, dead, amps, levels)
+            one_grid = _ml_detect_block(u, dead, amps[0], grids[0])
+            chain_grid, _ = _sic_detect_block(u, dead, amps, levels, grids)
+        chain_scan = _scan_sic(y, g, amps, points)
+        assert np.array_equal(one_grid, chain_scan[0])
         for stage, (got, want) in enumerate(zip(chain_grid, chain_scan)):
             assert np.array_equal(got, want), (snr_db, noise, stage)
-        assert np.array_equal(resid_grid, resid_scan)
         assert dead.any() and not np.any(one_grid[dead])
+
+
+@st.composite
+def _grid_cases(draw):
+    """1 to 4 power users of orders 2, 4, 16, 64 and 256 with M_T <= 4 096,
+    and a strictly decreasing allocation that sums to 1."""
+    orders = draw(st.lists(st.sampled_from([2, 4, 16, 64, 256]), min_size=1, max_size=4)
+                  .filter(lambda orders: prod(orders) <= 4096))
+    weights = sorted(draw(st.lists(st.integers(1, 10**6), min_size=len(orders),
+                                   max_size=len(orders), unique=True)), reverse=True)
+    return orders, tuple(w / sum(weights) for w in weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_cases())
+def test_every_constellation_and_alphabet_is_a_full_grid(case):
+    """Each constellation and each composite alphabet of them gives
+    ``_sm_grid`` exactly re x im cells (its distinct real and imaginary
+    parts), each holding a point at that real and imaginary part, so the
+    nearest-point decision is the receivers' only one. An alphabet that is
+    not such a grid (the axis-aligned 4-PSK, say) fails ``_sm_grid``."""
+    orders, pa = case
+    consts = [make_constellation(m) for m in orders]
+    for points in [c.points for c in consts] + [enumerate_sc_alphabet(consts, pa)]:
+        grid = _sm_grid(points)
+        re_axis, im_axis = np.unique(points.real), np.unique(points.imag)
+        assert grid.index.shape == (re_axis.size, im_axis.size)
+        cells = points[grid.index]
+        assert np.array_equal(cells.real, np.broadcast_to(re_axis[:, None], cells.shape))
+        assert np.array_equal(cells.imag, np.broadcast_to(im_axis, cells.shape))
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -525,8 +556,7 @@ def test_grid_sic_chain_matches_stagewise_brute_force(trial):
     amps = [np.sqrt(a * 12.0) for a in (0.7, 0.2, 0.1)]
     h = complex_normal(rng, (BATCH, 2), 4.0)
     r = complex_normal(rng, (BATCH, 2), 6.0)
-    decisions, _ = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * 3,
-                                     [_sm_grid(qpsk().points)] * 3)
+    decisions, _ = _sic_detect_block(*_mrc(r, h), amps, [QPSK_LEVELS] * 3, [QPSK_GRID] * 3)
     for b in range(BATCH):
         want, _ = _brute_force_sic(r[b], h[b], amps, points)
         assert [int(d[b]) for d in decisions] == want
@@ -538,24 +568,22 @@ def test_grid_decides_the_lower_neighbour_on_a_midpoint():
     decides as usual. For QPSK the midpoints are 0: z = 0.3j sits between
     points 1 (-1+1j)/sqrt(2) and 0 (1+1j)/sqrt(2), and the grid decides 1.
     Ties like this, and coordinates within rounding error of a midpoint, are
-    the only inputs on which the grid and the scan can part; under noise
-    they have probability 0."""
-    points = qpsk().points
-    grid = _sm_grid(points)
+    the only inputs on which the grid and a scan of every point's metric can
+    part; under noise they have probability 0."""
     z = np.array([0.3j, -0.3j, 0.3, -0.3, 0.0])
-    assert list(_nearest_point(grid, z.real, z.imag, 1.0)) == [1, 2, 3, 2, 2]
+    assert list(_nearest_point(QPSK_GRID, z.real, z.imag, 1.0)) == [1, 2, 3, 2, 2]
     qam = make_constellation(16).points
     qam_grid = _sm_grid(qam)
     for mid in qam_grid.re_mid:
         k = _nearest_point(qam_grid, np.array([mid]), np.array([qam.imag.max()]), 1.0)[0]
         lower = np.max(qam.real[qam.real < mid])
         assert qam[k] == lower + 1j * qam.imag.max()
-    # there the scan's metrics tie exactly and its first minimum, point 0,
+    # there a scan's metrics tie exactly and its first minimum, point 0,
     # wins; a coordinate just off the midpoint decides the nearer point on
-    # both paths
+    # both
     u = np.array([[0.0, 1e-9, -1e-9], [0.3, 0.3, 0.3]])
-    assert list(_ml_detect_block(u, None, 1.0, QPSK_LEVELS, grid)) == [1, 0, 1]
-    assert list(_ml_detect_block(u, None, 1.0, QPSK_LEVELS)) == [0, 0, 1]
+    assert list(_ml_detect_block(u, None, 1.0, QPSK_GRID)) == [1, 0, 1]
+    assert list(_scan_sic(_complex(u), np.ones(3), [1.0], [qpsk().points])[0]) == [0, 0, 1]
 
 
 def test_stage_input_on_a_scaled_midpoint_takes_the_lower_neighbour():
@@ -567,12 +595,11 @@ def test_stage_input_on_a_scaled_midpoint_takes_the_lower_neighbour():
     qam = make_constellation(16).points
     grid, amp, top = _sm_grid(qam), 2.5, qam.imag.max()
     u = np.stack([amp * grid.re_mid, np.full(grid.re_mid.size, amp * top)])
-    for mid, k in zip(grid.re_mid, _ml_detect_block(u, None, amp, _levels(qam), grid)):
+    for mid, k in zip(grid.re_mid, _ml_detect_block(u, None, amp, grid)):
         assert qam[k] == np.max(qam.real[qam.real < mid]) + 1j * top
     amps, first = [3.0, 1.5], qpsk().points[2]
     u = np.array([[amps[0] * first.real], [amps[0] * first.imag + 0.3 * amps[1]]])
-    decisions, resid = _sic_detect_block(u, None, amps, [QPSK_LEVELS] * 2,
-                                         [_sm_grid(qpsk().points)] * 2)
+    decisions, resid = _sic_detect_block(u, None, amps, [QPSK_LEVELS] * 2, [QPSK_GRID] * 2)
     assert decisions[0][0] == 2 and resid[0, 0] == 0.0 and resid[1, 0] > 0.0
     # between points 1 (-1+1j)/sqrt(2) and 0 (1+1j)/sqrt(2), the lower wins
     assert decisions[1][0] == 1
@@ -598,18 +625,19 @@ def test_first_min_row_equals_argmin(n_t):
     assert not got[1::7].any()
 
 
-@pytest.mark.parametrize("grid", [True, False], ids=["nearest-point", "scan"])
-def test_dead_rows_among_live_rows_decide_index_0(grid):
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "nearest-point"])
+def test_dead_rows_among_live_rows_decide_index_0(scan):
     """A block that mixes trials of channel energy 0 with live ones, its
     inputs formed as the engine forms them (``_unit_gain``, ``_dead``): every
     SIC stage and the joint search decide index 0 on the dead trials and
     decide the live ones as in a block of their own, without a
-    RuntimeWarning."""
-    rng = rng_stream(920, grid)
+    RuntimeWarning; with ``scan``, the whole block also as the brute-force
+    scans of every point (``_scan_sic``) and every pair (``_scan_sm``)."""
+    rng = rng_stream(920, not scan)
     b, power = 3000, 100.0
     pa = (0.7, 0.2, 0.1)
     amps = [np.sqrt(a * power) for a in pa]
-    grids = [_sm_grid(qpsk().points) if grid else None] * 3
+    grids = [QPSK_GRID] * 3
     chi = sum(np.sqrt(a) * qpsk().points[rng.integers(0, 4, b)] for a in pa)
     g = rng.standard_gamma(2.0, b)
     g[::3] = 0.0
@@ -623,6 +651,9 @@ def test_dead_rows_among_live_rows_decide_index_0(grid):
     alone, _ = _sic_detect_block(u[:, live], None, amps, [QPSK_LEVELS] * 3, grids)
     for got, want in zip(decisions, alone):
         assert not got[~live].any() and np.array_equal(got[live], want)
+    if scan:
+        want = _scan_sic(g * _complex(u), g, amps, [qpsk().points] * 3)
+        assert all(np.array_equal(got, w) for got, w in zip(decisions, want))
 
     chis = _alphabet("L4-qpsk")
     h = complex_normal(rng, (b, 4, 2), 1.0)
@@ -631,44 +662,17 @@ def test_dead_rows_among_live_rows_decide_index_0(grid):
     r = r + complex_normal(rng, (b, 2), 1.0)
     g = np.ascontiguousarray(np.sum(np.abs(h) ** 2, axis=2).T)
     y = np.einsum("btr,br->tb", np.conj(h), r)
-    search_grid = _sm_grid(chis) if grid else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v_hat, k_hat = _joint_decisions(mc._unit_gain(y / np.sqrt(power), g), g, mc._dead(g),
-                                        _levels(chis), search_grid)
+        z = mc._unit_gain(y / np.sqrt(power), g)
+        v_hat, k_hat = _joint_decisions(z, g, mc._dead(g), _levels(chis), _sm_grid(chis))
     assert not v_hat[~live].any() and not k_hat[~live].any()
     v_alone, k_alone = _joint_decisions(*_antenna_statistics(r[live], h[live], np.sqrt(power)),
-                                        _levels(chis), search_grid)
+                                        _levels(chis), _sm_grid(chis))
     assert np.array_equal(v_hat[live], v_alone) and np.array_equal(k_hat[live], k_alone)
-
-
-def test_psk8_stage_has_no_grid_and_scans(monkeypatch):
-    """An 8-PSK user has no nearest-point grid, so its stage takes the metric
-    scan while the QPSK stage after it takes the grid."""
-    cfg = mc.make_config(mc.SSK_NOMA, 3, 2, [10.0], seed=1, modulations=(8, 4))
-    tables = cfg.tables
-    assert tables.grids[0] is None and tables.grids[1] is not None
-    assert tables.sm_grid is None
-    grid_sizes = []
-
-    def nearest(grid, *args):
-        grid_sizes.append(grid.index.size)
-        return _nearest_point(grid, *args)
-
-    monkeypatch.setattr(mc, "_nearest_point", nearest)
-    rng = rng_stream(910, 0)
-    power = 10.0 ** 1.5
-    amps = [np.sqrt(a * power) for a in cfg.pa]
-    points = [c.points for c in tables.consts]
-    chi = sum(np.sqrt(a) * p[rng.integers(0, p.size, 5000)]
-              for a, p in zip(cfg.pa, points))
-    g = rng.standard_gamma(2.0, 5000)
-    y = np.sqrt(power) * g * chi + np.sqrt(g) * complex_normal(rng, 5000, 1.0)
-    u, dead = _unit(y, g)
-    got, _ = _sic_detect_block(u, dead, amps, tables.levels, tables.grids)
-    assert grid_sizes == [4]
-    want, _ = _sic_detect_block(u, dead, amps, tables.levels)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    if scan:
+        v_scan, k_scan = _scan_sm(z, g, chis)
+        assert np.array_equal(v_hat, v_scan) and np.array_equal(k_hat, k_scan)
 
 
 def _preset_configs():
@@ -684,14 +688,13 @@ def _preset_configs():
 
 
 def test_every_preset_detects_on_grids():
-    """No preset falls back to an O(M) scan: every power user's
-    constellation and every composite alphabet has a nearest-point grid."""
+    """Every preset run has a nearest-point grid per power user, and one of
+    its composite alphabet exactly when it has a cell-edge user."""
     configs = list(_preset_configs())
     assert {name for name, _ in configs} >= {f"fig{n}.json" for n in range(2, 8)}
     for name, cfg in configs:
         tables = cfg.tables
         assert len(tables.grids) == len(cfg.modulations)
-        assert all(grid is not None for grid in tables.grids), name
         assert (tables.sm_grid is not None) == (cfg.first_power_user > 1), name
 
 

@@ -9,7 +9,8 @@ of the computed values) with ``PYTHONPATH=src python tests/test_golden.py``.
 With ``--compare`` it writes nothing and reports how the regenerated files
 differ from the checked-in ones: each sweep CSV row by row, in combined 95%
 half-widths (the row check of ``perfbench/check.py``), with the worst z per
-file, and every pin that changed: a float pin as its old and new value and
+file, each pin case on one side only as added or removed, and every pin
+that changed in the other cases: a float pin as its old and new value and
 the count of doubles between them (ulps), a hash pin as changed. It exits with status 1 if a regenerated
 sweep row fails that check or a changed file cannot be compared row by row,
 else 0: changed pins alone, as any stream change brings, do not fail it.
@@ -74,20 +75,20 @@ PIN_SNRS_DB = (0.0, 15.0, 30.0)
 PIN_SHARED = {"snr_grid_db": list(PIN_SNRS_DB), "seed": 11}
 PIN_CONFIGS = {
     # name: run keys; together they cover QPSK at L = 3, 4, 5, square QAM up
-    # to 64 points, M-PSK without a nearest-point grid, N_t up to 16, a lone
-    # power user and the baseline
+    # to 64 points, a BPSK user, N_t up to 16, a lone power user and the
+    # baseline
     "qpsk-L3": {"n_users": 3, "n_r": 2, "target_rates": [0.5, 1.0, 1.5]},
     "qpsk-L4": {"n_users": 4, "n_r": 2, "target_rates": [0.5, 0.5, 0.5, 0.5]},
     "qpsk-L5": {"n_users": 5, "n_r": 2, "target_rates": [0.5, 0.25, 0.25, 0.25, 0.25]},
     "qam16-qpsk": {"n_users": 3, "n_r": 2, "modulations": [16, 4],
                    "target_rates": [0.5, 1.0, 1.5]},
-    "psk8-bpsk-nt8": {"n_users": 3, "n_r": 2, "n_t": 8, "modulations": [8, 2],
+    "qpsk-bpsk-nt8": {"n_users": 3, "n_r": 2, "n_t": 8, "modulations": [4, 2],
                       "target_rates": [1.0, 1.0, 0.5]},
     "baseline": {"scheme": "noma-baseline", "n_users": 3, "n_r": 2,
                  "target_rates": [0.5, 1.0, 1.5]},
     "qam64-qpsk": {"n_users": 3, "n_r": 4, "modulations": [64, 4],
                    "target_rates": [0.5, 1.0, 1.5]},
-    "psk32-nt16": {"n_users": 2, "n_r": 2, "n_t": 16, "modulations": [32], "pa": [1.0],
+    "qam16-nt16": {"n_users": 2, "n_r": 2, "n_t": 16, "modulations": [16], "pa": [1.0],
                    "target_rates": [2.0, 1.0]},
 }
 
@@ -223,18 +224,36 @@ def _pin_change(path, new, old) -> str:
     return f"changed: {path}: {old} -> {new} ({_ulps(a, b)} ulps)"
 
 
+def _pin_report(new, old) -> list:
+    """``--compare``'s pin lines for two pin files, each a {case: pins}
+    mapping: a case on one side only as ``added case`` or ``removed case``,
+    then each changed pin of the cases on both sides (``_pin_change``), by
+    path."""
+    lines = [f"added case: {name}" for name in new if name not in old]
+    lines += [f"removed case: {name}" for name in old if name not in new]
+    changed = [change for name in new if name in old
+               for change in _changed_pins(new[name], old[name], f"{PINS.name} / {name}")]
+    return lines + [_pin_change(*change) for change in sorted(changed, key=lambda c: c[0])]
+
+
 def test_compare_reports_a_float_pin_moved_by_2_ulps():
-    """Two pin trees that differ in one companion by 2 ulps and in one hash
-    pin: the companion's line gives both values and 2 ulps, the hash pin's
-    only its path; the unchanged pins are not listed."""
+    """Two pin files whose shared case differs in one companion by 2 ulps
+    and in one hash pin: the companion's line gives both values and 2 ulps,
+    the hash pin's only its path; the unchanged pins are not listed. A case
+    on one side only is one line naming it, not a pin holding the whole case
+    against None."""
     value = float.fromhex("0x1.09234e9c7a556p-10")
     moved = np.nextafter(np.nextafter(value, 1.0), 1.0)
+    lone = {"points": ["<c16 00"], "alphabet": None}
     old = {"c": {"trials": {"rate": ["<f8 00", "<f8 11"]},
-                 "companions": {"outage": [value.hex(), None, "0x1.8p-1"]}}}
-    new = {"c": {"trials": {"rate": ["<f8 00", "<f8 22"]},
+                 "companions": {"outage": [value.hex(), None, "0x1.8p-1"]}},
+           "old": lone}
+    new = {"new": lone,
+           "c": {"trials": {"rate": ["<f8 00", "<f8 22"]},
                  "companions": {"outage": [float(moved).hex(), None, "0x1.8p-1"]}}}
-    lines = sorted(_pin_change(*change) for change in _changed_pins(new, old, "pins.json"))
-    assert lines == [
+    assert _pin_report(new, old) == [
+        "added case: new",
+        "removed case: old",
         "changed: pins.json / c / companions / outage [0]: "
         "0x1.09234e9c7a556p-10 -> 0x1.09234e9c7a558p-10 (2 ulps)",
         "changed: pins.json / c / trials / rate [1]",
@@ -264,10 +283,10 @@ if __name__ == "__main__":
                 print(f"wrote {golden}", file=sys.stderr)
     pins = {name: _pins(name) for name in PIN_CONFIGS}
     if compare:
-        changed = _changed_pins(pins, json.loads(PINS.read_text()), PINS.name)
-        for change in sorted(changed, key=lambda change: change[0]):
-            print(_pin_change(*change))
-        print(f"{PINS.name}: {len(changed)} pins changed")
+        report = _pin_report(pins, json.loads(PINS.read_text()))
+        for line in report:
+            print(line)
+        print(f"{PINS.name}: {len(report)} changes")
         # pins change with any stream change; only a failed row check fails
         sys.exit(0 if passed else 1)
     else:
