@@ -25,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from math import prod
+from math import prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +63,12 @@ _MAX_N_R = 64
 # size M_T: the alphabet and its tables take memory and time that grow with
 # M_T, and the largest documented alphabet is [256, 256].
 _MAX_ORDER = 1 << 16
+# Least accepted positive fading variance; the largest is its inverse. The
+# BER receiver decides on float32 statistics, and with variances within
+# +-200 dB every one of them stays a normal float32 over the +-300 dB SNR
+# range: the per-unit-gain noise e / (sigma sqrt(P)) below 1e34, an energy
+# sigma^2 G above 1e-36 (a positive Gamma(1) draw is at least 2^-53).
+_MIN_FADING = 1e-20
 # Largest accepted distance of the power coefficients' sum from 1.
 _PA_SUM_TOL = 1e-12
 
@@ -137,6 +143,9 @@ class SimConfig:
             raise ConfigError("fading variances must be nonnegative")
         if any(a > b for a, b in zip(fading, fading[1:])):
             raise ConfigError("fading variances must be in ascending order")
+        if any(v and not _MIN_FADING <= v <= 1.0 / _MIN_FADING for v in fading):
+            raise ConfigError(f"a positive fading variance must lie within +-200 dB "
+                              f"({_MIN_FADING:g}..{1.0 / _MIN_FADING:g}): {list(fading)}")
         if rates is not None and any(r <= 0 for r in rates):
             raise ConfigError("target rates must be positive")
         n_power_users = self.n_users + 1 - self.first_power_user
@@ -277,11 +286,15 @@ def _block_trials(cfg: SimConfig, block: int) -> int:
 
 class _SmGrid(NamedTuple):
     """A constellation or composite alphabet, the full Cartesian grid of its
-    distinct real and imaginary parts: its nearest point is found axis by axis."""
+    distinct real and imaginary parts: its nearest point is found axis by
+    axis, as a grid position per axis."""
 
-    re_mid: np.ndarray  # midpoints between consecutive distinct real parts
-    im_mid: np.ndarray  # the same for the imaginary parts
-    index: np.ndarray   # (re, im) grid position -> first point index
+    re_level: np.ndarray  # distinct real parts, ascending
+    im_level: np.ndarray  # distinct imaginary parts, ascending
+    re_mid: np.ndarray    # midpoints between consecutive real levels
+    im_mid: np.ndarray    # the same for the imaginary levels
+    index: np.ndarray     # (re, im) grid position -> first point index
+    origin: tuple         # grid position of point 0, where a dead trial decides
 
 
 class _Tables(NamedTuple):
@@ -289,17 +302,9 @@ class _Tables(NamedTuple):
     built once per SimConfig (``SimConfig.tables``)."""
 
     consts: tuple                # power users' constellations, decoding order
-    levels: tuple                # their level tables (``_levels``)
     grids: tuple                 # their nearest-point grids (``_sm_grid``)
-    alphabet_levels: np.ndarray | None  # composite alphabet's level table (None without user 1)
-    sm_grid: _SmGrid | None      # its nearest-point grid (None without user 1)
+    sm_grid: _SmGrid | None      # the composite alphabet's (None without user 1)
     bits: tuple                  # each user's bits per trial
-
-
-def _levels(points: np.ndarray) -> np.ndarray:
-    """Level table of a point set, the (3, M) real array the receivers
-    gather from: each point's real part, imaginary part and energy |s|^2."""
-    return np.stack([points.real, points.imag, points.real ** 2 + points.imag ** 2])
 
 
 def _sm_grid(values: np.ndarray) -> _SmGrid:
@@ -308,42 +313,55 @@ def _sm_grid(values: np.ndarray) -> _SmGrid:
     parts: numpy's real x complex product is exact on each axis, so a
     composite point's real part depends only on the users' real indices,
     and its imaginary part only on their imaginary ones."""
-    re_axis, re_pos = np.unique(values.real, return_inverse=True)
-    im_axis, im_pos = np.unique(values.imag, return_inverse=True)
-    _, first = np.unique(re_pos * im_axis.size + im_pos, return_index=True)
-    return _SmGrid((re_axis[:-1] + re_axis[1:]) / 2.0, (im_axis[:-1] + im_axis[1:]) / 2.0,
-                   first.reshape(re_axis.size, im_axis.size))
+    re_level, re_pos = np.unique(values.real, return_inverse=True)
+    im_level, im_pos = np.unique(values.imag, return_inverse=True)
+    _, first = np.unique(re_pos * im_level.size + im_pos, return_index=True)
+    return _SmGrid(re_level, im_level, (re_level[:-1] + re_level[1:]) / 2.0,
+                   (im_level[:-1] + im_level[1:]) / 2.0,
+                   first.reshape(re_level.size, im_level.size),
+                   (int(re_pos[0]), int(im_pos[0])))
 
 
-def _axis_position(coord, mids, scale):
-    """Per coordinate, the number of ``mids`` scaled by ``scale`` that it
-    exceeds, counted in the smallest unsigned type that holds them."""
+def _axis_position(coord, mids, amp):
+    """Per coordinate, the number of ``mids`` scaled by ``amp`` that it
+    exceeds, counted in the smallest unsigned type that holds them. The
+    scaled midpoints are formed in float64 and rounded once to the
+    coordinates' type."""
     pos = np.zeros(coord.shape, dtype=np.min_scalar_type(mids.size))
-    for m in mids:
-        pos += coord > scale * m
+    above = np.empty(coord.shape, dtype=bool)
+    for m in (amp * mids).astype(coord.dtype):
+        np.greater(coord, m, out=above)
+        # as uint8, a bool adds to a uint8 count without a cast
+        pos += above.view(np.uint8)
     return pos
 
 
-def _nearest_point(grid: _SmGrid, re, im, scale):
-    """Index of the grid point nearest each (re, im) / ``scale`` (> 0), from
-    real arrays of one shape. Per axis the position is the number of
-    midpoints, scaled by ``scale``, that the coordinate exceeds
-    (``searchsorted``'s ``side="left"``), so a coordinate exactly on a scaled
-    midpoint takes the lower of its two neighbours."""
-    pos = _axis_position(re, grid.re_mid, scale).astype(np.intp)
-    pos *= grid.im_mid.size + 1
-    pos += _axis_position(im, grid.im_mid, scale)
-    # gather in place: take reads each position before it writes it, and
-    # every position is in range
-    return np.take(grid.index.ravel(), pos, out=pos, mode="clip")
+def _levels_at(grid: _SmGrid, pos, amp, dtype):
+    """``amp`` times the real and imaginary levels at the grid positions
+    ``pos`` (one position array per axis), a (2, *shape) array of ``dtype``:
+    each scaled level is formed in float64 and rounded once."""
+    re, im = pos
+    out = np.empty((2, *re.shape), dtype=dtype)
+    # clip: every position is in range, and take then writes unbuffered
+    np.take((amp * grid.re_level).astype(dtype), re, out=out[0], mode="clip")
+    np.take((amp * grid.im_level).astype(dtype), im, out=out[1], mode="clip")
+    return out
+
+
+def _point_index(grid: _SmGrid, pos):
+    """``grid.index[pos]``, the point at the grid positions ``pos`` (one
+    position array per axis), through one flat gather."""
+    re, im = pos
+    flat = np.multiply(re, grid.im_level.size, dtype=np.intp)
+    flat += im
+    return np.take(grid.index.ravel(), flat, mode="clip")
 
 
 def _tables(cfg: SimConfig) -> _Tables:
     consts = tuple(make_constellation(m) for m in cfg.modulations)
-    alphabet_levels = sm_grid = None
+    sm_grid = None
     if cfg.first_power_user > 1:
         alphabet = enumerate_sc_alphabet(consts, cfg.pa)
-        alphabet_levels = _levels(alphabet)
         sm_grid = _sm_grid(alphabet)
         # the pair table (SimConfig.pairs) is built on first read, but a
         # config whose table would not fit is rejected here
@@ -351,14 +369,13 @@ def _tables(cfg: SimConfig) -> _Tables:
     # log2 N_t bits on the antenna index, else bits per symbol
     bits = ((cfg.n_t.bit_length() - 1,) * (cfg.first_power_user - 1)
             + tuple(c.bits_per_symbol for c in consts))
-    return _Tables(consts, tuple(_levels(c.points) for c in consts),
-                   tuple(_sm_grid(c.points) for c in consts), alphabet_levels, sm_grid,
-                   bits)
+    return _Tables(consts, tuple(_sm_grid(c.points) for c in consts), sm_grid, bits)
 
 
 # trial-antenna entries of one chunk of the cell-edge statistics: the
-# search holds the statistics, the decided symbols and their gathered levels,
-# about 80 traced bytes per entry at any N_r, so a chunk peaks near 40 MiB.
+# float64 draws of the inactive antennas and the float32 statistics formed
+# from them peak at about 50-60 traced bytes per entry at any N_r, above
+# what the search holds, so a chunk peaks near 30 MiB.
 # The chunk size depends on N_t alone, so the streams do not depend on the
 # worker count.
 _SM_DRAW_ENTRIES = 1 << 19
@@ -367,17 +384,34 @@ _BLOCK_SIZE = 25_000
 _BLOCKS_PER_ROUND = 4
 
 
+# The receiver's number type. Every draw is float64, so the streams do not
+# depend on it; the statistics the receiver decides on (coordinates,
+# channel energies, metrics) are formed from the draws in float64 and
+# rounded once to float32, which halves the search's memory traffic. A
+# decision can then differ from a float64 receiver's only where a
+# coordinate lies within float32 rounding of a scaled midpoint, or two
+# antennas' metrics within float32 rounding of each other.
+_RX = np.float32
+# The cell-edge user's mean SNR below which the joint search scores its
+# metric less ||r||^2 / P (``_sm_detect_block``): there ||r||^2 / P dwarfs
+# every difference between the rows, which only the reduced metric keeps
+# to float32's relative precision. Above it the full metric does, as the
+# best rows score far below ||r||^2 / P.
+_SEARCH_LOW_SNR = 1e-2
+
+
 def _dead(g):
     """Mask of the trials with channel energy g = 0, where every point
     scores 0 and the receivers decide index 0; None if there is none."""
     return None if g.all() else g == 0.0
 
 
-def _unit_gain(x, g):
+def _unit_gain(x, g, dtype=np.float64):
     """x / g for a complex x and g >= 0 broadcast to it, as a (2, *x.shape)
-    array of real and imaginary parts: the per-unit-gain coordinates the
+    array of real and imaginary parts of ``dtype`` (each quotient formed in
+    x's and g's type and rounded once): the per-unit-gain coordinates the
     receivers decide on. 0 where g = 0, without a RuntimeWarning."""
-    out = np.zeros((2, *x.shape))
+    out = np.zeros((2, *x.shape), dtype=dtype)
     live = True if g.all() else g != 0.0
     np.divide(x.real, g, out=out[0], where=live)
     np.divide(x.imag, g, out=out[1], where=live)
@@ -386,47 +420,70 @@ def _unit_gain(x, g):
 
 def _ml_detect_block(u, dead, amp, grid):
     """Vectorized ML point decision per trial on per-unit-gain coordinates
-    u, a (2, n) array of real and imaginary parts: a SIC stage's y / g
+    u, a (2, ...) array of real and imaginary parts: a SIC stage's y / g
     (y = h^H r the MRC combiner output, g = ||h||^2, stage amplitude
-    ``amp``), or one antenna's y / (sqrt(P) g) in the joint search (amp 1).
-    It is the point of ``grid`` nearest u / amp (``_nearest_point``), which
-    minimises the ML metric amp^2 g |s - u / amp|^2. Trials flagged ``dead``
-    (g = 0, where every point scores 0; None if there is none) decide 0."""
-    k = _nearest_point(grid, u[0], u[1], amp)
+    ``amp``), or the antennas' y_t / (sqrt(P) g_t) in the joint search
+    (amp 1). It is the point of ``grid`` nearest u / amp, which minimises
+    the ML metric amp^2 g |s - u / amp|^2, returned as its grid position per
+    axis, (re, im): the number of midpoints, scaled by ``amp``, that each
+    coordinate exceeds (``searchsorted``'s ``side="left"``), so a
+    coordinate exactly on a scaled midpoint takes the lower of its two
+    neighbours; ``grid.index[re, im]`` is the point. Trials flagged ``dead``
+    (g = 0, where every point scores 0; None if there is none) decide point
+    0, at ``grid.origin``."""
+    re = _axis_position(u[0], grid.re_mid, amp)
+    im = _axis_position(u[1], grid.im_mid, amp)
     if dead is not None:
-        k[dead] = 0
-    return k
+        re[dead], im[dead] = grid.origin
+    return re, im
 
 
-def _sm_detect_block(z, g, dead, levels, grid):
+def _sm_detect_block(z, g, orth, grid):
     """Vectorized joint (antenna, composite symbol) ML search on each
     antenna's per-unit-gain coordinates z_t = h_t^H r / (sqrt(P) ||h_t||^2),
-    a (2, N_t, B) array, and channel energies g_t = ||h_t||^2, an (N_t, B)
-    array, one row per antenna (``dead`` flags the zeros of g, where z must
-    be finite); returns per trial the row of the least metric, the first
-    row on ties (``_first_min_row``). A trial whose every g_t is 0 scores 0
-    on every row and decides row 0.
+    a (2, N_t, B) array, its channel energies g_t = ||h_t||^2, an (N_t, B)
+    array, and ``orth``, the energies of r / sqrt(P) outside h_t's span (an
+    (N_t, B) array, or 0.0 where every one is 0); all of z's type, one row
+    per antenna, and z is 0 where g is. Returns per trial the row of the
+    least metric, the first row on ties (``_first_min_row``).
 
-    Less ||r||^2 and divided by P, the metric ||r - sqrt(P) h_t chi||^2 is
-    g_t (|chi|^2 - 2 Re(chi* z_t)), for each antenna that of an ML decision
-    on z_t at amplitude 1. So ``_ml_detect_block`` decides each antenna's
-    best symbol on the alphabet's nearest-point ``grid``, and only those N_t
-    candidates are scored, from real gathers of its level table ``levels``.
-    """
-    n_t, b = g.shape
-    k = _ml_detect_block(z.reshape(2, -1), None if dead is None else dead.ravel(), 1.0,
-                         grid).reshape(n_t, b)
-    re, im, energy = np.take(levels, k, axis=1)
-    return _first_min_row(g * (energy - 2.0 * (z[0] * re + z[1] * im)))
+    Divided by P, the metric ||r - sqrt(P) h_t chi||^2 is
+    g_t |chi - z_t|^2 + orth_t, the part of r in h_t's span and the part
+    outside it, so for each antenna the best symbol is that of an ML decision
+    on z_t at amplitude 1. ``_ml_detect_block`` decides it on the alphabet's
+    nearest-point ``grid``, per axis, and only those N_t candidates are
+    scored, from one gather of each axis's levels. Every term is
+    nonnegative, so the metric keeps float32's relative precision where the
+    best rows score far below ||r||^2 / P. Where it dwarfs them (a low SNR)
+    the caller passes ``orth`` None, and each row scores the metric less
+    ||r||^2 / P, g_t (|chi|^2 - 2 Re(chi* z_t)), which keeps the differences
+    between rows instead. Either way a row with g_t = 0 scores as
+    chi = 0 would (orth_t = ||r||^2 / P, or 0), whatever it decides."""
+    s = _levels_at(grid, _ml_detect_block(z, None, 1.0, grid), 1.0, z.dtype)
+    if orth is None:
+        re, im = s
+        return _first_min_row(g * (re * re + im * im - 2.0 * (z[0] * re + z[1] * im)))
+    s -= z
+    s *= s
+    metric = s[0]
+    metric += s[1]
+    metric *= g
+    metric += orth
+    return _first_min_row(metric)
 
 
 def _first_min_row(metric):
     """Per column of an (N_t, B) array of finite metrics, the row of the
     least entry, the lower row on ties: ``metric.argmin(axis=0)``, bit for
-    bit; ``metric[0]`` may be overwritten. The rows are walked as a running
-    minimum, a whole row per step (``argmin(axis=0)`` copies the array
-    transposed and scans N_t entries per trial): row t takes a trial only
-    where its metric is strictly below the least so far."""
+    bit; ``metric[0]`` may be overwritten. With at least as many trials as
+    rows the rows are walked as a running minimum, a whole row per step
+    (``argmin(axis=0)`` copies the array transposed and scans N_t entries
+    per trial): row t takes a trial only where its metric is strictly below
+    the least so far. A chunk of fewer trials than rows (N_t >= 1024) takes
+    ``argmin(axis=0)`` itself, as each step of the walk then costs more in
+    call overhead than in work."""
+    if metric.shape[1] < metric.shape[0]:
+        return metric.argmin(axis=0)
     best, row = metric[0], np.zeros(metric.shape[1], dtype=np.intp)
     for t in range(1, metric.shape[0]):
         row[metric[t] < best] = t
@@ -434,20 +491,21 @@ def _first_min_row(metric):
     return row
 
 
-def _sic_detect_block(u, dead, amps, levels, grids):
+def _sic_detect_block(u, dead, amps, grids):
     """Successive interference cancellation on each trial's per-unit-gain
     coordinates u = y / g (a (2, B) array; ``dead`` flags the trials with
     g = 0): ML-detect each stage (amplitude ``amps[m]``, nearest-point grid
-    ``grids[m]``) on what is left after cancelling the stages before it, amp
-    times the decided point's real and imaginary levels (level table
-    ``levels[m]``) per cancelled stage. Returns every stage's decisions and
-    the coordinates the last stage saw."""
+    ``grids[m]``) on what is left after cancelling the stages before it,
+    per axis amp times the level at the decided grid position, formed in
+    float64 and rounded once to u's type. Returns every stage's decided grid
+    positions, (re, im) per stage (``_ml_detect_block``), and the
+    coordinates the last stage saw."""
     resid = u
-    decisions = [_ml_detect_block(resid, dead, amps[0], grids[0])]
+    positions = [_ml_detect_block(resid, dead, amps[0], grids[0])]
     for m in range(1, len(amps)):
-        resid = resid - amps[m - 1] * np.take(levels[m - 1][:2], decisions[-1], axis=1)
-        decisions.append(_ml_detect_block(resid, dead, amps[m], grids[m]))
-    return decisions, resid
+        resid = resid - _levels_at(grids[m - 1], positions[-1], amps[m - 1], u.dtype)
+        positions.append(_ml_detect_block(resid, dead, amps[m], grids[m]))
+    return positions, resid
 
 
 def _mrc_statistic(rng, n_r, b):
@@ -476,47 +534,70 @@ def _user_statistics(g, e, var):
 
 
 def _sm_statistics(rng, g_v, e_v, var, n_t, n_r, chi, sqrt_ps):
-    """The cell-edge joint search's per-unit-gain coordinates
-    z_t = h_t^H r / (sqrt(P) g_t) and channel energies g_t = ||h_t||^2, one
-    row per antenna, a (2, N_t, B) and an (N_t, B) array, drawn from their
-    joint law rather than from a (B, N_t, N_r) channel and noise (Jeganathan
-    et al., "Space shift keying modulation for MIMO channels", IEEE TWC
-    2009). ``chi`` holds the composite symbols' real and imaginary parts, a
-    (2, B) array. Yields (z, g, ``_dead(g)``) for each sqrt(P) of
-    ``sqrt_ps``; g is the same array every time, and so is z, overwritten
-    for each point.
+    """The cell-edge joint search's inputs, one row per antenna, drawn from
+    their joint law rather than from a (B, N_t, N_r) channel and noise
+    (Jeganathan et al., "Space shift keying modulation for MIMO channels",
+    IEEE TWC 2009), all of the receiver's type ``_RX``: the per-unit-gain
+    coordinates z_t = h_t^H r / (sqrt(P) g_t), a (2, N_t, B) array, the
+    channel energies g_t = ||h_t||^2, an (N_t, B) array, and ``orth``, the
+    energies of r / sqrt(P) outside h_t's span, an (N_t, B) array (0.0 where
+    every one is 0: N_r = 1 and no g_t = 0), or None where the cell-edge
+    user's mean SNR var * P is below ``_SEARCH_LOW_SNR`` and the search
+    scores its metric less ||r||^2 / P (``_sm_detect_block``). ``chi`` holds
+    the composite symbols' real and imaginary parts, a (2, B) float64 array.
+    Yields (z, g, orth, ``_dead(g)``) for each sqrt(P) of ``sqrt_ps``; g is
+    the same array every time, and so are z and orth, overwritten for each
+    point.
 
-    Row 0 is the active antenna v, whose MRC statistics the caller gives:
-    ``g_v``, a (B,) array, and ``e_v`` = w_v / g_v, a (2, B) array (the
-    cell-edge user's ``_user_statistics``). So z_v = chi + e_v / sqrt(P),
+    Row 0 is the active antenna v, whose MRC statistics the caller gives in
+    float64: ``g_v``, a (B,) array, and ``e_v`` = w_v / g_v, a (2, B) array
+    (the cell-edge user's ``_user_statistics``). So z_v = chi + e_v / sqrt(P),
     and ||r||^2 = P g_v |z_v|^2 + Gamma(N_r - 1), the second term being the
     noise energy orthogonal to h_v. Rows 1..N_t - 1 are the other antennas,
     in an order the caller chooses: each h_t is independent of r, so by
     unitary invariance h_t^H r = ||r|| c_t and
     g_t = |c_t|^2 + var Gamma(N_r - 1) with c_t ~ CN(0, var), i.i.d. over
-    those rows; c_t / g_t is formed once. Draw order, once before the first
-    yield: the noise energy, c (N_t - 1, B), then the gamma term
-    (N_t - 1, B). Each Gamma(k) term of n values is ``erlang``'s, k * n
-    uniforms for k <= 4; a Gamma(0) term (N_r = 1) draws nothing."""
+    those rows, the second term being the energy of h_t orthogonal to r; a
+    share var Gamma(N_r - 1) / g_t of ||r||^2 lies outside h_t's span (all of
+    it where g_t = 0). c_t / g_t and that share are formed once. z_v and
+    ||r||^2 / P are formed in float64 and rounded once, as |z_v|^2 leaves
+    float32's range near -300 dB. Draw order, once before the first yield:
+    the noise energy, c (N_t - 1, B), then the gamma term (N_t - 1, B). Each
+    Gamma(k) term of n values is ``erlang``'s, k * n uniforms for k <= 4; a
+    Gamma(0) term (N_r = 1) draws nothing."""
     b = chi.shape[1]
-    g = np.empty((n_t, b))
-    g[0] = g_v
     perp = erlang(rng, n_r - 1, b) if n_r > 1 else 0.0
     c = complex_normal(rng, (n_t - 1, b), var)
-    g[1:] = c.real ** 2 + c.imag ** 2
+    g = np.empty((n_t, b), dtype=_RX)
+    g[0] = g_v
+    g_c = c.real ** 2 + c.imag ** 2
+    outside = 0.0
     if n_r > 1:
-        g[1:] += var * erlang(rng, n_r - 1, (n_t - 1, b))
-    c_unit = _unit_gain(c, g[1:])
-    del c  # the SNR loop needs only c / g
+        outside = var * erlang(rng, n_r - 1, (n_t - 1, b))
+        g_c += outside
+    c_unit = _unit_gain(c, g_c, _RX)
+    g[1:] = g_c
     dead = _dead(g)
-    z = np.empty((2, n_t, b))
-    z_v = z[:, 0]
+    share = None
+    if n_r > 1 or dead is not None:
+        share = np.divide(outside, g_c, out=np.ones((n_t - 1, b), dtype=_RX), where=g_c != 0.0)
+    del c, g_c, outside  # the SNR loop needs only c / g and the share
+    z = np.empty((2, n_t, b), dtype=_RX)
+    orth = np.empty((n_t, b), dtype=_RX) if share is not None else 0.0
     for sqrt_p in sqrt_ps:
-        z_v[:] = chi + e_v / sqrt_p
-        # ||r|| / sqrt(P)
-        r_norm = np.sqrt(g[0] * (z_v[0] ** 2 + z_v[1] ** 2) + perp / (sqrt_p * sqrt_p))
-        np.multiply(c_unit, r_norm, out=z[:, 1:])
-        yield z, g, dead
+        z_v = chi + e_v / sqrt_p
+        z[:, 0] = z_v
+        perp_p = perp / (sqrt_p * sqrt_p)
+        # ||r||^2 / P
+        r_sq = g_v * (z_v[0] ** 2 + z_v[1] ** 2) + perp_p
+        np.multiply(c_unit, np.sqrt(r_sq).astype(_RX), out=z[:, 1:])
+        if var * sqrt_p * sqrt_p < _SEARCH_LOW_SNR:
+            yield z, g, None, dead
+            continue
+        if share is not None:
+            orth[0] = perp_p
+            np.multiply(share, r_sq.astype(_RX), out=orth[1:])
+        yield z, g, orth, dead
 
 
 def _ber_trials(cfg: SimConfig, snrs, block: int):
@@ -538,25 +619,30 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
     noise, each with exactly its own law, so only the correlation between
     different users' estimates changes, and no output reads it. Each
     point's SIC chain runs on the per-unit-gain coordinates
-    u = sqrt(P) chi + w / g, whose noise term is formed once per block.
-    What no SNR changes is formed once per block too: chi, summed as real
-    and imaginary parts gathered from the power users' level tables, and
-    each power user's sent labels; each point's decided antennas are
-    written into one (points, B) array."""
+    u = sqrt(P) chi + w / g, formed in float64 and rounded once to ``_RX``.
+    What no SNR changes is formed once per block: chi, summed from the power
+    users' points, and each power user's sent labels; each point's decided
+    antennas are written into one (points, B) array, and a power user's
+    decided grid position is mapped to its point, and so to its label, at
+    its own stage only."""
     rng = rng_stream(cfg.seed, _METRIC_CODE["ber"], block)
     tables = cfg.tables
     b, n_t, n_r = _block_trials(cfg, block), cfg.n_t, cfg.n_r
     first = cfg.first_power_user
     rhos = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
-    sqrt_ps = [np.sqrt(rho) for rho in rhos]
+    # Python floats: a numpy float64 scalar would promote the receiver's
+    # float32 arrays to float64 (NEP 50)
+    sqrt_ps = [sqrt(rho) for rho in rhos]
 
     if first > 1:
         v = rng.integers(0, n_t, b)
     ks = [rng.integers(0, c.order, b) for c in tables.consts]
-    # the receivers' real coordinates of the composite symbols, (2, B)
+    # the composite symbols' real and imaginary parts, (2, B)
     chi = np.zeros((2, b))
-    for a, levels, k in zip(cfg.pa, tables.levels, ks):
-        chi += np.sqrt(a) * np.take(levels[:2], k, axis=1)
+    for a, c, k in zip(cfg.pa, tables.consts, ks):
+        points = np.take(c.points, k)
+        chi[0] += sqrt(a) * points.real
+        chi[1] += sqrt(a) * points.imag
     sent = [c.labels[k] for c, k in zip(tables.consts, ks)]
     unit = _mrc_statistic(rng, n_r, b)
     users = [_user_statistics(*unit, var) for var in cfg.fading]
@@ -569,8 +655,8 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
             v_chunk = v[s:s + chunk]
             stats = _sm_statistics(rng, g_v[s:s + chunk], e_v[:, s:s + chunk], cfg.fading[0],
                                    n_t, n_r, chi[:, s:s + chunk], sqrt_ps)
-            for t_hat, (z, g, dead) in zip(v_hats[:, s:s + chunk], stats):
-                row = _sm_detect_block(z, g, dead, tables.alphabet_levels, tables.sm_grid)
+            for t_hat, (z, g, orth, dead) in zip(v_hats[:, s:s + chunk], stats):
+                row = _sm_detect_block(z, g, orth, tables.sm_grid)
                 # row j holds antenna v + j mod N_t; a trial whose every g_t
                 # is 0 decides antenna 0, as the full search would
                 np.add(v_chunk, row, out=t_hat)
@@ -578,15 +664,17 @@ def _ber_trials(cfg: SimConfig, snrs, block: int):
                 if dead is not None:
                     t_hat[dead.all(axis=0)] = 0
     mrc = [(e, _dead(g)) for g, e in users[first - 1:]]
+    u = np.empty((2, b), dtype=_RX)
     for i, (rho, sqrt_p) in enumerate(zip(rhos, sqrt_ps)):
         # an antenna's label is its index
         errors = [bit_errors(v, v_hats[i])] if first > 1 else []
         signal = sqrt_p * chi
-        amps = [np.sqrt(a * rho) for a in cfg.pa]
+        amps = [sqrt(a * rho) for a in cfg.pa]
         for k, (e, dead) in enumerate(mrc):
-            decisions, _ = _sic_detect_block(signal + e, dead, amps[:k + 1],
-                                             tables.levels[:k + 1], tables.grids[:k + 1])
-            errors.append(bit_errors(sent[k], tables.consts[k].labels[decisions[-1]]))
+            np.add(signal, e, out=u)
+            positions, _ = _sic_detect_block(u, dead, amps[:k + 1], tables.grids[:k + 1])
+            decided = _point_index(tables.grids[k], positions[-1])
+            errors.append(bit_errors(sent[k], tables.consts[k].labels[decided]))
         yield errors
 
 

@@ -141,8 +141,9 @@ def test_sm_statistics_law_ks(n_r):
     (N_t = 2, 3 dB), the active antenna's from the unit-variance MRC
     statistics scaled to the user's variance, against those of a brute-force
     draw of the channel matrix and noise with antenna 0 active: the active
-    antenna's (row 0) g_v = ||h_v||^2, h_v^H r per axis and ||r||^2, and the
-    inactive antenna's (row 1) h_t^H r per axis and ||h_t||^2. The engine
+    antenna's (row 0) g_v = ||h_v||^2, h_v^H r per axis and ||r||^2, the
+    inactive antenna's (row 1) h_t^H r per axis and ||h_t||^2, and for
+    N_r > 1 each row's energy of r outside h_t's span. The engine
     yields h_t^H r / (sqrt(P) ||h_t||^2), so h_t^H r is rebuilt from it, and
     ||r|| is read off the inactive statistic, h_t^H r = ||r|| c_t, by
     replaying the draws up to c: the unit MRC statistics' N_r * n uniforms
@@ -153,9 +154,11 @@ def test_sm_statistics_law_ks(n_r):
     chi = qpsk().points[rng_stream(44, n_r, 0).integers(0, 4, n)]
     rng = rng_stream(44, n_r, 1)
     g_v, e_v = mc._user_statistics(*mc._mrc_statistic(rng, n_r, n), var)
-    [(z, g, dead)] = mc._sm_statistics(rng, g_v, e_v, var, 2, n_r,
-                                       np.stack([chi.real, chi.imag]), [sqrt_p])
+    [(z, g, orth, dead)] = mc._sm_statistics(rng, g_v, e_v, var, 2, n_r,
+                                             np.stack([chi.real, chi.imag]), [sqrt_p])
     assert dead is None and z.shape == (2, 2, n) and g.shape == (2, n)
+    assert z.dtype == g.dtype == mc._RX
+    z, g = z.astype(float), g.astype(float)
     y = (z[0] + 1j * z[1]) * sqrt_p * g
     replay = rng_stream(44, n_r, 1)
     replay.random(n_r * n)
@@ -178,6 +181,13 @@ def test_sm_statistics_law_ks(n_r):
         "Im y_t": (y[1].imag, inner[:, 1].imag),
         "g_t": (g[1], energy[:, 1]),
     }
+    if n_r > 1:
+        # ||r||^2 outside h_v's and h_t's span; every such energy is 0 at N_r = 1
+        outside = np.sum(np.abs(r) ** 2, axis=1)[:, None] - np.abs(inner) ** 2 / energy
+        pairs["||r_perp,v||^2"] = (orth[0] * sqrt_p ** 2, outside[:, 0])
+        pairs["||r_perp,t||^2"] = (orth[1] * sqrt_p ** 2, outside[:, 1])
+    else:
+        assert orth == 0.0
     # 1% critical value is about 1.63 sqrt(2/n); allow headroom for the seed
     for name, (drawn, brute) in pairs.items():
         assert _ks_2samp(drawn, brute) < 2.0 * np.sqrt(2.0 / n), name

@@ -585,6 +585,9 @@ INVALID_RUNS = {
     # chunk so does its memory
     "ber-n_t-above-4096": (["ber"], dict(BER_CONFIG, n_t=8192)),
     "ber-snr-overflow": (["ber"], dict(BER_CONFIG, snr_grid_db=[1e300])),
+    # the float32 receiver's statistics leave float32's range (to inf and
+    # NaN) at a fading variance of 1e-300
+    "ber-fading-below-200-dB": (["ber"], dict(BER_CONFIG, fading=[1e-300, 2, 4])),
     # 10 ** (snr_db / 10) overflowed to a traceback before the range check
     "pa-sweep-snr_db-5000": (["pa-sweep"], {"snr_db": 5000}),
     "pa-sweep-snr_db-minus-5000": (["pa-sweep"], {"snr_db": -5000}),
@@ -633,6 +636,7 @@ INVALID_RUN_MESSAGES = {
     "pa-sweep-snr_db-5000": "SNR points must lie within +-300 dB: [5000.0]",
     "pa-sweep-snr_db-minus-5000": "SNR points must lie within +-300 dB: [-5000.0]",
     "ber-8-psk-user": "modulation order must be 2, 4 or an even power of 2 >= 16, got 8",
+    "ber-fading-below-200-dB": "a positive fading variance must lie within +-200 dB",
 }
 
 

@@ -173,6 +173,8 @@ def test_default_pa_unknown_count():
     dict(pa=(0.5, 0.5)),                    # not strictly decreasing
     dict(fading=(-1.0, 2.0, 4.0)),          # negative, though ascending
     dict(fading=(2.0, 1.0, 4.0)),           # not ascending
+    dict(fading=(1e-21, 2.0, 4.0)),         # below -200 dB, beyond the float32 receiver
+    dict(fading=(1.0, 2.0, 1.01e20)),       # above +200 dB
     dict(target_rates=(1.0, 0.0, 1.0)),     # not positive
 ])
 def test_config_validation_errors(bad):
@@ -381,9 +383,9 @@ def _recording_user_statistics(monkeypatch):
         calls["user"].append((var, *user_statistics(g, e, var)))
         return calls["user"][-1][1:]
 
-    def search(z, g, dead, levels, grid):
+    def search(z, g, orth, grid):
         calls["g_v"].append(g[0].copy())
-        return sm_detect(z, g, dead, levels, grid)
+        return sm_detect(z, g, orth, grid)
 
     monkeypatch.setattr(mc, "_mrc_statistic", mrc)
     monkeypatch.setattr(mc, "_user_statistics", user)
@@ -409,7 +411,7 @@ def test_ber_block_users_share_one_gain_and_noise(monkeypatch, scheme):
     """One BER block draws one unit-variance MRC statistic, the replay's
     Gamma(N_r) gain G and noise e = w / sqrt(G), and every user, in user
     order, takes sigma_k^2 G and e / sigma_k; the cell-edge search reads
-    user 1's gain on its active antenna."""
+    user 1's gain on its active antenna, rounded to the receiver's type."""
     b = 500
     monkeypatch.setattr(mc, "_BLOCK_SIZE", b)
     cfg = _cfg(scheme=scheme, n_t=4 if scheme == mc.SSK_NOMA else 1, fading=(0.5, 2.0, 4.0))
@@ -425,7 +427,8 @@ def test_ber_block_users_share_one_gain_and_noise(monkeypatch, scheme):
     if scheme == mc.SSK_NOMA:
         # one chunk, searched at both points
         assert len(calls["g_v"]) == 2
-        assert all(np.array_equal(g_v, cfg.fading[0] * gain) for g_v in calls["g_v"])
+        g_v = (cfg.fading[0] * gain).astype(mc._RX)
+        assert all(np.array_equal(got, g_v) for got in calls["g_v"])
 
 
 @pytest.mark.parametrize("scheme", [mc.SSK_NOMA, mc.NOMA_BASELINE])
